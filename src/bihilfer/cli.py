@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ from .solver import (
 )
 from .special_functions import KilbasSaigoParams, kilbas_saigo
 from .verification import (
+    RESIDUAL_MIN_POINTS,
     initial_condition_check,
     residual_coefficient_identity,
     residual_numeric,
@@ -214,6 +216,13 @@ def cmd_eval_ks(alpha, m, l_, z_values, z_min, z_max, z_points, tol, fmt, out, c
         _fail("series did not converge at every point", EXIT_NONCONVERGENCE)
 
 
+def _check_grid(y_max: float, points: int, min_points: int = 1) -> None:
+    if not 0.0 < y_max < math.inf:
+        raise ValueError(f"--y-max must be positive and finite, got {y_max}")
+    if points < min_points:
+        raise ValueError(f"--points must be >= {min_points}, got {points}")
+
+
 def _grid(y_max: float, points: int) -> np.ndarray:
     """Uniform grid on (0, y_max], origin excluded."""
     h = y_max / points
@@ -247,6 +256,7 @@ def cmd_fundamental(alpha, beta, mu, i_, m, lambda_re, lambda_im, s_, y_max, poi
     if alpha is None or beta is None or mu is None:
         _fail("--alpha, --beta and --mu are required", EXIT_VALIDATION)
     try:
+        _check_grid(y_max, points)
         problem = _build_problem(alpha, beta, mu, i_, m, lambda_re, lambda_im)
         if not 0 <= s_ <= i_ - 1:
             raise DomainError(f"branch s must lie in 0..{i_ - 1}, got s={s_}")
@@ -303,6 +313,7 @@ def cmd_solve(alpha, beta, mu, i_, m, lambda_re, lambda_im, phis, y_max, points,
     if alpha is None or beta is None or mu is None or phis is None:
         _fail("--alpha, --beta, --mu and --phis are required", EXIT_VALIDATION)
     try:
+        _check_grid(y_max, points)
         problem = _build_problem(alpha, beta, mu, i_, m, lambda_re, lambda_im)
         phi_values = _parse_phis(phis, i_) if isinstance(phis, str) else [complex(p) for p in phis]
         sol = cauchy_solution(problem, phi_values)
@@ -361,6 +372,9 @@ def cmd_verify(alpha, beta, mu, i_, m, lambda_re, lambda_im, s_, k_depth, phis, 
     if alpha is None or beta is None or mu is None:
         _fail("--alpha, --beta and --mu are required", EXIT_VALIDATION)
     try:
+        _check_grid(y_max, points, RESIDUAL_MIN_POINTS)
+        if k_depth < 1:
+            raise ValueError(f"--k must be >= 1, got {k_depth}")
         problem = _build_problem(alpha, beta, mu, i_, m, lambda_re, lambda_im)
         branches = [s_] if s_ is not None else list(range(i_))
         for s in branches:

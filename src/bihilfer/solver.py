@@ -2,29 +2,32 @@
 
 Builds the fundamental family u_s(y) = y^{b_s} * sum_k c_k (lambda y^a)^k for
 s = 0..i-1 and the solution of the Cauchy-type initial problem as a weighted
-combination of branches. The coefficients follow the one-step Gamma-ratio
-recurrence; term by term they coincide with the Kilbas-Saigo coefficients at
-parameters (gamma, a/gamma, (a+b_s)/gamma - 1), which is verified by the test
-suite rather than assumed.
+combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
+(a+b_s)/gamma - 1}(lambda y^a), so its coefficients are read from the shared,
+bounded Kilbas-Saigo cache at that triple and its sums run through the same
+series engine as kilbas_saigo. That the coefficients solve the equation is
+checked independently by verification.residual_coefficient_identity.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .fractional_ops import OrderTriple
 from .special_functions import (
+    _CACHE,
     DEFAULT_N_MAX,
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
-    _log_gamma_ratio_offset,
-    _sum_series,
+    _sum_log_series,
+    kilbas_saigo_coefficients,
 )
 
 __all__ = [
@@ -90,22 +93,15 @@ def derive_params(problem: DegenerateProblem) -> DerivedParams:
     return DerivedParams(gamma, a, b)
 
 
-def _coefficient_extender(problem: DegenerateProblem, s: int):
-    """One-step recurrence c_k = c_{k-1} * Gamma(ak+b-gamma+1)/Gamma(ak+b+1)."""
+def _branch_params(problem: DegenerateProblem, s: int) -> KilbasSaigoParams:
+    """The (alpha, m, l) triple for which branch s equals
+    y^{b_s} * E_{alpha,m,l}(lambda y^a)."""
     params = derive_params(problem)
-    a, gamma, bs = params.a, params.gamma, params.b[s]
-
-    def extend(coeffs: list[float], upto: int) -> None:
-        while len(coeffs) <= upto:
-            k = len(coeffs)
-            num = a * k + bs - gamma + 1.0
-            if not num > 0.0:
-                raise DomainError(
-                    f"a*k + b_s - gamma + 1 > 0 violated at k={k} (value {num})"
-                )
-            coeffs.append(coeffs[-1] * math.exp(_log_gamma_ratio_offset(num, gamma)))
-
-    return extend
+    return KilbasSaigoParams(
+        alpha=params.gamma,
+        m=params.a / params.gamma,
+        l=(params.a + params.b[s]) / params.gamma - 1.0,
+    )
 
 
 def coefficient_sequence(problem: DegenerateProblem, s: int, K: int) -> list[float]:
@@ -115,18 +111,16 @@ def coefficient_sequence(problem: DegenerateProblem, s: int, K: int) -> list[flo
         raise ValueError(f"branch s must lie in 0..{problem.orders.i - 1}, got s={s}")
     if K < 0:
         raise ValueError(f"K must be >= 0, got K={K}")
-    coeffs = [1.0]
-    _coefficient_extender(problem, s)(coeffs, K)
-    return coeffs
+    return kilbas_saigo_coefficients(_branch_params(problem, s), K + 1)
 
 
 @dataclass(eq=False)
 class SeriesSolution:
     """One fundamental branch u_s(y) = y^b * sum_k c_k (lambda y^a)^k, y > 0.
 
-    Immutable in meaning; the stored coefficient list only grows lazily (an
-    idempotent, lock-guarded fill) when an evaluation needs more terms than
-    were precomputed at construction, so concurrent grid evaluation is safe.
+    The c_k are the Kilbas-Saigo coefficients at kilbas_saigo_params(): every
+    evaluation reads them from the shared, bounded cache, which extends them
+    as needed. `coeffs` holds c_0..c_K as read at construction.
     """
 
     b: float
@@ -135,37 +129,32 @@ class SeriesSolution:
     coeffs: list[float] = field(repr=False)
     problem: DegenerateProblem
     s: int
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
-    @property
-    def K(self) -> int:
-        """Index of the last precomputed coefficient."""
-        return len(self.coeffs) - 1
+    def __post_init__(self) -> None:
+        self._params = _branch_params(self.problem, self.s)
+        self._logs = partial(_CACHE.logs, self._params)
 
     def kilbas_saigo_params(self) -> KilbasSaigoParams:
         """The (alpha, m, l) triple for which the branch series equals
         y^b * E_{alpha,m,l}(lambda y^a)."""
-        params = derive_params(self.problem)
-        return KilbasSaigoParams(
-            alpha=params.gamma,
-            m=self.a / params.gamma,
-            l=(self.a + self.b) / params.gamma - 1.0,
-        )
-
-    def _ensure_coeffs(self, upto: int) -> None:
-        if upto > self.K:
-            with self._lock:
-                if upto > self.K:
-                    _coefficient_extender(self.problem, self.s)(self.coeffs, upto)
+        return self._params
 
     def coefficient(self, k: int) -> float:
-        """c_k, extending the cached sequence if needed."""
+        """c_k, extending the shared cache if needed."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got k={k}")
-        self._ensure_coeffs(k)
-        return self.coeffs[k]
+        return _CACHE.get(self._params, k + 1)[0][k]
+
+    def series_report(
+        self,
+        z: complex,
+        start: int = 0,
+        tol: float = DEFAULT_TOL,
+        n_max: int = DEFAULT_N_MAX,
+        weight: "Callable[[int], float] | None" = None,
+    ) -> SeriesEvalReport:
+        """sum_k w_k c_{start+k} z^k through the shared series engine."""
+        return _sum_log_series(self._logs, z, start, tol, n_max, weight)
 
     def evaluate_report(
         self, y: float, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
@@ -174,26 +163,7 @@ class SeriesSolution:
         singular at the origin, hence the strict y > 0 requirement."""
         if not y > 0.0:
             raise DomainError(f"evaluation requires y > 0, got y={y}")
-        z = self.lam * y**self.a
-        prefactor = y**self.b
-        if z == 0:
-            return SeriesEvalReport(prefactor + 0.0j, 1, 0.0, True)
-        self._ensure_coeffs(min(n_max, DEFAULT_TRUNCATION))
-        zpow = [1.0 + 0.0j]
-
-        def term(k: int) -> complex:
-            self._ensure_coeffs(k)
-            while len(zpow) <= k:
-                zpow.append(zpow[-1] * z)
-            return self.coeffs[k] * zpow[k]
-
-        report = _sum_series(term, tol, n_max)
-        return SeriesEvalReport(
-            prefactor * report.value,
-            report.terms_used,
-            report.last_term_magnitude,
-            report.converged,
-        )
+        return self.evaluate_tail_report(y, 0, tol, n_max)
 
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
@@ -201,19 +171,8 @@ class SeriesSolution:
     def evaluate_grid(
         self, ys: np.ndarray, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
     ) -> np.ndarray:
-        """Vectorized evaluation over a grid of positive points. Truncation
-        is chosen by applying the stopping rule at the largest |z| on the
-        grid; the coefficient terms are monotone in |z|, so the rule then
-        holds everywhere on the grid."""
-        ys = np.asarray(ys, dtype=float)
-        if np.any(ys <= 0.0):
-            raise DomainError("evaluation requires y > 0 at every grid point")
-        report = self.evaluate_report(float(ys.max()), tol, n_max)
-        n_terms = report.terms_used
-        ks = np.arange(n_terms)
-        z = self.lam * ys**self.a
-        terms = np.asarray(self.coeffs[:n_terms]) * z[:, None] ** ks[None, :]
-        return ys**self.b * terms.sum(axis=1)
+        """evaluate_report(y).value at every grid point."""
+        return _evaluate_grid(self, ys, tol, n_max)
 
     def evaluate_tail_report(
         self,
@@ -235,22 +194,9 @@ class SeriesSolution:
             raise DomainError("tail is singular at y = 0")
         if not y > 0.0:
             raise DomainError(f"evaluation requires y >= 0, got y={y}")
-        z = self.lam * y**self.a
-        scale = y**lead * self.lam**k_start
-        if z == 0:
-            return SeriesEvalReport(scale * self.coefficient(k_start), 1, 0.0, True)
-        self._ensure_coeffs(min(n_max, DEFAULT_TRUNCATION + k_start))
-        zpow = [1.0 + 0.0j]
-
-        def term(j: int) -> complex:
-            self._ensure_coeffs(j + k_start)
-            while len(zpow) <= j:
-                zpow.append(zpow[-1] * z)
-            return self.coeffs[j + k_start] * zpow[j]
-
-        report = _sum_series(term, tol, n_max)
+        report = self.series_report(self.lam * y**self.a, k_start, tol, n_max)
         return SeriesEvalReport(
-            scale * report.value,
+            y**lead * self.lam**k_start * report.value,
             report.terms_used,
             report.last_term_magnitude,
             report.converged,
@@ -266,10 +212,18 @@ class SeriesSolution:
         return self.evaluate_tail_report(y, k_start, tol, n_max).value
 
 
+def _evaluate_grid(
+    sol: "SeriesSolution | CauchySolution", ys: np.ndarray, tol: float, n_max: int
+) -> np.ndarray:
+    ys = np.asarray(ys, dtype=float)
+    values = [sol.evaluate_report(float(y), tol, n_max).value for y in ys]
+    return np.array(values, dtype=complex)
+
+
 def fundamental_solution(
     problem: DegenerateProblem, s: int, K: int = DEFAULT_TRUNCATION
 ) -> SeriesSolution:
-    """Branch s of the fundamental system, with K coefficients precomputed."""
+    """Branch s of the fundamental system, with c_0..c_K precomputed."""
     params = derive_params(problem)
     coeffs = coefficient_sequence(problem, s, K)
     return SeriesSolution(
@@ -310,13 +264,8 @@ class CauchySolution:
     def evaluate_grid(
         self, ys: np.ndarray, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
     ) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        total = np.zeros(ys.shape, dtype=complex)
-        for w, branch in zip(self.weights, self.branches):
-            if w == 0:
-                continue
-            total += w * branch.evaluate_grid(ys, tol, n_max)
-        return total
+        """evaluate_report(y).value at every grid point."""
+        return _evaluate_grid(self, ys, tol, n_max)
 
 
 def cauchy_solution(

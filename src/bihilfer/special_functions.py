@@ -3,8 +3,8 @@
 Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
 E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}. The
 Mittag-Leffler routine exists purely as an independent cross-check for the
-m = 1 reductions of E_{alpha,m,l}; it shares the truncation rule but not the
-coefficient computation.
+m = 1 reductions of E_{alpha,m,l}; it shares the series engine (and so the
+truncation rule) but not the coefficient computation.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).
@@ -15,7 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import DomainError
@@ -129,24 +131,40 @@ class SeriesEvalReport:
     converged: bool
 
 
+# Triples kept by the coefficient cache; a parameter sweep cycles through it.
+_CACHE_SIZE = 128
+
+
 class _CoefficientCache:
-    """Per-parameter-triple cache of Kilbas-Saigo coefficients.
+    """Bounded cache of Kilbas-Saigo coefficients per parameter triple.
 
     Stores both the running-product coefficients c_i and their logs; the log
     form is what term evaluation uses, so deep tails neither overflow nor
     underflow. The fill is idempotent, append-only and guarded by a lock, so
-    concurrent evaluations behave as if each recomputed the sequence, and
-    list references handed out earlier observe later growth.
+    concurrent evaluations behave as if each recomputed the sequence. At most
+    `_CACHE_SIZE` triples are kept: the least recently used one is dropped,
+    and a later request refills it with identical values. A list handed out
+    earlier keeps its values but stops growing once its triple is dropped,
+    so a caller that needs more terms asks the cache again.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._data: dict[tuple[float, float, float], tuple[list[float], list[float]]] = {}
+        self._data: OrderedDict[
+            tuple[float, float, float], tuple[list[float], list[float]]
+        ] = OrderedDict()
 
     def get(self, params: KilbasSaigoParams, n: int) -> tuple[list[float], list[float]]:
         key = (params.alpha, params.m, params.l)
         with self._lock:
-            lin, log = self._data.setdefault(key, ([1.0], [0.0]))
+            entry = self._data.get(key)
+            if entry is None:
+                entry = self._data[key] = ([1.0], [0.0])
+                if len(self._data) > _CACHE_SIZE:
+                    self._data.popitem(last=False)
+            else:
+                self._data.move_to_end(key)
+            lin, log = entry
             alpha, m, l = params.alpha, params.m, params.l
             while len(lin) < n:
                 j = len(lin) - 1
@@ -154,6 +172,10 @@ class _CoefficientCache:
                 lin.append(lin[-1] * math.exp(diff))
                 log.append(log[-1] + diff)
             return lin, log
+
+    def logs(self, params: KilbasSaigoParams, n: int) -> list[float]:
+        """At least n log-coefficients ln c_0, ln c_1, ... of the triple."""
+        return self.get(params, n)[1]
 
 
 _CACHE = _CoefficientCache()
@@ -171,42 +193,74 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[flo
     return lin[:count]
 
 
-def _sum_series(
-    term: Callable[[int], complex], tol: float, n_max: int
-) -> SeriesEvalReport:
-    """Sum term(0) + term(1) + ... under the shared truncation rule.
+# Log-coefficients fetched ahead of the first term; the fetch doubles after.
+_FETCH_AHEAD = 64
 
-    Stops at the first index N >= 2 where |t_k| <= tol*max(1, |S_k|) held for
-    three consecutive k and |t_N| < |t_{N-1}|.
+
+def _sum_log_series(
+    log_coeffs: Callable[[int], list[float]],
+    z: complex,
+    start: int = 0,
+    tol: float = DEFAULT_TOL,
+    n_max: int = DEFAULT_N_MAX,
+    weight: "Callable[[int], float] | None" = None,
+) -> SeriesEvalReport:
+    """The series engine: sum_k w_k exp(L[start+k] + k log z), k = 0, 1, ...
+
+    `log_coeffs(n)` returns a list of at least n log-coefficients L; it is
+    asked again whenever the sum needs more. The optional real weights w_k
+    (default 1) may be zero or negative. Real z is summed in real arithmetic
+    with an explicit sign (-1)^k for z < 0, so a real series has an exactly
+    zero imaginary part.
+
+    Stopping rule, the only one in the package: stop at the first index
+    N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
+    |t_N| < |t_{N-1}|. A term that overflows ends the sum unconverged with
+    the partial sum as its value; so does reaching n_max terms.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    total = 0.0 + 0.0j
+    logs = log_coeffs(start + _FETCH_AHEAD)
+    if z == 0:
+        first = math.exp(logs[start]) * (1.0 if weight is None else weight(0))
+        return SeriesEvalReport(complex(first), 1, 0.0, True)
+    z = complex(z)
+    if z.imag == 0.0:
+        exp, log_z, flip, total = math.exp, math.log(abs(z.real)), z.real < 0.0, 0.0
+    else:
+        exp, log_z, flip, total = cmath.exp, cmath.log(z), False, 0.0j
     streak = 0
     prev_mag = math.inf
-    k = 0
     mag = math.inf
+    k = 0
     while k < n_max:
+        i = start + k
+        if i >= len(logs):
+            logs = log_coeffs(2 * i)
         try:
-            t = term(k)
+            t = exp(logs[i] + k * log_z)
         except OverflowError:
             # Term outgrew the double range; report the best partial sum.
-            return SeriesEvalReport(total, k + 1, math.inf, False)
+            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
+        if flip and k & 1:
+            t = -t
+        if weight is not None:
+            t *= weight(k)
         total += t
         mag = abs(t)
         if not math.isfinite(mag):
-            return SeriesEvalReport(total, k + 1, mag, False)
+            return SeriesEvalReport(complex(total), k + 1, mag, False)
         if mag <= tol * max(1.0, abs(total)):
             streak += 1
         else:
             streak = 0
         if k >= 2 and streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-            return SeriesEvalReport(total, k + 1, mag, True)
+            return SeriesEvalReport(complex(total), k + 1, mag, True)
         prev_mag = mag
         k += 1
-    return SeriesEvalReport(total, k, mag, False)
+    return SeriesEvalReport(complex(total), k, mag, False)
 
 
 def kilbas_saigo(
@@ -222,17 +276,7 @@ def kilbas_saigo(
     metadata; a non-converged report (n_max exhausted) still carries the
     best value.
     """
-    if z == 0:
-        return SeriesEvalReport(1.0 + 0.0j, 1, 0.0, True)
-    _, log_coeffs = _CACHE.get(params, 64)
-    log_z = cmath.log(z)
-
-    def term(k: int) -> complex:
-        if k >= len(log_coeffs):
-            _CACHE.get(params, max(k + 1, 2 * len(log_coeffs)))
-        return cmath.exp(log_coeffs[k] + k * log_z)
-
-    return _sum_series(term, tol, n_max)
+    return _sum_log_series(partial(_CACHE.logs, params), z, 0, tol, n_max)
 
 
 def mittag_leffler(
@@ -244,20 +288,20 @@ def mittag_leffler(
 ) -> complex:
     """Two-parameter Mittag-Leffler function E_{a,b}(z) = sum_k z^k / Gamma(ak+b).
 
-    Direct term-by-term summation with the same truncation rule as
-    kilbas_saigo; each term is formed from k*log(z) - lnGamma(ak+b)
-    independently of any coefficient recurrence. Intended as a desk-scale
-    oracle; the partial sum is returned even if the rule never fires.
+    Summed by the same engine as kilbas_saigo, but each log-coefficient is
+    formed directly as -lnGamma(ak+b), independently of any coefficient
+    recurrence or cache. Intended as a desk-scale oracle; the partial sum is
+    returned even if the rule never fires.
     """
     if not a > 0.0:
         raise DomainError(f"mittag_leffler requires a > 0, got a={a}")
     if not b > 0.0:
         raise DomainError(f"mittag_leffler requires b > 0, got b={b}")
-    if z == 0:
-        return complex(math.exp(-math.lgamma(b)))
-    log_z = cmath.log(z)
+    log_coeffs: list[float] = []
 
-    def term(k: int) -> complex:
-        return cmath.exp(k * log_z - math.lgamma(a * k + b))
+    def fetch(n: int) -> list[float]:
+        while len(log_coeffs) < n:
+            log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
+        return log_coeffs
 
-    return _sum_series(term, tol, n_max).value
+    return _sum_log_series(fetch, z, 0, tol, n_max).value

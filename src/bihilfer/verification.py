@@ -47,6 +47,9 @@ __all__ = [
 # Relative errors use max(|rhs|, REL_FLOOR) to avoid blowups near zeros of u.
 REL_FLOOR = 1e-30
 
+# Fewest grid intervals residual_numeric accepts.
+RESIDUAL_MIN_POINTS = 8
+
 # Deep geometric tail: the slowest error exponent in the y->0 limits can be
 # as small as 0.1, so the extrapolation needs y^0.1 itself to become small.
 DEFAULT_IC_POINTS = tuple(1e-4 * 1e-4**n for n in range(10))
@@ -150,8 +153,8 @@ def residual_numeric(
     orders = problem.orders
     if orders.i > 2:
         raise DomainError(f"numeric residual supports i <= 2, got i={orders.i}")
-    if n_points < 8:
-        raise ValueError("n_points too small")
+    if n_points < RESIDUAL_MIN_POINTS:
+        raise ValueError(f"n_points must be >= {RESIDUAL_MIN_POINTS}, got {n_points}")
     k1 = _default_tail_start(problem, s) if tail_start is None else tail_start
     if k1 < 0:
         raise ValueError("tail_start must be >= 0")
@@ -206,44 +209,23 @@ def residual_numeric(
 def _series_derivative_at(
     sol_branches: CauchySolution, j: int, y: float, tol: float
 ) -> complex:
-    """d^j/dy^j of g(y) = y^{-(1-mu)(i-beta)} u(y), termwise.
+    """d^j/dy^j of g(y) = y^{-(1-mu)(i-beta)} u(y), termwise; nan if a
+    branch series does not converge.
 
     The exponent shift turns branch s into sum_k c_k lambda^k y^{ak+s}, so
-    every derivative is again a generalized power series with nonnegative
-    exponents (falling products kill the s < j heads exactly)."""
+    the derivative is y^{s-j} sum_k fp_k c_k (lambda y^a)^k with the falling
+    products fp_k = (ak+s)(ak+s-1)...(ak+s-j+1) as term weights; they vanish
+    exactly on the s < j heads."""
     total = 0.0 + 0.0j
     for weight, branch in zip(sol_branches.weights, sol_branches.branches):
         if weight == 0:
             continue
-        a = branch.a
-        s = branch.s
-        lam = branch.lam
-        partial = 0.0 + 0.0j
-        k = 0
-        small_streak = 0
-        while True:
-            fp = falling_product(a * k + s, j) if j > 0 else 1.0
-            exponent = a * k + s - j
-            if fp == 0.0:
-                term = 0.0 + 0.0j  # annihilated head term; never form y**exponent
-            else:
-                term = (
-                    branch.coefficient(k)
-                    * lam**k
-                    * fp
-                    * (y**exponent if exponent != 0.0 else 1.0)
-                )
-            partial += term
-            if abs(term) <= tol * max(1.0, abs(partial)):
-                small_streak += 1
-                if small_streak >= 3:
-                    break
-            else:
-                small_streak = 0
-            k += 1
-            if k > 10_000:
-                break
-        total += weight * partial
+        a, s = branch.a, branch.s
+        fp = (lambda k: falling_product(a * k + s, j)) if j > 0 else None
+        report = branch.series_report(branch.lam * y**a, tol=tol, weight=fp)
+        if not report.converged:
+            return complex("nan")
+        total += weight * y ** (s - j) * report.value
     return total
 
 
@@ -262,7 +244,8 @@ def ic_derivative_sequence(
     y_points: "tuple[float, ...] | None" = None,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Values of d^j/dy^j (y^{-(1-mu)(i-beta)} u)(y) along y_points."""
+    """Values of d^j/dy^j (y^{-(1-mu)(i-beta)} u)(y) along y_points; nan
+    where the series did not converge."""
     if y_points is None:
         y_points = DEFAULT_IC_POINTS
     sol = cauchy_solution(problem, phis)

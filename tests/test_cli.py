@@ -113,10 +113,29 @@ class TestFundamental:
             assert y > 0.0
             assert abs(re_u - y**-0.5) < 1e-12
 
-    def test_branch_out_of_range_exit_1(self, runner):
-        result = runner.invoke(cli, self.ARGS + ["--s", "1"])
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--s", "1"], "branch s must lie in 0..0"),
+            (["--points", "0"], "--points must be >= 1"),
+            (["--y-max", "-1"], "--y-max must be positive"),
+        ],
+        ids=["branch", "points", "y-max"],
+    )
+    def test_out_of_range_option_exit_1(self, runner, extra, message):
+        result = runner.invoke(cli, self.ARGS + extra)
         assert result.exit_code == 1
-        assert "branch" in result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {message}" in result.output
+
+    def test_real_lambda_table_is_exactly_real(self, runner):
+        args = ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1",
+                "--m", "0", "--lambda-re", "-1", "--y-max", "4", "--points", "4096"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0
+        _, _, rows = parse_csv(result.output)
+        assert len(rows) == 4096
+        assert all(float(row[2]) == 0.0 for row in rows)
 
     def test_json_format(self, runner):
         result = runner.invoke(cli, self.ARGS + ["--format", "json"])
@@ -192,6 +211,17 @@ class TestVerify:
         assert statuses["coefficient_identity"] == "pass"
         assert statuses["numeric_residual"] == "skipped"
         assert statuses["initial_condition"] == "skipped"
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [(["--k", "0"], "--k must be >= 1"), (["--points", "4"], "--points must be >= 8")],
+        ids=["k", "points"],
+    )
+    def test_out_of_range_option_exit_1(self, runner, extra, message):
+        result = runner.invoke(cli, self.GOOD + extra)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: {message}" in result.output
 
     def test_inadmissible_problem_names_inequality(self, runner):
         args = ["verify", "--alpha", "0.1", "--beta", "0.9", "--mu", "1", "--i", "1", "--m", "0"]

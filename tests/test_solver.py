@@ -187,9 +187,7 @@ class TestSeriesSolution:
 
     def test_lazy_extension(self):
         sol = fundamental_solution(CAPUTO_HALF, 0, K=4)
-        assert sol.K == 4
         value = sol.coefficient(40)
-        assert sol.K >= 40
         assert value == pytest.approx(1.0 / math.gamma(21.0), rel=1e-11)
 
     def test_grid_evaluation_matches_pointwise(self):
@@ -198,7 +196,7 @@ class TestSeriesSolution:
         ys = np.linspace(0.05, 1.0, 17)
         grid_vals = sol.evaluate_grid(ys)
         point_vals = np.array([sol.evaluate(float(y)) for y in ys])
-        assert np.allclose(grid_vals, point_vals, rtol=1e-11, atol=1e-13)
+        assert np.array_equal(grid_vals, point_vals)
 
     def test_tail_evaluation(self):
         problem = make_problem(0.5, 0.5, 0.0, 1, lam=2.0)
@@ -248,10 +246,9 @@ class TestCauchySolution:
         problem = make_problem(1.5, 1.5, 0.5, 2, m=0.0, lam=1.0 - 0.5j)
         sol = cauchy_solution(problem, [2.0, 3.0])
         ys = np.linspace(0.1, 1.0, 7)
-        assert np.allclose(
+        assert np.array_equal(
             sol.evaluate_grid(ys),
             [sol.evaluate(float(y)) for y in ys],
-            rtol=1e-11,
         )
 
 
@@ -305,11 +302,13 @@ class TestClosedFormClosure:
 
     def test_caputo_cross_oracle(self):
         # mu=1, alpha=beta, m=0: u_0(y) = E_alpha(lambda y^alpha)
-        for alpha, lam in [(0.5, 1.0), (0.5, -1.0), (0.8, 0.7 - 0.2j)]:
+        for alpha, lam in [(0.5, 1.0), (0.5, -1.0), (0.8, 0.7 - 0.2j), (0.3, 4.0)]:
             problem = make_problem(alpha, alpha, 1.0, 1, lam=lam)
             sol = fundamental_solution(problem, 0)
             for y in np.linspace(0.05, 1.0, 9):
                 expected = mittag_leffler(alpha, 1.0, lam * y**alpha)
-                assert abs(sol.evaluate(float(y)) - expected) <= 1e-10 * max(
+                report = sol.evaluate_report(float(y))
+                assert report.converged
+                assert abs(report.value - expected) <= 1e-10 * max(
                     1.0, abs(expected)
                 )

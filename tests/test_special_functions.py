@@ -21,6 +21,7 @@ from bihilfer import (
     log_gamma_ratio,
     mittag_leffler,
 )
+from bihilfer.special_functions import _CACHE, _CACHE_SIZE
 
 # (p, q, ln Gamma(p) - ln Gamma(q)) frozen from a 40-digit computation
 LGAMMA_RATIO_REFERENCE = [
@@ -163,10 +164,11 @@ class TestKilbasSaigo:
     def test_erfc_closed_form(self):
         # E_{1/2,1,0}(z) = exp(z^2) erfc(-z) on the real axis
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
-        for z in (1.0, -1.0, 2.0, -2.5):
+        for z in (1.0, -1.0, 2.0, -2.5, -3.0):
             expected = math.exp(z * z) * math.erfc(-z)
             report = kilbas_saigo(params, z)
             assert report.converged
+            assert report.value.imag == 0.0  # real z is summed in real arithmetic
             assert abs(report.value - expected) <= 1e-10 * max(1.0, abs(expected))
 
     def test_known_digit_values(self):
@@ -209,8 +211,11 @@ class TestMittagLeffler:
             assert mittag_leffler(a, b, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_erfc_closed_form(self):
-        expected = math.e * math.erfc(-1.0)
-        assert abs(mittag_leffler(0.5, 1.0, 1.0) - expected) <= 1e-10 * expected
+        for z in (1.0, -3.0):
+            expected = math.exp(z * z) * math.erfc(-z)
+            value = mittag_leffler(0.5, 1.0, z)
+            assert value.imag == 0.0
+            assert abs(value - expected) <= 1e-10 * expected
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -285,6 +290,16 @@ class TestCoefficients:
         short = kilbas_saigo_coefficients(params, 10)
         long = kilbas_saigo_coefficients(params, 50)
         assert long[:10] == short
+
+    def test_cache_is_bounded_and_refills_identically(self):
+        fresh = [KilbasSaigoParams(0.45, 1.1, 0.01 * n) for n in range(_CACHE_SIZE + 1)]
+        first = kilbas_saigo_coefficients(fresh[0], 80)
+        for params in fresh[1:]:
+            kilbas_saigo_coefficients(params, 8)
+            assert len(_CACHE._data) <= _CACHE_SIZE
+        assert len(_CACHE._data) == _CACHE_SIZE
+        assert (0.45, 1.1, 0.0) not in _CACHE._data  # least recently used
+        assert kilbas_saigo_coefficients(fresh[0], 80) == first
 
     def test_concurrent_evaluation_shares_cache_safely(self):
         import threading
