@@ -75,6 +75,16 @@ class TestEvalKs:
         result = runner.invoke(cli, ["eval-ks", "--alpha", "1", "--m", "1", "--l", "0"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_out_of_range_option_exit_1(self, runner, points):
+        result = runner.invoke(
+            cli, ["eval-ks", "--alpha", "1", "--m", "1", "--l", "0",
+                  "--z-min", "-1", "--z-max", "1", "--z-points", points],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "error: --z-points must be >= 1" in result.output
+
     def test_nonconvergence_exit_3(self, runner):
         result = runner.invoke(
             cli, ["eval-ks", "--alpha", "0.3", "--m", "1", "--l", "0", "--z", "50"]
@@ -127,6 +137,16 @@ class TestFundamental:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: {message}" in result.output
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--format", "xml"], ["--points", "abc"], ["--bogus", "1"]],
+        ids=["format", "points", "unknown-option"],
+    )
+    def test_usage_error_exit_1(self, runner, extra):
+        result = runner.invoke(cli, self.ARGS + extra)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
 
     def test_real_lambda_table_is_exactly_real(self, runner):
         args = ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1",
@@ -277,6 +297,39 @@ class TestConfigFile:
         )
         _, _, rows2 = parse_csv(result2.output)
         assert abs(float(rows2[-1][1]) - 0.4275836) < 1e-6
+
+    def test_list_phis_feeds_solve_and_verify(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "alpha": 0.5, "beta": 0.5, "mu": 1.0, "lambda_re": -1.0,
+            "phis": [1.0], "points": 16, "k": 50,
+        }))
+        solved = runner.invoke(cli, ["solve", "--config", str(config)])
+        assert solved.exit_code == 0, solved.output
+        _, _, rows = parse_csv(solved.output)
+        assert abs(float(rows[-1][1]) - 0.4275836) < 1e-6
+        verified = runner.invoke(cli, ["verify", "--config", str(config), "--points", "256"])
+        assert verified.exit_code == 0, verified.output
+        meta, _, _ = parse_csv(verified.output)
+        assert meta["passed"] == "True"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"alpha": 0.5, "beta": 0.5, "mu": 1.0, "points": "abc"}),
+            json.dumps({"alpha": 0.5, "beta": 0.5, "mu": 1.0, "format": "xml"}),
+            json.dumps([0.5, 0.5, 1.0]),
+            '{"alpha": 0.5,',
+        ],
+        ids=["wrong-type", "bad-choice", "json-array", "malformed-json"],
+    )
+    def test_bad_config_exit_1(self, runner, tmp_path, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        result = runner.invoke(cli, ["fundamental", "--config", str(config)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Invalid value for" in result.output
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])
