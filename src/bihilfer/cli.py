@@ -68,7 +68,15 @@ class PhisType(click.ParamType):
 
 class CliGroup(click.Group):
     """Click's usage errors (missing or malformed options, bad config files,
-    unknown subcommands) are validation errors, so they exit 1, not 2."""
+    unknown or missing subcommands) are validation errors, so they exit 1,
+    not 2, whether the group or a subcommand raises them."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_VALIDATION
+            raise
 
     def invoke(self, ctx):
         try:
@@ -262,18 +270,15 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
     try:
         _check_grid(y_max, points)
         problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
-        if not 0 <= s <= i - 1:
-            raise DomainError(f"branch s must lie in 0..{i - 1}, got s={s}")
         sol = fundamental_solution(problem, s)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
-    derived = derive_params(problem)
     ks = sol.kilbas_saigo_params()
     rows, converged = _tabulate(sol, _grid(y_max, points), tol)
     meta = {
-        "gamma": derived.gamma,
-        "a": derived.a,
-        "b_s": derived.b[s],
+        "gamma": ks.alpha,
+        "a": sol.a,
+        "b_s": sol.b,
         "ks_alpha": ks.alpha,
         "ks_m": ks.m,
         "ks_l": ks.l,
@@ -336,10 +341,9 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
         _check_grid(y_max, points, RESIDUAL_MIN_POINTS)
         _at_least("--k", k, 1)
         problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
+        if s is not None:
+            fundamental_solution(problem, s)  # rejects a branch outside 0..i-1
         branches = [s] if s is not None else list(range(i))
-        for branch in branches:
-            if not 0 <= branch <= i - 1:
-                raise DomainError(f"branch s must lie in 0..{i - 1}, got s={branch}")
         if phis is None:
             phis = [complex(j + 1) for j in range(i)]
         _check_phis(phis, i)

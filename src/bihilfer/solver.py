@@ -3,10 +3,11 @@
 Builds the fundamental family u_s(y) = y^{b_s} * sum_k c_k (lambda y^a)^k for
 s = 0..i-1 and the solution of the Cauchy-type initial problem as a weighted
 combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
-(a+b_s)/gamma - 1}(lambda y^a), so its coefficients are read from the shared,
-bounded Kilbas-Saigo cache at that triple and its sums run through the same
-series engine as kilbas_saigo. That the coefficients solve the equation is
-checked independently by verification.residual_coefficient_identity.
+(a+b_s)/gamma - 1}(lambda y^a): a SeriesSolution is built from (problem, s)
+alone, maps it to that triple once, reads its coefficients from the shared,
+bounded Kilbas-Saigo cache and sums through the same series engine as
+kilbas_saigo. That the coefficients solve the equation is checked
+independently by verification.residual_coefficient_identity.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ __all__ = [
     "cauchy_solution",
     "hilfer_reduction_params",
 ]
-
-DEFAULT_TRUNCATION = 256
-
 
 @dataclass(frozen=True)
 class DegenerateProblem:
@@ -93,45 +91,45 @@ def derive_params(problem: DegenerateProblem) -> DerivedParams:
     return DerivedParams(gamma, a, b)
 
 
-def _branch_params(problem: DegenerateProblem, s: int) -> KilbasSaigoParams:
-    """The (alpha, m, l) triple for which branch s equals
-    y^{b_s} * E_{alpha,m,l}(lambda y^a)."""
-    params = derive_params(problem)
-    return KilbasSaigoParams(
-        alpha=params.gamma,
-        m=params.a / params.gamma,
-        l=(params.a + params.b[s]) / params.gamma - 1.0,
-    )
-
-
 def coefficient_sequence(problem: DegenerateProblem, s: int, K: int) -> list[float]:
     """Coefficients c_0..c_K of branch s; c_0 = 1. All Gamma arguments stay
     strictly positive for admissible problems."""
-    if not 0 <= s <= problem.orders.i - 1:
-        raise ValueError(f"branch s must lie in 0..{problem.orders.i - 1}, got s={s}")
+    params = SeriesSolution(problem, s).kilbas_saigo_params()
     if K < 0:
         raise ValueError(f"K must be >= 0, got K={K}")
-    return kilbas_saigo_coefficients(_branch_params(problem, s), K + 1)
+    return kilbas_saigo_coefficients(params, K + 1)
 
 
 @dataclass(eq=False)
 class SeriesSolution:
-    """One fundamental branch u_s(y) = y^b * sum_k c_k (lambda y^a)^k, y > 0.
+    """Branch s of the fundamental system, u_s(y) = y^b * sum_k c_k (lambda y^a)^k
+    for y > 0, with b = b_s.
 
-    The c_k are the Kilbas-Saigo coefficients at kilbas_saigo_params(): every
-    evaluation reads them from the shared, bounded cache, which extends them
-    as needed. `coeffs` holds c_0..c_K as read at construction.
+    Construction maps (problem, s) to the paper's branch y^{b_s}
+    E_{gamma, a/gamma, (a+b_s)/gamma - 1}(lambda y^a) once. The c_k are the
+    Kilbas-Saigo coefficients at that triple: every evaluation reads them
+    from the shared, bounded cache, which extends them as needed.
     """
 
-    b: float
-    a: float
-    lam: complex
-    coeffs: list[float] = field(repr=False)
     problem: DegenerateProblem
     s: int
+    a: float = field(init=False)
+    b: float = field(init=False)
+    lam: complex = field(init=False)
 
     def __post_init__(self) -> None:
-        self._params = _branch_params(self.problem, self.s)
+        i = self.problem.orders.i
+        if not 0 <= self.s <= i - 1:
+            raise ValueError(f"branch s must lie in 0..{i - 1}, got s={self.s}")
+        params = derive_params(self.problem)
+        self.a = params.a
+        self.b = params.b[self.s]
+        self.lam = self.problem.lam
+        self._params = KilbasSaigoParams(
+            alpha=params.gamma,
+            m=params.a / params.gamma,
+            l=(params.a + self.b) / params.gamma - 1.0,
+        )
         self._logs = partial(_CACHE.logs, self._params)
 
     def kilbas_saigo_params(self) -> KilbasSaigoParams:
@@ -184,23 +182,28 @@ class SeriesSolution:
         """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b}, computed in
         factored form (no head/tail cancellation). Defined at y = 0 as well
         whenever a*k_start + b >= 0."""
-        lead = self.a * k_start + self.b
         if y == 0.0:
-            if lead > 0.0:
-                return SeriesEvalReport(0.0 + 0.0j, 1, 0.0, True)
-            if lead == 0.0:
-                value = self.coefficient(k_start) * self.lam**k_start
-                return SeriesEvalReport(value + 0.0j, 1, 0.0, True)
-            raise DomainError("tail is singular at y = 0")
+            return SeriesEvalReport(self.tail_at_origin(k_start), 1, 0.0, True)
         if not y > 0.0:
             raise DomainError(f"evaluation requires y >= 0, got y={y}")
         report = self.series_report(self.lam * y**self.a, k_start, tol, n_max)
         return SeriesEvalReport(
-            y**lead * self.lam**k_start * report.value,
+            y ** (self.a * k_start + self.b) * self.lam**k_start * report.value,
             report.terms_used,
             report.last_term_magnitude,
             report.converged,
         )
+
+    def tail_at_origin(self, k_start: int, shift: float = 0.0) -> complex:
+        """Limit at y -> 0+ of y^shift times the tail from k_start: zero when
+        its leading exponent shift + a*k_start + b is positive, the leading
+        term c_{k_start} lambda^{k_start} when it is zero."""
+        lead = shift + self.a * k_start + self.b
+        if lead > 0.0:
+            return 0.0 + 0.0j
+        if lead == 0.0:
+            return self.coefficient(k_start) * self.lam**k_start + 0.0j
+        raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
     def evaluate_tail(
         self,
@@ -220,15 +223,9 @@ def _evaluate_grid(
     return np.array(values, dtype=complex)
 
 
-def fundamental_solution(
-    problem: DegenerateProblem, s: int, K: int = DEFAULT_TRUNCATION
-) -> SeriesSolution:
-    """Branch s of the fundamental system, with c_0..c_K precomputed."""
-    params = derive_params(problem)
-    coeffs = coefficient_sequence(problem, s, K)
-    return SeriesSolution(
-        b=params.b[s], a=params.a, lam=problem.lam, coeffs=coeffs, problem=problem, s=s
-    )
+def fundamental_solution(problem: DegenerateProblem, s: int) -> SeriesSolution:
+    """Branch s of the fundamental system."""
+    return SeriesSolution(problem, s)
 
 
 @dataclass(eq=False)

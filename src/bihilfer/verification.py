@@ -29,9 +29,9 @@ from .fractional_ops import (
 from .solver import (
     CauchySolution,
     DegenerateProblem,
+    SeriesSolution,
     cauchy_solution,
     coefficient_sequence,
-    derive_params,
     fundamental_solution,
 )
 from .special_functions import DEFAULT_TOL
@@ -95,8 +95,8 @@ def residual_coefficient_identity(
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got K={K}")
-    params = derive_params(problem)
-    a, bs = params.a, params.b[s]
+    sol = fundamental_solution(problem, s)
+    a, bs = sol.a, sol.b
     if coeffs is None:
         coeffs = coefficient_sequence(problem, s, K)
     elif len(coeffs) < K + 1:
@@ -119,14 +119,13 @@ def residual_coefficient_identity(
     return worst
 
 
-def _default_tail_start(problem: DegenerateProblem, s: int) -> int:
+def _default_tail_start(sol: SeriesSolution) -> int:
     """Shift the numeric residual to the series tail whose inner integral
     has exponent at least i + 3/4, so the grid derivative meets no
     singularity worse than its own accuracy order."""
-    params = derive_params(problem)
-    orders = problem.orders
+    orders = sol.problem.orders
     k1 = 0
-    while params.a * k1 + params.b[s] + orders.inner_order - orders.i < 0.75:
+    while sol.a * k1 + sol.b + orders.inner_order - orders.i < 0.75:
         k1 += 1
     return k1
 
@@ -155,37 +154,30 @@ def residual_numeric(
         raise DomainError(f"numeric residual supports i <= 2, got i={orders.i}")
     if n_points < RESIDUAL_MIN_POINTS:
         raise ValueError(f"n_points must be >= {RESIDUAL_MIN_POINTS}, got {n_points}")
-    k1 = _default_tail_start(problem, s) if tail_start is None else tail_start
+    sol = fundamental_solution(problem, s)
+    k1 = _default_tail_start(sol) if tail_start is None else tail_start
     if k1 < 0:
         raise ValueError("tail_start must be >= 0")
-    sol = fundamental_solution(problem, s)
     h = y_max / n_points
     ys = h * np.arange(n_points + 1)
+    w = np.empty(ys.size, dtype=complex)
     converged = True
-    w_lhs = np.empty(ys.size, dtype=complex)
-    w_rhs = np.empty(ys.size, dtype=complex)
-    for n, y in enumerate(ys[1:], start=1):
-        rep_l = sol.evaluate_tail_report(y, k1, tol)
-        rep_r = sol.evaluate_tail_report(y, max(k1 - 1, 0), tol)
-        w_lhs[n] = rep_l.value
-        w_rhs[n] = rep_r.value
-        converged = converged and rep_l.converged and rep_r.converged
-    w_lhs[0] = sol.evaluate_tail_report(0.0, k1, tol).value
-    lhs = hilfer_numeric(SampledFunction(0.0, h, w_lhs), orders).values
+    for n, y in enumerate(ys):
+        report = sol.evaluate_tail_report(y, k1, tol)
+        w[n] = report.value
+        converged = converged and report.converged
+    lhs = hilfer_numeric(SampledFunction(0.0, h, w), orders).values
+    # The rhs tail w_{k1-1} is w_{k1} plus one head term (at k1 = 0 both
+    # sides carry w_0); the origin is filled in below.
+    k0 = max(k1 - 1, 0)
+    w_rhs = w.copy()
+    if k1 > 0:
+        w_rhs[1:] += sol.coefficient(k0) * sol.lam**k0 * ys[1:] ** (sol.a * k0 + sol.b)
     rhs = problem.lam * ys**problem.m * w_rhs
     # At the origin the m-power absorbs any singular head of the rhs tail:
     # m + a*(k1-1) + b > 0 holds whenever the default shift puts the full
     # series on the rhs, so the product has a plain limit there.
-    k0 = max(k1 - 1, 0)
-    lead_rhs = problem.m + sol.a * k0 + sol.b
-    if lead_rhs > 0.0 or problem.lam == 0:
-        rhs[0] = 0.0
-    elif lead_rhs == 0.0:
-        rhs[0] = problem.lam ** (k0 + 1) * sol.coefficient(k0)
-    else:
-        raise DomainError(
-            f"residual undefined at y=0: m + a*k0 + b = {lead_rhs} < 0"
-        )
+    rhs[0] = 0.0 if problem.lam == 0 else problem.lam * sol.tail_at_origin(k0, problem.m)
     window = ys >= y_max / 4.0
     stencil_edges = np.zeros(ys.size, dtype=bool)
     stencil_edges[:2] = True
@@ -269,9 +261,10 @@ def initial_condition_check(
         raise ValueError("need at least 3 extrapolation points")
     if not all(y_points[n] > y_points[n + 1] > 0.0 for n in range(len(y_points) - 1)):
         raise ValueError("y_points must decrease strictly toward 0")
+    sol = cauchy_solution(problem, phis)
     errors = []
-    for j in range(problem.orders.i):
-        values = ic_derivative_sequence(problem, phis, j, y_points, tol)
+    for j, phi in enumerate(sol.phis):
+        values = np.array([_series_derivative_at(sol, j, y, tol) for y in y_points])
         limit = _aitken(values[-3], values[-2], values[-1])
-        errors.append(abs(limit - complex(phis[j])))
+        errors.append(float(abs(limit - phi)))
     return errors

@@ -243,6 +243,19 @@ class TestVerify:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: {message}" in result.output
 
+    def test_csv_metrics_are_numbers(self, runner):
+        args = ["verify", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2",
+                "--m", "0.5", "--lambda-re", "-2", "--lambda-im", "1", "--phis", "1,0.5",
+                "--y-max", "2", "--points", "64", "--format", "csv"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        _, header, rows = parse_csv(result.output)
+        metrics = [row[header.index("metric")] for row in rows]
+        assert len([cell for cell in metrics if cell]) == 6
+        for cell in metrics:
+            if cell:
+                float(cell)  # raises on anything that is not a plain number
+
     def test_inadmissible_problem_names_inequality(self, runner):
         args = ["verify", "--alpha", "0.1", "--beta", "0.9", "--mu", "1", "--i", "1", "--m", "0"]
         result = runner.invoke(cli, args)
@@ -330,6 +343,12 @@ class TestConfigFile:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Invalid value for" in result.output
+
+    @pytest.mark.parametrize("args", [["--bogus"], []], ids=["unknown-option", "no-command"])
+    def test_group_usage_error_exit_1(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

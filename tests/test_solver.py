@@ -1,6 +1,7 @@
 """Tests for the series construction and its parameter mappings."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,20 +116,28 @@ class TestCoefficientSequence:
                     assert all(c == 0.0 for c in coeffs[first_zero:])
 
     def test_termwise_match_with_kilbas_saigo(self):
-        # The recurrence and the product formula are independent routes;
+        # The Kilbas-Saigo coefficients at the branch triple against the
+        # paper's term balance in 30-digit arithmetic,
+        # c_k = prod_{j=1..k} Gamma(aj+b_s-gamma+1) / Gamma(aj+b_s+1);
         # comparisons stop where coefficients leave the normal double range
         # (below that a relative bound is meaningless).
-        import sys
-
+        mp = pytest.importorskip("mpmath").mp
         tiny = sys.float_info.min
-        for problem in SWEEP:
-            for s in range(problem.orders.i):
-                sol = fundamental_solution(problem, s, K=200)
-                ks = kilbas_saigo_coefficients(sol.kilbas_saigo_params(), 201)
-                for c_solver, c_ks in zip(sol.coeffs, ks):
-                    if c_ks < tiny:
-                        break
-                    assert abs(c_solver - c_ks) <= 1e-12 * abs(c_ks)
+        with mp.workdps(30):
+            for problem in SWEEP:
+                params = derive_params(problem)
+                a, gamma = mp.mpf(params.a), mp.mpf(params.gamma)
+                for s in range(problem.orders.i):
+                    bs = mp.mpf(params.b[s])
+                    sol = fundamental_solution(problem, s)
+                    ks = kilbas_saigo_coefficients(sol.kilbas_saigo_params(), 61)
+                    exact = mp.mpf(1)
+                    for k, c_ks in enumerate(ks):
+                        if k > 0:
+                            exact *= mp.gamma(a * k + bs - gamma + 1) / mp.gamma(a * k + bs + 1)
+                        if exact < tiny:
+                            break
+                        assert abs(c_ks - exact) <= 1e-12 * exact
 
 
 class TestSeriesSolution:
@@ -186,7 +195,7 @@ class TestSeriesSolution:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_lazy_extension(self):
-        sol = fundamental_solution(CAPUTO_HALF, 0, K=4)
+        sol = fundamental_solution(CAPUTO_HALF, 0)
         value = sol.coefficient(40)
         assert value == pytest.approx(1.0 / math.gamma(21.0), rel=1e-11)
 
@@ -278,7 +287,7 @@ class TestHilferReduction:
                     problem = make_problem(alpha, alpha, mu, i, m=m)
                     reduced = hilfer_reduction_params(problem)
                     for s, ks in enumerate(reduced):
-                        sol = fundamental_solution(problem, s, K=0)
+                        sol = fundamental_solution(problem, s)
                         generic = sol.kilbas_saigo_params()
                         assert abs(ks.alpha - generic.alpha) <= 1e-14 * max(1, abs(generic.alpha))
                         assert abs(ks.m - generic.m) <= 1e-14 * max(1, abs(generic.m))

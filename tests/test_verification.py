@@ -60,6 +60,26 @@ class TestCoefficientIdentity:
             residual_coefficient_identity(CAPUTO_HALF, 0, 0)
 
 
+class TestBranchRange:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda p: residual_coefficient_identity(
+                p, -1, 10, coeffs=coefficient_sequence(p, 1, 10)
+            ),
+            lambda p: residual_coefficient_identity(
+                p, 2, 10, coeffs=coefficient_sequence(p, 1, 10)
+            ),
+            lambda p: residual_numeric(p, 5),
+        ],
+        ids=["identity-negative", "identity-past-end", "numeric"],
+    )
+    def test_branch_range_checked(self, check):
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        with pytest.raises(ValueError, match=r"branch s must lie in 0\.\.1"):
+            check(problem)
+
+
 class TestNumericResidual:
     def test_constant_solution_zero_residual(self):
         # lambda = 0 with b_0 = 0 means u = 1; both sides vanish identically
