@@ -87,24 +87,18 @@ class PowerTerm:
     coef: complex
     exponent: float
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coef == 0
-
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Complex samples on the uniform grid y_min + n*h, n = 0..len(values)-1."""
+    """Complex samples on the uniform grid n*h, n = 0..len(values)-1, which
+    starts at the origin."""
 
-    y_min: float
     h: float
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if not self.h > 0.0:
             raise ValueError(f"grid step h must be positive, got h={self.h}")
-        if self.y_min < 0.0:
-            raise ValueError(f"y_min must be >= 0, got y_min={self.y_min}")
         vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size < 3:
             raise ValueError("need a 1-d grid with at least 3 samples")
@@ -113,10 +107,6 @@ class SampledFunction:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.y_min + self.h * np.arange(self.values.size)
 
 
 def falling_product(a: float, i: int) -> float:
@@ -173,8 +163,6 @@ def hilfer_monomial(orders: OrderTriple, delta: float) -> PowerTerm:
 
 
 def _check_numeric_input(f: SampledFunction) -> None:
-    if f.y_min != 0.0:
-        raise ValueError(f"grid must start at y=0, got y_min={f.y_min}")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("samples must be finite")
 
@@ -205,7 +193,7 @@ def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
         conv = np.convolve(values[1:-1], w[: n - 2])[: n - 2]
         out[2:] += conv
     out[1:] *= pref
-    return SampledFunction(0.0, f.h, out)
+    return SampledFunction(f.h, out)
 
 
 def _derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
@@ -250,5 +238,5 @@ def hilfer_numeric(f: SampledFunction, orders: OrderTriple) -> SampledFunction:
     g1 = f if nu1 == 0.0 else rl_integral_numeric(f, nu1)
     g2 = _derivative(g1.values, f.h, orders.i)
     if nu2 == 0.0:
-        return SampledFunction(0.0, f.h, g2)
-    return rl_integral_numeric(SampledFunction(0.0, f.h, g2), nu2)
+        return SampledFunction(f.h, g2)
+    return rl_integral_numeric(SampledFunction(f.h, g2), nu2)

@@ -12,6 +12,7 @@ independently by verification.residual_coefficient_identity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,7 +24,6 @@ from .errors import DomainError
 from .fractional_ops import OrderTriple
 from .special_functions import (
     _CACHE,
-    DEFAULT_N_MAX,
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
@@ -45,17 +45,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DegenerateProblem:
-    """Problem data: operator orders, degeneracy exponent m >= 0 and the
-    spectral parameter lambda (complex). Solvability additionally requires
-    m + mu*(alpha - beta) >= 0."""
+    """Problem data: operator orders, a finite degeneracy exponent m >= 0 and
+    a finite spectral parameter lambda (complex). Solvability additionally
+    requires m + mu*(alpha - beta) >= 0."""
 
     orders: OrderTriple
     m: float
     lam: complex
 
     def __post_init__(self) -> None:
-        if not self.m >= 0.0:
-            raise DomainError(f"m >= 0 violated (m={self.m})")
+        if not 0.0 <= self.m < math.inf:
+            raise DomainError(f"m >= 0 and finite violated (m={self.m})")
+        if not cmath.isfinite(self.lam):
+            raise DomainError(f"lambda must be finite, got lambda={self.lam}")
         shift = self.m + self.orders.mu * (self.orders.alpha - self.orders.beta)
         if not shift >= 0.0:
             raise DomainError(
@@ -141,43 +143,34 @@ class SeriesSolution:
         """c_k, extending the shared cache if needed."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got k={k}")
-        return _CACHE.get(self._params, k + 1)[0][k]
+        return math.exp(self._logs(k + 1)[k])
 
     def series_report(
         self,
         z: complex,
         start: int = 0,
         tol: float = DEFAULT_TOL,
-        n_max: int = DEFAULT_N_MAX,
         weight: "Callable[[int], float] | None" = None,
     ) -> SeriesEvalReport:
         """sum_k w_k c_{start+k} z^k through the shared series engine."""
-        return _sum_log_series(self._logs, z, start, tol, n_max, weight)
+        return _sum_log_series(self._logs, z, start, tol, weight)
 
-    def evaluate_report(
-        self, y: float, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
-    ) -> SeriesEvalReport:
+    def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """Value at y > 0 with truncation metadata. Branches with b < 0 are
         singular at the origin, hence the strict y > 0 requirement."""
         if not y > 0.0:
             raise DomainError(f"evaluation requires y > 0, got y={y}")
-        return self.evaluate_tail_report(y, 0, tol, n_max)
+        return self.evaluate_tail_report(y, 0, tol)
 
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
-    def evaluate_grid(
-        self, ys: np.ndarray, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
-    ) -> np.ndarray:
+    def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """evaluate_report(y).value at every grid point."""
-        return _evaluate_grid(self, ys, tol, n_max)
+        return _evaluate_grid(self, ys, tol)
 
     def evaluate_tail_report(
-        self,
-        y: float,
-        k_start: int,
-        tol: float = DEFAULT_TOL,
-        n_max: int = DEFAULT_N_MAX,
+        self, y: float, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesEvalReport:
         """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b}, computed in
         factored form (no head/tail cancellation). Defined at y = 0 as well
@@ -186,7 +179,7 @@ class SeriesSolution:
             return SeriesEvalReport(self.tail_at_origin(k_start), 1, 0.0, True)
         if not y > 0.0:
             raise DomainError(f"evaluation requires y >= 0, got y={y}")
-        report = self.series_report(self.lam * y**self.a, k_start, tol, n_max)
+        report = self.series_report(self.lam * y**self.a, k_start, tol)
         return SeriesEvalReport(
             y ** (self.a * k_start + self.b) * self.lam**k_start * report.value,
             report.terms_used,
@@ -205,21 +198,15 @@ class SeriesSolution:
             return self.coefficient(k_start) * self.lam**k_start + 0.0j
         raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
-    def evaluate_tail(
-        self,
-        y: float,
-        k_start: int,
-        tol: float = DEFAULT_TOL,
-        n_max: int = DEFAULT_N_MAX,
-    ) -> complex:
-        return self.evaluate_tail_report(y, k_start, tol, n_max).value
+    def evaluate_tail(self, y: float, k_start: int, tol: float = DEFAULT_TOL) -> complex:
+        return self.evaluate_tail_report(y, k_start, tol).value
 
 
 def _evaluate_grid(
-    sol: "SeriesSolution | CauchySolution", ys: np.ndarray, tol: float, n_max: int
+    sol: "SeriesSolution | CauchySolution", ys: np.ndarray, tol: float
 ) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
-    values = [sol.evaluate_report(float(y), tol, n_max).value for y in ys]
+    values = [sol.evaluate_report(float(y), tol).value for y in ys]
     return np.array(values, dtype=complex)
 
 
@@ -238,9 +225,7 @@ class CauchySolution:
     branches: tuple[SeriesSolution, ...]
     weights: tuple[complex, ...]
 
-    def evaluate_report(
-        self, y: float, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
-    ) -> SeriesEvalReport:
+    def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         total = 0.0 + 0.0j
         terms = 0
         last = 0.0
@@ -248,7 +233,7 @@ class CauchySolution:
         for w, branch in zip(self.weights, self.branches):
             if w == 0:
                 continue
-            rep = branch.evaluate_report(y, tol, n_max)
+            rep = branch.evaluate_report(y, tol)
             total += w * rep.value
             terms += rep.terms_used
             last = max(last, abs(w) * rep.last_term_magnitude)
@@ -258,22 +243,22 @@ class CauchySolution:
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
-    def evaluate_grid(
-        self, ys: np.ndarray, tol: float = DEFAULT_TOL, n_max: int = DEFAULT_N_MAX
-    ) -> np.ndarray:
+    def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """evaluate_report(y).value at every grid point."""
-        return _evaluate_grid(self, ys, tol, n_max)
+        return _evaluate_grid(self, ys, tol)
 
 
 def cauchy_solution(
     problem: DegenerateProblem, phis: "list[complex] | tuple[complex, ...]"
 ) -> CauchySolution:
     """Solution of the Cauchy-type problem with initial data phi_0..phi_{i-1};
-    phis must have exactly i entries."""
+    phis must have exactly i entries, all finite."""
     i = problem.orders.i
     if len(phis) != i:
         raise ValueError(f"phis must have exactly i={i} entries, got {len(phis)}")
     phis_c = tuple(complex(p) for p in phis)
+    if not all(cmath.isfinite(p) for p in phis_c):
+        raise ValueError(f"phis must be finite, got {list(phis_c)}")
     weights = tuple(p / math.factorial(k) for k, p in enumerate(phis_c))
     branches = tuple(fundamental_solution(problem, s) for s in range(i))
     return CauchySolution(problem, phis_c, branches, weights)

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_N_MAX = 10_000
 
 
 def log_gamma(x: float) -> float:
@@ -136,46 +135,41 @@ _CACHE_SIZE = 128
 
 
 class _CoefficientCache:
-    """Bounded cache of Kilbas-Saigo coefficients per parameter triple.
+    """Bounded cache of Kilbas-Saigo log-coefficients ln c_i per parameter
+    triple.
 
-    Stores both the running-product coefficients c_i and their logs; the log
-    form is what term evaluation uses, so deep tails neither overflow nor
-    underflow. The fill is idempotent, append-only and guarded by a lock, so
-    concurrent evaluations behave as if each recomputed the sequence. At most
-    `_CACHE_SIZE` triples are kept: the least recently used one is dropped,
-    and a later request refills it with identical values. A list handed out
-    earlier keeps its values but stops growing once its triple is dropped,
-    so a caller that needs more terms asks the cache again.
+    One list per triple: the series engine sums these logs, so deep tails
+    neither overflow nor underflow, and the linear coefficients handed to
+    the identity check are exp of the same numbers. The fill is idempotent,
+    append-only and guarded by a lock, so concurrent evaluations behave as
+    if each recomputed the sequence. At most `_CACHE_SIZE` triples are kept:
+    the least recently used one is dropped, and a later request refills it
+    with identical values. A list handed out earlier keeps its values but
+    stops growing once its triple is dropped, so a caller that needs more
+    terms asks the cache again.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._data: OrderedDict[
-            tuple[float, float, float], tuple[list[float], list[float]]
-        ] = OrderedDict()
+        self._data: OrderedDict[tuple[float, float, float], list[float]] = OrderedDict()
 
-    def get(self, params: KilbasSaigoParams, n: int) -> tuple[list[float], list[float]]:
+    def logs(self, params: KilbasSaigoParams, n: int) -> list[float]:
+        """At least n log-coefficients ln c_0, ln c_1, ... of the triple."""
         key = (params.alpha, params.m, params.l)
         with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                entry = self._data[key] = ([1.0], [0.0])
+            log = self._data.get(key)
+            if log is None:
+                log = self._data[key] = [0.0]
                 if len(self._data) > _CACHE_SIZE:
                     self._data.popitem(last=False)
             else:
                 self._data.move_to_end(key)
-            lin, log = entry
             alpha, m, l = params.alpha, params.m, params.l
-            while len(lin) < n:
-                j = len(lin) - 1
+            while len(log) < n:
+                j = len(log) - 1
                 diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
-                lin.append(lin[-1] * math.exp(diff))
                 log.append(log[-1] + diff)
-            return lin, log
-
-    def logs(self, params: KilbasSaigoParams, n: int) -> list[float]:
-        """At least n log-coefficients ln c_0, ln c_1, ... of the triple."""
-        return self.get(params, n)[1]
+            return log
 
 
 _CACHE = _CoefficientCache()
@@ -185,16 +179,18 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[flo
     """First `count` series coefficients c_0..c_{count-1} of E_{alpha,m,l}.
 
     c_0 = 1 and c_i = c_{i-1} * Gamma(alpha*(jm+l)+1)/Gamma(alpha*(jm+l+1)+1)
-    at j = i-1, each ratio taken in log space.
+    at j = i-1, each ratio taken in log space and accumulated as ln c_i.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    lin, _ = _CACHE.get(params, count)
-    return lin[:count]
+    return [math.exp(v) for v in _CACHE.logs(params, count)[:count]]
 
 
 # Log-coefficients fetched ahead of the first term; the fetch doubles after.
 _FETCH_AHEAD = 64
+
+# Terms summed before the engine gives up with converged=False.
+_MAX_TERMS = 10_000
 
 
 def _sum_log_series(
@@ -202,7 +198,6 @@ def _sum_log_series(
     z: complex,
     start: int = 0,
     tol: float = DEFAULT_TOL,
-    n_max: int = DEFAULT_N_MAX,
     weight: "Callable[[int], float] | None" = None,
 ) -> SeriesEvalReport:
     """The series engine: sum_k w_k exp(L[start+k] + k log z), k = 0, 1, ...
@@ -216,12 +211,10 @@ def _sum_log_series(
     Stopping rule, the only one in the package: stop at the first index
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
     |t_N| < |t_{N-1}|. A term that overflows ends the sum unconverged with
-    the partial sum as its value; so does reaching n_max terms.
+    the partial sum as its value; so does reaching _MAX_TERMS terms.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     logs = log_coeffs(start + _FETCH_AHEAD)
     if z == 0:
         first = math.exp(logs[start]) * (1.0 if weight is None else weight(0))
@@ -235,7 +228,7 @@ def _sum_log_series(
     prev_mag = math.inf
     mag = math.inf
     k = 0
-    while k < n_max:
+    while k < _MAX_TERMS:
         i = start + k
         if i >= len(logs):
             logs = log_coeffs(2 * i)
@@ -264,28 +257,19 @@ def _sum_log_series(
 
 
 def kilbas_saigo(
-    params: KilbasSaigoParams,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    n_max: int = DEFAULT_N_MAX,
+    params: KilbasSaigoParams, z: complex, tol: float = DEFAULT_TOL
 ) -> SeriesEvalReport:
     """Kilbas-Saigo function E_{alpha,m,l}(z) = sum_i c_i z^i.
 
     Entire in z; the coefficients are real and positive, complex z enters
     only through the powers. Returns the partial sum with truncation
-    metadata; a non-converged report (n_max exhausted) still carries the
-    best value.
+    metadata; a non-converged report (term cap reached or a term
+    overflowed) still carries the best value.
     """
-    return _sum_log_series(partial(_CACHE.logs, params), z, 0, tol, n_max)
+    return _sum_log_series(partial(_CACHE.logs, params), z, 0, tol)
 
 
-def mittag_leffler(
-    a: float,
-    b: float,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    n_max: int = DEFAULT_N_MAX,
-) -> complex:
+def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
     """Two-parameter Mittag-Leffler function E_{a,b}(z) = sum_k z^k / Gamma(ak+b).
 
     Summed by the same engine as kilbas_saigo, but each log-coefficient is
@@ -304,4 +288,4 @@ def mittag_leffler(
             log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
         return log_coeffs
 
-    return _sum_log_series(fetch, z, 0, tol, n_max).value
+    return _sum_log_series(fetch, z, 0, tol).value

@@ -90,8 +90,8 @@ def residual_coefficient_identity(
     the lambda powers cancel in the relative error, which is what is
     computed. The k = 0 term must map to exactly zero (kernel monomial).
 
-    `coeffs` overrides the recurrence output; the verify CLI uses it as a
-    corruption hook for negative controls.
+    `coeffs` replaces the cached coefficients, so a test can substitute a
+    perturbed sequence and expect the check to fail.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got K={K}")
@@ -166,7 +166,7 @@ def residual_numeric(
         report = sol.evaluate_tail_report(y, k1, tol)
         w[n] = report.value
         converged = converged and report.converged
-    lhs = hilfer_numeric(SampledFunction(0.0, h, w), orders).values
+    lhs = hilfer_numeric(SampledFunction(h, w), orders).values
     # The rhs tail w_{k1-1} is w_{k1} plus one head term (at k1 = 0 both
     # sides carry w_0); the origin is filled in below.
     k0 = max(k1 - 1, 0)
@@ -233,38 +233,27 @@ def ic_derivative_sequence(
     problem: DegenerateProblem,
     phis: "list[complex] | tuple[complex, ...]",
     j: int,
-    y_points: "tuple[float, ...] | None" = None,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Values of d^j/dy^j (y^{-(1-mu)(i-beta)} u)(y) along y_points; nan
-    where the series did not converge."""
-    if y_points is None:
-        y_points = DEFAULT_IC_POINTS
+    """Values of d^j/dy^j (y^{-(1-mu)(i-beta)} u)(y) along DEFAULT_IC_POINTS;
+    nan where the series did not converge."""
     sol = cauchy_solution(problem, phis)
-    return np.array([_series_derivative_at(sol, j, y, tol) for y in y_points])
+    return np.array([_series_derivative_at(sol, j, y, tol) for y in DEFAULT_IC_POINTS])
 
 
 def initial_condition_check(
     problem: DegenerateProblem,
     phis: "list[complex] | tuple[complex, ...]",
-    y_points: "tuple[float, ...] | None" = None,
     tol: float = DEFAULT_TOL,
 ) -> list[float]:
     """|extrapolated limit - phi_j| for j = 0..i-1.
 
     The weighted series g(y) = y^{-(1-mu)(i-beta)} u(y) is differentiated
-    termwise (exact), sampled along the decreasing y_points and driven to
-    y -> 0+ by a Richardson step on the last three points."""
-    if y_points is None:
-        y_points = DEFAULT_IC_POINTS
-    if len(y_points) < 3:
-        raise ValueError("need at least 3 extrapolation points")
-    if not all(y_points[n] > y_points[n + 1] > 0.0 for n in range(len(y_points) - 1)):
-        raise ValueError("y_points must decrease strictly toward 0")
+    termwise (exact), sampled at the three smallest DEFAULT_IC_POINTS and
+    driven to y -> 0+ by a Richardson step on them."""
     sol = cauchy_solution(problem, phis)
     errors = []
     for j, phi in enumerate(sol.phis):
-        values = np.array([_series_derivative_at(sol, j, y, tol) for y in y_points])
-        limit = _aitken(values[-3], values[-2], values[-1])
-        errors.append(float(abs(limit - phi)))
+        samples = [_series_derivative_at(sol, j, y, tol) for y in DEFAULT_IC_POINTS[-3:]]
+        errors.append(float(abs(_aitken(*samples) - phi)))
     return errors

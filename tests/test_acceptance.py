@@ -134,7 +134,7 @@ def test_coefficient_residual_identity():
 def _monomial_oracle_case(orders, delta, n_points):
     h = 1.0 / n_points
     ys = h * np.arange(n_points + 1)
-    f = SampledFunction(0.0, h, (ys**delta).astype(complex))
+    f = SampledFunction(h, (ys**delta).astype(complex))
     numeric = hilfer_numeric(f, orders).values
     term = hilfer_monomial(orders, delta)
     mask = ys >= 0.25

@@ -129,8 +129,15 @@ class TestFundamental:
             (["--s", "1"], "branch s must lie in 0..0"),
             (["--points", "0"], "--points must be >= 1"),
             (["--y-max", "-1"], "--y-max must be positive"),
+            (["--tol", "inf"], "--tol must lie in (0, 1)"),
+            (["--tol", "0"], "--tol must lie in (0, 1)"),
+            (["--tol", "-1"], "--tol must lie in (0, 1)"),
+            (["--tol", "nan"], "--tol must lie in (0, 1)"),
+            (["--lambda-re", "inf"], "lambda must be finite"),
+            (["--m", "inf"], "m >= 0 and finite violated"),
         ],
-        ids=["branch", "points", "y-max"],
+        ids=["branch", "points", "y-max", "tol-inf", "tol-0", "tol-negative", "tol-nan",
+             "lambda-inf", "m-inf"],
     )
     def test_out_of_range_option_exit_1(self, runner, extra, message):
         result = runner.invoke(cli, self.ARGS + extra)
@@ -202,6 +209,13 @@ class TestSolve:
         assert result.exit_code == 1
         assert "phis" in result.output
 
+    def test_non_finite_phis_exit_1(self, runner):
+        args = ["solve", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--phis", "nan"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: phis must be finite" in result.output
+
 
 class TestVerify:
     GOOD = ["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1",
@@ -216,10 +230,11 @@ class TestVerify:
         assert names == {"coefficient_identity", "numeric_residual", "initial_condition"}
         assert all(r[4] == "pass" for r in rows)
 
-    def test_corruption_hook_fails_with_named_metric(self, runner):
-        result = runner.invoke(cli, self.GOOD + ["--corrupt-k", "1"])
+    def test_coarse_grid_fails_with_named_metric(self, runner):
+        # At 16 points the residual is 1.05e-2, above the 5e-3 threshold.
+        result = runner.invoke(cli, self.GOOD + ["--points", "16"])
         assert result.exit_code == 2
-        assert "coefficient_identity" in result.output
+        assert "numeric_residual" in result.output
 
     def test_high_window_skips_numeric_checks(self, runner):
         args = ["verify", "--alpha", "2.5", "--beta", "2.5", "--mu", "0.3", "--i", "3",
@@ -234,8 +249,14 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "extra,message",
-        [(["--k", "0"], "--k must be >= 1"), (["--points", "4"], "--points must be >= 8")],
-        ids=["k", "points"],
+        [
+            (["--k", "0"], "--k must be >= 1"),
+            (["--points", "4"], "--points must be >= 8"),
+            (["--tol", "nan"], "--tol must lie in (0, 1)"),
+            (["--phis", "nan"], "phis must be finite"),
+            (["--phis", "1,2"], "phis must have exactly i=1 entries"),
+        ],
+        ids=["k", "points", "tol-nan", "phis-nan", "phis-length"],
     )
     def test_out_of_range_option_exit_1(self, runner, extra, message):
         result = runner.invoke(cli, self.GOOD + extra)

@@ -53,6 +53,20 @@ class TestDegenerateProblem:
         with pytest.raises(DomainError, match="beta"):
             make_problem(1.7, 0.3, 0.5, 2)
 
+    @pytest.mark.parametrize(
+        "m,lam,message",
+        [
+            (math.inf, 1.0, "m >= 0 and finite"),
+            (math.nan, 1.0, "m >= 0 and finite"),
+            (0.0, complex(math.inf, 0.0), "lambda must be finite"),
+            (0.0, complex(0.0, math.nan), "lambda must be finite"),
+        ],
+        ids=["m-inf", "m-nan", "lambda-inf", "lambda-nan"],
+    )
+    def test_non_finite_data_rejected(self, m, lam, message):
+        with pytest.raises(DomainError, match=message):
+            make_problem(0.5, 0.5, 1.0, 1, m=m, lam=lam)
+
     def test_lambda_coerced_complex(self):
         assert CAPUTO_HALF.lam == 1.0 + 0.0j
 
@@ -245,6 +259,13 @@ class TestCauchySolution:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="phis"):
             cauchy_solution(CAPUTO_HALF, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "phi", [math.nan, math.inf, complex(1.0, -math.inf)], ids=["nan", "inf", "imag-inf"]
+    )
+    def test_non_finite_data_rejected(self, phi):
+        with pytest.raises(ValueError, match="phis must be finite"):
+            cauchy_solution(CAPUTO_HALF, [phi])
 
     def test_weights_include_factorial(self):
         problem = make_problem(2.5, 2.5, 1.0, 3, m=0.0)

@@ -189,8 +189,21 @@ class TestKilbasSaigo:
 
     def test_nonconverged_flag_value_still_returned(self):
         # Terms overflow long before the rule can fire.
-        report = kilbas_saigo(KilbasSaigoParams(0.3, 1.0, 0.0), 50.0, n_max=2000)
+        report = kilbas_saigo(KilbasSaigoParams(0.3, 1.0, 0.0), 50.0)
         assert not report.converged
+
+    def test_term_cap_ends_sum_unconverged(self):
+        # The terms peak near 9e4 at k ~ 4,500 and are still ~0.2 at
+        # k = 10,000, so only the engine's 10,000-term cap ends the sum.
+        report = kilbas_saigo(KilbasSaigoParams(0.01, 0.01, 0.0), 0.9999)
+        assert report.terms_used == 10_000
+        assert not report.converged
+        assert math.isfinite(report.value.real)
+
+    @pytest.mark.parametrize("tol", [math.inf, 1.0, 0.0, -1.0, math.nan])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), -1.0, tol=tol)
 
     def test_complex_argument(self):
         params = KilbasSaigoParams(1.0, 1.0, 0.0)

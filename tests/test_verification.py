@@ -10,6 +10,7 @@ from bihilfer import (
     DomainError,
     OrderTriple,
     coefficient_sequence,
+    fundamental_solution,
     hilfer_monomial,
     ic_derivative_sequence,
     initial_condition_check,
@@ -17,6 +18,7 @@ from bihilfer import (
     residual_coefficient_identity,
     residual_numeric,
 )
+from bihilfer.special_functions import _CACHE
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -53,6 +55,18 @@ class TestCoefficientIdentity:
         coeffs = coefficient_sequence(CAPUTO_HALF, 0, 100)
         coeffs[5] *= 1.0 + 1e-6
         err = residual_coefficient_identity(CAPUTO_HALF, 0, 100, coeffs=coeffs)
+        assert err > 1e-8
+
+    def test_perturbed_cached_log_detected(self):
+        # The check reads the same ln c_k that the series engine sums.
+        params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
+        logs = _CACHE.logs(params, 101)
+        saved = logs[5]
+        logs[5] += 1e-6
+        try:
+            err = residual_coefficient_identity(CAPUTO_HALF, 0, 100)
+        finally:
+            logs[5] = saved
         assert err > 1e-8
 
     def test_needs_at_least_one_term(self):
@@ -178,20 +192,12 @@ class TestInitialConditions:
                 for n in range(len(raw_errors) - 1)
             )
 
-    def test_point_validation(self):
-        with pytest.raises(ValueError, match="3 extrapolation"):
-            initial_condition_check(CAPUTO_HALF, [1.0], y_points=(1e-3, 1e-6))
-        with pytest.raises(ValueError, match="decrease"):
-            initial_condition_check(CAPUTO_HALF, [1.0], y_points=(1e-6, 1e-3, 1e-9))
-
 
 class TestCrossOracleClosure:
     def test_caputo_relaxation_matches_mittag_leffler(self):
         # mu=1, alpha=beta, m=0: the whole construction collapses to the
         # classical relaxation solution E_alpha(lambda y^alpha), checked
         # against the direct series oracle with no quadrature anywhere.
-        from bihilfer import fundamental_solution
-
         for alpha, lam in [(0.3, 1.0), (0.5, -1.0), (0.8, 0.6 + 0.3j)]:
             problem = make_problem(alpha, alpha, 1.0, 1, lam=lam)
             sol = fundamental_solution(problem, 0)
