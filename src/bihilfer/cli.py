@@ -233,6 +233,9 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
     zs = list(z)
     try:
+        for flag, value in [("--z-min", z_min), ("--z-max", z_max)] + [("--z", v) for v in zs]:
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
         if not zs:
             if z_min is None or z_max is None:
                 raise ValueError("give --z values or a --z-min/--z-max grid")

@@ -7,7 +7,9 @@ is realized two independent ways:
   coefficients (``hilfer_monomial``), and
 * numerically on uniformly sampled functions, composing a product-trapezoidal
   quadrature for the weakly singular integrals with second-order finite
-  differences (``hilfer_numeric``).
+  differences (``hilfer_numeric``). The quadrature costs O(n log n) on n
+  samples: its weights are binomial series that do not cancel, and their
+  convolution with the samples is one zero-padded FFT.
 
 The two routes cross-validate each other; neither consults the other.
 """
@@ -167,6 +169,60 @@ def _check_numeric_input(f: SampledFunction) -> None:
         raise ValueError("samples must be finite")
 
 
+# Binomial-series weights: terms are summed until the omitted ones fall below
+# _SERIES_EPS relative. The number of terms is set by the smallest k of a
+# block, so k < _SERIES_SPLIT (up to 57 terms) is kept apart from the long
+# tail k >= _SERIES_SPLIT (at most 17 terms).
+_SERIES_EPS = 1e-17
+_SERIES_SPLIT = 10
+
+
+def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] x^j by Horner's rule, cut at the first j with
+    max|x|^j < _SERIES_EPS."""
+    terms = math.ceil(math.log(_SERIES_EPS) / math.log(np.abs(x).max()))
+    s = np.full_like(x, coefs[terms])
+    for c in coefs[terms - 1 :: -1]:
+        s *= x
+        s += c
+    return s
+
+
+def _weights(nu: float, n: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Product-trapezoid weights w_k and a0(k) for k = 1..n-1, with p = nu+1:
+
+        w_k   = (k+1)^p - 2 k^p + (k-1)^p = 2 k^p sum_{j>=1} C(p,2j) k^(-2j),
+        a0(k) = (k-1)^p - (k-p) k^nu      = k^p sum_{j>=2} C(p,j) (-1/k)^j.
+
+    The left-hand forms lose about k^2/nu ulps to cancellation (1.4e-6
+    relative at k=1.3e5, nu=0.375). The series (Diethelm, Ford & Freed,
+    Numer. Algorithms 36 (2004) 31) converge for k >= 2 without cancelling
+    and are accurate to a few ulps; k = 1 has the closed forms
+    w_1 = 2 expm1(nu ln 2) and a0(1) = nu.
+    """
+    # C(p, j) for j < 64, enough for the 57 terms k = 2 needs. The factor
+    # p - j + 1 is formed as nu - (j - 2), so the rounding of nu + 1 does not
+    # enter: C(p, 2) = p nu / 2 then stays accurate to an ulp at small nu.
+    binom = [1.0, nu + 1.0]
+    for j in range(2, 64):
+        binom.append(binom[-1] * (nu - (j - 2)) / j)
+    k = np.arange(1.0, n)
+    w = np.empty_like(k)
+    a0 = np.empty_like(k)
+    w[0] = 2.0 * math.expm1(nu * math.log(2.0))
+    a0[0] = nu
+    for block in (slice(1, _SERIES_SPLIT - 1), slice(_SERIES_SPLIT - 1, None)):
+        kb = k[block]
+        if kb.size == 0:
+            break
+        inv = 1.0 / kb
+        inv2 = inv * inv
+        scale = kb**nu / kb  # k^p / k^2
+        w[block] = 2.0 * scale * _horner(binom[2::2], inv2)
+        a0[block] = scale * _horner(binom[2:], -inv)
+    return w, a0
+
+
 def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
     """Riemann-Liouville integral I^nu of sampled data, 0 < nu < 2.
 
@@ -174,24 +230,38 @@ def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
     interpolant and each moment of the kernel (y-t)^(nu-1) over a cell is
     integrated exactly. This keeps second-order accuracy despite the weak
     singularity at t = y, where ordinary quadrature degrades.
+
+    The weights come from binomial series that do not cancel (`_weights`),
+    and their discrete convolution with the samples is one zero-padded FFT
+    convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+    (1985) 532), O(n log n) for every n. numpy's FFT uses no threads, so the
+    result does not depend on the thread count.
+
+    Accuracy contract: the rounding error is about 1e-15 * max|I^nu f| in
+    absolute terms at every point. Where |I^nu f| is far below its maximum,
+    as near the origin, relative accuracy is lost in proportion: 1.1e-7
+    relative in the first 100 points of I^1.25 y at n=32769, against 3e-16
+    for a direct sum. The numeric residual compares only [y_max/4, y_max],
+    where the two agree to about 1e-14 relative.
     """
     if not 0.0 < nu < 2.0:
         raise DomainError(f"0 < nu < 2 violated (nu={nu})")
     _check_numeric_input(f)
     values = f.values
     n = values.size
-    # Weights: I^nu f(y_n) ~ h^nu/Gamma(nu+2) * [a0(n) f_0 + sum w_{n-j} f_j + f_n]
-    # with w_k the second central difference of k^(nu+1).
-    k = np.arange(1, n, dtype=float)
-    w = (k + 1.0) ** (nu + 1.0) - 2.0 * k ** (nu + 1.0) + (k - 1.0) ** (nu + 1.0)
-    ns = np.arange(1, n, dtype=float)
-    a0 = (ns - 1.0) ** (nu + 1.0) - (ns - nu - 1.0) * ns**nu
+    # I^nu f(y_n) ~ h^nu/Gamma(nu+2) * [a0(n) f_0 + sum_{j=1}^{n-1} w_{n-j} f_j + f_n]
+    w, a0 = _weights(nu, n)
     pref = f.h**nu / math.exp(math.lgamma(nu + 2.0))
     out = np.zeros(n, dtype=complex)
     out[1:] = a0 * values[0] + values[1:]
-    if n > 2:
-        conv = np.convolve(values[1:-1], w[: n - 2])[: n - 2]
-        out[2:] += conv
+    # Convolution of f_1..f_{n-2} with w_1..w_{n-2}, m >= 1 terms. An FFT
+    # length of the next power of two >= 2m keeps circular wrap-around out of
+    # the first m outputs. Real and imaginary parts share one transform of w.
+    m = n - 2
+    size = 1 << (2 * m - 1).bit_length()
+    kernel = np.fft.rfft(w[:m], size)
+    for part, dest in ((values[1:-1].real, out.real), (values[1:-1].imag, out.imag)):
+        dest[2:] += np.fft.irfft(np.fft.rfft(part, size) * kernel, size)[:m]
     out[1:] *= pref
     return SampledFunction(f.h, out)
 

@@ -100,9 +100,10 @@ def gamma_ratio(p: float, q: float) -> float:
 class KilbasSaigoParams:
     """Parameter triple (alpha, m, l) of the Kilbas-Saigo function E_{alpha,m,l}.
 
-    Admissibility: alpha > 0, m > 0 and alpha*l > -1. The last inequality
-    keeps every Gamma argument alpha*(j*m + l) + 1 strictly positive for
-    j >= 0, so the coefficient products never touch a pole.
+    Admissibility: alpha, m and l finite, alpha > 0, m > 0 and
+    alpha*l > -1. The last inequality keeps every Gamma argument
+    alpha*(j*m + l) + 1 strictly positive for j >= 0, so the coefficient
+    products never touch a pole.
     """
 
     alpha: float
@@ -110,6 +111,10 @@ class KilbasSaigoParams:
     l: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.m, self.l))):
+            raise DomainError(
+                f"alpha, m and l must be finite (alpha={self.alpha}, m={self.m}, l={self.l})"
+            )
         if not self.alpha > 0.0:
             raise DomainError(f"alpha > 0 violated (alpha={self.alpha})")
         if not self.m > 0.0:

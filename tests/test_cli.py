@@ -85,6 +85,28 @@ class TestEvalKs:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "error: --z-points must be >= 1" in result.output
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--alpha", "inf", "--m", "1", "--l", "1", "--z", "1"], "must be finite"),
+            (["--alpha", "1", "--m", "inf", "--l", "1", "--z", "1"], "must be finite"),
+            (["--alpha", "1", "--m", "1", "--l", "inf", "--z", "1"], "must be finite"),
+            (["--alpha", "1", "--m", "1", "--l", "0", "--z", "nan"], "--z must be finite"),
+            (["--alpha", "1", "--m", "1", "--l", "0", "--z", "1", "--z", "-inf"],
+             "--z must be finite"),
+            (["--alpha", "1", "--m", "1", "--l", "0", "--z-min", "nan", "--z-max", "1"],
+             "--z-min must be finite"),
+            (["--alpha", "1", "--m", "1", "--l", "0", "--z-min", "0", "--z-max", "inf"],
+             "--z-max must be finite"),
+        ],
+        ids=["alpha-inf", "m-inf", "l-inf", "z-nan", "z-minus-inf", "z-min-nan", "z-max-inf"],
+    )
+    def test_non_finite_input_exit_1(self, runner, args, message):
+        result = runner.invoke(cli, ["eval-ks", *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "error: " in result.output and message in result.output
+
     def test_nonconvergence_exit_3(self, runner):
         result = runner.invoke(
             cli, ["eval-ks", "--alpha", "0.3", "--m", "1", "--l", "0", "--z", "50"]

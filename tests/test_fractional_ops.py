@@ -1,27 +1,47 @@
 """Tests for the analytic and numeric realizations of the derivative."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bihilfer
 from bihilfer import (
+    DegenerateProblem,
     DomainError,
     OrderTriple,
     SampledFunction,
     falling_product,
+    fundamental_solution,
     hilfer_monomial,
     hilfer_numeric,
     rl_integral_monomial,
     rl_integral_numeric,
 )
+from bihilfer.fractional_ops import _weights
+from bihilfer.verification import _default_tail_start
 
 
 def sampled(fn, h, n):
     ys = h * np.arange(n + 1)
     return SampledFunction(h, fn(ys)), ys
+
+
+def direct_rl_integral(f, nu):
+    """Reference for rl_integral_numeric: the same weights, with the
+    convolution summed directly by np.convolve in O(n^2)."""
+    values = f.values
+    n = values.size
+    w, a0 = _weights(nu, n)
+    out = np.zeros(n, dtype=complex)
+    out[1:] = a0 * values[0] + values[1:]
+    out[2:] += np.convolve(values[1:-1], w[: n - 2])[: n - 2]
+    return out * (f.h**nu / math.exp(math.lgamma(nu + 2.0)))
 
 
 class TestOrderTriple:
@@ -233,6 +253,86 @@ class TestRlIntegralNumeric:
         bad = SampledFunction(0.1, [1.0, math.inf, 3.0])
         with pytest.raises(ValueError, match="finite"):
             rl_integral_numeric(bad, 0.5)
+
+
+class TestQuadratureWeights:
+    @pytest.mark.parametrize("nu", [0.05, 0.375, 1.25, 1.95])
+    def test_against_mpmath(self, nu):
+        # w_k = (k+1)^p - 2k^p + (k-1)^p and a0(k) = (k-1)^p - (k-p)k^nu,
+        # p = nu+1, in 40 digits; the double forms of these cancel.
+        mp = pytest.importorskip("mpmath").mp
+        ks = list(range(1, 13)) + [1000, 130000]
+        w, a0 = _weights(nu, ks[-1] + 1)
+        with mp.workdps(40):
+            p = mp.mpf(nu) + 1
+            for k in ks:
+                x = mp.mpf(k)
+                w_ref = (x + 1) ** p - 2 * x**p + (x - 1) ** p
+                a0_ref = (x - 1) ** p - (x - p) * x**nu
+                assert abs(w[k - 1] - w_ref) <= 1e-14 * abs(w_ref), k
+                assert abs(a0[k - 1] - a0_ref) <= 1e-14 * abs(a0_ref), k
+
+    @pytest.mark.parametrize("nu", [0.375, 1.25])
+    def test_constant_on_fine_grid(self, nu):
+        # I^nu 1 = y^nu / Gamma(1+nu) is exact for the rule, so at n = 2^17
+        # only rounding in the weights and the convolution remains.
+        n = 2**17
+        f, ys = sampled(lambda y: np.ones_like(y, dtype=complex), 1.0 / n, n)
+        out = rl_integral_numeric(f, nu).values
+        mask = ys >= 0.25
+        expected = ys[mask] ** nu / math.gamma(1.0 + nu)
+        assert np.max(np.abs(out[mask] - expected) / expected) <= 1e-13
+
+
+class TestFftConvolution:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 512, 4097])
+    @pytest.mark.parametrize("nu", [0.375, 1.25])
+    def test_matches_direct_sum(self, n, nu):
+        rng = np.random.default_rng(n)
+        f = SampledFunction(0.01, rng.normal(size=n) + 1j * rng.normal(size=n))
+        ref = direct_rl_integral(f, nu)
+        got = rl_integral_numeric(f, nu).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_matches_direct_sum_on_verify_problem(self, s):
+        # The inner integral of `verify` (hilfer_numeric's first stage) on
+        # the series tail it samples, checked pointwise on the residual
+        # window [y_max/4, y_max].
+        problem = DegenerateProblem(
+            orders=OrderTriple(alpha=1.5, beta=1.25, mu=0.5, i=2), m=0.5, lam=complex(-2.0, 1.0)
+        )
+        sol = fundamental_solution(problem, s)
+        k1 = _default_tail_start(sol)
+        n, y_max = 8192, 2.0
+        ys = (y_max / n) * np.arange(n + 1)
+        f = SampledFunction(y_max / n, [sol.evaluate_tail_report(y, k1).value for y in ys])
+        nu = problem.orders.inner_order
+        ref = direct_rl_integral(f, nu)
+        got = rl_integral_numeric(f, nu).values
+        window = ys >= y_max / 4.0
+        assert np.max(np.abs(got[window] - ref[window]) / np.abs(ref[window])) <= 1e-12
+
+    def test_independent_of_blas_thread_count(self):
+        # A BLAS-backed direct sum splits dot products longer than about
+        # 10,000 elements across threads, which changes the rounding.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from bihilfer import SampledFunction, rl_integral_numeric\n"
+            "rng = np.random.default_rng(3)\n"
+            "v = rng.normal(size=16385) + 1j * rng.normal(size=16385)\n"
+            "out = rl_integral_numeric(SampledFunction(1 / 16384, v), 0.375).values\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(bihilfer.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestHilferNumeric:

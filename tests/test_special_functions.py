@@ -143,6 +143,23 @@ class TestKilbasSaigoParams:
     def test_boundary_admissible(self):
         KilbasSaigoParams(alpha=0.5, m=1.0, l=-1.999)  # alpha*l = -0.9995 > -1
 
+    @pytest.mark.parametrize(
+        "alpha,m,l",
+        [
+            (math.inf, 1.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (1.0, 1.0, math.inf),
+            (1.0, 1.0, -math.inf),
+            (math.nan, 1.0, 0.0),
+            (1.0, math.nan, 0.0),
+            (1.0, 1.0, math.nan),
+        ],
+        ids=["alpha-inf", "m-inf", "l-inf", "l-minus-inf", "alpha-nan", "m-nan", "l-nan"],
+    )
+    def test_non_finite_rejected(self, alpha, m, l):
+        with pytest.raises(DomainError, match="finite"):
+            KilbasSaigoParams(alpha=alpha, m=m, l=l)
+
 
 class TestKilbasSaigo:
     def test_value_at_zero_is_one_exactly(self):
