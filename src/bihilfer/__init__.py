@@ -36,7 +36,6 @@ from .special_functions import (
 )
 from .verification import (
     ResidualReport,
-    ic_derivative_sequence,
     initial_condition_check,
     residual_coefficient_identity,
     residual_numeric,
@@ -72,7 +71,6 @@ __all__ = [
     "log_gamma_ratio",
     "mittag_leffler",
     "ResidualReport",
-    "ic_derivative_sequence",
     "initial_condition_check",
     "residual_coefficient_identity",
     "residual_numeric",

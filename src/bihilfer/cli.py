@@ -27,9 +27,9 @@ from .fractional_ops import OrderTriple
 from .solver import DegenerateProblem, cauchy_solution, derive_params, fundamental_solution
 from .special_functions import KilbasSaigoParams, kilbas_saigo
 from .verification import (
-    RESIDUAL_MIN_POINTS,
     initial_condition_check,
     residual_coefficient_identity,
+    residual_min_points,
     residual_numeric,
 )
 
@@ -314,13 +314,9 @@ def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, 
 
 
 def _check(name: str, branch, metric, threshold: float) -> dict:
-    """One row of the verification report; a check without a metric was skipped."""
-    if metric is None:
-        status = "skipped"
-    else:
-        status = "pass" if metric <= threshold else "fail"
+    """One row of the verification report."""
     return {"name": name, "branch": branch, "metric": metric, "threshold": threshold,
-            "status": status}
+            "status": "pass" if metric <= threshold else "fail"}
 
 
 @cli.command("verify")
@@ -335,7 +331,7 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
                points, tol, format, out):
     """Run the verification suite; exit 0 only if every check passes."""
     try:
-        _check_grid(y_max, points, RESIDUAL_MIN_POINTS)
+        _check_grid(y_max, points, residual_min_points(i))
         _at_least("--k", k, 1)
         problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
         if s is not None:
@@ -352,18 +348,12 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
     for branch in branches:
         err = residual_coefficient_identity(problem, branch, k)
         checks.append(_check("coefficient_identity", branch, err, COEFF_IDENTITY_THRESHOLD))
-        residual = None
-        if i <= 2:
-            report = residual_numeric(problem, branch, y_max=y_max, n_points=points, tol=tol)
-            nonconverged = nonconverged or not report.converged
-            residual = report.max_rel_error
-        checks.append(_check("numeric_residual", branch, residual, RESIDUAL_THRESHOLD))
-    if i <= 2:
-        ic_errors = initial_condition_check(problem, phis, tol=tol)
-        checks.extend(_check("initial_condition", j, err, IC_THRESHOLD)
-                      for j, err in enumerate(ic_errors))
-    else:
-        checks.append(_check("initial_condition", None, None, IC_THRESHOLD))
+        report = residual_numeric(problem, branch, y_max=y_max, n_points=points, tol=tol)
+        nonconverged = nonconverged or not report.converged
+        checks.append(_check("numeric_residual", branch, report.max_rel_error, RESIDUAL_THRESHOLD))
+    ic_errors = initial_condition_check(problem, phis, tol=tol)
+    checks.extend(_check("initial_condition", j, err, IC_THRESHOLD)
+                  for j, err in enumerate(ic_errors))
 
     failed = [c for c in checks if c["status"] == "fail"]
     meta = {

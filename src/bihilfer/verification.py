@@ -41,29 +41,25 @@ __all__ = [
     "residual_coefficient_identity",
     "residual_numeric",
     "initial_condition_check",
-    "ic_derivative_sequence",
 ]
 
 # Relative errors use max(|rhs|, REL_FLOOR) to avoid blowups near zeros of u.
 REL_FLOOR = 1e-30
 
-# Fewest grid intervals residual_numeric accepts.
-RESIDUAL_MIN_POINTS = 8
-
 # Deep geometric tail: the slowest error exponent in the y->0 limits can be
 # as small as 0.1, so the extrapolation needs y^0.1 itself to become small.
-DEFAULT_IC_POINTS = tuple(1e-4 * 1e-4**n for n in range(10))
+IC_POINTS = (1e-32, 1e-36, 1e-40)
 
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Pointwise comparison of D^{(alpha,beta)mu} u against lambda y^m u.
 
-    Errors are taken over the comparison window only; grid points whose
-    derivative stencils are one-sided (two at each end of the full grid)
-    are excluded, and `excluded_boundary_points` counts how many of those
-    fell inside the window. `tail_start` records how many leading series
-    terms were shifted out of the numeric path (see residual_numeric).
+    Errors are taken over the comparison window only. The _stencil_edge(i)
+    points at each end of the grid, on or next to one-sided stencils, are
+    excluded; `excluded_boundary_points` counts those inside the window.
+    `tail_start` records how many leading series terms were shifted out of
+    the numeric path (see residual_numeric).
     """
 
     grid: np.ndarray
@@ -130,6 +126,19 @@ def _default_tail_start(sol: SeriesSolution) -> int:
     return k1
 
 
+def _stencil_edge(i: int) -> int:
+    """Grid points at each end that residual_numeric leaves out: the (i+1)//2
+    one-sided stencils of the order-i derivative and one more."""
+    return (i + 1) // 2 + 1
+
+
+def residual_min_points(i: int) -> int:
+    """Fewest grid intervals residual_numeric accepts, 8 for i = 1, 2: the
+    window [y_max/4, y_max] then starts past the left edge points and the
+    derivative has its i+2 samples."""
+    return 4 * _stencil_edge(i)
+
+
 def residual_numeric(
     problem: DegenerateProblem,
     s: int,
@@ -148,12 +157,18 @@ def residual_numeric(
     unbounded derivatives would otherwise drown the quadrature in scheme
     error; k = 0 is the plain equation. The default picks the smallest k
     that makes the composed scheme's accuracy order reach ~2.
+
+    Rounding floor: the order-i derivative amplifies the quadrature's rounding
+    of about 1e-15 * max|I f| by h^-i, so past some grid size the residual
+    grows as h shrinks, and a failure at high i can mean the grid cannot
+    resolve the check. (3.5, 3.25, 0.5, i=4, m=0.5, lambda=-2+1j) on [0, 1]
+    reads 2.3e-4 at 512 points, 4.6e-3 at 4096 and 11.3 at 32768. At i = 6,
+    (5.5, 5.25, ...) passes 5e-3 only from about 192 to 320 points.
     """
     orders = problem.orders
-    if orders.i > 2:
-        raise DomainError(f"numeric residual supports i <= 2, got i={orders.i}")
-    if n_points < RESIDUAL_MIN_POINTS:
-        raise ValueError(f"n_points must be >= {RESIDUAL_MIN_POINTS}, got {n_points}")
+    min_points = residual_min_points(orders.i)
+    if n_points < min_points:
+        raise ValueError(f"n_points must be >= {min_points}, got {n_points}")
     sol = fundamental_solution(problem, s)
     k1 = _default_tail_start(sol) if tail_start is None else tail_start
     if k1 < 0:
@@ -179,9 +194,9 @@ def residual_numeric(
     # series on the rhs, so the product has a plain limit there.
     rhs[0] = 0.0 if problem.lam == 0 else problem.lam * sol.tail_at_origin(k0, problem.m)
     window = ys >= y_max / 4.0
-    stencil_edges = np.zeros(ys.size, dtype=bool)
-    stencil_edges[:2] = True
-    stencil_edges[-2:] = True
+    edge = _stencil_edge(orders.i)
+    index = np.arange(ys.size)
+    stencil_edges = (index < edge) | (index >= ys.size - edge)
     excluded = int(np.count_nonzero(window & stencil_edges))
     compare = window & ~stencil_edges
     abs_err = np.abs(lhs[compare] - rhs[compare])
@@ -206,18 +221,21 @@ def _series_derivative_at(
 
     The exponent shift turns branch s into sum_k c_k lambda^k y^{ak+s}, so
     the derivative is y^{s-j} sum_k fp_k c_k (lambda y^a)^k with the falling
-    products fp_k = (ak+s)(ak+s-1)...(ak+s-j+1) as term weights; they vanish
-    exactly on the s < j heads."""
+    products fp_k = (ak+s)(ak+s-1)...(ak+s-j+1) as term weights. For s < j,
+    fp_0 = 0 and y^{s-j} may overflow, so the sum starts at k = 1 with the
+    power folded into lambda y^{a+s-j}; a > i-1 >= j-s keeps it finite."""
     total = 0.0 + 0.0j
     for weight, branch in zip(sol_branches.weights, sol_branches.branches):
         if weight == 0:
             continue
         a, s = branch.a, branch.s
-        fp = (lambda k: falling_product(a * k + s, j)) if j > 0 else None
-        report = branch.series_report(branch.lam * y**a, tol=tol, weight=fp)
+        start = 1 if s < j else 0
+        fp = (lambda k: falling_product(a * (k + start) + s, j)) if j > 0 else None
+        report = branch.series_report(branch.lam * y**a, start, tol, fp)
         if not report.converged:
             return complex("nan")
-        total += weight * y ** (s - j) * report.value
+        lead = branch.lam * y ** (a + s - j) if start else y ** (s - j)
+        total += weight * lead * report.value
     return total
 
 
@@ -229,18 +247,6 @@ def _aitken(g0: complex, g1: complex, g2: complex) -> complex:
     return g2 - (g2 - g1) ** 2 / denom
 
 
-def ic_derivative_sequence(
-    problem: DegenerateProblem,
-    phis: "list[complex] | tuple[complex, ...]",
-    j: int,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Values of d^j/dy^j (y^{-(1-mu)(i-beta)} u)(y) along DEFAULT_IC_POINTS;
-    nan where the series did not converge."""
-    sol = cauchy_solution(problem, phis)
-    return np.array([_series_derivative_at(sol, j, y, tol) for y in DEFAULT_IC_POINTS])
-
-
 def initial_condition_check(
     problem: DegenerateProblem,
     phis: "list[complex] | tuple[complex, ...]",
@@ -249,11 +255,11 @@ def initial_condition_check(
     """|extrapolated limit - phi_j| for j = 0..i-1.
 
     The weighted series g(y) = y^{-(1-mu)(i-beta)} u(y) is differentiated
-    termwise (exact), sampled at the three smallest DEFAULT_IC_POINTS and
-    driven to y -> 0+ by a Richardson step on them."""
+    termwise (exact), sampled at IC_POINTS and driven to y -> 0+ by a
+    Richardson step on them."""
     sol = cauchy_solution(problem, phis)
     errors = []
     for j, phi in enumerate(sol.phis):
-        samples = [_series_derivative_at(sol, j, y, tol) for y in DEFAULT_IC_POINTS[-3:]]
+        samples = [_series_derivative_at(sol, j, y, tol) for y in IC_POINTS]
         errors.append(float(abs(_aitken(*samples) - phi)))
     return errors

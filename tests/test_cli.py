@@ -258,16 +258,37 @@ class TestVerify:
         assert result.exit_code == 2
         assert "numeric_residual" in result.output
 
-    def test_high_window_skips_numeric_checks(self, runner):
-        args = ["verify", "--alpha", "2.5", "--beta", "2.5", "--mu", "0.3", "--i", "3",
-                "--m", "1", "--lambda-re", "1", "--k", "50"]
-        result = runner.invoke(cli, args)
+    HIGH_WINDOWS = {
+        3: ["--alpha", "2.5", "--beta", "2.3", "--mu", "0.4", "--i", "3", "--m", "0.5",
+            "--lambda-re", "-1.5"],
+        4: ["--alpha", "3.5", "--beta", "3.25", "--mu", "0.5", "--i", "4", "--m", "0.5",
+            "--lambda-re", "-2", "--lambda-im", "1"],
+    }
+
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_high_window_runs_every_check(self, runner, i):
+        result = runner.invoke(cli, ["verify", *self.HIGH_WINDOWS[i]])
         assert result.exit_code == 0, result.output
-        _, _, rows = parse_csv(result.output)
-        statuses = {r[0]: r[4] for r in rows}
-        assert statuses["coefficient_identity"] == "pass"
-        assert statuses["numeric_residual"] == "skipped"
-        assert statuses["initial_condition"] == "skipped"
+        meta, _, rows = parse_csv(result.output)
+        assert meta["passed"] == "True"
+        names = [r[0] for r in rows]
+        for name in ("coefficient_identity", "numeric_residual", "initial_condition"):
+            assert names.count(name) == i
+        assert all(r[4] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_high_window_coarse_grid_fails(self, runner, i):
+        result = runner.invoke(cli, ["verify", *self.HIGH_WINDOWS[i], "--points", "16"])
+        assert result.exit_code == 2
+        assert "numeric_residual" in result.output
+
+    def test_minimum_grid_grows_with_window(self, runner):
+        args = ["verify", "--alpha", "8.5", "--beta", "8.25", "--mu", "0.5", "--i", "9",
+                "--m", "0.5", "--lambda-re", "-1", "--points", "8"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: --points must be >= 24, got 8" in result.output
 
     @pytest.mark.parametrize(
         "extra,message",

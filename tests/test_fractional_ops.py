@@ -23,7 +23,7 @@ from bihilfer import (
     rl_integral_monomial,
     rl_integral_numeric,
 )
-from bihilfer.fractional_ops import _weights
+from bihilfer.fractional_ops import _derivative, _stencil, _weights
 from bihilfer.verification import _default_tail_start
 
 
@@ -335,6 +335,59 @@ class TestFftConvolution:
         assert digests[0] == digests[1]
 
 
+class TestDerivative:
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("wide", [False, True], ids=["fewest", "wide"])
+    def test_exact_on_polynomials(self, order, wide):
+        # Degree order+1 is the highest a second-order stencil differentiates
+        # exactly. n = order+1 intervals is the fewest samples it accepts;
+        # n = 2(order+2) also has central points. The 1e-9 bound leaves room
+        # for rounding amplified by h^-order.
+        n = 2 * (order + 2) if wide else order + 1
+        ys = np.arange(n + 1) / n
+        p = np.polynomial.Polynomial([(-1.0) ** j * (j + 1) for j in range(order + 2)])
+        exact = p.deriv(order)(ys)
+        out = _derivative(p(ys).astype(complex), 1.0 / n, order)
+        assert np.max(np.abs(out - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize(
+        "offsets,order,weights",
+        [
+            ([-1, 0, 1], 1, [-0.5, 0.0, 0.5]),
+            ([0, 1, 2], 1, [-1.5, 2.0, -0.5]),
+            ([0, -1, -2], 1, [1.5, -2.0, 0.5]),
+            ([-1, 0, 1], 2, [1.0, -2.0, 1.0]),
+            ([0, 1, 2, 3], 2, [2.0, -5.0, 4.0, -1.0]),
+            ([0, -1, -2, -3], 2, [2.0, -5.0, 4.0, -1.0]),
+        ],
+    )
+    def test_order_one_and_two_weights(self, offsets, order, weights):
+        assert _stencil(np.array(offsets), order).tolist() == weights
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_textbook_formulas_bitwise(self, order):
+        # The usual order-1 and -2 formulas, summed in the order they are
+        # written; the general rule must round exactly as they do. h is a
+        # power of two, as on the default grids, so h**2 == h*h exactly.
+        re, im = np.random.default_rng(3).normal(size=(2, 200))
+        v = re + 1j * im
+        h = 2.0 / 512
+        ref = np.empty_like(v)
+        if order == 1:
+            ref[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+            ref[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+            ref[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        else:
+            ref[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+            ref[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
+            ref[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+        assert np.array_equal(_derivative(v, h, order), ref)
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            _derivative(np.zeros(4, dtype=complex), 1.0, 3)
+
+
 class TestHilferNumeric:
     def test_zero_maps_to_zero(self):
         orders = OrderTriple(alpha=0.5, beta=0.5, mu=0.5, i=1)
@@ -389,12 +442,6 @@ class TestHilferNumeric:
             + 2j * hilfer_numeric(SampledFunction(h, b), orders).values
         )
         assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-10)
-
-    def test_unsupported_order(self):
-        orders = OrderTriple(alpha=2.5, beta=2.5, mu=0.5, i=3)
-        f, _ = sampled(lambda y: y.astype(complex), 0.01, 64)
-        with pytest.raises(DomainError, match="i"):
-            hilfer_numeric(f, orders)
 
     def test_identity_collapses(self):
         # mu = 1 makes the inner integral the identity, mu = 0 the outer one

@@ -12,13 +12,13 @@ from bihilfer import (
     coefficient_sequence,
     fundamental_solution,
     hilfer_monomial,
-    ic_derivative_sequence,
     initial_condition_check,
     mittag_leffler,
     residual_coefficient_identity,
     residual_numeric,
 )
 from bihilfer.special_functions import _CACHE
+from bihilfer.verification import residual_min_points
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -26,6 +26,8 @@ def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
 
 
 CAPUTO_HALF = make_problem(0.5, 0.5, 1.0, 1)
+WINDOW_3 = make_problem(2.5, 2.3, 0.4, 3, m=0.5, lam=-1.5)
+WINDOW_4 = make_problem(3.5, 3.25, 0.5, 4, m=0.5, lam=-2.0 + 1.0j)
 
 
 class TestCoefficientIdentity:
@@ -114,24 +116,37 @@ class TestNumericResidual:
         assert report.max_rel_error <= 5e-3
 
     def test_halving_reduces_error(self):
-        errors = []
-        for n in (256, 512, 1024):
-            report = residual_numeric(CAPUTO_HALF, 0, n_points=n)
-            errors.append(report.max_abs_error)
-        assert errors[0] / errors[1] >= 2.5
-        assert errors[1] / errors[2] >= 2.5
-        order = math.log2(errors[0] / errors[2]) / 2.0
-        assert order >= 1.3
+        for problem in (CAPUTO_HALF, WINDOW_3, WINDOW_4):
+            errors = []
+            for n in (256, 512, 1024):
+                report = residual_numeric(problem, 0, n_points=n)
+                errors.append(report.max_abs_error)
+            assert errors[0] / errors[1] >= 2.5
+            assert errors[1] / errors[2] >= 2.5
+            order = math.log2(errors[0] / errors[2]) / 2.0
+            assert order >= 1.3
 
     def test_window_and_exclusions(self):
         report = residual_numeric(CAPUTO_HALF, 0, n_points=256)
         assert report.grid.size == 257
         assert report.excluded_boundary_points == 2  # the two right-edge stencils
 
-    def test_unsupported_window_index(self):
-        problem = make_problem(2.5, 2.5, 0.5, 3, m=1.0)
-        with pytest.raises(DomainError, match="i <= 2"):
-            residual_numeric(problem, 0)
+    @pytest.mark.parametrize("i", range(1, 10))
+    def test_minimum_grid_leaves_compared_points(self, i):
+        problem = make_problem(i - 0.5, i - 0.75, 0.5, i, m=0.5, lam=-1.0)
+        n = residual_min_points(i)
+        assert n == 8 or i > 2
+        report = residual_numeric(problem, 0, n_points=n)
+        assert np.isfinite(report.max_abs_error)
+        with pytest.raises(ValueError, match=f"n_points must be >= {n}"):
+            residual_numeric(problem, 0, n_points=n - 1)
+
+    def test_window_3_and_4_pass(self):
+        for problem in (WINDOW_3, WINDOW_4):
+            for s in range(problem.orders.i):
+                report = residual_numeric(problem, s, n_points=512)
+                assert report.excluded_boundary_points == (problem.orders.i + 1) // 2 + 1
+                assert report.max_rel_error <= 5e-3
 
     def test_complex_lambda(self):
         problem = make_problem(0.5, 0.5, 1.0, 1, m=1.0, lam=0.5 + 0.5j)
@@ -181,16 +196,16 @@ class TestInitialConditions:
         errors = initial_condition_check(problem, [1.0 + 1.0j])
         assert errors[0] <= 1e-6
 
-    def test_monotone_tail(self):
-        problem = make_problem(1.5, 1.25, 0.4, 2, m=0.5, lam=1.0)
-        phis = [2.0, 3.0]
-        for j in (0, 1):
-            values = ic_derivative_sequence(problem, phis, j)
-            raw_errors = np.abs(values - phis[j])
-            assert all(
-                raw_errors[n + 1] <= raw_errors[n] + 1e-15
-                for n in range(len(raw_errors) - 1)
-            )
+    def test_high_window_index(self):
+        # At i = 9, y^(s-j) reaches 1e320 at y = 1e-40 for s = 0, j = 8.
+        problem = make_problem(8.5, 8.25, 0.5, 9, m=0.5, lam=-1.0)
+        errors = initial_condition_check(problem, [1.0] * 9)
+        assert len(errors) == 9
+        assert all(math.isfinite(e) and e <= 1e-6 for e in errors)
+
+    def test_window_3_and_4(self):
+        assert all(e <= 1e-6 for e in initial_condition_check(WINDOW_3, [1.0, -0.5, 2.0]))
+        assert all(e <= 1e-6 for e in initial_condition_check(WINDOW_4, [1.0, 0.5j, -1.0, 2.0]))
 
 
 class TestCrossOracleClosure:
