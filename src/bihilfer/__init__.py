@@ -27,6 +27,7 @@ from .solver import (
 from .special_functions import (
     KilbasSaigoParams,
     SeriesEvalReport,
+    SeriesGridReport,
     gamma_ratio,
     kilbas_saigo,
     kilbas_saigo_coefficients,
@@ -64,6 +65,7 @@ __all__ = [
     "hilfer_reduction_params",
     "KilbasSaigoParams",
     "SeriesEvalReport",
+    "SeriesGridReport",
     "gamma_ratio",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",

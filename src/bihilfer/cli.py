@@ -170,13 +170,9 @@ def _grid(y_max: float, points: int) -> np.ndarray:
 def _tabulate(sol, ys: np.ndarray, tol: float) -> "tuple[list[list], bool]":
     """Rows [y, re_u, im_u] of a solution on the grid, and whether every
     point converged."""
-    rows = []
-    converged = True
-    for y in ys:
-        report = sol.evaluate_report(float(y), tol=tol)
-        converged = converged and report.converged
-        rows.append([float(y), report.value.real, report.value.imag])
-    return rows, converged
+    report = sol.grid_report(ys, tol)
+    rows = [[y, u.real, u.imag] for y, u in zip(ys.tolist(), report.value.tolist())]
+    return rows, bool(report.converged.all())
 
 
 def problem_options(fn):

@@ -6,7 +6,8 @@ combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
 (a+b_s)/gamma - 1}(lambda y^a): a SeriesSolution is built from (problem, s)
 alone, maps it to that triple once, reads its coefficients from the shared,
 bounded Kilbas-Saigo cache and sums through the same series engine as
-kilbas_saigo. That the coefficients solve the equation is checked
+kilbas_saigo, a whole grid through the engine's blocked grid driver, which
+gives the same bits as summing point by point. That the coefficients solve the equation is checked
 independently by verification.residual_coefficient_identity.
 """
 
@@ -27,7 +28,9 @@ from .special_functions import (
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
+    SeriesGridReport,
     _sum_log_series,
+    _sum_log_series_grid,
     kilbas_saigo_coefficients,
 )
 
@@ -158,16 +161,19 @@ class SeriesSolution:
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """Value at y > 0 with truncation metadata. Branches with b < 0 are
         singular at the origin, hence the strict y > 0 requirement."""
-        if not y > 0.0:
-            raise DomainError(f"evaluation requires y > 0, got y={y}")
+        _check_y(y, origin=False)
         return self.evaluate_tail_report(y, 0, tol)
 
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
+    def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
+        """evaluate_report(y) at every grid point, as arrays."""
+        return self.tail_grid_report(_check_grid(ys, origin=False), 0, tol)
+
     def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """evaluate_report(y).value at every grid point."""
-        return _evaluate_grid(self, ys, tol)
+        return self.grid_report(ys, tol).value
 
     def evaluate_tail_report(
         self, y: float, k_start: int, tol: float = DEFAULT_TOL
@@ -175,13 +181,33 @@ class SeriesSolution:
         """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b}, computed in
         factored form (no head/tail cancellation). Defined at y = 0 as well
         whenever a*k_start + b >= 0."""
+        _check_y(y, origin=True)
         if y == 0.0:
             return SeriesEvalReport(self.tail_at_origin(k_start), 1, 0.0, True)
-        if not y > 0.0:
-            raise DomainError(f"evaluation requires y >= 0, got y={y}")
         report = self.series_report(self.lam * y**self.a, k_start, tol)
         return SeriesEvalReport(
             y ** (self.a * k_start + self.b) * self.lam**k_start * report.value,
+            report.terms_used,
+            report.last_term_magnitude,
+            report.converged,
+        )
+
+    def tail_grid_report(
+        self, ys: np.ndarray, k_start: int, tol: float = DEFAULT_TOL
+    ) -> SeriesGridReport:
+        """evaluate_tail_report(y, k_start) at every grid point, bit for bit,
+        with the series summed by the blocked grid driver."""
+        ys = _check_grid(ys, origin=True)
+        zs = np.fromiter((self.lam * y**self.a for y in map(float, ys)), complex, ys.size)
+        report = _sum_log_series_grid(self._logs, zs, k_start, tol)
+        power, lam_k = self.a * k_start + self.b, self.lam**k_start
+        origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
+        values = (
+            y**power * lam_k * v if y else origin
+            for y, v in zip(map(float, ys), map(complex, report.value))
+        )
+        return SeriesGridReport(
+            np.fromiter(values, complex, ys.size),
             report.terms_used,
             report.last_term_magnitude,
             report.converged,
@@ -191,6 +217,8 @@ class SeriesSolution:
         """Limit at y -> 0+ of y^shift times the tail from k_start: zero when
         its leading exponent shift + a*k_start + b is positive, the leading
         term c_{k_start} lambda^{k_start} when it is zero."""
+        if k_start < 0:
+            raise ValueError(f"k_start must be >= 0, got k_start={k_start}")
         lead = shift + self.a * k_start + self.b
         if lead > 0.0:
             return 0.0 + 0.0j
@@ -202,12 +230,19 @@ class SeriesSolution:
         return self.evaluate_tail_report(y, k_start, tol).value
 
 
-def _evaluate_grid(
-    sol: "SeriesSolution | CauchySolution", ys: np.ndarray, tol: float
-) -> np.ndarray:
+def _check_y(y: float, origin: bool) -> None:
+    """Evaluation needs a finite y > 0, or y >= 0 for a tail (origin)."""
+    if not ((y >= 0.0 if origin else y > 0.0) and y < math.inf):
+        raise DomainError(f"evaluation requires finite y {'>=' if origin else '>'} 0, got y={y}")
+
+
+def _check_grid(ys: np.ndarray, origin: bool) -> np.ndarray:
+    """ys as a float array, after _check_y of its first point out of range."""
     ys = np.asarray(ys, dtype=float)
-    values = [sol.evaluate_report(float(y), tol).value for y in ys]
-    return np.array(values, dtype=complex)
+    ok = (ys >= 0.0 if origin else ys > 0.0) & (ys < math.inf)
+    if not ok.all():
+        _check_y(float(ys[~ok][0]), origin)
+    return ys
 
 
 def fundamental_solution(problem: DegenerateProblem, s: int) -> SeriesSolution:
@@ -226,6 +261,7 @@ class CauchySolution:
     weights: tuple[complex, ...]
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
+        _check_y(y, origin=False)
         total = 0.0 + 0.0j
         terms = 0
         last = 0.0
@@ -243,9 +279,28 @@ class CauchySolution:
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
+    def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
+        """evaluate_report(y) at every grid point, bit for bit."""
+        ys = _check_grid(ys, origin=False)
+        total = np.zeros(ys.size, dtype=complex)
+        terms = np.zeros(ys.size, dtype=np.int64)
+        last = np.zeros(ys.size)
+        converged = np.ones(ys.size, dtype=bool)
+        for w, branch in zip(self.weights, self.branches):
+            if w == 0:
+                continue
+            rep = branch.grid_report(ys, tol)
+            sums = (t + w * v for t, v in zip(map(complex, total), map(complex, rep.value)))
+            total = np.fromiter(sums, complex, ys.size)
+            terms += rep.terms_used
+            scaled = abs(w) * rep.last_term_magnitude
+            last = np.where(scaled > last, scaled, last)
+            converged &= rep.converged
+        return SeriesGridReport(total, np.maximum(terms, 1), last, converged)
+
     def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """evaluate_report(y).value at every grid point."""
-        return _evaluate_grid(self, ys, tol)
+        return self.grid_report(ys, tol).value
 
 
 def cauchy_solution(

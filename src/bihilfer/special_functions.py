@@ -1,7 +1,10 @@
-"""Scalar special-function kernel.
+"""Special-function kernel.
 
 Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
 E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}. The
+series engine sums one point at a time (_sum_log_series) or a whole grid in
+numpy blocks (_sum_log_series_grid), with one stopping rule and the same
+bits either way. The
 Mittag-Leffler routine exists purely as an independent cross-check for the
 m = 1 reductions of E_{alpha,m,l}; it shares the series engine (and so the
 truncation rule) but not the coefficient computation.
@@ -20,11 +23,15 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
+    "CacheStats",
     "KilbasSaigoParams",
     "SeriesEvalReport",
+    "SeriesGridReport",
     "log_gamma",
     "log_gamma_ratio",
     "gamma_ratio",
@@ -135,6 +142,26 @@ class SeriesEvalReport:
     converged: bool
 
 
+@dataclass(frozen=True, eq=False)
+class SeriesGridReport:
+    """A SeriesEvalReport per grid point, one array per field."""
+
+    value: np.ndarray
+    terms_used: np.ndarray
+    last_term_magnitude: np.ndarray
+    converged: np.ndarray
+
+
+@dataclass(frozen=True)
+class CacheStats:
+    """Requests to the coefficient cache whose triple was kept (hits) or not
+    (misses), and the log-coefficients ln c_k, k >= 1, it has computed."""
+
+    hits: int
+    misses: int
+    filled: int
+
+
 # Triples kept by the coefficient cache; a parameter sweep cycles through it.
 _CACHE_SIZE = 128
 
@@ -157,6 +184,12 @@ class _CoefficientCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: OrderedDict[tuple[float, float, float], list[float]] = OrderedDict()
+        self._hits = self._misses = self._filled = 0
+
+    def stats(self) -> CacheStats:
+        """Hit, miss and fill counts since the cache was created."""
+        with self._lock:
+            return CacheStats(self._hits, self._misses, self._filled)
 
     def logs(self, params: KilbasSaigoParams, n: int) -> list[float]:
         """At least n log-coefficients ln c_0, ln c_1, ... of the triple."""
@@ -164,12 +197,15 @@ class _CoefficientCache:
         with self._lock:
             log = self._data.get(key)
             if log is None:
+                self._misses += 1
                 log = self._data[key] = [0.0]
                 if len(self._data) > _CACHE_SIZE:
                     self._data.popitem(last=False)
             else:
+                self._hits += 1
                 self._data.move_to_end(key)
             alpha, m, l = params.alpha, params.m, params.l
+            self._filled += max(n - len(log), 0)
             while len(log) < n:
                 j = len(log) - 1
                 diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
@@ -198,6 +234,14 @@ _FETCH_AHEAD = 64
 _MAX_TERMS = 10_000
 
 
+def _check_series_args(start: int, tol: float) -> None:
+    """A negative start would index the log-coefficients from their end."""
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got start={start}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
 def _sum_log_series(
     log_coeffs: Callable[[int], list[float]],
     z: complex,
@@ -215,11 +259,11 @@ def _sum_log_series(
 
     Stopping rule, the only one in the package: stop at the first index
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
-    |t_N| < |t_{N-1}|. A term that overflows ends the sum unconverged with
-    the partial sum as its value; so does reaching _MAX_TERMS terms.
+    |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
+    ends the sum unconverged with the partial sum as its value; so does
+    reaching _MAX_TERMS terms. A negative start is rejected.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_series_args(start, tol)
     logs = log_coeffs(start + _FETCH_AHEAD)
     if z == 0:
         first = math.exp(logs[start]) * (1.0 if weight is None else weight(0))
@@ -247,10 +291,14 @@ def _sum_log_series(
         if weight is not None:
             t *= weight(k)
         total += t
-        mag = abs(t)
+        try:
+            mag, size = abs(t), abs(total)
+        except OverflowError:
+            # A complex magnitude past the double range: unconverged as well.
+            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
         if not math.isfinite(mag):
             return SeriesEvalReport(complex(total), k + 1, mag, False)
-        if mag <= tol * max(1.0, abs(total)):
+        if mag <= tol * max(1.0, size):
             streak += 1
         else:
             streak = 0
@@ -259,6 +307,126 @@ def _sum_log_series(
         prev_mag = mag
         k += 1
     return SeriesEvalReport(complex(total), k, mag, False)
+
+
+# The grid driver sums terms in blocks of _BLOCK_TERMS for up to
+# _CHUNK_POINTS points at a time, so a temporary holds at most 512 x 17
+# elements (16 terms and the carried sum).
+_BLOCK_TERMS = 16
+_CHUNK_POINTS = 512
+
+# Largest term exponent Re(L + k log z) the grid driver sums itself. Up to
+# here np.exp and the scalar exps round alike (they rescale differently past
+# about 708), and _MAX_TERMS such terms cannot overflow a sum.
+_GRID_EXP_MAX = 700.0
+
+
+def _sum_log_series_grid(
+    log_coeffs: Callable[[int], list[float]],
+    zs: np.ndarray,
+    start: int = 0,
+    tol: float = DEFAULT_TOL,
+) -> SeriesGridReport:
+    """_sum_log_series(log_coeffs, z, start, tol) at every z of zs, bit for bit.
+
+    Terms are formed for a block of k and a chunk of points at once and
+    summed in order by np.cumsum, each point carrying its sum, its streak of
+    small terms and its last magnitude from block to block until the
+    stopping rule fires. Only operations that round like the scalar engine
+    are used: complex np.exp (a real point has a zero imaginary exponent),
+    np.hypot for magnitudes, and IEEE sums and products of real arrays; log z
+    is taken per point by math/cmath. A point that would need a term above
+    exp(_GRID_EXP_MAX), or whose exponent is not finite, is summed by
+    _sum_log_series itself, so overflow keeps the scalar semantics.
+    """
+    _check_series_args(start, tol)
+    zs = np.asarray(zs, dtype=complex)
+    report = SeriesGridReport(
+        np.empty(zs.size, dtype=complex),
+        np.empty(zs.size, dtype=np.int64),
+        np.empty(zs.size),
+        np.empty(zs.size, dtype=bool),
+    )
+    for c in range(0, zs.size, _CHUNK_POINTS):
+        _sum_chunk(log_coeffs, zs[c : c + _CHUNK_POINTS], c, start, tol, report)
+    return report
+
+
+def _sum_chunk(
+    log_coeffs: Callable[[int], list[float]],
+    zs: np.ndarray,
+    offset: int,
+    start: int,
+    tol: float,
+    out: SeriesGridReport,
+) -> None:
+    """Sum the series at zs into out[offset:], block by block."""
+    zero = offset + np.flatnonzero(zs == 0)
+    if zero.size:
+        out.value[zero] = math.exp(log_coeffs(start + 1)[start])
+        out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
+    points = np.flatnonzero(zs != 0)
+    z = zs[points]
+    real = z.imag == 0.0
+    log_z = np.empty(points.size, dtype=complex)
+    log_z[real] = list(map(math.log, np.abs(z.real[real]).tolist()))
+    log_z[~real] = list(map(cmath.log, z[~real].tolist()))
+    lr, li = log_z.real[:, None], log_z.imag[:, None]
+    flip = (real & (z.real < 0.0))[:, None]
+    total = np.zeros(points.size, dtype=complex)
+    streak = np.zeros(points.size, dtype=np.int64)
+    prev = np.full(points.size, math.inf)
+    scalar = []
+    k0 = 0
+    while points.size:
+        nb = min(_BLOCK_TERMS, _MAX_TERMS - k0)
+        j = np.arange(nb)
+        ks = (k0 + j).astype(float)
+        logs = np.array(log_coeffs(start + k0 + nb)[start + k0 : start + k0 + nb])
+        # Column 0 carries each point's sum in, so cumsum adds in scalar order.
+        sums = np.empty((points.size, nb + 1), dtype=complex)
+        sums[:, 0] = total
+        t = sums[:, 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t.real = logs + ks * lr
+            t.imag = ks * li
+            big = _first_true(~(t.real <= _GRID_EXP_MAX), nb)
+            np.exp(t, out=t)
+            np.negative(t, out=t, where=flip & (ks % 2 == 1))
+            mag = np.hypot(t.real, t.imag)
+            np.cumsum(sums, axis=1, out=sums)
+            sums = sums[:, 1:]
+            size = np.hypot(sums.real, sums.imag)
+            small = mag <= tol * np.where(size > 1.0, size, 1.0)
+            prevs = np.column_stack((prev, mag[:, :-1]))
+            decreasing = (mag < prevs) | ((mag == 0.0) & (prevs == 0.0))
+        reset = np.maximum.accumulate(np.where(small, -1, j), axis=1)
+        streaks = np.where(reset >= 0, j - reset, streak[:, None] + j + 1)
+        stop = _first_true((streaks >= 3) & decreasing, nb)
+        done = stop < big
+        settle = done | ((big == nb) & (k0 + nb == _MAX_TERMS))
+        at = np.where(done, stop, nb - 1)[settle]
+        rows = np.flatnonzero(settle)
+        settled = offset + points[settle]
+        out.value[settled] = sums[rows, at]
+        out.terms_used[settled] = k0 + at + 1
+        out.last_term_magnitude[settled] = mag[rows, at]
+        out.converged[settled] = done[settle]
+        scalar += points[(big < nb) & ~done].tolist()
+        keep = ~settle & (big == nb)
+        points, lr, li, flip = points[keep], lr[keep], li[keep], flip[keep]
+        total, streak, prev = sums[keep, -1], streaks[keep, -1], mag[keep, -1]
+        k0 += nb
+    for p in scalar:
+        report = _sum_log_series(log_coeffs, complex(zs[p]), start, tol)
+        out.value[offset + p], out.terms_used[offset + p] = report.value, report.terms_used
+        out.last_term_magnitude[offset + p] = report.last_term_magnitude
+        out.converged[offset + p] = report.converged
+
+
+def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
+    """Column of the first True in each row of mask, `none` where there is none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), none)
 
 
 def kilbas_saigo(

@@ -175,12 +175,9 @@ def residual_numeric(
         raise ValueError("tail_start must be >= 0")
     h = y_max / n_points
     ys = h * np.arange(n_points + 1)
-    w = np.empty(ys.size, dtype=complex)
-    converged = True
-    for n, y in enumerate(ys):
-        report = sol.evaluate_tail_report(y, k1, tol)
-        w[n] = report.value
-        converged = converged and report.converged
+    tail = sol.tail_grid_report(ys, k1, tol)
+    w, converged = tail.value, bool(tail.converged.all())
+    del tail  # its per-point metadata need not live through the quadrature
     lhs = hilfer_numeric(SampledFunction(h, w), orders).values
     # The rhs tail w_{k1-1} is w_{k1} plus one head term (at k1 = 0 both
     # sides carry w_0); the origin is filled in below.

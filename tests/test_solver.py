@@ -27,6 +27,14 @@ def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
 
 CAPUTO_HALF = make_problem(0.5, 0.5, 1.0, 1)
 
+
+def assert_matches_pointwise(grid, points):
+    """A grid report equals the pointwise reports bit for bit, field by field."""
+    assert grid.value.tobytes() == np.array([r.value for r in points]).tobytes()
+    assert grid.terms_used.tolist() == [r.terms_used for r in points]
+    assert grid.last_term_magnitude.tolist() == [r.last_term_magnitude for r in points]
+    assert grid.converged.tolist() == [r.converged for r in points]
+
 # Valid corner of the admissibility sweep used across several tests
 SWEEP = [
     make_problem(i - da, i - db, mu, i, m=m)
@@ -179,6 +187,42 @@ class TestSeriesSolution:
         with pytest.raises(DomainError):
             sol.evaluate(-0.5)
 
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_y_rejected_on_every_path(self, y):
+        sol = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, lam=-1.0), 0)
+        cauchy = cauchy_solution(make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j), [1.0, 0.5])
+        grid = np.array([0.5, y, 1.0])
+        calls = [
+            lambda: sol.evaluate_report(y),
+            lambda: sol.evaluate_tail_report(y, 1),
+            lambda: sol.grid_report(grid),
+            lambda: sol.tail_grid_report(grid, 1),
+            lambda: cauchy.evaluate_report(y),
+            lambda: cauchy.grid_report(grid),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"requires finite y >=? 0, got y={y}"):
+                call()
+
+    def test_grid_rejects_what_pointwise_rejects(self):
+        sol = fundamental_solution(CAPUTO_HALF, 0)
+        with pytest.raises(DomainError, match=r"y > 0, got y=0.0"):
+            sol.grid_report(np.array([0.5, 0.0]))
+        with pytest.raises(DomainError, match=r"y >= 0, got y=-0.5"):
+            sol.tail_grid_report(np.array([0.0, -0.5]), 1)
+
+    def test_negative_series_start_rejected(self):
+        # logs[start + k] would wrap to the end of the cached list.
+        sol = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, lam=-1.0), 0)
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            sol.evaluate_tail_report(0.5, -1)
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            sol.series_report(0.3, -2)
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            sol.tail_grid_report(np.array([0.5]), -1)
+        with pytest.raises(ValueError, match="k_start must be >= 0"):
+            sol.evaluate_tail_report(0.0, -1)
+
     def test_matches_kilbas_saigo_mapping(self):
         tol = 1e-12
         for problem in [
@@ -220,6 +264,15 @@ class TestSeriesSolution:
         grid_vals = sol.evaluate_grid(ys)
         point_vals = np.array([sol.evaluate(float(y)) for y in ys])
         assert np.array_equal(grid_vals, point_vals)
+
+    def test_tail_grid_report_matches_pointwise(self):
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        for s, k_start in [(0, 1), (1, 0), (1, 3)]:
+            sol = fundamental_solution(problem, s)
+            ys = np.linspace(0.0, 2.0, 1025)
+            grid = sol.tail_grid_report(ys, k_start)
+            points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
+            assert_matches_pointwise(grid, points)
 
     def test_tail_evaluation(self):
         problem = make_problem(0.5, 0.5, 0.0, 1, lam=2.0)
@@ -266,6 +319,14 @@ class TestCauchySolution:
     def test_non_finite_data_rejected(self, phi):
         with pytest.raises(ValueError, match="phis must be finite"):
             cauchy_solution(CAPUTO_HALF, [phi])
+
+    def test_grid_report_matches_pointwise(self):
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        sol = cauchy_solution(problem, [1.0, 0.5])
+        ys = np.linspace(2.0 / 700, 2.0, 700)
+        grid = sol.grid_report(ys)
+        points = [sol.evaluate_report(float(y)) for y in ys]
+        assert_matches_pointwise(grid, points)
 
     def test_weights_include_factorial(self):
         problem = make_problem(2.5, 2.5, 1.0, 3, m=0.0)

@@ -5,8 +5,11 @@ here as literals; erfc-based closed forms use math.erfc directly, which is
 independent of the series code under test.
 """
 
+import cmath
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,13 @@ from bihilfer import (
     log_gamma_ratio,
     mittag_leffler,
 )
-from bihilfer.special_functions import _CACHE, _CACHE_SIZE
+from bihilfer.special_functions import (
+    _CACHE,
+    _CACHE_SIZE,
+    _CoefficientCache,
+    _sum_log_series,
+    _sum_log_series_grid,
+)
 
 # (p, q, ln Gamma(p) - ln Gamma(q)) frozen from a 40-digit computation
 LGAMMA_RATIO_REFERENCE = [
@@ -217,6 +226,13 @@ class TestKilbasSaigo:
         assert not report.converged
         assert math.isfinite(report.value.real)
 
+    def test_complex_magnitude_past_double_range_ends_sum_unconverged(self):
+        # Both parts of a term stay finite while |t| overflows, which the
+        # complex abs reports by raising; the engine flags it instead.
+        report = kilbas_saigo(KilbasSaigoParams(1.0, 1.0, 0.0), cmath.rect(720.0, 1.0))
+        assert not report.converged
+        assert report.last_term_magnitude == math.inf
+
     @pytest.mark.parametrize("tol", [math.inf, 1.0, 0.0, -1.0, math.nan])
     def test_tol_outside_unit_interval_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must lie in"):
@@ -357,3 +373,100 @@ class TestCoefficients:
         assert all(
             a == b for a, b in zip(coeffs, kilbas_saigo_coefficients(params, 60))
         )
+
+
+def _scalar_reports(fetch, zs, start, tol):
+    return [_sum_log_series(fetch, complex(z), start, tol) for z in zs]
+
+
+def _assert_bit_identical(grid, reports):
+    assert grid.value.tobytes() == np.array([r.value for r in reports], dtype=complex).tobytes()
+    assert grid.terms_used.tolist() == [r.terms_used for r in reports]
+    assert grid.last_term_magnitude.tobytes() == np.array(
+        [r.last_term_magnitude for r in reports]
+    ).tobytes()
+    assert grid.converged.tolist() == [r.converged for r in reports]
+
+
+# The sum of E_{0.01,0.01,0} at 0.9999 only ends at the 10,000-term cap.
+CAPPED = (KilbasSaigoParams(0.01, 0.01, 0.0), 0.9999)
+
+_reals = st.floats(-60.0, 60.0)
+_points = st.one_of(
+    _reals,
+    st.builds(complex, _reals, _reals.filter(lambda v: v != 0.0)),
+    st.just(0.0),
+    # A term of these overflows the double range.
+    st.builds(cmath.rect, st.floats(700.0, 1e6), st.floats(-math.pi, math.pi)),
+    st.floats(700.0, 1e6),
+)
+
+
+class TestGridDriver:
+    """The blocked grid driver against the scalar engine, field by field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 3.0),
+        m=st.floats(0.2, 3.0),
+        l=st.floats(-0.3, 2.0),
+        zs=st.lists(_points, min_size=1, max_size=40),
+        start=st.integers(0, 6),
+        tol=st.sampled_from([1e-12, 1e-6, 0.5]),
+        capped=st.booleans(),
+    )
+    def test_bit_identical_to_scalar_engine(self, alpha, m, l, zs, start, tol, capped):
+        params = KilbasSaigoParams(alpha, m, l)
+        if capped:
+            params, z = CAPPED
+            zs = [z, *zs]
+        fetch = partial(_CACHE.logs, params)
+        _assert_bit_identical(
+            _sum_log_series_grid(fetch, zs, start, tol), _scalar_reports(fetch, zs, start, tol)
+        )
+
+    def test_covers_every_exit_of_the_engine(self):
+        params, capped = CAPPED
+        zs = [capped, 0.0, -3.0, 2.0, 1.0 - 2.0j, 800.0, cmath.rect(720.0, 1.0)]
+        fetch = partial(_CACHE.logs, params)
+        reports = _scalar_reports(fetch, zs, 2, 1e-12)
+        assert reports[0].terms_used == 10_000 and not reports[0].converged
+        assert reports[5].last_term_magnitude == math.inf
+        assert reports[6].last_term_magnitude == math.inf
+        _assert_bit_identical(_sum_log_series_grid(fetch, zs, 2, 1e-12), reports)
+
+    def test_spans_chunks_and_blocks(self):
+        # More points than one chunk, and terms than one block.
+        fetch = partial(_CACHE.logs, KilbasSaigoParams(0.5, 1.0, 0.0))
+        zs = np.linspace(-8.0, 4.0, 1201) * np.exp(0.3j)
+        grid = _sum_log_series_grid(fetch, zs)
+        assert grid.terms_used.max() > 16
+        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 0, 1e-12))
+
+    def test_empty_grid(self):
+        grid = _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [])
+        assert grid.value.size == grid.terms_used.size == 0
+
+
+class TestNegativeStart:
+    def test_scalar_engine_rejects(self):
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            _sum_log_series(partial(_CACHE.logs, CAPPED[0]), 0.5, -1)
+
+    def test_grid_driver_rejects(self):
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [0.5], -1)
+
+
+class TestCacheStats:
+    def test_counts_hits_misses_and_fills(self):
+        cache = _CoefficientCache()
+        params = KilbasSaigoParams(0.7, 1.3, 0.2)
+        cache.logs(params, 10)
+        cache.logs(params, 4)
+        cache.logs(params, 25)
+        cache.logs(KilbasSaigoParams(0.7, 1.3, 0.3), 1)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.filled) == (2, 2, 24)
+        with pytest.raises(AttributeError):
+            stats.hits = 0

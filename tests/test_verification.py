@@ -9,9 +9,11 @@ from bihilfer import (
     DegenerateProblem,
     DomainError,
     OrderTriple,
+    SampledFunction,
     coefficient_sequence,
     fundamental_solution,
     hilfer_monomial,
+    hilfer_numeric,
     initial_condition_check,
     mittag_leffler,
     residual_coefficient_identity,
@@ -158,6 +160,27 @@ class TestNumericResidual:
         for s in (0, 1):
             report = residual_numeric(problem, s, n_points=512)
             assert report.max_rel_error <= 5e-3
+
+    def test_grid_tail_matches_pointwise_loop(self):
+        # The verify-fine problem, branch by branch, against the residual
+        # built from a per-point evaluate_tail_report loop.
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        n, y_max = 4096, 2.0
+        for s in range(2):
+            report = residual_numeric(problem, s, y_max=y_max, n_points=n)
+            sol = fundamental_solution(problem, s)
+            k1, h = report.tail_start, y_max / n
+            ys = h * np.arange(n + 1)
+            w = np.array([sol.evaluate_tail_report(float(y), k1).value for y in ys])
+            lhs = hilfer_numeric(SampledFunction(h, w), problem.orders).values
+            k0 = max(k1 - 1, 0)
+            w_rhs = w.copy()
+            if k1 > 0:
+                w_rhs[1:] += sol.coefficient(k0) * sol.lam**k0 * ys[1:] ** (sol.a * k0 + sol.b)
+            rhs = problem.lam * ys**problem.m * w_rhs
+            rhs[0] = problem.lam * sol.tail_at_origin(k0, problem.m)
+            assert report.lhs.tobytes() == lhs.tobytes()
+            assert report.rhs.tobytes() == rhs.tobytes()
 
     def test_singular_rhs_head_at_origin(self):
         # large m forces tail_start = 1, putting the full (singular at 0)
