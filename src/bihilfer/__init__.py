@@ -31,6 +31,7 @@ from .special_functions import (
     gamma_ratio,
     kilbas_saigo,
     kilbas_saigo_coefficients,
+    kilbas_saigo_grid,
     log_gamma,
     log_gamma_ratio,
     mittag_leffler,
@@ -69,6 +70,7 @@ __all__ = [
     "gamma_ratio",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",
+    "kilbas_saigo_grid",
     "log_gamma",
     "log_gamma_ratio",
     "mittag_leffler",

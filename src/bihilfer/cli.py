@@ -25,7 +25,7 @@ from . import __version__
 from .errors import DomainError
 from .fractional_ops import OrderTriple
 from .solver import DegenerateProblem, cauchy_solution, derive_params, fundamental_solution
-from .special_functions import KilbasSaigoParams, kilbas_saigo
+from .special_functions import KilbasSaigoParams, kilbas_saigo_grid
 from .verification import (
     initial_condition_check,
     residual_coefficient_identity,
@@ -232,27 +232,27 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
         for flag, value in [("--z-min", z_min), ("--z-max", z_max)] + [("--z", v) for v in zs]:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
+        if zs and (z_min is not None or z_max is not None):
+            raise ValueError("give --z values or a --z-min/--z-max grid, not both")
         if not zs:
             if z_min is None or z_max is None:
                 raise ValueError("give --z values or a --z-min/--z-max grid")
             _at_least("--z-points", z_points, 1)
-            zs = list(np.linspace(z_min, z_max, z_points))
+            zs = np.linspace(z_min, z_max, z_points).tolist()
         params = KilbasSaigoParams(alpha=alpha, m=m, l=l)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
-    rows = []
-    all_converged = True
-    for point in zs:
-        report = kilbas_saigo(params, complex(point), tol=tol)
-        all_converged = all_converged and report.converged
-        rows.append(
-            [float(point), report.value.real, report.value.imag, report.terms_used,
-             report.converged]
+    report = kilbas_saigo_grid(params, zs, tol)
+    rows = [
+        [point, value.real, value.imag, terms, converged]
+        for point, value, terms, converged in zip(
+            zs, report.value.tolist(), report.terms_used.tolist(), report.converged.tolist()
         )
+    ]
     meta = {"alpha": alpha, "m": m, "l": l, "tol": tol}
     columns = ["z", "re_value", "im_value", "terms_used", "converged"]
     _write_table("eval-ks", meta, columns, rows, format, out)
-    _exit_if_nonconverged(all_converged)
+    _exit_if_nonconverged(bool(report.converged.all()))
 
 
 @cli.command("fundamental")

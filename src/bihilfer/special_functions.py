@@ -37,6 +37,7 @@ __all__ = [
     "gamma_ratio",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",
+    "kilbas_saigo_grid",
     "mittag_leffler",
 ]
 
@@ -262,6 +263,11 @@ def _sum_log_series(
     |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
     ends the sum unconverged with the partial sum as its value; so does
     reaching _MAX_TERMS terms. A negative start is rejected.
+
+    Per-term cost: |S_k| is formed only when |t_k| > tol, which decides the
+    same since tol*max(1, |S|) >= tol; a sum's magnitude can pass the double
+    range only on such a term, so its overflow exit fires on the same term.
+    The stopping test runs only after a small term (three imply N >= 2).
     """
     _check_series_args(start, tol)
     logs = log_coeffs(start + _FETCH_AHEAD)
@@ -273,14 +279,15 @@ def _sum_log_series(
         exp, log_z, flip, total = math.exp, math.log(abs(z.real)), z.real < 0.0, 0.0
     else:
         exp, log_z, flip, total = cmath.exp, cmath.log(z), False, 0.0j
+    isfinite = math.isfinite
+    n = len(logs)
     streak = 0
-    prev_mag = math.inf
-    mag = math.inf
-    k = 0
-    while k < _MAX_TERMS:
-        i = start + k
-        if i >= len(logs):
+    prev_mag = mag = math.inf
+    i = start
+    for k in range(_MAX_TERMS):
+        if i >= n:
             logs = log_coeffs(2 * i)
+            n = len(logs)
         try:
             t = exp(logs[i] + k * log_z)
         except OverflowError:
@@ -292,21 +299,22 @@ def _sum_log_series(
             t *= weight(k)
         total += t
         try:
-            mag, size = abs(t), abs(total)
+            mag = abs(t)
+            small = mag <= tol or mag <= tol * abs(total)
         except OverflowError:
             # A complex magnitude past the double range: unconverged as well.
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
-        if not math.isfinite(mag):
+        if not isfinite(mag):
             return SeriesEvalReport(complex(total), k + 1, mag, False)
-        if mag <= tol * max(1.0, size):
+        if small:
             streak += 1
+            if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
+                return SeriesEvalReport(complex(total), k + 1, mag, True)
         else:
             streak = 0
-        if k >= 2 and streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-            return SeriesEvalReport(complex(total), k + 1, mag, True)
         prev_mag = mag
-        k += 1
-    return SeriesEvalReport(complex(total), k, mag, False)
+        i += 1
+    return SeriesEvalReport(complex(total), _MAX_TERMS, mag, False)
 
 
 # The grid driver sums terms in blocks of _BLOCK_TERMS for up to
@@ -440,6 +448,14 @@ def kilbas_saigo(
     overflowed) still carries the best value.
     """
     return _sum_log_series(partial(_CACHE.logs, params), z, 0, tol)
+
+
+def kilbas_saigo_grid(
+    params: KilbasSaigoParams, zs: np.ndarray, tol: float = DEFAULT_TOL
+) -> SeriesGridReport:
+    """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, summed by
+    the blocked grid driver."""
+    return _sum_log_series_grid(partial(_CACHE.logs, params), zs, 0, tol)
 
 
 def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> complex:

@@ -4,9 +4,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from bihilfer import KilbasSaigoParams, kilbas_saigo
 from bihilfer.cli import cli
 
 
@@ -113,6 +115,46 @@ class TestEvalKs:
         )
         assert result.exit_code == 3
         assert "converge" in result.output
+
+    @pytest.mark.parametrize(
+        "grid", [["--z-min", "-2"], ["--z-max", "2"], ["--z-min", "-2", "--z-max", "2"]],
+        ids=["z-min", "z-max", "both"],
+    )
+    def test_points_and_grid_together_exit_1(self, runner, grid):
+        # The --z rows alone must not stand in silently for the requested grid.
+        result = runner.invoke(
+            cli, ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z", "1", *grid]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "error: give --z values or a --z-min/--z-max grid, not both" in result.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_table_equals_scalar_evaluation(self, runner, fmt):
+        # The benchmark's eval-ks table, summed by the grid driver, against
+        # kilbas_saigo one point at a time: the same bits, terms and flags.
+        result = runner.invoke(
+            cli, ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z-min", "-8",
+                  "--z-max", "4", "--z-points", "401", "--format", fmt],
+        )
+        assert result.exit_code == 0, result.output
+        if fmt == "csv":
+            _, _, rows = parse_csv(result.output)
+            table = [(float(z), complex(float(re), float(im)), int(terms), conv == "True")
+                     for z, re, im, terms, conv in rows]
+        else:
+            table = [(r["z"], complex(r["re_value"], r["im_value"]), r["terms_used"],
+                      r["converged"]) for r in json.loads(result.output)["rows"]]
+        zs = np.linspace(-8.0, 4.0, 401).tolist()
+        assert [row[0] for row in table] == zs
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        expected = []
+        for z in zs:
+            report = kilbas_saigo(params, z)
+            expected.append((z, report.value, report.terms_used, report.converged))
+        assert [(repr(z), repr(v), n, c) for z, v, n, c in table] == [
+            (repr(z), repr(v), n, c) for z, v, n, c in expected
+        ]
 
 
 class TestFundamental:

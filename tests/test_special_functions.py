@@ -7,6 +7,7 @@ independent of the series code under test.
 
 import cmath
 import math
+import struct
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from bihilfer import (
     DomainError,
     KilbasSaigoParams,
+    falling_product,
     gamma_ratio,
     kilbas_saigo,
     kilbas_saigo_coefficients,
@@ -27,6 +29,10 @@ from bihilfer import (
 from bihilfer.special_functions import (
     _CACHE,
     _CACHE_SIZE,
+    _FETCH_AHEAD,
+    _MAX_TERMS,
+    SeriesEvalReport,
+    _check_series_args,
     _CoefficientCache,
     _sum_log_series,
     _sum_log_series_grid,
@@ -446,6 +452,137 @@ class TestGridDriver:
     def test_empty_grid(self):
         grid = _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [])
         assert grid.value.size == grid.terms_used.size == 0
+
+
+def _reference_sum_log_series(
+    log_coeffs, z, start=0, tol=1e-12, weight=None
+) -> SeriesEvalReport:
+    """The scalar engine as it was before its per-term cost was cut, kept
+    verbatim: the engine must return the same report for every input."""
+    _check_series_args(start, tol)
+    logs = log_coeffs(start + _FETCH_AHEAD)
+    if z == 0:
+        first = math.exp(logs[start]) * (1.0 if weight is None else weight(0))
+        return SeriesEvalReport(complex(first), 1, 0.0, True)
+    z = complex(z)
+    if z.imag == 0.0:
+        exp, log_z, flip, total = math.exp, math.log(abs(z.real)), z.real < 0.0, 0.0
+    else:
+        exp, log_z, flip, total = cmath.exp, cmath.log(z), False, 0.0j
+    streak = 0
+    prev_mag = math.inf
+    mag = math.inf
+    k = 0
+    while k < _MAX_TERMS:
+        i = start + k
+        if i >= len(logs):
+            logs = log_coeffs(2 * i)
+        try:
+            t = exp(logs[i] + k * log_z)
+        except OverflowError:
+            # Term outgrew the double range; report the best partial sum.
+            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
+        if flip and k & 1:
+            t = -t
+        if weight is not None:
+            t *= weight(k)
+        total += t
+        try:
+            mag, size = abs(t), abs(total)
+        except OverflowError:
+            # A complex magnitude past the double range: unconverged as well.
+            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
+        if not math.isfinite(mag):
+            return SeriesEvalReport(complex(total), k + 1, mag, False)
+        if mag <= tol * max(1.0, size):
+            streak += 1
+        else:
+            streak = 0
+        if k >= 2 and streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
+            return SeriesEvalReport(complex(total), k + 1, mag, True)
+        prev_mag = mag
+        k += 1
+    return SeriesEvalReport(complex(total), k, mag, False)
+
+
+def _bits(report):
+    """Every field of a report, floats as their bit patterns."""
+    value = struct.pack("<3d", report.value.real, report.value.imag, report.last_term_magnitude)
+    return value, type(report.value), report.terms_used, report.converged
+
+
+def _falling(a, s, j, k):
+    """The initial-condition check's term weight (a k + s)(a k + s - 1)...(a k + s - j + 1)."""
+    return falling_product(a * k + s, j)
+
+
+def _cyclic(weights, k):
+    return weights[k % len(weights)]
+
+
+_term_weights = st.one_of(
+    st.none(),
+    st.builds(partial, st.just(_falling), st.floats(0.1, 3.0), st.integers(0, 4),
+              st.integers(1, 4)),
+    # A zero and a negative weight among up to four others, in any order.
+    st.tuples(st.lists(st.floats(-1e3, 1e3), max_size=4), st.floats(-1e3, -1e-3))
+    .map(lambda p: [0.0, p[1], *p[0]])
+    .flatmap(st.permutations)
+    .map(lambda ws: partial(_cyclic, ws)),
+)
+
+
+class TestScalarEngineReference:
+    """The scalar engine against its earlier loop, field by field, weighted
+    sums and every exit included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 3.0),
+        m=st.floats(0.2, 3.0),
+        l=st.floats(-0.3, 2.0),
+        zs=st.lists(st.one_of(_points, st.just(cmath.rect(720.0, 1.0))), min_size=1,
+                    max_size=8),
+        start=st.integers(0, 6),
+        tol=st.sampled_from([1e-12, 1e-6, 0.5]),
+        weight=_term_weights,
+        capped=st.booleans(),
+    )
+    def test_same_report_as_reference(self, alpha, m, l, zs, start, tol, weight, capped):
+        params = KilbasSaigoParams(alpha, m, l)
+        if capped:
+            params, z = CAPPED
+            zs = [z, *zs]
+        fetch = partial(_CACHE.logs, params)
+        for z in zs:
+            assert _bits(_sum_log_series(fetch, z, start, tol, weight)) == _bits(
+                _reference_sum_log_series(fetch, z, start, tol, weight)
+            ), z
+
+    @pytest.mark.parametrize(
+        "params,z,start,weight,exit",
+        [
+            ((0.01, 0.01, 0.0), 0.9999, 0, None, (10_000, False)),
+            ((1.0, 1.0, 0.0), 0.0, 3, partial(_cyclic, [-2.0]), (1, True)),
+            ((0.5, 1.0, 0.0), -3.0, 2, partial(_falling, 0.5, 1, 2), "converged"),
+            ((0.5, 1.0, 0.0), 2.0 + 1.0j, 0, partial(_cyclic, [0.0]), (3, True)),
+            ((1.0, 1.0, 0.0), 800.0, 0, None, "overflow"),
+            ((1.0, 1.0, 0.0), cmath.rect(720.0, 1.0), 0, None, "overflow"),
+            ((1.0, 1.0, 0.0), 700.0, 0, partial(_cyclic, [1e10]), "overflow"),
+        ],
+        ids=["term-cap", "zero-point", "converged", "zero-weights", "term-overflow",
+             "magnitude-overflow", "weighted-term-past-range"],
+    )
+    def test_every_exit(self, params, z, start, weight, exit):
+        fetch = partial(_CACHE.logs, KilbasSaigoParams(*params))
+        report = _sum_log_series(fetch, z, start, 1e-12, weight)
+        if exit == "overflow":
+            assert report.last_term_magnitude == math.inf and not report.converged
+        elif exit == "converged":
+            assert report.converged and 3 < report.terms_used < 10_000
+        else:
+            assert (report.terms_used, report.converged) == exit
+        assert _bits(report) == _bits(_reference_sum_log_series(fetch, z, start, 1e-12, weight))
 
 
 class TestNegativeStart:
