@@ -130,8 +130,9 @@ def _write_table(
             buf.write(f"# {key}={value}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        # csv writes a float as its repr, the shortest string that reads back
+        # to the same bits.
+        writer.writerows(rows)
         text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -310,8 +310,9 @@ def hilfer_numeric(f: SampledFunction, orders: OrderTriple) -> SampledFunction:
     _check_numeric_input(f)
     nu1 = orders.inner_order
     nu2 = orders.outer_order
-    g1 = f if nu1 == 0.0 else rl_integral_numeric(f, nu1)
-    g2 = _derivative(g1.values, f.h, orders.i)
+    # The inner integral is not kept past its derivative, which lowers the
+    # peak memory of the outer integral.
+    g2 = _derivative((f if nu1 == 0.0 else rl_integral_numeric(f, nu1)).values, f.h, orders.i)
     if nu2 == 0.0:
         return SampledFunction(f.h, g2)
     return rl_integral_numeric(SampledFunction(f.h, g2), nu2)

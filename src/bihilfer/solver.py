@@ -25,6 +25,7 @@ from .errors import DomainError
 from .fractional_ops import OrderTriple
 from .special_functions import (
     _CACHE,
+    _CHUNK_POINTS,
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
@@ -198,20 +199,20 @@ class SeriesSolution:
         """evaluate_tail_report(y, k_start) at every grid point, bit for bit,
         with the series summed by the blocked grid driver."""
         ys = _check_grid(ys, origin=True)
-        zs = np.fromiter((self.lam * y**self.a for y in map(float, ys)), complex, ys.size)
+        lam, a = self.lam, self.a
+        zs = np.empty(ys.size, dtype=complex)
+        for c in _slices(ys.size):
+            zs[c] = [lam * y**a for y in ys[c].tolist()]
         report = _sum_log_series_grid(self._logs, zs, k_start, tol)
-        power, lam_k = self.a * k_start + self.b, self.lam**k_start
+        power, lam_k = a * k_start + self.b, lam**k_start
         origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
-        values = (
-            y**power * lam_k * v if y else origin
-            for y, v in zip(map(float, ys), map(complex, report.value))
-        )
-        return SeriesGridReport(
-            np.fromiter(values, complex, ys.size),
-            report.terms_used,
-            report.last_term_magnitude,
-            report.converged,
-        )
+        value = report.value
+        for c in _slices(ys.size):
+            value[c] = [
+                y**power * lam_k * v if y else origin
+                for y, v in zip(ys[c].tolist(), value[c].tolist())
+            ]
+        return report
 
     def tail_at_origin(self, k_start: int, shift: float = 0.0) -> complex:
         """Limit at y -> 0+ of y^shift times the tail from k_start: zero when
@@ -243,6 +244,11 @@ def _check_grid(ys: np.ndarray, origin: bool) -> np.ndarray:
     if not ok.all():
         _check_y(float(ys[~ok][0]), origin)
     return ys
+
+
+def _slices(n: int) -> list[slice]:
+    """Grid slices of _CHUNK_POINTS, so the per-point Python lists stay short."""
+    return [slice(c, c + _CHUNK_POINTS) for c in range(0, n, _CHUNK_POINTS)]
 
 
 def fundamental_solution(problem: DegenerateProblem, s: int) -> SeriesSolution:
@@ -290,8 +296,8 @@ class CauchySolution:
             if w == 0:
                 continue
             rep = branch.grid_report(ys, tol)
-            sums = (t + w * v for t, v in zip(map(complex, total), map(complex, rep.value)))
-            total = np.fromiter(sums, complex, ys.size)
+            for c in _slices(ys.size):
+                total[c] = [t + w * v for t, v in zip(total[c].tolist(), rep.value[c].tolist())]
             terms += rep.terms_used
             scaled = abs(w) * rep.last_term_magnitude
             last = np.where(scaled > last, scaled, last)

@@ -317,10 +317,12 @@ def _sum_log_series(
     return SeriesEvalReport(complex(total), _MAX_TERMS, mag, False)
 
 
-# The grid driver sums terms in blocks of _BLOCK_TERMS for up to
-# _CHUNK_POINTS points at a time, so a temporary holds at most 512 x 17
-# elements (16 terms and the carried sum).
-_BLOCK_TERMS = 16
+# The grid driver sums up to _CHUNK_POINTS points at a time in blocks of
+# terms. A chunk's first block is as long as the longest sum of the chunk
+# before, at least 4 (16 for the first chunk), later blocks are 4, 8, 16,
+# ... terms, and none is longer than _BLOCK_TERMS, so a temporary holds at
+# most 512 x 33 elements (32 terms and the carried sum).
+_BLOCK_TERMS = 32
 _CHUNK_POINTS = 512
 
 # Largest term exponent Re(L + k log z) the grid driver sums itself. Up to
@@ -338,14 +340,17 @@ def _sum_log_series_grid(
     """_sum_log_series(log_coeffs, z, start, tol) at every z of zs, bit for bit.
 
     Terms are formed for a block of k and a chunk of points at once and
-    summed in order by np.cumsum, each point carrying its sum, its streak of
-    small terms and its last magnitude from block to block until the
-    stopping rule fires. Only operations that round like the scalar engine
-    are used: complex np.exp (a real point has a zero imaginary exponent),
-    np.hypot for magnitudes, and IEEE sums and products of real arrays; log z
-    is taken per point by math/cmath. A point that would need a term above
-    exp(_GRID_EXP_MAX), or whose exponent is not finite, is summed by
-    _sum_log_series itself, so overflow keeps the scalar semantics.
+    summed in order by np.cumsum, each point carrying its sum, whether its
+    last two terms were small and its last magnitude from block to block
+    until the stopping rule fires. A chunk's first block is as long as the
+    longest sum of the chunk before, so most points settle in it; the
+    blocks after it start short and double. Only operations that round like
+    the scalar engine are used: complex np.exp (a real point has a zero
+    imaginary exponent), np.hypot for magnitudes, and IEEE sums and products
+    of real arrays; log z is taken per point by math/cmath. A point that
+    would need a term above exp(_GRID_EXP_MAX), or whose exponent is not
+    finite, is summed by _sum_log_series itself, so overflow keeps the
+    scalar semantics.
     """
     _check_series_args(start, tol)
     zs = np.asarray(zs, dtype=complex)
@@ -355,8 +360,10 @@ def _sum_log_series_grid(
         np.empty(zs.size),
         np.empty(zs.size, dtype=bool),
     )
+    first = 16
     for c in range(0, zs.size, _CHUNK_POINTS):
-        _sum_chunk(log_coeffs, zs[c : c + _CHUNK_POINTS], c, start, tol, report)
+        _sum_chunk(log_coeffs, zs[c : c + _CHUNK_POINTS], c, start, tol, first, report)
+        first = int(report.terms_used[c : c + _CHUNK_POINTS].max())
     return report
 
 
@@ -366,9 +373,11 @@ def _sum_chunk(
     offset: int,
     start: int,
     tol: float,
+    first: int,
     out: SeriesGridReport,
 ) -> None:
-    """Sum the series at zs into out[offset:], block by block."""
+    """Sum the series at zs into out[offset:], block by block, the first
+    block `first` terms long (clamped to 4.._BLOCK_TERMS)."""
     zero = offset + np.flatnonzero(zs == 0)
     if zero.size:
         out.value[zero] = math.exp(log_coeffs(start + 1)[start])
@@ -382,35 +391,40 @@ def _sum_chunk(
     lr, li = log_z.real[:, None], log_z.imag[:, None]
     flip = (real & (z.real < 0.0))[:, None]
     total = np.zeros(points.size, dtype=complex)
-    streak = np.zeros(points.size, dtype=np.int64)
+    was_small = np.zeros((points.size, 2), dtype=bool)
     prev = np.full(points.size, math.inf)
     scalar = []
-    k0 = 0
+    k0, width, later = 0, max(first, 4), 4
     while points.size:
-        nb = min(_BLOCK_TERMS, _MAX_TERMS - k0)
-        j = np.arange(nb)
-        ks = (k0 + j).astype(float)
+        nb = min(width, _BLOCK_TERMS, _MAX_TERMS - k0)
+        ks = np.arange(k0, k0 + nb, dtype=float)
         logs = np.array(log_coeffs(start + k0 + nb)[start + k0 : start + k0 + nb])
-        # Column 0 carries each point's sum in, so cumsum adds in scalar order.
+        # The carried state leads each row, so cumsum adds in scalar order.
         sums = np.empty((points.size, nb + 1), dtype=complex)
-        sums[:, 0] = total
+        mags = np.empty((points.size, nb + 1))
+        small = np.empty((points.size, nb + 2), dtype=bool)
+        sums[:, 0], mags[:, 0], small[:, :2] = total, prev, was_small
         t = sums[:, 1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            t.real = logs + ks * lr
-            t.imag = ks * li
-            big = _first_true(~(t.real <= _GRID_EXP_MAX), nb)
+            # In place, so a block allocates little besides its three arrays.
+            expo = np.multiply(ks, lr, out=t.real)
+            expo += logs
+            np.multiply(ks, li, out=t.imag)
+            big = _first_true(~(expo <= _GRID_EXP_MAX), nb)
             np.exp(t, out=t)
-            np.negative(t, out=t, where=flip & (ks % 2 == 1))
-            mag = np.hypot(t.real, t.imag)
+            if flip.any():
+                np.negative(t, out=t, where=flip & (ks % 2 == 1))
+            mag, prevs = np.hypot(t.real, t.imag, out=mags[:, 1:]), mags[:, :-1]
             np.cumsum(sums, axis=1, out=sums)
             sums = sums[:, 1:]
-            size = np.hypot(sums.real, sums.imag)
-            small = mag <= tol * np.where(size > 1.0, size, 1.0)
-            prevs = np.column_stack((prev, mag[:, :-1]))
+            # |S_k| only where |t_k| > tol, as in the scalar engine.
+            now = np.less_equal(mag, tol, out=small[:, 2:])
+            size = np.hypot(sums.real, sums.imag, out=np.ones(mag.shape), where=~now)
+            np.fmax(size, 1.0, out=size)
+            now |= mag <= np.multiply(size, tol, out=size)
             decreasing = (mag < prevs) | ((mag == 0.0) & (prevs == 0.0))
-        reset = np.maximum.accumulate(np.where(small, -1, j), axis=1)
-        streaks = np.where(reset >= 0, j - reset, streak[:, None] + j + 1)
-        stop = _first_true((streaks >= 3) & decreasing, nb)
+        # Three small terms in a row, the last smaller than the one before.
+        stop = _first_true(now & small[:, 1:-1] & small[:, :-2] & decreasing, nb)
         done = stop < big
         settle = done | ((big == nb) & (k0 + nb == _MAX_TERMS))
         at = np.where(done, stop, nb - 1)[settle]
@@ -423,8 +437,8 @@ def _sum_chunk(
         scalar += points[(big < nb) & ~done].tolist()
         keep = ~settle & (big == nb)
         points, lr, li, flip = points[keep], lr[keep], li[keep], flip[keep]
-        total, streak, prev = sums[keep, -1], streaks[keep, -1], mag[keep, -1]
-        k0 += nb
+        total, was_small, prev = sums[keep, -1], small[keep, -2:], mag[keep, -1]
+        k0, width, later = k0 + nb, later, 2 * later
     for p in scalar:
         report = _sum_log_series(log_coeffs, complex(zs[p]), start, tol)
         out.value[offset + p], out.terms_used[offset + p] = report.value, report.terms_used

@@ -3,13 +3,14 @@
 import csv
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from bihilfer import KilbasSaigoParams, kilbas_saigo
-from bihilfer.cli import cli
+from bihilfer.cli import _write_table, cli
 
 
 @pytest.fixture
@@ -397,6 +398,21 @@ class TestJsonRoundTrip:
         assert result.exit_code == 0
         text = out.read_text().rstrip("\n")
         assert json.dumps(json.loads(text), indent=2) == text
+
+
+class TestCsvFloats:
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 5e-324, -0.0, 1e300, -2.5e-310, 12345.678])
+    def test_float_cells_read_back_bit_exact(self, tmp_path, value):
+        out = tmp_path / "table.csv"
+        _write_table("t", {"n": 1}, ["x", "y"], [[value, 7], [-value, True]], "csv", str(out))
+        text = out.read_text()
+        # Each float is its repr, the shortest string with the same bits.
+        assert text == f"# n=1\nx,y\n{value!r},7\n{-value!r},True\n"
+        _, _, rows = parse_csv(text)
+        cells = [float(rows[0][0]), float(rows[1][0])]
+        assert [struct.pack("<d", c) for c in cells] == [
+            struct.pack("<d", value), struct.pack("<d", -value)
+        ]
 
 
 class TestConfigFile:

@@ -274,6 +274,15 @@ class TestSeriesSolution:
             points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
             assert_matches_pointwise(grid, points)
 
+    @pytest.mark.parametrize("n", [513, 1025, 1500])
+    def test_tail_grid_report_across_slices(self, n):
+        # Per-point work runs in 512-point slices; these grids end mid-slice.
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        sol = fundamental_solution(problem, 0)
+        ys = np.linspace(0.0, 2.0, n)
+        grid = sol.tail_grid_report(ys, 2)
+        assert_matches_pointwise(grid, [sol.evaluate_tail_report(float(y), 2) for y in ys])
+
     def test_tail_evaluation(self):
         problem = make_problem(0.5, 0.5, 0.0, 1, lam=2.0)
         sol = fundamental_solution(problem, 0)
@@ -327,6 +336,13 @@ class TestCauchySolution:
         grid = sol.grid_report(ys)
         points = [sol.evaluate_report(float(y)) for y in ys]
         assert_matches_pointwise(grid, points)
+
+    @pytest.mark.parametrize("n", [513, 1025, 1500])
+    def test_grid_report_across_slices(self, n):
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        sol = cauchy_solution(problem, [1.0, 0.5])
+        ys = np.linspace(2.0 / n, 2.0, n)
+        assert_matches_pointwise(sol.grid_report(ys), [sol.evaluate_report(float(y)) for y in ys])
 
     def test_weights_include_factorial(self):
         problem = make_problem(2.5, 2.5, 1.0, 3, m=0.0)

@@ -26,9 +26,12 @@ from bihilfer import (
     log_gamma_ratio,
     mittag_leffler,
 )
+from bihilfer import special_functions
 from bihilfer.special_functions import (
+    _BLOCK_TERMS,
     _CACHE,
     _CACHE_SIZE,
+    _CHUNK_POINTS,
     _FETCH_AHEAD,
     _MAX_TERMS,
     SeriesEvalReport,
@@ -452,6 +455,98 @@ class TestGridDriver:
     def test_empty_grid(self):
         grid = _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [])
         assert grid.value.size == grid.terms_used.size == 0
+
+
+# The grid driver is exercised with a chunk of 2-7 points, so a short list
+# spans many chunks, each sized from the sums of the one before.
+_short = st.one_of(st.floats(-2.0, 2.0), st.builds(complex, st.floats(-1.0, 1.0),
+                                                   st.floats(0.1, 1.0)))
+# Hundreds of terms for E_{1/2,1,0}; for CAPPED's triple these overflow.
+_long = st.builds(cmath.rect, st.floats(8.0, 20.0), st.floats(-math.pi, math.pi))
+_groups = st.lists(
+    st.one_of(
+        st.lists(_short, min_size=1, max_size=6),
+        st.lists(_long, min_size=1, max_size=6),
+        st.lists(st.just(0.0), min_size=1, max_size=6),
+        # Terms past exp(700): the scalar fallback.
+        st.lists(st.floats(700.0, 1e6), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _grid_in_chunks(fetch, zs, start, tol, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special_functions, "_CHUNK_POINTS", chunk)
+        return _sum_log_series_grid(fetch, zs, start, tol)
+
+
+class TestGridChunks:
+    """Chunks whose sums differ in length, against the scalar engine."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        groups=_groups,
+        chunk=st.integers(2, 7),
+        start=st.integers(0, 4),
+        tol=st.sampled_from([1e-12, 1e-6]),
+        capped=st.booleans(),
+    )
+    def test_bit_identical_across_chunks(self, groups, chunk, start, tol, capped):
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        zs = [z for group in groups for z in group]
+        if capped:
+            params, z = CAPPED
+            zs = [z, *zs]
+        fetch = partial(_CACHE.logs, params)
+        _assert_bit_identical(
+            _grid_in_chunks(fetch, zs, start, tol, chunk), _scalar_reports(fetch, zs, start, tol)
+        )
+
+    @pytest.mark.parametrize(
+        "params,zs,maxima",
+        [
+            # short, hundreds of terms, short, zeros only, overflow
+            ((0.5, 1.0, 0.0),
+             [0.5, -0.3, 0.1j, 15.0, -12.0, 14.0j, 0.2, 0.1, -0.4, 0.0, 0.0, 0.0,
+              800.0, 0.5, 900.0],
+             [22, 730, 21, 1, 142]),
+            # the 10,000-term cap, then chunks of short sums
+            ((0.01, 0.01, 0.0), [0.9999, 0.1, 0.2, 0.1, 0.3, -0.2, 0.9, 0.0, 0.5],
+             [10_000, 26, 257]),
+        ],
+        ids=["long-short-zero-overflow", "after-cap"],
+    )
+    def test_neighbouring_chunks_of_unequal_length(self, params, zs, maxima):
+        fetch = partial(_CACHE.logs, KilbasSaigoParams(*params))
+        grid = _grid_in_chunks(fetch, zs, 0, 1e-12, 3)
+        assert [max(grid.terms_used[c : c + 3]) for c in range(0, len(zs), 3)] == maxima
+        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 0, 1e-12))
+
+
+class TestBlockLength:
+    def test_no_block_passes_the_cap(self):
+        # A chunk ending at the 10,000-term cap, then a chunk of short sums.
+        requested = []
+        fetch = partial(_CACHE.logs, CAPPED[0])
+
+        def recording(n):
+            requested.append(n)
+            return fetch(n)
+
+        zs = [CAPPED[1], *[0.1] * (_CHUNK_POINTS - 1), 0.1, 0.2]
+        grid = _sum_log_series_grid(recording, zs)
+        assert grid.terms_used[0] == _MAX_TERMS
+        # Each block asks for the coefficients up to its last term.
+        cut = requested.index(_MAX_TERMS) + 1
+        first, second = requested[:cut], requested[cut:]
+        spans = np.diff([0, *first]).tolist()
+        assert spans[:5] == [16, 4, 8, 16, 32]
+        assert max(spans) == _BLOCK_TERMS == 32
+        # The chunk after the capped point starts with one block at the cap.
+        assert second == [_BLOCK_TERMS]
+        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 0, 1e-12))
 
 
 def _reference_sum_log_series(
