@@ -2,7 +2,8 @@
 
 Reference values were computed once with mpmath at 40 digits and frozen
 here as literals; erfc-based closed forms use math.erfc directly, which is
-independent of the series code under test.
+independent of the series code under test. The m = 1 contour path is also
+checked against an mpmath quadrature on another path, computed at run time.
 """
 
 import cmath
@@ -12,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bihilfer import (
@@ -22,6 +23,7 @@ from bihilfer import (
     gamma_ratio,
     kilbas_saigo,
     kilbas_saigo_coefficients,
+    kilbas_saigo_grid,
     log_gamma,
     log_gamma_ratio,
     mittag_leffler,
@@ -205,6 +207,31 @@ class TestKilbasSaigo:
             assert report.converged
             assert report.value.imag == 0.0  # real z is summed in real arithmetic
             assert abs(report.value - expected) <= 1e-10 * max(1.0, abs(expected))
+        # Where the series cancels: its sum read 1.07e13 at -8 and -3.9e159
+        # at -20, both reported converged.
+        for z in (-4.0, -6.0, -8.0, -20.0):
+            expected = math.exp(z * z) * math.erfc(-z)
+            report = kilbas_saigo(params, z)
+            assert report.converged
+            assert report.value.imag == 0.0
+            assert abs(report.value - expected) <= 1e-12 * abs(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 0.95),
+        xs=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2).map(sorted),
+    )
+    def test_completely_monotone_on_negative_axis(self, alpha, xs):
+        # E_{alpha,1,0}(-x) is completely monotone for 0 < alpha <= 1
+        # (Pollard 1948): positive and strictly decreasing in x >= 0. The
+        # points are at least 1e-6 (1 + x) apart, so the decrease is far
+        # above rounding.
+        x, farther = xs
+        assume(farther - x >= 1e-6 * (1.0 + x))
+        params = KilbasSaigoParams(alpha, 1.0, 0.0)
+        near, far = kilbas_saigo(params, -x), kilbas_saigo(params, -farther)
+        assert near.converged and far.converged
+        assert near.value.real > far.value.real > 0.0
 
     def test_known_digit_values(self):
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
@@ -702,3 +729,177 @@ class TestCacheStats:
         assert (stats.hits, stats.misses, stats.filled) == (2, 2, 24)
         with pytest.raises(AttributeError):
             stats.hits = 0
+
+
+def _hankel_reference(alpha, l, z):
+    """Gamma(beta) E_{alpha,beta}(z), beta = alpha l + 1, by mpmath's
+    Gauss-Legendre quadrature of the Laplace-inversion integral on a Hankel
+    path (rays at +-3pi/4 beyond the unit circle, joined by its arc), to
+    about 17 digits.
+    Another path and another rule than the code under test; valid where
+    s^alpha = z has no root on the principal sheet."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(17):
+        a, b = mp.mpf(alpha), mp.mpf(alpha) * mp.mpf(l) + 1
+        zz = mp.mpc(z.real, z.imag)
+
+        def f(s):
+            return mp.exp(s) * s ** (a - b) / (s**a - zz)
+
+        up = mp.expjpi(mp.mpf(3) / 4)
+        down = mp.conj(up)
+        rays = mp.quad(lambda r: f(r * up) * up - f(r * down) * down, [1, 8, 64],
+                       method="gauss-legendre")
+        arc = mp.quad(lambda p: f(mp.expj(p)) * 1j * mp.expj(p),
+                      [-3 * mp.pi / 4, 3 * mp.pi / 4], method="gauss-legendre")
+        return complex(mp.gamma(b) * (rays + arc) / (2j * mp.pi))
+
+
+def _on_sector_edge(r, alpha, sign):
+    """The float nearest r e^{i sign alpha pi} with |arg z| >= alpha pi."""
+    z = cmath.rect(r, sign * alpha * math.pi)
+    while abs(cmath.phase(z)) < alpha * math.pi:
+        z = complex(z.real, np.nextafter(z.imag, sign * math.inf))
+    return z
+
+
+def _contour_cases():
+    for alpha in (0.1, 0.3, 0.5, 0.8, 0.95):
+        # l = 0, and beta = alpha at l = (alpha - 1)/alpha
+        for l in (0.0, (alpha - 1.0) / alpha):
+            for z in (
+                _on_sector_edge(1e-6, alpha, 1),
+                _on_sector_edge(1e3, alpha, -1),
+                complex(-1.0, -0.0),
+                complex(-30.0, 0.0),
+                cmath.rect(8.0, (1.0 + alpha) * math.pi / 2),
+                cmath.rect(0.05, -(1.0 + alpha) * math.pi / 2),
+            ):
+                yield alpha, l, z
+
+
+class TestContourPath:
+    """The m = 1 contour rule against an independent mpmath integral."""
+
+    @pytest.mark.parametrize("alpha,l", sorted({(a, l) for a, l, _ in _contour_cases()}))
+    def test_matches_mpmath_across_the_sector(self, alpha, l):
+        params = KilbasSaigoParams(alpha, 1.0, l)
+        tol = 1e-12
+        for a, ll, z in _contour_cases():
+            if (a, ll) != (alpha, l):
+                continue
+            report = kilbas_saigo(params, z, tol)
+            expected = _hankel_reference(alpha, l, z)
+            assert report.path == "contour", z
+            assert report.terms_used == 33
+            assert report.converged
+            assert abs(report.value - expected) <= tol * max(1.0, abs(expected)), z
+            if z.imag == 0.0:
+                assert report.value.imag == 0.0
+
+    def test_outside_the_sector_takes_the_series(self):
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        inside = _on_sector_edge(2.0, 0.5, 1)
+        outside = cmath.rect(2.0, 0.5 * math.pi * (1.0 - 1e-12))
+        assert abs(cmath.phase(outside)) < 0.5 * math.pi
+        assert kilbas_saigo(params, inside).path == "contour"
+        assert kilbas_saigo(params, outside).path == "series"
+        for params, z in [
+            (KilbasSaigoParams(0.5, 1.0, 0.0), 0.0),
+            (KilbasSaigoParams(0.5, 1.0, 0.0), 3.0),
+            (KilbasSaigoParams(0.5, 1.0, 0.5), -3.0),  # beta > 1
+            (KilbasSaigoParams(0.5, 1.5, 0.0), -3.0),  # m != 1
+            (KilbasSaigoParams(1.0, 1.0, 0.0), -3.0),  # alpha >= 1
+        ]:
+            assert kilbas_saigo(params, z).path == "series"
+
+    def test_tolerance_out_of_reach_takes_the_series(self):
+        # The rule's rounding bound alone is above 1e-16, so the series
+        # answers, converged at its own tolerance.
+        report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), -1.0, tol=1e-16)
+        assert report.path == "series"
+        assert report.converged
+
+    @pytest.mark.parametrize("tol", [math.inf, 1.0, 0.0, math.nan])
+    def test_tolerance_checked_on_the_contour_path(self, tol):
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match="tol must lie in"):
+            kilbas_saigo(params, -8.0, tol)
+        with pytest.raises(ValueError, match="tol must lie in"):
+            kilbas_saigo_grid(params, [-8.0], tol)
+
+    @pytest.mark.parametrize("x", [-1e-3, -3.0, -40.0])
+    def test_folded_real_rule_matches_the_full_rule(self, x):
+        # A real z sums the nodes u >= 0 with their mirror images folded in;
+        # a z just off the axis sums all 33 nodes.
+        params = KilbasSaigoParams(0.3, 1.0, -1.0)
+        real, near = kilbas_saigo(params, x), kilbas_saigo(params, complex(x, 1e-300))
+        assert real.path == near.path == "contour"
+        assert real.value.imag == 0.0
+        assert abs(real.value - near.value) <= 1e-13 * max(1.0, abs(real.value))
+        assert real.last_term_magnitude == pytest.approx(near.last_term_magnitude, rel=1e-12, abs=0.0)
+
+    def test_nodes_are_read_only(self):
+        full, half = special_functions._contour_nodes(0.5, 0.0)
+        for array in (*full, *half):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def _assert_same_as_scalar_calls(params, zs, tol=1e-12):
+    """Every field of kilbas_saigo_grid, path included, against kilbas_saigo
+    point by point, floats as bits."""
+    grid = kilbas_saigo_grid(params, zs, tol)
+    fields = zip(
+        grid.value.tolist(),
+        grid.terms_used.tolist(),
+        grid.last_term_magnitude.tolist(),
+        grid.converged.tolist(),
+        grid.path.tolist(),
+    )
+    assert [(*_bits(SeriesEvalReport(*f)), f[-1]) for f in fields] == [
+        (*_bits(r), r.path) for r in (kilbas_saigo(params, z, tol) for z in zs)
+    ]
+    return grid
+
+
+_routing_points = st.one_of(
+    st.just(0.0),
+    st.floats(-50.0, 50.0),
+    st.builds(complex, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    # Within a few ulps of the edge |arg z| = alpha pi, made with alpha below.
+    st.tuples(st.floats(1e-6, 1e3), st.sampled_from([-1, 1]), st.integers(-3, 3)),
+)
+
+
+class TestRoutingParity:
+    """kilbas_saigo_grid against kilbas_saigo, bit for bit and field by field,
+    on lists that mix both paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.one_of(st.floats(0.05, 0.99), st.floats(1.0, 1.6)),
+        m=st.sampled_from([1.0, 1.0, 1.0, 0.8, 2.0]),
+        alpha_l=st.one_of(st.just(0.0), st.floats(-0.95, 0.6)),
+        raw=st.lists(_routing_points, min_size=1, max_size=20),
+        tol=st.sampled_from([1e-12, 1e-6, 1e-15, 1e-16]),
+    )
+    def test_grid_equals_scalar_calls(self, alpha, m, alpha_l, raw, tol):
+        params = KilbasSaigoParams(alpha, m, alpha_l / alpha)
+        zs = []
+        for z in raw:
+            if isinstance(z, tuple):
+                r, sign, ulps = z
+                z = _on_sector_edge(r, min(alpha, 0.999), sign)
+                for _ in range(abs(ulps)):
+                    z = complex(z.real, np.nextafter(z.imag, math.copysign(math.inf, ulps)))
+            zs.append(complex(z))
+        _assert_same_as_scalar_calls(params, zs, tol)
+
+    def test_mixed_table_uses_both_paths(self):
+        # More points than one chunk of the series driver, on both paths.
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        zs = np.linspace(-8.0, 4.0, 1201) * np.exp(0.3j)
+        zs = [*zs.tolist(), *np.linspace(-8.0, 4.0, 41).tolist(), 0.0, complex(-2.0, -0.0)]
+        grid = _assert_same_as_scalar_calls(params, zs)
+        assert set(grid.path.tolist()) == {"contour", "series"}
