@@ -4,11 +4,14 @@ Builds the fundamental family u_s(y) = y^{b_s} * sum_k c_k (lambda y^a)^k for
 s = 0..i-1 and the solution of the Cauchy-type initial problem as a weighted
 combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
 (a+b_s)/gamma - 1}(lambda y^a): a SeriesSolution is built from (problem, s)
-alone, maps it to that triple once, reads its coefficients from the shared,
-bounded Kilbas-Saigo cache and sums through the same series engine as
-kilbas_saigo, a whole grid through the engine's blocked grid driver, which
-gives the same bits as summing point by point. That the coefficients solve the equation is checked
-independently by verification.residual_coefficient_identity.
+alone, maps it to that triple once and reads its coefficients from the
+shared, bounded Kilbas-Saigo cache. A whole branch is kilbas_saigo at that
+triple (kilbas_saigo_grid on a grid), so an m = 0 problem's branches take the
+contour rule where their series cancels; a tail from k_start > 0 is summed
+by the series engine, a grid by its blocked grid driver. Either way a grid
+gives the same bits as evaluating point by point. That the coefficients
+solve the equation is checked independently by
+verification.residual_coefficient_identity.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .special_functions import (
     SeriesGridReport,
     _sum_log_series,
     _sum_log_series_grid,
+    kilbas_saigo,
     kilbas_saigo_coefficients,
+    kilbas_saigo_grid,
 )
 
 __all__ = [
@@ -181,29 +186,40 @@ class SeriesSolution:
     ) -> SeriesEvalReport:
         """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b}, computed in
         factored form (no head/tail cancellation). Defined at y = 0 as well
-        whenever a*k_start + b >= 0."""
+        whenever a*k_start + b >= 0. The whole branch (k_start = 0) is
+        y^b kilbas_saigo(lambda y^a), so at m = 1 it may take the contour
+        rule where the series cancels; a tail from k_start > 0 is summed."""
         _check_y(y, origin=True)
         if y == 0.0:
             return SeriesEvalReport(self.tail_at_origin(k_start), 1, 0.0, True)
-        report = self.series_report(self.lam * y**self.a, k_start, tol)
+        z = self.lam * y**self.a
+        if k_start == 0:
+            report = kilbas_saigo(self._params, z, tol)
+        else:
+            report = self.series_report(z, k_start, tol)
         return SeriesEvalReport(
             y ** (self.a * k_start + self.b) * self.lam**k_start * report.value,
             report.terms_used,
             report.last_term_magnitude,
             report.converged,
+            report.path,
         )
 
     def tail_grid_report(
         self, ys: np.ndarray, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesGridReport:
         """evaluate_tail_report(y, k_start) at every grid point, bit for bit,
-        with the series summed by the blocked grid driver."""
+        path included: kilbas_saigo_grid for the whole branch, the blocked
+        grid driver for a tail."""
         ys = _check_grid(ys, origin=True)
         lam, a = self.lam, self.a
         zs = np.empty(ys.size, dtype=complex)
         for c in _slices(ys.size):
             zs[c] = [lam * y**a for y in ys[c].tolist()]
-        report = _sum_log_series_grid(self._logs, zs, k_start, tol)
+        if k_start == 0:
+            report = kilbas_saigo_grid(self._params, zs, tol)
+        else:
+            report = _sum_log_series_grid(self._logs, zs, k_start, tol)
         power, lam_k = a * k_start + self.b, lam**k_start
         origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
         value = report.value

@@ -6,8 +6,9 @@ series engine sums one point at a time (_sum_log_series) or a whole grid in
 numpy blocks (_sum_log_series_grid), with one stopping rule and the same
 bits either way. Where that series cancels, at m = 1, 0 < alpha < 1, l <= 0
 and |arg z| >= alpha*pi, kilbas_saigo and kilbas_saigo_grid take a 33-node
-trapezoid rule on a Laplace-inversion contour instead (_contour_sum), again
-with the same bits point by point and on a grid. The Mittag-Leffler routine
+trapezoid rule on a Laplace-inversion contour instead, one point in Python
+arithmetic (_contour_point) and a grid in numpy (_contour_sum) rounded the
+same way, so again with the same bits either way. The Mittag-Leffler routine
 exists purely as an independent cross-check for the m = 1 reductions of
 E_{alpha,m,l}; it always takes the series engine (and so the truncation
 rule) but not the coefficient computation.
@@ -213,7 +214,7 @@ class _CoefficientCache:
 
     def logs(self, params: KilbasSaigoParams, n: int) -> list[float]:
         """At least n log-coefficients ln c_0, ln c_1, ... of the triple."""
-        key = (params.alpha, params.m, params.l)
+        alpha, m, l = key = (params.alpha, params.m, params.l)
         with self._lock:
             log = self._data.get(key)
             if log is None:
@@ -224,12 +225,12 @@ class _CoefficientCache:
             else:
                 self._hits += 1
                 self._data.move_to_end(key)
-            alpha, m, l = params.alpha, params.m, params.l
-            self._filled += max(n - len(log), 0)
-            while len(log) < n:
-                j = len(log) - 1
-                diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
-                log.append(log[-1] + diff)
+            if len(log) < n:
+                self._filled += n - len(log)
+                while len(log) < n:
+                    j = len(log) - 1
+                    diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
+                    log.append(log[-1] + diff)
             return log
 
 
@@ -525,25 +526,76 @@ def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]
     return full, half
 
 
-def _contour_sum(params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool) -> tuple:
-    """(value, last_term_magnitude, converged) of the contour rule at a
-    column z of points in the sector, all real or all complex.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
+    """_contour_nodes(alpha, l) as Python numbers: (full, half), each a
+    tuple of (s_k^alpha, weight, rounding factor) per node, for one point."""
+    return tuple(tuple(zip(*(a.tolist() for a in rule))) for rule in _contour_nodes(alpha, l))
 
-    Each row is summed alone, so a point gets the same bits in a column of
-    one or of many. A real z sums the folded nodes u >= 0 and keeps the real
-    part, so its value is exactly real. converged requires the outermost
-    node's contribution plus the rounding bound sum_k eps (1 + |s_k|) |t_k|
-    to be at most tol * max(1, |value|).
+
+def _contour_point(params: KilbasSaigoParams, z: complex, tol: float) -> "SeriesEvalReport | None":
+    """The contour rule at one point z of the sector, in Python complex
+    arithmetic: its report, or None where its estimate does not meet tol.
+
+    A real z sums the folded nodes u >= 0 and keeps the real part, so its
+    value is exactly real. The value and the rounding bound
+    sum_k eps (1 + |s_k|) |t_k| are running sums in node order. converged
+    requires the outermost node's contribution plus that bound to be at
+    most tol * max(1, |value|).
+    """
+    real = z.imag == 0.0
+    nodes = _contour_node_tuples(params.alpha, params.l)[real]
+    # -0.0 is the identity of IEEE addition, so each sum starts at its
+    # first term exactly, as np.cumsum does in _contour_sum.
+    value, bound = complex(-0.0, -0.0), -0.0
+    for power, weight, rounding in nodes:
+        t = weight / (power - z)
+        mag = abs(t)
+        value += t
+        bound += mag * rounding
+    if real:
+        value, last = complex(value.real), 0.5 * mag
+        size = abs(value.real)
+    else:
+        power, weight, _ = nodes[0]
+        last, size = max(abs(weight / (power - z)), mag), abs(value)
+    if bound + last <= tol * (size if size > 1.0 else 1.0):
+        return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
+    return None
+
+
+def _py_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, rounded as CPython divides two complex numbers
+    (Smith's algorithm in _Py_c_quot), where numpy's division rounds
+    otherwise. b has no zero element."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    q = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        np.divide(np.where(by_real, ar + ai * ratio, ar * ratio + ai), denom, out=q.real)
+        np.divide(np.where(by_real, ai - ar * ratio, ai * ratio - ar), denom, out=q.imag)
+    return q
+
+
+def _contour_sum(params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool) -> tuple:
+    """(value, last_term_magnitude, converged) of _contour_point at each of a
+    column z of points in the sector, all real or all complex, bit for bit.
+
+    Every operation rounds as the Python one does: CPython's complex
+    quotient (_py_quotient), np.hypot for abs (both are libm hypot), and
+    running sums in node order (np.cumsum; .sum would add pairwise).
     """
     power, weight, rounding = _contour_nodes(params.alpha, params.l)[real]
-    t = weight / (power - z)
+    t = _py_quotient(weight, power - z)
     mags = np.hypot(t.real, t.imag)
-    value = t.sum(axis=1)
+    value = np.cumsum(t, axis=1)[:, -1]
     if real:
         value, last, size = value.real, 0.5 * mags[:, -1], np.abs(value.real)
     else:
         last, size = np.fmax(mags[:, 0], mags[:, -1]), np.hypot(value.real, value.imag)
-    bound = (mags * rounding).sum(axis=1) + last
+    bound = np.cumsum(mags * rounding, axis=1)[:, -1] + last
     return value, last, bound <= tol * np.fmax(size, 1.0)
 
 
@@ -565,12 +617,9 @@ def kilbas_saigo(
     """
     if _contour_rule(params) and _in_sector(params.alpha, z):
         _check_series_args(0, tol)
-        real = complex(z).imag == 0.0
-        value, last, converged = _contour_sum(params, np.array([[z]], dtype=complex), tol, real)
-        if converged[0]:
-            return SeriesEvalReport(
-                complex(value[0]), _CONTOUR_NODES, float(last[0]), True, "contour"
-            )
+        report = _contour_point(params, complex(z), tol)
+        if report is not None:
+            return report
     return _sum_log_series(partial(_CACHE.logs, params), z, 0, tol)
 
 

@@ -34,6 +34,7 @@ def assert_matches_pointwise(grid, points):
     assert grid.terms_used.tolist() == [r.terms_used for r in points]
     assert grid.last_term_magnitude.tolist() == [r.last_term_magnitude for r in points]
     assert grid.converged.tolist() == [r.converged for r in points]
+    assert grid.path.tolist() == [r.path for r in points]
 
 # Valid corner of the admissibility sweep used across several tests
 SWEEP = [
@@ -296,6 +297,42 @@ class TestSeriesSolution:
         assert abs((head + tail) - full) <= 1e-12 * abs(full)
         # at the origin the tail vanishes once its leading exponent is positive
         assert sol.evaluate_tail(0.0, 3) == 0.0
+
+
+# E_{1/2}(-50 sqrt y) = exp(2500 y) erfc(50 sqrt y): an m = 0 problem, so its
+# branch is the m = 1 triple (0.5, 1, 0), whose series cancels on the negative
+# axis. Summed, it read 5.5e93 (converged) at y = 0.1 and about +-7e307
+# (unconverged) at y = 0.5 and 1.
+LAMBDA_MINUS_50 = make_problem(0.5, 0.5, 1.0, 1, lam=-50.0)
+
+
+class TestContourBranch:
+    """A whole branch is kilbas_saigo at its triple, contour rule included;
+    a tail from k_start > 0 is summed."""
+
+    def test_branch_takes_the_contour_rule(self):
+        mp = pytest.importorskip("mpmath").mp
+        sol = fundamental_solution(LAMBDA_MINUS_50, 0)
+        ys = [0.1, 0.5, 1.0]
+        points = [sol.evaluate_report(y) for y in ys]
+        assert_matches_pointwise(sol.grid_report(np.array(ys)), points)
+        for y, report in zip(ys, points):
+            ks = kilbas_saigo(sol.kilbas_saigo_params(), sol.lam * y**sol.a)
+            assert report.path == ks.path == "contour"
+            assert report.converged
+            assert report.value == y**sol.b * ks.value
+            with mp.workdps(30):
+                exact = float(mp.exp(2500 * mp.mpf(y)) * mp.erfc(50 * mp.sqrt(y)))
+            assert abs(report.value - exact) <= 1e-12 * max(1.0, exact), y
+
+    def test_tails_take_the_series(self):
+        sol = fundamental_solution(LAMBDA_MINUS_50, 0)
+        ys = np.linspace(0.0, 0.01, 65)
+        for k_start in (0, 1, 3):
+            grid = sol.tail_grid_report(ys, k_start)
+            points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
+            assert_matches_pointwise(grid, points)
+            assert ("contour" in grid.path.tolist()) == (k_start == 0)
 
 
 class TestCauchySolution:

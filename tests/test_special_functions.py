@@ -846,6 +846,30 @@ class TestContourPath:
                 array[0] = 0.0
 
 
+class TestSilentWrongSeries:
+    """m = 1 points that still take the cancelling series and report it
+    converged. Each asserts what an honest report would give: within tol of
+    the reference, or not converged."""
+
+    @pytest.mark.xfail(strict=True, reason="below the contour rule's rounding floor the "
+                       "series answers 1.07e13, converged, against 0.0699852")
+    def test_tolerance_below_the_contour_floor(self):
+        mp = pytest.importorskip("mpmath").mp
+        tol = 1e-15
+        report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), -8.0, tol)
+        with mp.workdps(30):
+            expected = float(mp.exp(64) * mp.erfc(8))
+        assert not report.converged or abs(report.value - expected) <= tol * max(1.0, expected)
+
+    @pytest.mark.xfail(strict=True, reason="beta = 1.3 > 1 is left to the series, which "
+                       "answers 21.06, converged, against 0.23579")
+    def test_beta_above_one(self):
+        tol = 1e-12
+        report = kilbas_saigo(KilbasSaigoParams(0.3, 1.0, 1.0), -3.0, tol)
+        expected = _hankel_reference(0.3, 1.0, complex(-3.0))
+        assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
+
+
 def _assert_same_as_scalar_calls(params, zs, tol=1e-12):
     """Every field of kilbas_saigo_grid, path included, against kilbas_saigo
     point by point, floats as bits."""
@@ -895,6 +919,55 @@ class TestRoutingParity:
                     z = complex(z.real, np.nextafter(z.imag, math.copysign(math.inf, ulps)))
             zs.append(complex(z))
         _assert_same_as_scalar_calls(params, zs, tol)
+
+    def test_fixed_sector_sweep(self):
+        # 25 triples with 0.05 < alpha < 0.99 and beta <= 1, 100 points each:
+        # the negative axis with +0.0 and -0.0 imaginary parts, the open
+        # sector, and its edge to within 3 ulps either side.
+        rng = np.random.default_rng(20261018)
+        in_sector = 0
+        for triple in range(25):
+            alpha = rng.uniform(0.05, 0.99)
+            beta = (1.0, alpha, rng.uniform(0.02, 1.0))[triple % 3]
+            params = KilbasSaigoParams(alpha, 1.0, (beta - 1.0) / alpha)
+            zs = []
+            for k in range(100):
+                r, sign = 10.0 ** rng.uniform(-6.0, 3.0), rng.choice([-1, 1])
+                if k % 4 == 0:
+                    z = complex(-r, sign * 0.0)
+                elif k % 4 == 1:
+                    z = cmath.rect(r, sign * rng.uniform(alpha, 1.0) * math.pi)
+                else:
+                    z = _on_sector_edge(min(r, 30.0), alpha, sign)
+                    ulps = int(rng.integers(-3, 4))
+                    for _ in range(abs(ulps)):
+                        z = complex(z.real, np.nextafter(z.imag, math.copysign(math.inf, ulps)))
+                zs.append(z)
+            grid = _assert_same_as_scalar_calls(params, zs)
+            in_sector += sum(special_functions._in_sector(alpha, z) for z in zs)
+            assert "contour" in grid.path.tolist()
+        assert in_sector >= 2000
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_same_path_at_the_exact_threshold(self, alpha):
+        # The rounding bound decides only the path: find adjacent tol where
+        # the scalar call changes path, and the grid must change there too.
+        params = KilbasSaigoParams(alpha, 1.0, 0.0)
+        as_int = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+        as_float = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
+        for z in (-0.5, -2.0, complex(-1.5, 0.7), complex(-2.2, -1.2)):
+            # Positive doubles order like their bit patterns.
+            lo, hi = as_int(1e-17), as_int(1e-6)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if kilbas_saigo(params, z, as_float(mid)).path == "contour":
+                    hi = mid
+                else:
+                    lo = mid
+            assert kilbas_saigo(params, z, as_float(lo)).path == "series"
+            assert kilbas_saigo(params, z, as_float(hi)).path == "contour"
+            for tol in (as_float(lo), as_float(hi)):
+                _assert_same_as_scalar_calls(params, [z], tol)
 
     def test_mixed_table_uses_both_paths(self):
         # More points than one chunk of the series driver, on both paths.
