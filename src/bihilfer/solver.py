@@ -283,11 +283,15 @@ class CauchySolution:
     weights: tuple[complex, ...]
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
+        """The weighted sum of the branch reports at y > 0. Its path is the
+        one every branch with a nonzero weight took, "mixed" where they took
+        different ones, and "series" where no weight is nonzero."""
         _check_y(y, origin=False)
         total = 0.0 + 0.0j
         terms = 0
         last = 0.0
         converged = True
+        path = None
         for w, branch in zip(self.weights, self.branches):
             if w == 0:
                 continue
@@ -296,18 +300,20 @@ class CauchySolution:
             terms += rep.terms_used
             last = max(last, abs(w) * rep.last_term_magnitude)
             converged = converged and rep.converged
-        return SeriesEvalReport(total, max(terms, 1), last, converged)
+            path = rep.path if path in (None, rep.path) else "mixed"
+        return SeriesEvalReport(total, max(terms, 1), last, converged, path or "series")
 
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
     def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
-        """evaluate_report(y) at every grid point, bit for bit."""
+        """evaluate_report(y) at every grid point, bit for bit, path included."""
         ys = _check_grid(ys, origin=False)
         total = np.zeros(ys.size, dtype=complex)
         terms = np.zeros(ys.size, dtype=np.int64)
         last = np.zeros(ys.size)
         converged = np.ones(ys.size, dtype=bool)
+        path = None
         for w, branch in zip(self.weights, self.branches):
             if w == 0:
                 continue
@@ -318,7 +324,8 @@ class CauchySolution:
             scaled = abs(w) * rep.last_term_magnitude
             last = np.where(scaled > last, scaled, last)
             converged &= rep.converged
-        return SeriesGridReport(total, np.maximum(terms, 1), last, converged)
+            path = rep.path if path is None else np.where(path == rep.path, path, "mixed")
+        return SeriesGridReport(total, np.maximum(terms, 1), last, converged, path)
 
     def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """evaluate_report(y).value at every grid point."""

@@ -4,11 +4,13 @@ Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
 E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}. The
 series engine sums one point at a time (_sum_log_series) or a whole grid in
 numpy blocks (_sum_log_series_grid), with one stopping rule and the same
-bits either way. Where that series cancels, at m = 1, 0 < alpha < 1, l <= 0
-and |arg z| >= alpha*pi, kilbas_saigo and kilbas_saigo_grid take a 33-node
-trapezoid rule on a Laplace-inversion contour instead, one point in Python
-arithmetic (_contour_point) and a grid in numpy (_contour_sum) rounded the
-same way, so again with the same bits either way. The Mittag-Leffler routine
+bits either way. Where that series cancels, at m = 1, 0 < alpha < 1 and
+l <= 0, kilbas_saigo and kilbas_saigo_grid take a 33-node trapezoid rule on a
+Laplace-inversion contour instead, plus the residue of the one pole right of
+the contour where |arg z| < alpha*pi, whenever the rule's error estimate
+meets tol: one point in Python arithmetic (_contour_point) and a grid in
+numpy (_contour_sum) rounded the same way, so again with the same bits
+either way. The Mittag-Leffler routine
 exists purely as an independent cross-check for the m = 1 reductions of
 E_{alpha,m,l}; it always takes the series engine (and so the truncation
 rule) but not the coefficient computation.
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,16 +139,21 @@ class KilbasSaigoParams:
                 f"alpha*l > -1 violated (alpha={self.alpha}, l={self.l})"
             )
 
+    def _log_coeffs(self, n: int) -> list[float]:
+        """At least n log-coefficients from the shared cache; a bound method
+        is cheaper to hand the series engine than a partial built per call."""
+        return _CACHE.logs(self, n)
 
-@dataclass(frozen=True)
-class SeriesEvalReport:
+
+class SeriesEvalReport(NamedTuple):
     """Outcome of a truncated series evaluation, or of the contour rule.
 
     On path "series", terms_used counts the summed terms and
     last_term_magnitude is |t_N| of the last one. On path "contour" (see
     kilbas_saigo), terms_used is the rule's node count and
     last_term_magnitude the contribution of its outermost node; such a
-    report is always converged.
+    report is always converged. A named tuple, because every scalar call
+    builds one and a tuple is the cheapest immutable record to build.
     """
 
     value: complex
@@ -205,6 +213,8 @@ class _CoefficientCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: OrderedDict[tuple[float, float, float], list[float]] = OrderedDict()
+        # The list of the most recently used triple, which needs no move.
+        self._recent: "list[float] | None" = None
         self._hits = self._misses = self._filled = 0
 
     def stats(self) -> CacheStats:
@@ -222,9 +232,12 @@ class _CoefficientCache:
                 log = self._data[key] = [0.0]
                 if len(self._data) > _CACHE_SIZE:
                     self._data.popitem(last=False)
+                self._recent = log
             else:
                 self._hits += 1
-                self._data.move_to_end(key)
+                if log is not self._recent:
+                    self._data.move_to_end(key)
+                    self._recent = log
             if len(log) < n:
                 self._filled += n - len(log)
                 while len(log) < n:
@@ -299,7 +312,9 @@ def _sum_log_series(
         exp, log_z, flip, total = math.exp, math.log(abs(z.real)), z.real < 0.0, 0.0
     else:
         exp, log_z, flip, total = cmath.exp, cmath.log(z), False, 0.0j
-    isfinite = math.isfinite
+    # Unweighted, a finite z gives finite terms or an OverflowError, so only
+    # a weighted or non-finite-z sum needs the per-term finiteness test.
+    isfinite = math.isfinite if weight is not None or not cmath.isfinite(z) else None
     n = len(logs)
     streak = 0
     prev_mag = mag = math.inf
@@ -324,7 +339,7 @@ def _sum_log_series(
         except OverflowError:
             # A complex magnitude past the double range: unconverged as well.
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
-        if not isfinite(mag):
+        if isfinite is not None and not isfinite(mag):
             return SeriesEvalReport(complex(total), k + 1, mag, False)
         if small:
             streak += 1
@@ -478,6 +493,9 @@ def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
 # 1.1e-14, N = 12 4.8e-11 and N = 24 1.2e-13 (N = 16: 3.4e-13 at beta = 0.05).
 _CONTOUR_N = 16
 _CONTOUR_NODES = 2 * _CONTOUR_N + 1
+_CONTOUR_H = 3.0 / _CONTOUR_N
+_CONTOUR_MU = math.pi * _CONTOUR_N / 12.0
+_EPS = sys.float_info.epsilon
 
 
 def _contour_rule(params: KilbasSaigoParams) -> bool:
@@ -494,6 +512,41 @@ def _in_sector(alpha: float, z: complex) -> bool:
     return z != 0 and abs(cmath.phase(z)) >= alpha * math.pi
 
 
+def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
+    """What the one root s* = exp(Log z/alpha) of s^alpha = z on the
+    principal sheet adds to the rule at a z off the sector: (residue added to
+    the value, its rounding bound, the pole's discretisation error), or None
+    where the rule cannot take z (z zero or not finite, e^(s*) past the
+    double range, or s* on the contour).
+
+    In the rule's variable u the pole lies at Im u = d = 1 - Re sqrt(s*/mu).
+    For d < 0 it lies right of the contour, so deforming the Bromwich line
+    onto the contour passes it and its residue
+    r = Gamma(beta) s*^(1-beta) e^(s*)/alpha is added; for d >= 0 nothing is
+    added. Either way the trapezoid rule misses the integral by about
+    |r| q/(1 - q), q = exp(-2 pi |d|/h); twice that is reported. The rounding
+    of r: Log z/alpha carries eps (1 + |log s*|) relative error into s*, and
+    e^(s*) turns eps |s*| (2 + |log s*|) of absolute error in its exponent
+    into relative error of r.
+    """
+    if z == 0 or not cmath.isfinite(z):
+        return None
+    log_s = cmath.log(z) / alpha
+    try:
+        s = cmath.exp(log_s)
+        residue = cmath.exp(math.lgamma(beta) + (1.0 - beta) * log_s + s) / alpha
+        size = abs(residue)
+        rounding = size * _EPS * (1.0 + abs(s)) * (2.0 + abs(log_s))
+    except OverflowError:
+        return None
+    d = 1.0 - cmath.sqrt(s / _CONTOUR_MU).real
+    q = math.exp(-2.0 * math.pi / _CONTOUR_H * abs(d))
+    if not q < 1.0:
+        return None
+    error = 2.0 * size * q / (1.0 - q)
+    return (residue, rounding, error) if d < 0.0 else (0j, 0.0, error)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]:
     """(full, half): the arrays (s_k^alpha, weight, rounding factor) of
@@ -502,13 +555,14 @@ def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z), beta = alpha*l + 1, is
     Gamma(beta)/(2 pi i) times the integral of e^s s^(alpha-beta)/(s^alpha - z)
-    along the contour, so the rule is sum_k w_k/(s_k^alpha - z) with
+    along the contour (plus the residue of _contour_pole off the sector), so
+    the rule is sum_k w_k/(s_k^alpha - z) with
     w_k = Gamma(beta) (h mu/pi) (1 + iu_k) e^(s_k) s_k^(alpha-beta). Node k's
     term inherits the absolute rounding of s_k through e^(s_k): the rounding
     factor is eps (1 + |s_k|). The arrays are shared and read-only.
     """
     n, beta = _CONTOUR_N, alpha * l + 1.0
-    h, mu = 3.0 / n, math.pi * n / 12.0
+    h, mu = _CONTOUR_H, _CONTOUR_MU
     w = 1.0 + 1j * h * np.arange(-n, n + 1)
     s = mu * w * w
     log_s = np.log(s)
@@ -516,7 +570,7 @@ def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]
     weight = np.exp(
         math.lgamma(beta) + math.log(h * mu / math.pi) + np.log(w) + s + (alpha - beta) * log_s
     )
-    rounding = np.finfo(float).eps * (1.0 + np.abs(s))
+    rounding = _EPS * (1.0 + np.abs(s))
     folded = weight[n:].copy()
     folded[1:] *= 2.0
     full = (power, weight, rounding)
@@ -533,33 +587,61 @@ def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...
     return tuple(tuple(zip(*(a.tolist() for a in rule))) for rule in _contour_nodes(alpha, l))
 
 
-def _contour_point(params: KilbasSaigoParams, z: complex, tol: float) -> "SeriesEvalReport | None":
-    """The contour rule at one point z of the sector, in Python complex
-    arithmetic: its report, or None where its estimate does not meet tol.
+def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, float, float] | None":
+    """The contour rule at one point z, in Python complex arithmetic:
+    (value, outermost node's contribution, error estimate), or None where
+    the rule cannot take z.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value and the rounding bound
-    sum_k eps (1 + |s_k|) |t_k| are running sums in node order. converged
-    requires the outermost node's contribution plus that bound to be at
-    most tol * max(1, |value|).
+    sum_k eps (1 + |s_k|) |t_k| are running sums in node order; off the
+    sector the pole's residue and rounding bound are added after them. The
+    estimate is that bound plus the outermost node's contribution, plus
+    the pole's discretisation error off the sector.
     """
+    alpha, pole = params.alpha, None
+    if not _in_sector(alpha, z):
+        pole = _contour_pole(alpha, alpha * params.l + 1.0, z)
+        if pole is None:
+            return None
     real = z.imag == 0.0
-    nodes = _contour_node_tuples(params.alpha, params.l)[real]
+    nodes = _contour_node_tuples(alpha, params.l)[real]
     # -0.0 is the identity of IEEE addition, so each sum starts at its
     # first term exactly, as np.cumsum does in _contour_sum.
     value, bound = complex(-0.0, -0.0), -0.0
-    for power, weight, rounding in nodes:
-        t = weight / (power - z)
-        mag = abs(t)
-        value += t
-        bound += mag * rounding
-    if real:
-        value, last = complex(value.real), 0.5 * mag
-        size = abs(value.real)
-    else:
-        power, weight, _ = nodes[0]
-        last, size = max(abs(weight / (power - z)), mag), abs(value)
-    if bound + last <= tol * (size if size > 1.0 else 1.0):
+    try:
+        for power, weight, rounding in nodes:
+            t = weight / (power - z)
+            mag = abs(t)
+            value += t
+            bound += mag * rounding
+        if real:
+            value, last = complex(value.real), 0.5 * mag
+        else:
+            power, weight, _ = nodes[0]
+            last = max(abs(weight / (power - z)), mag)
+    except (ZeroDivisionError, OverflowError):
+        # Off the sector z can sit on a node, or a term can outgrow the
+        # double range; the grid's sums are then not finite.
+        return None
+    if pole is None:
+        return value, last, bound + last
+    residue, rounding, error = pole
+    return value + residue, last, bound + rounding + last + error
+
+
+def _contour_point(params: KilbasSaigoParams, z: complex, tol: float) -> "SeriesEvalReport | None":
+    """The report of the contour rule at z, or None where the rule cannot
+    take z or its estimate exceeds tol * max(1, |value|)."""
+    rule = _contour_estimate(params, z)
+    if rule is None:
+        return None
+    value, last, estimate = rule
+    try:
+        size = abs(value)
+    except OverflowError:
+        size = math.inf  # np.hypot's value in _contour_sum
+    if estimate <= tol * (size if size > 1.0 else 1.0):
         return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
     return None
 
@@ -579,24 +661,39 @@ def _py_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return q
 
 
-def _contour_sum(params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool) -> tuple:
+def _contour_sum(
+    params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool, pole: "tuple | None"
+) -> tuple:
     """(value, last_term_magnitude, converged) of _contour_point at each of a
-    column z of points in the sector, all real or all complex, bit for bit.
+    column z of points, all real or all complex, bit for bit. pole is None in
+    the sector, and off it the arrays (residue, rounding bound, error) of
+    _contour_pole at each point.
 
     Every operation rounds as the Python one does: CPython's complex
-    quotient (_py_quotient), np.hypot for abs (both are libm hypot), and
-    running sums in node order (np.cumsum; .sum would add pairwise).
+    quotient (_py_quotient), np.hypot for abs (both are libm hypot), running
+    sums in node order (np.cumsum; .sum would add pairwise) and the pole's
+    terms added after them in the same order. Where the scalar rule gives up
+    on a zero divisor or an overflow, the sums here are not finite, so the
+    estimate fails.
     """
     power, weight, rounding = _contour_nodes(params.alpha, params.l)[real]
-    t = _py_quotient(weight, power - z)
-    mags = np.hypot(t.real, t.imag)
-    value = np.cumsum(t, axis=1)[:, -1]
-    if real:
-        value, last, size = value.real, 0.5 * mags[:, -1], np.abs(value.real)
-    else:
-        last, size = np.fmax(mags[:, 0], mags[:, -1]), np.hypot(value.real, value.imag)
-    bound = np.cumsum(mags * rounding, axis=1)[:, -1] + last
-    return value, last, bound <= tol * np.fmax(size, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _py_quotient(weight, power - z)
+        mags = np.hypot(t.real, t.imag)
+        value = np.cumsum(t, axis=1)[:, -1]
+        if real:
+            value, last = value.real, 0.5 * mags[:, -1]
+        else:
+            last = np.fmax(mags[:, 0], mags[:, -1])
+        bound = np.cumsum(mags * rounding, axis=1)[:, -1]
+        if pole is None:
+            bound += last
+        else:
+            residue, pole_rounding, error = pole
+            value = value + (residue.real if real else residue)
+            bound = bound + pole_rounding + last + error
+        size = np.abs(value) if real else np.hypot(value.real, value.imag)
+        return value, last, bound <= tol * np.fmax(size, 1.0)
 
 
 def kilbas_saigo(
@@ -609,30 +706,32 @@ def kilbas_saigo(
     metadata; a non-converged report (term cap reached or a term
     overflowed) still carries the best value.
 
-    At m = 1, 0 < alpha < 1, l <= 0, z != 0 and |arg z| >= alpha*pi, where
-    the series needs about |z|^(1/alpha) terms that cancel, the value is the
-    33-node contour rule of _contour_nodes instead, reported with
-    path="contour". Where the rule's error estimate cannot meet tol, the
-    series is summed as elsewhere.
+    At m = 1, 0 < alpha < 1, l <= 0 and finite z != 0, where the series
+    needs about |z|^(1/alpha) terms that cancel, the value is the 33-node
+    contour rule of _contour_nodes instead, reported with path="contour":
+    in the sector |arg z| >= alpha*pi as it stands, off it with the residue
+    of the one pole s* (_contour_pole) added where s* lies right of the
+    contour. Where the rule's error estimate cannot meet tol, the series is
+    summed as elsewhere.
     """
-    if _contour_rule(params) and _in_sector(params.alpha, z):
+    if _contour_rule(params):
         _check_series_args(0, tol)
         report = _contour_point(params, complex(z), tol)
         if report is not None:
             return report
-    return _sum_log_series(partial(_CACHE.logs, params), z, 0, tol)
+    return _sum_log_series(params._log_coeffs, z, 0, tol)
 
 
 def kilbas_saigo_grid(
     params: KilbasSaigoParams, zs: np.ndarray, tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
-    included: the contour rule on a (points x nodes) array, then the series
-    by the blocked grid driver for the points left."""
-    fetch = partial(_CACHE.logs, params)
+    included: the contour rule on a (points x nodes) array, its pole terms
+    taken point by point from _contour_pole, then the series by the blocked
+    grid driver for the points left."""
     zs = np.asarray(zs, dtype=complex)
     if not _contour_rule(params):
-        return _sum_log_series_grid(fetch, zs, 0, tol)
+        return _sum_log_series_grid(params._log_coeffs, zs, 0, tol)
     _check_series_args(0, tol)
     report = SeriesGridReport(
         np.empty(zs.size, dtype=complex),
@@ -641,16 +740,24 @@ def kilbas_saigo_grid(
         np.ones(zs.size, dtype=bool),
         np.full(zs.size, "series", dtype="<U7"),
     )
-    sector = np.array([_in_sector(params.alpha, z) for z in zs.tolist()], dtype=bool)
-    for real in (False, True):
-        at = np.flatnonzero(sector & ((zs.imag == 0.0) == real))
-        if at.size:
-            value, last, converged = _contour_sum(params, zs[at, None], tol, real)
-            at = at[converged]
-            report.value[at], report.last_term_magnitude[at] = value[converged], last[converged]
-            report.path[at] = "contour"
+    alpha, beta = params.alpha, params.alpha * params.l + 1.0
+    sector = np.array([_in_sector(alpha, z) for z in zs.tolist()], dtype=bool)
+    off = np.flatnonzero(~sector)
+    poles = [_contour_pole(alpha, beta, z) for z in zs[off].tolist()]
+    taken = np.array([pole is not None for pole in poles], dtype=bool)
+    pole_arrays = [np.array(column) for column in zip(*filter(None, poles))]
+    for at, pole in ((np.flatnonzero(sector), None), (off[taken], pole_arrays)):
+        for real in (False, True):
+            row = (zs.imag[at] == 0.0) == real
+            if row.any():
+                terms = None if pole is None else tuple(a[row] for a in pole)
+                value, last, converged = _contour_sum(params, zs[at[row], None], tol, real, terms)
+                done = at[row][converged]
+                report.value[done] = value[converged]
+                report.last_term_magnitude[done] = last[converged]
+                report.path[done] = "contour"
     rest = np.flatnonzero(report.path == "series")
-    series = _sum_log_series_grid(fetch, zs[rest], 0, tol)
+    series = _sum_log_series_grid(params._log_coeffs, zs[rest], 0, tol)
     report.value[rest], report.terms_used[rest] = series.value, series.terms_used
     report.last_term_magnitude[rest] = series.last_term_magnitude
     report.converged[rest] = series.converged

@@ -14,6 +14,7 @@ Three checks of increasing machinery:
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -132,6 +133,17 @@ def _stencil_edge(i: int) -> int:
     return (i + 1) // 2 + 1
 
 
+def _compared_points(ys: np.ndarray, y_max: float, i: int) -> tuple[np.ndarray, int]:
+    """The grid points residual_numeric compares, those of [y_max/4, y_max]
+    off the _stencil_edge(i) points at each end, and how many points of the
+    window it leaves out."""
+    window = ys >= y_max / 4.0
+    edge = _stencil_edge(i)
+    index = np.arange(ys.size)
+    stencil_edges = (index < edge) | (index >= ys.size - edge)
+    return window & ~stencil_edges, int(np.count_nonzero(window & stencil_edges))
+
+
 def residual_min_points(i: int) -> int:
     """Fewest grid intervals residual_numeric accepts, 8 for i = 1, 2: the
     window [y_max/4, y_max] then starts past the left edge points and the
@@ -178,6 +190,12 @@ def residual_numeric(
     tail = sol.tail_grid_report(ys, k1, tol)
     w, converged = tail.value, bool(tail.converged.all())
     del tail  # its per-point metadata need not live through the quadrature
+    if not np.isfinite(w).all():
+        # An overflowed tail cannot be sampled: the residual is unmeasured,
+        # reported as infinite, and the evaluation as not converged.
+        unknown = np.full(ys.size, complex("nan"))
+        excluded = _compared_points(ys, y_max, orders.i)[1]
+        return ResidualReport(ys, unknown, unknown.copy(), math.inf, math.inf, excluded, k1, False)
     lhs = hilfer_numeric(SampledFunction(h, w), orders).values
     # The rhs tail w_{k1-1} is w_{k1} plus one head term (at k1 = 0 both
     # sides carry w_0); the origin is filled in below.
@@ -190,12 +208,7 @@ def residual_numeric(
     # m + a*(k1-1) + b > 0 holds whenever the default shift puts the full
     # series on the rhs, so the product has a plain limit there.
     rhs[0] = 0.0 if problem.lam == 0 else problem.lam * sol.tail_at_origin(k0, problem.m)
-    window = ys >= y_max / 4.0
-    edge = _stencil_edge(orders.i)
-    index = np.arange(ys.size)
-    stencil_edges = (index < edge) | (index >= ys.size - edge)
-    excluded = int(np.count_nonzero(window & stencil_edges))
-    compare = window & ~stencil_edges
+    compare, excluded = _compared_points(ys, y_max, orders.i)
     abs_err = np.abs(lhs[compare] - rhs[compare])
     rel_err = abs_err / np.maximum(np.abs(rhs[compare]), REL_FLOOR)
     return ResidualReport(

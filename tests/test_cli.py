@@ -301,6 +301,20 @@ class TestVerify:
         assert result.exit_code == 2
         assert "numeric_residual" in result.output
 
+    def test_overflowing_tail_exits_3_with_its_table(self, runner):
+        # At lambda = -50 the residual's series tail (k_start >= 1) cancels
+        # and overflows; the residual is unmeasured, not a traceback.
+        args = self.GOOD[:12] + ["-50", "--points", "256"]
+        assert args[11] == "--lambda-re"
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        meta, _, rows = parse_csv(result.output.split("error: ")[0])
+        assert meta["passed"] == "False"
+        residual = [r for r in rows if r[0] == "numeric_residual"]
+        assert residual == [["numeric_residual", "0", "inf", "0.005", "fail"]]
+        assert "did not converge" in result.output
+
     HIGH_WINDOWS = {
         3: ["--alpha", "2.5", "--beta", "2.3", "--mu", "0.4", "--i", "3", "--m", "0.5",
             "--lambda-re", "-1.5"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bihilfer import (
+    CauchySolution,
     DegenerateProblem,
     DomainError,
     OrderTriple,
@@ -333,6 +334,33 @@ class TestContourBranch:
             points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
             assert_matches_pointwise(grid, points)
             assert ("contour" in grid.path.tolist()) == (k_start == 0)
+
+    def test_cauchy_value_carries_the_branch_path(self):
+        sol = cauchy_solution(LAMBDA_MINUS_50, [1.0])
+        ys = [0.1, 0.5, 1.0]
+        points = [sol.evaluate_report(y) for y in ys]
+        assert_matches_pointwise(sol.grid_report(np.array(ys)), points)
+        assert [r.path for r in points] == ["contour"] * 3
+        assert sol.grid_report(np.array([0.1])).path.tolist() == ["contour"]
+
+    def test_cauchy_path_of_differing_branches(self):
+        # One rule per point: the path every branch with a nonzero weight
+        # took, "mixed" where they differ, "series" with no such branch.
+        # The branches come from two problems so that one takes the
+        # contour (m = 0) and one the series (m = 0.5, branch m = 2).
+        contour = fundamental_solution(LAMBDA_MINUS_50, 0)
+        series = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, m=0.5, lam=-50.0), 0)
+        ys = np.array([0.1, 0.5])
+        for weights, path in [
+            ((1.0, 1.0), "mixed"),
+            ((1.0, 0.0), "contour"),
+            ((0.0, 1.0), "series"),
+            ((0.0, 0.0), "series"),
+        ]:
+            sol = CauchySolution(LAMBDA_MINUS_50, weights, (contour, series), weights)
+            points = [sol.evaluate_report(float(y)) for y in ys]
+            assert_matches_pointwise(sol.grid_report(ys), points)
+            assert [r.path for r in points] == [path] * 2
 
 
 class TestCauchySolution:

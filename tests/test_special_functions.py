@@ -3,7 +3,9 @@
 Reference values were computed once with mpmath at 40 digits and frozen
 here as literals; erfc-based closed forms use math.erfc directly, which is
 independent of the series code under test. The m = 1 contour path is also
-checked against an mpmath quadrature on another path, computed at run time.
+checked against an mpmath quadrature on another path, computed at run time,
+and off the pole-free sector against an mpmath series at the exact
+parameters.
 """
 
 import cmath
@@ -730,6 +732,23 @@ class TestCacheStats:
         with pytest.raises(AttributeError):
             stats.hits = 0
 
+    def test_least_recently_used_order(self):
+        # Runs of requests for one triple, as a sweep makes them, keep the
+        # order of a plain LRU that moves every hit to the end.
+        cache, model = _CoefficientCache(), []
+        rng = np.random.default_rng(7)
+        triples = [KilbasSaigoParams(0.5, 1.0, 0.01 * n) for n in range(_CACHE_SIZE + 20)]
+        for _ in range(600):
+            params = triples[int(rng.integers(len(triples)))]
+            for _ in range(int(rng.integers(1, 4))):
+                cache.logs(params, 2)
+                key = (params.alpha, params.m, params.l)
+                if key in model:
+                    model.remove(key)
+                model.append(key)
+                del model[:-_CACHE_SIZE]
+        assert list(cache._data) == model
+
 
 def _hankel_reference(alpha, l, z):
     """Gamma(beta) E_{alpha,beta}(z), beta = alpha l + 1, by mpmath's
@@ -797,21 +816,32 @@ class TestContourPath:
             if z.imag == 0.0:
                 assert report.value.imag == 0.0
 
-    def test_outside_the_sector_takes_the_series(self):
-        params = KilbasSaigoParams(0.5, 1.0, 0.0)
-        inside = _on_sector_edge(2.0, 0.5, 1)
-        outside = cmath.rect(2.0, 0.5 * math.pi * (1.0 - 1e-12))
-        assert abs(cmath.phase(outside)) < 0.5 * math.pi
-        assert kilbas_saigo(params, inside).path == "contour"
-        assert kilbas_saigo(params, outside).path == "series"
+    def test_off_the_rule_takes_the_series(self):
         for params, z in [
             (KilbasSaigoParams(0.5, 1.0, 0.0), 0.0),
+            # Off the sector the pole s* = 9 lies at d = -0.47 from the
+            # contour, so its discretisation error, ~5e-3, fails tol.
             (KilbasSaigoParams(0.5, 1.0, 0.0), 3.0),
+            (KilbasSaigoParams(0.5, 1.0, 0.0), complex(math.nan, 1.0)),
+            (KilbasSaigoParams(0.5, 1.0, 0.0), math.inf),
+            # e^(s*) overflows at s* = 1e4.
+            (KilbasSaigoParams(0.5, 1.0, 0.0), 100.0),
             (KilbasSaigoParams(0.5, 1.0, 0.5), -3.0),  # beta > 1
             (KilbasSaigoParams(0.5, 1.5, 0.0), -3.0),  # m != 1
             (KilbasSaigoParams(1.0, 1.0, 0.0), -3.0),  # alpha >= 1
         ]:
             assert kilbas_saigo(params, z).path == "series"
+
+    def test_across_the_sector_edge(self):
+        # Just off the edge the pole lies far left of the contour (d = 0.98),
+        # so the rule takes z with no residue and the value is continuous.
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        inside = _on_sector_edge(2.0, 0.5, 1)
+        outside = cmath.rect(2.0, 0.5 * math.pi * (1.0 - 1e-12))
+        assert abs(cmath.phase(outside)) < 0.5 * math.pi
+        near, off = kilbas_saigo(params, inside), kilbas_saigo(params, outside)
+        assert near.path == off.path == "contour"
+        assert abs(near.value - off.value) <= 1e-11 * abs(near.value)
 
     def test_tolerance_out_of_reach_takes_the_series(self):
         # The rule's rounding bound alone is above 1e-16, so the series
@@ -870,6 +900,125 @@ class TestSilentWrongSeries:
         assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
 
 
+def _series_reference(alpha, l, z):
+    """Gamma(beta) E_{alpha,beta}(z), beta = alpha l + 1, as its power series
+    summed by mpmath at the exact parameters, with enough digits to absorb
+    the cancellation (the largest term is about e^(|z|^(1/alpha))). Valid
+    anywhere; the test points keep |z|^(1/alpha) below about 400."""
+    mp = pytest.importorskip("mpmath").mp
+    peak = abs(z) ** (1.0 / alpha)
+    with mp.workdps(30 + int(peak / math.log(10.0))):
+        a = mp.mpf(alpha)
+        b = a * mp.mpf(l) + 1
+        zz = mp.mpc(z.real, z.imag)
+        total, power, k = mp.mpc(0), mp.mpc(1), 0
+        # The terms decrease from k = peak/alpha on.
+        while True:
+            term = power * mp.rgamma(a * k + b)
+            total += term
+            if k > 2.0 * peak / alpha + 10.0 and abs(term) < mp.mpf(10) ** -30:
+                break
+            power *= zz
+            k += 1
+        return complex(mp.gamma(b) * total)
+
+
+def _off_sector_point(alpha, w):
+    """The z = s*^alpha whose pole s* = mu w^2 (Re w > 0) lies at
+    d = 1 - Re w from the contour; real when w is."""
+    s = special_functions._CONTOUR_MU * w * w
+    if isinstance(w, float):
+        return complex(s**alpha)
+    return cmath.exp(alpha * cmath.log(s))
+
+
+# Points off the sector where the summed series is wrong beyond tol while
+# reporting converged (3.28e104 against -0.0908+0.1245i at the first).
+_PINNED_POLE_POINTS = [
+    ((0.3, 1.0, 0.0), complex(3.50591099948506, 4.07557350773563)),
+    ((0.3, 1.0, 0.0), complex(3.0)),
+    ((0.3, 1.0, 0.0), complex(4.0)),
+    ((0.5, 1.0, 0.0), complex(0.29003976330735626, 3.052920139824338)),
+    ((0.3, 1.0, 0.0), complex(1.210511339837462, 1.5499806688803217)),
+]
+
+
+def _pole_sample():
+    """(alpha, l, z) off the sector: 40 random points with |z| <= 6 and
+    |z|^(1/alpha) <= 400, and points whose pole lies near the contour."""
+    rng = np.random.default_rng(20261019)
+    points = []
+    while len(points) < 40:
+        alpha = float(rng.choice([0.3, 0.5, 0.7, 0.9]))
+        l = float(rng.choice([0.0, -0.3, -0.495 / alpha]))
+        r, phase = rng.uniform(0.05, min(6.0, 400.0**alpha)), rng.uniform(-1.0, 1.0) * alpha * math.pi
+        z = complex(r) if len(points) % 5 == 0 else cmath.rect(r, phase)
+        points.append((alpha, l, z))
+    for alpha, l in ((0.3, 0.0), (0.5, -0.3), (0.9, 0.0)):
+        for shift in (-0.5, -0.1, -0.01, 0.01, 0.1, 0.5):
+            points.append((alpha, l, _off_sector_point(alpha, 1.0 + shift)))
+            points.append((alpha, l, _off_sector_point(alpha, complex(1.0 + shift, 0.6))))
+    return points
+
+
+class TestPoleBranch:
+    """Off the sector, |arg z| < alpha pi, the contour rule adds the residue
+    of the one pole s* right of the contour; checked against an mpmath
+    series at the exact parameters."""
+
+    @pytest.mark.parametrize("triple,z", _PINNED_POLE_POINTS)
+    def test_pinned_points_within_tol_or_not_converged(self, triple, z):
+        tol = 1e-12
+        params = KilbasSaigoParams(*triple)
+        report = kilbas_saigo(params, z, tol)
+        expected = _series_reference(triple[0], triple[2], z)
+        assert report.path == "contour"
+        assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
+        _assert_same_as_scalar_calls(params, [z], tol)
+
+    def test_estimate_covers_the_error(self):
+        # Every point the rule can take, accepted or not, is within the
+        # rule's estimate of the reference: the pole's error term is twice
+        # its leading order |r| q/(1 - q), and at most half of it was
+        # measured. The accepted ones are within tol.
+        tol = 1e-12
+        accepted = rejected = 0
+        for alpha, l, z in _pole_sample():
+            params = KilbasSaigoParams(alpha, 1.0, l)
+            assert not special_functions._in_sector(alpha, z)
+            rule = special_functions._contour_estimate(params, z)
+            report = kilbas_saigo(params, z, tol)
+            if rule is None:
+                assert report.path == "series"
+                continue
+            value, _, estimate = rule
+            expected = _series_reference(alpha, l, z)
+            assert abs(value - expected) <= estimate, (alpha, l, z)
+            if report.path == "contour":
+                accepted += 1
+                assert report.value == value
+                assert abs(value - expected) <= tol * max(1.0, abs(expected)), (alpha, l, z)
+            else:
+                rejected += 1
+        assert accepted >= 12 and rejected >= 30
+
+    def test_real_positive_axis_is_exactly_real(self):
+        params = KilbasSaigoParams(0.3, 1.0, 0.0)
+        for x in (2.5, 3.0, 4.0):
+            report = kilbas_saigo(params, x)
+            assert report.path == "contour"
+            assert report.value.imag == 0.0
+
+    def test_z_on_a_node_takes_the_series(self):
+        # The u = 0 node is s = mu, so at z = mu^alpha the pole lies on the
+        # contour and a node's divisor is zero.
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        power = special_functions._contour_nodes(0.5, 0.0)[1][0][0]
+        z = complex(power.real)
+        assert special_functions._contour_estimate(params, z) is None
+        assert _assert_same_as_scalar_calls(params, [z]).path.tolist() == ["series"]
+
+
 def _assert_same_as_scalar_calls(params, zs, tol=1e-12):
     """Every field of kilbas_saigo_grid, path included, against kilbas_saigo
     point by point, floats as bits."""
@@ -923,9 +1072,12 @@ class TestRoutingParity:
     def test_fixed_sector_sweep(self):
         # 25 triples with 0.05 < alpha < 0.99 and beta <= 1, 100 points each:
         # the negative axis with +0.0 and -0.0 imaginary parts, the open
-        # sector, and its edge to within 3 ulps either side.
+        # sector, and its edge to within 3 ulps either side. Then 40 points
+        # each off the sector, z = (mu w^2)^alpha with the pole at
+        # d = 1 - Re w: a quarter on the positive real axis, a quarter with
+        # the pole within 1e-6..1e-1 of the contour, either side.
         rng = np.random.default_rng(20261018)
-        in_sector = 0
+        in_sector = pole_contour = 0
         for triple in range(25):
             alpha = rng.uniform(0.05, 0.99)
             beta = (1.0, alpha, rng.uniform(0.02, 1.0))[triple % 3]
@@ -946,16 +1098,39 @@ class TestRoutingParity:
             grid = _assert_same_as_scalar_calls(params, zs)
             in_sector += sum(special_functions._in_sector(alpha, z) for z in zs)
             assert "contour" in grid.path.tolist()
+            off = []
+            for k in range(40):
+                x = rng.uniform(0.02, 3.0)
+                if k % 4 == 1:
+                    x = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6.0, -1.0)
+                off.append(_off_sector_point(alpha, x if k % 4 == 0 else complex(x, rng.uniform(-1.5, 1.5))))
+            assert not any(special_functions._in_sector(alpha, z) for z in off)
+            pole_contour += _assert_same_as_scalar_calls(params, off).path.tolist().count("contour")
         assert in_sector >= 2000
+        assert pole_contour >= 200
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_same_path_at_the_exact_threshold(self, alpha):
         # The rounding bound decides only the path: find adjacent tol where
         # the scalar call changes path, and the grid must change there too.
+        # The last five lie off the sector, their pole at d = -0.6 (on the
+        # real axis and off it), d = 0.65, and d = -1, where the pole's
+        # discretisation error and rounding bound are of a size, so the
+        # order of the estimate's sum shows.
         params = KilbasSaigoParams(alpha, 1.0, 0.0)
         as_int = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
         as_float = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
-        for z in (-0.5, -2.0, complex(-1.5, 0.7), complex(-2.2, -1.2)):
+        for z in (
+            -0.5,
+            -2.0,
+            complex(-1.5, 0.7),
+            complex(-2.2, -1.2),
+            _off_sector_point(alpha, 1.6),
+            _off_sector_point(alpha, complex(1.6, -0.4)),
+            _off_sector_point(alpha, complex(0.35, 0.5)),
+            _off_sector_point(alpha, 2.0),
+            _off_sector_point(alpha, complex(2.0, 0.5)),
+        ):
             # Positive doubles order like their bit patterns.
             lo, hi = as_int(1e-17), as_int(1e-6)
             while hi - lo > 1:

@@ -192,6 +192,17 @@ class TestNumericResidual:
         assert report.rhs[0] == 0.0
         assert report.max_rel_error <= 5e-3
 
+    def test_overflowing_tail_is_unconverged(self):
+        # At lambda = -50 the tail from k_start = 4 is summed as a series
+        # that cancels and overflows; it cannot be sampled.
+        problem = make_problem(0.5, 0.5, 1.0, 1, lam=-50.0)
+        report = residual_numeric(problem, 0, n_points=256)
+        assert report.tail_start == 4
+        assert not report.converged
+        assert report.max_abs_error == report.max_rel_error == math.inf
+        assert report.excluded_boundary_points == 2
+        assert np.isnan(report.lhs).all()
+
 
 class TestInitialConditions:
     def test_caputo_unit_data(self):
