@@ -5,13 +5,11 @@ s = 0..i-1 and the solution of the Cauchy-type initial problem as a weighted
 combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
 (a+b_s)/gamma - 1}(lambda y^a): a SeriesSolution is built from (problem, s)
 alone, maps it to that triple once and reads its coefficients from the
-shared, bounded Kilbas-Saigo cache. A whole branch is kilbas_saigo at that
-triple (kilbas_saigo_grid on a grid), so an m = 0 problem's branches take the
-contour rule where their series cancels; a tail from k_start > 0 is summed
-by the series engine, a grid by its blocked grid driver. Either way a grid
-gives the same bits as evaluating point by point. That the coefficients
-solve the equation is checked independently by
-verification.residual_coefficient_identity.
+shared, bounded Kilbas-Saigo cache. A whole branch is kilbas_saigo_grid at
+that triple, so an m = 0 problem's branches take the contour rule where their
+series cancels; a tail from k_start > 0 is summed by the grid driver. A point
+is a one-point grid. That the coefficients solve the equation is checked
+independently by verification.residual_coefficient_identity.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from .special_functions import (
     KilbasSaigoParams,
     SeriesEvalReport,
     SeriesGridReport,
+    _PowerGrid,
     _sum_log_series,
     _sum_log_series_grid,
-    kilbas_saigo,
     kilbas_saigo_coefficients,
     kilbas_saigo_grid,
 )
@@ -165,64 +163,54 @@ class SeriesSolution:
         return _sum_log_series(self._logs, z, start, tol, weight)
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
-        """Value at y > 0 with truncation metadata. Branches with b < 0 are
-        singular at the origin, hence the strict y > 0 requirement."""
-        _check_y(y, origin=False)
-        return self.evaluate_tail_report(y, 0, tol)
+        """grid_report at the one point y > 0 (b < 0 is singular at y = 0)."""
+        return _one_point(self.grid_report([y], tol))
 
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
     def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
-        """evaluate_report(y) at every grid point, as arrays."""
+        """The branch, with truncation metadata, at every grid point y > 0."""
         return self.tail_grid_report(_check_grid(ys, origin=False), 0, tol)
 
     def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """evaluate_report(y).value at every grid point."""
+        """grid_report(ys).value."""
         return self.grid_report(ys, tol).value
 
     def evaluate_tail_report(
         self, y: float, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesEvalReport:
-        """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b}, computed in
-        factored form (no head/tail cancellation). Defined at y = 0 as well
-        whenever a*k_start + b >= 0. The whole branch (k_start = 0) is
-        y^b kilbas_saigo(lambda y^a), so at m = 1 it may take the contour
-        rule where the series cancels; a tail from k_start > 0 is summed."""
-        _check_y(y, origin=True)
-        if y == 0.0:
-            return SeriesEvalReport(self.tail_at_origin(k_start), 1, 0.0, True)
-        z = self.lam * y**self.a
-        if k_start == 0:
-            report = kilbas_saigo(self._params, z, tol)
-        else:
-            report = self.series_report(z, k_start, tol)
-        return SeriesEvalReport(
-            y ** (self.a * k_start + self.b) * self.lam**k_start * report.value,
-            report.terms_used,
-            report.last_term_magnitude,
-            report.converged,
-            report.path,
-        )
+        """The tail from k_start at y >= 0: tail_grid_report at the one point."""
+        return _one_point(self.tail_grid_report([y], k_start, tol))
 
     def tail_grid_report(
         self, ys: np.ndarray, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesGridReport:
-        """evaluate_tail_report(y, k_start) at every grid point, bit for bit,
-        path included: kilbas_saigo_grid for the whole branch, the blocked
-        grid driver for a tail."""
+        """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b} at every grid
+        point, as y^{a k_start + b} lambda^k_start times the series in
+        z = lambda y^a from k_start (no head/tail cancellation); defined at
+        y = 0 as well whenever a*k_start + b >= 0. The whole branch
+        (k_start = 0) has the bits of y^b kilbas_saigo(z) at each point, path
+        included; a tail is summed on the _PowerGrid of z, factor by numpy."""
         ys = _check_grid(ys, origin=True)
-        lam, a = self.lam, self.a
+        origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
+        lam, a, power = self.lam, self.a, self.a * k_start + self.b
+        if k_start:
+            report = _sum_log_series_grid(self._logs, _PowerGrid(lam, a, ys), k_start, tol)
+            # In real arithmetic, as numpy's in-place complex product rounds a
+            # long array otherwise than a short one; an overflowed sum may grow.
+            lam_k, v, scale = lam**k_start, report.value, np.power(ys, power)
+            re, im = scale * lam_k.real, scale * lam_k.imag
+            with np.errstate(over="ignore", invalid="ignore"):
+                v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
+            if origin is not None:
+                report.value[ys == 0.0] = origin
+            return report
         zs = np.empty(ys.size, dtype=complex)
         for c in _slices(ys.size):
             zs[c] = [lam * y**a for y in ys[c].tolist()]
-        if k_start == 0:
-            report = kilbas_saigo_grid(self._params, zs, tol)
-        else:
-            report = _sum_log_series_grid(self._logs, zs, k_start, tol)
-        power, lam_k = a * k_start + self.b, lam**k_start
-        origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
-        value = report.value
+        report = kilbas_saigo_grid(self._params, zs, tol)
+        value, lam_k = report.value, lam**k_start
         for c in _slices(ys.size):
             value[c] = [
                 y**power * lam_k * v if y else origin
@@ -247,18 +235,18 @@ class SeriesSolution:
         return self.evaluate_tail_report(y, k_start, tol).value
 
 
-def _check_y(y: float, origin: bool) -> None:
-    """Evaluation needs a finite y > 0, or y >= 0 for a tail (origin)."""
-    if not ((y >= 0.0 if origin else y > 0.0) and y < math.inf):
-        raise DomainError(f"evaluation requires finite y {'>=' if origin else '>'} 0, got y={y}")
+def _one_point(report: SeriesGridReport) -> SeriesEvalReport:
+    """The SeriesEvalReport of a one-point grid report."""
+    return SeriesEvalReport(*(field.item() for field in vars(report).values()))
 
 
 def _check_grid(ys: np.ndarray, origin: bool) -> np.ndarray:
-    """ys as a float array, after _check_y of its first point out of range."""
+    """ys as a float array of finite y > 0, or y >= 0 for a tail (origin)."""
     ys = np.asarray(ys, dtype=float)
     ok = (ys >= 0.0 if origin else ys > 0.0) & (ys < math.inf)
     if not ok.all():
-        _check_y(float(ys[~ok][0]), origin)
+        y = float(ys[~ok][0])
+        raise DomainError(f"evaluation requires finite y {'>=' if origin else '>'} 0, got y={y}")
     return ys
 
 
@@ -283,31 +271,15 @@ class CauchySolution:
     weights: tuple[complex, ...]
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
-        """The weighted sum of the branch reports at y > 0. Its path is the
-        one every branch with a nonzero weight took, "mixed" where they took
-        different ones, and "series" where no weight is nonzero."""
-        _check_y(y, origin=False)
-        total = 0.0 + 0.0j
-        terms = 0
-        last = 0.0
-        converged = True
-        path = None
-        for w, branch in zip(self.weights, self.branches):
-            if w == 0:
-                continue
-            rep = branch.evaluate_report(y, tol)
-            total += w * rep.value
-            terms += rep.terms_used
-            last = max(last, abs(w) * rep.last_term_magnitude)
-            converged = converged and rep.converged
-            path = rep.path if path in (None, rep.path) else "mixed"
-        return SeriesEvalReport(total, max(terms, 1), last, converged, path or "series")
+        """grid_report at the one point y > 0."""
+        return _one_point(self.grid_report([y], tol))
 
     def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
         return self.evaluate_report(y, tol).value
 
     def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
-        """evaluate_report(y) at every grid point, bit for bit, path included."""
+        """The weighted sum of the branch reports at every y > 0 of ys; a path
+        is every weighted branch's, else "mixed" ("series" if no weight)."""
         ys = _check_grid(ys, origin=False)
         total = np.zeros(ys.size, dtype=complex)
         terms = np.zeros(ys.size, dtype=np.int64)
@@ -328,7 +300,7 @@ class CauchySolution:
         return SeriesGridReport(total, np.maximum(terms, 1), last, converged, path)
 
     def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """evaluate_report(y).value at every grid point."""
+        """grid_report(ys).value."""
         return self.grid_report(ys, tol).value
 
 

@@ -3,15 +3,15 @@
 Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
 E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}. The
 series engine sums one point at a time (_sum_log_series) or a whole grid in
-numpy blocks (_sum_log_series_grid), with one stopping rule and the same
-bits either way. Where that series cancels, at m = 1, 0 < alpha < 1 and
-l <= 0, kilbas_saigo and kilbas_saigo_grid take a 33-node trapezoid rule on a
-Laplace-inversion contour instead, plus the residue of the one pole right of
-the contour where |arg z| < alpha*pi, whenever the rule's error estimate
-meets tol: one point in Python arithmetic (_contour_point) and a grid in
-numpy (_contour_sum) rounded the same way, so again with the same bits
-either way. The Mittag-Leffler routine
-exists purely as an independent cross-check for the m = 1 reductions of
+numpy blocks (_sum_log_series_grid), with one stopping rule, and an array of
+z gets the same bits either way. Where that series cancels, at m = 1,
+0 < alpha < 1 and l <= 0, kilbas_saigo and kilbas_saigo_grid take a 33-node
+trapezoid rule on a Laplace-inversion contour instead, plus the residue of
+the one pole right of the contour where |arg z| < alpha*pi, whenever the
+rule's error estimate meets tol: one point in Python arithmetic
+(_contour_point) and a grid in numpy (_contour_sum) rounded the same way, so
+again with the same bits either way. The Mittag-Leffler routine exists
+purely as an independent cross-check for the m = 1 reductions of
 E_{alpha,m,l}; it always takes the series engine (and so the truncation
 rule) but not the coefficient computation.
 
@@ -366,45 +366,56 @@ _CHUNK_POINTS = 512
 _GRID_EXP_MAX = 700.0
 
 
+class _PowerGrid(NamedTuple):
+    """The points z_j = lam * y_j**a, y_j >= 0, a > 0, on the ray arg lam: the
+    grid driver forms their terms as exp(L[start+k] + k ln|z_j|) with
+    ln|z_j| = ln|lam| + a ln y_j, times one phase e^(ik arg lam) per k."""
+
+    lam: complex
+    a: float
+    ys: np.ndarray
+
+
 def _sum_log_series_grid(
     log_coeffs: Callable[[int], list[float]],
-    zs: np.ndarray,
+    zs: "np.ndarray | _PowerGrid",
     start: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> SeriesGridReport:
-    """_sum_log_series(log_coeffs, z, start, tol) at every z of zs, bit for bit.
+    """_sum_log_series(log_coeffs, z, start, tol) at every z of zs.
 
     Terms are formed for a block of k and a chunk of points at once and
-    summed in order by np.cumsum, each point carrying its sum, whether its
-    last two terms were small and its last magnitude from block to block
-    until the stopping rule fires. A chunk's first block is as long as the
-    longest sum of the chunk before, so most points settle in it; the
-    blocks after it start short and double. Only operations that round like
-    the scalar engine are used: complex np.exp (a real point has a zero
-    imaginary exponent), np.hypot for magnitudes, and IEEE sums and products
-    of real arrays; log z is taken per point by math/cmath. A point that
-    would need a term above exp(_GRID_EXP_MAX), or whose exponent is not
-    finite, is summed by _sum_log_series itself, so overflow keeps the
-    scalar semantics.
+    summed in order, each point carrying its sum, whether its last two terms
+    were small and its last magnitude from block to block until the stopping
+    rule fires. A point that would need a term above exp(_GRID_EXP_MAX), or
+    whose exponent is not finite, is summed by _sum_log_series itself, so
+    overflow keeps the scalar semantics.
+
+    Only the forming of terms depends on zs. An array of z gets the scalar
+    engine's bits from operations that round like it: complex np.exp, np.hypot,
+    IEEE sums and products, and log z per point by math/cmath. A _PowerGrid
+    agrees with it to rounding.
     """
     _check_series_args(start, tol)
-    zs = np.asarray(zs, dtype=complex)
+    ray = isinstance(zs, _PowerGrid)
+    points = zs.ys if ray else np.asarray(zs, dtype=complex)
     report = SeriesGridReport(
-        np.empty(zs.size, dtype=complex),
-        np.empty(zs.size, dtype=np.int64),
-        np.empty(zs.size),
-        np.empty(zs.size, dtype=bool),
+        np.empty(points.size, dtype=complex),
+        np.empty(points.size, dtype=np.int64),
+        np.empty(points.size),
+        np.empty(points.size, dtype=bool),
     )
     first = 16
-    for c in range(0, zs.size, _CHUNK_POINTS):
-        _sum_chunk(log_coeffs, zs[c : c + _CHUNK_POINTS], c, start, tol, first, report)
+    for c in range(0, points.size, _CHUNK_POINTS):
+        chunk = points[c : c + _CHUNK_POINTS]
+        _sum_chunk(log_coeffs, zs._replace(ys=chunk) if ray else chunk, c, start, tol, first, report)
         first = int(report.terms_used[c : c + _CHUNK_POINTS].max())
     return report
 
 
 def _sum_chunk(
     log_coeffs: Callable[[int], list[float]],
-    zs: np.ndarray,
+    zs: "np.ndarray | _PowerGrid",
     offset: int,
     start: int,
     tol: float,
@@ -413,77 +424,94 @@ def _sum_chunk(
 ) -> None:
     """Sum the series at zs into out[offset:], block by block, the first
     block `first` terms long (clamped to 4.._BLOCK_TERMS)."""
-    zero = offset + np.flatnonzero(zs == 0)
+    ray = isinstance(zs, _PowerGrid)
+    nonzero = (zs.ys != 0.0) & (zs.lam != 0) if ray else zs != 0
+    zero = offset + np.flatnonzero(~nonzero)
     if zero.size:
         out.value[zero] = math.exp(log_coeffs(start + 1)[start])
         out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
-    points = np.flatnonzero(zs != 0)
-    z = zs[points]
-    real = z.imag == 0.0
-    log_z = np.empty(points.size, dtype=complex)
-    log_z[real] = list(map(math.log, np.abs(z.real[real]).tolist()))
-    log_z[~real] = list(map(cmath.log, z[~real].tolist()))
-    lr, li = log_z.real[:, None], log_z.imag[:, None]
-    flip = (real & (z.real < 0.0))[:, None]
+    points = np.flatnonzero(nonzero)
+    # Per point: ln|z|, and for an array of z also arg z and whether z < 0
+    # (at lam = 0 there is no point, and ln 1 stands in for ln|lam|).
+    if ray:
+        cols = (np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0),)
+    else:
+        z = zs[points]
+        real = z.imag == 0.0
+        log_z = np.empty(points.size, dtype=complex)
+        log_z[real] = list(map(math.log, np.abs(z.real[real]).tolist()))
+        log_z[~real] = list(map(cmath.log, z[~real].tolist()))
+        cols = (log_z.real, log_z.imag, real & (z.real < 0.0))
     total = np.zeros(points.size, dtype=complex)
-    was_small = np.zeros((points.size, 2), dtype=bool)
+    was_small = np.zeros((2, points.size), dtype=bool)
     prev = np.full(points.size, math.inf)
     scalar = []
     k0, width, later = 0, max(first, 4), 4
     while points.size:
         nb = min(width, _BLOCK_TERMS, _MAX_TERMS - k0)
-        ks = np.arange(k0, k0 + nb, dtype=float)
-        logs = np.array(log_coeffs(start + k0 + nb)[start + k0 : start + k0 + nb])
-        # The carried state leads each row, so cumsum adds in scalar order.
-        sums = np.empty((points.size, nb + 1), dtype=complex)
-        mags = np.empty((points.size, nb + 1))
-        small = np.empty((points.size, nb + 2), dtype=bool)
-        sums[:, 0], mags[:, 0], small[:, :2] = total, prev, was_small
-        t = sums[:, 1:]
+        ks = np.arange(k0, k0 + nb, dtype=float)[:, None]
+        logs = np.array(log_coeffs(start + k0 + nb)[start + k0 : start + k0 + nb])[:, None]
+        # Column j is point j: its carried state in row 0 and term k in row
+        # k + 1, so operations run along the chunk and cumsum in scalar order.
+        sums = np.empty((nb + 1, points.size), dtype=complex)
+        mags = np.empty((nb + 1, points.size))
+        small = np.empty((nb + 2, points.size), dtype=bool)
+        sums[0], mags[0], small[:2] = total, prev, was_small
+        t, prevs = sums[1:], mags[:-1]
         with np.errstate(over="ignore", invalid="ignore"):
             # In place, so a block allocates little besides its three arrays.
-            expo = np.multiply(ks, lr, out=t.real)
+            expo = np.multiply(ks, cols[0], out=mags[1:] if ray else t.real)
             expo += logs
-            np.multiply(ks, li, out=t.imag)
             big = _first_true(~(expo <= _GRID_EXP_MAX), nb)
-            np.exp(t, out=t)
-            if flip.any():
-                np.negative(t, out=t, where=flip & (ks % 2 == 1))
-            mag, prevs = np.hypot(t.real, t.imag, out=mags[:, 1:]), mags[:, :-1]
-            np.cumsum(sums, axis=1, out=sums)
-            sums = sums[:, 1:]
-            # |S_k| only where |t_k| > tol, as in the scalar engine.
-            now = np.less_equal(mag, tol, out=small[:, 2:])
-            size = np.hypot(sums.real, sums.imag, out=np.ones(mag.shape), where=~now)
+            if ray:
+                # |t_k| is the real exp; for real lam the phase is (+-1)^k.
+                mag = np.exp(expo, out=expo)
+                if zs.lam.imag == 0.0:
+                    np.multiply(mag, 1.0 - 2.0 * (ks % 2) if zs.lam.real < 0.0 else 1.0, out=t.real)
+                    t.imag = 0.0
+                else:
+                    np.multiply(mag, np.cos(ks * cmath.phase(zs.lam)), out=t.real)
+                    np.multiply(mag, np.sin(ks * cmath.phase(zs.lam)), out=t.imag)
+            else:
+                np.multiply(ks, cols[1], out=t.imag)
+                np.exp(t, out=t)
+                if cols[2].any():
+                    np.negative(t, out=t, where=cols[2] & (ks % 2 == 1))
+                mag = np.hypot(t.real, t.imag, out=mags[1:])
+            np.cumsum(sums, axis=0, out=sums)
+            sums = t
+            # |S_k| everywhere: where |t_k| <= tol it cannot change the test.
+            now = np.less_equal(mag, tol, out=small[2:])
+            size = np.abs(sums) if ray else np.hypot(sums.real, sums.imag)
             np.fmax(size, 1.0, out=size)
             now |= mag <= np.multiply(size, tol, out=size)
             decreasing = (mag < prevs) | ((mag == 0.0) & (prevs == 0.0))
         # Three small terms in a row, the last smaller than the one before.
-        stop = _first_true(now & small[:, 1:-1] & small[:, :-2] & decreasing, nb)
+        stop = _first_true(now & small[1:-1] & small[:-2] & decreasing, nb)
         done = stop < big
         settle = done | ((big == nb) & (k0 + nb == _MAX_TERMS))
         at = np.where(done, stop, nb - 1)[settle]
-        rows = np.flatnonzero(settle)
+        columns = np.flatnonzero(settle)
         settled = offset + points[settle]
-        out.value[settled] = sums[rows, at]
+        out.value[settled] = sums[at, columns]
         out.terms_used[settled] = k0 + at + 1
-        out.last_term_magnitude[settled] = mag[rows, at]
+        out.last_term_magnitude[settled] = mag[at, columns]
         out.converged[settled] = done[settle]
         scalar += points[(big < nb) & ~done].tolist()
         keep = ~settle & (big == nb)
-        points, lr, li, flip = points[keep], lr[keep], li[keep], flip[keep]
-        total, was_small, prev = sums[keep, -1], small[keep, -2:], mag[keep, -1]
+        points, cols = points[keep], tuple(c[keep] for c in cols)
+        total, was_small, prev = sums[-1, keep], small[-2:, keep], mag[-1, keep]
         k0, width, later = k0 + nb, later, 2 * later
     for p in scalar:
-        report = _sum_log_series(log_coeffs, complex(zs[p]), start, tol)
-        out.value[offset + p], out.terms_used[offset + p] = report.value, report.terms_used
-        out.last_term_magnitude[offset + p] = report.last_term_magnitude
-        out.converged[offset + p] = report.converged
+        z = zs.lam * float(zs.ys[p]) ** zs.a if ray else complex(zs[p])
+        report = _sum_log_series(log_coeffs, z, start, tol)
+        for array, field in zip(vars(out).values(), report[:4]):
+            array[offset + p] = field
 
 
 def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
-    """Column of the first True in each row of mask, `none` where there is none."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), none)
+    """Row of the first True in each column of mask, `none` where there is none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
 
 
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2 (Weideman & Trefethen,

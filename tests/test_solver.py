@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bihilfer import (
     kilbas_saigo_coefficients,
     mittag_leffler,
 )
+from bihilfer.special_functions import _PowerGrid, _sum_log_series_grid
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -285,6 +287,25 @@ class TestSeriesSolution:
         grid = sol.tail_grid_report(ys, 2)
         assert_matches_pointwise(grid, [sol.evaluate_tail_report(float(y), 2) for y in ys])
 
+    @pytest.mark.parametrize("lam", [-2.0 + 1.0j, -2.0, 1.0, 0.0])
+    def test_tail_matches_the_scalar_engine(self, lam):
+        # A tail is summed on the power grid lambda*y^a with one phase per
+        # term; the scalar engine at each z = lambda*y^a, times the factor
+        # y^(a k + b) lambda^k, is its reference.
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=lam)
+        ys = np.concatenate([[0.0, 1e-9, 1e-6, 3e-4, 9e-4], np.linspace(1e-3, 2.0, 257)])
+        for s in range(2):
+            sol = fundamental_solution(problem, s)
+            for k_start in (1, 2, 3):
+                grid = sol.tail_grid_report(ys, k_start)
+                for j, y in enumerate(ys.tolist()):
+                    ref = sol.series_report(sol.lam * y**sol.a, k_start)
+                    want = y ** (sol.a * k_start + sol.b) * sol.lam**k_start * ref.value
+                    assert abs(grid.value[j] - want) <= 1e-14 * abs(want), (s, k_start, y)
+                    assert grid.terms_used[j] == ref.terms_used, (s, k_start, y)
+                if isinstance(lam, float):
+                    assert (grid.value.imag == 0.0).all()
+
     def test_tail_evaluation(self):
         problem = make_problem(0.5, 0.5, 0.0, 1, lam=2.0)
         sol = fundamental_solution(problem, 0)
@@ -325,6 +346,36 @@ class TestContourBranch:
             with mp.workdps(30):
                 exact = float(mp.exp(2500 * mp.mpf(y)) * mp.erfc(50 * mp.sqrt(y)))
             assert abs(report.value - exact) <= 1e-12 * max(1.0, exact), y
+
+    def test_branch_is_kilbas_saigo_at_its_triple(self):
+        # Every field, bit for bit, on both paths: y^b kilbas_saigo(lambda y^a).
+        ys = np.linspace(0.01, 2.0, 100)
+        for problem in (LAMBDA_MINUS_50, make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)):
+            for s in range(problem.orders.i):
+                sol = fundamental_solution(problem, s)
+                points = []
+                for y in ys.tolist():
+                    ks = kilbas_saigo(sol.kilbas_saigo_params(), sol.lam * y**sol.a)
+                    points.append(ks._replace(value=y**sol.b * sol.lam**0 * ks.value))
+                assert_matches_pointwise(sol.grid_report(ys), points)
+
+    def test_overflowing_tail_points_take_the_scalar_engine(self):
+        # A point whose terms pass exp(700) is summed by the scalar engine
+        # at z = lambda*y^a and keeps its report, field for field; no
+        # RuntimeWarning escapes the grid or the factor applied after it.
+        sol = fundamental_solution(LAMBDA_MINUS_50, 0)
+        ys = np.linspace(0.0, 1.0, 257)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = _sum_log_series_grid(sol._logs, _PowerGrid(sol.lam, sol.a, ys), 4)
+            tail = sol.tail_grid_report(ys, 4)
+        overflowed = np.flatnonzero(grid.last_term_magnitude == math.inf)
+        assert overflowed.size > 100
+        for j in overflowed.tolist():
+            ref = sol.series_report(sol.lam * float(ys[j]) ** sol.a, 4)
+            got = (grid.value[j], grid.terms_used[j], grid.last_term_magnitude[j], grid.converged[j])
+            assert got == ref[:4]
+            assert (tail.terms_used[j], tail.converged[j]) == (ref.terms_used, False)
 
     def test_tails_take_the_series(self):
         sol = fundamental_solution(LAMBDA_MINUS_50, 0)
@@ -408,6 +459,19 @@ class TestCauchySolution:
         sol = cauchy_solution(problem, [1.0, 0.5])
         ys = np.linspace(2.0 / n, 2.0, n)
         assert_matches_pointwise(sol.grid_report(ys), [sol.evaluate_report(float(y)) for y in ys])
+
+    def test_is_the_weighted_sum_of_kilbas_saigo_branches(self):
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        sol = cauchy_solution(problem, [1.0, 0.5])
+        ys = np.linspace(2.0 / 64, 2.0, 64)
+        grid = sol.grid_report(ys)
+        for j, y in enumerate(ys.tolist()):
+            total, terms = 0j, 0
+            for w, branch in zip(sol.weights, sol.branches):
+                ks = kilbas_saigo(branch.kilbas_saigo_params(), branch.lam * y**branch.a)
+                total += w * (y**branch.b * branch.lam**0 * ks.value)
+                terms += ks.terms_used
+            assert (grid.value[j], grid.terms_used[j]) == (total, terms)
 
     def test_weights_include_factorial(self):
         problem = make_problem(2.5, 2.5, 1.0, 3, m=0.0)
