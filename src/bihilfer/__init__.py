@@ -1,82 +1,71 @@
 """Series solutions and verification for the degenerate fractional equation
 D^{(alpha,beta)mu} u(y) = lambda y^m u(y) with the bi-ordinal Hilfer
-derivative, expressed through the Kilbas-Saigo function."""
+derivative, expressed through the Kilbas-Saigo function.
 
-from .errors import DomainError
-from .fractional_ops import (
-    OrderTriple,
-    PowerTerm,
-    SampledFunction,
-    falling_product,
-    hilfer_monomial,
-    hilfer_numeric,
-    rl_integral_monomial,
-    rl_integral_numeric,
-)
-from .solver import (
-    CauchySolution,
-    DegenerateProblem,
-    DerivedParams,
-    SeriesSolution,
-    cauchy_solution,
-    coefficient_sequence,
-    derive_params,
-    fundamental_solution,
-    hilfer_reduction_params,
-)
-from .special_functions import (
-    KilbasSaigoParams,
-    SeriesEvalReport,
-    SeriesGridReport,
-    gamma_ratio,
-    kilbas_saigo,
-    kilbas_saigo_coefficients,
-    kilbas_saigo_grid,
-    log_gamma,
-    log_gamma_ratio,
-    mittag_leffler,
-)
-from .verification import (
-    ResidualReport,
-    initial_condition_check,
-    residual_coefficient_identity,
-    residual_numeric,
-)
+The public names are loaded on first access (PEP 562): ``import bihilfer``
+imports no submodule, so a command pays only for the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "OrderTriple",
-    "PowerTerm",
-    "SampledFunction",
-    "falling_product",
-    "hilfer_monomial",
-    "hilfer_numeric",
-    "rl_integral_monomial",
-    "rl_integral_numeric",
-    "CauchySolution",
-    "DegenerateProblem",
-    "DerivedParams",
-    "SeriesSolution",
-    "cauchy_solution",
-    "coefficient_sequence",
-    "derive_params",
-    "fundamental_solution",
-    "hilfer_reduction_params",
-    "KilbasSaigoParams",
-    "SeriesEvalReport",
-    "SeriesGridReport",
-    "gamma_ratio",
-    "kilbas_saigo",
-    "kilbas_saigo_coefficients",
-    "kilbas_saigo_grid",
-    "log_gamma",
-    "log_gamma_ratio",
-    "mittag_leffler",
-    "ResidualReport",
-    "initial_condition_check",
-    "residual_coefficient_identity",
-    "residual_numeric",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "errors": ("DomainError",),
+    "fractional_ops": (
+        "OrderTriple",
+        "PowerTerm",
+        "SampledFunction",
+        "falling_product",
+        "hilfer_monomial",
+        "hilfer_numeric",
+        "rl_integral_monomial",
+        "rl_integral_numeric",
+    ),
+    "solver": (
+        "CauchySolution",
+        "DegenerateProblem",
+        "DerivedParams",
+        "SeriesSolution",
+        "cauchy_solution",
+        "coefficient_sequence",
+        "derive_params",
+        "fundamental_solution",
+        "hilfer_reduction_params",
+    ),
+    "special_functions": (
+        "KilbasSaigoParams",
+        "SeriesEvalReport",
+        "SeriesGridReport",
+        "gamma_ratio",
+        "kilbas_saigo",
+        "kilbas_saigo_coefficients",
+        "kilbas_saigo_grid",
+        "log_gamma",
+        "log_gamma_ratio",
+        "mittag_leffler",
+    ),
+    "verification": (
+        "ResidualReport",
+        "initial_condition_check",
+        "residual_coefficient_identity",
+        "residual_numeric",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

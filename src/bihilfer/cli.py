@@ -23,15 +23,10 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .fractional_ops import OrderTriple
-from .solver import DegenerateProblem, cauchy_solution, derive_params, fundamental_solution
-from .special_functions import KilbasSaigoParams, kilbas_saigo_grid
-from .verification import (
-    initial_condition_check,
-    residual_coefficient_identity,
-    residual_min_points,
-    residual_numeric,
-)
+
+# The engine modules are imported inside the commands that run them: each
+# process compiles what it imports unless bytecode caches are written, so
+# --version and --help load none of them and eval-ks only special_functions.
 
 SCHEMA_VERSION = 1
 
@@ -146,7 +141,10 @@ def _exit_if_nonconverged(converged: bool) -> None:
         _fail("series did not converge at every point", EXIT_NONCONVERGENCE)
 
 
-def _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im) -> DegenerateProblem:
+def _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im) -> "DegenerateProblem":
+    from .fractional_ops import OrderTriple
+    from .solver import DegenerateProblem
+
     orders = OrderTriple(alpha=alpha, beta=beta, mu=mu, i=i)
     return DegenerateProblem(orders=orders, m=m, lam=complex(lambda_re, lambda_im))
 
@@ -228,6 +226,8 @@ def cli() -> None:
 @common_options
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
+    from .special_functions import KilbasSaigoParams, kilbas_saigo_grid
+
     zs = list(z)
     try:
         for flag, value in [("--z-min", z_min), ("--z-max", z_max)] + [("--z", v) for v in zs]:
@@ -264,6 +264,8 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
 def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, points, tol,
                     format, out):
     """Tabulate one fundamental solution u_s on (0, y_max]."""
+    from .solver import fundamental_solution
+
     try:
         _check_grid(y_max, points)
         problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
@@ -292,6 +294,8 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
 def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, tol,
               format, out):
     """Tabulate the Cauchy-type solution with data phi_0..phi_{i-1}."""
+    from .solver import cauchy_solution, derive_params
+
     try:
         _check_grid(y_max, points)
         problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
@@ -327,6 +331,14 @@ def _check(name: str, branch, metric, threshold: float) -> dict:
 def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
                points, tol, format, out):
     """Run the verification suite; exit 0 only if every check passes."""
+    from .solver import cauchy_solution, fundamental_solution
+    from .verification import (
+        initial_condition_check,
+        residual_coefficient_identity,
+        residual_min_points,
+        residual_numeric,
+    )
+
     try:
         _check_grid(y_max, points, residual_min_points(i))
         _at_least("--k", k, 1)

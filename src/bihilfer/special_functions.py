@@ -462,7 +462,10 @@ def _sum_chunk(
             # In place, so a block allocates little besides its three arrays.
             expo = np.multiply(ks, cols[0], out=mags[1:] if ray else t.real)
             expo += logs
-            big = _first_true(~(expo <= _GRID_EXP_MAX), nb)
+            # Row of each point's first term past exp(_GRID_EXP_MAX) or with
+            # a nan exponent. max propagates nan, so only a block with no
+            # such term skips the mask.
+            big = nb if expo.max() <= _GRID_EXP_MAX else _first_true(~(expo <= _GRID_EXP_MAX), nb)
             if ray:
                 # |t_k| is the real exp; for real lam the phase is (+-1)^k.
                 mag = np.exp(expo, out=expo)

@@ -1,0 +1,91 @@
+"""The package namespace: what `import bihilfer` and each command load, and
+the lazily bound public names."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bihilfer
+
+ENGINE = ["bihilfer.fractional_ops", "bihilfer.solver", "bihilfer.special_functions",
+          "bihilfer.verification"]
+
+
+def _loaded(script):
+    """The sorted bihilfer.* modules a fresh interpreter holds after script."""
+    src = os.path.dirname(os.path.dirname(bihilfer.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = "\nprint(json.dumps(sorted(k for k in sys.modules if k.startswith('bihilfer'))))"
+    run = subprocess.run([sys.executable, "-c", "import json, sys\n" + script + report],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         timeout=120, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def _command(*args):
+    """The CLI run as `python -m bihilfer.cli ARGS`, in this interpreter."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['bihilfer', *{list(args)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('bihilfer.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code\n"
+    )
+
+
+class TestImportFootprint:
+    def test_import_loads_no_submodule(self):
+        assert _loaded("import bihilfer\nassert bihilfer.__version__ == '0.1.0'") == ["bihilfer"]
+
+    @pytest.mark.parametrize("args", [["--version"], ["--help"], ["eval-ks", "--help"]])
+    def test_startup_loads_no_engine_module(self, args):
+        # run_module executes the CLI as __main__, not as bihilfer.cli.
+        assert _loaded(_command(*args)) == ["bihilfer", "bihilfer.errors"]
+
+    def test_eval_ks_loads_special_functions_only(self):
+        loaded = _loaded(_command("eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0",
+                                  "--z", "-1"))
+        assert [m for m in ENGINE if m in loaded] == ["bihilfer.special_functions"]
+
+    def test_fundamental_loads_the_solver_but_not_verification(self):
+        loaded = _loaded(_command("fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
+                                  "--points", "4"))
+        assert [m for m in ENGINE if m in loaded] == ENGINE[:3]
+
+    def test_verify_loads_every_engine_module(self):
+        loaded = _loaded(_command("verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
+                                  "--points", "64"))
+        assert [m for m in ENGINE if m in loaded] == ENGINE
+
+
+class TestNamespace:
+    def test_names_are_the_submodules_objects(self):
+        for name in bihilfer.__all__:
+            if name == "__version__":
+                continue
+            module = importlib.import_module(f"bihilfer.{bihilfer._MODULE_OF[name]}")
+            assert getattr(bihilfer, name) is getattr(module, name), name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(bihilfer.__all__) <= set(dir(bihilfer))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from bihilfer import *", namespace)
+        assert set(bihilfer.__all__) <= set(namespace)
+        assert namespace["kilbas_saigo"] is bihilfer.special_functions.kilbas_saigo
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="bihilfer"):
+            bihilfer.no_such_name
+
+    def test_submodules_import_as_before(self):
+        from bihilfer import cli, solver
+
+        assert solver.fundamental_solution is bihilfer.fundamental_solution
+        assert cli.cli.name == "cli"

@@ -473,6 +473,22 @@ class TestGridDriver:
         assert reports[6].last_term_magnitude == math.inf
         _assert_bit_identical(_sum_log_series_grid(fetch, zs, 2, 1e-12), reports)
 
+    @pytest.mark.parametrize("odd", [1e60, -1e60j, math.nan, complex(math.nan, 1.0)])
+    def test_one_column_past_the_exponent_cap(self, odd):
+        # One point forms a term past exp(700), or a nan exponent, in the
+        # first block; the others never do, and the capped point runs every
+        # block up to _MAX_TERMS beside it. Only the odd point goes to the
+        # scalar engine, and every point keeps its bits.
+        params, capped = CAPPED
+        fetch = partial(_CACHE.logs, params)
+        zs = [capped, 0.5, odd, -0.3]
+        reports = _scalar_reports(fetch, zs, 0, 1e-12)
+        grid = _sum_log_series_grid(fetch, zs)
+        _assert_bit_identical(grid, reports)
+        assert grid.terms_used[0] == 10_000 and reports[2].terms_used < 16
+        assert grid.converged.tolist() == [False, True, False, True]
+        assert math.isinf(grid.last_term_magnitude[2]) != cmath.isnan(odd)
+
     def test_spans_chunks_and_blocks(self):
         # More points than one chunk, and terms than one block.
         fetch = partial(_CACHE.logs, KilbasSaigoParams(0.5, 1.0, 0.0))
