@@ -5,9 +5,10 @@ s = 0..i-1 and the solution of the Cauchy-type initial problem as a weighted
 combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
 (a+b_s)/gamma - 1}(lambda y^a): a SeriesSolution is built from (problem, s)
 alone, maps it to that triple once and reads its coefficients from the
-shared, bounded Kilbas-Saigo cache. A whole branch is kilbas_saigo_grid at
-that triple, so an m = 0 problem's branches take the contour rule where their
-series cancels; a tail from k_start > 0 is summed by the grid driver. A point
+shared, bounded Kilbas-Saigo cache. A tail from k_start is kilbas_saigo_grid
+at the shifted triple (alpha, m, l + m*k_start) times c_k_start lambda^k_start
+y^(a k_start + b), and k_start = 0 is the whole branch, so an m = 0 problem's
+branches and tails take the contour rule where their series cancels. A point
 is a one-point grid. That the coefficients solve the equation is checked
 independently by verification.residual_coefficient_identity.
 """
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DomainError
 from .fractional_ops import OrderTriple
 from .special_functions import (
-    _CACHE,
     _CHUNK_POINTS,
     DEFAULT_TOL,
     KilbasSaigoParams,
@@ -33,7 +32,6 @@ from .special_functions import (
     SeriesGridReport,
     _PowerGrid,
     _sum_log_series,
-    _sum_log_series_grid,
     kilbas_saigo_coefficients,
     kilbas_saigo_grid,
 )
@@ -139,18 +137,23 @@ class SeriesSolution:
             m=params.a / params.gamma,
             l=(params.a + self.b) / params.gamma - 1.0,
         )
-        self._logs = partial(_CACHE.logs, self._params)
 
     def kilbas_saigo_params(self) -> KilbasSaigoParams:
         """The (alpha, m, l) triple for which the branch series equals
         y^b * E_{alpha,m,l}(lambda y^a)."""
         return self._params
 
+    def _tail_params(self, k_start: int) -> KilbasSaigoParams:
+        """(alpha, m, l + m*k_start), whose coefficients are c_{k_start+j}/c_k_start."""
+        if k_start < 0:
+            raise ValueError(f"k_start must be >= 0, got k_start={k_start}")
+        return replace(self._params, l=self._params.l + self._params.m * k_start)
+
     def coefficient(self, k: int) -> float:
         """c_k, extending the shared cache if needed."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got k={k}")
-        return math.exp(self._logs(k + 1)[k])
+        return math.exp(self._params._log_coeffs(k + 1)[k])
 
     def series_report(
         self,
@@ -159,8 +162,11 @@ class SeriesSolution:
         tol: float = DEFAULT_TOL,
         weight: "Callable[[int], float] | None" = None,
     ) -> SeriesEvalReport:
-        """sum_k w_k c_{start+k} z^k through the shared series engine."""
-        return _sum_log_series(self._logs, z, start, tol, weight)
+        """sum_k w_k c_{start+k} z^k: c_start times the shared series engine
+        at the shifted triple _tail_params(start)."""
+        r = _sum_log_series(self._tail_params(start)._log_coeffs, z, tol, weight)
+        c = self.coefficient(start)
+        return r._replace(value=c * r.value, last_term_magnitude=c * r.last_term_magnitude)
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """grid_report at the one point y > 0 (b < 0 is singular at y = 0)."""
@@ -186,36 +192,33 @@ class SeriesSolution:
     def tail_grid_report(
         self, ys: np.ndarray, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesGridReport:
-        """Series tail sum_{k >= k_start} c_k lambda^k y^{ak+b} at every grid
-        point, as y^{a k_start + b} lambda^k_start times the series in
-        z = lambda y^a from k_start (no head/tail cancellation); defined at
-        y = 0 as well whenever a*k_start + b >= 0. The whole branch
-        (k_start = 0) has the bits of y^b kilbas_saigo(z) at each point, path
-        included; a tail is summed on the _PowerGrid of z, factor by numpy."""
+        """Series tail sum_{k >= K} c_k lambda^k y^{ak+b}, K = k_start, at every
+        grid point (at y = 0 too whenever aK + b >= 0). The product defining
+        c_k telescopes from K, so it is c_K lambda^K y^(aK+b) times
+        kilbas_saigo_grid at _tail_params(K), z = lambda y^a. The branch
+        (K = 0) forms z and y^b by Python's pow, so it has the bits of
+        y^b kilbas_saigo(z), path included; a tail takes a _PowerGrid."""
         ys = _check_grid(ys, origin=True)
+        params = self._tail_params(k_start)
         origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
         lam, a, power = self.lam, self.a, self.a * k_start + self.b
         if k_start:
-            report = _sum_log_series_grid(self._logs, _PowerGrid(lam, a, ys), k_start, tol)
-            # In real arithmetic, as numpy's in-place complex product rounds a
-            # long array otherwise than a short one; an overflowed sum may grow.
-            lam_k, v, scale = lam**k_start, report.value, np.power(ys, power)
-            re, im = scale * lam_k.real, scale * lam_k.imag
-            with np.errstate(over="ignore", invalid="ignore"):
-                v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
-            if origin is not None:
-                report.value[ys == 0.0] = origin
-            return report
-        zs = np.empty(ys.size, dtype=complex)
-        for c in _slices(ys.size):
-            zs[c] = [lam * y**a for y in ys[c].tolist()]
-        report = kilbas_saigo_grid(self._params, zs, tol)
-        value, lam_k = report.value, lam**k_start
-        for c in _slices(ys.size):
-            value[c] = [
-                y**power * lam_k * v if y else origin
-                for y, v in zip(ys[c].tolist(), value[c].tolist())
-            ]
+            zs, scale = _PowerGrid(lam, a, ys), np.power(ys, power)
+        else:
+            zs, scale = np.empty(ys.size, dtype=complex), np.empty(ys.size)
+            for c in _slices(ys.size):
+                zs[c] = [lam * y**a for y in ys[c].tolist()]
+                scale[c] = [y**power for y in ys[c].tolist()]
+        report = kilbas_saigo_grid(params, zs, tol)
+        # In real arithmetic, as numpy's in-place complex product rounds a
+        # long array otherwise than a short one; at k_start = 0 it rounds as
+        # Python's y**b * lam**0 * v. An overflowed sum may grow.
+        lead, v = self.coefficient(k_start) * lam**k_start, report.value
+        re, im = scale * lead.real, scale * lead.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
+        if origin is not None:
+            v[ys == 0.0] = origin
         return report
 
     def tail_at_origin(self, k_start: int, shift: float = 0.0) -> complex:

@@ -4,7 +4,8 @@ Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
 E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}. The
 series engine sums one point at a time (_sum_log_series) or a whole grid in
 numpy blocks (_sum_log_series_grid), with one stopping rule, and an array of
-z gets the same bits either way. Where that series cancels, at m = 1,
+z gets the same bits either way. Every sum starts at c_0 = 1 (a tail from
+index K is the triple (alpha, m, l + m*K)). Where the series cancels, at m = 1,
 0 < alpha < 1 and l <= 0, kilbas_saigo and kilbas_saigo_grid take a 33-node
 trapezoid rule on a Laplace-inversion contour instead, plus the residue of
 the one pole right of the contour where |arg z| < alpha*pi, whenever the
@@ -268,10 +269,8 @@ _FETCH_AHEAD = 64
 _MAX_TERMS = 10_000
 
 
-def _check_series_args(start: int, tol: float) -> None:
-    """A negative start would index the log-coefficients from their end."""
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got start={start}")
+def _check_series_args(tol: float) -> None:
+    """The stopping rule needs 0 < tol < 1."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
@@ -279,11 +278,10 @@ def _check_series_args(start: int, tol: float) -> None:
 def _sum_log_series(
     log_coeffs: Callable[[int], list[float]],
     z: complex,
-    start: int = 0,
     tol: float = DEFAULT_TOL,
     weight: "Callable[[int], float] | None" = None,
 ) -> SeriesEvalReport:
-    """The series engine: sum_k w_k exp(L[start+k] + k log z), k = 0, 1, ...
+    """The series engine: sum_k w_k exp(L[k] + k log z), k = 0, 1, ...
 
     `log_coeffs(n)` returns a list of at least n log-coefficients L; it is
     asked again whenever the sum needs more. The optional real weights w_k
@@ -295,17 +293,17 @@ def _sum_log_series(
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
     |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
     ends the sum unconverged with the partial sum as its value; so does
-    reaching _MAX_TERMS terms. A negative start is rejected.
+    reaching _MAX_TERMS terms.
 
     Per-term cost: |S_k| is formed only when |t_k| > tol, which decides the
     same since tol*max(1, |S|) >= tol; a sum's magnitude can pass the double
     range only on such a term, so its overflow exit fires on the same term.
     The stopping test runs only after a small term (three imply N >= 2).
     """
-    _check_series_args(start, tol)
-    logs = log_coeffs(start + _FETCH_AHEAD)
+    _check_series_args(tol)
+    logs = log_coeffs(_FETCH_AHEAD)
     if z == 0:
-        first = math.exp(logs[start]) * (1.0 if weight is None else weight(0))
+        first = math.exp(logs[0]) * (1.0 if weight is None else weight(0))
         return SeriesEvalReport(complex(first), 1, 0.0, True)
     z = complex(z)
     if z.imag == 0.0:
@@ -318,13 +316,12 @@ def _sum_log_series(
     n = len(logs)
     streak = 0
     prev_mag = mag = math.inf
-    i = start
     for k in range(_MAX_TERMS):
-        if i >= n:
-            logs = log_coeffs(2 * i)
+        if k >= n:
+            logs = log_coeffs(2 * k)
             n = len(logs)
         try:
-            t = exp(logs[i] + k * log_z)
+            t = exp(logs[k] + k * log_z)
         except OverflowError:
             # Term outgrew the double range; report the best partial sum.
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
@@ -348,7 +345,6 @@ def _sum_log_series(
         else:
             streak = 0
         prev_mag = mag
-        i += 1
     return SeriesEvalReport(complex(total), _MAX_TERMS, mag, False)
 
 
@@ -368,7 +364,7 @@ _GRID_EXP_MAX = 700.0
 
 class _PowerGrid(NamedTuple):
     """The points z_j = lam * y_j**a, y_j >= 0, a > 0, on the ray arg lam: the
-    grid driver forms their terms as exp(L[start+k] + k ln|z_j|) with
+    grid driver forms their terms as exp(L[k] + k ln|z_j|) with
     ln|z_j| = ln|lam| + a ln y_j, times one phase e^(ik arg lam) per k."""
 
     lam: complex
@@ -379,10 +375,9 @@ class _PowerGrid(NamedTuple):
 def _sum_log_series_grid(
     log_coeffs: Callable[[int], list[float]],
     zs: "np.ndarray | _PowerGrid",
-    start: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> SeriesGridReport:
-    """_sum_log_series(log_coeffs, z, start, tol) at every z of zs.
+    """_sum_log_series(log_coeffs, z, tol) at every z of zs.
 
     Terms are formed for a block of k and a chunk of points at once and
     summed in order, each point carrying its sum, whether its last two terms
@@ -396,7 +391,7 @@ def _sum_log_series_grid(
     IEEE sums and products, and log z per point by math/cmath. A _PowerGrid
     agrees with it to rounding.
     """
-    _check_series_args(start, tol)
+    _check_series_args(tol)
     ray = isinstance(zs, _PowerGrid)
     points = zs.ys if ray else np.asarray(zs, dtype=complex)
     report = SeriesGridReport(
@@ -408,7 +403,7 @@ def _sum_log_series_grid(
     first = 16
     for c in range(0, points.size, _CHUNK_POINTS):
         chunk = points[c : c + _CHUNK_POINTS]
-        _sum_chunk(log_coeffs, zs._replace(ys=chunk) if ray else chunk, c, start, tol, first, report)
+        _sum_chunk(log_coeffs, zs._replace(ys=chunk) if ray else chunk, c, tol, first, report)
         first = int(report.terms_used[c : c + _CHUNK_POINTS].max())
     return report
 
@@ -417,7 +412,6 @@ def _sum_chunk(
     log_coeffs: Callable[[int], list[float]],
     zs: "np.ndarray | _PowerGrid",
     offset: int,
-    start: int,
     tol: float,
     first: int,
     out: SeriesGridReport,
@@ -428,7 +422,7 @@ def _sum_chunk(
     nonzero = (zs.ys != 0.0) & (zs.lam != 0) if ray else zs != 0
     zero = offset + np.flatnonzero(~nonzero)
     if zero.size:
-        out.value[zero] = math.exp(log_coeffs(start + 1)[start])
+        out.value[zero] = math.exp(log_coeffs(1)[0])
         out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
     points = np.flatnonzero(nonzero)
     # Per point: ln|z|, and for an array of z also arg z and whether z < 0
@@ -450,7 +444,7 @@ def _sum_chunk(
     while points.size:
         nb = min(width, _BLOCK_TERMS, _MAX_TERMS - k0)
         ks = np.arange(k0, k0 + nb, dtype=float)[:, None]
-        logs = np.array(log_coeffs(start + k0 + nb)[start + k0 : start + k0 + nb])[:, None]
+        logs = np.array(log_coeffs(k0 + nb)[k0 : k0 + nb])[:, None]
         # Column j is point j: its carried state in row 0 and term k in row
         # k + 1, so operations run along the chunk and cumsum in scalar order.
         sums = np.empty((nb + 1, points.size), dtype=complex)
@@ -507,7 +501,7 @@ def _sum_chunk(
         k0, width, later = k0 + nb, later, 2 * later
     for p in scalar:
         z = zs.lam * float(zs.ys[p]) ** zs.a if ray else complex(zs[p])
-        report = _sum_log_series(log_coeffs, z, start, tol)
+        report = _sum_log_series(log_coeffs, z, tol)
         for array, field in zip(vars(out).values(), report[:4]):
             array[offset + p] = field
 
@@ -746,49 +740,52 @@ def kilbas_saigo(
     summed as elsewhere.
     """
     if _contour_rule(params):
-        _check_series_args(0, tol)
+        _check_series_args(tol)
         report = _contour_point(params, complex(z), tol)
         if report is not None:
             return report
-    return _sum_log_series(params._log_coeffs, z, 0, tol)
+    return _sum_log_series(params._log_coeffs, z, tol)
 
 
 def kilbas_saigo_grid(
-    params: KilbasSaigoParams, zs: np.ndarray, tol: float = DEFAULT_TOL
+    params: KilbasSaigoParams, zs: "np.ndarray | _PowerGrid", tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
     included: the contour rule on a (points x nodes) array, its pole terms
     taken point by point from _contour_pole, then the series by the blocked
-    grid driver for the points left."""
-    zs = np.asarray(zs, dtype=complex)
+    grid driver for the points left. The rule takes a _PowerGrid's points
+    lam * np.power(y, a), the driver its ray (kilbas_saigo's to rounding)."""
     if not _contour_rule(params):
-        return _sum_log_series_grid(params._log_coeffs, zs, 0, tol)
-    _check_series_args(0, tol)
+        return _sum_log_series_grid(params._log_coeffs, zs, tol)
+    _check_series_args(tol)
+    ray = isinstance(zs, _PowerGrid)
+    points = zs.lam * np.power(zs.ys, zs.a) if ray else np.asarray(zs, dtype=complex)
     report = SeriesGridReport(
-        np.empty(zs.size, dtype=complex),
-        np.full(zs.size, _CONTOUR_NODES),
-        np.empty(zs.size),
-        np.ones(zs.size, dtype=bool),
-        np.full(zs.size, "series", dtype="<U7"),
+        np.empty(points.size, dtype=complex),
+        np.full(points.size, _CONTOUR_NODES),
+        np.empty(points.size),
+        np.ones(points.size, dtype=bool),
+        np.full(points.size, "series", dtype="<U7"),
     )
     alpha, beta = params.alpha, params.alpha * params.l + 1.0
-    sector = np.array([_in_sector(alpha, z) for z in zs.tolist()], dtype=bool)
+    sector = np.array([_in_sector(alpha, z) for z in points.tolist()], dtype=bool)
     off = np.flatnonzero(~sector)
-    poles = [_contour_pole(alpha, beta, z) for z in zs[off].tolist()]
+    poles = [_contour_pole(alpha, beta, z) for z in points[off].tolist()]
     taken = np.array([pole is not None for pole in poles], dtype=bool)
     pole_arrays = [np.array(column) for column in zip(*filter(None, poles))]
     for at, pole in ((np.flatnonzero(sector), None), (off[taken], pole_arrays)):
         for real in (False, True):
-            row = (zs.imag[at] == 0.0) == real
+            row = (points.imag[at] == 0.0) == real
             if row.any():
                 terms = None if pole is None else tuple(a[row] for a in pole)
-                value, last, converged = _contour_sum(params, zs[at[row], None], tol, real, terms)
+                value, last, converged = _contour_sum(params, points[at[row], None], tol, real, terms)
                 done = at[row][converged]
                 report.value[done] = value[converged]
                 report.last_term_magnitude[done] = last[converged]
                 report.path[done] = "contour"
     rest = np.flatnonzero(report.path == "series")
-    series = _sum_log_series_grid(params._log_coeffs, zs[rest], 0, tol)
+    left = zs._replace(ys=zs.ys[rest]) if ray else points[rest]
+    series = _sum_log_series_grid(params._log_coeffs, left, tol)
     report.value[rest], report.terms_used[rest] = series.value, series.terms_used
     report.last_term_magnitude[rest] = series.last_term_magnitude
     report.converged[rest] = series.converged
@@ -814,4 +811,4 @@ def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> 
             log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
         return log_coeffs
 
-    return _sum_log_series(fetch, z, 0, tol).value
+    return _sum_log_series(fetch, z, tol).value

@@ -11,6 +11,7 @@ from bihilfer import (
     CauchySolution,
     DegenerateProblem,
     DomainError,
+    KilbasSaigoParams,
     OrderTriple,
     cauchy_solution,
     coefficient_sequence,
@@ -216,7 +217,7 @@ class TestSeriesSolution:
             sol.tail_grid_report(np.array([0.0, -0.5]), 1)
 
     def test_negative_series_start_rejected(self):
-        # logs[start + k] would wrap to the end of the cached list.
+        # A negative start has no shifted triple (alpha, m, l + m*start).
         sol = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, lam=-1.0), 0)
         with pytest.raises(ValueError, match="start must be >= 0"):
             sol.evaluate_tail_report(0.5, -1)
@@ -330,7 +331,8 @@ LAMBDA_MINUS_50 = make_problem(0.5, 0.5, 1.0, 1, lam=-50.0)
 
 class TestContourBranch:
     """A whole branch is kilbas_saigo at its triple, contour rule included;
-    a tail from k_start > 0 is summed."""
+    a tail from k_start > 0 is kilbas_saigo_grid at the shifted triple,
+    which at l + m*k_start > 0 sums the series."""
 
     def test_branch_takes_the_contour_rule(self):
         mp = pytest.importorskip("mpmath").mp
@@ -363,16 +365,19 @@ class TestContourBranch:
         # A point whose terms pass exp(700) is summed by the scalar engine
         # at z = lambda*y^a and keeps its report, field for field; no
         # RuntimeWarning escapes the grid or the factor applied after it.
+        # The tail from 4 sums the coefficients of the shifted triple.
         sol = fundamental_solution(LAMBDA_MINUS_50, 0)
+        p = sol.kilbas_saigo_params()
+        shifted = KilbasSaigoParams(p.alpha, p.m, p.l + p.m * 4)
         ys = np.linspace(0.0, 1.0, 257)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = _sum_log_series_grid(sol._logs, _PowerGrid(sol.lam, sol.a, ys), 4)
+            grid = _sum_log_series_grid(shifted._log_coeffs, _PowerGrid(sol.lam, sol.a, ys))
             tail = sol.tail_grid_report(ys, 4)
         overflowed = np.flatnonzero(grid.last_term_magnitude == math.inf)
         assert overflowed.size > 100
         for j in overflowed.tolist():
-            ref = sol.series_report(sol.lam * float(ys[j]) ** sol.a, 4)
+            ref = kilbas_saigo(shifted, sol.lam * float(ys[j]) ** sol.a)
             got = (grid.value[j], grid.terms_used[j], grid.last_term_magnitude[j], grid.converged[j])
             assert got == ref[:4]
             assert (tail.terms_used[j], tail.converged[j]) == (ref.terms_used, False)
@@ -412,6 +417,64 @@ class TestContourBranch:
             points = [sol.evaluate_report(float(y)) for y in ys]
             assert_matches_pointwise(sol.grid_report(ys), points)
             assert [r.path for r in points] == [path] * 2
+
+
+def _mp_tail(mp, sol, k_start, y):
+    """sum_{k >= k_start} c_k lambda^k y^(ak+b) at 30 digits, the c_k from
+    their Gamma products at the branch's double triple."""
+    p = sol.kilbas_saigo_params()
+    with mp.workdps(30):
+        alpha, m, l, y = (mp.mpf(v) for v in (p.alpha, p.m, p.l, y))
+        z, c, total, k = mp.mpc(sol.lam) * y ** mp.mpf(sol.a), mp.mpf(1), mp.mpc(0), 0
+        while k < k_start + 5 or abs(term) > mp.mpf(10) ** -30 * abs(total):
+            if k >= k_start:
+                term = c * z**k
+                total += term
+            c *= mp.gamma(alpha * (k * m + l) + 1) / mp.gamma(alpha * (k * m + l + 1) + 1)
+            k += 1
+        return complex(total * y ** mp.mpf(sol.b))
+
+
+class TestShiftedTail:
+    """A tail from K is c_K lambda^K y^(aK+b) times the Kilbas-Saigo function
+    of the shifted triple (alpha, m, l + mK), whose series starts at 1, so the
+    stopping rule is relative to the tail however small c_K is."""
+
+    @pytest.mark.parametrize(
+        "problem,k_start,ys",
+        [
+            (make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j), 10, [0.25, 1.0, 2.0]),
+            (make_problem(2.5, 2.3, 0.4, 3, m=0.5, lam=-1.5), 6, [2.0]),
+        ],
+        ids=["i2-K10", "i3-K6"],
+    )
+    def test_small_leading_coefficient(self, problem, k_start, ys):
+        # Stopped on terms scaled by c_K, these tails ended after 3 terms,
+        # marked converged, 1.4e-8 to 1.7e-3 off.
+        mp = pytest.importorskip("mpmath").mp
+        sol = fundamental_solution(problem, 0)
+        report = sol.tail_grid_report(np.array(ys), k_start)
+        assert report.converged.all()
+        for y, value in zip(ys, report.value.tolist()):
+            want = _mp_tail(mp, sol, k_start, y)
+            assert abs(value - want) <= 1e-12 * abs(want), y
+
+    def test_riemann_liouville_tail_takes_the_contour(self):
+        # The branch of (0.5, 0.5, mu=0, i=1, m=0) is the triple (0.5, 1, -1);
+        # its tail from 1 is the triple (0.5, 1, 0) at -50 sqrt y, whose
+        # series cancels: summed, it read -4.85e95 at y = 0.1, marked
+        # converged. (E - 1) y^b is -50 sqrt(pi) exp(2500 y) erfc(50 sqrt y).
+        mp = pytest.importorskip("mpmath").mp
+        sol = fundamental_solution(make_problem(0.5, 0.5, 0.0, 1, lam=-50.0), 0)
+        ys = [0.01, 0.1, 0.25]
+        report = sol.tail_grid_report(np.array(ys), 1)
+        assert report.path.tolist() == ["contour"] * 3
+        assert report.converged.all()
+        for y, value in zip(ys, report.value.tolist()):
+            with mp.workdps(30):
+                root = mp.sqrt(mp.mpf(y))
+                want = float(-50 * mp.sqrt(mp.pi) * mp.exp(2500 * root**2) * mp.erfc(50 * root))
+            assert abs(value - want) <= 1e-12 * abs(want), y
 
 
 class TestCauchySolution:

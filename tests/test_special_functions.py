@@ -41,6 +41,7 @@ from bihilfer.special_functions import (
     SeriesEvalReport,
     _check_series_args,
     _CoefficientCache,
+    _PowerGrid,
     _sum_log_series,
     _sum_log_series_grid,
 )
@@ -413,8 +414,13 @@ class TestCoefficients:
         )
 
 
-def _scalar_reports(fetch, zs, start, tol):
-    return [_sum_log_series(fetch, complex(z), start, tol) for z in zs]
+def _scalar_reports(fetch, zs, tol):
+    return [_sum_log_series(fetch, complex(z), tol) for z in zs]
+
+
+def _shifted(params, start):
+    """The triple whose coefficients are c_{start+k}/c_start of params'."""
+    return KilbasSaigoParams(params.alpha, params.m, params.l + params.m * start)
 
 
 def _assert_bit_identical(grid, reports):
@@ -458,20 +464,18 @@ class TestGridDriver:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = partial(_CACHE.logs, params)
-        _assert_bit_identical(
-            _sum_log_series_grid(fetch, zs, start, tol), _scalar_reports(fetch, zs, start, tol)
-        )
+        fetch = partial(_CACHE.logs, _shifted(params, start))
+        _assert_bit_identical(_sum_log_series_grid(fetch, zs, tol), _scalar_reports(fetch, zs, tol))
 
     def test_covers_every_exit_of_the_engine(self):
         params, capped = CAPPED
         zs = [capped, 0.0, -3.0, 2.0, 1.0 - 2.0j, 800.0, cmath.rect(720.0, 1.0)]
-        fetch = partial(_CACHE.logs, params)
-        reports = _scalar_reports(fetch, zs, 2, 1e-12)
+        fetch = partial(_CACHE.logs, _shifted(params, 2))
+        reports = _scalar_reports(fetch, zs, 1e-12)
         assert reports[0].terms_used == 10_000 and not reports[0].converged
         assert reports[5].last_term_magnitude == math.inf
         assert reports[6].last_term_magnitude == math.inf
-        _assert_bit_identical(_sum_log_series_grid(fetch, zs, 2, 1e-12), reports)
+        _assert_bit_identical(_sum_log_series_grid(fetch, zs, 1e-12), reports)
 
     @pytest.mark.parametrize("odd", [1e60, -1e60j, math.nan, complex(math.nan, 1.0)])
     def test_one_column_past_the_exponent_cap(self, odd):
@@ -482,7 +486,7 @@ class TestGridDriver:
         params, capped = CAPPED
         fetch = partial(_CACHE.logs, params)
         zs = [capped, 0.5, odd, -0.3]
-        reports = _scalar_reports(fetch, zs, 0, 1e-12)
+        reports = _scalar_reports(fetch, zs, 1e-12)
         grid = _sum_log_series_grid(fetch, zs)
         _assert_bit_identical(grid, reports)
         assert grid.terms_used[0] == 10_000 and reports[2].terms_used < 16
@@ -495,7 +499,7 @@ class TestGridDriver:
         zs = np.linspace(-8.0, 4.0, 1201) * np.exp(0.3j)
         grid = _sum_log_series_grid(fetch, zs)
         assert grid.terms_used.max() > 16
-        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 0, 1e-12))
+        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 1e-12))
 
     def test_empty_grid(self):
         grid = _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [])
@@ -521,10 +525,10 @@ _groups = st.lists(
 )
 
 
-def _grid_in_chunks(fetch, zs, start, tol, chunk):
+def _grid_in_chunks(fetch, zs, tol, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special_functions, "_CHUNK_POINTS", chunk)
-        return _sum_log_series_grid(fetch, zs, start, tol)
+        return _sum_log_series_grid(fetch, zs, tol)
 
 
 class TestGridChunks:
@@ -544,10 +548,8 @@ class TestGridChunks:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = partial(_CACHE.logs, params)
-        _assert_bit_identical(
-            _grid_in_chunks(fetch, zs, start, tol, chunk), _scalar_reports(fetch, zs, start, tol)
-        )
+        fetch = partial(_CACHE.logs, _shifted(params, start))
+        _assert_bit_identical(_grid_in_chunks(fetch, zs, tol, chunk), _scalar_reports(fetch, zs, tol))
 
     @pytest.mark.parametrize(
         "params,zs,maxima",
@@ -565,9 +567,9 @@ class TestGridChunks:
     )
     def test_neighbouring_chunks_of_unequal_length(self, params, zs, maxima):
         fetch = partial(_CACHE.logs, KilbasSaigoParams(*params))
-        grid = _grid_in_chunks(fetch, zs, 0, 1e-12, 3)
+        grid = _grid_in_chunks(fetch, zs, 1e-12, 3)
         assert [max(grid.terms_used[c : c + 3]) for c in range(0, len(zs), 3)] == maxima
-        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 0, 1e-12))
+        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 1e-12))
 
 
 class TestBlockLength:
@@ -591,18 +593,17 @@ class TestBlockLength:
         assert max(spans) == _BLOCK_TERMS == 32
         # The chunk after the capped point starts with one block at the cap.
         assert second == [_BLOCK_TERMS]
-        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 0, 1e-12))
+        _assert_bit_identical(grid, _scalar_reports(fetch, zs, 1e-12))
 
 
-def _reference_sum_log_series(
-    log_coeffs, z, start=0, tol=1e-12, weight=None
-) -> SeriesEvalReport:
+def _reference_sum_log_series(log_coeffs, z, tol=1e-12, weight=None) -> SeriesEvalReport:
     """The scalar engine as it was before its per-term cost was cut, kept
-    verbatim: the engine must return the same report for every input."""
-    _check_series_args(start, tol)
-    logs = log_coeffs(start + _FETCH_AHEAD)
+    verbatim but for the start offset it no longer takes: the engine must
+    return the same report for every input."""
+    _check_series_args(tol)
+    logs = log_coeffs(_FETCH_AHEAD)
     if z == 0:
-        first = math.exp(logs[start]) * (1.0 if weight is None else weight(0))
+        first = math.exp(logs[0]) * (1.0 if weight is None else weight(0))
         return SeriesEvalReport(complex(first), 1, 0.0, True)
     z = complex(z)
     if z.imag == 0.0:
@@ -614,11 +615,10 @@ def _reference_sum_log_series(
     mag = math.inf
     k = 0
     while k < _MAX_TERMS:
-        i = start + k
-        if i >= len(logs):
-            logs = log_coeffs(2 * i)
+        if k >= len(logs):
+            logs = log_coeffs(2 * k)
         try:
-            t = exp(logs[i] + k * log_z)
+            t = exp(logs[k] + k * log_z)
         except OverflowError:
             # Term outgrew the double range; report the best partial sum.
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
@@ -693,10 +693,10 @@ class TestScalarEngineReference:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = partial(_CACHE.logs, params)
+        fetch = partial(_CACHE.logs, _shifted(params, start))
         for z in zs:
-            assert _bits(_sum_log_series(fetch, z, start, tol, weight)) == _bits(
-                _reference_sum_log_series(fetch, z, start, tol, weight)
+            assert _bits(_sum_log_series(fetch, z, tol, weight)) == _bits(
+                _reference_sum_log_series(fetch, z, tol, weight)
             ), z
 
     @pytest.mark.parametrize(
@@ -714,25 +714,15 @@ class TestScalarEngineReference:
              "magnitude-overflow", "weighted-term-past-range"],
     )
     def test_every_exit(self, params, z, start, weight, exit):
-        fetch = partial(_CACHE.logs, KilbasSaigoParams(*params))
-        report = _sum_log_series(fetch, z, start, 1e-12, weight)
+        fetch = partial(_CACHE.logs, _shifted(KilbasSaigoParams(*params), start))
+        report = _sum_log_series(fetch, z, 1e-12, weight)
         if exit == "overflow":
             assert report.last_term_magnitude == math.inf and not report.converged
         elif exit == "converged":
             assert report.converged and 3 < report.terms_used < 10_000
         else:
             assert (report.terms_used, report.converged) == exit
-        assert _bits(report) == _bits(_reference_sum_log_series(fetch, z, start, 1e-12, weight))
-
-
-class TestNegativeStart:
-    def test_scalar_engine_rejects(self):
-        with pytest.raises(ValueError, match="start must be >= 0"):
-            _sum_log_series(partial(_CACHE.logs, CAPPED[0]), 0.5, -1)
-
-    def test_grid_driver_rejects(self):
-        with pytest.raises(ValueError, match="start must be >= 0"):
-            _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [0.5], -1)
+        assert _bits(report) == _bits(_reference_sum_log_series(fetch, z, 1e-12, weight))
 
 
 class TestCacheStats:
@@ -1159,6 +1149,20 @@ class TestRoutingParity:
             assert kilbas_saigo(params, z, as_float(hi)).path == "contour"
             for tol in (as_float(lo), as_float(hi)):
                 _assert_same_as_scalar_calls(params, [z], tol)
+
+    @pytest.mark.parametrize("lam", [-50.0, -2.0 + 1.0j, 1.0j])
+    def test_power_grid_has_the_bits_of_its_points(self, lam):
+        # A solver tail hands the grid z = lam * y**a as a _PowerGrid; on a
+        # contour triple the rule takes the points lam * np.power(y, a), so
+        # both give every field bit for bit. y = 0 is z = 0, a series.
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        ray = _PowerGrid(lam, 0.5, np.linspace(0.0, 1.0, 65))
+        grid = kilbas_saigo_grid(params, ray)
+        zs = lam * np.power(ray.ys, ray.a)
+        points = _assert_same_as_scalar_calls(params, zs.tolist())
+        for got, want in zip(vars(grid).values(), vars(points).values()):
+            assert got.tobytes() == want.tobytes()
+        assert grid.path.tolist() == ["series", *["contour"] * 64]
 
     def test_mixed_table_uses_both_paths(self):
         # More points than one chunk of the series driver, on both paths.
