@@ -8,9 +8,11 @@ alone, maps it to that triple once and reads its coefficients from the
 shared, bounded Kilbas-Saigo cache. A tail from k_start is kilbas_saigo_grid
 at the shifted triple (alpha, m, l + m*k_start) times c_k_start lambda^k_start
 y^(a k_start + b), and k_start = 0 is the whole branch, so an m = 0 problem's
-branches and tails take the contour rule where their series cancels. A point
-is a one-point grid. That the coefficients solve the equation is checked
-independently by verification.residual_coefficient_identity.
+branches and tails take the contour rule where their series cancels. The
+solver evaluates grids, 1-d arrays of y: SeriesSolution.grid_report and
+tail_grid_report, and CauchySolution.grid_report.
+That the coefficients solve the equation is checked independently by
+verification.residual_coefficient_identity.
 """
 
 from __future__ import annotations
@@ -169,24 +171,19 @@ class SeriesSolution:
         return r._replace(value=c * r.value, last_term_magnitude=c * r.last_term_magnitude)
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
-        """grid_report at the one point y > 0 (b < 0 is singular at y = 0)."""
+        """grid_report at the one point y > 0 (b < 0 is singular at y = 0).
+        Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
         return _one_point(self.grid_report([y], tol))
-
-    def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
-        return self.evaluate_report(y, tol).value
 
     def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
         """The branch, with truncation metadata, at every grid point y > 0."""
         return self.tail_grid_report(_check_grid(ys, origin=False), 0, tol)
 
-    def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """grid_report(ys).value."""
-        return self.grid_report(ys, tol).value
-
     def evaluate_tail_report(
         self, y: float, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesEvalReport:
-        """The tail from k_start at y >= 0: tail_grid_report at the one point."""
+        """The tail from k_start at y >= 0: tail_grid_report at the one point.
+        Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
         return _one_point(self.tail_grid_report([y], k_start, tol))
 
     def tail_grid_report(
@@ -234,9 +231,6 @@ class SeriesSolution:
             return self.coefficient(k_start) * self.lam**k_start + 0.0j
         raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
-    def evaluate_tail(self, y: float, k_start: int, tol: float = DEFAULT_TOL) -> complex:
-        return self.evaluate_tail_report(y, k_start, tol).value
-
 
 def _one_point(report: SeriesGridReport) -> SeriesEvalReport:
     """The SeriesEvalReport of a one-point grid report."""
@@ -244,8 +238,10 @@ def _one_point(report: SeriesGridReport) -> SeriesEvalReport:
 
 
 def _check_grid(ys: np.ndarray, origin: bool) -> np.ndarray:
-    """ys as a float array of finite y > 0, or y >= 0 for a tail (origin)."""
+    """ys as a 1-d float array of finite y > 0, or y >= 0 for a tail (origin)."""
     ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1:
+        raise ValueError(f"need a 1-d grid of y, got shape {ys.shape}")
     ok = (ys >= 0.0 if origin else ys > 0.0) & (ys < math.inf)
     if not ok.all():
         y = float(ys[~ok][0])
@@ -274,11 +270,9 @@ class CauchySolution:
     weights: tuple[complex, ...]
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
-        """grid_report at the one point y > 0."""
+        """grid_report at the one point y > 0.
+        Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
         return _one_point(self.grid_report([y], tol))
-
-    def evaluate(self, y: float, tol: float = DEFAULT_TOL) -> complex:
-        return self.evaluate_report(y, tol).value
 
     def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
         """The weighted sum of the branch reports at every y > 0 of ys; a path
@@ -301,10 +295,6 @@ class CauchySolution:
             converged &= rep.converged
             path = rep.path if path is None else np.where(path == rep.path, path, "mixed")
         return SeriesGridReport(total, np.maximum(terms, 1), last, converged, path)
-
-    def evaluate_grid(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """grid_report(ys).value."""
-        return self.grid_report(ys, tol).value
 
 
 def cauchy_solution(

@@ -755,11 +755,15 @@ def kilbas_saigo_grid(
     taken point by point from _contour_pole, then the series by the blocked
     grid driver for the points left. The rule takes a _PowerGrid's points
     lam * np.power(y, a), the driver its ray (kilbas_saigo's to rounding)."""
+    ray = isinstance(zs, _PowerGrid)
+    if not ray:
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 1:
+            raise ValueError(f"need a 1-d grid of z, got shape {zs.shape}")
     if not _contour_rule(params):
         return _sum_log_series_grid(params._log_coeffs, zs, tol)
     _check_series_args(tol)
-    ray = isinstance(zs, _PowerGrid)
-    points = zs.lam * np.power(zs.ys, zs.a) if ray else np.asarray(zs, dtype=complex)
+    points = zs.lam * np.power(zs.ys, zs.a) if ray else zs
     report = SeriesGridReport(
         np.empty(points.size, dtype=complex),
         np.full(points.size, _CONTOUR_NODES),

@@ -177,6 +177,8 @@ def residual_numeric(
     reads 2.3e-4 at 512 points, 4.6e-3 at 4096 and 11.3 at 32768. At i = 6,
     (5.5, 5.25, ...) passes 5e-3 only from about 192 to 320 points.
     """
+    if not 0.0 < y_max < math.inf:
+        raise ValueError(f"y_max must be positive and finite, got {y_max}")
     orders = problem.orders
     min_points = residual_min_points(orders.i)
     if n_points < min_points:

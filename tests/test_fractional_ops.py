@@ -306,7 +306,7 @@ class TestFftConvolution:
         k1 = _default_tail_start(sol)
         n, y_max = 8192, 2.0
         ys = (y_max / n) * np.arange(n + 1)
-        f = SampledFunction(y_max / n, [sol.evaluate_tail_report(y, k1).value for y in ys])
+        f = SampledFunction(y_max / n, sol.tail_grid_report(ys, k1).value)
         nu = problem.orders.inner_order
         ref = direct_rl_integral(f, nu)
         got = rl_integral_numeric(f, nu).values

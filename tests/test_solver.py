@@ -1,6 +1,7 @@
 """Tests for the series construction and its parameter mappings."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -20,6 +21,7 @@ from bihilfer import (
     hilfer_reduction_params,
     kilbas_saigo,
     kilbas_saigo_coefficients,
+    kilbas_saigo_grid,
     mittag_leffler,
 )
 from bihilfer.special_functions import _PowerGrid, _sum_log_series_grid
@@ -171,26 +173,27 @@ class TestSeriesSolution:
     def test_lambda_zero_collapses_to_power(self):
         problem = make_problem(0.7, 0.4, 0.5, 1, m=0.5, lam=0.0)
         sol = fundamental_solution(problem, 0)
-        for y in (0.2, 0.7, 1.0):
-            assert sol.evaluate(y) == pytest.approx(y**sol.b, rel=1e-14)
+        ys = [0.2, 0.7, 1.0]
+        for y, value in zip(ys, sol.grid_report(ys).value.tolist()):
+            assert value == pytest.approx(y**sol.b, rel=1e-14)
 
     def test_caputo_half_erfc_values(self):
         sol = fundamental_solution(CAPUTO_HALF, 0)
-        assert sol.evaluate(1.0).real == pytest.approx(5.0089800, abs=1e-6)
+        assert sol.grid_report([1.0]).value[0].real == pytest.approx(5.0089800, abs=1e-6)
         neg = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, lam=-1.0), 0)
-        assert neg.evaluate(1.0).real == pytest.approx(0.4275836, abs=1e-6)
+        assert neg.grid_report([1.0]).value[0].real == pytest.approx(0.4275836, abs=1e-6)
 
     def test_vanishes_at_origin_for_positive_leading_exponent(self):
         problem = make_problem(1.5, 1.5, 1.0, 2)
         sol = fundamental_solution(problem, 1)  # b_1 = 1
-        assert abs(sol.evaluate(1e-12)) < 1e-11
+        assert abs(sol.grid_report([1e-12]).value[0]) < 1e-11
 
     def test_evaluate_requires_positive_y(self):
         sol = fundamental_solution(CAPUTO_HALF, 0)
         with pytest.raises(DomainError):
-            sol.evaluate(0.0)
+            sol.grid_report([0.0])
         with pytest.raises(DomainError):
-            sol.evaluate(-0.5)
+            sol.grid_report([-0.5])
 
     @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
     def test_non_finite_y_rejected_on_every_path(self, y):
@@ -216,6 +219,24 @@ class TestSeriesSolution:
         with pytest.raises(DomainError, match=r"y >= 0, got y=-0.5"):
             sol.tail_grid_report(np.array([0.0, -0.5]), 1)
 
+    @pytest.mark.parametrize("shape", [(), (2, 1)], ids=["0-d", "2-d"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: kilbas_saigo_grid(KilbasSaigoParams(1.5, 1.0, 0.0), -g),
+            lambda g: kilbas_saigo_grid(KilbasSaigoParams(0.5, 1.0, 0.0), -g),
+            lambda g: fundamental_solution(CAPUTO_HALF, 0).grid_report(g),
+            lambda g: fundamental_solution(CAPUTO_HALF, 0).tail_grid_report(g, 1),
+            lambda g: cauchy_solution(CAPUTO_HALF, [1.0]).grid_report(g),
+        ],
+        ids=["ks-series", "ks-contour", "branch", "tail", "cauchy"],
+    )
+    def test_grid_must_be_one_dimensional(self, call, shape):
+        # A 0-d or 2-d grid raised IndexError, TypeError or a broadcast error.
+        grid = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=rf"1-d grid of [yz], got shape {re.escape(str(shape))}"):
+            call(grid)
+
     def test_negative_series_start_rejected(self):
         # A negative start has no shifted triple (alpha, m, l + m*start).
         sol = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, lam=-1.0), 0)
@@ -239,10 +260,10 @@ class TestSeriesSolution:
             for s in range(problem.orders.i):
                 sol = fundamental_solution(problem, s)
                 ks_params = sol.kilbas_saigo_params()
-                for y in (0.1, 0.5, 1.0):
+                ys = [0.1, 0.5, 1.0]
+                for y, got in zip(ys, sol.grid_report(ys, tol=tol).value.tolist()):
                     z = problem.lam * y**sol.a
                     expected = y**sol.b * kilbas_saigo(ks_params, z, tol=tol).value
-                    got = sol.evaluate(y, tol=tol)
                     assert abs(got - expected) <= 10.0 * tol * max(1.0, abs(expected))
 
     def test_homogeneity(self):
@@ -252,9 +273,9 @@ class TestSeriesSolution:
         c = 1.7
         scaled_problem = make_problem(0.6, 0.4, 0.3, 1, m=0.5, lam=(0.8 + 0.3j) / c**sol.a)
         scaled = fundamental_solution(scaled_problem, 0)
-        for y in (0.2, 0.4):
-            lhs = scaled.evaluate(c * y)
-            rhs = c**sol.b * sol.evaluate(y)
+        ys = np.array([0.2, 0.4])
+        for lhs, value in zip(scaled.grid_report(c * ys).value, sol.grid_report(ys).value):
+            rhs = c**sol.b * value
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_lazy_extension(self):
@@ -266,9 +287,7 @@ class TestSeriesSolution:
         problem = make_problem(0.8, 0.6, 0.4, 1, m=0.5, lam=-1.0 + 0.5j)
         sol = fundamental_solution(problem, 0)
         ys = np.linspace(0.05, 1.0, 17)
-        grid_vals = sol.evaluate_grid(ys)
-        point_vals = np.array([sol.evaluate(float(y)) for y in ys])
-        assert np.array_equal(grid_vals, point_vals)
+        assert_matches_pointwise(sol.grid_report(ys), [sol.evaluate_report(float(y)) for y in ys])
 
     def test_tail_grid_report_matches_pointwise(self):
         problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
@@ -311,15 +330,15 @@ class TestSeriesSolution:
         problem = make_problem(0.5, 0.5, 0.0, 1, lam=2.0)
         sol = fundamental_solution(problem, 0)
         y = 0.65
-        full = sol.evaluate(y)
+        full = sol.grid_report([y]).value[0]
         head = sum(
             sol.coefficient(k) * problem.lam**k * y ** (sol.a * k + sol.b)
             for k in range(3)
         )
-        tail = sol.evaluate_tail(y, 3)
+        tail, origin = sol.tail_grid_report([y, 0.0], 3).value
         assert abs((head + tail) - full) <= 1e-12 * abs(full)
         # at the origin the tail vanishes once its leading exponent is positive
-        assert sol.evaluate_tail(0.0, 3) == 0.0
+        assert origin == 0.0
 
 
 # E_{1/2}(-50 sqrt y) = exp(2500 y) erfc(50 sqrt y): an m = 0 problem, so its
@@ -480,14 +499,15 @@ class TestShiftedTail:
 class TestCauchySolution:
     def test_all_zero_data(self):
         sol = cauchy_solution(make_problem(1.5, 1.3, 0.5, 2, m=1.0), [0.0, 0.0])
-        for y in (0.1, 1.0):
-            assert sol.evaluate(y) == 0.0
+        for value in sol.grid_report([0.1, 1.0]).value:
+            assert value == 0.0
 
     def test_single_branch_caputo(self):
         sol = cauchy_solution(CAPUTO_HALF, [1.0])
-        for y in (0.25, 1.0):
+        ys = [0.25, 1.0]
+        for y, value in zip(ys, sol.grid_report(ys).value.tolist()):
             expected = mittag_leffler(0.5, 1.0, math.sqrt(y))
-            assert abs(sol.evaluate(y) - expected) <= 1e-10 * abs(expected)
+            assert abs(value - expected) <= 1e-10 * abs(expected)
 
     def test_second_branch_leading_exponent(self):
         problem = make_problem(1.5, 1.25, 0.4, 2, m=0.5)
@@ -495,7 +515,7 @@ class TestCauchySolution:
         sol = cauchy_solution(problem, [0.0, 1.0])
         y = 1e-9
         # only the s = 1 branch is active, so u ~ (phi_1/1!) y^{b_1}
-        assert abs(sol.evaluate(y)) == pytest.approx(y ** params.b[1], rel=1e-3)
+        assert abs(sol.grid_report([y]).value[0]) == pytest.approx(y ** params.b[1], rel=1e-3)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="phis"):
@@ -545,10 +565,7 @@ class TestCauchySolution:
         problem = make_problem(1.5, 1.5, 0.5, 2, m=0.0, lam=1.0 - 0.5j)
         sol = cauchy_solution(problem, [2.0, 3.0])
         ys = np.linspace(0.1, 1.0, 7)
-        assert np.array_equal(
-            sol.evaluate_grid(ys),
-            [sol.evaluate(float(y)) for y in ys],
-        )
+        assert_matches_pointwise(sol.grid_report(ys), [sol.evaluate_report(float(y)) for y in ys])
 
 
 class TestHilferReduction:
@@ -604,10 +621,11 @@ class TestClosedFormClosure:
         for alpha, lam in [(0.5, 1.0), (0.5, -1.0), (0.8, 0.7 - 0.2j), (0.3, 4.0)]:
             problem = make_problem(alpha, alpha, 1.0, 1, lam=lam)
             sol = fundamental_solution(problem, 0)
-            for y in np.linspace(0.05, 1.0, 9):
+            ys = np.linspace(0.05, 1.0, 9)
+            report = sol.grid_report(ys)
+            assert report.converged.all()
+            for y, value in zip(ys, report.value):
                 expected = mittag_leffler(alpha, 1.0, lam * y**alpha)
-                report = sol.evaluate_report(float(y))
-                assert report.converged
-                assert abs(report.value - expected) <= 1e-10 * max(
+                assert abs(value - expected) <= 1e-10 * max(
                     1.0, abs(expected)
                 )

@@ -161,6 +161,13 @@ class TestNumericResidual:
             report = residual_numeric(problem, s, n_points=512)
             assert report.max_rel_error <= 5e-3
 
+    @pytest.mark.parametrize("y_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_y_max_must_be_positive_and_finite(self, y_max):
+        # It was taken unchecked into the grid, whose first bad point was
+        # then reported as "got y=-0.015625" or "got y=nan".
+        with pytest.raises(ValueError, match=f"^y_max must be positive and finite, got {y_max}$"):
+            residual_numeric(CAPUTO_HALF, 0, y_max=y_max, n_points=64)
+
     def test_grid_tail_matches_pointwise_loop(self):
         # The verify-fine problem, branch by branch, against the residual
         # built from a per-point evaluate_tail_report loop.
@@ -250,8 +257,9 @@ class TestCrossOracleClosure:
         for alpha, lam in [(0.3, 1.0), (0.5, -1.0), (0.8, 0.6 + 0.3j)]:
             problem = make_problem(alpha, alpha, 1.0, 1, lam=lam)
             sol = fundamental_solution(problem, 0)
-            for y in np.linspace(0.01, 1.0, 21):
-                expected = mittag_leffler(alpha, 1.0, lam * float(y) ** alpha)
-                assert abs(sol.evaluate(float(y)) - expected) <= 1e-10 * max(
+            ys = np.linspace(0.01, 1.0, 21)
+            for y, value in zip(ys.tolist(), sol.grid_report(ys).value):
+                expected = mittag_leffler(alpha, 1.0, lam * y ** alpha)
+                assert abs(value - expected) <= 1e-10 * max(
                     1.0, abs(expected)
                 )
