@@ -34,14 +34,16 @@ _EXPORTS = {
         "fundamental_solution",
         "hilfer_reduction_params",
     ),
+    "series_grid": (
+        "SeriesGridReport",
+        "kilbas_saigo_grid",
+    ),
     "special_functions": (
         "KilbasSaigoParams",
         "SeriesEvalReport",
-        "SeriesGridReport",
         "gamma_ratio",
         "kilbas_saigo",
         "kilbas_saigo_coefficients",
-        "kilbas_saigo_grid",
         "log_gamma",
         "log_gamma_ratio",
         "mittag_leffler",

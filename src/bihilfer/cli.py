@@ -26,7 +26,8 @@ from .errors import DomainError
 
 # The engine modules are imported inside the commands that run them: each
 # process compiles what it imports unless bytecode caches are written, so
-# --version and --help load none of them and eval-ks only special_functions.
+# --version and --help load none of them and eval-ks only special_functions
+# and series_grid.
 
 SCHEMA_VERSION = 1
 
@@ -226,7 +227,8 @@ def cli() -> None:
 @common_options
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
-    from .special_functions import KilbasSaigoParams, kilbas_saigo_grid
+    from .series_grid import kilbas_saigo_grid
+    from .special_functions import KilbasSaigoParams
 
     zs = list(z)
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -26,16 +27,13 @@ import numpy as np
 
 from .errors import DomainError
 from .fractional_ops import OrderTriple
+from .series_grid import _CHUNK_POINTS, SeriesGridReport, _PowerGrid, kilbas_saigo_grid
 from .special_functions import (
-    _CHUNK_POINTS,
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
-    SeriesGridReport,
-    _PowerGrid,
     _sum_log_series,
     kilbas_saigo_coefficients,
-    kilbas_saigo_grid,
 )
 
 __all__ = [
@@ -147,14 +145,12 @@ class SeriesSolution:
 
     def _tail_params(self, k_start: int) -> KilbasSaigoParams:
         """(alpha, m, l + m*k_start), whose coefficients are c_{k_start+j}/c_k_start."""
-        if k_start < 0:
-            raise ValueError(f"k_start must be >= 0, got k_start={k_start}")
+        k_start = _check_index("k_start", k_start)
         return replace(self._params, l=self._params.l + self._params.m * k_start)
 
     def coefficient(self, k: int) -> float:
         """c_k, extending the shared cache if needed."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got k={k}")
+        k = _check_index("k", k)
         return math.exp(self._params._log_coeffs(k + 1)[k])
 
     def series_report(
@@ -222,14 +218,25 @@ class SeriesSolution:
         """Limit at y -> 0+ of y^shift times the tail from k_start: zero when
         its leading exponent shift + a*k_start + b is positive, the leading
         term c_{k_start} lambda^{k_start} when it is zero."""
-        if k_start < 0:
-            raise ValueError(f"k_start must be >= 0, got k_start={k_start}")
+        k_start = _check_index("k_start", k_start)
         lead = shift + self.a * k_start + self.b
         if lead > 0.0:
             return 0.0 + 0.0j
         if lead == 0.0:
             return self.coefficient(k_start) * self.lam**k_start + 0.0j
         raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
+
+
+def _check_index(name: str, value: int, minimum: int = 0) -> int:
+    """An integer argument (a series index, a grid size) as an int of at
+    least `minimum`; a float, even 2.0, is refused."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
+    if index < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {name}={index}")
+    return index
 
 
 def _one_point(report: SeriesGridReport) -> SeriesEvalReport:

@@ -1,20 +1,23 @@
-"""Special-function kernel.
+"""Special-function kernel, scalar half.
 
 Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
-E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}. The
-series engine sums one point at a time (_sum_log_series) or a whole grid in
-numpy blocks (_sum_log_series_grid), with one stopping rule, and an array of
-z gets the same bits either way. Every sum starts at c_0 = 1 (a tail from
-index K is the triple (alpha, m, l + m*K)). Where the series cancels, at m = 1,
-0 < alpha < 1 and l <= 0, kilbas_saigo and kilbas_saigo_grid take a 33-node
-trapezoid rule on a Laplace-inversion contour instead, plus the residue of
-the one pole right of the contour where |arg z| < alpha*pi, whenever the
-rule's error estimate meets tol: one point in Python arithmetic
-(_contour_point) and a grid in numpy (_contour_sum) rounded the same way, so
-again with the same bits either way. The Mittag-Leffler routine exists
-purely as an independent cross-check for the m = 1 reductions of
-E_{alpha,m,l}; it always takes the series engine (and so the truncation
-rule) but not the coefficient computation.
+E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}, one point
+at a time. The series engine (_sum_log_series) owns the package's one
+stopping rule. Every sum starts at c_0 = 1 (a tail from index K is the
+triple (alpha, m, l + m*K)). Where the series cancels, at m = 1,
+0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid rule on a
+Laplace-inversion contour instead (_contour_point), plus the residue of the
+one pole right of the contour where |arg z| < alpha*pi, whenever the rule's
+error estimate meets tol. The Mittag-Leffler routine exists purely as an
+independent cross-check for the m = 1 reductions of E_{alpha,m,l}; it always
+takes the series engine (and so the truncation rule) but not the coefficient
+computation.
+
+This module uses only math and cmath and does not import numpy, so a scalar
+caller never pays for it. The grid form, kilbas_saigo_grid, lives in
+series_grid: it sums the same series in numpy blocks and runs the contour
+rule on arrays of this module's nodes (_contour_node_tuples), with the same
+bits as a loop of kilbas_saigo calls.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).
@@ -31,21 +34,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
     "CacheStats",
     "KilbasSaigoParams",
     "SeriesEvalReport",
-    "SeriesGridReport",
     "log_gamma",
     "log_gamma_ratio",
     "gamma_ratio",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",
-    "kilbas_saigo_grid",
     "mittag_leffler",
 ]
 
@@ -162,24 +161,6 @@ class SeriesEvalReport(NamedTuple):
     last_term_magnitude: float
     converged: bool
     path: str = "series"
-
-
-@dataclass(frozen=True, eq=False)
-class SeriesGridReport:
-    """A SeriesEvalReport per grid point, one array per field. Without a
-    path array every point took the series (a read-only view, no per-point
-    memory)."""
-
-    value: np.ndarray
-    terms_used: np.ndarray
-    last_term_magnitude: np.ndarray
-    converged: np.ndarray
-    path: "np.ndarray | None" = None
-
-    def __post_init__(self) -> None:
-        if self.path is None:
-            series = np.broadcast_to(np.str_("series"), self.value.shape)
-            object.__setattr__(self, "path", series)
 
 
 @dataclass(frozen=True)
@@ -348,169 +329,6 @@ def _sum_log_series(
     return SeriesEvalReport(complex(total), _MAX_TERMS, mag, False)
 
 
-# The grid driver sums up to _CHUNK_POINTS points at a time in blocks of
-# terms. A chunk's first block is as long as the longest sum of the chunk
-# before, at least 4 (16 for the first chunk), later blocks are 4, 8, 16,
-# ... terms, and none is longer than _BLOCK_TERMS, so a temporary holds at
-# most 512 x 33 elements (32 terms and the carried sum).
-_BLOCK_TERMS = 32
-_CHUNK_POINTS = 512
-
-# Largest term exponent Re(L + k log z) the grid driver sums itself. Up to
-# here np.exp and the scalar exps round alike (they rescale differently past
-# about 708), and _MAX_TERMS such terms cannot overflow a sum.
-_GRID_EXP_MAX = 700.0
-
-
-class _PowerGrid(NamedTuple):
-    """The points z_j = lam * y_j**a, y_j >= 0, a > 0, on the ray arg lam: the
-    grid driver forms their terms as exp(L[k] + k ln|z_j|) with
-    ln|z_j| = ln|lam| + a ln y_j, times one phase e^(ik arg lam) per k."""
-
-    lam: complex
-    a: float
-    ys: np.ndarray
-
-
-def _sum_log_series_grid(
-    log_coeffs: Callable[[int], list[float]],
-    zs: "np.ndarray | _PowerGrid",
-    tol: float = DEFAULT_TOL,
-) -> SeriesGridReport:
-    """_sum_log_series(log_coeffs, z, tol) at every z of zs.
-
-    Terms are formed for a block of k and a chunk of points at once and
-    summed in order, each point carrying its sum, whether its last two terms
-    were small and its last magnitude from block to block until the stopping
-    rule fires. A point that would need a term above exp(_GRID_EXP_MAX), or
-    whose exponent is not finite, is summed by _sum_log_series itself, so
-    overflow keeps the scalar semantics.
-
-    Only the forming of terms depends on zs. An array of z gets the scalar
-    engine's bits from operations that round like it: complex np.exp, np.hypot,
-    IEEE sums and products, and log z per point by math/cmath. A _PowerGrid
-    agrees with it to rounding.
-    """
-    _check_series_args(tol)
-    ray = isinstance(zs, _PowerGrid)
-    points = zs.ys if ray else np.asarray(zs, dtype=complex)
-    report = SeriesGridReport(
-        np.empty(points.size, dtype=complex),
-        np.empty(points.size, dtype=np.int64),
-        np.empty(points.size),
-        np.empty(points.size, dtype=bool),
-    )
-    first = 16
-    for c in range(0, points.size, _CHUNK_POINTS):
-        chunk = points[c : c + _CHUNK_POINTS]
-        _sum_chunk(log_coeffs, zs._replace(ys=chunk) if ray else chunk, c, tol, first, report)
-        first = int(report.terms_used[c : c + _CHUNK_POINTS].max())
-    return report
-
-
-def _sum_chunk(
-    log_coeffs: Callable[[int], list[float]],
-    zs: "np.ndarray | _PowerGrid",
-    offset: int,
-    tol: float,
-    first: int,
-    out: SeriesGridReport,
-) -> None:
-    """Sum the series at zs into out[offset:], block by block, the first
-    block `first` terms long (clamped to 4.._BLOCK_TERMS)."""
-    ray = isinstance(zs, _PowerGrid)
-    nonzero = (zs.ys != 0.0) & (zs.lam != 0) if ray else zs != 0
-    zero = offset + np.flatnonzero(~nonzero)
-    if zero.size:
-        out.value[zero] = math.exp(log_coeffs(1)[0])
-        out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
-    points = np.flatnonzero(nonzero)
-    # Per point: ln|z|, and for an array of z also arg z and whether z < 0
-    # (at lam = 0 there is no point, and ln 1 stands in for ln|lam|).
-    if ray:
-        cols = (np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0),)
-    else:
-        z = zs[points]
-        real = z.imag == 0.0
-        log_z = np.empty(points.size, dtype=complex)
-        log_z[real] = list(map(math.log, np.abs(z.real[real]).tolist()))
-        log_z[~real] = list(map(cmath.log, z[~real].tolist()))
-        cols = (log_z.real, log_z.imag, real & (z.real < 0.0))
-    total = np.zeros(points.size, dtype=complex)
-    was_small = np.zeros((2, points.size), dtype=bool)
-    prev = np.full(points.size, math.inf)
-    scalar = []
-    k0, width, later = 0, max(first, 4), 4
-    while points.size:
-        nb = min(width, _BLOCK_TERMS, _MAX_TERMS - k0)
-        ks = np.arange(k0, k0 + nb, dtype=float)[:, None]
-        logs = np.array(log_coeffs(k0 + nb)[k0 : k0 + nb])[:, None]
-        # Column j is point j: its carried state in row 0 and term k in row
-        # k + 1, so operations run along the chunk and cumsum in scalar order.
-        sums = np.empty((nb + 1, points.size), dtype=complex)
-        mags = np.empty((nb + 1, points.size))
-        small = np.empty((nb + 2, points.size), dtype=bool)
-        sums[0], mags[0], small[:2] = total, prev, was_small
-        t, prevs = sums[1:], mags[:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # In place, so a block allocates little besides its three arrays.
-            expo = np.multiply(ks, cols[0], out=mags[1:] if ray else t.real)
-            expo += logs
-            # Row of each point's first term past exp(_GRID_EXP_MAX) or with
-            # a nan exponent. max propagates nan, so only a block with no
-            # such term skips the mask.
-            big = nb if expo.max() <= _GRID_EXP_MAX else _first_true(~(expo <= _GRID_EXP_MAX), nb)
-            if ray:
-                # |t_k| is the real exp; for real lam the phase is (+-1)^k.
-                mag = np.exp(expo, out=expo)
-                if zs.lam.imag == 0.0:
-                    np.multiply(mag, 1.0 - 2.0 * (ks % 2) if zs.lam.real < 0.0 else 1.0, out=t.real)
-                    t.imag = 0.0
-                else:
-                    np.multiply(mag, np.cos(ks * cmath.phase(zs.lam)), out=t.real)
-                    np.multiply(mag, np.sin(ks * cmath.phase(zs.lam)), out=t.imag)
-            else:
-                np.multiply(ks, cols[1], out=t.imag)
-                np.exp(t, out=t)
-                if cols[2].any():
-                    np.negative(t, out=t, where=cols[2] & (ks % 2 == 1))
-                mag = np.hypot(t.real, t.imag, out=mags[1:])
-            np.cumsum(sums, axis=0, out=sums)
-            sums = t
-            # |S_k| everywhere: where |t_k| <= tol it cannot change the test.
-            now = np.less_equal(mag, tol, out=small[2:])
-            size = np.abs(sums) if ray else np.hypot(sums.real, sums.imag)
-            np.fmax(size, 1.0, out=size)
-            now |= mag <= np.multiply(size, tol, out=size)
-            decreasing = (mag < prevs) | ((mag == 0.0) & (prevs == 0.0))
-        # Three small terms in a row, the last smaller than the one before.
-        stop = _first_true(now & small[1:-1] & small[:-2] & decreasing, nb)
-        done = stop < big
-        settle = done | ((big == nb) & (k0 + nb == _MAX_TERMS))
-        at = np.where(done, stop, nb - 1)[settle]
-        columns = np.flatnonzero(settle)
-        settled = offset + points[settle]
-        out.value[settled] = sums[at, columns]
-        out.terms_used[settled] = k0 + at + 1
-        out.last_term_magnitude[settled] = mag[at, columns]
-        out.converged[settled] = done[settle]
-        scalar += points[(big < nb) & ~done].tolist()
-        keep = ~settle & (big == nb)
-        points, cols = points[keep], tuple(c[keep] for c in cols)
-        total, was_small, prev = sums[-1, keep], small[-2:, keep], mag[-1, keep]
-        k0, width, later = k0 + nb, later, 2 * later
-    for p in scalar:
-        z = zs.lam * float(zs.ys[p]) ** zs.a if ray else complex(zs[p])
-        report = _sum_log_series(log_coeffs, z, tol)
-        for array, field in zip(vars(out).values(), report[:4]):
-            array[offset + p] = field
-
-
-def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
-    """Row of the first True in each column of mask, `none` where there is none."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
-
-
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2 (Weideman & Trefethen,
 # Math. Comp. 76 (2007) 1341): nodes u_k = k h, |k| <= N, h = 3/N, mu = pi N/12.
 # Rounding grows like e^mu, so N is chosen, not maximised: against mpmath,
@@ -573,10 +391,11 @@ def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, floa
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(full, half): the arrays (s_k^alpha, weight, rounding factor) of
-    every node, and of the nodes u >= 0 with their mirror images folded in,
-    for real z; indexing the pair by `real` picks the rule.
+def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
+    """(full, half): (s_k^alpha, weight, rounding factor) of every node, and
+    of the nodes u >= 0 with their mirror images folded in, for real z;
+    indexing the pair by `real` picks the rule. The grid's node arrays
+    (series_grid._contour_nodes) hold these same numbers.
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z), beta = alpha*l + 1, is
     Gamma(beta)/(2 pi i) times the integral of e^s s^(alpha-beta)/(s^alpha - z)
@@ -584,32 +403,20 @@ def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]
     the rule is sum_k w_k/(s_k^alpha - z) with
     w_k = Gamma(beta) (h mu/pi) (1 + iu_k) e^(s_k) s_k^(alpha-beta). Node k's
     term inherits the absolute rounding of s_k through e^(s_k): the rounding
-    factor is eps (1 + |s_k|). The arrays are shared and read-only.
+    factor is eps (1 + |s_k|).
     """
     n, beta = _CONTOUR_N, alpha * l + 1.0
     h, mu = _CONTOUR_H, _CONTOUR_MU
-    w = 1.0 + 1j * h * np.arange(-n, n + 1)
-    s = mu * w * w
-    log_s = np.log(s)
-    power = np.exp(alpha * log_s)
-    weight = np.exp(
-        math.lgamma(beta) + math.log(h * mu / math.pi) + np.log(w) + s + (alpha - beta) * log_s
-    )
-    rounding = _EPS * (1.0 + np.abs(s))
-    folded = weight[n:].copy()
-    folded[1:] *= 2.0
-    full = (power, weight, rounding)
-    half = (power[n:].copy(), folded, rounding[n:].copy())
-    for array in (*full, *half):
-        array.flags.writeable = False
-    return full, half
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
-    """_contour_nodes(alpha, l) as Python numbers: (full, half), each a
-    tuple of (s_k^alpha, weight, rounding factor) per node, for one point."""
-    return tuple(tuple(zip(*(a.tolist() for a in rule))) for rule in _contour_nodes(alpha, l))
+    scale = math.lgamma(beta) + math.log(h * mu / math.pi)
+    full = []
+    for k in range(-n, n + 1):
+        w = complex(1.0, h * k)
+        s = mu * w * w
+        log_s = cmath.log(s)
+        weight = cmath.exp(scale + cmath.log(w) + s + (alpha - beta) * log_s)
+        full.append((cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))))
+    half = [full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :])]
+    return tuple(full), tuple(half)
 
 
 def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, float, float] | None":
@@ -632,7 +439,7 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
     real = z.imag == 0.0
     nodes = _contour_node_tuples(alpha, params.l)[real]
     # -0.0 is the identity of IEEE addition, so each sum starts at its
-    # first term exactly, as np.cumsum does in _contour_sum.
+    # first term exactly, as np.cumsum does in series_grid._contour_sum.
     value, bound = complex(-0.0, -0.0), -0.0
     try:
         for power, weight, rounding in nodes:
@@ -665,60 +472,10 @@ def _contour_point(params: KilbasSaigoParams, z: complex, tol: float) -> "Series
     try:
         size = abs(value)
     except OverflowError:
-        size = math.inf  # np.hypot's value in _contour_sum
+        size = math.inf  # np.hypot's value in series_grid._contour_sum
     if estimate <= tol * (size if size > 1.0 else 1.0):
         return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
     return None
-
-
-def _py_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b elementwise, rounded as CPython divides two complex numbers
-    (Smith's algorithm in _Py_c_quot), where numpy's division rounds
-    otherwise. b has no zero element."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    q = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        np.divide(np.where(by_real, ar + ai * ratio, ar * ratio + ai), denom, out=q.real)
-        np.divide(np.where(by_real, ai - ar * ratio, ai * ratio - ar), denom, out=q.imag)
-    return q
-
-
-def _contour_sum(
-    params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool, pole: "tuple | None"
-) -> tuple:
-    """(value, last_term_magnitude, converged) of _contour_point at each of a
-    column z of points, all real or all complex, bit for bit. pole is None in
-    the sector, and off it the arrays (residue, rounding bound, error) of
-    _contour_pole at each point.
-
-    Every operation rounds as the Python one does: CPython's complex
-    quotient (_py_quotient), np.hypot for abs (both are libm hypot), running
-    sums in node order (np.cumsum; .sum would add pairwise) and the pole's
-    terms added after them in the same order. Where the scalar rule gives up
-    on a zero divisor or an overflow, the sums here are not finite, so the
-    estimate fails.
-    """
-    power, weight, rounding = _contour_nodes(params.alpha, params.l)[real]
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = _py_quotient(weight, power - z)
-        mags = np.hypot(t.real, t.imag)
-        value = np.cumsum(t, axis=1)[:, -1]
-        if real:
-            value, last = value.real, 0.5 * mags[:, -1]
-        else:
-            last = np.fmax(mags[:, 0], mags[:, -1])
-        bound = np.cumsum(mags * rounding, axis=1)[:, -1]
-        if pole is None:
-            bound += last
-        else:
-            residue, pole_rounding, error = pole
-            value = value + (residue.real if real else residue)
-            bound = bound + pole_rounding + last + error
-        size = np.abs(value) if real else np.hypot(value.real, value.imag)
-        return value, last, bound <= tol * np.fmax(size, 1.0)
 
 
 def kilbas_saigo(
@@ -733,7 +490,7 @@ def kilbas_saigo(
 
     At m = 1, 0 < alpha < 1, l <= 0 and finite z != 0, where the series
     needs about |z|^(1/alpha) terms that cancel, the value is the 33-node
-    contour rule of _contour_nodes instead, reported with path="contour":
+    contour rule of _contour_node_tuples instead, reported with path="contour":
     in the sector |arg z| >= alpha*pi as it stands, off it with the residue
     of the one pole s* (_contour_pole) added where s* lies right of the
     contour. Where the rule's error estimate cannot meet tol, the series is
@@ -745,55 +502,6 @@ def kilbas_saigo(
         if report is not None:
             return report
     return _sum_log_series(params._log_coeffs, z, tol)
-
-
-def kilbas_saigo_grid(
-    params: KilbasSaigoParams, zs: "np.ndarray | _PowerGrid", tol: float = DEFAULT_TOL
-) -> SeriesGridReport:
-    """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
-    included: the contour rule on a (points x nodes) array, its pole terms
-    taken point by point from _contour_pole, then the series by the blocked
-    grid driver for the points left. The rule takes a _PowerGrid's points
-    lam * np.power(y, a), the driver its ray (kilbas_saigo's to rounding)."""
-    ray = isinstance(zs, _PowerGrid)
-    if not ray:
-        zs = np.asarray(zs, dtype=complex)
-        if zs.ndim != 1:
-            raise ValueError(f"need a 1-d grid of z, got shape {zs.shape}")
-    if not _contour_rule(params):
-        return _sum_log_series_grid(params._log_coeffs, zs, tol)
-    _check_series_args(tol)
-    points = zs.lam * np.power(zs.ys, zs.a) if ray else zs
-    report = SeriesGridReport(
-        np.empty(points.size, dtype=complex),
-        np.full(points.size, _CONTOUR_NODES),
-        np.empty(points.size),
-        np.ones(points.size, dtype=bool),
-        np.full(points.size, "series", dtype="<U7"),
-    )
-    alpha, beta = params.alpha, params.alpha * params.l + 1.0
-    sector = np.array([_in_sector(alpha, z) for z in points.tolist()], dtype=bool)
-    off = np.flatnonzero(~sector)
-    poles = [_contour_pole(alpha, beta, z) for z in points[off].tolist()]
-    taken = np.array([pole is not None for pole in poles], dtype=bool)
-    pole_arrays = [np.array(column) for column in zip(*filter(None, poles))]
-    for at, pole in ((np.flatnonzero(sector), None), (off[taken], pole_arrays)):
-        for real in (False, True):
-            row = (points.imag[at] == 0.0) == real
-            if row.any():
-                terms = None if pole is None else tuple(a[row] for a in pole)
-                value, last, converged = _contour_sum(params, points[at[row], None], tol, real, terms)
-                done = at[row][converged]
-                report.value[done] = value[converged]
-                report.last_term_magnitude[done] = last[converged]
-                report.path[done] = "contour"
-    rest = np.flatnonzero(report.path == "series")
-    left = zs._replace(ys=zs.ys[rest]) if ray else points[rest]
-    series = _sum_log_series_grid(params._log_coeffs, left, tol)
-    report.value[rest], report.terms_used[rest] = series.value, series.terms_used
-    report.last_term_magnitude[rest] = series.last_term_magnitude
-    report.converged[rest] = series.converged
-    return report
 
 
 def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> complex:

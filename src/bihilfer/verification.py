@@ -31,6 +31,7 @@ from .solver import (
     CauchySolution,
     DegenerateProblem,
     SeriesSolution,
+    _check_index,
     cauchy_solution,
     coefficient_sequence,
     fundamental_solution,
@@ -180,13 +181,9 @@ def residual_numeric(
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"y_max must be positive and finite, got {y_max}")
     orders = problem.orders
-    min_points = residual_min_points(orders.i)
-    if n_points < min_points:
-        raise ValueError(f"n_points must be >= {min_points}, got {n_points}")
+    n_points = _check_index("n_points", n_points, residual_min_points(orders.i))
     sol = fundamental_solution(problem, s)
-    k1 = _default_tail_start(sol) if tail_start is None else tail_start
-    if k1 < 0:
-        raise ValueError("tail_start must be >= 0")
+    k1 = _default_tail_start(sol) if tail_start is None else _check_index("tail_start", tail_start)
     h = y_max / n_points
     ys = h * np.arange(n_points + 1)
     tail = sol.tail_grid_report(ys, k1, tol)

@@ -12,8 +12,32 @@ import pytest
 
 import bihilfer
 
-ENGINE = ["bihilfer.fractional_ops", "bihilfer.solver", "bihilfer.special_functions",
-          "bihilfer.verification"]
+ENGINE = ["bihilfer.fractional_ops", "bihilfer.series_grid", "bihilfer.solver",
+          "bihilfer.special_functions", "bihilfer.verification"]
+
+# Every scalar path of special_functions, each checked by the path it
+# reports: the series at real and complex z, the contour rule in the sector
+# and off it with the pole's residue, a point the rule refuses, the last
+# call through the lazy namespace.
+SCALAR_CALLS = """
+import bihilfer
+import bihilfer.special_functions as sf
+from bihilfer.special_functions import KilbasSaigoParams as P
+paths = [
+    sf.kilbas_saigo(P(0.6, 2.0, 1.0), -3.0).path,
+    sf.kilbas_saigo(P(0.6, 2.0, 1.0), 0.5 + 1.5j).path,
+    sf.kilbas_saigo(P(0.5, 1.0, 0.0), -8.0).path,
+    sf.kilbas_saigo(P(0.3, 1.0, 0.0), 3.0).path,
+    sf.kilbas_saigo(P(0.5, 1.0, 0.0), -1.0, tol=1e-16).path,
+    bihilfer.kilbas_saigo(P(0.5, 1.0, 0.0), -1.0 + 2.0j).path,
+]
+assert paths == ['series', 'series', 'contour', 'contour', 'series', 'contour'], paths
+assert not sf._in_sector(0.3, 3.0) and sf._contour_pole(0.3, 1.0, 3.0)[0] != 0
+assert sf.mittag_leffler(0.5, 1.0, -2.0) != 0
+assert sf.kilbas_saigo_coefficients(P(0.5, 1.0, 0.0), 4)[0] == 1.0
+assert sf.gamma_ratio(3.5, 2.0) > 0 and sf.log_gamma_ratio(3.5, 2.0) > 0 and sf.log_gamma(0.5) > 0
+assert 'numpy' not in sys.modules, 'numpy is loaded'
+"""
 
 
 def _loaded(script):
@@ -49,19 +73,26 @@ class TestImportFootprint:
         assert _loaded(_command(*args)) == ["bihilfer", "bihilfer.errors"]
 
     def test_eval_ks_loads_special_functions_only(self):
+        # Both halves of the special-function kernel, scalar and grid.
         loaded = _loaded(_command("eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0",
                                   "--z", "-1"))
-        assert [m for m in ENGINE if m in loaded] == ["bihilfer.special_functions"]
+        assert [m for m in ENGINE if m in loaded] == ["bihilfer.series_grid",
+                                                      "bihilfer.special_functions"]
 
     def test_fundamental_loads_the_solver_but_not_verification(self):
         loaded = _loaded(_command("fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
                                   "--points", "4"))
-        assert [m for m in ENGINE if m in loaded] == ENGINE[:3]
+        assert [m for m in ENGINE if m in loaded] == ENGINE[:4]
 
     def test_verify_loads_every_engine_module(self):
         loaded = _loaded(_command("verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
                                   "--points", "64"))
         assert [m for m in ENGINE if m in loaded] == ENGINE
+
+    def test_scalar_calls_load_no_numpy(self):
+        # The script itself asserts that numpy stays unloaded.
+        assert _loaded(SCALAR_CALLS) == ["bihilfer", "bihilfer.errors",
+                                         "bihilfer.special_functions"]
 
 
 class TestNamespace:

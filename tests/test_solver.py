@@ -24,7 +24,7 @@ from bihilfer import (
     kilbas_saigo_grid,
     mittag_leffler,
 )
-from bihilfer.special_functions import _PowerGrid, _sum_log_series_grid
+from bihilfer.series_grid import _PowerGrid, _sum_log_series_grid
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -248,6 +248,24 @@ class TestSeriesSolution:
             sol.tail_grid_report(np.array([0.5]), -1)
         with pytest.raises(ValueError, match="k_start must be >= 0"):
             sol.evaluate_tail_report(0.0, -1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sol: sol.tail_grid_report(np.array([0.5]), 1.5),
+            lambda sol: sol.tail_grid_report(np.array([0.0]), 2.0),
+            lambda sol: sol.tail_at_origin(1.5),
+            lambda sol: sol.series_report(0.3, 1.5),
+            lambda sol: sol.coefficient(1.5),
+        ],
+        ids=["tail", "tail-origin", "tail-at-origin", "series-report", "coefficient"],
+    )
+    def test_non_integer_series_start_rejected(self, call):
+        # A float index used to reach the coefficient cache, which raised
+        # TypeError, or passed where only its sign was checked.
+        sol = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, lam=-1.0), 0)
+        with pytest.raises(ValueError, match=r"^k(_start)? must be an integer, got k(_start)?="):
+            call(sol)
 
     def test_matches_kilbas_saigo_mapping(self):
         tol = 1e-12

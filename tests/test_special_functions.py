@@ -30,20 +30,17 @@ from bihilfer import (
     log_gamma_ratio,
     mittag_leffler,
 )
-from bihilfer import special_functions
+from bihilfer import series_grid, special_functions
+from bihilfer.series_grid import _BLOCK_TERMS, _CHUNK_POINTS, _PowerGrid, _sum_log_series_grid
 from bihilfer.special_functions import (
-    _BLOCK_TERMS,
     _CACHE,
     _CACHE_SIZE,
-    _CHUNK_POINTS,
     _FETCH_AHEAD,
     _MAX_TERMS,
     SeriesEvalReport,
     _check_series_args,
     _CoefficientCache,
-    _PowerGrid,
     _sum_log_series,
-    _sum_log_series_grid,
 )
 
 # (p, q, ln Gamma(p) - ln Gamma(q)) frozen from a 40-digit computation
@@ -527,7 +524,7 @@ _groups = st.lists(
 
 def _grid_in_chunks(fetch, zs, tol, chunk):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(special_functions, "_CHUNK_POINTS", chunk)
+        mp.setattr(series_grid, "_CHUNK_POINTS", chunk)
         return _sum_log_series_grid(fetch, zs, tol)
 
 
@@ -876,10 +873,24 @@ class TestContourPath:
         assert real.last_term_magnitude == pytest.approx(near.last_term_magnitude, rel=1e-12, abs=0.0)
 
     def test_nodes_are_read_only(self):
-        full, half = special_functions._contour_nodes(0.5, 0.0)
+        full, half = series_grid._contour_nodes(0.5, 0.0)
         for array in (*full, *half):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("alpha,l", [(0.5, 0.0), (0.3, -1.0), (0.9, -0.5), (0.05, -10.0)])
+    def test_grid_nodes_are_the_scalar_nodes(self, alpha, l):
+        # The grid's node arrays hold the scalar rule's numbers, bit for bit.
+        def bits(numbers):
+            parts = [(complex(x).real, complex(x).imag) for x in numbers]
+            return struct.pack(f"<{2 * len(parts)}d", *(p for pair in parts for p in pair))
+
+        rules = special_functions._contour_node_tuples(alpha, l)
+        assert [len(rule) for rule in rules] == [33, 17]
+        for arrays, nodes in zip(series_grid._contour_nodes(alpha, l), rules):
+            assert [array.dtype.kind for array in arrays] == ["c", "c", "f"]
+            for array, column in zip(arrays, zip(*nodes)):
+                assert bits(array.tolist()) == bits(column)
 
 
 class TestSilentWrongSeries:
@@ -1019,7 +1030,7 @@ class TestPoleBranch:
         # The u = 0 node is s = mu, so at z = mu^alpha the pole lies on the
         # contour and a node's divisor is zero.
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
-        power = special_functions._contour_nodes(0.5, 0.0)[1][0][0]
+        power = series_grid._contour_nodes(0.5, 0.0)[1][0][0]
         z = complex(power.real)
         assert special_functions._contour_estimate(params, z) is None
         assert _assert_same_as_scalar_calls(params, [z]).path.tolist() == ["series"]

@@ -168,6 +168,17 @@ class TestNumericResidual:
         with pytest.raises(ValueError, match=f"^y_max must be positive and finite, got {y_max}$"):
             residual_numeric(CAPUTO_HALF, 0, y_max=y_max, n_points=64)
 
+    @pytest.mark.parametrize("n_points", [64.5, 64.0])
+    def test_n_points_must_be_an_integer(self, n_points):
+        # 64.5 used to sample 66 points, the last at 65h > y_max.
+        with pytest.raises(ValueError, match=f"^n_points must be an integer, got n_points={n_points}$"):
+            residual_numeric(CAPUTO_HALF, 0, n_points=n_points)
+
+    def test_tail_start_must_be_an_integer(self):
+        # It used to fail in the coefficient cache with a TypeError.
+        with pytest.raises(ValueError, match="^tail_start must be an integer, got tail_start=1.5$"):
+            residual_numeric(CAPUTO_HALF, 0, n_points=64, tail_start=1.5)
+
     def test_grid_tail_matches_pointwise_loop(self):
         # The verify-fine problem, branch by branch, against the residual
         # built from a per-point evaluate_tail_report loop.
