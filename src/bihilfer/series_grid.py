@@ -5,10 +5,12 @@ special_functions.kilbas_saigo at every point of a 1-d array of z (or of a
 _PowerGrid, the solver's z = lam * y**a) and returns the same bits, path
 included. The contour rule runs on a (points x nodes) array whose nodes are
 np.array of special_functions._contour_node_tuples, the scalar rule's own
-numbers, and rounds each operation as the Python one does (_py_quotient,
-running sums in node order). The series runs through the blocked grid
-driver _sum_log_series_grid, which keeps the scalar engine's stopping rule
-and, on an array of z, its bits. special_functions itself does not import
+numbers, adds each point's terms from special_functions._contour_pole, the
+scalar rule's own correction (zeros in the sector), and rounds each
+operation as the Python one does (_py_quotient, running sums in node
+order). The series runs through the blocked grid driver
+_sum_log_series_grid, which keeps the scalar engine's stopping rule and, on
+an array of z, its bits. special_functions itself does not import
 numpy, so a scalar caller never loads it.
 """
 
@@ -17,13 +19,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .special_functions import (
-    _CACHE_SIZE,
     _CONTOUR_NODES,
     _MAX_TERMS,
     DEFAULT_TOL,
@@ -32,7 +32,6 @@ from .special_functions import (
     _contour_node_tuples,
     _contour_pole,
     _contour_rule,
-    _in_sector,
     _sum_log_series,
 )
 
@@ -220,22 +219,6 @@ def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
     return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _contour_nodes(alpha: float, l: float) -> tuple[tuple[np.ndarray, ...], ...]:
-    """special_functions._contour_node_tuples(alpha, l) as arrays: (full,
-    half), each the arrays (s_k^alpha, weight, rounding factor) over its
-    nodes; indexing the pair by `real` picks the rule. The same numbers as
-    the scalar rule's, so the two agree bit for bit. The arrays are shared
-    and read-only."""
-    rules = []
-    for rule in _contour_node_tuples(alpha, l):
-        arrays = tuple(np.array(column) for column in zip(*rule))
-        for array in arrays:
-            array.flags.writeable = False
-        rules.append(arrays)
-    return tuple(rules)
-
-
 def _py_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a / b elementwise, rounded as CPython divides two complex numbers
     (Smith's algorithm in _Py_c_quot), where numpy's division rounds
@@ -252,36 +235,33 @@ def _py_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _contour_sum(
-    params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool, pole: "tuple | None"
+    params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool, pole: tuple
 ) -> tuple:
     """(value, last_term_magnitude, converged) of the scalar _contour_point
     at each of a column z of points, all real or all complex, bit for bit.
-    pole is None in the sector, and off it the arrays (residue, rounding
-    bound, error) of _contour_pole at each point.
+    pole holds the arrays (residue, rounding bound, error) of _contour_pole
+    at each point, zeros for a point in the sector.
 
-    Every operation rounds as the Python one does: CPython's complex
+    The nodes are np.array of the scalar rule's own _contour_node_tuples,
+    and every operation rounds as the Python one does: CPython's complex
     quotient (_py_quotient), np.hypot for abs (both are libm hypot), running
     sums in node order (np.cumsum; .sum would add pairwise) and the pole's
     terms added after them in the same order. Where the scalar rule gives up
     on a zero divisor or an overflow, the sums here are not finite, so the
     estimate fails.
     """
-    power, weight, rounding = _contour_nodes(params.alpha, params.l)[real]
+    nodes = _contour_node_tuples(params.alpha, params.l)[real]
+    power, weight, rounding = map(np.array, zip(*nodes))
+    residue, pole_rounding, error = pole
     with np.errstate(over="ignore", invalid="ignore"):
         t = _py_quotient(weight, power - z)
         mags = np.hypot(t.real, t.imag)
         value = np.cumsum(t, axis=1)[:, -1]
         if real:
-            value, last = value.real, 0.5 * mags[:, -1]
+            value, last = value.real + residue.real, 0.5 * mags[:, -1]
         else:
-            last = np.fmax(mags[:, 0], mags[:, -1])
-        bound = np.cumsum(mags * rounding, axis=1)[:, -1]
-        if pole is None:
-            bound += last
-        else:
-            residue, pole_rounding, error = pole
-            value = value + (residue.real if real else residue)
-            bound = bound + pole_rounding + last + error
+            value, last = value + residue, np.fmax(mags[:, 0], mags[:, -1])
+        bound = np.cumsum(mags * rounding, axis=1)[:, -1] + pole_rounding + last + error
         size = np.abs(value) if real else np.hypot(value.real, value.imag)
         return value, last, bound <= tol * np.fmax(size, 1.0)
 
@@ -290,10 +270,11 @@ def kilbas_saigo_grid(
     params: KilbasSaigoParams, zs: "np.ndarray | _PowerGrid", tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
-    included: the contour rule on a (points x nodes) array, its pole terms
-    taken point by point from _contour_pole, then the series by the blocked
-    grid driver for the points left. The rule takes a _PowerGrid's points
-    lam * np.power(y, a), the driver its ray (kilbas_saigo's to rounding)."""
+    included: the contour rule on a (points x nodes) array for the points
+    _contour_pole takes, with its terms for each, then the series by the
+    blocked grid driver for the points left. The rule takes a _PowerGrid's
+    points lam * np.power(y, a), the driver its ray (kilbas_saigo's to
+    rounding)."""
     ray = isinstance(zs, _PowerGrid)
     if not ray:
         zs = np.asarray(zs, dtype=complex)
@@ -311,21 +292,18 @@ def kilbas_saigo_grid(
         np.full(points.size, "series", dtype="<U7"),
     )
     alpha, beta = params.alpha, params.alpha * params.l + 1.0
-    sector = np.array([_in_sector(alpha, z) for z in points.tolist()], dtype=bool)
-    off = np.flatnonzero(~sector)
-    poles = [_contour_pole(alpha, beta, z) for z in points[off].tolist()]
-    taken = np.array([pole is not None for pole in poles], dtype=bool)
+    poles = [_contour_pole(alpha, beta, z) for z in points.tolist()]
+    at = np.flatnonzero([pole is not None for pole in poles])
     pole_arrays = [np.array(column) for column in zip(*filter(None, poles))]
-    for at, pole in ((np.flatnonzero(sector), None), (off[taken], pole_arrays)):
-        for real in (False, True):
-            row = (points.imag[at] == 0.0) == real
-            if row.any():
-                terms = None if pole is None else tuple(a[row] for a in pole)
-                value, last, converged = _contour_sum(params, points[at[row], None], tol, real, terms)
-                done = at[row][converged]
-                report.value[done] = value[converged]
-                report.last_term_magnitude[done] = last[converged]
-                report.path[done] = "contour"
+    for real in (False, True):
+        row = (points.imag[at] == 0.0) == real
+        if row.any():
+            terms = tuple(a[row] for a in pole_arrays)
+            value, last, converged = _contour_sum(params, points[at[row], None], tol, real, terms)
+            done = at[row][converged]
+            report.value[done] = value[converged]
+            report.last_term_magnitude[done] = last[converged]
+            report.path[done] = "contour"
     rest = np.flatnonzero(report.path == "series")
     left = zs._replace(ys=zs.ys[rest]) if ray else points[rest]
     series = _sum_log_series_grid(params._log_coeffs, left, tol)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -32,6 +31,7 @@ from .special_functions import (
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
+    _check_index,
     _sum_log_series,
     kilbas_saigo_coefficients,
 )
@@ -102,9 +102,7 @@ def coefficient_sequence(problem: DegenerateProblem, s: int, K: int) -> list[flo
     """Coefficients c_0..c_K of branch s; c_0 = 1. All Gamma arguments stay
     strictly positive for admissible problems."""
     params = SeriesSolution(problem, s).kilbas_saigo_params()
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got K={K}")
-    return kilbas_saigo_coefficients(params, K + 1)
+    return kilbas_saigo_coefficients(params, _check_index("K", K) + 1)
 
 
 @dataclass(eq=False)
@@ -128,6 +126,7 @@ class SeriesSolution:
         i = self.problem.orders.i
         if not 0 <= self.s <= i - 1:
             raise ValueError(f"branch s must lie in 0..{i - 1}, got s={self.s}")
+        self.s = _check_index("s", self.s)
         params = derive_params(self.problem)
         self.a = params.a
         self.b = params.b[self.s]
@@ -227,18 +226,6 @@ class SeriesSolution:
         raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
 
-def _check_index(name: str, value: int, minimum: int = 0) -> int:
-    """An integer argument (a series index, a grid size) as an int of at
-    least `minimum`; a float, even 2.0, is refused."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
-    if index < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {name}={index}")
-    return index
-
-
 def _one_point(report: SeriesGridReport) -> SeriesEvalReport:
     """The SeriesEvalReport of a one-point grid report."""
     return SeriesEvalReport(*(field.item() for field in vars(report).values()))
@@ -294,8 +281,12 @@ class CauchySolution:
             if w == 0:
                 continue
             rep = branch.grid_report(ys, tol)
-            for c in _slices(ys.size):
-                total[c] = [t + w * v for t, v in zip(total[c].tolist(), rep.value[c].tolist())]
+            # In real arithmetic, each operation rounding as in Python's
+            # t + w * v; an overflowed branch may grow.
+            v = rep.value
+            with np.errstate(over="ignore", invalid="ignore"):
+                total.real += w.real * v.real - w.imag * v.imag
+                total.imag += w.real * v.imag + w.imag * v.real
             terms += rep.terms_used
             scaled = abs(w) * rep.last_term_magnitude
             last = np.where(scaled > last, scaled, last)

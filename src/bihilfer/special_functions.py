@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -238,9 +239,20 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[flo
     c_0 = 1 and c_i = c_{i-1} * Gamma(alpha*(jm+l)+1)/Gamma(alpha*(jm+l+1)+1)
     at j = i-1, each ratio taken in log space and accumulated as ln c_i.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _check_index("count", count, 1)
     return [math.exp(v) for v in _CACHE.logs(params, count)[:count]]
+
+
+def _check_index(name: str, value: int, minimum: int = 0) -> int:
+    """An integer argument (a series index, a count, a grid size) as an int
+    of at least `minimum`; a float, even 2.0, is refused."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
+    if index < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {name}={index}")
+    return index
 
 
 # Log-coefficients fetched ahead of the first term; the fetch doubles after.
@@ -356,11 +368,14 @@ def _in_sector(alpha: float, z: complex) -> bool:
 
 
 def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
-    """What the one root s* = exp(Log z/alpha) of s^alpha = z on the
-    principal sheet adds to the rule at a z off the sector: (residue added to
-    the value, its rounding bound, the pole's discretisation error), or None
-    where the rule cannot take z (z zero or not finite, e^(s*) past the
-    double range, or s* on the contour).
+    """What a point z adds to the contour rule: (residue added to the value,
+    its rounding bound, the pole's discretisation error), or None where the
+    rule cannot take z. Both rule forms, _contour_estimate and the grid's
+    _contour_sum, add these three after their node sums. In the sector
+    (_in_sector) s^alpha = z has no root on the principal sheet and z adds
+    exactly (0j, 0.0, 0.0). Off it the terms are those of the one root
+    s* = exp(Log z/alpha), and the rule cannot take z where z is zero or not
+    finite, e^(s*) is past the double range or s* lies on the contour.
 
     In the rule's variable u the pole lies at Im u = d = 1 - Re sqrt(s*/mu).
     For d < 0 it lies right of the contour, so deforming the Bromwich line
@@ -372,6 +387,8 @@ def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, floa
     e^(s*) turns eps |s*| (2 + |log s*|) of absolute error in its exponent
     into relative error of r.
     """
+    if _in_sector(alpha, z):
+        return 0j, 0.0, 0.0
     if z == 0 or not cmath.isfinite(z):
         return None
     log_s = cmath.log(z) / alpha
@@ -394,8 +411,8 @@ def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, floa
 def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
     """(full, half): (s_k^alpha, weight, rounding factor) of every node, and
     of the nodes u >= 0 with their mirror images folded in, for real z;
-    indexing the pair by `real` picks the rule. The grid's node arrays
-    (series_grid._contour_nodes) hold these same numbers.
+    indexing the pair by `real` picks the rule. The grid's _contour_sum
+    reads its node arrays from these same numbers.
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z), beta = alpha*l + 1, is
     Gamma(beta)/(2 pi i) times the integral of e^s s^(alpha-beta)/(s^alpha - z)
@@ -426,16 +443,16 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value and the rounding bound
-    sum_k eps (1 + |s_k|) |t_k| are running sums in node order; off the
-    sector the pole's residue and rounding bound are added after them. The
-    estimate is that bound plus the outermost node's contribution, plus
-    the pole's discretisation error off the sector.
+    sum_k eps (1 + |s_k|) |t_k| are running sums in node order, and
+    _contour_pole's residue and rounding bound are added after them (zeros
+    in the sector, which leave the bits as they are). The estimate is that
+    bound plus the outermost node's contribution plus the pole's
+    discretisation error.
     """
-    alpha, pole = params.alpha, None
-    if not _in_sector(alpha, z):
-        pole = _contour_pole(alpha, alpha * params.l + 1.0, z)
-        if pole is None:
-            return None
+    alpha = params.alpha
+    pole = _contour_pole(alpha, alpha * params.l + 1.0, z)
+    if pole is None:
+        return None
     real = z.imag == 0.0
     nodes = _contour_node_tuples(alpha, params.l)[real]
     # -0.0 is the identity of IEEE addition, so each sum starts at its
@@ -456,8 +473,6 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range; the grid's sums are then not finite.
         return None
-    if pole is None:
-        return value, last, bound + last
     residue, rounding, error = pole
     return value + residue, last, bound + rounding + last + error
 

@@ -31,12 +31,11 @@ from .solver import (
     CauchySolution,
     DegenerateProblem,
     SeriesSolution,
-    _check_index,
     cauchy_solution,
     coefficient_sequence,
     fundamental_solution,
 )
-from .special_functions import DEFAULT_TOL
+from .special_functions import DEFAULT_TOL, _check_index
 
 __all__ = [
     "ResidualReport",
@@ -91,8 +90,7 @@ def residual_coefficient_identity(
     `coeffs` replaces the cached coefficients, so a test can substitute a
     perturbed sequence and expect the check to fail.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got K={K}")
+    K = _check_index("K", K, 1)
     sol = fundamental_solution(problem, s)
     a, bs = sol.a, sol.b
     if coeffs is None:

@@ -872,25 +872,34 @@ class TestContourPath:
         assert abs(real.value - near.value) <= 1e-13 * max(1.0, abs(real.value))
         assert real.last_term_magnitude == pytest.approx(near.last_term_magnitude, rel=1e-12, abs=0.0)
 
-    def test_nodes_are_read_only(self):
-        full, half = series_grid._contour_nodes(0.5, 0.0)
-        for array in (*full, *half):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-
     @pytest.mark.parametrize("alpha,l", [(0.5, 0.0), (0.3, -1.0), (0.9, -0.5), (0.05, -10.0)])
     def test_grid_nodes_are_the_scalar_nodes(self, alpha, l):
-        # The grid's node arrays hold the scalar rule's numbers, bit for bit.
-        def bits(numbers):
-            parts = [(complex(x).real, complex(x).imag) for x in numbers]
-            return struct.pack(f"<{2 * len(parts)}d", *(p for pair in parts for p in pair))
-
+        # The full rule and the folded one for real z; the grid reads its
+        # node arrays from these same tuples.
         rules = special_functions._contour_node_tuples(alpha, l)
         assert [len(rule) for rule in rules] == [33, 17]
-        for arrays, nodes in zip(series_grid._contour_nodes(alpha, l), rules):
-            assert [array.dtype.kind for array in arrays] == ["c", "c", "f"]
-            for array, column in zip(arrays, zip(*nodes)):
-                assert bits(array.tolist()) == bits(column)
+
+    @pytest.mark.parametrize(
+        "alpha,z",
+        [
+            (0.5, complex(-3.0, 0.0)),
+            (0.5, complex(-3.0, -0.0)),
+            (0.3, cmath.rect(8.0, 0.8 * math.pi)),
+            (0.5, _on_sector_edge(2.0, 0.5, 1)),
+            (0.3, _on_sector_edge(1e3, 0.3, -1)),
+        ],
+    )
+    def test_pole_adds_exact_zeros_in_the_sector(self, alpha, z):
+        assert special_functions._in_sector(alpha, z)
+        # Exactly +0.0 in every part, so adding them leaves the rule's bits.
+        residue, rounding, error = special_functions._contour_pole(alpha, 1.0, z)
+        assert (type(residue), type(rounding), type(error)) == (complex, float, float)
+        parts = (residue.real, residue.imag, rounding, error)
+        assert struct.pack("<4d", *parts) == bytes(32)
+
+    @pytest.mark.parametrize("z", [0j, complex(math.nan, 0.0), complex(math.nan, 1.0), complex(-1.0, math.nan)])
+    def test_pole_refuses_zero_and_nan(self, z):
+        assert special_functions._contour_pole(0.5, 1.0, z) is None
 
 
 class TestSilentWrongSeries:
@@ -1030,7 +1039,7 @@ class TestPoleBranch:
         # The u = 0 node is s = mu, so at z = mu^alpha the pole lies on the
         # contour and a node's divisor is zero.
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
-        power = series_grid._contour_nodes(0.5, 0.0)[1][0][0]
+        power = special_functions._contour_node_tuples(0.5, 0.0)[1][0][0]
         z = complex(power.real)
         assert special_functions._contour_estimate(params, z) is None
         assert _assert_same_as_scalar_calls(params, [z]).path.tolist() == ["series"]
@@ -1125,6 +1134,34 @@ class TestRoutingParity:
             pole_contour += _assert_same_as_scalar_calls(params, off).path.tolist().count("contour")
         assert in_sector >= 2000
         assert pole_contour >= 200
+
+    @pytest.mark.parametrize("alpha,l", [(0.3, 0.0), (0.5, 0.0), (0.7, -0.5)])
+    def test_sector_and_pole_points_in_one_call(self, alpha, l):
+        # One grid call holds every kind of row, each real and complex: the
+        # sector (with both zero imaginary parts and its exact edge), the
+        # pole right of the contour (d = -1.0, -1.2, a residue added) and
+        # left of it (d = 0.95, nothing added), and the series where the
+        # rule refuses z (z = 0, the pole on the contour at d = 0, and
+        # d = -0.6, whose error fails tol).
+        params = KilbasSaigoParams(alpha, 1.0, l)
+        contour = [
+            complex(-3.0, 0.0),
+            complex(-0.5, -0.0),
+            cmath.rect(6.0, (1.0 + alpha) * math.pi / 2),
+            _on_sector_edge(2.0, alpha, -1),
+            _off_sector_point(alpha, 2.0),
+            _off_sector_point(alpha, complex(2.2, -0.7)),
+            _off_sector_point(alpha, 0.05),
+            _off_sector_point(alpha, complex(0.05, 0.02)),
+        ]
+        series = [0.0, _off_sector_point(alpha, 1.0), _off_sector_point(alpha, complex(1.6, -0.4))]
+        zs = [contour[0], *series[:2], *contour[1:], series[2]]
+        grid = _assert_same_as_scalar_calls(params, zs)
+        assert grid.path.tolist() == ["contour", "series", "series", *["contour"] * 7, "series"]
+        beta = alpha * l + 1.0
+        residues = [special_functions._contour_pole(alpha, beta, z)[0] != 0 for z in contour]
+        assert residues == [False] * 4 + [True] * 2 + [False] * 2
+        assert [special_functions._in_sector(alpha, z) for z in contour] == [True] * 4 + [False] * 4
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_same_path_at_the_exact_threshold(self, alpha):

@@ -8,13 +8,16 @@ import pytest
 from bihilfer import (
     DegenerateProblem,
     DomainError,
+    KilbasSaigoParams,
     OrderTriple,
     SampledFunction,
+    SeriesSolution,
     coefficient_sequence,
     fundamental_solution,
     hilfer_monomial,
     hilfer_numeric,
     initial_condition_check,
+    kilbas_saigo_coefficients,
     mittag_leffler,
     residual_coefficient_identity,
     residual_numeric,
@@ -77,6 +80,24 @@ class TestCoefficientIdentity:
         with pytest.raises(ValueError):
             residual_coefficient_identity(CAPUTO_HALF, 0, 0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0])
+    @pytest.mark.parametrize(
+        "name,minimum,call",
+        [
+            ("count", 1, lambda n: kilbas_saigo_coefficients(KilbasSaigoParams(0.5, 1.0, 0.0), n)),
+            ("K", 0, lambda n: coefficient_sequence(CAPUTO_HALF, 0, n)),
+            ("K", 1, lambda n: residual_coefficient_identity(CAPUTO_HALF, 0, n)),
+        ],
+        ids=["coefficients", "sequence", "identity"],
+    )
+    def test_count_must_be_an_integer(self, name, minimum, call, count):
+        # A float count used to fail in the coefficient cache with a
+        # TypeError from slicing.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {name}={count}$"):
+            call(count)
+        with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got {name}={minimum - 1}$"):
+            call(minimum - 1)
+
 
 class TestBranchRange:
     @pytest.mark.parametrize(
@@ -95,6 +116,22 @@ class TestBranchRange:
     def test_branch_range_checked(self, check):
         problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
         with pytest.raises(ValueError, match=r"branch s must lie in 0\.\.1"):
+            check(problem)
+
+    @pytest.mark.parametrize(
+        "s,check",
+        [
+            (0.5, lambda p: SeriesSolution(p, 0.5)),
+            (1.0, lambda p: fundamental_solution(p, 1.0)),
+            (1.0, lambda p: residual_coefficient_identity(p, 1.0, 3)),
+        ],
+        ids=["branch", "fundamental", "identity"],
+    )
+    def test_branch_must_be_an_integer(self, s, check):
+        # A float inside 0..i-1 used to pass the range check and fail with a
+        # TypeError from indexing the branch exponents.
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        with pytest.raises(ValueError, match=f"^s must be an integer, got s={s}$"):
             check(problem)
 
 
