@@ -131,7 +131,11 @@ def _write_table(
         writer.writerows(rows)
         text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            _fail(f"cannot write {out}: {exc.strerror}", EXIT_VALIDATION)
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text, nl=not text.endswith("\n"))

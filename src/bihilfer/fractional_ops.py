@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .special_functions import _log_gamma_ratio_offset
+from .special_functions import _check_index, _log_gamma_ratio_offset
 
 __all__ = [
     "OrderTriple",
@@ -113,8 +113,7 @@ class SampledFunction:
 
 def falling_product(a: float, i: int) -> float:
     """a*(a-1)*...*(a-i+1); vanishes exactly at integer a in {0, .., i-1}."""
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got i={i}")
+    i = _check_index("i", i, 1)
     out = 1.0
     for j in range(i):
         out *= a - j

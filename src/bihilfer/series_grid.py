@@ -1,16 +1,13 @@
-"""Kilbas-Saigo series and contour rule over a grid, in numpy.
+"""Kilbas-Saigo series over a grid, in numpy.
 
 The numpy half of the special-function kernel: kilbas_saigo_grid evaluates
 special_functions.kilbas_saigo at every point of a 1-d array of z (or of a
 _PowerGrid, the solver's z = lam * y**a) and returns the same bits, path
-included. The contour rule runs on a (points x nodes) array whose nodes are
-np.array of special_functions._contour_node_tuples, the scalar rule's own
-numbers, adds each point's terms from special_functions._contour_pole, the
-scalar rule's own correction (zeros in the sector), and rounds each
-operation as the Python one does (_py_quotient, running sums in node
-order). The series runs through the blocked grid driver
-_sum_log_series_grid, which keeps the scalar engine's stopping rule and, on
-an array of z, its bits. special_functions itself does not import
+included. Where the triple takes the contour rule it calls the scalar rule,
+special_functions._contour_point, at each point, so the rule and its
+rounding live in one module. The series runs through the blocked grid
+driver _sum_log_series_grid, which keeps the scalar engine's stopping rule
+and, on an array of z, its bits. special_functions itself does not import
 numpy, so a scalar caller never loads it.
 """
 
@@ -29,8 +26,7 @@ from .special_functions import (
     DEFAULT_TOL,
     KilbasSaigoParams,
     _check_series_args,
-    _contour_node_tuples,
-    _contour_pole,
+    _contour_point,
     _contour_rule,
     _sum_log_series,
 )
@@ -219,62 +215,14 @@ def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
     return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
 
 
-def _py_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b elementwise, rounded as CPython divides two complex numbers
-    (Smith's algorithm in _Py_c_quot), where numpy's division rounds
-    otherwise. b has no zero element."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    q = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        np.divide(np.where(by_real, ar + ai * ratio, ar * ratio + ai), denom, out=q.real)
-        np.divide(np.where(by_real, ai - ar * ratio, ai * ratio - ar), denom, out=q.imag)
-    return q
-
-
-def _contour_sum(
-    params: KilbasSaigoParams, z: np.ndarray, tol: float, real: bool, pole: tuple
-) -> tuple:
-    """(value, last_term_magnitude, converged) of the scalar _contour_point
-    at each of a column z of points, all real or all complex, bit for bit.
-    pole holds the arrays (residue, rounding bound, error) of _contour_pole
-    at each point, zeros for a point in the sector.
-
-    The nodes are np.array of the scalar rule's own _contour_node_tuples,
-    and every operation rounds as the Python one does: CPython's complex
-    quotient (_py_quotient), np.hypot for abs (both are libm hypot), running
-    sums in node order (np.cumsum; .sum would add pairwise) and the pole's
-    terms added after them in the same order. Where the scalar rule gives up
-    on a zero divisor or an overflow, the sums here are not finite, so the
-    estimate fails.
-    """
-    nodes = _contour_node_tuples(params.alpha, params.l)[real]
-    power, weight, rounding = map(np.array, zip(*nodes))
-    residue, pole_rounding, error = pole
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = _py_quotient(weight, power - z)
-        mags = np.hypot(t.real, t.imag)
-        value = np.cumsum(t, axis=1)[:, -1]
-        if real:
-            value, last = value.real + residue.real, 0.5 * mags[:, -1]
-        else:
-            value, last = value + residue, np.fmax(mags[:, 0], mags[:, -1])
-        bound = np.cumsum(mags * rounding, axis=1)[:, -1] + pole_rounding + last + error
-        size = np.abs(value) if real else np.hypot(value.real, value.imag)
-        return value, last, bound <= tol * np.fmax(size, 1.0)
-
-
 def kilbas_saigo_grid(
     params: KilbasSaigoParams, zs: "np.ndarray | _PowerGrid", tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
-    included: the contour rule on a (points x nodes) array for the points
-    _contour_pole takes, with its terms for each, then the series by the
-    blocked grid driver for the points left. The rule takes a _PowerGrid's
-    points lam * np.power(y, a), the driver its ray (kilbas_saigo's to
-    rounding)."""
+    included: the scalar contour rule (_contour_point) at each point, then
+    the series by the blocked grid driver for the points it refuses. The
+    rule takes a _PowerGrid's points lam * np.power(y, a), the driver its
+    ray (kilbas_saigo's to rounding)."""
     ray = isinstance(zs, _PowerGrid)
     if not ray:
         zs = np.asarray(zs, dtype=complex)
@@ -291,19 +239,12 @@ def kilbas_saigo_grid(
         np.ones(points.size, dtype=bool),
         np.full(points.size, "series", dtype="<U7"),
     )
-    alpha, beta = params.alpha, params.alpha * params.l + 1.0
-    poles = [_contour_pole(alpha, beta, z) for z in points.tolist()]
-    at = np.flatnonzero([pole is not None for pole in poles])
-    pole_arrays = [np.array(column) for column in zip(*filter(None, poles))]
-    for real in (False, True):
-        row = (points.imag[at] == 0.0) == real
-        if row.any():
-            terms = tuple(a[row] for a in pole_arrays)
-            value, last, converged = _contour_sum(params, points[at[row], None], tol, real, terms)
-            done = at[row][converged]
-            report.value[done] = value[converged]
-            report.last_term_magnitude[done] = last[converged]
-            report.path[done] = "contour"
+    rules = [_contour_point(params, z, tol) for z in points.tolist()]
+    done = [j for j, rule in enumerate(rules) if rule is not None]
+    if done:
+        report.value[done] = [rules[j].value for j in done]
+        report.last_term_magnitude[done] = [rules[j].last_term_magnitude for j in done]
+        report.path[done] = "contour"
     rest = np.flatnonzero(report.path == "series")
     left = zs._replace(ys=zs.ys[rest]) if ray else points[rest]
     series = _sum_log_series_grid(params._log_coeffs, left, tol)

@@ -15,9 +15,9 @@ computation.
 
 This module uses only math and cmath and does not import numpy, so a scalar
 caller never pays for it. The grid form, kilbas_saigo_grid, lives in
-series_grid: it sums the same series in numpy blocks and runs the contour
-rule on arrays of this module's nodes (_contour_node_tuples), with the same
-bits as a loop of kilbas_saigo calls.
+series_grid: it sums the same series in numpy blocks and calls this module's
+contour rule (_contour_point) at each point, with the same bits as a loop of
+kilbas_saigo calls.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).
@@ -370,12 +370,12 @@ def _in_sector(alpha: float, z: complex) -> bool:
 def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
     """What a point z adds to the contour rule: (residue added to the value,
     its rounding bound, the pole's discretisation error), or None where the
-    rule cannot take z. Both rule forms, _contour_estimate and the grid's
-    _contour_sum, add these three after their node sums. In the sector
-    (_in_sector) s^alpha = z has no root on the principal sheet and z adds
-    exactly (0j, 0.0, 0.0). Off it the terms are those of the one root
-    s* = exp(Log z/alpha), and the rule cannot take z where z is zero or not
-    finite, e^(s*) is past the double range or s* lies on the contour.
+    rule cannot take z. _contour_estimate adds these three after its node
+    sums. In the sector (_in_sector) s^alpha = z has no root on the
+    principal sheet and z adds exactly (0j, 0.0, 0.0). Off it the terms are
+    those of the one root s* = exp(Log z/alpha), and the rule cannot take z
+    where z is zero or not finite, e^(s*) is past the double range or s*
+    lies on the contour.
 
     In the rule's variable u the pole lies at Im u = d = 1 - Re sqrt(s*/mu).
     For d < 0 it lies right of the contour, so deforming the Bromwich line
@@ -411,8 +411,7 @@ def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, floa
 def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
     """(full, half): (s_k^alpha, weight, rounding factor) of every node, and
     of the nodes u >= 0 with their mirror images folded in, for real z;
-    indexing the pair by `real` picks the rule. The grid's _contour_sum
-    reads its node arrays from these same numbers.
+    indexing the pair by `real` picks the rule.
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z), beta = alpha*l + 1, is
     Gamma(beta)/(2 pi i) times the integral of e^s s^(alpha-beta)/(s^alpha - z)
@@ -456,7 +455,7 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
     real = z.imag == 0.0
     nodes = _contour_node_tuples(alpha, params.l)[real]
     # -0.0 is the identity of IEEE addition, so each sum starts at its
-    # first term exactly, as np.cumsum does in series_grid._contour_sum.
+    # first term exactly.
     value, bound = complex(-0.0, -0.0), -0.0
     try:
         for power, weight, rounding in nodes:
@@ -471,7 +470,7 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
             last = max(abs(weight / (power - z)), mag)
     except (ZeroDivisionError, OverflowError):
         # Off the sector z can sit on a node, or a term can outgrow the
-        # double range; the grid's sums are then not finite.
+        # double range.
         return None
     residue, rounding, error = pole
     return value + residue, last, bound + rounding + last + error
@@ -487,7 +486,7 @@ def _contour_point(params: KilbasSaigoParams, z: complex, tol: float) -> "Series
     try:
         size = abs(value)
     except OverflowError:
-        size = math.inf  # np.hypot's value in series_grid._contour_sum
+        size = math.inf  # the magnitude of a value past the double range
     if estimate <= tol * (size if size > 1.0 else 1.0):
         return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
     return None
@@ -527,10 +526,10 @@ def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> 
     recurrence or cache. Intended as a desk-scale oracle; the partial sum is
     returned even if the rule never fires.
     """
-    if not a > 0.0:
-        raise DomainError(f"mittag_leffler requires a > 0, got a={a}")
-    if not b > 0.0:
-        raise DomainError(f"mittag_leffler requires b > 0, got b={b}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"mittag_leffler requires finite a > 0, got a={a}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"mittag_leffler requires finite b > 0, got b={b}")
     log_coeffs: list[float] = []
 
     def fetch(n: int) -> list[float]:

@@ -414,6 +414,18 @@ class TestJsonRoundTrip:
         assert json.dumps(json.loads(text), indent=2) == text
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_validation_error(self, runner, tmp_path, where):
+        out = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+        args = ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z", "1", "--out", str(out)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in result.stderr
+
+
 class TestCsvFloats:
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 5e-324, -0.0, 1e300, -2.5e-310, 12345.678])
     def test_float_cells_read_back_bit_exact(self, tmp_path, value):

@@ -85,6 +85,15 @@ class TestFallingProduct:
     def test_nonvanishing_above_window(self):
         assert falling_product(4.0, 3) == pytest.approx(4.0 * 3.0 * 2.0)
 
+    @pytest.mark.parametrize("i, message", [
+        (2.0, "i must be an integer, got i=2.0"),
+        (2.5, "i must be an integer, got i=2.5"),
+        (0, "i must be >= 1, got i=0"),
+    ])
+    def test_count_must_be_an_integer_of_at_least_one(self, i, message):
+        with pytest.raises(ValueError, match=message):
+            falling_product(3.5, i)
+
 
 class TestRlIntegralMonomial:
     def test_plain_integral(self):

@@ -305,6 +305,11 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)])
+    def test_orders_must_be_finite(self, a, b):
+        with pytest.raises(DomainError, match="mittag_leffler requires finite"):
+            mittag_leffler(a, b, -2.0)
+
 
 class TestReductions:
     """E_{alpha,m,l} collapses to Mittag-Leffler forms when m = 1.
