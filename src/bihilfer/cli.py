@@ -103,14 +103,17 @@ def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
     return tol
 
 
-def _write_table(
-    command: str,
-    meta: dict,
-    columns: list[str],
-    rows: list[list],
-    fmt: str,
-    out: "str | None",
-) -> None:
+def _open_out(out: "str | None") -> "io.TextIOBase | None":
+    """The --out file opened for writing, or None for stdout: opened after
+    validation and before computing, so a bad path fails at once."""
+    try:
+        return open(out, "w", encoding="utf-8", newline="") if out else None
+    except OSError as exc:
+        _fail(f"cannot write {out}: {exc.strerror}", EXIT_VALIDATION)
+
+
+def _write_table(command: str, meta: dict, columns: list[str], rows: list[list], fmt: str,
+                 out: "io.TextIOBase | None") -> None:
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -130,15 +133,9 @@ def _write_table(
         # to the same bits.
         writer.writerows(rows)
         text = buf.getvalue()
-    if out:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            _fail(f"cannot write {out}: {exc.strerror}", EXIT_VALIDATION)
-        with fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        click.echo(text, nl=not text.endswith("\n"))
+    click.echo(text, file=out, nl=not text.endswith("\n"))
+    if out is not None:
+        out.close()
 
 
 def _exit_if_nonconverged(converged: bool) -> None:
@@ -249,6 +246,7 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
         params = KilbasSaigoParams(alpha=alpha, m=m, l=l)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
+    out = _open_out(out)
     report = kilbas_saigo_grid(params, zs, tol)
     rows = [
         [point, value.real, value.imag, terms, converged]
@@ -278,6 +276,7 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
         sol = fundamental_solution(problem, s)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
+    out = _open_out(out)
     ks = sol.kilbas_saigo_params()
     rows, converged = _tabulate(sol, _grid(y_max, points), tol)
     meta = {
@@ -308,6 +307,7 @@ def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, 
         sol = cauchy_solution(problem, phis)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
+    out = _open_out(out)
     derived = derive_params(problem)
     rows, converged = _tabulate(sol, _grid(y_max, points), tol)
     meta = {
@@ -357,6 +357,7 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
         cauchy_solution(problem, phis)  # rejects phis of the wrong length or not finite
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
+    out = _open_out(out)
 
     checks = []
     nonconverged = False

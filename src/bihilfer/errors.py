@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError"]
+
 
 class DomainError(ValueError):
     """Raised when an argument lies outside the mathematical domain of an

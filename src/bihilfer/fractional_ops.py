@@ -99,8 +99,8 @@ class SampledFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError(f"grid step h must be positive, got h={self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"grid step h must be finite and positive, got h={self.h}")
         vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size < 3:
             raise ValueError("need a 1-d grid with at least 3 samples")
@@ -123,10 +123,10 @@ def falling_product(a: float, i: int) -> float:
 def rl_integral_monomial(nu: float, delta: float) -> PowerTerm:
     """Riemann-Liouville integral of a power:
     I^nu y^delta = Gamma(delta+1)/Gamma(delta+1+nu) * y^(delta+nu)."""
-    if not nu > 0.0:
-        raise DomainError(f"nu > 0 violated (nu={nu})")
-    if not delta > -1.0:
-        raise DomainError(f"delta > -1 violated (delta={delta}); integral diverges")
+    if not 0.0 < nu < math.inf:
+        raise DomainError(f"finite nu > 0 violated (nu={nu})")
+    if not -1.0 < delta < math.inf:
+        raise DomainError(f"finite delta > -1 violated (delta={delta})")
     coef = math.exp(_log_gamma_ratio_offset(delta + 1.0, nu))
     return PowerTerm(coef, delta + nu)
 
@@ -139,8 +139,8 @@ def hilfer_monomial(orders: OrderTriple, delta: float) -> PowerTerm:
     * kernel monomials delta = s - (1-mu)*(i-beta), integer 0 <= s <= i-1,
       are annihilated exactly (the falling product vanishes); detected by
       |falling product| < 1e-12 * (|delta|+1)^i to tolerate rounding in delta;
-    * otherwise delta > -1 and delta + (1-mu)*(i-beta) - i > -1 are required,
-      and the image is a single power term with exponent delta - gamma.
+    * otherwise finite delta > -1 and delta + (1-mu)*(i-beta) - i > -1 are
+      required, and the image is a single power term with exponent delta - gamma.
     """
     i = orders.i
     nu1 = orders.inner_order
@@ -150,8 +150,8 @@ def hilfer_monomial(orders: OrderTriple, delta: float) -> PowerTerm:
     fp = falling_product(x, i)
     if abs(fp) < 1e-12 * (abs(delta) + 1.0) ** i:
         return PowerTerm(0.0, exponent)
-    if not delta > -1.0:
-        raise DomainError(f"delta > -1 violated (delta={delta})")
+    if not -1.0 < delta < math.inf:
+        raise DomainError(f"finite delta > -1 violated (delta={delta})")
     if not x - i > -1.0:
         raise DomainError(
             f"delta + (1-mu)*(i-beta) - i > -1 violated (delta={delta}); "

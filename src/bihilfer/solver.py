@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .special_functions import (
     KilbasSaigoParams,
     SeriesEvalReport,
     _check_index,
-    _sum_log_series,
     kilbas_saigo_coefficients,
 )
 
@@ -151,19 +149,6 @@ class SeriesSolution:
         """c_k, extending the shared cache if needed."""
         k = _check_index("k", k)
         return math.exp(self._params._log_coeffs(k + 1)[k])
-
-    def series_report(
-        self,
-        z: complex,
-        start: int = 0,
-        tol: float = DEFAULT_TOL,
-        weight: "Callable[[int], float] | None" = None,
-    ) -> SeriesEvalReport:
-        """sum_k w_k c_{start+k} z^k: c_start times the shared series engine
-        at the shifted triple _tail_params(start)."""
-        r = _sum_log_series(self._tail_params(start)._log_coeffs, z, tol, weight)
-        c = self.coefficient(start)
-        return r._replace(value=c * r.value, last_term_magnitude=c * r.last_term_magnitude)
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """grid_report at the one point y > 0 (b < 0 is singular at y = 0).

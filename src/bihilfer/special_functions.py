@@ -38,7 +38,6 @@ from typing import Callable, NamedTuple
 from .errors import DomainError
 
 __all__ = [
-    "CacheStats",
     "KilbasSaigoParams",
     "SeriesEvalReport",
     "log_gamma",
@@ -95,16 +94,16 @@ def _log_gamma_ratio_offset(q: float, nu: float) -> float:
 
 
 def log_gamma_ratio(p: float, q: float) -> float:
-    """lnGamma(p) - lnGamma(q) for p, q > 0, stable for close arguments."""
-    if not p > 0.0:
-        raise DomainError(f"gamma_ratio requires p > 0, got p={p}")
-    if not q > 0.0:
-        raise DomainError(f"gamma_ratio requires q > 0, got q={q}")
+    """lnGamma(p) - lnGamma(q) for finite p, q > 0, stable for close arguments."""
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"gamma_ratio requires finite p > 0, got p={p}")
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"gamma_ratio requires finite q > 0, got q={q}")
     return -_log_gamma_ratio_offset(q, p - q)
 
 
 def gamma_ratio(p: float, q: float) -> float:
-    """Gamma(p) / Gamma(q) for p, q > 0, via the log-space ratio.
+    """Gamma(p) / Gamma(q) for finite p, q > 0, via the log-space ratio.
 
     Finite whenever the ratio itself is representable, even where Gamma(p)
     alone would overflow.
@@ -269,24 +268,20 @@ def _check_series_args(tol: float) -> None:
 
 
 def _sum_log_series(
-    log_coeffs: Callable[[int], list[float]],
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    weight: "Callable[[int], float] | None" = None,
+    log_coeffs: Callable[[int], list[float]], z: complex, tol: float = DEFAULT_TOL
 ) -> SeriesEvalReport:
-    """The series engine: sum_k w_k exp(L[k] + k log z), k = 0, 1, ...
+    """The series engine: sum_k exp(L[k] + k log z), k = 0, 1, ...
 
     `log_coeffs(n)` returns a list of at least n log-coefficients L; it is
-    asked again whenever the sum needs more. The optional real weights w_k
-    (default 1) may be zero or negative. Real z is summed in real arithmetic
-    with an explicit sign (-1)^k for z < 0, so a real series has an exactly
-    zero imaginary part.
+    asked again whenever the sum needs more; positive term weights w_k come
+    folded in as L[k] + ln w_k. Real z is summed in real arithmetic with an
+    explicit sign (-1)^k for z < 0, so its imaginary part is exactly zero.
 
     Stopping rule, the only one in the package: stop at the first index
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
     |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
-    ends the sum unconverged with the partial sum as its value; so does
-    reaching _MAX_TERMS terms.
+    ends the sum unconverged with the partial sum as its value; so does a
+    non-finite term at a non-finite z, and reaching _MAX_TERMS terms.
 
     Per-term cost: |S_k| is formed only when |t_k| > tol, which decides the
     same since tol*max(1, |S|) >= tol; a sum's magnitude can pass the double
@@ -296,16 +291,15 @@ def _sum_log_series(
     _check_series_args(tol)
     logs = log_coeffs(_FETCH_AHEAD)
     if z == 0:
-        first = math.exp(logs[0]) * (1.0 if weight is None else weight(0))
-        return SeriesEvalReport(complex(first), 1, 0.0, True)
+        return SeriesEvalReport(complex(math.exp(logs[0])), 1, 0.0, True)
     z = complex(z)
     if z.imag == 0.0:
         exp, log_z, flip, total = math.exp, math.log(abs(z.real)), z.real < 0.0, 0.0
     else:
         exp, log_z, flip, total = cmath.exp, cmath.log(z), False, 0.0j
-    # Unweighted, a finite z gives finite terms or an OverflowError, so only
-    # a weighted or non-finite-z sum needs the per-term finiteness test.
-    isfinite = math.isfinite if weight is not None or not cmath.isfinite(z) else None
+    # A finite z gives finite terms or an OverflowError, so only a
+    # non-finite z needs the per-term finiteness test.
+    isfinite = None if cmath.isfinite(z) else math.isfinite
     n = len(logs)
     streak = 0
     prev_mag = mag = math.inf
@@ -320,8 +314,6 @@ def _sum_log_series(
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
         if flip and k & 1:
             t = -t
-        if weight is not None:
-            t *= weight(k)
         total += t
         try:
             mag = abs(t)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,14 +29,13 @@ from .fractional_ops import (
     hilfer_numeric,
 )
 from .solver import (
-    CauchySolution,
     DegenerateProblem,
     SeriesSolution,
     cauchy_solution,
     coefficient_sequence,
     fundamental_solution,
 )
-from .special_functions import DEFAULT_TOL, _check_index
+from .special_functions import DEFAULT_TOL, _check_index, _sum_log_series
 
 __all__ = [
     "ResidualReport",
@@ -220,29 +220,44 @@ def residual_numeric(
     )
 
 
-def _series_derivative_at(
-    sol_branches: CauchySolution, j: int, y: float, tol: float
-) -> complex:
-    """d^j/dy^j of g(y) = y^{-(1-mu)(i-beta)} u(y), termwise; nan if a
-    branch series does not converge.
+def _derivative_series(branch: SeriesSolution, j: int) -> "tuple[int, Callable]":
+    """(start, log_coeffs): branch s's part of d^j/dy^j g(y) for the series
+    engine, g(y) = y^{(1-mu)(i-beta)} u(y).
 
     The exponent shift turns branch s into sum_k c_k lambda^k y^{ak+s}, so
     the derivative is y^{s-j} sum_k fp_k c_k (lambda y^a)^k with the falling
-    products fp_k = (ak+s)(ak+s-1)...(ak+s-j+1) as term weights. For s < j,
-    fp_0 = 0 and y^{s-j} may overflow, so the sum starts at k = 1 with the
-    power folded into lambda y^{a+s-j}; a > i-1 >= j-s keeps it finite."""
+    products fp_k = (ak+s)(ak+s-1)...(ak+s-j+1). For s < j, fp_0 = 0 and
+    y^{s-j} may overflow, so the sum starts at k = 1 with the power folded
+    into lambda y^{a+s-j}. Every summed fp_k is at least 1 (each factor is
+    at least s-j+1 for s >= j, and exceeds i-j+s for s < j since a > i-1),
+    so ln fp_k is added to ln(c_{start+k}/c_start), in one list for all y."""
+    a, s = branch.a, branch.s
+    start = 1 if s < j else 0
+    tail = branch._tail_params(start)._log_coeffs
+    if j == 0:
+        return start, tail
+    logs: list[float] = []
+
+    def fetch(n: int) -> list[float]:
+        base = tail(n)
+        logs.extend(base[k] + math.log(falling_product(a * (k + start) + s, j))
+                    for k in range(len(logs), n))
+        return logs
+
+    return start, fetch
+
+
+def _series_derivative_at(series: list, j: int, y: float, tol: float) -> complex:
+    """d^j/dy^j g(y) over the (weight, branch, start, log_coeffs) of every
+    weighted branch; nan if a branch series does not converge."""
     total = 0.0 + 0.0j
-    for weight, branch in zip(sol_branches.weights, sol_branches.branches):
-        if weight == 0:
-            continue
+    for weight, branch, start, log_coeffs in series:
         a, s = branch.a, branch.s
-        start = 1 if s < j else 0
-        fp = (lambda k: falling_product(a * (k + start) + s, j)) if j > 0 else None
-        report = branch.series_report(branch.lam * y**a, start, tol, fp)
+        report = _sum_log_series(log_coeffs, branch.lam * y**a, tol)
         if not report.converged:
             return complex("nan")
         lead = branch.lam * y ** (a + s - j) if start else y ** (s - j)
-        total += weight * lead * report.value
+        total += weight * lead * (branch.coefficient(start) * report.value)
     return total
 
 
@@ -261,12 +276,14 @@ def initial_condition_check(
 ) -> list[float]:
     """|extrapolated limit - phi_j| for j = 0..i-1.
 
-    The weighted series g(y) = y^{-(1-mu)(i-beta)} u(y) is differentiated
+    The weighted series g(y) = y^{(1-mu)(i-beta)} u(y) is differentiated
     termwise (exact), sampled at IC_POINTS and driven to y -> 0+ by a
     Richardson step on them."""
     sol = cauchy_solution(problem, phis)
     errors = []
     for j, phi in enumerate(sol.phis):
-        samples = [_series_derivative_at(sol, j, y, tol) for y in IC_POINTS]
+        series = [(weight, branch, *_derivative_series(branch, j))
+                  for weight, branch in zip(sol.weights, sol.branches) if weight != 0]
+        samples = [_series_derivative_at(series, j, y, tol) for y in IC_POINTS]
         errors.append(float(abs(_aitken(*samples) - phi)))
     return errors

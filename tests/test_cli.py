@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from bihilfer import KilbasSaigoParams, kilbas_saigo
-from bihilfer.cli import _write_table, cli
+from bihilfer.cli import _open_out, _write_table, cli
 
 
 @pytest.fixture
@@ -425,12 +425,39 @@ class TestOutPath:
         assert result.stderr.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "module,name,args",
+        [
+            ("series_grid", "kilbas_saigo_grid", ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0",
+                                                  "--z", "1"]),
+            ("solver", "kilbas_saigo_grid", ["fundamental", "--alpha", "0.5", "--beta", "0.5",
+                                             "--mu", "1"]),
+            ("solver", "kilbas_saigo_grid", ["solve", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
+                                             "--phis", "1"]),
+            ("verification", "residual_coefficient_identity",
+             ["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--points", "32768"]),
+        ],
+        ids=["eval-ks", "fundamental", "solve", "verify"],
+    )
+    def test_unwritable_out_fails_before_computing(self, runner, tmp_path, monkeypatch, module,
+                                                  name, args):
+        # The path is opened after validation and before the engine runs, so
+        # a 32768-point verify no longer computes its table to exit 1.
+        calls = []
+        monkeypatch.setattr(f"bihilfer.{module}.{name}", lambda *a, **k: calls.append(a))
+        out = tmp_path / "no" / "such" / "x.csv"
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert calls == []
+
 
 class TestCsvFloats:
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 5e-324, -0.0, 1e300, -2.5e-310, 12345.678])
     def test_float_cells_read_back_bit_exact(self, tmp_path, value):
         out = tmp_path / "table.csv"
-        _write_table("t", {"n": 1}, ["x", "y"], [[value, 7], [-value, True]], "csv", str(out))
+        _write_table("t", {"n": 1}, ["x", "y"], [[value, 7], [-value, True]], "csv",
+                     _open_out(str(out)))
         text = out.read_text()
         # Each float is its repr, the shortest string with the same bits.
         assert text == f"# n=1\nx,y\n{value!r},7\n{-value!r},True\n"

@@ -18,8 +18,10 @@ from bihilfer import (
     SampledFunction,
     falling_product,
     fundamental_solution,
+    gamma_ratio,
     hilfer_monomial,
     hilfer_numeric,
+    log_gamma_ratio,
     rl_integral_monomial,
     rl_integral_numeric,
 )
@@ -116,6 +118,28 @@ class TestRlIntegralMonomial:
             rl_integral_monomial(0.5, -1.0)
         with pytest.raises(DomainError):
             rl_integral_monomial(0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: SampledFunction(math.inf, np.ones(8)), ValueError, "grid step h must be finite"),
+        (lambda: rl_integral_monomial(math.inf, 1.0), DomainError, r"finite nu > 0 violated \(nu=inf"),
+        (lambda: rl_integral_monomial(0.5, math.inf), DomainError,
+         r"finite delta > -1 violated \(delta=inf"),
+        (lambda: hilfer_monomial(OrderTriple(0.5, 0.5, 1.0, 1), math.inf), DomainError,
+         r"finite delta > -1 violated \(delta=inf"),
+        (lambda: log_gamma_ratio(2.0, math.inf), DomainError, "requires finite q > 0, got q=inf"),
+        (lambda: gamma_ratio(math.inf, 2.0), DomainError, "requires finite p > 0, got p=inf"),
+    ],
+    ids=["sampled-h", "rl-nu", "rl-delta", "hilfer-delta", "log-gamma-ratio-q", "gamma-ratio-p"],
+)
+def test_non_finite_input_rejected(call, error, match):
+    # Each returned inf or nan: rl_integral_monomial(inf, 1.0) gave
+    # PowerTerm(0.0, inf), log_gamma_ratio(2.0, inf) nan, and
+    # rl_integral_numeric on SampledFunction(inf, ...) inf+nanj.
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestHilferMonomial:

@@ -19,12 +19,14 @@ from bihilfer import (
     derive_params,
     fundamental_solution,
     hilfer_reduction_params,
+    initial_condition_check,
     kilbas_saigo,
     kilbas_saigo_coefficients,
     kilbas_saigo_grid,
     mittag_leffler,
 )
 from bihilfer.series_grid import _PowerGrid, _sum_log_series_grid
+from bihilfer.special_functions import _sum_log_series
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -243,8 +245,6 @@ class TestSeriesSolution:
         with pytest.raises(ValueError, match="start must be >= 0"):
             sol.evaluate_tail_report(0.5, -1)
         with pytest.raises(ValueError, match="start must be >= 0"):
-            sol.series_report(0.3, -2)
-        with pytest.raises(ValueError, match="start must be >= 0"):
             sol.tail_grid_report(np.array([0.5]), -1)
         with pytest.raises(ValueError, match="k_start must be >= 0"):
             sol.evaluate_tail_report(0.0, -1)
@@ -255,10 +255,9 @@ class TestSeriesSolution:
             lambda sol: sol.tail_grid_report(np.array([0.5]), 1.5),
             lambda sol: sol.tail_grid_report(np.array([0.0]), 2.0),
             lambda sol: sol.tail_at_origin(1.5),
-            lambda sol: sol.series_report(0.3, 1.5),
             lambda sol: sol.coefficient(1.5),
         ],
-        ids=["tail", "tail-origin", "tail-at-origin", "series-report", "coefficient"],
+        ids=["tail", "tail-origin", "tail-at-origin", "coefficient"],
     )
     def test_non_integer_series_start_rejected(self, call):
         # A float index used to reach the coefficient cache, which raised
@@ -337,8 +336,9 @@ class TestSeriesSolution:
             for k_start in (1, 2, 3):
                 grid = sol.tail_grid_report(ys, k_start)
                 for j, y in enumerate(ys.tolist()):
-                    ref = sol.series_report(sol.lam * y**sol.a, k_start)
-                    want = y ** (sol.a * k_start + sol.b) * sol.lam**k_start * ref.value
+                    ref = _sum_log_series(sol._tail_params(k_start)._log_coeffs, sol.lam * y**sol.a)
+                    coef = sol.coefficient(k_start)
+                    want = y ** (sol.a * k_start + sol.b) * sol.lam**k_start * (coef * ref.value)
                     assert abs(grid.value[j] - want) <= 1e-14 * abs(want), (s, k_start, y)
                     assert grid.terms_used[j] == ref.terms_used, (s, k_start, y)
                 if isinstance(lam, float):
@@ -578,6 +578,18 @@ class TestCauchySolution:
         problem = make_problem(2.5, 2.5, 1.0, 3, m=0.0)
         sol = cauchy_solution(problem, [1.0, 1.0, 1.0])
         assert sol.weights == (1.0, 1.0, 0.5)
+
+    def test_initial_conditions_across_the_sweep(self):
+        # The check sums ln fp_k of every falling product it differentiates
+        # with, so a fp_k <= 0 would raise from math.log; i = 6 and 9 add
+        # derivatives of order up to 8, and lambda = -2+i phases.
+        wide = [make_problem(i - da, i - db, 0.4, i, m=m, lam=-2.0 + 1.0j)
+                for i in (6, 9) for da, db in ((0.5, 0.75), (0.1, 0.9), (0.3, 0.7))
+                for m in (0.0, 0.5, 2.0)]
+        for problem in SWEEP + wide:
+            i = problem.orders.i
+            errors = initial_condition_check(problem, [float(j + 1) for j in range(i)])
+            assert len(errors) == i and all(e <= 1e-6 for e in errors), problem
 
     def test_grid_evaluation_matches_pointwise(self):
         problem = make_problem(1.5, 1.5, 0.5, 2, m=0.0, lam=1.0 - 0.5j)

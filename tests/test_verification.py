@@ -13,6 +13,7 @@ from bihilfer import (
     SampledFunction,
     SeriesSolution,
     coefficient_sequence,
+    falling_product,
     fundamental_solution,
     hilfer_monomial,
     hilfer_numeric,
@@ -22,8 +23,8 @@ from bihilfer import (
     residual_coefficient_identity,
     residual_numeric,
 )
-from bihilfer.special_functions import _CACHE
-from bihilfer.verification import residual_min_points
+from bihilfer.special_functions import _CACHE, _sum_log_series
+from bihilfer.verification import _derivative_series, residual_min_points
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -295,6 +296,41 @@ class TestInitialConditions:
     def test_window_3_and_4(self):
         assert all(e <= 1e-6 for e in initial_condition_check(WINDOW_3, [1.0, -0.5, 2.0]))
         assert all(e <= 1e-6 for e in initial_condition_check(WINDOW_4, [1.0, 0.5j, -1.0, 2.0]))
+
+
+def _weighted_reference(branch, j, z):
+    """sum_k fp_k c_{start+k} z^k with the falling products
+    fp_k = falling_product(a(k+start)+s, j), summed term by term with the
+    weights as plain factors until a term is below 1e-20 of the sum."""
+    start = 1 if branch.s < j else 0
+    total = 0j
+    for k in range(200):
+        fp = falling_product(branch.a * (k + start) + branch.s, j) if j else 1.0
+        term = fp * branch.coefficient(start + k) * z**k
+        total += term
+        if k > 3 and abs(term) <= 1e-20 * abs(total):
+            return total
+    raise AssertionError("reference sum did not settle")
+
+
+class TestFoldedDerivativeWeights:
+    """The initial-condition check hands the series engine ln fp_k folded into
+    its log-coefficients; the sum must be the weighted one."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 6, 9])
+    @pytest.mark.parametrize("lam", [-1.5 + 0.5j, 0.0], ids=["complex", "zero"])
+    def test_matches_the_weighted_sum(self, i, lam):
+        problem = make_problem(i - 0.5, i - 0.75, 0.4, i, m=0.5, lam=lam)
+        for s in range(i):
+            branch = fundamental_solution(problem, s)
+            for j in range(i):
+                start, log_coeffs = _derivative_series(branch, j)
+                assert start == (1 if s < j else 0)
+                for y in (0.3, 0.9):
+                    z = lam * y**branch.a
+                    got = branch.coefficient(start) * _sum_log_series(log_coeffs, z, 1e-17).value
+                    want = _weighted_reference(branch, j, z)
+                    assert abs(got - want) <= 1e-14 * abs(want), (s, j, y)
 
 
 class TestCrossOracleClosure:
