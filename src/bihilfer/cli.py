@@ -78,7 +78,9 @@ class CliGroup(click.Group):
 
 def _apply_config(ctx: click.Context, param: click.Parameter, path: "str | None") -> None:
     """Load a flat JSON object into the defaults of every option; explicit
-    flags still win, and click type-checks the values as it does flags."""
+    flags still win, and click type-checks the values as it does flags. A key
+    of another subcommand is accepted, so one file can feed several; a key
+    that no subcommand takes is refused."""
     if path is None:
         return
     with open(path, "r", encoding="utf-8") as fh:
@@ -88,6 +90,10 @@ def _apply_config(ctx: click.Context, param: click.Parameter, path: "str | None"
             raise click.BadParameter(f"not valid JSON: {exc}", ctx, param)
     if not isinstance(data, dict):
         raise click.BadParameter("config file must contain a JSON object", ctx, param)
+    taken = {p.name for cmd in ctx.find_root().command.commands.values() for p in cmd.params}
+    unknown = [key for key in data if key not in taken]
+    if unknown:
+        raise click.BadParameter(f"no subcommand takes {', '.join(map(repr, unknown))}", ctx, param)
     ctx.default_map = data
 
 

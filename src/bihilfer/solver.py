@@ -122,9 +122,9 @@ class SeriesSolution:
 
     def __post_init__(self) -> None:
         i = self.problem.orders.i
+        self.s = _check_index("s", self.s, -math.inf)  # the range is checked next
         if not 0 <= self.s <= i - 1:
             raise ValueError(f"branch s must lie in 0..{i - 1}, got s={self.s}")
-        self.s = _check_index("s", self.s)
         params = derive_params(self.problem)
         self.a = params.a
         self.b = params.b[self.s]

@@ -30,7 +30,6 @@ import math
 import operator
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -142,7 +141,7 @@ class KilbasSaigoParams:
     def _log_coeffs(self, n: int) -> list[float]:
         """At least n log-coefficients from the shared cache; a bound method
         is cheaper to hand the series engine than a partial built per call."""
-        return _CACHE.logs(self, n)
+        return _logs(self, n)
 
 
 class SeriesEvalReport(NamedTuple):
@@ -163,73 +162,43 @@ class SeriesEvalReport(NamedTuple):
     path: str = "series"
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Requests to the coefficient cache whose triple was kept (hits) or not
-    (misses), and the log-coefficients ln c_k, k >= 1, it has computed."""
-
-    hits: int
-    misses: int
-    filled: int
-
-
-# Triples kept by the coefficient cache; a parameter sweep cycles through it.
+# Triples kept by each per-triple table; a parameter sweep cycles through it.
 _CACHE_SIZE = 128
+_FILL_LOCK = threading.Lock()
 
 
-class _CoefficientCache:
-    """Bounded cache of Kilbas-Saigo log-coefficients ln c_i per parameter
-    triple.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _triple_logs(alpha: float, m: float, l: float) -> list[float]:
+    """The log-coefficient list ln c_0, ln c_1, ... of one triple, as far as
+    it has been filled; _logs grows it.
 
     One list per triple: the series engine sums these logs, so deep tails
     neither overflow nor underflow, and the linear coefficients handed to
-    the identity check are exp of the same numbers. The fill is idempotent,
-    append-only and guarded by a lock, so concurrent evaluations behave as
-    if each recomputed the sequence. At most `_CACHE_SIZE` triples are kept:
-    the least recently used one is dropped, and a later request refills it
-    with identical values. A list handed out earlier keeps its values but
-    stops growing once its triple is dropped, so a caller that needs more
-    terms asks the cache again.
+    the identity check are exp of the same numbers. At most `_CACHE_SIZE`
+    triples are kept: the least recently used one is dropped, and a later
+    request refills it with identical values. Hits and misses are read from
+    `_triple_logs.cache_info()`.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._data: OrderedDict[tuple[float, float, float], list[float]] = OrderedDict()
-        # The list of the most recently used triple, which needs no move.
-        self._recent: "list[float] | None" = None
-        self._hits = self._misses = self._filled = 0
-
-    def stats(self) -> CacheStats:
-        """Hit, miss and fill counts since the cache was created."""
-        with self._lock:
-            return CacheStats(self._hits, self._misses, self._filled)
-
-    def logs(self, params: KilbasSaigoParams, n: int) -> list[float]:
-        """At least n log-coefficients ln c_0, ln c_1, ... of the triple."""
-        alpha, m, l = key = (params.alpha, params.m, params.l)
-        with self._lock:
-            log = self._data.get(key)
-            if log is None:
-                self._misses += 1
-                log = self._data[key] = [0.0]
-                if len(self._data) > _CACHE_SIZE:
-                    self._data.popitem(last=False)
-                self._recent = log
-            else:
-                self._hits += 1
-                if log is not self._recent:
-                    self._data.move_to_end(key)
-                    self._recent = log
-            if len(log) < n:
-                self._filled += n - len(log)
-                while len(log) < n:
-                    j = len(log) - 1
-                    diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
-                    log.append(log[-1] + diff)
-            return log
+    return [0.0]
 
 
-_CACHE = _CoefficientCache()
+def _logs(params: KilbasSaigoParams, n: int) -> list[float]:
+    """At least n log-coefficients ln c_0, ln c_1, ... of the triple.
+
+    The fill is deterministic, append-only and locked, so concurrent
+    evaluations behave as if each recomputed the sequence. A list handed
+    out earlier keeps its values but stops growing once its triple is
+    dropped, so a caller that needs more terms asks again.
+    """
+    alpha, m, l = params.alpha, params.m, params.l
+    log = _triple_logs(alpha, m, l)
+    if len(log) < n:
+        with _FILL_LOCK:
+            while len(log) < n:
+                j = len(log) - 1
+                diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
+                log.append(log[-1] + diff)
+    return log
 
 
 def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[float]:
@@ -239,7 +208,7 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[flo
     at j = i-1, each ratio taken in log space and accumulated as ln c_i.
     """
     count = _check_index("count", count, 1)
-    return [math.exp(v) for v in _CACHE.logs(params, count)[:count]]
+    return [math.exp(v) for v in _logs(params, count)[:count]]
 
 
 def _check_index(name: str, value: int, minimum: int = 0) -> int:

@@ -508,8 +508,9 @@ class TestConfigFile:
             json.dumps({"alpha": 0.5, "beta": 0.5, "mu": 1.0, "format": "xml"}),
             json.dumps([0.5, 0.5, 1.0]),
             '{"alpha": 0.5,',
+            json.dumps({"alpha": 0.5, "beta": 0.5, "mu": 1.0, "points": 4, "lambda-re": -50}),
         ],
-        ids=["wrong-type", "bad-choice", "json-array", "malformed-json"],
+        ids=["wrong-type", "bad-choice", "json-array", "malformed-json", "unknown-key"],
     )
     def test_bad_config_exit_1(self, runner, tmp_path, text):
         config = tmp_path / "run.json"

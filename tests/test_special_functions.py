@@ -11,7 +11,6 @@ parameters.
 import cmath
 import math
 import struct
-from functools import partial
 
 import numpy as np
 import pytest
@@ -32,14 +31,14 @@ from bihilfer import (
 from bihilfer import series_grid, special_functions
 from bihilfer.series_grid import _BLOCK_TERMS, _CHUNK_POINTS, _PowerGrid, _sum_log_series_grid
 from bihilfer.special_functions import (
-    _CACHE,
     _CACHE_SIZE,
     _FETCH_AHEAD,
     _MAX_TERMS,
     SeriesEvalReport,
     _check_series_args,
-    _CoefficientCache,
+    _logs,
     _sum_log_series,
+    _triple_logs,
 )
 
 # (p, q, ln Gamma(p) - ln Gamma(q)) frozen from a 40-digit computation
@@ -378,13 +377,17 @@ class TestCoefficients:
         assert long[:10] == short
 
     def test_cache_is_bounded_and_refills_identically(self):
+        _triple_logs.cache_clear()
         fresh = [KilbasSaigoParams(0.45, 1.1, 0.01 * n) for n in range(_CACHE_SIZE + 1)]
         first = kilbas_saigo_coefficients(fresh[0], 80)
+        dropped = _logs(fresh[0], 1)
         for params in fresh[1:]:
             kilbas_saigo_coefficients(params, 8)
-            assert len(_CACHE._data) <= _CACHE_SIZE
-        assert len(_CACHE._data) == _CACHE_SIZE
-        assert (0.45, 1.1, 0.0) not in _CACHE._data  # least recently used
+            assert _triple_logs.cache_info().currsize <= _CACHE_SIZE
+        assert _triple_logs.cache_info().currsize == _CACHE_SIZE
+        misses = _triple_logs.cache_info().misses
+        assert _logs(fresh[0], 1) is not dropped  # least recently used
+        assert _triple_logs.cache_info().misses == misses + 1
         assert kilbas_saigo_coefficients(fresh[0], 80) == first
 
     def test_concurrent_evaluation_shares_cache_safely(self):
@@ -465,13 +468,13 @@ class TestGridDriver:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = partial(_CACHE.logs, _shifted(params, start))
+        fetch = _shifted(params, start)._log_coeffs
         _assert_bit_identical(_sum_log_series_grid(fetch, zs, tol), _scalar_reports(fetch, zs, tol))
 
     def test_covers_every_exit_of_the_engine(self):
         params, capped = CAPPED
         zs = [capped, 0.0, -3.0, 2.0, 1.0 - 2.0j, 800.0, cmath.rect(720.0, 1.0)]
-        fetch = partial(_CACHE.logs, _shifted(params, 2))
+        fetch = _shifted(params, 2)._log_coeffs
         reports = _scalar_reports(fetch, zs, 1e-12)
         assert reports[0].terms_used == 10_000 and not reports[0].converged
         assert reports[5].last_term_magnitude == math.inf
@@ -485,7 +488,7 @@ class TestGridDriver:
         # block up to _MAX_TERMS beside it. Only the odd point goes to the
         # scalar engine, and every point keeps its bits.
         params, capped = CAPPED
-        fetch = partial(_CACHE.logs, params)
+        fetch = params._log_coeffs
         zs = [capped, 0.5, odd, -0.3]
         reports = _scalar_reports(fetch, zs, 1e-12)
         grid = _sum_log_series_grid(fetch, zs)
@@ -496,14 +499,14 @@ class TestGridDriver:
 
     def test_spans_chunks_and_blocks(self):
         # More points than one chunk, and terms than one block.
-        fetch = partial(_CACHE.logs, KilbasSaigoParams(0.5, 1.0, 0.0))
+        fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
         zs = np.linspace(-8.0, 4.0, 1201) * np.exp(0.3j)
         grid = _sum_log_series_grid(fetch, zs)
         assert grid.terms_used.max() > 16
         _assert_bit_identical(grid, _scalar_reports(fetch, zs, 1e-12))
 
     def test_empty_grid(self):
-        grid = _sum_log_series_grid(partial(_CACHE.logs, CAPPED[0]), [])
+        grid = _sum_log_series_grid(CAPPED[0]._log_coeffs, [])
         assert grid.value.size == grid.terms_used.size == 0
 
 
@@ -549,7 +552,7 @@ class TestGridChunks:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = partial(_CACHE.logs, _shifted(params, start))
+        fetch = _shifted(params, start)._log_coeffs
         _assert_bit_identical(_grid_in_chunks(fetch, zs, tol, chunk), _scalar_reports(fetch, zs, tol))
 
     @pytest.mark.parametrize(
@@ -567,7 +570,7 @@ class TestGridChunks:
         ids=["long-short-zero-overflow", "after-cap"],
     )
     def test_neighbouring_chunks_of_unequal_length(self, params, zs, maxima):
-        fetch = partial(_CACHE.logs, KilbasSaigoParams(*params))
+        fetch = KilbasSaigoParams(*params)._log_coeffs
         grid = _grid_in_chunks(fetch, zs, 1e-12, 3)
         assert [max(grid.terms_used[c : c + 3]) for c in range(0, len(zs), 3)] == maxima
         _assert_bit_identical(grid, _scalar_reports(fetch, zs, 1e-12))
@@ -577,7 +580,7 @@ class TestBlockLength:
     def test_no_block_passes_the_cap(self):
         # A chunk ending at the 10,000-term cap, then a chunk of short sums.
         requested = []
-        fetch = partial(_CACHE.logs, CAPPED[0])
+        fetch = CAPPED[0]._log_coeffs
 
         def recording(n):
             requested.append(n)
@@ -669,7 +672,7 @@ class TestScalarEngineReference:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = partial(_CACHE.logs, _shifted(params, start))
+        fetch = _shifted(params, start)._log_coeffs
         for z in zs:
             assert _bits(_sum_log_series(fetch, z, tol)) == _bits(
                 _reference_sum_log_series(fetch, z, tol)
@@ -689,7 +692,7 @@ class TestScalarEngineReference:
              "non-finite-point"],
     )
     def test_every_exit(self, params, z, start, exit):
-        fetch = partial(_CACHE.logs, _shifted(KilbasSaigoParams(*params), start))
+        fetch = _shifted(KilbasSaigoParams(*params), start)._log_coeffs
         report = _sum_log_series(fetch, z, 1e-12)
         if exit == "overflow":
             assert report.last_term_magnitude == math.inf and not report.converged
@@ -702,33 +705,43 @@ class TestScalarEngineReference:
 
 class TestCacheStats:
     def test_counts_hits_misses_and_fills(self):
-        cache = _CoefficientCache()
+        _triple_logs.cache_clear()
         params = KilbasSaigoParams(0.7, 1.3, 0.2)
-        cache.logs(params, 10)
-        cache.logs(params, 4)
-        cache.logs(params, 25)
-        cache.logs(KilbasSaigoParams(0.7, 1.3, 0.3), 1)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.filled) == (2, 2, 24)
+        assert len(_logs(params, 10)) == 10
+        assert len(_logs(params, 4)) == 10
+        assert len(_logs(params, 25)) == 25
+        assert _logs(KilbasSaigoParams(0.7, 1.3, 0.3), 1) == [0.0]
+        info = _triple_logs.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
         with pytest.raises(AttributeError):
-            stats.hits = 0
+            info.hits = 0
 
     def test_least_recently_used_order(self):
-        # Runs of requests for one triple, as a sweep makes them, keep the
-        # order of a plain LRU that moves every hit to the end.
-        cache, model = _CoefficientCache(), []
+        # Runs of requests for one triple, as a sweep makes them, hit and
+        # miss as in a plain LRU that moves every hit to the end; a hit hands
+        # back the triple's list, a miss a new one with the same values.
+        _triple_logs.cache_clear()
+        model, lists = [], {}
         rng = np.random.default_rng(7)
         triples = [KilbasSaigoParams(0.5, 1.0, 0.01 * n) for n in range(_CACHE_SIZE + 20)]
         for _ in range(600):
             params = triples[int(rng.integers(len(triples)))]
             for _ in range(int(rng.integers(1, 4))):
-                cache.logs(params, 2)
                 key = (params.alpha, params.m, params.l)
-                if key in model:
+                hits = _triple_logs.cache_info().hits
+                log = _logs(params, 2)
+                hit = key in model
+                assert _triple_logs.cache_info().hits == hits + hit
+                assert (log is lists.get(key)) == hit
+                assert log == lists.get(key, log)
+                lists[key] = log
+                if hit:
                     model.remove(key)
                 model.append(key)
                 del model[:-_CACHE_SIZE]
-        assert list(cache._data) == model
+        # Probing the kept triples oldest first evicts none of them.
+        assert all(_triple_logs(*key) is lists[key] for key in model)
+        assert _triple_logs.cache_info().currsize == _CACHE_SIZE
 
 
 def _hankel_reference(alpha, l, z):

@@ -23,7 +23,7 @@ from bihilfer import (
     residual_coefficient_identity,
     residual_numeric,
 )
-from bihilfer.special_functions import _CACHE, _sum_log_series
+from bihilfer.special_functions import _sum_log_series
 from bihilfer.verification import _derivative_series, residual_min_points
 
 
@@ -68,7 +68,7 @@ class TestCoefficientIdentity:
     def test_perturbed_cached_log_detected(self):
         # The check reads the same ln c_k that the series engine sums.
         params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
-        logs = _CACHE.logs(params, 101)
+        logs = params._log_coeffs(101)
         saved = logs[5]
         logs[5] += 1e-6
         try:
@@ -125,14 +125,17 @@ class TestBranchRange:
             (0.5, lambda p: SeriesSolution(p, 0.5)),
             (1.0, lambda p: fundamental_solution(p, 1.0)),
             (1.0, lambda p: residual_coefficient_identity(p, 1.0, 3)),
+            ("0", lambda p: SeriesSolution(p, "0")),
+            (None, lambda p: SeriesSolution(p, None)),
         ],
-        ids=["branch", "fundamental", "identity"],
+        ids=["branch", "fundamental", "identity", "branch-str", "branch-none"],
     )
     def test_branch_must_be_an_integer(self, s, check):
         # A float inside 0..i-1 used to pass the range check and fail with a
-        # TypeError from indexing the branch exponents.
+        # TypeError from indexing the branch exponents; a string or None
+        # failed with a TypeError from the range comparison.
         problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
-        with pytest.raises(ValueError, match=f"^s must be an integer, got s={s}$"):
+        with pytest.raises(ValueError, match=f"^s must be an integer, got s={s!r}$"):
             check(problem)
 
 
