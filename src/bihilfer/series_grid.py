@@ -3,11 +3,11 @@
 The numpy half of the special-function kernel: kilbas_saigo_grid evaluates
 special_functions.kilbas_saigo at every point of a 1-d array of z (or of a
 _PowerGrid, the solver's z = lam * y**a) and returns the same bits, path
-included. Where the triple takes the contour rule it calls the scalar rule,
-special_functions._contour_point, at each point, so the rule and its
-rounding live in one module. The series runs through the blocked grid
-driver _sum_log_series_grid, which keeps the scalar engine's stopping rule
-and, on an array of z, its bits. special_functions itself does not import
+included. A triple that takes the contour rule is kilbas_saigo itself at
+each point, so the rule, its rounding and its series fallback live in one
+module. Every other triple is summed by the blocked grid driver
+_sum_log_series_grid, which keeps the scalar engine's stopping rule and, on
+an array of z, its bits. special_functions itself does not import
 numpy, so a scalar caller never loads it.
 """
 
@@ -21,14 +21,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .special_functions import (
-    _CONTOUR_NODES,
     _MAX_TERMS,
     DEFAULT_TOL,
     KilbasSaigoParams,
     _check_series_args,
-    _contour_point,
     _contour_rule,
     _sum_log_series,
+    kilbas_saigo,
 )
 
 __all__ = ["SeriesGridReport", "kilbas_saigo_grid"]
@@ -204,10 +203,19 @@ def _sum_chunk(
         total, was_small, prev = sums[-1, keep], small[-2:, keep], mag[-1, keep]
         k0, width, later = k0 + nb, later, 2 * later
     for p in scalar:
-        z = zs.lam * float(zs.ys[p]) ** zs.a if ray else complex(zs[p])
+        z = zs.lam * _power(float(zs.ys[p]), zs.a) if ray else complex(zs[p])
         report = _sum_log_series(log_coeffs, z, tol)
         for array, field in zip(vars(out).values(), report[:4]):
             array[offset + p] = field
+
+
+def _power(y: float, p: float) -> float:
+    """Python's y**p, inf where it overflows: the engine then reports the
+    point unconverged."""
+    try:
+        return y**p
+    except OverflowError:
+        return math.inf
 
 
 def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
@@ -219,9 +227,9 @@ def kilbas_saigo_grid(
     params: KilbasSaigoParams, zs: "np.ndarray | _PowerGrid", tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
-    included: the scalar contour rule (_contour_point) at each point, then
-    the series by the blocked grid driver for the points it refuses. The
-    rule takes a _PowerGrid's points lam * np.power(y, a), the driver its
+    included. A triple that takes the contour rule is kilbas_saigo itself at
+    each point (a _PowerGrid's points are lam * np.power(y, a)); any other
+    triple is summed by the blocked grid driver, on a _PowerGrid along its
     ray (kilbas_saigo's to rounding)."""
     ray = isinstance(zs, _PowerGrid)
     if not ray:
@@ -232,23 +240,12 @@ def kilbas_saigo_grid(
         return _sum_log_series_grid(params._log_coeffs, zs, tol)
     _check_series_args(tol)
     points = zs.lam * np.power(zs.ys, zs.a) if ray else zs
-    report = SeriesGridReport(
-        np.empty(points.size, dtype=complex),
-        np.full(points.size, _CONTOUR_NODES),
-        np.empty(points.size),
-        np.ones(points.size, dtype=bool),
-        np.full(points.size, "series", dtype="<U7"),
+    reports = [kilbas_saigo(params, z, tol) for z in points.tolist()]
+    value, terms, last, converged, path = zip(*reports) if reports else ([],) * 5
+    return SeriesGridReport(
+        np.array(value, dtype=complex),
+        np.array(terms, dtype=np.int64),
+        np.array(last, dtype=float),
+        np.array(converged, dtype=bool),
+        np.array(path, dtype="<U7"),
     )
-    rules = [_contour_point(params, z, tol) for z in points.tolist()]
-    done = [j for j, rule in enumerate(rules) if rule is not None]
-    if done:
-        report.value[done] = [rules[j].value for j in done]
-        report.last_term_magnitude[done] = [rules[j].last_term_magnitude for j in done]
-        report.path[done] = "contour"
-    rest = np.flatnonzero(report.path == "series")
-    left = zs._replace(ys=zs.ys[rest]) if ray else points[rest]
-    series = _sum_log_series_grid(params._log_coeffs, left, tol)
-    report.value[rest], report.terms_used[rest] = series.value, series.terms_used
-    report.last_term_magnitude[rest] = series.last_term_magnitude
-    report.converged[rest] = series.converged
-    return report

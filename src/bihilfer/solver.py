@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fractional_ops import OrderTriple
-from .series_grid import _CHUNK_POINTS, SeriesGridReport, _PowerGrid, kilbas_saigo_grid
+from .series_grid import _CHUNK_POINTS, SeriesGridReport, _PowerGrid, _power, kilbas_saigo_grid
 from .special_functions import (
     DEFAULT_TOL,
     KilbasSaigoParams,
@@ -180,19 +180,20 @@ class SeriesSolution:
         origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
         lam, a, power = self.lam, self.a, self.a * k_start + self.b
         if k_start:
-            zs, scale = _PowerGrid(lam, a, ys), np.power(ys, power)
+            with np.errstate(over="ignore"):
+                zs, scale = _PowerGrid(lam, a, ys), np.power(ys, power)
         else:
             zs, scale = np.empty(ys.size, dtype=complex), np.empty(ys.size)
             for c in _slices(ys.size):
-                zs[c] = [lam * y**a for y in ys[c].tolist()]
-                scale[c] = [y**power for y in ys[c].tolist()]
+                zs[c] = [lam * _power(y, a) for y in ys[c].tolist()]
+                scale[c] = [_power(y, power) for y in ys[c].tolist()]
         report = kilbas_saigo_grid(params, zs, tol)
         # In real arithmetic, as numpy's in-place complex product rounds a
         # long array otherwise than a short one; at k_start = 0 it rounds as
-        # Python's y**b * lam**0 * v. An overflowed sum may grow.
+        # Python's y**b * lam**0 * v. An overflowed sum or power may grow.
         lead, v = self.coefficient(k_start) * lam**k_start, report.value
-        re, im = scale * lead.real, scale * lead.imag
         with np.errstate(over="ignore", invalid="ignore"):
+            re, im = scale * lead.real, scale * lead.imag
             v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
         if origin is not None:
             v[ys == 0.0] = origin

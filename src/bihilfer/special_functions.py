@@ -6,18 +6,18 @@ at a time. The series engine (_sum_log_series) owns the package's one
 stopping rule. Every sum starts at c_0 = 1 (a tail from index K is the
 triple (alpha, m, l + m*K)). Where the series cancels, at m = 1,
 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid rule on a
-Laplace-inversion contour instead (_contour_point), plus the residue of the
-one pole right of the contour where |arg z| < alpha*pi, whenever the rule's
-error estimate meets tol. The Mittag-Leffler routine exists purely as an
-independent cross-check for the m = 1 reductions of E_{alpha,m,l}; it always
-takes the series engine (and so the truncation rule) but not the coefficient
-computation.
+Laplace-inversion contour instead (_contour_estimate), plus the residue of
+the one pole right of the contour where |arg z| < alpha*pi, whenever the
+rule's error estimate meets tol. The Mittag-Leffler routine exists purely as
+an independent cross-check for the m = 1 reductions of E_{alpha,m,l}; it
+always takes the series engine (and so the truncation rule) but not the
+coefficient computation.
 
 This module uses only math and cmath and does not import numpy, so a scalar
 caller never pays for it. The grid form, kilbas_saigo_grid, lives in
-series_grid: it sums the same series in numpy blocks and calls this module's
-contour rule (_contour_point) at each point, with the same bits as a loop of
-kilbas_saigo calls.
+series_grid: it sums the same series in numpy blocks, and on a triple that
+takes the contour rule it calls kilbas_saigo at each point, so its bits are
+those of a loop of kilbas_saigo calls.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).
@@ -223,9 +223,6 @@ def _check_index(name: str, value: int, minimum: int = 0) -> int:
     return index
 
 
-# Log-coefficients fetched ahead of the first term; the fetch doubles after.
-_FETCH_AHEAD = 64
-
 # Terms summed before the engine gives up with converged=False.
 _MAX_TERMS = 10_000
 
@@ -242,9 +239,11 @@ def _sum_log_series(
     """The series engine: sum_k exp(L[k] + k log z), k = 0, 1, ...
 
     `log_coeffs(n)` returns a list of at least n log-coefficients L; it is
-    asked again whenever the sum needs more; positive term weights w_k come
-    folded in as L[k] + ln w_k. Real z is summed in real arithmetic with an
-    explicit sign (-1)^k for z < 0, so its imaginary part is exactly zero.
+    asked for one, then for twice the terms summed whenever the sum needs
+    more, so a list built per call holds at most twice the terms summed.
+    Positive term weights w_k come folded in as L[k] + ln w_k. Real z is
+    summed in real arithmetic with an explicit sign (-1)^k for z < 0, so its
+    imaginary part is exactly zero.
 
     Stopping rule, the only one in the package: stop at the first index
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
@@ -258,7 +257,7 @@ def _sum_log_series(
     The stopping test runs only after a small term (three imply N >= 2).
     """
     _check_series_args(tol)
-    logs = log_coeffs(_FETCH_AHEAD)
+    logs = log_coeffs(1)
     if z == 0:
         return SeriesEvalReport(complex(math.exp(logs[0])), 1, 0.0, True)
     z = complex(z)
@@ -332,11 +331,11 @@ def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, floa
     """What a point z adds to the contour rule: (residue added to the value,
     its rounding bound, the pole's discretisation error), or None where the
     rule cannot take z. _contour_estimate adds these three after its node
-    sums. In the sector (_in_sector) s^alpha = z has no root on the
-    principal sheet and z adds exactly (0j, 0.0, 0.0). Off it the terms are
-    those of the one root s* = exp(Log z/alpha), and the rule cannot take z
-    where z is zero or not finite, e^(s*) is past the double range or s*
-    lies on the contour.
+    sums. The rule cannot take a z that is zero or not finite. In the sector
+    (_in_sector) s^alpha = z has no root on the principal sheet and z adds
+    exactly (0j, 0.0, 0.0). Off it the terms are those of the one root
+    s* = exp(Log z/alpha), and the rule cannot take z where e^(s*) is past
+    the double range or s* lies on the contour.
 
     In the rule's variable u the pole lies at Im u = d = 1 - Re sqrt(s*/mu).
     For d < 0 it lies right of the contour, so deforming the Bromwich line
@@ -348,10 +347,10 @@ def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, floa
     e^(s*) turns eps |s*| (2 + |log s*|) of absolute error in its exponent
     into relative error of r.
     """
-    if _in_sector(alpha, z):
-        return 0j, 0.0, 0.0
     if z == 0 or not cmath.isfinite(z):
         return None
+    if _in_sector(alpha, z):
+        return 0j, 0.0, 0.0
     log_s = cmath.log(z) / alpha
     try:
         s = cmath.exp(log_s)
@@ -437,22 +436,6 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
     return value + residue, last, bound + rounding + last + error
 
 
-def _contour_point(params: KilbasSaigoParams, z: complex, tol: float) -> "SeriesEvalReport | None":
-    """The report of the contour rule at z, or None where the rule cannot
-    take z or its estimate exceeds tol * max(1, |value|)."""
-    rule = _contour_estimate(params, z)
-    if rule is None:
-        return None
-    value, last, estimate = rule
-    try:
-        size = abs(value)
-    except OverflowError:
-        size = math.inf  # the magnitude of a value past the double range
-    if estimate <= tol * (size if size > 1.0 else 1.0):
-        return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
-    return None
-
-
 def kilbas_saigo(
     params: KilbasSaigoParams, z: complex, tol: float = DEFAULT_TOL
 ) -> SeriesEvalReport:
@@ -468,14 +451,20 @@ def kilbas_saigo(
     contour rule of _contour_node_tuples instead, reported with path="contour":
     in the sector |arg z| >= alpha*pi as it stands, off it with the residue
     of the one pole s* (_contour_pole) added where s* lies right of the
-    contour. Where the rule's error estimate cannot meet tol, the series is
-    summed as elsewhere.
+    contour. Where the rule cannot take z or its error estimate exceeds
+    tol * max(1, |value|), the series is summed as elsewhere.
     """
     if _contour_rule(params):
         _check_series_args(tol)
-        report = _contour_point(params, complex(z), tol)
-        if report is not None:
-            return report
+        rule = _contour_estimate(params, complex(z))
+        if rule is not None:
+            value, last, estimate = rule
+            try:
+                size = abs(value)
+            except OverflowError:
+                size = math.inf  # the magnitude of a value past the double range
+            if estimate <= tol * (size if size > 1.0 else 1.0):
+                return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
     return _sum_log_series(params._log_coeffs, z, tol)
 
 

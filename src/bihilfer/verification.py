@@ -107,10 +107,12 @@ def residual_coefficient_identity(
     worst = 0.0
     tiny = sys.float_info.min
     for k in range(1, K + 1):
-        if coeffs[k - 1] < tiny or coeffs[k] < tiny:
+        if abs(coeffs[k - 1]) < tiny or abs(coeffs[k]) < tiny:
             break  # subnormal coefficients no longer carry relative precision
         term = hilfer_monomial(problem.orders, a * k + bs)
         err = abs(term.coef * coeffs[k] - coeffs[k - 1]) / abs(coeffs[k - 1])
+        if math.isnan(err):
+            return err  # a nan coefficient fails the check
         worst = max(worst, err)
     return worst
 

@@ -514,6 +514,35 @@ class TestShiftedTail:
             assert abs(value - want) <= 1e-12 * abs(want), y
 
 
+class TestOverflowingPower:
+    """A grid point where lambda y^a or y^(aK+b) passes the double range is
+    reported unconverged, without an exception or a warning, and leaves the
+    other points' bits as they are."""
+
+    PROBLEM = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-1.0)  # a = 1.875
+
+    @staticmethod
+    def _check(evaluate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(np.array([1.0, 1e200, 2.0]))
+        clean = evaluate(np.array([1.0, 2.0]))
+        assert report.converged.tolist() == [True, False, True]
+        assert report.value[[0, 2]].tobytes() == clean.value.tobytes()
+        assert report.terms_used[[0, 2]].tolist() == clean.terms_used.tolist()
+
+    def test_grid_report(self):
+        self._check(fundamental_solution(self.PROBLEM, 0).grid_report)
+
+    @pytest.mark.parametrize("k_start", [0, 1, 3])
+    def test_tail_grid_report(self, k_start):
+        sol = fundamental_solution(self.PROBLEM, 1)
+        self._check(lambda ys: sol.tail_grid_report(ys, k_start))
+
+    def test_cauchy_grid_report(self):
+        self._check(cauchy_solution(self.PROBLEM, [1.0, 0.5]).grid_report)
+
+
 class TestCauchySolution:
     def test_all_zero_data(self):
         sol = cauchy_solution(make_problem(1.5, 1.3, 0.5, 2, m=1.0), [0.0, 0.0])

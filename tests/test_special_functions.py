@@ -32,7 +32,6 @@ from bihilfer import series_grid, special_functions
 from bihilfer.series_grid import _BLOCK_TERMS, _CHUNK_POINTS, _PowerGrid, _sum_log_series_grid
 from bihilfer.special_functions import (
     _CACHE_SIZE,
-    _FETCH_AHEAD,
     _MAX_TERMS,
     SeriesEvalReport,
     _check_series_args,
@@ -605,7 +604,7 @@ def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
     verbatim but for the start offset and term weights it no longer takes:
     the engine must return the same report for every input."""
     _check_series_args(tol)
-    logs = log_coeffs(_FETCH_AHEAD)
+    logs = log_coeffs(1)
     if z == 0:
         return SeriesEvalReport(complex(math.exp(logs[0])), 1, 0.0, True)
     z = complex(z)
@@ -888,9 +887,33 @@ class TestContourPath:
         parts = (residue.real, residue.imag, rounding, error)
         assert struct.pack("<4d", *parts) == bytes(32)
 
-    @pytest.mark.parametrize("z", [0j, complex(math.nan, 0.0), complex(math.nan, 1.0), complex(-1.0, math.nan)])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            0j,
+            complex(math.nan, 0.0),
+            complex(math.nan, 1.0),
+            complex(-1.0, math.nan),
+            complex(-math.inf, 0.0),
+            complex(-math.inf, 1.0),
+            complex(math.inf, 0.0),
+            complex(0.0, -math.inf),
+        ],
+    )
     def test_pole_refuses_zero_and_nan(self, z):
         assert special_functions._contour_pole(0.5, 1.0, z) is None
+
+    @pytest.mark.parametrize(
+        "z",
+        [complex(-math.inf, 0.0), complex(-math.inf, 1.0), complex(math.inf, 0.0), complex(0.0, -math.inf)],
+    )
+    def test_infinite_z_is_not_converged(self, z):
+        # -inf lies in the sector; it used to read 0j, converged, on the contour.
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        assert not kilbas_saigo(params, z).converged
+        grid = kilbas_saigo_grid(params, np.array([z, -3.0]))
+        assert grid.converged.tolist() == [False, True]
+        assert grid.path.tolist() == ["series", "contour"]
 
 
 class TestSilentWrongSeries:

@@ -65,6 +65,19 @@ class TestCoefficientIdentity:
         err = residual_coefficient_identity(CAPUTO_HALF, 0, 100, coeffs=coeffs)
         assert err > 1e-8
 
+    @pytest.mark.parametrize(
+        "k,corrupt",
+        [(1, lambda c: -c), (3, lambda c: -c), (2, lambda c: math.nan)],
+        ids=["negated-c1", "negated-c3", "nan-c2"],
+    )
+    def test_bad_coefficient_fails(self, k, corrupt):
+        # A negative or nan coefficient is no subnormal one: the check must
+        # not stop at it, and a nan error must not be dropped by max.
+        coeffs = coefficient_sequence(CAPUTO_HALF, 0, 100)
+        coeffs[k] = corrupt(coeffs[k])
+        err = residual_coefficient_identity(CAPUTO_HALF, 0, 100, coeffs=coeffs)
+        assert not err <= 1e-12
+
     def test_perturbed_cached_log_detected(self):
         # The check reads the same ln c_k that the series engine sums.
         params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
