@@ -19,15 +19,14 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import DomainError
 
-# The engine modules are imported inside the commands that run them: each
-# process compiles what it imports unless bytecode caches are written, so
-# --version and --help load none of them and eval-ks only special_functions
-# and series_grid.
+# numpy and the engine modules are imported inside the commands that run
+# them: each process compiles what it imports unless bytecode caches are
+# written, so --version and --help load none of them and eval-ks only numpy,
+# special_functions and series_grid.
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +93,17 @@ def _apply_config(ctx: click.Context, param: click.Parameter, path: "str | None"
     unknown = [key for key in data if key not in taken]
     if unknown:
         raise click.BadParameter(f"no subcommand takes {', '.join(map(repr, unknown))}", ctx, param)
-    ctx.default_map = data
+    ctx.default_map = {key: _flag_text(value) for key, value in data.items()}
+
+
+def _flag_text(value):
+    """A config value as the text a flag would carry, so that click refuses
+    what it refuses on the command line: 2.9 or true for an integer, true for
+    a number. Strings and null stay; a list (phis, --z) is converted item by
+    item."""
+    if isinstance(value, list):
+        return [_flag_text(item) for item in value]
+    return value if value is None or isinstance(value, str) else json.dumps(value)
 
 
 def _fail(message: str, code: int) -> None:
@@ -126,9 +135,9 @@ def _write_table(command: str, meta: dict, columns: list[str], rows: list[list],
             "command": command,
             **meta,
             "columns": columns,
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": [{col: _json_value(value) for col, value in zip(columns, row)} for row in rows],
         }
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc, indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         for key, value in meta.items():
@@ -142,6 +151,12 @@ def _write_table(command: str, meta: dict, columns: list[str], rows: list[list],
     click.echo(text, file=out, nl=not text.endswith("\n"))
     if out is not None:
         out.close()
+
+
+def _json_value(value):
+    """A non-finite float as the text the CSV carries ("nan", "inf" or
+    "-inf"), which float() reads back: JSON has no number for it."""
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _exit_if_nonconverged(converged: bool) -> None:
@@ -166,20 +181,6 @@ def _check_grid(y_max: float, points: int, min_points: int = 1) -> None:
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"--y-max must be positive and finite, got {y_max}")
     _at_least("--points", points, min_points)
-
-
-def _grid(y_max: float, points: int) -> np.ndarray:
-    """Uniform grid on (0, y_max], origin excluded."""
-    h = y_max / points
-    return h * np.arange(1, points + 1)
-
-
-def _tabulate(sol, ys: np.ndarray, tol: float) -> "tuple[list[list], bool]":
-    """Rows [y, re_u, im_u] of a solution on the grid, and whether every
-    point converged."""
-    report = sol.grid_report(ys, tol)
-    rows = [[y, u.real, u.imag] for y, u in zip(ys.tolist(), report.value.tolist())]
-    return rows, bool(report.converged.all())
 
 
 def problem_options(fn):
@@ -234,6 +235,8 @@ def cli() -> None:
 @common_options
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
+    from numpy import linspace
+
     from .series_grid import kilbas_saigo_grid
     from .special_functions import KilbasSaigoParams
 
@@ -248,7 +251,7 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
             if z_min is None or z_max is None:
                 raise ValueError("give --z values or a --z-min/--z-max grid")
             _at_least("--z-points", z_points, 1)
-            zs = np.linspace(z_min, z_max, z_points).tolist()
+            zs = linspace(z_min, z_max, z_points).tolist()
         params = KilbasSaigoParams(alpha=alpha, m=m, l=l)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
@@ -263,6 +266,18 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     meta = {"alpha": alpha, "m": m, "l": l, "tol": tol}
     columns = ["z", "re_value", "im_value", "terms_used", "converged"]
     _write_table("eval-ks", meta, columns, rows, format, out)
+    _exit_if_nonconverged(bool(report.converged.all()))
+
+
+def _solution_table(command: str, sol, meta: dict, y_max: float, points: int, tol: float,
+                    fmt: str, out: "io.TextIOBase | None") -> None:
+    """Write the rows [y, re_u, im_u] of a solution on the uniform grid of
+    (0, y_max], origin excluded; exit 3 unless every point converged."""
+    h = y_max / points
+    ys = [h * k for k in range(1, points + 1)]
+    report = sol.grid_report(ys, tol)
+    rows = [[y, u.real, u.imag] for y, u in zip(ys, report.value.tolist())]
+    _write_table(command, meta, ["y", "re_u", "im_u"], rows, fmt, out)
     _exit_if_nonconverged(bool(report.converged.all()))
 
 
@@ -284,7 +299,6 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
         _fail(str(exc), EXIT_VALIDATION)
     out = _open_out(out)
     ks = sol.kilbas_saigo_params()
-    rows, converged = _tabulate(sol, _grid(y_max, points), tol)
     meta = {
         "gamma": ks.alpha,
         "a": sol.a,
@@ -293,8 +307,7 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
         "ks_m": ks.m,
         "ks_l": ks.l,
     }
-    _write_table("fundamental", meta, ["y", "re_u", "im_u"], rows, format, out)
-    _exit_if_nonconverged(converged)
+    _solution_table("fundamental", sol, meta, y_max, points, tol, format, out)
 
 
 @cli.command("solve")
@@ -315,15 +328,13 @@ def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, 
         _fail(str(exc), EXIT_VALIDATION)
     out = _open_out(out)
     derived = derive_params(problem)
-    rows, converged = _tabulate(sol, _grid(y_max, points), tol)
     meta = {
         "gamma": derived.gamma,
         "a": derived.a,
         "b": ",".join(repr(b) for b in derived.b),
         "phis": ",".join(repr(p.real) if p.imag == 0 else str(p) for p in sol.phis),
     }
-    _write_table("solve", meta, ["y", "re_u", "im_u"], rows, format, out)
-    _exit_if_nonconverged(converged)
+    _solution_table("solve", sol, meta, y_max, points, tol, format, out)
 
 
 def _check(name: str, branch, metric, threshold: float) -> dict:

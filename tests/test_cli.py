@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -414,6 +415,46 @@ class TestJsonRoundTrip:
         assert json.dumps(json.loads(text), indent=2) == text
 
 
+def strict_json(text):
+    """json.loads refusing the NaN and Infinity tokens, as RFC 8259 parsers do."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJsonNonFinite:
+    @pytest.mark.parametrize(
+        "args,column,text",
+        [
+            (["fundamental", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2",
+              "--m", "0.5", "--lambda-re", "-1", "--y-max", "1e200", "--points", "4"], "re_u", "nan"),
+            (["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "0",
+              "--lambda-re", "-50", "--points", "256"], "metric", "inf"),
+        ],
+        ids=["fundamental-overflow", "verify-overflow"],
+    )
+    def test_non_finite_cells_are_strings(self, runner, args, column, text):
+        # Both commands report the unconverged points and exit 3.
+        result = runner.invoke(cli, [*args, "--format", "json"])
+        assert result.exit_code == 3, result.output
+        doc = strict_json(result.stdout)
+        assert text in [row[column] for row in doc["rows"]]
+
+    def test_cells_read_back(self, tmp_path):
+        out = tmp_path / "table.json"
+        _write_table("t", {"n": 1}, ["v"], [[-math.inf], [math.nan], [math.inf], [1.5]], "json",
+                     _open_out(str(out)))
+        cells = [row["v"] for row in strict_json(out.read_text())["rows"]]
+        assert cells == ["-inf", "nan", "inf", 1.5]
+        assert [float(c) for c in cells[::2]] == [-math.inf, math.inf] and math.isnan(float(cells[1]))
+
+    def test_non_finite_meta_raises(self, tmp_path):
+        # Metadata is validated problem data, always finite; a value that is
+        # not raises rather than write an invalid document.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_table("t", {"x": math.nan}, ["v"], [[1.5]], "json", _open_out(str(tmp_path / "t")))
+
+
 class TestOutPath:
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_is_a_validation_error(self, runner, tmp_path, where):
@@ -519,6 +560,47 @@ class TestConfigFile:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Invalid value for" in result.output
+
+    FUNDAMENTAL = ["fundamental", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--m", "0.5",
+                   "--lambda-re", "-1"]
+    EVAL_KS = ["eval-ks", "--l", "0", "--z", "1"]
+
+    @pytest.mark.parametrize(
+        "args,values,message",
+        [
+            (FUNDAMENTAL, {"i": 2.9, "points": 8.7}, "'2.9' is not a valid integer"),
+            (FUNDAMENTAL, {"points": 8.7}, "'8.7' is not a valid integer"),
+            (FUNDAMENTAL, {"i": True}, "'true' is not a valid integer"),
+            (EVAL_KS, {"alpha": 0.5, "m": True}, "'true' is not a valid float"),
+            (EVAL_KS, {"alpha": False, "m": 1}, "'false' is not a valid float"),
+        ],
+        ids=["float-for-ints", "float-for-int", "bool-for-int", "bool-for-float",
+             "false-for-float"],
+    )
+    def test_value_refused_as_its_flag_is(self, runner, tmp_path, args, values, message):
+        # On the command line, --points 8.7 and --m true exit 1 the same way.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        result = runner.invoke(cli, [*args, "--config", str(config)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "args,values,line",
+        [
+            (EVAL_KS, {"alpha": 1, "m": 1}, "# alpha=1.0"),
+            (FUNDAMENTAL, {"i": "2", "points": "4", "alpha": "1.5"}, "# ks_alpha=1.375"),
+        ],
+        ids=["integer-for-float", "numeric-strings"],
+    )
+    def test_numbers_a_flag_takes_still_work(self, runner, tmp_path, args, values, line):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        result = runner.invoke(cli, [*args, "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert line in result.output.splitlines()
 
     @pytest.mark.parametrize("args", [["--bogus"], []], ids=["unknown-option", "no-command"])
     def test_group_usage_error_exit_1(self, runner, args):

@@ -72,6 +72,12 @@ class TestImportFootprint:
         # run_module executes the CLI as __main__, not as bihilfer.cli.
         assert _loaded(_command(*args)) == ["bihilfer", "bihilfer.errors"]
 
+    @pytest.mark.parametrize("args", [["--version"], ["--help"], ["eval-ks", "--help"]])
+    def test_startup_loads_no_numpy(self, args):
+        # The script asserts it after the command exits; a failed assert
+        # fails the child.
+        _loaded(_command(*args) + "assert 'numpy' not in sys.modules, 'numpy is loaded'\n")
+
     def test_eval_ks_loads_special_functions_only(self):
         # Both halves of the special-function kernel, scalar and grid.
         loaded = _loaded(_command("eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0",
