@@ -12,9 +12,7 @@ always split into real/imaginary columns. Exit codes: 0 success,
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import sys
 
@@ -26,7 +24,8 @@ from .errors import DomainError
 # numpy and the engine modules are imported inside the commands that run
 # them: each process compiles what it imports unless bytecode caches are
 # written, so --version and --help load none of them and eval-ks only numpy,
-# special_functions and series_grid.
+# special_functions and series_grid. json and csv are imported by the
+# helpers that read a config file or write a table, for the same reason.
 
 SCHEMA_VERSION = 1
 
@@ -82,6 +81,8 @@ def _apply_config(ctx: click.Context, param: click.Parameter, path: "str | None"
     that no subcommand takes is refused."""
     if path is None:
         return
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -89,10 +90,17 @@ def _apply_config(ctx: click.Context, param: click.Parameter, path: "str | None"
             raise click.BadParameter(f"not valid JSON: {exc}", ctx, param)
     if not isinstance(data, dict):
         raise click.BadParameter("config file must contain a JSON object", ctx, param)
-    taken = {p.name for cmd in ctx.find_root().command.commands.values() for p in cmd.params}
-    unknown = [key for key in data if key not in taken]
+    options = [p for cmd in ctx.find_root().command.commands.values() for p in cmd.params]
+    unknown = [key for key in data if key not in {p.name for p in options}]
     if unknown:
         raise click.BadParameter(f"no subcommand takes {', '.join(map(repr, unknown))}", ctx, param)
+    # Only a repeatable option (--z) or --phis takes a list; click's number
+    # types would raise TypeError on one.
+    lists = {p.name for p in options if p.multiple or isinstance(p.type, PhisType)}
+    scalar = [key for key, value in data.items() if isinstance(value, list) and key not in lists]
+    if scalar:
+        raise click.BadParameter(f"{', '.join(map(repr, scalar))} takes one value, not a list",
+                                 ctx, param)
     ctx.default_map = {key: _flag_text(value) for key, value in data.items()}
 
 
@@ -101,6 +109,8 @@ def _flag_text(value):
     what it refuses on the command line: 2.9 or true for an integer, true for
     a number. Strings and null stay; a list (phis, --z) is converted item by
     item."""
+    import json
+
     if isinstance(value, list):
         return [_flag_text(item) for item in value]
     return value if value is None or isinstance(value, str) else json.dumps(value)
@@ -130,6 +140,8 @@ def _open_out(out: "str | None") -> "io.TextIOBase | None":
 def _write_table(command: str, meta: dict, columns: list[str], rows: list[list], fmt: str,
                  out: "io.TextIOBase | None") -> None:
     if fmt == "json":
+        import json
+
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -139,6 +151,8 @@ def _write_table(command: str, meta: dict, columns: list[str], rows: list[list],
         }
         text = json.dumps(doc, indent=2, allow_nan=False)
     else:
+        import csv
+
         buf = io.StringIO()
         for key, value in meta.items():
             buf.write(f"# {key}={value}\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,7 +143,8 @@ class SeriesSolution:
     def _tail_params(self, k_start: int) -> KilbasSaigoParams:
         """(alpha, m, l + m*k_start), whose coefficients are c_{k_start+j}/c_k_start."""
         k_start = _check_index("k_start", k_start)
-        return replace(self._params, l=self._params.l + self._params.m * k_start)
+        alpha, m, l = self._params
+        return KilbasSaigoParams(alpha, m, l + m * k_start)
 
     def coefficient(self, k: int) -> float:
         """c_k, extending the shared cache if needed."""

@@ -13,11 +13,12 @@ an independent cross-check for the m = 1 reductions of E_{alpha,m,l}; it
 always takes the series engine (and so the truncation rule) but not the
 coefficient computation.
 
-This module uses only math and cmath and does not import numpy, so a scalar
-caller never pays for it. The grid form, kilbas_saigo_grid, lives in
-series_grid: it sums the same series in numpy blocks, and on a triple that
-takes the contour rule it calls kilbas_saigo at each point, so its bits are
-those of a loop of kilbas_saigo calls.
+This module imports only the standard library's math, cmath, operator, sys,
+threading, functools and typing: not numpy, so a scalar caller never pays
+for it, and not dataclasses (see KilbasSaigoParams). The grid form,
+kilbas_saigo_grid, lives in series_grid: it sums the same series in numpy
+blocks, and on a triple that takes the contour rule it calls kilbas_saigo at
+each point, so its bits are those of a loop of kilbas_saigo calls.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).
@@ -30,7 +31,6 @@ import math
 import operator
 import sys
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -110,33 +110,46 @@ def gamma_ratio(p: float, q: float) -> float:
     return math.exp(log_gamma_ratio(p, q))
 
 
-@dataclass(frozen=True)
-class KilbasSaigoParams:
+class _KilbasSaigoFields(NamedTuple):
+    alpha: float
+    m: float
+    l: float
+
+
+class KilbasSaigoParams(_KilbasSaigoFields):
     """Parameter triple (alpha, m, l) of the Kilbas-Saigo function E_{alpha,m,l}.
 
     Admissibility: alpha, m and l finite, alpha > 0, m > 0 and
     alpha*l > -1. The last inequality keeps every Gamma argument
     alpha*(j*m + l) + 1 strictly positive for j >= 0, so the coefficient
     products never touch a pole.
+
+    A named tuple whose constructor checks admissibility; _make, and so
+    _replace, copy and pickle, construct through the same check. A triple
+    equals, and hashes as, the plain tuple (alpha, m, l). A tuple rather than
+    a dataclass, because importing dataclasses (and the inspect it imports)
+    would about double this module's import time.
     """
 
-    alpha: float
-    m: float
-    l: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.m, self.l))):
+    def __new__(cls, alpha: float, m: float, l: float) -> KilbasSaigoParams:
+        if not all(map(math.isfinite, (alpha, m, l))):
             raise DomainError(
-                f"alpha, m and l must be finite (alpha={self.alpha}, m={self.m}, l={self.l})"
+                f"alpha, m and l must be finite (alpha={alpha}, m={m}, l={l})"
             )
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha > 0 violated (alpha={self.alpha})")
-        if not self.m > 0.0:
-            raise DomainError(f"m > 0 violated (m={self.m})")
-        if not self.alpha * self.l > -1.0:
-            raise DomainError(
-                f"alpha*l > -1 violated (alpha={self.alpha}, l={self.l})"
-            )
+        if not alpha > 0.0:
+            raise DomainError(f"alpha > 0 violated (alpha={alpha})")
+        if not m > 0.0:
+            raise DomainError(f"m > 0 violated (m={m})")
+        if not alpha * l > -1.0:
+            raise DomainError(f"alpha*l > -1 violated (alpha={alpha}, l={l})")
+        return super().__new__(cls, alpha, m, l)
+
+    @classmethod
+    def _make(cls, iterable) -> KilbasSaigoParams:
+        # The inherited _make skips __new__, and _replace builds with _make.
+        return cls(*iterable)
 
     def _log_coeffs(self, n: int) -> list[float]:
         """At least n log-coefficients from the shared cache; a bound method
@@ -190,7 +203,7 @@ def _logs(params: KilbasSaigoParams, n: int) -> list[float]:
     out earlier keeps its values but stops growing once its triple is
     dropped, so a caller that needs more terms asks again.
     """
-    alpha, m, l = params.alpha, params.m, params.l
+    alpha, m, l = params
     log = _triple_logs(alpha, m, l)
     if len(log) < n:
         with _FILL_LOCK:
@@ -318,7 +331,8 @@ def _contour_rule(params: KilbasSaigoParams) -> bool:
     0 < alpha < 1 and beta = alpha*l + 1 <= 1. At larger beta the rule's
     discretisation error outgrows its error estimate (1.3e-13 at beta = 1.5,
     2e-8 at beta = 5)."""
-    return params.m == 1.0 and params.alpha < 1.0 and params.l <= 0.0
+    alpha, m, l = params
+    return m == 1.0 and alpha < 1.0 and l <= 0.0
 
 
 def _in_sector(alpha: float, z: complex) -> bool:
@@ -408,12 +422,12 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
     bound plus the outermost node's contribution plus the pole's
     discretisation error.
     """
-    alpha = params.alpha
-    pole = _contour_pole(alpha, alpha * params.l + 1.0, z)
+    alpha, _, l = params
+    pole = _contour_pole(alpha, alpha * l + 1.0, z)
     if pole is None:
         return None
     real = z.imag == 0.0
-    nodes = _contour_node_tuples(alpha, params.l)[real]
+    nodes = _contour_node_tuples(alpha, l)[real]
     # -0.0 is the identity of IEEE addition, so each sum starts at its
     # first term exactly.
     value, bound = complex(-0.0, -0.0), -0.0

@@ -573,9 +573,13 @@ class TestConfigFile:
             (FUNDAMENTAL, {"i": True}, "'true' is not a valid integer"),
             (EVAL_KS, {"alpha": 0.5, "m": True}, "'true' is not a valid float"),
             (EVAL_KS, {"alpha": False, "m": 1}, "'false' is not a valid float"),
+            # Click's number types raise TypeError on a list; only --phis and
+            # the repeatable --z take one.
+            (EVAL_KS, {"alpha": [1], "m": 1}, "'alpha' takes one value, not a list"),
+            (FUNDAMENTAL, {"points": [4]}, "'points' takes one value, not a list"),
         ],
         ids=["float-for-ints", "float-for-int", "bool-for-int", "bool-for-float",
-             "false-for-float"],
+             "false-for-float", "list-for-float", "list-for-int"],
     )
     def test_value_refused_as_its_flag_is(self, runner, tmp_path, args, values, message):
         # On the command line, --points 8.7 and --m true exit 1 the same way.

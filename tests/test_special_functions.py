@@ -9,7 +9,9 @@ parameters.
 """
 
 import cmath
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -28,6 +30,7 @@ from bihilfer import (
     log_gamma_ratio,
     mittag_leffler,
 )
+from bihilfer import DegenerateProblem, OrderTriple, fundamental_solution
 from bihilfer import series_grid, special_functions
 from bihilfer.series_grid import _BLOCK_TERMS, _CHUNK_POINTS, _PowerGrid, _sum_log_series_grid
 from bihilfer.special_functions import (
@@ -176,6 +179,78 @@ class TestKilbasSaigoParams:
     def test_non_finite_rejected(self, alpha, m, l):
         with pytest.raises(DomainError, match="finite"):
             KilbasSaigoParams(alpha=alpha, m=m, l=l)
+
+    # Every inadmissible triple above, with the condition its message names.
+    INADMISSIBLE = [
+        ((0.0, 1.0, 0.0), "alpha > 0"),
+        ((1.0, 0.0, 0.0), "m > 0"),
+        ((1.0, 1.0, -1.0), r"alpha\*l > -1"),
+        ((math.inf, 1.0, 1.0), "finite"),
+        ((1.0, math.inf, 1.0), "finite"),
+        ((1.0, 1.0, math.inf), "finite"),
+        ((1.0, 1.0, -math.inf), "finite"),
+        ((math.nan, 1.0, 0.0), "finite"),
+        ((1.0, math.nan, 0.0), "finite"),
+        ((1.0, 1.0, math.nan), "finite"),
+    ]
+
+    @pytest.mark.parametrize("triple,message", INADMISSIBLE, ids=[
+        "alpha-zero", "m-zero", "alpha-l-minus-one", "alpha-inf", "m-inf", "l-inf",
+        "l-minus-inf", "alpha-nan", "m-nan", "l-nan"])
+    def test_make_and_replace_check_admissibility(self, triple, message):
+        # _replace builds its result with _make; both must refuse what the
+        # constructor refuses.
+        with pytest.raises(DomainError, match=message):
+            KilbasSaigoParams._make(triple)
+        with pytest.raises(DomainError, match=message):
+            KilbasSaigoParams(0.5, 2.0, 1.0)._replace(**dict(zip(("alpha", "m", "l"), triple)))
+
+    def test_replace_and_make_keep_the_type(self):
+        p = KilbasSaigoParams(0.5, 1.0, 0.0)
+        assert type(p._replace(l=2.0)) is KilbasSaigoParams
+        assert p._replace(l=2.0) == KilbasSaigoParams(0.5, 1.0, 2.0)
+        assert type(KilbasSaigoParams._make([0.5, 1.0, 0.0])) is KilbasSaigoParams
+
+    def test_attributes_are_read_only(self):
+        p = KilbasSaigoParams(0.5, 1.0, 0.0)
+        for name in ("alpha", "m", "l", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 2.0)
+        assert (p.alpha, p.m, p.l) == (0.5, 1.0, 0.0)
+
+    def test_repr(self):
+        text = repr(KilbasSaigoParams(0.5, 1.0, 0.0))
+        assert text == "KilbasSaigoParams(alpha=0.5, m=1.0, l=0.0)"
+
+    def test_tuple_equality_and_hash(self):
+        p = KilbasSaigoParams(0.5, 1.0, 0.0)
+        assert p == KilbasSaigoParams(alpha=0.5, m=1.0, l=0.0) == (0.5, 1.0, 0.0)
+        assert hash(p) == hash((0.5, 1.0, 0.0))
+        assert p != KilbasSaigoParams(0.5, 1.0, 0.25)
+
+    PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy]
+        + [lambda p, n=n: pickle.loads(pickle.dumps(p, n)) for n in PROTOCOLS],
+        ids=["copy", "deepcopy"] + [f"pickle-{n}" for n in PROTOCOLS],
+    )
+    def test_copy_and_pickle_roundtrip(self, roundtrip):
+        p = KilbasSaigoParams(1.7, 2.3, -0.2)
+        q = roundtrip(p)
+        assert type(q) is KilbasSaigoParams
+        assert q == p and hash(q) == hash(p)
+        assert kilbas_saigo(q, -1.5) == kilbas_saigo(p, -1.5)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 37])
+    def test_tail_params_is_the_constructors_triple(self, k):
+        problem = DegenerateProblem(OrderTriple(1.5, 1.25, 0.5, 2), 0.5, -1.0)
+        sol = fundamental_solution(problem, 1)
+        p = sol.kilbas_saigo_params()
+        tail = sol._tail_params(k)
+        assert type(tail) is KilbasSaigoParams
+        assert tail == KilbasSaigoParams(p.alpha, p.m, p.l + p.m * k)
 
 
 class TestKilbasSaigo:
