@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError",),
     "fractional_ops": (
-        "OrderTriple",
         "PowerTerm",
         "SampledFunction",
         "falling_product",
@@ -27,6 +26,7 @@ _EXPORTS = {
         "CauchySolution",
         "DegenerateProblem",
         "DerivedParams",
+        "OrderTriple",
         "SeriesSolution",
         "cauchy_solution",
         "coefficient_sequence",
@@ -34,10 +34,7 @@ _EXPORTS = {
         "fundamental_solution",
         "hilfer_reduction_params",
     ),
-    "series_grid": (
-        "SeriesGridReport",
-        "kilbas_saigo_grid",
-    ),
+    "series_grid": ("SeriesGridReport",),
     "special_functions": (
         "KilbasSaigoParams",
         "SeriesEvalReport",

@@ -21,11 +21,12 @@ import click
 from . import __version__
 from .errors import DomainError
 
-# numpy and the engine modules are imported inside the commands that run
-# them: each process compiles what it imports unless bytecode caches are
-# written, so --version and --help load none of them and eval-ks only numpy,
-# special_functions and series_grid. json and csv are imported by the
-# helpers that read a config file or write a table, for the same reason.
+# The engine modules, and numpy with them, are imported inside the commands
+# that run them: each process compiles what it imports unless bytecode caches
+# are written, so --version and --help load none of them, eval-ks only
+# special_functions, and fundamental and solve the solver; only verify loads
+# numpy. json and csv are imported by the helpers that read a config file or
+# write a table, for the same reason.
 
 SCHEMA_VERSION = 1
 
@@ -179,8 +180,7 @@ def _exit_if_nonconverged(converged: bool) -> None:
 
 
 def _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im) -> "DegenerateProblem":
-    from .fractional_ops import OrderTriple
-    from .solver import DegenerateProblem
+    from .solver import DegenerateProblem, OrderTriple
 
     orders = OrderTriple(alpha=alpha, beta=beta, mu=mu, i=i)
     return DegenerateProblem(orders=orders, m=m, lam=complex(lambda_re, lambda_im))
@@ -189,6 +189,22 @@ def _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im) -> "DegeneratePr
 def _at_least(flag: str, value: int, minimum: int) -> None:
     if value < minimum:
         raise ValueError(f"{flag} must be >= {minimum}, got {value}")
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num).tolist() in Python floats: k*step +
+    start (k/div*delta where the step underflows to 0), the last point set to
+    stop. A span past the double range is refused."""
+    delta = stop - start
+    if not math.isfinite(delta):
+        raise ValueError(f"the span from --z-min to --z-max must be finite, got {delta}")
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    zs = [(k / div * delta if step == 0 else k * step) + start for k in range(num)]
+    zs[-1] = stop
+    return zs
 
 
 def _check_grid(y_max: float, points: int, min_points: int = 1) -> None:
@@ -249,10 +265,7 @@ def cli() -> None:
 @common_options
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
-    from numpy import linspace
-
-    from .series_grid import kilbas_saigo_grid
-    from .special_functions import KilbasSaigoParams
+    from .special_functions import KilbasSaigoParams, kilbas_saigo
 
     zs = list(z)
     try:
@@ -265,22 +278,18 @@ def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
             if z_min is None or z_max is None:
                 raise ValueError("give --z values or a --z-min/--z-max grid")
             _at_least("--z-points", z_points, 1)
-            zs = linspace(z_min, z_max, z_points).tolist()
+            zs = _linspace(z_min, z_max, z_points)
         params = KilbasSaigoParams(alpha=alpha, m=m, l=l)
     except (DomainError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
     out = _open_out(out)
-    report = kilbas_saigo_grid(params, zs, tol)
-    rows = [
-        [point, value.real, value.imag, terms, converged]
-        for point, value, terms, converged in zip(
-            zs, report.value.tolist(), report.terms_used.tolist(), report.converged.tolist()
-        )
-    ]
+    reports = [kilbas_saigo(params, point, tol) for point in zs]
+    rows = [[point, r.value.real, r.value.imag, r.terms_used, r.converged]
+            for point, r in zip(zs, reports)]
     meta = {"alpha": alpha, "m": m, "l": l, "tol": tol}
     columns = ["z", "re_value", "im_value", "terms_used", "converged"]
     _write_table("eval-ks", meta, columns, rows, format, out)
-    _exit_if_nonconverged(bool(report.converged.all()))
+    _exit_if_nonconverged(all(r.converged for r in reports))
 
 
 def _solution_table(command: str, sol, meta: dict, y_max: float, points: int, tol: float,
@@ -289,10 +298,10 @@ def _solution_table(command: str, sol, meta: dict, y_max: float, points: int, to
     (0, y_max], origin excluded; exit 3 unless every point converged."""
     h = y_max / points
     ys = [h * k for k in range(1, points + 1)]
-    report = sol.grid_report(ys, tol)
-    rows = [[y, u.real, u.imag] for y, u in zip(ys, report.value.tolist())]
+    reports = sol.evaluate(ys, tol)
+    rows = [[y, r.value.real, r.value.imag] for y, r in zip(ys, reports)]
     _write_table(command, meta, ["y", "re_u", "im_u"], rows, fmt, out)
-    _exit_if_nonconverged(bool(report.converged.all()))
+    _exit_if_nonconverged(all(r.converged for r in reports))
 
 
 @cli.command("fundamental")

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .solver import OrderTriple
 from .special_functions import _check_index, _log_gamma_ratio_offset
 
 __all__ = [
-    "OrderTriple",
     "PowerTerm",
     "SampledFunction",
     "falling_product",
@@ -34,52 +34,6 @@ __all__ = [
     "rl_integral_numeric",
     "hilfer_numeric",
 ]
-
-
-@dataclass(frozen=True)
-class OrderTriple:
-    """Parameters (alpha, beta, mu, i) of the derivative D^{(alpha,beta)mu}.
-
-    Both fractional orders must lie strictly inside the integer window:
-    i-1 < alpha < i and i-1 < beta < i, with interpolation weight
-    0 <= mu <= 1. The window index i is carried explicitly so the boundary
-    alpha = i can never arise from rounding a ceil().
-    """
-
-    alpha: float
-    beta: float
-    mu: float
-    i: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.i, (int, np.integer)) and self.i >= 1):
-            raise DomainError(f"i must be a positive integer, got i={self.i}")
-        object.__setattr__(self, "i", int(self.i))
-        if not self.i - 1 < self.alpha < self.i:
-            raise DomainError(
-                f"i-1 < alpha < i violated (alpha={self.alpha}, i={self.i})"
-            )
-        if not self.i - 1 < self.beta < self.i:
-            raise DomainError(
-                f"i-1 < beta < i violated (beta={self.beta}, i={self.i})"
-            )
-        if not 0.0 <= self.mu <= 1.0:
-            raise DomainError(f"0 <= mu <= 1 violated (mu={self.mu})")
-
-    @property
-    def gamma(self) -> float:
-        """Effective order gamma = beta + mu*(alpha - beta), a convex blend."""
-        return self.beta + self.mu * (self.alpha - self.beta)
-
-    @property
-    def inner_order(self) -> float:
-        """Order (1-mu)*(i-beta) of the integral applied before d^i/dy^i."""
-        return (1.0 - self.mu) * (self.i - self.beta)
-
-    @property
-    def outer_order(self) -> float:
-        """Order mu*(i-alpha) of the integral applied after d^i/dy^i."""
-        return self.mu * (self.i - self.alpha)
 
 
 @dataclass(frozen=True)

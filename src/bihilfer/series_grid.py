@@ -1,14 +1,14 @@
-"""Kilbas-Saigo series over a grid, in numpy.
+"""Kilbas-Saigo series along a ray, in numpy.
 
-The numpy half of the special-function kernel: kilbas_saigo_grid evaluates
-special_functions.kilbas_saigo at every point of a 1-d array of z (or of a
-_PowerGrid, the solver's z = lam * y**a) and returns the same bits, path
-included. A triple that takes the contour rule is kilbas_saigo itself at
+The numpy half of the special-function kernel, used by the solver's series
+tails (and so only by `verify`): kilbas_saigo_grid evaluates
+special_functions.kilbas_saigo at every point z = lam * y**a of a
+_PowerGrid. A triple that takes the contour rule is kilbas_saigo itself at
 each point, so the rule, its rounding and its series fallback live in one
 module. Every other triple is summed by the blocked grid driver
-_sum_log_series_grid, which keeps the scalar engine's stopping rule and, on
-an array of z, its bits. special_functions itself does not import
-numpy, so a scalar caller never loads it.
+_sum_log_series_grid, which keeps the scalar engine's stopping rule and
+agrees with it to rounding. special_functions itself does not import numpy,
+so a scalar caller never loads it.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .special_functions import (
     KilbasSaigoParams,
     _check_series_args,
     _contour_rule,
+    _power,
     _sum_log_series,
     kilbas_saigo,
 )
 
-__all__ = ["SeriesGridReport", "kilbas_saigo_grid"]
+__all__ = ["SeriesGridReport"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,44 +77,36 @@ class _PowerGrid(NamedTuple):
 
 
 def _sum_log_series_grid(
-    log_coeffs: Callable[[int], list[float]],
-    zs: "np.ndarray | _PowerGrid",
-    tol: float = DEFAULT_TOL,
+    log_coeffs: Callable[[int], list[float]], zs: _PowerGrid, tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
-    """special_functions._sum_log_series(log_coeffs, z, tol) at every z of zs.
+    """special_functions._sum_log_series(log_coeffs, z, tol) at every point z
+    of the ray zs, to rounding.
 
     Terms are formed for a block of k and a chunk of points at once and
     summed in order, each point carrying its sum, whether its last two terms
     were small and its last magnitude from block to block until the stopping
     rule fires. A point that would need a term above exp(_GRID_EXP_MAX), or
-    whose exponent is not finite, is summed by _sum_log_series itself, so
-    overflow keeps the scalar semantics.
-
-    Only the forming of terms depends on zs. An array of z gets the scalar
-    engine's bits from operations that round like it: complex np.exp, np.hypot,
-    IEEE sums and products, and log z per point by math/cmath. A _PowerGrid
-    agrees with it to rounding.
+    whose exponent is not finite, is summed by _sum_log_series itself at
+    z = lam * y**a (Python's pow), so overflow keeps the scalar semantics.
     """
     _check_series_args(tol)
-    ray = isinstance(zs, _PowerGrid)
-    points = zs.ys if ray else np.asarray(zs, dtype=complex)
+    ys = zs.ys
     report = SeriesGridReport(
-        np.empty(points.size, dtype=complex),
-        np.empty(points.size, dtype=np.int64),
-        np.empty(points.size),
-        np.empty(points.size, dtype=bool),
+        np.empty(ys.size, dtype=complex),
+        np.empty(ys.size, dtype=np.int64),
+        np.empty(ys.size),
+        np.empty(ys.size, dtype=bool),
     )
     first = 16
-    for c in range(0, points.size, _CHUNK_POINTS):
-        chunk = points[c : c + _CHUNK_POINTS]
-        _sum_chunk(log_coeffs, zs._replace(ys=chunk) if ray else chunk, c, tol, first, report)
+    for c in range(0, ys.size, _CHUNK_POINTS):
+        _sum_chunk(log_coeffs, zs._replace(ys=ys[c : c + _CHUNK_POINTS]), c, tol, first, report)
         first = int(report.terms_used[c : c + _CHUNK_POINTS].max())
     return report
 
 
 def _sum_chunk(
     log_coeffs: Callable[[int], list[float]],
-    zs: "np.ndarray | _PowerGrid",
+    zs: _PowerGrid,
     offset: int,
     tol: float,
     first: int,
@@ -121,24 +114,16 @@ def _sum_chunk(
 ) -> None:
     """Sum the series at zs into out[offset:], block by block, the first
     block `first` terms long (clamped to 4.._BLOCK_TERMS)."""
-    ray = isinstance(zs, _PowerGrid)
-    nonzero = (zs.ys != 0.0) & (zs.lam != 0) if ray else zs != 0
+    nonzero = (zs.ys != 0.0) & (zs.lam != 0)
     zero = offset + np.flatnonzero(~nonzero)
     if zero.size:
         out.value[zero] = math.exp(log_coeffs(1)[0])
         out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
     points = np.flatnonzero(nonzero)
-    # Per point: ln|z|, and for an array of z also arg z and whether z < 0
-    # (at lam = 0 there is no point, and ln 1 stands in for ln|lam|).
-    if ray:
-        cols = (np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0),)
-    else:
-        z = zs[points]
-        real = z.imag == 0.0
-        log_z = np.empty(points.size, dtype=complex)
-        log_z[real] = list(map(math.log, np.abs(z.real[real]).tolist()))
-        log_z[~real] = list(map(cmath.log, z[~real].tolist()))
-        cols = (log_z.real, log_z.imag, real & (z.real < 0.0))
+    # ln|z| per point (at lam = 0 there is no point, and ln 1 stands in for
+    # ln|lam|), and the phase e^(ik arg lam) per term.
+    log_abs = np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0)
+    phase = cmath.phase(zs.lam)
     total = np.zeros(points.size, dtype=complex)
     was_small = np.zeros((2, points.size), dtype=bool)
     prev = np.full(points.size, math.inf)
@@ -157,32 +142,25 @@ def _sum_chunk(
         t, prevs = sums[1:], mags[:-1]
         with np.errstate(over="ignore", invalid="ignore"):
             # In place, so a block allocates little besides its three arrays.
-            expo = np.multiply(ks, cols[0], out=mags[1:] if ray else t.real)
+            expo = np.multiply(ks, log_abs, out=mags[1:])
             expo += logs
             # Row of each point's first term past exp(_GRID_EXP_MAX) or with
             # a nan exponent. max propagates nan, so only a block with no
             # such term skips the mask.
             big = nb if expo.max() <= _GRID_EXP_MAX else _first_true(~(expo <= _GRID_EXP_MAX), nb)
-            if ray:
-                # |t_k| is the real exp; for real lam the phase is (+-1)^k.
-                mag = np.exp(expo, out=expo)
-                if zs.lam.imag == 0.0:
-                    np.multiply(mag, 1.0 - 2.0 * (ks % 2) if zs.lam.real < 0.0 else 1.0, out=t.real)
-                    t.imag = 0.0
-                else:
-                    np.multiply(mag, np.cos(ks * cmath.phase(zs.lam)), out=t.real)
-                    np.multiply(mag, np.sin(ks * cmath.phase(zs.lam)), out=t.imag)
+            # |t_k| is the real exp; for real lam the phase is (+-1)^k.
+            mag = np.exp(expo, out=expo)
+            if zs.lam.imag == 0.0:
+                np.multiply(mag, 1.0 - 2.0 * (ks % 2) if zs.lam.real < 0.0 else 1.0, out=t.real)
+                t.imag = 0.0
             else:
-                np.multiply(ks, cols[1], out=t.imag)
-                np.exp(t, out=t)
-                if cols[2].any():
-                    np.negative(t, out=t, where=cols[2] & (ks % 2 == 1))
-                mag = np.hypot(t.real, t.imag, out=mags[1:])
+                np.multiply(mag, np.cos(ks * phase), out=t.real)
+                np.multiply(mag, np.sin(ks * phase), out=t.imag)
             np.cumsum(sums, axis=0, out=sums)
             sums = t
             # |S_k| everywhere: where |t_k| <= tol it cannot change the test.
             now = np.less_equal(mag, tol, out=small[2:])
-            size = np.abs(sums) if ray else np.hypot(sums.real, sums.imag)
+            size = np.abs(sums)
             np.fmax(size, 1.0, out=size)
             now |= mag <= np.multiply(size, tol, out=size)
             decreasing = (mag < prevs) | ((mag == 0.0) & (prevs == 0.0))
@@ -199,23 +177,13 @@ def _sum_chunk(
         out.converged[settled] = done[settle]
         scalar += points[(big < nb) & ~done].tolist()
         keep = ~settle & (big == nb)
-        points, cols = points[keep], tuple(c[keep] for c in cols)
+        points, log_abs = points[keep], log_abs[keep]
         total, was_small, prev = sums[-1, keep], small[-2:, keep], mag[-1, keep]
         k0, width, later = k0 + nb, later, 2 * later
     for p in scalar:
-        z = zs.lam * _power(float(zs.ys[p]), zs.a) if ray else complex(zs[p])
-        report = _sum_log_series(log_coeffs, z, tol)
+        report = _sum_log_series(log_coeffs, zs.lam * _power(float(zs.ys[p]), zs.a), tol)
         for array, field in zip(vars(out).values(), report[:4]):
             array[offset + p] = field
-
-
-def _power(y: float, p: float) -> float:
-    """Python's y**p, inf where it overflows: the engine then reports the
-    point unconverged."""
-    try:
-        return y**p
-    except OverflowError:
-        return math.inf
 
 
 def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
@@ -224,22 +192,17 @@ def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
 
 
 def kilbas_saigo_grid(
-    params: KilbasSaigoParams, zs: "np.ndarray | _PowerGrid", tol: float = DEFAULT_TOL
+    params: KilbasSaigoParams, zs: _PowerGrid, tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
-    """kilbas_saigo(params, z, tol) at every z of zs, bit for bit, path
-    included. A triple that takes the contour rule is kilbas_saigo itself at
-    each point (a _PowerGrid's points are lam * np.power(y, a)); any other
-    triple is summed by the blocked grid driver, on a _PowerGrid along its
-    ray (kilbas_saigo's to rounding)."""
-    ray = isinstance(zs, _PowerGrid)
-    if not ray:
-        zs = np.asarray(zs, dtype=complex)
-        if zs.ndim != 1:
-            raise ValueError(f"need a 1-d grid of z, got shape {zs.shape}")
+    """kilbas_saigo(params, z, tol) at every point z = lam * y**a of the ray
+    zs. A triple that takes the contour rule is kilbas_saigo itself at each
+    point lam * np.power(y, a), bit for bit, path included; any other triple
+    is summed along the ray by the blocked grid driver, kilbas_saigo's to
+    rounding."""
     if not _contour_rule(params):
         return _sum_log_series_grid(params._log_coeffs, zs, tol)
     _check_series_args(tol)
-    points = zs.lam * np.power(zs.ys, zs.a) if ray else zs
+    points = zs.lam * np.power(zs.ys, zs.a)
     reports = [kilbas_saigo(params, z, tol) for z in points.tolist()]
     value, terms, last, converged, path = zip(*reports) if reports else ([],) * 5
     return SeriesGridReport(

@@ -5,12 +5,13 @@ s = 0..i-1 and the solution of the Cauchy-type initial problem as a weighted
 combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
 (a+b_s)/gamma - 1}(lambda y^a): a SeriesSolution is built from (problem, s)
 alone, maps it to that triple once and reads its coefficients from the
-shared, bounded Kilbas-Saigo cache. A tail from k_start is kilbas_saigo_grid
-at the shifted triple (alpha, m, l + m*k_start) times c_k_start lambda^k_start
-y^(a k_start + b), and k_start = 0 is the whole branch, so an m = 0 problem's
-branches and tails take the contour rule where their series cancels. The
-solver evaluates grids, 1-d arrays of y: SeriesSolution.grid_report and
-tail_grid_report, and CauchySolution.grid_report.
+shared, bounded Kilbas-Saigo cache. SeriesSolution.evaluate and
+CauchySolution.evaluate return a SeriesEvalReport per point y, the branch
+being y**b * kilbas_saigo(lam * y**a) by Python's pow, contour rule
+included; this module imports no numpy for them. A tail from k_start,
+tail_grid_report, is kilbas_saigo_grid along the ray lam * y**a at the
+shifted triple (alpha, m, l + m*k_start) times c_k_start lambda^k_start
+y^(a k_start + b); it imports numpy and series_grid when called.
 That the coefficients solve the equation is checked independently by
 verification.residual_coefficient_identity.
 """
@@ -19,22 +20,26 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError
-from .fractional_ops import OrderTriple
-from .series_grid import _CHUNK_POINTS, SeriesGridReport, _PowerGrid, _power, kilbas_saigo_grid
 from .special_functions import (
     DEFAULT_TOL,
     KilbasSaigoParams,
     SeriesEvalReport,
     _check_index,
+    _power,
+    kilbas_saigo,
     kilbas_saigo_coefficients,
 )
 
+if TYPE_CHECKING:
+    from .series_grid import SeriesGridReport
+
 __all__ = [
+    "OrderTriple",
     "DegenerateProblem",
     "DerivedParams",
     "SeriesSolution",
@@ -45,6 +50,57 @@ __all__ = [
     "cauchy_solution",
     "hilfer_reduction_params",
 ]
+
+
+@dataclass(frozen=True)
+class OrderTriple:
+    """Parameters (alpha, beta, mu, i) of the derivative D^{(alpha,beta)mu}.
+
+    Both fractional orders must lie strictly inside the integer window:
+    i-1 < alpha < i and i-1 < beta < i, with interpolation weight
+    0 <= mu <= 1. The window index i is carried explicitly so the boundary
+    alpha = i can never arise from rounding a ceil().
+    """
+
+    alpha: float
+    beta: float
+    mu: float
+    i: int
+
+    def __post_init__(self) -> None:
+        try:
+            i = operator.index(self.i)  # an int or another integer type, not 2.0
+        except TypeError:
+            i = 0
+        if i < 1:
+            raise DomainError(f"i must be a positive integer, got i={self.i}")
+        object.__setattr__(self, "i", i)
+        if not self.i - 1 < self.alpha < self.i:
+            raise DomainError(
+                f"i-1 < alpha < i violated (alpha={self.alpha}, i={self.i})"
+            )
+        if not self.i - 1 < self.beta < self.i:
+            raise DomainError(
+                f"i-1 < beta < i violated (beta={self.beta}, i={self.i})"
+            )
+        if not 0.0 <= self.mu <= 1.0:
+            raise DomainError(f"0 <= mu <= 1 violated (mu={self.mu})")
+
+    @property
+    def gamma(self) -> float:
+        """Effective order gamma = beta + mu*(alpha - beta), a convex blend."""
+        return self.beta + self.mu * (self.alpha - self.beta)
+
+    @property
+    def inner_order(self) -> float:
+        """Order (1-mu)*(i-beta) of the integral applied before d^i/dy^i."""
+        return (1.0 - self.mu) * (self.i - self.beta)
+
+    @property
+    def outer_order(self) -> float:
+        """Order mu*(i-alpha) of the integral applied after d^i/dy^i."""
+        return self.mu * (self.i - self.alpha)
+
 
 @dataclass(frozen=True)
 class DegenerateProblem:
@@ -152,47 +208,58 @@ class SeriesSolution:
         return math.exp(self._params._log_coeffs(k + 1)[k])
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
-        """grid_report at the one point y > 0 (b < 0 is singular at y = 0).
+        """evaluate at the one point y > 0 (b < 0 is singular at y = 0).
         Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
-        return _one_point(self.grid_report([y], tol))
+        return self.evaluate([y], tol)[0]
 
-    def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
-        """The branch, with truncation metadata, at every grid point y > 0."""
-        return self.tail_grid_report(_check_grid(ys, origin=False), 0, tol)
+    def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
+        """The branch, with truncation metadata, at every y > 0 of ys:
+        y**b * kilbas_saigo(lam * y**a) by Python's pow, path included. A
+        power past the double range is inf, and its point unconverged."""
+        params, lam, a, b = self._params, self.lam, self.a, self.b
+        reports = []
+        for y in _check_grid(ys):
+            report = kilbas_saigo(params, lam * _power(y, a), tol)
+            scale = _power(y, b)
+            # A complex product, so an overflowed y**b leaves no part finite.
+            reports.append(report._replace(value=complex(scale, 0.0 * scale) * report.value))
+        return reports
 
     def evaluate_tail_report(
         self, y: float, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesEvalReport:
         """The tail from k_start at y >= 0: tail_grid_report at the one point.
         Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
-        return _one_point(self.tail_grid_report([y], k_start, tol))
+        report = self.tail_grid_report([y], k_start, tol)
+        return SeriesEvalReport(*(field.item() for field in vars(report).values()))
 
     def tail_grid_report(
-        self, ys: np.ndarray, k_start: int, tol: float = DEFAULT_TOL
+        self, ys: Iterable[float], k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesGridReport:
         """Series tail sum_{k >= K} c_k lambda^k y^{ak+b}, K = k_start, at every
         grid point (at y = 0 too whenever aK + b >= 0). The product defining
         c_k telescopes from K, so it is c_K lambda^K y^(aK+b) times
-        kilbas_saigo_grid at _tail_params(K), z = lambda y^a. The branch
-        (K = 0) forms z and y^b by Python's pow, so it has the bits of
-        y^b kilbas_saigo(z), path included; a tail takes a _PowerGrid."""
-        ys = _check_grid(ys, origin=True)
+        kilbas_saigo_grid at _tail_params(K) along the ray z = lambda y^a:
+        kilbas_saigo's to rounding, and K = 0 is the whole branch."""
+        import numpy as np
+
+        from .series_grid import _PowerGrid, kilbas_saigo_grid
+
+        ys = np.asarray(ys, dtype=float)
+        if ys.ndim != 1:
+            raise ValueError(f"need a 1-d grid of y, got shape {ys.shape}")
+        ok = (ys >= 0.0) & (ys < math.inf)
+        if not ok.all():
+            raise DomainError(f"evaluation requires finite y >= 0, got y={float(ys[~ok][0])}")
         params = self._tail_params(k_start)
         origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
-        lam, a, power = self.lam, self.a, self.a * k_start + self.b
-        if k_start:
-            with np.errstate(over="ignore"):
-                zs, scale = _PowerGrid(lam, a, ys), np.power(ys, power)
-        else:
-            zs, scale = np.empty(ys.size, dtype=complex), np.empty(ys.size)
-            for c in _slices(ys.size):
-                zs[c] = [lam * _power(y, a) for y in ys[c].tolist()]
-                scale[c] = [_power(y, power) for y in ys[c].tolist()]
-        report = kilbas_saigo_grid(params, zs, tol)
+        with np.errstate(over="ignore"):
+            scale = np.power(ys, self.a * k_start + self.b)
+        report = kilbas_saigo_grid(params, _PowerGrid(self.lam, self.a, ys), tol)
         # In real arithmetic, as numpy's in-place complex product rounds a
-        # long array otherwise than a short one; at k_start = 0 it rounds as
-        # Python's y**b * lam**0 * v. An overflowed sum or power may grow.
-        lead, v = self.coefficient(k_start) * lam**k_start, report.value
+        # long array otherwise than a short one. An overflowed sum or power
+        # may grow.
+        lead, v = self.coefficient(k_start) * self.lam**k_start, report.value
         with np.errstate(over="ignore", invalid="ignore"):
             re, im = scale * lead.real, scale * lead.imag
             v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
@@ -213,26 +280,17 @@ class SeriesSolution:
         raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
 
-def _one_point(report: SeriesGridReport) -> SeriesEvalReport:
-    """The SeriesEvalReport of a one-point grid report."""
-    return SeriesEvalReport(*(field.item() for field in vars(report).values()))
-
-
-def _check_grid(ys: np.ndarray, origin: bool) -> np.ndarray:
-    """ys as a 1-d float array of finite y > 0, or y >= 0 for a tail (origin)."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1:
-        raise ValueError(f"need a 1-d grid of y, got shape {ys.shape}")
-    ok = (ys >= 0.0 if origin else ys > 0.0) & (ys < math.inf)
-    if not ok.all():
-        y = float(ys[~ok][0])
-        raise DomainError(f"evaluation requires finite y {'>=' if origin else '>'} 0, got y={y}")
+def _check_grid(ys: Iterable[float]) -> list[float]:
+    """ys as a list of finite y > 0 (a tail's numpy grid is checked in
+    tail_grid_report); an array of y must be 1-d."""
+    shape = getattr(ys, "shape", None)
+    if shape is not None and len(shape) != 1:
+        raise ValueError(f"need a 1-d grid of y, got shape {shape}")
+    ys = list(map(float, ys))
+    for y in ys:
+        if not 0.0 < y < math.inf:
+            raise DomainError(f"evaluation requires finite y > 0, got y={y}")
     return ys
-
-
-def _slices(n: int) -> list[slice]:
-    """Grid slices of _CHUNK_POINTS, so the per-point Python lists stay short."""
-    return [slice(c, c + _CHUNK_POINTS) for c in range(0, n, _CHUNK_POINTS)]
 
 
 def fundamental_solution(problem: DegenerateProblem, s: int) -> SeriesSolution:
@@ -251,35 +309,28 @@ class CauchySolution:
     weights: tuple[complex, ...]
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
-        """grid_report at the one point y > 0.
+        """evaluate at the one point y > 0.
         Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
-        return _one_point(self.grid_report([y], tol))
+        return self.evaluate([y], tol)[0]
 
-    def grid_report(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> SeriesGridReport:
+    def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
         """The weighted sum of the branch reports at every y > 0 of ys; a path
         is every weighted branch's, else "mixed" ("series" if no weight)."""
-        ys = _check_grid(ys, origin=False)
-        total = np.zeros(ys.size, dtype=complex)
-        terms = np.zeros(ys.size, dtype=np.int64)
-        last = np.zeros(ys.size)
-        converged = np.ones(ys.size, dtype=bool)
-        path = None
-        for w, branch in zip(self.weights, self.branches):
-            if w == 0:
-                continue
-            rep = branch.grid_report(ys, tol)
-            # In real arithmetic, each operation rounding as in Python's
-            # t + w * v; an overflowed branch may grow.
-            v = rep.value
-            with np.errstate(over="ignore", invalid="ignore"):
-                total.real += w.real * v.real - w.imag * v.imag
-                total.imag += w.real * v.imag + w.imag * v.real
-            terms += rep.terms_used
-            scaled = abs(w) * rep.last_term_magnitude
-            last = np.where(scaled > last, scaled, last)
-            converged &= rep.converged
-            path = rep.path if path is None else np.where(path == rep.path, path, "mixed")
-        return SeriesGridReport(total, np.maximum(terms, 1), last, converged, path)
+        ys = _check_grid(ys)
+        weighted = [(w, branch.evaluate(ys, tol))
+                    for w, branch in zip(self.weights, self.branches) if w != 0]
+        reports = []
+        for j in range(len(ys)):
+            total, terms, last, converged, path = 0j, 0, 0.0, True, None
+            for w, rows in weighted:
+                value, used, magnitude, ok, branch_path = rows[j]
+                total += w * value
+                terms += used
+                last = max(last, abs(w) * magnitude)
+                converged = converged and ok
+                path = branch_path if path in (None, branch_path) else "mixed"
+            reports.append(SeriesEvalReport(total, max(terms, 1), last, converged, path or "series"))
+        return reports
 
 
 def cauchy_solution(

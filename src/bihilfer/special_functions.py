@@ -15,10 +15,11 @@ coefficient computation.
 
 This module imports only the standard library's math, cmath, operator, sys,
 threading, functools and typing: not numpy, so a scalar caller never pays
-for it, and not dataclasses (see KilbasSaigoParams). The grid form,
-kilbas_saigo_grid, lives in series_grid: it sums the same series in numpy
-blocks, and on a triple that takes the contour rule it calls kilbas_saigo at
-each point, so its bits are those of a loop of kilbas_saigo calls.
+for it, and not dataclasses (see KilbasSaigoParams). Every table row of the
+CLI is one kilbas_saigo call. The numpy form, series_grid.kilbas_saigo_grid,
+serves the solver's series tails along a ray z = lam * y**a: it sums the
+same series in numpy blocks, agreeing to rounding, and on a triple that
+takes the contour rule it calls kilbas_saigo at each point.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).
@@ -244,6 +245,15 @@ def _check_series_args(tol: float) -> None:
     """The stopping rule needs 0 < tol < 1."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
+def _power(y: float, p: float) -> float:
+    """Python's y**p, inf where it overflows: the engine then reports the
+    point unconverged."""
+    try:
+        return y**p
+    except OverflowError:
+        return math.inf
 
 
 def _sum_log_series(

@@ -205,7 +205,8 @@ def test_classical_closure():
     for lam in (-2.0, -1.0, 0.5, 1.0, 2.0):
         problem = make_problem(0.5, 0.5, 1.0, 1, m=0.0, lam=lam)
         sol = cauchy_solution(problem, [1.0])
-        for y, value in zip(ys, sol.grid_report(ys).value):
+        for y, point in zip(ys, sol.evaluate(ys)):
+            value = point.value
             expected = math.exp(lam * lam * y) * math.erfc(-lam * math.sqrt(y))
             worst = max(worst, abs(value - expected))
     report("classical closure", worst <= 1e-8, f"max abs diff={worst:.3e}")
@@ -228,7 +229,8 @@ def test_kilbas_saigo_closed_form_closure():
                         worst_param, abs(got - want) / max(1.0, abs(want))
                     )
                 assert sol.b == pytest.approx(beta - 1.0, abs=1e-15)
-                for y, value in zip(ys.tolist(), sol.grid_report(ys).value):
+                for y, point in zip(ys.tolist(), sol.evaluate(ys)):
+                    value = point.value
                     z = lam * y ** (m + beta)
                     expected = y ** (beta - 1.0) * kilbas_saigo(ks, z).value
                     diff = abs(value - expected)

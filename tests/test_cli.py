@@ -5,13 +5,14 @@ import io
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from bihilfer import KilbasSaigoParams, kilbas_saigo
-from bihilfer.cli import _open_out, _write_table, cli
+from bihilfer.cli import _linspace, _open_out, _write_table, cli
 
 
 @pytest.fixture
@@ -131,10 +132,38 @@ class TestEvalKs:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "error: give --z values or a --z-min/--z-max grid, not both" in result.output
 
+    @pytest.mark.parametrize(
+        "start,stop,num",
+        [(2.5, -1.0, 1), (-3.0, 1.0, 2), (3.0, -2.0, 7), (2.0, 2.0, 5), (-0.0, 0.0, 3),
+         (0.0, -0.0, 3), (-0.0, -0.0, 1), (0.0, 5e-324, 3), (0.0, 1e-322, 401), (-8.0, 4.0, 401)],
+        ids=["one", "two", "descending", "equal", "zeros", "zeros-reversed", "minus-zero",
+             "subnormal-step-to-zero", "subnormal-step", "benchmark"],
+    )
+    def test_z_grid_is_numpy_linspace(self, start, stop, num):
+        # Built in Python, so that eval-ks loads no numpy; bit for bit.
+        def bits(zs):
+            return [struct.pack("<d", z) for z in zs]
+
+        assert bits(_linspace(start, stop, num)) == bits(np.linspace(start, stop, num).tolist())
+
+    @pytest.mark.parametrize("span", [("-1.7e308", "1.7e308"), ("1e308", "-1e308")])
+    def test_overflowing_span_exit_1(self, runner, span):
+        # numpy.linspace warned twice and gave the rows z = nan and inf, and
+        # the command exited 3.
+        args = ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z-min", span[0],
+                "--z-max", span[1], "--z-points", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: the span from --z-min to --z-max must be finite")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_grid_table_equals_scalar_evaluation(self, runner, fmt):
-        # The benchmark's eval-ks table, summed by the grid driver, against
-        # kilbas_saigo one point at a time: the same bits, terms and flags.
+        # The benchmark's eval-ks table against kilbas_saigo one point at a
+        # time: the same bits, terms and flags.
         result = runner.invoke(
             cli, ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z-min", "-8",
                   "--z-max", "4", "--z-points", "401", "--format", fmt],
@@ -469,12 +498,12 @@ class TestOutPath:
     @pytest.mark.parametrize(
         "module,name,args",
         [
-            ("series_grid", "kilbas_saigo_grid", ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0",
-                                                  "--z", "1"]),
-            ("solver", "kilbas_saigo_grid", ["fundamental", "--alpha", "0.5", "--beta", "0.5",
-                                             "--mu", "1"]),
-            ("solver", "kilbas_saigo_grid", ["solve", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
-                                             "--phis", "1"]),
+            ("special_functions", "kilbas_saigo", ["eval-ks", "--alpha", "0.5", "--m", "1", "--l",
+                                                   "0", "--z", "1"]),
+            ("solver", "kilbas_saigo", ["fundamental", "--alpha", "0.5", "--beta", "0.5",
+                                        "--mu", "1"]),
+            ("solver", "kilbas_saigo", ["solve", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
+                                        "--phis", "1"]),
             ("verification", "residual_coefficient_identity",
              ["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--points", "32768"]),
         ],

@@ -71,6 +71,21 @@ class TestOrderTriple:
         OrderTriple(alpha=0.5, beta=0.5, mu=0.0, i=1)
         OrderTriple(alpha=0.5, beta=0.5, mu=1.0, i=1)
 
+    def test_window_index_is_an_integer(self):
+        # numpy's integers are integers; a float or a string is not, even 2.0.
+        t = OrderTriple(alpha=1.5, beta=1.5, mu=0.5, i=np.int64(2))
+        assert t.i == 2 and type(t.i) is int
+        for i in (2.0, "2"):
+            with pytest.raises(DomainError, match="i must be a positive integer"):
+                OrderTriple(alpha=1.5, beta=1.5, mu=0.5, i=i)
+
+    def test_importable_from_its_old_module(self):
+        # OrderTriple lives in the solver, which imports no numpy.
+        from bihilfer.fractional_ops import OrderTriple as moved
+        from bihilfer.solver import OrderTriple as home
+
+        assert moved is home is OrderTriple is bihilfer.OrderTriple
+
 
 class TestFallingProduct:
     def test_single_factor(self):

@@ -91,16 +91,33 @@ class TestImportFootprint:
         _loaded(_adds_none_of(["numpy", "json", "csv"], _command(*args)))
 
     def test_eval_ks_loads_special_functions_only(self):
-        # Both halves of the special-function kernel, scalar and grid.
+        # The scalar kernel alone: each row is one kilbas_saigo call.
         loaded = _loaded(_command("eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0",
-                                  "--z", "-1"))
-        assert [m for m in ENGINE if m in loaded] == ["bihilfer.series_grid",
-                                                      "bihilfer.special_functions"]
+                                  "--z-min", "-8", "--z-max", "4", "--z-points", "9"))
+        assert [m for m in ENGINE if m in loaded] == ["bihilfer.special_functions"]
 
     def test_fundamental_loads_the_solver_but_not_verification(self):
         loaded = _loaded(_command("fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
                                   "--points", "4"))
-        assert [m for m in ENGINE if m in loaded] == ENGINE[:4]
+        assert [m for m in ENGINE if m in loaded] == ["bihilfer.solver",
+                                                      "bihilfer.special_functions"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z-min", "-8", "--z-max", "4",
+             "--z-points", "9"],
+            ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "-50",
+             "--points", "4"],
+            ["solve", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
+             "--lambda-re", "-2", "--lambda-im", "1", "--phis", "1,0.5", "--points", "4"],
+        ],
+        ids=["eval-ks", "fundamental", "solve"],
+    )
+    def test_table_commands_load_no_numpy(self, args):
+        # Each row is kilbas_saigo at one point; only verify's tails and
+        # quadrature use numpy.
+        _loaded(_adds_none_of(["numpy"], _command(*args)))
 
     def test_verify_loads_every_engine_module(self):
         loaded = _loaded(_command("verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
@@ -155,9 +172,10 @@ class TestNamespace:
 
 
 class TestEvaluationSurface:
-    RETIRED = [("SeriesSolution", "evaluate"), ("SeriesSolution", "evaluate_tail"),
-               ("SeriesSolution", "evaluate_grid"), ("CauchySolution", "evaluate"),
-               ("CauchySolution", "evaluate_grid"), ("SeriesSolution", "series_report")]
+    # evaluate returns a report per point now, not values.
+    RETIRED = [("SeriesSolution", "evaluate_tail"), ("SeriesSolution", "evaluate_grid"),
+               ("CauchySolution", "evaluate_grid"), ("SeriesSolution", "series_report"),
+               ("SeriesSolution", "grid_report"), ("CauchySolution", "grid_report")]
     # bench/child.py:install wraps these three by name for its trace, so
     # they stay until that trace wraps the grid methods instead.
     TRACED = [("SeriesSolution", "evaluate_report"), ("SeriesSolution", "evaluate_tail_report"),

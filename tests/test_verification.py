@@ -358,7 +358,8 @@ class TestCrossOracleClosure:
             problem = make_problem(alpha, alpha, 1.0, 1, lam=lam)
             sol = fundamental_solution(problem, 0)
             ys = np.linspace(0.01, 1.0, 21)
-            for y, value in zip(ys.tolist(), sol.grid_report(ys).value):
+            for y, report in zip(ys.tolist(), sol.evaluate(ys)):
+                value = report.value
                 expected = mittag_leffler(alpha, 1.0, lam * y ** alpha)
                 assert abs(value - expected) <= 1e-10 * max(
                     1.0, abs(expected)
