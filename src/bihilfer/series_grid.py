@@ -13,7 +13,6 @@ so a scalar caller never loads it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -121,9 +120,10 @@ def _sum_chunk(
         out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
     points = np.flatnonzero(nonzero)
     # ln|z| per point (at lam = 0 there is no point, and ln 1 stands in for
-    # ln|lam|), and the phase e^(ik arg lam) per term.
+    # ln|lam|), and the phase e^(ik arg lam) per term (math.atan2, as
+    # cmath.phase raises where arg lam underflows).
     log_abs = np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0)
-    phase = cmath.phase(zs.lam)
+    phase = math.atan2(zs.lam.imag, zs.lam.real)
     total = np.zeros(points.size, dtype=complex)
     was_small = np.zeros((2, points.size), dtype=bool)
     prev = np.full(points.size, math.inf)

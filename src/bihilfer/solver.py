@@ -219,10 +219,11 @@ class SeriesSolution:
         params, lam, a, b = self._params, self.lam, self.a, self.b
         reports = []
         for y in _check_grid(ys):
-            report = kilbas_saigo(params, lam * _power(y, a), tol)
+            value, terms, last, converged, path = kilbas_saigo(params, lam * _power(y, a), tol)
             scale = _power(y, b)
             # A complex product, so an overflowed y**b leaves no part finite.
-            reports.append(report._replace(value=complex(scale, 0.0 * scale) * report.value))
+            value = complex(scale, 0.0 * scale) * value
+            reports.append(SeriesEvalReport._make((value, terms, last, converged, path)))
         return reports
 
     def evaluate_tail_report(

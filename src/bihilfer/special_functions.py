@@ -3,8 +3,9 @@
 Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
 E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}, one point
 at a time. The series engine (_sum_log_series) owns the package's one
-stopping rule. Every sum starts at c_0 = 1 (a tail from index K is the
-triple (alpha, m, l + m*K)). Where the series cancels, at m = 1,
+stopping rule, written out in two loops, one for real z and one for complex
+z. Every sum starts at c_0 = 1 (a tail from index K is the triple
+(alpha, m, l + m*K)). Where the series cancels, at m = 1,
 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid rule on a
 Laplace-inversion contour instead (_contour_estimate), plus the residue of
 the one pole right of the contour where |arg z| < alpha*pi, whenever the
@@ -271,27 +272,45 @@ def _sum_log_series(
     Stopping rule, the only one in the package: stop at the first index
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
     |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
-    ends the sum unconverged with the partial sum as its value; so does a
-    non-finite term at a non-finite z, and reaching _MAX_TERMS terms.
+    ends the sum unconverged with the partial sum as its value; so does
+    reaching _MAX_TERMS terms. At a non-finite z the first term is nan, and
+    the sum ends there, unconverged.
 
-    Per-term cost: |S_k| is formed only when |t_k| > tol, which decides the
-    same since tol*max(1, |S|) >= tol; a sum's magnitude can pass the double
-    range only on such a term, so its overflow exit fires on the same term.
-    The stopping test runs only after a small term (three imply N >= 2).
+    Per-term cost: the rule is written out in two loops, one per number
+    field and line for line alike: _sum_real_series for a finite real z,
+    where |t_k| is the exp it computes and needs no abs, and
+    _sum_complex_series for a finite z off the axis, which needs no sign
+    test. A finite z gives finite terms or an OverflowError, so neither
+    loop tests a term for finiteness. |S_k| is formed only when |t_k| > tol,
+    which decides the same since tol*max(1, |S|) >= tol; a sum's magnitude
+    can pass the double range only on such a term, so its overflow exit
+    fires on the same term. The stopping test runs only after a small term
+    (three imply N >= 2).
     """
     _check_series_args(tol)
     logs = log_coeffs(1)
     if z == 0:
         return SeriesEvalReport(complex(math.exp(logs[0])), 1, 0.0, True)
     z = complex(z)
-    if z.imag == 0.0:
-        exp, log_z, flip, total = math.exp, math.log(abs(z.real)), z.real < 0.0, 0.0
-    else:
-        exp, log_z, flip, total = cmath.exp, cmath.log(z), False, 0.0j
-    # A finite z gives finite terms or an OverflowError, so only a
-    # non-finite z needs the per-term finiteness test.
-    isfinite = None if cmath.isfinite(z) else math.isfinite
+    real = z.imag == 0.0
+    log_z = math.log(abs(z.real)) if real else cmath.log(z)
+    if not cmath.isfinite(z):
+        # Then 0 * log z, and so the first term, is nan: the sum stops there.
+        t = (math.exp if real else cmath.exp)(logs[0] + 0 * log_z)
+        return SeriesEvalReport(complex((0.0 if real else 0j) + t), 1, abs(t), False)
+    if real:
+        return _sum_real_series(log_coeffs, logs, log_z, z.real < 0.0, tol)
+    return _sum_complex_series(log_coeffs, logs, log_z, tol)
+
+
+def _sum_real_series(
+    log_coeffs: Callable[[int], list[float]], logs: list[float], log_z: float, flip: bool,
+    tol: float,
+) -> SeriesEvalReport:
+    """_sum_log_series at a finite real z != 0: log_z = ln|z|, and each term
+    is its own magnitude, added with the sign (-1)^k where flip (z < 0)."""
     n = len(logs)
+    total = 0.0
     streak = 0
     prev_mag = mag = math.inf
     for k in range(_MAX_TERMS):
@@ -299,29 +318,49 @@ def _sum_log_series(
             logs = log_coeffs(2 * k)
             n = len(logs)
         try:
-            t = exp(logs[k] + k * log_z)
+            mag = math.exp(logs[k] + k * log_z)
         except OverflowError:
             # Term outgrew the double range; report the best partial sum.
-            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
-        if flip and k & 1:
-            t = -t
-        total += t
-        try:
-            mag = abs(t)
-            small = mag <= tol or mag <= tol * abs(total)
-        except OverflowError:
-            # A complex magnitude past the double range: unconverged as well.
-            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
-        if isfinite is not None and not isfinite(mag):
-            return SeriesEvalReport(complex(total), k + 1, mag, False)
-        if small:
+            return SeriesEvalReport._make((complex(total), k + 1, math.inf, False, "series"))
+        total += -mag if flip and k & 1 else mag
+        if mag <= tol or mag <= tol * abs(total):
             streak += 1
             if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                return SeriesEvalReport(complex(total), k + 1, mag, True)
+                return SeriesEvalReport._make((complex(total), k + 1, mag, True, "series"))
         else:
             streak = 0
         prev_mag = mag
-    return SeriesEvalReport(complex(total), _MAX_TERMS, mag, False)
+    return SeriesEvalReport._make((complex(total), _MAX_TERMS, mag, False, "series"))
+
+
+def _sum_complex_series(
+    log_coeffs: Callable[[int], list[float]], logs: list[float], log_z: complex, tol: float
+) -> SeriesEvalReport:
+    """_sum_log_series at a finite z off the real axis: log_z = Log z."""
+    n = len(logs)
+    total = 0j
+    streak = 0
+    prev_mag = mag = math.inf
+    for k in range(_MAX_TERMS):
+        if k >= n:
+            logs = log_coeffs(2 * k)
+            n = len(logs)
+        try:
+            t = cmath.exp(logs[k] + k * log_z)
+            total += t
+            mag = abs(t)
+            small = mag <= tol or mag <= tol * abs(total)
+        except OverflowError:
+            # A term or a magnitude past the double range: unconverged as well.
+            return SeriesEvalReport._make((complex(total), k + 1, math.inf, False, "series"))
+        if small:
+            streak += 1
+            if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
+                return SeriesEvalReport._make((complex(total), k + 1, mag, True, "series"))
+        else:
+            streak = 0
+        prev_mag = mag
+    return SeriesEvalReport._make((complex(total), _MAX_TERMS, mag, False, "series"))
 
 
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2 (Weideman & Trefethen,
@@ -347,8 +386,10 @@ def _contour_rule(params: KilbasSaigoParams) -> bool:
 
 def _in_sector(alpha: float, z: complex) -> bool:
     """z != 0 and |arg z| >= alpha*pi: there s^alpha = z has no root on the
-    principal sheet, so the contour integral needs no residue."""
-    return z != 0 and abs(cmath.phase(z)) >= alpha * math.pi
+    principal sheet, so the contour integral needs no residue. arg z is
+    math.atan2, which cmath.phase equals but for raising OverflowError where
+    the angle underflows (z = 2 + 5e-324j)."""
+    return z != 0 and abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
 
 
 def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":

@@ -583,6 +583,13 @@ class TestGridDriver:
         assert grid.converged.tolist() == [False, True, False, True]
         assert math.isinf(grid.last_term_magnitude[2]) != cmath.isnan(odd)
 
+    def test_arg_lam_underflows(self):
+        # arg lam = atan2(5e-324, 2) underflows to 0, where cmath.phase
+        # raises OverflowError.
+        fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
+        ray = _PowerGrid(complex(2.0, 5e-324), 1.0, np.array([0.0, 0.3, 1.0, 2.0]))
+        _assert_agrees(_sum_log_series_grid(fetch, ray), fetch, ray, exact=(0,))
+
     def test_spans_chunks_and_blocks(self):
         # More points than one chunk, and terms than one block.
         fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
@@ -778,9 +785,18 @@ class TestScalarEngineReference:
             ((1.0, 1.0, 0.0), 800.0, 0, "overflow"),
             ((1.0, 1.0, 0.0), cmath.rect(720.0, 1.0), 0, "overflow"),
             ((1.0, 1.0, 0.0), math.inf, 0, (1, False)),
+            ((1.0, 1.0, 0.0), -math.inf, 0, (1, False)),
+            ((1.0, 1.0, 0.0), math.nan, 0, (1, False)),
+            ((1.0, 1.0, 0.0), complex(math.inf, 1.0), 0, (1, False)),
+            ((1.0, 1.0, 0.0), complex(1.0, math.inf), 0, (1, False)),
+            ((1.0, 1.0, 0.0), complex(math.nan, 0.0), 0, (1, False)),
+            ((1.0, 1.0, 0.0), complex(0.0, math.nan), 0, (1, False)),
+            ((1.0, 1.0, 0.0), -800.0, 0, "overflow"),
+            ((0.01, 0.01, 0.0), -0.9999, 0, (10_000, False)),
         ],
         ids=["term-cap", "zero-point", "converged", "term-overflow", "magnitude-overflow",
-             "non-finite-point"],
+             "non-finite-point", "minus-inf", "nan", "inf-real-part", "inf-imag-part",
+             "nan-real-part", "nan-imag-part", "negative-term-overflow", "negative-term-cap"],
     )
     def test_every_exit(self, params, z, start, exit):
         fetch = _shifted(KilbasSaigoParams(*params), start)._log_coeffs
@@ -792,6 +808,27 @@ class TestScalarEngineReference:
         else:
             assert (report.terms_used, report.converged) == exit
         assert _bits(report) == _bits(_reference_sum_log_series(fetch, z, 1e-12))
+
+    def test_benchmark_pool_points(self):
+        """The ks-sweep workload's pool: 8 triples at 64 fixed points, 416
+        of them off the contour rule, each the reference engine's report."""
+        triples = [(0.5, 1.0, 0.0), (0.3, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0),
+                   (0.75, 1.25, 0.5), (1.5, 0.8, -0.2), (0.6, 2.0, 1.0), (1.2, 0.6, 0.3)]
+        points = [complex(x) for x in np.linspace(-8.0, -0.25, 32)]
+        points += [complex(x) for x in np.linspace(0.25, 4.0, 16)]
+        points += [complex(r * math.cos(t), r * math.sin(t))
+                   for r, t in zip(np.linspace(0.5, 6.0, 16), np.linspace(0.15, math.pi - 0.15, 16))]
+        series = 0
+        for triple in triples:
+            params = KilbasSaigoParams(*triple)
+            for z in points:
+                report = kilbas_saigo(params, z)
+                if report.path == "series":
+                    series += 1
+                    assert _bits(report) == _bits(
+                        _reference_sum_log_series(params._log_coeffs, z)
+                    ), (triple, z)
+        assert series == 416
 
 
 class TestCacheStats:
@@ -916,6 +953,15 @@ class TestContourPath:
             (KilbasSaigoParams(1.0, 1.0, 0.0), -3.0),  # alpha >= 1
         ]:
             assert kilbas_saigo(params, z).path == "series"
+
+    def test_argument_that_underflows(self):
+        # arg z = atan2(5e-324, 3) underflows to 0, where cmath.phase raises
+        # OverflowError; the rule takes z, with the pole's residue, as it
+        # takes 3.
+        params = KilbasSaigoParams(0.3, 1.0, 0.0)
+        tiny, real = kilbas_saigo(params, complex(3.0, 5e-324)), kilbas_saigo(params, 3.0)
+        assert tiny.path == real.path == "contour" and tiny.converged
+        assert abs(tiny.value - real.value) <= 1e-14 * abs(real.value)
 
     def test_across_the_sector_edge(self):
         # Just off the edge the pole lies far left of the contour (d = 0.98),
