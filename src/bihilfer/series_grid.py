@@ -5,10 +5,11 @@ tails (and so only by `verify`): kilbas_saigo_grid evaluates
 special_functions.kilbas_saigo at every point z = lam * y**a of a
 _PowerGrid. A triple that takes the contour rule is kilbas_saigo itself at
 each point, so the rule, its rounding and its series fallback live in one
-module. Every other triple is summed by the blocked grid driver
-_sum_log_series_grid, which keeps the scalar engine's stopping rule and
-agrees with it to rounding. special_functions itself does not import numpy,
-so a scalar caller never loads it.
+module. Every other triple is summed by the grid driver
+_sum_log_series_grid, the scalar engine's loop over k run on an array of
+points: the same stopping rule, and the scalar values to rounding.
+special_functions itself does not import numpy, so a scalar caller never
+loads it.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class SeriesGridReport:
             object.__setattr__(self, "path", series)
 
 
-# The grid driver sums up to _CHUNK_POINTS points at a time in blocks of
-# terms. A chunk's first block is as long as the longest sum of the chunk
-# before, at least 4 (16 for the first chunk), later blocks are 4, 8, 16,
-# ... terms, and none is longer than _BLOCK_TERMS, so a temporary holds at
-# most 512 x 33 elements (32 terms and the carried sum).
-_BLOCK_TERMS = 32
-_CHUNK_POINTS = 512
-
 # Largest term exponent Re(L + k log z) the grid driver sums itself. Up to
 # here np.exp and the scalar exps round alike (they rescale differently past
 # about 708), and _MAX_TERMS such terms cannot overflow a sum.
@@ -81,114 +74,91 @@ def _sum_log_series_grid(
     """special_functions._sum_log_series(log_coeffs, z, tol) at every point z
     of the ray zs, to rounding.
 
-    Terms are formed for a block of k and a chunk of points at once and
-    summed in order, each point carrying its sum, whether its last two terms
-    were small and its last magnitude from block to block until the stopping
-    rule fires. A point that would need a term above exp(_GRID_EXP_MAX), or
-    whose exponent is not finite, is summed by _sum_log_series itself at
-    z = lam * y**a (Python's pow), so overflow keeps the scalar semantics.
+    The scalar loop over an array: step k forms term k at every point still
+    summing, adds it in the scalar order and applies the scalar stopping
+    rule. A point carries its sum, whether its last two terms were small
+    and its last magnitude, and leaves the arrays when it stops. A point
+    that would need a term above exp(_GRID_EXP_MAX), or whose exponent is
+    not finite, is summed by _sum_log_series itself at z = lam * y**a
+    (Python's pow), so overflow keeps the scalar semantics.
     """
     _check_series_args(tol)
-    ys = zs.ys
-    report = SeriesGridReport(
-        np.empty(ys.size, dtype=complex),
-        np.empty(ys.size, dtype=np.int64),
-        np.empty(ys.size),
-        np.empty(ys.size, dtype=bool),
+    logs = log_coeffs(1)
+    size = zs.ys.size
+    # Every point starts as the one-term sum at z = 0.
+    out = SeriesGridReport(
+        np.full(size, complex(math.exp(logs[0]))),
+        np.ones(size, dtype=np.int64),
+        np.zeros(size),
+        np.ones(size, dtype=bool),
     )
-    first = 16
-    for c in range(0, ys.size, _CHUNK_POINTS):
-        _sum_chunk(log_coeffs, zs._replace(ys=ys[c : c + _CHUNK_POINTS]), c, tol, first, report)
-        first = int(report.terms_used[c : c + _CHUNK_POINTS].max())
-    return report
-
-
-def _sum_chunk(
-    log_coeffs: Callable[[int], list[float]],
-    zs: _PowerGrid,
-    offset: int,
-    tol: float,
-    first: int,
-    out: SeriesGridReport,
-) -> None:
-    """Sum the series at zs into out[offset:], block by block, the first
-    block `first` terms long (clamped to 4.._BLOCK_TERMS)."""
-    nonzero = (zs.ys != 0.0) & (zs.lam != 0)
-    zero = offset + np.flatnonzero(~nonzero)
-    if zero.size:
-        out.value[zero] = math.exp(log_coeffs(1)[0])
-        out.terms_used[zero], out.last_term_magnitude[zero], out.converged[zero] = 1, 0.0, True
-    points = np.flatnonzero(nonzero)
+    points = np.flatnonzero((zs.ys != 0.0) & (zs.lam != 0))
     # ln|z| per point (at lam = 0 there is no point, and ln 1 stands in for
     # ln|lam|), and the phase e^(ik arg lam) per term (math.atan2, as
-    # cmath.phase raises where arg lam underflows).
+    # cmath.phase raises where arg lam underflows). For real lam the phase
+    # is (+-1)^k and the sums stay real.
     log_abs = np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0)
     phase = math.atan2(zs.lam.imag, zs.lam.real)
-    total = np.zeros(points.size, dtype=complex)
-    was_small = np.zeros((2, points.size), dtype=bool)
-    prev = np.full(points.size, math.inf)
+    real = zs.lam.imag == 0.0
+    total = np.zeros(points.size, dtype=float if real else complex)
+    small = was_small = np.zeros(points.size, dtype=bool)
+    mag = np.full(points.size, math.inf)
     scalar = []
-    k0, width, later = 0, max(first, 4), 4
-    while points.size:
-        nb = min(width, _BLOCK_TERMS, _MAX_TERMS - k0)
-        ks = np.arange(k0, k0 + nb, dtype=float)[:, None]
-        logs = np.array(log_coeffs(k0 + nb)[k0 : k0 + nb])[:, None]
-        # Column j is point j: its carried state in row 0 and term k in row
-        # k + 1, so operations run along the chunk and cumsum in scalar order.
-        sums = np.empty((nb + 1, points.size), dtype=complex)
-        mags = np.empty((nb + 1, points.size))
-        small = np.empty((nb + 2, points.size), dtype=bool)
-        sums[0], mags[0], small[:2] = total, prev, was_small
-        t, prevs = sums[1:], mags[:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # In place, so a block allocates little besides its three arrays.
-            expo = np.multiply(ks, log_abs, out=mags[1:])
-            expo += logs
-            # Row of each point's first term past exp(_GRID_EXP_MAX) or with
-            # a nan exponent. max propagates nan, so only a block with no
-            # such term skips the mask.
-            big = nb if expo.max() <= _GRID_EXP_MAX else _first_true(~(expo <= _GRID_EXP_MAX), nb)
-            # |t_k| is the real exp; for real lam the phase is (+-1)^k.
-            mag = np.exp(expo, out=expo)
-            if zs.lam.imag == 0.0:
-                np.multiply(mag, 1.0 - 2.0 * (ks % 2) if zs.lam.real < 0.0 else 1.0, out=t.real)
-                t.imag = 0.0
+    # Exponents of points about to go to the scalar engine may overflow or
+    # be nan; no other value can.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_MAX_TERMS):
+            if not points.size:
+                break
+            if k >= len(logs):
+                logs = log_coeffs(min(2 * k, _MAX_TERMS))
+            prev = mag
+            expo = log_abs * float(k)
+            expo += logs[k]
+            mag = np.exp(expo)
+            if not real:
+                term = np.empty(points.size, dtype=complex)
+                np.multiply(mag, np.cos(k * phase), out=term.real)
+                np.multiply(mag, np.sin(k * phase), out=term.imag)
+                total += term
+            elif zs.lam.real < 0.0 and k & 1:
+                total -= mag
             else:
-                np.multiply(mag, np.cos(ks * phase), out=t.real)
-                np.multiply(mag, np.sin(ks * phase), out=t.imag)
-            np.cumsum(sums, axis=0, out=sums)
-            sums = t
-            # |S_k| everywhere: where |t_k| <= tol it cannot change the test.
-            now = np.less_equal(mag, tol, out=small[2:])
-            size = np.abs(sums)
-            np.fmax(size, 1.0, out=size)
-            now |= mag <= np.multiply(size, tol, out=size)
-            decreasing = (mag < prevs) | ((mag == 0.0) & (prevs == 0.0))
-        # Three small terms in a row, the last smaller than the one before.
-        stop = _first_true(now & small[1:-1] & small[:-2] & decreasing, nb)
-        done = stop < big
-        settle = done | ((big == nb) & (k0 + nb == _MAX_TERMS))
-        at = np.where(done, stop, nb - 1)[settle]
-        columns = np.flatnonzero(settle)
-        settled = offset + points[settle]
-        out.value[settled] = sums[at, columns]
-        out.terms_used[settled] = k0 + at + 1
-        out.last_term_magnitude[settled] = mag[at, columns]
-        out.converged[settled] = done[settle]
-        scalar += points[(big < nb) & ~done].tolist()
-        keep = ~settle & (big == nb)
-        points, log_abs = points[keep], log_abs[keep]
-        total, was_small, prev = sums[-1, keep], small[-2:, keep], mag[-1, keep]
-        k0, width, later = k0 + nb, later, 2 * later
+                total += mag
+            # |t_k| <= tol max(1, |S_k|) decides as the scalar loop's test.
+            now = mag <= tol * np.fmax(np.abs(total), 1.0)
+            # Three small terms in a row, the last smaller than the one
+            # before; the last test only where the first holds.
+            stop = now & small & was_small
+            leave = np.count_nonzero(stop)
+            if leave:
+                stop &= (mag < prev) | ((mag == 0.0) & (prev == 0.0))
+            # A point whose exponent passes _GRID_EXP_MAX or is nan leaves
+            # as a stopped one and is written again by the scalar engine
+            # below. max propagates nan, so a step without one skips the mask.
+            if not expo.max() <= _GRID_EXP_MAX:
+                big = ~(expo <= _GRID_EXP_MAX)
+                scalar += points[big].tolist()
+                stop |= big
+                leave = True
+            if leave:
+                _put(out, points[stop], total[stop], k + 1, mag[stop])
+                keep = ~stop
+                points, log_abs, total, mag, now, small = (
+                    a[keep] for a in (points, log_abs, total, mag, now, small)
+                )
+            small, was_small = now, small
+    # The points still summing end unconverged at the cap.
+    _put(out, points, total, _MAX_TERMS, mag, False)
     for p in scalar:
-        report = _sum_log_series(log_coeffs, zs.lam * _power(float(zs.ys[p]), zs.a), tol)
-        for array, field in zip(vars(out).values(), report[:4]):
-            array[offset + p] = field
+        _put(out, p, *_sum_log_series(log_coeffs, zs.lam * _power(float(zs.ys[p]), zs.a), tol)[:4])
+    return out
 
 
-def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
-    """Row of the first True in each column of mask, `none` where there is none."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), none)
+def _put(out: SeriesGridReport, at, *fields) -> None:
+    """Write the leading report fields `fields` at the points `at` of out."""
+    for array, field in zip(vars(out).values(), fields):
+        array[at] = field
 
 
 def kilbas_saigo_grid(

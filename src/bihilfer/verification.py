@@ -158,7 +158,6 @@ def residual_numeric(
     y_max: float = 1.0,
     n_points: int = 2048,
     tol: float = DEFAULT_TOL,
-    tail_start: "int | None" = None,
 ) -> ResidualReport:
     """Compare the numeric operator against lambda y^m u on [y_max/4, y_max].
 
@@ -166,10 +165,10 @@ def residual_numeric(
     with w_k(y) = sum_{j >= k} c_j lambda^j y^{aj+b}, termwise application of
     the monomial formula gives D w_{k} = lambda y^m w_{k-1} (and D w_0 =
     lambda y^m w_0, the original equation). Verifying the tail equation for
-    `tail_start` = k avoids sampling the near-origin singular head, whose
+    k = tail_start avoids sampling the near-origin singular head, whose
     unbounded derivatives would otherwise drown the quadrature in scheme
-    error; k = 0 is the plain equation. The default picks the smallest k
-    that makes the composed scheme's accuracy order reach ~2.
+    error; it is the smallest k that makes the composed scheme's accuracy
+    order reach ~2, recorded in the report.
 
     Rounding floor: the order-i derivative amplifies the quadrature's rounding
     of about 1e-15 * max|I f| by h^-i, so past some grid size the residual
@@ -183,7 +182,7 @@ def residual_numeric(
     orders = problem.orders
     n_points = _check_index("n_points", n_points, residual_min_points(orders.i))
     sol = fundamental_solution(problem, s)
-    k1 = _default_tail_start(sol) if tail_start is None else _check_index("tail_start", tail_start)
+    k1 = _default_tail_start(sol)
     h = y_max / n_points
     ys = h * np.arange(n_points + 1)
     tail = sol.tail_grid_report(ys, k1, tol)

@@ -443,6 +443,17 @@ class TestHilferNumeric:
         out = hilfer_numeric(f, orders)
         assert np.allclose(out.values, 0.0, atol=1e-14)
 
+    def test_constant_solution_zero_residual(self):
+        # At lambda = 0 the Caputo branch (b_0 = 0) is u = 1, and its tail
+        # from k = 0 samples it; the operator takes it to lambda y^m u = 0.
+        problem = DegenerateProblem(orders=OrderTriple(alpha=0.5, beta=0.5, mu=1.0, i=1), m=0.0, lam=0.0)
+        n = 256
+        ys = (1.0 / n) * np.arange(n + 1)
+        u = fundamental_solution(problem, 0).tail_grid_report(ys, 0).value
+        assert (u == 1.0).all()
+        out = hilfer_numeric(SampledFunction(1.0 / n, u), problem.orders)
+        assert np.allclose(out.values, 0.0, atol=1e-12)
+
     def test_caputo_half_of_y(self):
         orders = OrderTriple(alpha=0.5, beta=0.5, mu=1.0, i=1)
         f, ys = sampled(lambda y: y.astype(complex), 1.0 / 512, 512)

@@ -30,10 +30,8 @@ from bihilfer import (
     mittag_leffler,
 )
 from bihilfer import DegenerateProblem, OrderTriple, fundamental_solution
-from bihilfer import series_grid, special_functions
+from bihilfer import special_functions
 from bihilfer.series_grid import (
-    _BLOCK_TERMS,
-    _CHUNK_POINTS,
     _PowerGrid,
     _sum_log_series_grid,
     kilbas_saigo_grid,
@@ -509,9 +507,11 @@ def _shifted(params, start):
     return KilbasSaigoParams(params.alpha, params.m, params.l + params.m * start)
 
 
-def _assert_bit_identical(grid, other):
+def _assert_bit_identical(grid, parts):
+    """grid is the grids `parts` one after another, bit for bit."""
     for field in ("value", "terms_used", "last_term_magnitude", "converged"):
-        assert getattr(grid, field).tobytes() == getattr(other, field).tobytes(), field
+        assert getattr(grid, field).tobytes() == b"".join(
+            getattr(part, field).tobytes() for part in parts), field
 
 
 def _assert_agrees(grid, fetch, ray, tol=1e-12, exact=()):
@@ -552,8 +552,8 @@ _points = st.one_of(
 
 
 class TestGridDriver:
-    """The blocked grid driver along a ray against the scalar engine, field
-    by field."""
+    """The grid driver along a ray against the scalar engine, field by
+    field."""
 
     def test_covers_every_exit_of_the_engine(self):
         # The cap, the point z = 0, a converged sum, and terms past exp(700)
@@ -569,10 +569,10 @@ class TestGridDriver:
 
     @pytest.mark.parametrize("odd", [1e60, -1e60j, math.nan, complex(math.nan, 1.0)])
     def test_one_column_past_the_exponent_cap(self, odd):
-        # One point forms a term past exp(700), or a nan exponent, in the
-        # first block; the others never do, and the capped point runs every
-        # block up to _MAX_TERMS beside it. Only the odd point goes to the
-        # scalar engine, which sums it with the scalar bits.
+        # One point forms a term past exp(700), or a nan exponent, within
+        # its first terms; the others never do, and the capped point runs
+        # up to _MAX_TERMS beside it. Only the odd point goes to the scalar
+        # engine, which sums it with the scalar bits.
         params, capped = CAPPED
         fetch = params._log_coeffs
         lam = 1j * math.copysign(1.0, odd.imag) if isinstance(odd, complex) else 1.0
@@ -591,7 +591,7 @@ class TestGridDriver:
         _assert_agrees(_sum_log_series_grid(fetch, ray), fetch, ray, exact=(0,))
 
     def test_spans_chunks_and_blocks(self):
-        # More points than one chunk, and terms than one block.
+        # Many points, some summing more than 16 terms.
         fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
         ray = _PowerGrid(cmath.rect(4.0, 0.3), 1.0, np.linspace(0.0, 1.0, 1201))
         grid = _sum_log_series_grid(fetch, ray)
@@ -602,10 +602,39 @@ class TestGridDriver:
         grid = _sum_log_series_grid(CAPPED[0]._log_coeffs, _PowerGrid(1.0, 1.0, np.empty(0)))
         assert grid.value.size == grid.terms_used.size == 0
 
+    def test_no_request_passes_the_cap(self):
+        # The 10,000-term cap beside 513 short sums. The fetch returns no
+        # more log-coefficients than asked for, so the driver asks again as
+        # its sums grow, and never for more than the terms it may sum.
+        requested = []
+        fetch = CAPPED[0]._log_coeffs
 
-# The grid driver is exercised with a chunk of 2-7 points, so a short list
-# spans many chunks, each sized from the sums of the one before. The points
-# are y on the ray lam * y, |lam| = 1.
+        def recording(n):
+            requested.append(n)
+            return fetch(n)[:n]
+
+        ray = _PowerGrid(1.0, 1.0, np.array([CAPPED[1], *[0.1] * 512, 0.2]))
+        grid = _sum_log_series_grid(recording, ray)
+        assert max(requested) == _MAX_TERMS
+        assert grid.terms_used[0] == _MAX_TERMS and not grid.converged[0]
+        _assert_agrees(grid, fetch, ray)
+
+    def test_long_small_term_streak(self):
+        # At y = 12 on lam = 1 and tol = 0.5 the rule fires only after 216
+        # small terms in a row, at term 289: a streak kept in a narrow
+        # counter would wrap and stop elsewhere.
+        fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
+        ys = np.array([12.0, 20.0, 0.5, 3.0, 0.0])
+        for lam, terms in ((1.0, [289, 801, 4, 19, 1]), (-1.0, [493, 1128, 5, 49, 1]),
+                           (1j, [500, 1127, 4, 49, 1])):
+            ray = _PowerGrid(lam, 1.0, ys)
+            grid = _sum_log_series_grid(fetch, ray, 0.5)
+            assert grid.terms_used.tolist() == terms
+            _assert_agrees(grid, fetch, ray, tol=0.5)
+
+
+# Groups of points whose sums differ in length, placed side by side. The
+# points are y on the ray lam * y, |lam| = 1.
 _short = st.floats(0.0, 2.0)
 # Hundreds of terms for E_{1/2,1,0}; for CAPPED's triple these overflow.
 _long = st.floats(8.0, 20.0)
@@ -622,25 +651,19 @@ _groups = st.lists(
 )
 
 
-def _grid_in_chunks(fetch, ray, tol, chunk):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_grid, "_CHUNK_POINTS", chunk)
-        return _sum_log_series_grid(fetch, ray, tol)
-
-
 class TestGridChunks:
-    """Chunks whose sums differ in length, against one chunk of them all."""
+    """Neighbouring points whose sums differ in length: each point's report
+    is the one it gets alone, bit for bit, and the scalar engine's."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         groups=_groups,
         lam=st.sampled_from([1.0, -1.0, 1j, cmath.rect(1.0, 2.5)]),
-        chunk=st.integers(2, 7),
         start=st.integers(0, 4),
-        tol=st.sampled_from([1e-12, 1e-6]),
+        tol=st.sampled_from([1e-12, 1e-6, 0.5]),
         capped=st.booleans(),
     )
-    def test_bit_identical_across_chunks(self, groups, lam, chunk, start, tol, capped):
+    def test_bit_identical_across_chunks(self, groups, lam, start, tol, capped):
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
         ys = [y for group in groups for y in group]
         if capped:
@@ -648,54 +671,26 @@ class TestGridChunks:
             ys = [y, *ys]
         fetch = _shifted(params, start)._log_coeffs
         ray = _PowerGrid(lam, 1.0, np.array(ys))
-        _assert_bit_identical(_grid_in_chunks(fetch, ray, tol, chunk),
-                              _grid_in_chunks(fetch, ray, tol, len(ys)))
+        alone = [_sum_log_series_grid(fetch, ray._replace(ys=ray.ys[j : j + 1]), tol)
+                 for j in range(len(ys))]
+        _assert_bit_identical(_sum_log_series_grid(fetch, ray, tol), alone)
 
     @pytest.mark.parametrize(
-        "params,lam,ys,maxima",
+        "params,lam,ys",
         [
             # short, hundreds of terms, short, zeros only, overflow
             ((0.5, 1.0, 0.0), 1j,
              [0.5, 0.3, 0.1, 15.0, 12.0, 14.0, 0.2, 0.1, 0.4, 0.0, 0.0, 0.0,
-              800.0, 0.5, 900.0],
-             [23, 806, 21, 1, 142]),
-            # the 10,000-term cap, then chunks of short sums
-            ((0.01, 0.01, 0.0), 1.0, [0.9999, 0.1, 0.2, 0.1, 0.3, 0.2, 0.9, 0.0, 0.5],
-             [10_000, 26, 257]),
+              800.0, 0.5, 900.0]),
+            # the 10,000-term cap, then short sums
+            ((0.01, 0.01, 0.0), 1.0, [0.9999, 0.1, 0.2, 0.1, 0.3, 0.2, 0.9, 0.0, 0.5]),
         ],
         ids=["long-short-zero-overflow", "after-cap"],
     )
-    def test_neighbouring_chunks_of_unequal_length(self, params, lam, ys, maxima):
+    def test_neighbouring_chunks_of_unequal_length(self, params, lam, ys):
         fetch = KilbasSaigoParams(*params)._log_coeffs
         ray = _PowerGrid(lam, 1.0, np.array(ys))
-        grid = _grid_in_chunks(fetch, ray, 1e-12, 3)
-        assert [max(grid.terms_used[c : c + 3]) for c in range(0, len(ys), 3)] == maxima
-        _assert_bit_identical(grid, _grid_in_chunks(fetch, ray, 1e-12, len(ys)))
-        _assert_agrees(grid, fetch, ray)
-
-
-class TestBlockLength:
-    def test_no_block_passes_the_cap(self):
-        # A chunk ending at the 10,000-term cap, then a chunk of short sums.
-        requested = []
-        fetch = CAPPED[0]._log_coeffs
-
-        def recording(n):
-            requested.append(n)
-            return fetch(n)
-
-        ray = _PowerGrid(1.0, 1.0, np.array([CAPPED[1], *[0.1] * (_CHUNK_POINTS - 1), 0.1, 0.2]))
-        grid = _sum_log_series_grid(recording, ray)
-        assert grid.terms_used[0] == _MAX_TERMS
-        # Each block asks for the coefficients up to its last term.
-        cut = requested.index(_MAX_TERMS) + 1
-        first, second = requested[:cut], requested[cut:]
-        spans = np.diff([0, *first]).tolist()
-        assert spans[:5] == [16, 4, 8, 16, 32]
-        assert max(spans) == _BLOCK_TERMS == 32
-        # The chunk after the capped point starts with one block at the cap.
-        assert second == [_BLOCK_TERMS]
-        _assert_agrees(grid, fetch, ray)
+        _assert_agrees(_sum_log_series_grid(fetch, ray, 1e-12), fetch, ray)
 
 
 def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
