@@ -31,6 +31,7 @@ from .special_functions import (
     SeriesEvalReport,
     _check_index,
     _power,
+    _report,
     kilbas_saigo,
     kilbas_saigo_coefficients,
 )
@@ -223,7 +224,7 @@ class SeriesSolution:
             scale = _power(y, b)
             # A complex product, so an overflowed y**b leaves no part finite.
             value = complex(scale, 0.0 * scale) * value
-            reports.append(SeriesEvalReport._make((value, terms, last, converged, path)))
+            reports.append(_report((value, terms, last, converged, path)))
         return reports
 
     def evaluate_tail_report(
@@ -330,7 +331,7 @@ class CauchySolution:
                 last = max(last, abs(w) * magnitude)
                 converged = converged and ok
                 path = branch_path if path in (None, branch_path) else "mixed"
-            reports.append(SeriesEvalReport(total, max(terms, 1), last, converged, path or "series"))
+            reports.append(_report((total, max(terms, 1), last, converged, path or "series")))
         return reports
 
 

@@ -33,7 +33,7 @@ import math
 import operator
 import sys
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -177,6 +177,11 @@ class SeriesEvalReport(NamedTuple):
     path: str = "series"
 
 
+# Every report is built from the tuple of its five fields by tuple.__new__,
+# which skips the named tuple's Python-level constructor.
+_report = partial(tuple.__new__, SeriesEvalReport)
+
+
 # Triples kept by each per-triple table; a parameter sweep cycles through it.
 _CACHE_SIZE = 128
 _FILL_LOCK = threading.Lock()
@@ -263,8 +268,9 @@ def _sum_log_series(
     """The series engine: sum_k exp(L[k] + k log z), k = 0, 1, ...
 
     `log_coeffs(n)` returns a list of at least n log-coefficients L; it is
-    asked for one, then for twice the terms summed whenever the sum needs
-    more, so a list built per call holds at most twice the terms summed.
+    asked for one, then for twice the terms summed (at most _MAX_TERMS)
+    whenever the sum needs more, so a list built per call holds at most twice
+    the terms summed and never more than _MAX_TERMS.
     Positive term weights w_k come folded in as L[k] + ln w_k. Real z is
     summed in real arithmetic with an explicit sign (-1)^k for z < 0, so its
     imaginary part is exactly zero.
@@ -288,16 +294,22 @@ def _sum_log_series(
     (three imply N >= 2).
     """
     _check_series_args(tol)
-    logs = log_coeffs(1)
+    return _sum_series_from(log_coeffs, log_coeffs(1), z, tol)
+
+
+def _sum_series_from(
+    log_coeffs: Callable[[int], list[float]], logs: list[float], z: complex, tol: float
+) -> SeriesEvalReport:
+    """_sum_log_series past its tol check, with logs = log_coeffs(1) in hand."""
     if z == 0:
-        return SeriesEvalReport(complex(math.exp(logs[0])), 1, 0.0, True)
+        return _report((complex(math.exp(logs[0])), 1, 0.0, True, "series"))
     z = complex(z)
     real = z.imag == 0.0
     log_z = math.log(abs(z.real)) if real else cmath.log(z)
     if not cmath.isfinite(z):
         # Then 0 * log z, and so the first term, is nan: the sum stops there.
         t = (math.exp if real else cmath.exp)(logs[0] + 0 * log_z)
-        return SeriesEvalReport(complex((0.0 if real else 0j) + t), 1, abs(t), False)
+        return _report((complex((0.0 if real else 0j) + t), 1, abs(t), False, "series"))
     if real:
         return _sum_real_series(log_coeffs, logs, log_z, z.real < 0.0, tol)
     return _sum_complex_series(log_coeffs, logs, log_z, tol)
@@ -308,29 +320,32 @@ def _sum_real_series(
     tol: float,
 ) -> SeriesEvalReport:
     """_sum_log_series at a finite real z != 0: log_z = ln|z|, and each term
-    is its own magnitude, added with the sign (-1)^k where flip (z < 0)."""
+    is its own magnitude, added with the sign (-1)^k where flip (z < 0). The
+    index is also counted in a float x, so k ln|z| is one float multiply
+    (x equals k exactly below 2^53)."""
     n = len(logs)
-    total = 0.0
+    total = x = 0.0
     streak = 0
     prev_mag = mag = math.inf
     for k in range(_MAX_TERMS):
         if k >= n:
-            logs = log_coeffs(2 * k)
+            logs = log_coeffs(min(2 * k, _MAX_TERMS))
             n = len(logs)
         try:
-            mag = math.exp(logs[k] + k * log_z)
+            mag = math.exp(logs[k] + x * log_z)
         except OverflowError:
             # Term outgrew the double range; report the best partial sum.
-            return SeriesEvalReport._make((complex(total), k + 1, math.inf, False, "series"))
+            return _report((complex(total), k + 1, math.inf, False, "series"))
         total += -mag if flip and k & 1 else mag
         if mag <= tol or mag <= tol * abs(total):
             streak += 1
             if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                return SeriesEvalReport._make((complex(total), k + 1, mag, True, "series"))
+                return _report((complex(total), k + 1, mag, True, "series"))
         else:
             streak = 0
         prev_mag = mag
-    return SeriesEvalReport._make((complex(total), _MAX_TERMS, mag, False, "series"))
+        x += 1.0
+    return _report((complex(total), _MAX_TERMS, mag, False, "series"))
 
 
 def _sum_complex_series(
@@ -343,7 +358,7 @@ def _sum_complex_series(
     prev_mag = mag = math.inf
     for k in range(_MAX_TERMS):
         if k >= n:
-            logs = log_coeffs(2 * k)
+            logs = log_coeffs(min(2 * k, _MAX_TERMS))
             n = len(logs)
         try:
             t = cmath.exp(logs[k] + k * log_z)
@@ -352,15 +367,15 @@ def _sum_complex_series(
             small = mag <= tol or mag <= tol * abs(total)
         except OverflowError:
             # A term or a magnitude past the double range: unconverged as well.
-            return SeriesEvalReport._make((complex(total), k + 1, math.inf, False, "series"))
+            return _report((complex(total), k + 1, math.inf, False, "series"))
         if small:
             streak += 1
             if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                return SeriesEvalReport._make((complex(total), k + 1, mag, True, "series"))
+                return _report((complex(total), k + 1, mag, True, "series"))
         else:
             streak = 0
         prev_mag = mag
-    return SeriesEvalReport._make((complex(total), _MAX_TERMS, mag, False, "series"))
+    return _report((complex(total), _MAX_TERMS, mag, False, "series"))
 
 
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2 (Weideman & Trefethen,
@@ -384,71 +399,25 @@ def _contour_rule(params: KilbasSaigoParams) -> bool:
     return m == 1.0 and alpha < 1.0 and l <= 0.0
 
 
-def _in_sector(alpha: float, z: complex) -> bool:
-    """z != 0 and |arg z| >= alpha*pi: there s^alpha = z has no root on the
-    principal sheet, so the contour integral needs no residue. arg z is
-    math.atan2, which cmath.phase equals but for raising OverflowError where
-    the angle underflows (z = 2 + 5e-324j)."""
-    return z != 0 and abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
-
-
-def _contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
-    """What a point z adds to the contour rule: (residue added to the value,
-    its rounding bound, the pole's discretisation error), or None where the
-    rule cannot take z. _contour_estimate adds these three after its node
-    sums. The rule cannot take a z that is zero or not finite. In the sector
-    (_in_sector) s^alpha = z has no root on the principal sheet and z adds
-    exactly (0j, 0.0, 0.0). Off it the terms are those of the one root
-    s* = exp(Log z/alpha), and the rule cannot take z where e^(s*) is past
-    the double range or s* lies on the contour.
-
-    In the rule's variable u the pole lies at Im u = d = 1 - Re sqrt(s*/mu).
-    For d < 0 it lies right of the contour, so deforming the Bromwich line
-    onto the contour passes it and its residue
-    r = Gamma(beta) s*^(1-beta) e^(s*)/alpha is added; for d >= 0 nothing is
-    added. Either way the trapezoid rule misses the integral by about
-    |r| q/(1 - q), q = exp(-2 pi |d|/h); twice that is reported. The rounding
-    of r: Log z/alpha carries eps (1 + |log s*|) relative error into s*, and
-    e^(s*) turns eps |s*| (2 + |log s*|) of absolute error in its exponent
-    into relative error of r.
-    """
-    if z == 0 or not cmath.isfinite(z):
-        return None
-    if _in_sector(alpha, z):
-        return 0j, 0.0, 0.0
-    log_s = cmath.log(z) / alpha
-    try:
-        s = cmath.exp(log_s)
-        residue = cmath.exp(math.lgamma(beta) + (1.0 - beta) * log_s + s) / alpha
-        size = abs(residue)
-        rounding = size * _EPS * (1.0 + abs(s)) * (2.0 + abs(log_s))
-    except OverflowError:
-        return None
-    d = 1.0 - cmath.sqrt(s / _CONTOUR_MU).real
-    q = math.exp(-2.0 * math.pi / _CONTOUR_H * abs(d))
-    if not q < 1.0:
-        return None
-    error = 2.0 * size * q / (1.0 - q)
-    return (residue, rounding, error) if d < 0.0 else (0j, 0.0, error)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
-    """(full, half): (s_k^alpha, weight, rounding factor) of every node, and
-    of the nodes u >= 0 with their mirror images folded in, for real z;
-    indexing the pair by `real` picks the rule.
+def _contour_node_tuples(alpha: float, l: float) -> "tuple[tuple, tuple, float, float]":
+    """(full, half, beta, lnGamma(beta)) of the triple (alpha, 1, l):
+    (s_k^alpha, weight, rounding factor) of every node, and of the nodes
+    u >= 0 with their mirror images folded in, for real z; then
+    beta = alpha*l + 1 and lnGamma(beta), which the pole's residue needs.
 
-    E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z), beta = alpha*l + 1, is
-    Gamma(beta)/(2 pi i) times the integral of e^s s^(alpha-beta)/(s^alpha - z)
-    along the contour (plus the residue of _contour_pole off the sector), so
-    the rule is sum_k w_k/(s_k^alpha - z) with
+    E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z) is Gamma(beta)/(2 pi i)
+    times the integral of e^s s^(alpha-beta)/(s^alpha - z) along the contour
+    (plus the residue of _contour_estimate off the sector), so the rule is
+    sum_k w_k/(s_k^alpha - z) with
     w_k = Gamma(beta) (h mu/pi) (1 + iu_k) e^(s_k) s_k^(alpha-beta). Node k's
     term inherits the absolute rounding of s_k through e^(s_k): the rounding
     factor is eps (1 + |s_k|).
     """
     n, beta = _CONTOUR_N, alpha * l + 1.0
     h, mu = _CONTOUR_H, _CONTOUR_MU
-    scale = math.lgamma(beta) + math.log(h * mu / math.pi)
+    log_gamma = math.lgamma(beta)
+    scale = log_gamma + math.log(h * mu / math.pi)
     full = []
     for k in range(-n, n + 1):
         w = complex(1.0, h * k)
@@ -457,37 +426,69 @@ def _contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...
         weight = cmath.exp(scale + cmath.log(w) + s + (alpha - beta) * log_s)
         full.append((cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))))
     half = [full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :])]
-    return tuple(full), tuple(half)
+    return tuple(full), tuple(half), beta, log_gamma
 
 
 def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, float, float] | None":
-    """The contour rule at one point z, in Python complex arithmetic:
+    """The contour rule at one complex z, in Python complex arithmetic:
     (value, outermost node's contribution, error estimate), or None where
-    the rule cannot take z.
+    the rule cannot take z: z zero or not finite, or off the sector as below.
+
+    In the sector |arg z| >= alpha*pi, s^alpha = z has no root on the
+    principal sheet and the nodes are the whole rule. (arg z is math.atan2,
+    which cmath.phase equals but for raising OverflowError where the angle
+    underflows, at z = 2 + 5e-324j.) Off it, the one root is
+    s* = exp(Log z/alpha), and the rule cannot take z where e^(s*) is past
+    the double range or s* lies on the contour. In the rule's variable u
+    the pole lies at Im u = d = 1 - Re sqrt(s*/mu). For d < 0 it lies right
+    of the contour, so deforming the Bromwich line onto the contour passes
+    it and its residue r = Gamma(beta) s*^(1-beta) e^(s*)/alpha is added;
+    for d >= 0 nothing is added. Either way the trapezoid rule misses the
+    integral by about |r| q/(1 - q), q = exp(-2 pi |d|/h); twice that is
+    the pole's error. The rounding of r: Log z/alpha carries
+    eps (1 + |log s*|) relative error into s*, and e^(s*) turns
+    eps |s*| (2 + |log s*|) of absolute error in its exponent into relative
+    error of r.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value and the rounding bound
-    sum_k eps (1 + |s_k|) |t_k| are running sums in node order, and
-    _contour_pole's residue and rounding bound are added after them (zeros
-    in the sector, which leave the bits as they are). The estimate is that
-    bound plus the outermost node's contribution plus the pole's
-    discretisation error.
+    sum_k eps (1 + |s_k|) |t_k| are running sums in node order; the residue
+    and its rounding bound are added after them (exact zeros where nothing
+    is added, which leave the bits as they are). The estimate is that bound
+    plus the outermost node's contribution plus the pole's error.
     """
-    alpha, _, l = params
-    pole = _contour_pole(alpha, alpha * l + 1.0, z)
-    if pole is None:
+    if z == 0 or not cmath.isfinite(z):
         return None
+    alpha, _, l = params
+    full, half, beta, log_gamma = _contour_node_tuples(alpha, l)
+    residue, rounding, error = 0j, 0.0, 0.0
+    if abs(math.atan2(z.imag, z.real)) < alpha * math.pi:
+        log_s = cmath.log(z) / alpha
+        try:
+            s = cmath.exp(log_s)
+            residue = cmath.exp(log_gamma + (1.0 - beta) * log_s + s) / alpha
+            size = abs(residue)
+            rounding = size * _EPS * (1.0 + abs(s)) * (2.0 + abs(log_s))
+        except OverflowError:
+            return None
+        d = 1.0 - cmath.sqrt(s / _CONTOUR_MU).real
+        q = math.exp(-2.0 * math.pi / _CONTOUR_H * abs(d))
+        if not q < 1.0:
+            return None
+        error = 2.0 * size * q / (1.0 - q)
+        if d >= 0.0:
+            residue, rounding = 0j, 0.0
     real = z.imag == 0.0
-    nodes = _contour_node_tuples(alpha, l)[real]
+    nodes = half if real else full
     # -0.0 is the identity of IEEE addition, so each sum starts at its
     # first term exactly.
     value, bound = complex(-0.0, -0.0), -0.0
     try:
-        for power, weight, rounding in nodes:
+        for power, weight, node_rounding in nodes:
             t = weight / (power - z)
             mag = abs(t)
             value += t
-            bound += mag * rounding
+            bound += mag * node_rounding
         if real:
             value, last = complex(value.real), 0.5 * mag
         else:
@@ -497,7 +498,6 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range.
         return None
-    residue, rounding, error = pole
     return value + residue, last, bound + rounding + last + error
 
 
@@ -515,12 +515,12 @@ def kilbas_saigo(
     needs about |z|^(1/alpha) terms that cancel, the value is the 33-node
     contour rule of _contour_node_tuples instead, reported with path="contour":
     in the sector |arg z| >= alpha*pi as it stands, off it with the residue
-    of the one pole s* (_contour_pole) added where s* lies right of the
-    contour. Where the rule cannot take z or its error estimate exceeds
-    tol * max(1, |value|), the series is summed as elsewhere.
+    of the one pole s* added where s* lies right of the contour
+    (_contour_estimate). Where the rule cannot take z or its error estimate
+    exceeds tol * max(1, |value|), the series is summed as elsewhere.
     """
+    _check_series_args(tol)
     if _contour_rule(params):
-        _check_series_args(tol)
         rule = _contour_estimate(params, complex(z))
         if rule is not None:
             value, last, estimate = rule
@@ -529,8 +529,8 @@ def kilbas_saigo(
             except OverflowError:
                 size = math.inf  # the magnitude of a value past the double range
             if estimate <= tol * (size if size > 1.0 else 1.0):
-                return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
-    return _sum_log_series(params._log_coeffs, z, tol)
+                return _report((value, _CONTOUR_NODES, last, True, "contour"))
+    return _sum_series_from(params._log_coeffs, _triple_logs(*params), z, tol)
 
 
 def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> complex:

@@ -13,6 +13,7 @@ import copy
 import math
 import pickle
 import struct
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -38,9 +39,15 @@ from bihilfer.series_grid import (
 )
 from bihilfer.special_functions import (
     _CACHE_SIZE,
+    _CONTOUR_H,
+    _CONTOUR_MU,
+    _CONTOUR_N,
+    _CONTOUR_NODES,
+    _EPS,
     _MAX_TERMS,
     SeriesEvalReport,
     _check_series_args,
+    _contour_rule,
     _logs,
     _power,
     _sum_log_series,
@@ -345,10 +352,20 @@ class TestKilbasSaigo:
         assert not report.converged
         assert report.last_term_magnitude == math.inf
 
-    @pytest.mark.parametrize("tol", [math.inf, 1.0, 0.0, -1.0, math.nan])
-    def test_tol_outside_unit_interval_rejected(self, tol):
+    # Every route of a call: the contour rule at -1 (the plain ids), then
+    # the series of a triple off the rule at a real z, z = 0 and nan, and
+    # the rule's triple at z = 0, off the sector and at nan.
+    @pytest.mark.parametrize("triple,z,tol", [
+        pytest.param(triple, z, tol, id=str(tol) if (triple, z) == ((0.5, 1.0, 0.0), -1.0)
+                     else f"{triple}-{z}-{tol}")
+        for triple, z in [((0.5, 1.0, 0.0), -1.0), ((0.6, 2.0, 1.0), -1.0), ((0.6, 2.0, 1.0), 0.0),
+                          ((0.6, 2.0, 1.0), math.nan), ((0.5, 1.0, 0.0), 0.0),
+                          ((0.5, 1.0, 0.0), 3.0), ((0.5, 1.0, 0.0), math.nan)]
+        for tol in [math.inf, 1.0, 0.0, -1.0, math.nan]
+    ])
+    def test_tol_outside_unit_interval_rejected(self, triple, z, tol):
         with pytest.raises(ValueError, match="tol must lie in"):
-            kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), -1.0, tol=tol)
+            kilbas_saigo(KilbasSaigoParams(*triple), z, tol=tol)
 
     def test_complex_argument(self):
         params = KilbasSaigoParams(1.0, 1.0, 0.0)
@@ -739,6 +756,100 @@ def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
     return SeriesEvalReport(complex(total), k, mag, False)
 
 
+# The contour rule as it was before kilbas_saigo's per-call work was cut,
+# kept verbatim but for the functions' names and docstrings: every report
+# of the rule must stay the same, bit for bit.
+def _reference_in_sector(alpha: float, z: complex) -> bool:
+    """z != 0 and |arg z| >= alpha*pi: no pole on the principal sheet."""
+    return z != 0 and abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
+
+
+def _reference_contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
+    """(residue, its rounding bound, the pole's error) at z, or None where
+    the rule cannot take z; exact zeros in the sector."""
+    if z == 0 or not cmath.isfinite(z):
+        return None
+    if _reference_in_sector(alpha, z):
+        return 0j, 0.0, 0.0
+    log_s = cmath.log(z) / alpha
+    try:
+        s = cmath.exp(log_s)
+        residue = cmath.exp(math.lgamma(beta) + (1.0 - beta) * log_s + s) / alpha
+        size = abs(residue)
+        rounding = size * _EPS * (1.0 + abs(s)) * (2.0 + abs(log_s))
+    except OverflowError:
+        return None
+    d = 1.0 - cmath.sqrt(s / _CONTOUR_MU).real
+    q = math.exp(-2.0 * math.pi / _CONTOUR_H * abs(d))
+    if not q < 1.0:
+        return None
+    error = 2.0 * size * q / (1.0 - q)
+    return (residue, rounding, error) if d < 0.0 else (0j, 0.0, error)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reference_contour_node_tuples(alpha: float, l: float) -> tuple[tuple[tuple, ...], ...]:
+    """(full, half): the nodes, and the folded nodes u >= 0 for real z."""
+    n, beta = _CONTOUR_N, alpha * l + 1.0
+    h, mu = _CONTOUR_H, _CONTOUR_MU
+    scale = math.lgamma(beta) + math.log(h * mu / math.pi)
+    full = []
+    for k in range(-n, n + 1):
+        w = complex(1.0, h * k)
+        s = mu * w * w
+        log_s = cmath.log(s)
+        weight = cmath.exp(scale + cmath.log(w) + s + (alpha - beta) * log_s)
+        full.append((cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))))
+    half = [full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :])]
+    return tuple(full), tuple(half)
+
+
+def _reference_contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, float, float] | None":
+    """(value, outermost node's contribution, error estimate), or None."""
+    alpha, _, l = params
+    pole = _reference_contour_pole(alpha, alpha * l + 1.0, z)
+    if pole is None:
+        return None
+    real = z.imag == 0.0
+    nodes = _reference_contour_node_tuples(alpha, l)[real]
+    # -0.0 is the identity of IEEE addition, so each sum starts at its
+    # first term exactly.
+    value, bound = complex(-0.0, -0.0), -0.0
+    try:
+        for power, weight, rounding in nodes:
+            t = weight / (power - z)
+            mag = abs(t)
+            value += t
+            bound += mag * rounding
+        if real:
+            value, last = complex(value.real), 0.5 * mag
+        else:
+            power, weight, _ = nodes[0]
+            last = max(abs(weight / (power - z)), mag)
+    except (ZeroDivisionError, OverflowError):
+        # Off the sector z can sit on a node, or a term can outgrow the
+        # double range.
+        return None
+    residue, rounding, error = pole
+    return value + residue, last, bound + rounding + last + error
+
+
+def _reference_kilbas_saigo(params, z, tol=1e-12) -> SeriesEvalReport:
+    """kilbas_saigo with the reference contour rule and series engine."""
+    if _contour_rule(params):
+        _check_series_args(tol)
+        rule = _reference_contour_estimate(params, complex(z))
+        if rule is not None:
+            value, last, estimate = rule
+            try:
+                size = abs(value)
+            except OverflowError:
+                size = math.inf  # the magnitude of a value past the double range
+            if estimate <= tol * (size if size > 1.0 else 1.0):
+                return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
+    return _reference_sum_log_series(params._log_coeffs, z, tol)
+
+
 def _bits(report):
     """Every field of a report, floats as their bit patterns."""
     value = struct.pack("<3d", report.value.real, report.value.imag, report.last_term_magnitude)
@@ -806,24 +917,50 @@ class TestScalarEngineReference:
 
     def test_benchmark_pool_points(self):
         """The ks-sweep workload's pool: 8 triples at 64 fixed points, 416
-        of them off the contour rule, each the reference engine's report."""
+        of them off the contour rule, each the reference engine's report.
+        The other 96 take the rule, each the reference rule's report."""
         triples = [(0.5, 1.0, 0.0), (0.3, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0),
                    (0.75, 1.25, 0.5), (1.5, 0.8, -0.2), (0.6, 2.0, 1.0), (1.2, 0.6, 0.3)]
         points = [complex(x) for x in np.linspace(-8.0, -0.25, 32)]
         points += [complex(x) for x in np.linspace(0.25, 4.0, 16)]
         points += [complex(r * math.cos(t), r * math.sin(t))
                    for r, t in zip(np.linspace(0.5, 6.0, 16), np.linspace(0.15, math.pi - 0.15, 16))]
-        series = 0
+        series = refused = 0
         for triple in triples:
             params = KilbasSaigoParams(*triple)
             for z in points:
                 report = kilbas_saigo(params, z)
                 if report.path == "series":
                     series += 1
+                    refused += _contour_rule(params)
                     assert _bits(report) == _bits(
                         _reference_sum_log_series(params._log_coeffs, z)
                     ), (triple, z)
-        assert series == 416
+                reference = _reference_kilbas_saigo(params, z)
+                assert (*_bits(report), report.path) == (*_bits(reference), reference.path)
+        assert (series, refused) == (416, 32)
+
+    @pytest.mark.parametrize("z", [CAPPED[1], complex(0.0, CAPPED[1])], ids=["real", "complex"])
+    def test_no_request_passes_the_cap(self, z):
+        # A sum that runs to the 10,000-term cap, on the real loop and on
+        # the complex one. The fetch returns no more log-coefficients than
+        # asked for, so the engine asks again as the sum grows, and never
+        # for more than the terms it may sum; nor does kilbas_saigo grow the
+        # triple's cached list past them.
+        params = CAPPED[0]
+        requested = []
+
+        def recording(n):
+            requested.append(n)
+            return params._log_coeffs(n)[:n]
+
+        report = _sum_log_series(recording, z)
+        assert max(requested) == _MAX_TERMS
+        assert (report.terms_used, report.converged) == (_MAX_TERMS, False)
+        assert _bits(report) == _bits(_reference_sum_log_series(params._log_coeffs, z))
+        _triple_logs.cache_clear()
+        assert _bits(kilbas_saigo(params, z)) == _bits(report)
+        assert len(_triple_logs(*params)) == _MAX_TERMS
 
 
 class TestCacheStats:
@@ -999,7 +1136,7 @@ class TestContourPath:
     def test_grid_nodes_are_the_scalar_nodes(self, alpha, l):
         # The full rule and the folded one for real z; the grid reads its
         # node arrays from these same tuples.
-        rules = special_functions._contour_node_tuples(alpha, l)
+        rules = special_functions._contour_node_tuples(alpha, l)[:2]
         assert [len(rule) for rule in rules] == [33, 17]
 
     @pytest.mark.parametrize(
@@ -1013,9 +1150,9 @@ class TestContourPath:
         ],
     )
     def test_pole_adds_exact_zeros_in_the_sector(self, alpha, z):
-        assert special_functions._in_sector(alpha, z)
+        assert _reference_in_sector(alpha, z)
         # Exactly +0.0 in every part, so adding them leaves the rule's bits.
-        residue, rounding, error = special_functions._contour_pole(alpha, 1.0, z)
+        residue, rounding, error = _reference_contour_pole(alpha, 1.0, z)
         assert (type(residue), type(rounding), type(error)) == (complex, float, float)
         parts = (residue.real, residue.imag, rounding, error)
         assert struct.pack("<4d", *parts) == bytes(32)
@@ -1034,7 +1171,7 @@ class TestContourPath:
         ],
     )
     def test_pole_refuses_zero_and_nan(self, z):
-        assert special_functions._contour_pole(0.5, 1.0, z) is None
+        assert special_functions._contour_estimate(KilbasSaigoParams(0.5, 1.0, 0.0), z) is None
 
     @pytest.mark.parametrize(
         "z",
@@ -1157,7 +1294,7 @@ class TestPoleBranch:
         accepted = rejected = 0
         for alpha, l, z in _pole_sample():
             params = KilbasSaigoParams(alpha, 1.0, l)
-            assert not special_functions._in_sector(alpha, z)
+            assert not _reference_in_sector(alpha, z)
             rule = special_functions._contour_estimate(params, z)
             report = kilbas_saigo(params, z, tol)
             if rule is None:
@@ -1273,7 +1410,7 @@ class TestRoutingParity:
                         z = complex(z.real, np.nextafter(z.imag, math.copysign(math.inf, ulps)))
                 zs.append(z)
             rows = _assert_same_as_scalar_calls(params, zs)
-            in_sector += sum(special_functions._in_sector(alpha, z) for z in zs)
+            in_sector += sum(_reference_in_sector(alpha, z) for z in zs)
             assert "contour" in [r.path for r in rows]
             off = []
             for k in range(40):
@@ -1281,7 +1418,7 @@ class TestRoutingParity:
                 if k % 4 == 1:
                     x = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6.0, -1.0)
                 off.append(_off_sector_point(alpha, x if k % 4 == 0 else complex(x, rng.uniform(-1.5, 1.5))))
-            assert not any(special_functions._in_sector(alpha, z) for z in off)
+            assert not any(_reference_in_sector(alpha, z) for z in off)
             pole_contour += [r.path for r in _assert_same_as_scalar_calls(params, off)].count("contour")
         assert in_sector >= 2000
         assert pole_contour >= 200
@@ -1310,9 +1447,9 @@ class TestRoutingParity:
         rows = _assert_same_as_scalar_calls(params, zs)
         assert [r.path for r in rows] == ["contour", "series", "series", *["contour"] * 7, "series"]
         beta = alpha * l + 1.0
-        residues = [special_functions._contour_pole(alpha, beta, z)[0] != 0 for z in contour]
+        residues = [_reference_contour_pole(alpha, beta, z)[0] != 0 for z in contour]
         assert residues == [False] * 4 + [True] * 2 + [False] * 2
-        assert [special_functions._in_sector(alpha, z) for z in contour] == [True] * 4 + [False] * 4
+        assert [_reference_in_sector(alpha, z) for z in contour] == [True] * 4 + [False] * 4
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_same_path_at_the_exact_threshold(self, alpha):
