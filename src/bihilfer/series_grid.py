@@ -25,9 +25,9 @@ from .special_functions import (
     DEFAULT_TOL,
     KilbasSaigoParams,
     _check_series_args,
-    _contour_rule,
     _power,
     _sum_log_series,
+    _triple,
     kilbas_saigo,
 )
 
@@ -169,8 +169,9 @@ def kilbas_saigo_grid(
     point lam * np.power(y, a), bit for bit, path included; any other triple
     is summed along the ray by the blocked grid driver, kilbas_saigo's to
     rounding."""
-    if not _contour_rule(params):
-        return _sum_log_series_grid(params._log_coeffs, zs, tol)
+    _, grow, contour = _triple(*params)
+    if contour is None:
+        return _sum_log_series_grid(grow, zs, tol)
     _check_series_args(tol)
     points = zs.lam * np.power(zs.ys, zs.a)
     reports = [kilbas_saigo(params, z, tol) for z in points.tolist()]

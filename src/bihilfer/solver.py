@@ -32,6 +32,7 @@ from .special_functions import (
     _check_index,
     _power,
     _report,
+    _triple,
     kilbas_saigo,
     kilbas_saigo_coefficients,
 )
@@ -206,11 +207,11 @@ class SeriesSolution:
     def coefficient(self, k: int) -> float:
         """c_k, extending the shared cache if needed."""
         k = _check_index("k", k)
-        return math.exp(self._params._log_coeffs(k + 1)[k])
+        return math.exp(_triple(*self._params).grow(k + 1)[k])
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """evaluate at the one point y > 0 (b < 0 is singular at y = 0).
-        Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
+        Kept only because bench/child.py's trace wraps it (ROADMAP item 1)."""
         return self.evaluate([y], tol)[0]
 
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
@@ -231,7 +232,7 @@ class SeriesSolution:
         self, y: float, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesEvalReport:
         """The tail from k_start at y >= 0: tail_grid_report at the one point.
-        Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
+        Kept only because bench/child.py's trace wraps it (ROADMAP item 1)."""
         report = self.tail_grid_report([y], k_start, tol)
         return SeriesEvalReport(*(field.item() for field in vars(report).values()))
 
@@ -312,7 +313,7 @@ class CauchySolution:
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """evaluate at the one point y > 0.
-        Kept only because bench/child.py's trace wraps it (ROADMAP item 4)."""
+        Kept only because bench/child.py's trace wraps it (ROADMAP item 1)."""
         return self.evaluate([y], tol)[0]
 
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:

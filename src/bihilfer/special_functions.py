@@ -100,7 +100,9 @@ def log_gamma_ratio(p: float, q: float) -> float:
         raise DomainError(f"gamma_ratio requires finite p > 0, got p={p}")
     if not 0.0 < q < math.inf:
         raise DomainError(f"gamma_ratio requires finite q > 0, got q={q}")
-    return -_log_gamma_ratio_offset(q, p - q)
+    if min(p, q) >= _STIRLING_MIN and 0.5 * q <= p <= 2.0 * q:
+        return -_log_gamma_ratio_offset(q, p - q)  # p - q is exact here
+    return -(math.lgamma(q) - math.lgamma(p))
 
 
 def gamma_ratio(p: float, q: float) -> float:
@@ -153,11 +155,6 @@ class KilbasSaigoParams(_KilbasSaigoFields):
         # The inherited _make skips __new__, and _replace builds with _make.
         return cls(*iterable)
 
-    def _log_coeffs(self, n: int) -> list[float]:
-        """At least n log-coefficients from the shared cache; a bound method
-        is cheaper to hand the series engine than a partial built per call."""
-        return _logs(self, n)
-
 
 class SeriesEvalReport(NamedTuple):
     """Outcome of a truncated series evaluation, or of the contour rule.
@@ -182,36 +179,39 @@ class SeriesEvalReport(NamedTuple):
 _report = partial(tuple.__new__, SeriesEvalReport)
 
 
-# Triples kept by each per-triple table; a parameter sweep cycles through it.
+class _Triple(NamedTuple):
+    """The cached record of one triple; see _triple."""
+
+    logs: list[float]
+    grow: Callable[[int], list[float]]
+    contour: "tuple | None"
+
+
+# Triples kept by the per-triple cache; a parameter sweep cycles through it.
 _CACHE_SIZE = 128
 _FILL_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _triple_logs(alpha: float, m: float, l: float) -> list[float]:
-    """The log-coefficient list ln c_0, ln c_1, ... of one triple, as far as
-    it has been filled; _logs grows it.
+def _triple(alpha: float, m: float, l: float) -> _Triple:
+    """The cached record of one triple (alpha, m, l): (logs, grow, contour).
 
-    One list per triple: the series engine sums these logs, so deep tails
-    neither overflow nor underflow, and the linear coefficients handed to
-    the identity check are exp of the same numbers. At most `_CACHE_SIZE`
-    triples are kept: the least recently used one is dropped, and a later
-    request refills it with identical values. Hits and misses are read from
-    `_triple_logs.cache_info()`.
+    logs is ln c_0, ln c_1, ... as far as filled, and grow(n) fills it to
+    at least n entries and returns it, also once the record is dropped.
+    contour is _contour_node_tuples(alpha, l) where kilbas_saigo may take
+    the contour rule, at m = 1, 0 < alpha < 1 and beta = alpha*l + 1 <= 1,
+    else None: at larger beta the rule's discretisation error outgrows its
+    estimate (1.3e-13 at beta = 1.5, 2e-8 at beta = 5). The least recently
+    used of `_CACHE_SIZE` records is dropped (see `_triple.cache_info()`).
     """
-    return [0.0]
+    logs = [0.0]
+    contour = _contour_node_tuples(alpha, l) if m == 1.0 and alpha < 1.0 and l <= 0.0 else None
+    return _Triple(logs, partial(_fill, alpha, m, l, logs), contour)
 
 
-def _logs(params: KilbasSaigoParams, n: int) -> list[float]:
-    """At least n log-coefficients ln c_0, ln c_1, ... of the triple.
-
-    The fill is deterministic, append-only and locked, so concurrent
-    evaluations behave as if each recomputed the sequence. A list handed
-    out earlier keeps its values but stops growing once its triple is
-    dropped, so a caller that needs more terms asks again.
-    """
-    alpha, m, l = params
-    log = _triple_logs(alpha, m, l)
+def _fill(alpha: float, m: float, l: float, log: list[float], n: int) -> list[float]:
+    """`log` filled to at least n entries, append-only under a lock: the
+    values are deterministic, so racing callers see what each would alone."""
     if len(log) < n:
         with _FILL_LOCK:
             while len(log) < n:
@@ -228,7 +228,7 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[flo
     at j = i-1, each ratio taken in log space and accumulated as ln c_i.
     """
     count = _check_index("count", count, 1)
-    return [math.exp(v) for v in _logs(params, count)[:count]]
+    return [math.exp(v) for v in _triple(*params).grow(count)[:count]]
 
 
 def _check_index(name: str, value: int, minimum: int = 0) -> int:
@@ -390,20 +390,10 @@ _CONTOUR_MU = math.pi * _CONTOUR_N / 12.0
 _EPS = sys.float_info.epsilon
 
 
-def _contour_rule(params: KilbasSaigoParams) -> bool:
-    """Whether kilbas_saigo may take the contour rule for this triple: m = 1,
-    0 < alpha < 1 and beta = alpha*l + 1 <= 1. At larger beta the rule's
-    discretisation error outgrows its error estimate (1.3e-13 at beta = 1.5,
-    2e-8 at beta = 5)."""
-    alpha, m, l = params
-    return m == 1.0 and alpha < 1.0 and l <= 0.0
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _contour_node_tuples(alpha: float, l: float) -> "tuple[tuple, tuple, float, float]":
-    """(full, half, beta, lnGamma(beta)) of the triple (alpha, 1, l):
-    (s_k^alpha, weight, rounding factor) of every node, and of the nodes
-    u >= 0 with their mirror images folded in, for real z; then
+def _contour_node_tuples(alpha: float, l: float) -> "tuple[float, tuple, tuple, float, float]":
+    """(alpha, full, half, beta, lnGamma(beta)) of the triple (alpha, 1, l):
+    alpha; (s_k^alpha, weight, rounding factor) of every node, and of the
+    nodes u >= 0 with their mirror images folded in, for real z; then
     beta = alpha*l + 1 and lnGamma(beta), which the pole's residue needs.
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z) is Gamma(beta)/(2 pi i)
@@ -426,11 +416,11 @@ def _contour_node_tuples(alpha: float, l: float) -> "tuple[tuple, tuple, float, 
         weight = cmath.exp(scale + cmath.log(w) + s + (alpha - beta) * log_s)
         full.append((cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))))
     half = [full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :])]
-    return tuple(full), tuple(half), beta, log_gamma
+    return alpha, tuple(full), tuple(half), beta, log_gamma
 
 
-def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, float, float] | None":
-    """The contour rule at one complex z, in Python complex arithmetic:
+def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, float] | None":
+    """The contour rule on a triple's nodes `contour` at one complex z:
     (value, outermost node's contribution, error estimate), or None where
     the rule cannot take z: z zero or not finite, or off the sector as below.
 
@@ -459,8 +449,7 @@ def _contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple[complex, 
     """
     if z == 0 or not cmath.isfinite(z):
         return None
-    alpha, _, l = params
-    full, half, beta, log_gamma = _contour_node_tuples(alpha, l)
+    alpha, full, half, beta, log_gamma = contour
     residue, rounding, error = 0j, 0.0, 0.0
     if abs(math.atan2(z.imag, z.real)) < alpha * math.pi:
         log_s = cmath.log(z) / alpha
@@ -513,15 +502,16 @@ def kilbas_saigo(
 
     At m = 1, 0 < alpha < 1, l <= 0 and finite z != 0, where the series
     needs about |z|^(1/alpha) terms that cancel, the value is the 33-node
-    contour rule of _contour_node_tuples instead, reported with path="contour":
+    contour rule on the nodes of _triple instead, reported with path="contour":
     in the sector |arg z| >= alpha*pi as it stands, off it with the residue
     of the one pole s* added where s* lies right of the contour
     (_contour_estimate). Where the rule cannot take z or its error estimate
     exceeds tol * max(1, |value|), the series is summed as elsewhere.
     """
     _check_series_args(tol)
-    if _contour_rule(params):
-        rule = _contour_estimate(params, complex(z))
+    logs, grow, contour = _triple(*params)
+    if contour is not None:
+        rule = _contour_estimate(contour, complex(z))
         if rule is not None:
             value, last, estimate = rule
             try:
@@ -530,7 +520,7 @@ def kilbas_saigo(
                 size = math.inf  # the magnitude of a value past the double range
             if estimate <= tol * (size if size > 1.0 else 1.0):
                 return _report((value, _CONTOUR_NODES, last, True, "contour"))
-    return _sum_series_from(params._log_coeffs, _triple_logs(*params), z, tol)
+    return _sum_series_from(grow, logs, z, tol)
 
 
 def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> complex:

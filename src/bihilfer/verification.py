@@ -35,7 +35,7 @@ from .solver import (
     coefficient_sequence,
     fundamental_solution,
 )
-from .special_functions import DEFAULT_TOL, _check_index, _sum_log_series
+from .special_functions import DEFAULT_TOL, _check_index, _sum_log_series, _triple
 
 __all__ = [
     "ResidualReport",
@@ -234,7 +234,7 @@ def _derivative_series(branch: SeriesSolution, j: int) -> "tuple[int, Callable]"
     so ln fp_k is added to ln(c_{start+k}/c_start), in one list for all y."""
     a, s = branch.a, branch.s
     start = 1 if s < j else 0
-    tail = branch._tail_params(start)._log_coeffs
+    tail = _triple(*branch._tail_params(start)).grow
     if j == 0:
         return start, tail
     logs: list[float] = []

@@ -26,7 +26,7 @@ from bihilfer import (
     mittag_leffler,
 )
 from bihilfer.series_grid import _PowerGrid, _sum_log_series_grid
-from bihilfer.special_functions import SeriesEvalReport, _sum_log_series
+from bihilfer.special_functions import SeriesEvalReport, _sum_log_series, _triple
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -348,7 +348,7 @@ class TestSeriesSolution:
             for k_start in (1, 2, 3):
                 grid = sol.tail_grid_report(ys, k_start)
                 for j, y in enumerate(ys.tolist()):
-                    ref = _sum_log_series(sol._tail_params(k_start)._log_coeffs, sol.lam * y**sol.a)
+                    ref = _sum_log_series(_triple(*sol._tail_params(k_start)).grow, sol.lam * y**sol.a)
                     coef = sol.coefficient(k_start)
                     want = y ** (sol.a * k_start + sol.b) * sol.lam**k_start * (coef * ref.value)
                     assert abs(grid.value[j] - want) <= 1e-14 * abs(want), (s, k_start, y)
@@ -421,7 +421,7 @@ class TestContourBranch:
         ys = np.linspace(0.0, 1.0, 257)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = _sum_log_series_grid(shifted._log_coeffs, _PowerGrid(sol.lam, sol.a, ys))
+            grid = _sum_log_series_grid(_triple(*shifted).grow, _PowerGrid(sol.lam, sol.a, ys))
             tail = sol.tail_grid_report(ys, 4)
         overflowed = np.flatnonzero(grid.last_term_magnitude == math.inf)
         assert overflowed.size > 100

@@ -13,6 +13,7 @@ import copy
 import math
 import pickle
 import struct
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -47,11 +48,9 @@ from bihilfer.special_functions import (
     _MAX_TERMS,
     SeriesEvalReport,
     _check_series_args,
-    _contour_rule,
-    _logs,
     _power,
     _sum_log_series,
-    _triple_logs,
+    _triple,
 )
 
 # (p, q, ln Gamma(p) - ln Gamma(q)) frozen from a 40-digit computation
@@ -112,6 +111,20 @@ class TestLogGammaRatio:
     def test_reference_values(self, p, q, expected):
         # unlike a plain lgamma difference, the stabilized ratio keeps
         # absolute accuracy at the scale of the result itself
+        assert abs(log_gamma_ratio(p, q) - expected) <= 2e-14 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [(p, q) for p in (1e-300, 1e-17, 1e-10, 3e-8) for q in (1.0, 2.5, 25.0)]
+        # Far apart and both past the Stirling threshold.
+        + [(20.0, 1e20), (30.0, 1e17), (21.0, 1e300), (1e20, 20.0)],
+    )
+    def test_small_or_far_apart_arguments(self, p, q):
+        # q + (p - q) rebuilds p only where p - q is exact: at p = 1e-17 it
+        # read 0.0, and lgamma(0.0) raised.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = float(mpmath.loggamma(p) - mpmath.loggamma(q))
         assert abs(log_gamma_ratio(p, q) - expected) <= 2e-14 * max(1.0, abs(expected))
 
     def test_equal_arguments_exact_zero(self):
@@ -472,41 +485,58 @@ class TestCoefficients:
         assert long[:10] == short
 
     def test_cache_is_bounded_and_refills_identically(self):
-        _triple_logs.cache_clear()
+        _triple.cache_clear()
         fresh = [KilbasSaigoParams(0.45, 1.1, 0.01 * n) for n in range(_CACHE_SIZE + 1)]
         first = kilbas_saigo_coefficients(fresh[0], 80)
-        dropped = _logs(fresh[0], 1)
+        dropped = _triple(*fresh[0]).grow(1)
         for params in fresh[1:]:
             kilbas_saigo_coefficients(params, 8)
-            assert _triple_logs.cache_info().currsize <= _CACHE_SIZE
-        assert _triple_logs.cache_info().currsize == _CACHE_SIZE
-        misses = _triple_logs.cache_info().misses
-        assert _logs(fresh[0], 1) is not dropped  # least recently used
-        assert _triple_logs.cache_info().misses == misses + 1
+            assert _triple.cache_info().currsize <= _CACHE_SIZE
+        assert _triple.cache_info().currsize == _CACHE_SIZE
+        misses = _triple.cache_info().misses
+        assert _triple(*fresh[0]).grow(1) is not dropped  # least recently used
+        assert _triple.cache_info().misses == misses + 1
         assert kilbas_saigo_coefficients(fresh[0], 80) == first
 
-    def test_concurrent_evaluation_shares_cache_safely(self):
+    @pytest.mark.parametrize(
+        "triple,zs",
+        # The contour triple takes the rule at -3 and the series at 3.
+        [((0.55, 1.35, 0.25), (2.5,)), ((0.5, 1.0, 0.0), (-3.0, 3.0))],
+        ids=["series", "contour"],
+    )
+    def test_concurrent_evaluation_shares_cache_safely(self, triple, zs):
         import threading
 
-        params = KilbasSaigoParams(0.55, 1.35, 0.25)
-        reference = kilbas_saigo(params, 2.5).value
+        params = KilbasSaigoParams(*triple)
+        reference = [kilbas_saigo(params, z).value for z in zs]
+        # The threads race on the first build of the triple's record.
+        _triple.cache_clear()
+        start = threading.Barrier(8)
         results = []
         errors = []
 
         def work():
             try:
+                start.wait(timeout=60)
                 for _ in range(50):
-                    results.append(kilbas_saigo(params, 2.5).value)
+                    results.append([kilbas_saigo(params, z).value for z in zs])
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert all(v == reference for v in results)
+        assert len(results) == 8 * 50
         coeffs = kilbas_saigo_coefficients(params, 60)
         assert all(
             a == b for a, b in zip(coeffs, kilbas_saigo_coefficients(params, 60))
@@ -576,7 +606,7 @@ class TestGridDriver:
         # The cap, the point z = 0, a converged sum, and terms past exp(700)
         # at real and complex z, which the scalar engine sums and reports.
         params, capped = CAPPED
-        fetch = _shifted(params, 2)._log_coeffs
+        fetch = _triple(*_shifted(params, 2)).grow
         real = _PowerGrid(1.0, 1.0, np.array([capped, 0.0, 0.5, 800.0]))
         complex_ = _PowerGrid(cmath.rect(1.0, 1.0), 1.0, np.array([capped, 0.3, 720.0]))
         for ray, overflow in ((real, 3), (complex_, 2)):
@@ -591,7 +621,7 @@ class TestGridDriver:
         # up to _MAX_TERMS beside it. Only the odd point goes to the scalar
         # engine, which sums it with the scalar bits.
         params, capped = CAPPED
-        fetch = params._log_coeffs
+        fetch = _triple(*params).grow
         lam = 1j * math.copysign(1.0, odd.imag) if isinstance(odd, complex) else 1.0
         ray = _PowerGrid(lam, 1.0, np.array([capped, 0.5, abs(odd), 0.3]))
         grid = _sum_log_series_grid(fetch, ray)
@@ -603,20 +633,20 @@ class TestGridDriver:
     def test_arg_lam_underflows(self):
         # arg lam = atan2(5e-324, 2) underflows to 0, where cmath.phase
         # raises OverflowError.
-        fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
+        fetch = _triple(0.5, 1.0, 0.0).grow
         ray = _PowerGrid(complex(2.0, 5e-324), 1.0, np.array([0.0, 0.3, 1.0, 2.0]))
         _assert_agrees(_sum_log_series_grid(fetch, ray), fetch, ray, exact=(0,))
 
     def test_spans_chunks_and_blocks(self):
         # Many points, some summing more than 16 terms.
-        fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
+        fetch = _triple(0.5, 1.0, 0.0).grow
         ray = _PowerGrid(cmath.rect(4.0, 0.3), 1.0, np.linspace(0.0, 1.0, 1201))
         grid = _sum_log_series_grid(fetch, ray)
         assert grid.terms_used.max() > 16
         _assert_agrees(grid, fetch, ray, exact=(0,))
 
     def test_empty_grid(self):
-        grid = _sum_log_series_grid(CAPPED[0]._log_coeffs, _PowerGrid(1.0, 1.0, np.empty(0)))
+        grid = _sum_log_series_grid(_triple(*CAPPED[0]).grow, _PowerGrid(1.0, 1.0, np.empty(0)))
         assert grid.value.size == grid.terms_used.size == 0
 
     def test_no_request_passes_the_cap(self):
@@ -624,7 +654,7 @@ class TestGridDriver:
         # more log-coefficients than asked for, so the driver asks again as
         # its sums grow, and never for more than the terms it may sum.
         requested = []
-        fetch = CAPPED[0]._log_coeffs
+        fetch = _triple(*CAPPED[0]).grow
 
         def recording(n):
             requested.append(n)
@@ -640,7 +670,7 @@ class TestGridDriver:
         # At y = 12 on lam = 1 and tol = 0.5 the rule fires only after 216
         # small terms in a row, at term 289: a streak kept in a narrow
         # counter would wrap and stop elsewhere.
-        fetch = KilbasSaigoParams(0.5, 1.0, 0.0)._log_coeffs
+        fetch = _triple(0.5, 1.0, 0.0).grow
         ys = np.array([12.0, 20.0, 0.5, 3.0, 0.0])
         for lam, terms in ((1.0, [289, 801, 4, 19, 1]), (-1.0, [493, 1128, 5, 49, 1]),
                            (1j, [500, 1127, 4, 49, 1])):
@@ -686,7 +716,7 @@ class TestGridChunks:
         if capped:
             params, y = CAPPED
             ys = [y, *ys]
-        fetch = _shifted(params, start)._log_coeffs
+        fetch = _triple(*_shifted(params, start)).grow
         ray = _PowerGrid(lam, 1.0, np.array(ys))
         alone = [_sum_log_series_grid(fetch, ray._replace(ys=ray.ys[j : j + 1]), tol)
                  for j in range(len(ys))]
@@ -705,7 +735,7 @@ class TestGridChunks:
         ids=["long-short-zero-overflow", "after-cap"],
     )
     def test_neighbouring_chunks_of_unequal_length(self, params, lam, ys):
-        fetch = KilbasSaigoParams(*params)._log_coeffs
+        fetch = _triple(*KilbasSaigoParams(*params)).grow
         ray = _PowerGrid(lam, 1.0, np.array(ys))
         _assert_agrees(_sum_log_series_grid(fetch, ray, 1e-12), fetch, ray)
 
@@ -836,7 +866,7 @@ def _reference_contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple
 
 def _reference_kilbas_saigo(params, z, tol=1e-12) -> SeriesEvalReport:
     """kilbas_saigo with the reference contour rule and series engine."""
-    if _contour_rule(params):
+    if _triple(*params).contour is not None:
         _check_series_args(tol)
         rule = _reference_contour_estimate(params, complex(z))
         if rule is not None:
@@ -847,7 +877,7 @@ def _reference_kilbas_saigo(params, z, tol=1e-12) -> SeriesEvalReport:
                 size = math.inf  # the magnitude of a value past the double range
             if estimate <= tol * (size if size > 1.0 else 1.0):
                 return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
-    return _reference_sum_log_series(params._log_coeffs, z, tol)
+    return _reference_sum_log_series(_triple(*params).grow, z, tol)
 
 
 def _bits(report):
@@ -876,7 +906,7 @@ class TestScalarEngineReference:
         if capped:
             params, z = CAPPED
             zs = [z, *zs]
-        fetch = _shifted(params, start)._log_coeffs
+        fetch = _triple(*_shifted(params, start)).grow
         for z in zs:
             assert _bits(_sum_log_series(fetch, z, tol)) == _bits(
                 _reference_sum_log_series(fetch, z, tol)
@@ -905,7 +935,7 @@ class TestScalarEngineReference:
              "nan-real-part", "nan-imag-part", "negative-term-overflow", "negative-term-cap"],
     )
     def test_every_exit(self, params, z, start, exit):
-        fetch = _shifted(KilbasSaigoParams(*params), start)._log_coeffs
+        fetch = _triple(*_shifted(KilbasSaigoParams(*params), start)).grow
         report = _sum_log_series(fetch, z, 1e-12)
         if exit == "overflow":
             assert report.last_term_magnitude == math.inf and not report.converged
@@ -932,9 +962,9 @@ class TestScalarEngineReference:
                 report = kilbas_saigo(params, z)
                 if report.path == "series":
                     series += 1
-                    refused += _contour_rule(params)
+                    refused += _triple(*params).contour is not None
                     assert _bits(report) == _bits(
-                        _reference_sum_log_series(params._log_coeffs, z)
+                        _reference_sum_log_series(_triple(*params).grow, z)
                     ), (triple, z)
                 reference = _reference_kilbas_saigo(params, z)
                 assert (*_bits(report), report.path) == (*_bits(reference), reference.path)
@@ -952,35 +982,66 @@ class TestScalarEngineReference:
 
         def recording(n):
             requested.append(n)
-            return params._log_coeffs(n)[:n]
+            return _triple(*params).grow(n)[:n]
 
         report = _sum_log_series(recording, z)
         assert max(requested) == _MAX_TERMS
         assert (report.terms_used, report.converged) == (_MAX_TERMS, False)
-        assert _bits(report) == _bits(_reference_sum_log_series(params._log_coeffs, z))
-        _triple_logs.cache_clear()
+        assert _bits(report) == _bits(_reference_sum_log_series(_triple(*params).grow, z))
+        _triple.cache_clear()
         assert _bits(kilbas_saigo(params, z)) == _bits(report)
-        assert len(_triple_logs(*params)) == _MAX_TERMS
+        assert len(_triple(*params).logs) == _MAX_TERMS
 
 
 class TestCacheStats:
     def test_counts_hits_misses_and_fills(self):
-        _triple_logs.cache_clear()
+        _triple.cache_clear()
         params = KilbasSaigoParams(0.7, 1.3, 0.2)
-        assert len(_logs(params, 10)) == 10
-        assert len(_logs(params, 4)) == 10
-        assert len(_logs(params, 25)) == 25
-        assert _logs(KilbasSaigoParams(0.7, 1.3, 0.3), 1) == [0.0]
-        info = _triple_logs.cache_info()
+        assert len(_triple(*params).grow(10)) == 10
+        assert len(_triple(*params).grow(4)) == 10
+        assert len(_triple(*params).grow(25)) == 25
+        assert _triple(0.7, 1.3, 0.3).grow(1) == [0.0]
+        info = _triple.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
         with pytest.raises(AttributeError):
             info.hits = 0
+
+    def test_spellings_of_a_triple_share_one_record(self):
+        # An int m and a signed zero l are the same key.
+        record = _triple(*KilbasSaigoParams(0.5, 1, 0))
+        assert _triple(*KilbasSaigoParams(0.5, 1.0, -0.0)) is record
+        a, b = (kilbas_saigo(KilbasSaigoParams(*t), -8.0) for t in ((0.5, 1, 0), (0.5, 1.0, -0.0)))
+        assert a.path == "contour" and (*_bits(a), a.path) == (*_bits(b), b.path)
+
+    def test_evicted_contour_record_is_rebuilt_identically(self):
+        _triple.cache_clear()
+        triples = [KilbasSaigoParams(0.45, 1.0, -0.01 * n) for n in range(_CACHE_SIZE + 1)]
+        first = _triple(*triples[0])
+        before = [_bits(kilbas_saigo(triples[0], z)) for z in (-3.0, 3.0)]
+        for params in triples[1:]:
+            assert _triple(*params).contour is not None
+        assert _triple.cache_info().currsize == _CACHE_SIZE
+        misses = _triple.cache_info().misses
+        again = _triple(*triples[0])
+        assert again is not first and _triple.cache_info().misses == misses + 1
+        assert again.contour == first.contour
+        assert [_bits(kilbas_saigo(triples[0], z)) for z in (-3.0, 3.0)] == before
+
+    def test_orphaned_grower_keeps_growing(self):
+        _triple.cache_clear()
+        params = KilbasSaigoParams(0.45, 1.1, 0.3)
+        logs, grow, _ = _triple(*params)
+        for n in range(1, _CACHE_SIZE + 1):
+            _triple(0.45, 1.1, 0.3 + 0.01 * n)
+        assert _triple(*params).logs is not logs  # dropped, then rebuilt
+        assert grow(40) is logs and len(logs) == 40
+        assert logs == _triple(*params).grow(40)
 
     def test_least_recently_used_order(self):
         # Runs of requests for one triple, as a sweep makes them, hit and
         # miss as in a plain LRU that moves every hit to the end; a hit hands
         # back the triple's list, a miss a new one with the same values.
-        _triple_logs.cache_clear()
+        _triple.cache_clear()
         model, lists = [], {}
         rng = np.random.default_rng(7)
         triples = [KilbasSaigoParams(0.5, 1.0, 0.01 * n) for n in range(_CACHE_SIZE + 20)]
@@ -988,10 +1049,10 @@ class TestCacheStats:
             params = triples[int(rng.integers(len(triples)))]
             for _ in range(int(rng.integers(1, 4))):
                 key = (params.alpha, params.m, params.l)
-                hits = _triple_logs.cache_info().hits
-                log = _logs(params, 2)
+                hits = _triple.cache_info().hits
+                log = _triple(*params).grow(2)
                 hit = key in model
-                assert _triple_logs.cache_info().hits == hits + hit
+                assert _triple.cache_info().hits == hits + hit
                 assert (log is lists.get(key)) == hit
                 assert log == lists.get(key, log)
                 lists[key] = log
@@ -1000,8 +1061,8 @@ class TestCacheStats:
                 model.append(key)
                 del model[:-_CACHE_SIZE]
         # Probing the kept triples oldest first evicts none of them.
-        assert all(_triple_logs(*key) is lists[key] for key in model)
-        assert _triple_logs.cache_info().currsize == _CACHE_SIZE
+        assert all(_triple(*key).logs is lists[key] for key in model)
+        assert _triple.cache_info().currsize == _CACHE_SIZE
 
 
 def _hankel_reference(alpha, l, z):
@@ -1083,8 +1144,22 @@ class TestContourPath:
             (KilbasSaigoParams(0.5, 1.0, 0.5), -3.0),  # beta > 1
             (KilbasSaigoParams(0.5, 1.5, 0.0), -3.0),  # m != 1
             (KilbasSaigoParams(1.0, 1.0, 0.0), -3.0),  # alpha >= 1
+            (KilbasSaigoParams(0.5, 1.0, 5e-324), -3.0),  # l > 0, beta rounds to 1
+            (KilbasSaigoParams(0.5, math.nextafter(1.0, 2.0), 0.0), -3.0),  # m > 1
         ]:
             assert kilbas_saigo(params, z).path == "series"
+
+    @pytest.mark.parametrize(
+        "triple",
+        [(0.5, 1, 0), (0.5, 1.0, -0.0), (0.5, 1.0, 5e-324), (math.nextafter(1.0, 0.0), 1.0, 0.0),
+         (1.0, 1.0, 0.0), (0.5, math.nextafter(1.0, 2.0), 0.0), (0.5, math.nextafter(1.0, 0.0), 0.0),
+         (0.3, 1.0, -1.0), (0.6, 2.0, 1.0)],
+    )
+    def test_record_holds_nodes_exactly_on_the_rule(self, triple):
+        alpha, m, l = triple
+        on_rule = m == 1 and alpha < 1 and l <= 0
+        assert (_triple(*KilbasSaigoParams(*triple)).contour is not None) == on_rule
+        assert (kilbas_saigo(KilbasSaigoParams(*triple), -3.0).path == "contour") == on_rule
 
     def test_argument_that_underflows(self):
         # arg z = atan2(5e-324, 3) underflows to 0, where cmath.phase raises
@@ -1136,7 +1211,7 @@ class TestContourPath:
     def test_grid_nodes_are_the_scalar_nodes(self, alpha, l):
         # The full rule and the folded one for real z; the grid reads its
         # node arrays from these same tuples.
-        rules = special_functions._contour_node_tuples(alpha, l)[:2]
+        rules = _triple(alpha, 1.0, l).contour[1:3]
         assert [len(rule) for rule in rules] == [33, 17]
 
     @pytest.mark.parametrize(
@@ -1171,7 +1246,7 @@ class TestContourPath:
         ],
     )
     def test_pole_refuses_zero_and_nan(self, z):
-        assert special_functions._contour_estimate(KilbasSaigoParams(0.5, 1.0, 0.0), z) is None
+        assert special_functions._contour_estimate(_triple(0.5, 1.0, 0.0).contour, z) is None
 
     @pytest.mark.parametrize(
         "z",
@@ -1295,7 +1370,7 @@ class TestPoleBranch:
         for alpha, l, z in _pole_sample():
             params = KilbasSaigoParams(alpha, 1.0, l)
             assert not _reference_in_sector(alpha, z)
-            rule = special_functions._contour_estimate(params, z)
+            rule = special_functions._contour_estimate(_triple(*params).contour, z)
             report = kilbas_saigo(params, z, tol)
             if rule is None:
                 assert report.path == "series"
@@ -1322,9 +1397,9 @@ class TestPoleBranch:
         # The u = 0 node is s = mu, so at z = mu^alpha the pole lies on the
         # contour and a node's divisor is zero.
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
-        power = special_functions._contour_node_tuples(0.5, 0.0)[1][0][0]
+        power = _triple(0.5, 1.0, 0.0).contour[2][0][0]
         z = complex(power.real)
-        assert special_functions._contour_estimate(params, z) is None
+        assert special_functions._contour_estimate(_triple(*params).contour, z) is None
         assert [r.path for r in _assert_same_as_scalar_calls(params, [z])] == ["series"]
 
 
@@ -1338,7 +1413,7 @@ def _assert_same_as_scalar_calls(params, zs, tol=1e-12):
     each z (lam = z, y = 1), against kilbas_saigo at the ray's point z * 1.0,
     which equals z (numpy may flip the sign of a zero part): every field,
     path included, floats as bits. Returns the reports."""
-    assert special_functions._contour_rule(params)
+    assert _triple(*params).contour is not None
     rows, reports = [], []
     for z in zs:
         ray = _PowerGrid(complex(z), 1.0, np.ones(1))
