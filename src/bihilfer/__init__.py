@@ -3,7 +3,10 @@ D^{(alpha,beta)mu} u(y) = lambda y^m u(y) with the bi-ordinal Hilfer
 derivative, expressed through the Kilbas-Saigo function.
 
 The public names are loaded on first access (PEP 562): ``import bihilfer``
-imports no submodule, so a command pays only for the modules it runs.
+imports no submodule, so a command pays only for the modules it runs. No
+engine module generates code at import: its records are validated named
+tuples or plain classes, not dataclasses, whose decorator compiles new
+methods for every class at every start.
 """
 
 import importlib

@@ -9,7 +9,10 @@ is realized two independent ways:
   quadrature for the weakly singular integrals with second-order finite
   differences (``hilfer_numeric``). The quadrature costs O(n log n) on n
   samples: its weights are binomial series that do not cancel, and their
-  convolution with the samples is one zero-padded FFT.
+  convolution with the samples is one zero-padded FFT. The weights' half of
+  that FFT depends only on (nu, n) and is cached (``_kernel``): all of
+  verify's branches share one operator, so each of its two integral orders
+  builds its kernel once per grid.
 
 The two routes cross-validate each other; neither consults the other.
 """
@@ -17,11 +20,12 @@ The two routes cross-validate each other; neither consults the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _ReadOnly
 from .solver import OrderTriple
 from .special_functions import _check_index, _log_gamma_ratio_offset
 
@@ -36,30 +40,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(NamedTuple):
     """A single power term coef * y^exponent on y > 0."""
 
     coef: complex
     exponent: float
 
 
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
+class SampledFunction(_ReadOnly):
     """Complex samples on the uniform grid n*h, n = 0..len(values)-1, which
-    starts at the origin."""
+    starts at the origin; a read-only copy of the given values."""
 
-    h: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"grid step h must be finite and positive, got h={self.h}")
-        vals = np.array(self.values, dtype=complex)
+    def __init__(self, h: float, values: np.ndarray) -> None:
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"grid step h must be finite and positive, got h={h}")
+        vals = np.array(values, dtype=complex)
         if vals.ndim != 1 or vals.size < 3:
             raise ValueError("need a 1-d grid with at least 3 samples")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(h=h, values=vals)
 
     def __len__(self) -> int:
         return self.values.size
@@ -176,6 +175,28 @@ def _weights(nu: float, n: int) -> "tuple[np.ndarray, np.ndarray]":
     return w, a0
 
 
+# (nu, n) pairs whose kernels _kernel keeps. All of verify's branches share
+# one operator, so its quadratures use two: the inner and the outer order.
+_KERNELS = 4
+
+
+@lru_cache(maxsize=_KERNELS)
+def _kernel(nu: float, n: int) -> "tuple[np.ndarray, int, np.ndarray]":
+    """(a0, size, spectrum) of rl_integral_numeric on n samples, all
+    read-only: a0(k) of _weights, the FFT length and the rfft of
+    w_1..w_{n-2} at that length. The length is the power of two at least
+    2(n-2), which keeps circular wrap-around out of the n-2 outputs. At
+    n = 32768 the arrays hold about 0.75 MB, and at most _KERNELS pairs are
+    kept, the least recently used dropped first."""
+    w, a0 = _weights(nu, n)
+    m = n - 2
+    size = 1 << (2 * m - 1).bit_length()
+    spectrum = np.fft.rfft(w[:m], size)
+    a0.setflags(write=False)
+    spectrum.setflags(write=False)
+    return a0, size, spectrum
+
+
 def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
     """Riemann-Liouville integral I^nu of sampled data, 0 < nu < 2.
 
@@ -187,8 +208,10 @@ def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
     The weights come from binomial series that do not cancel (`_weights`),
     and their discrete convolution with the samples is one zero-padded FFT
     convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-    (1985) 532), O(n log n) for every n. numpy's FFT uses no threads, so the
-    result does not depend on the thread count.
+    (1985) 532), O(n log n) for every n. The spectrum of the weights comes
+    from the kernel cache (_kernel), read-only and the same bits as a fresh
+    build. numpy's FFT uses no threads, so the result does not depend on
+    the thread count.
 
     Accuracy contract: the rounding error is about 1e-15 * max|I^nu f| in
     absolute terms at every point. Where |I^nu f| is far below its maximum,
@@ -203,16 +226,13 @@ def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
     values = f.values
     n = values.size
     # I^nu f(y_n) ~ h^nu/Gamma(nu+2) * [a0(n) f_0 + sum_{j=1}^{n-1} w_{n-j} f_j + f_n]
-    w, a0 = _weights(nu, n)
+    a0, size, kernel = _kernel(nu, n)
     pref = f.h**nu / math.exp(math.lgamma(nu + 2.0))
     out = np.zeros(n, dtype=complex)
     out[1:] = a0 * values[0] + values[1:]
-    # Convolution of f_1..f_{n-2} with w_1..w_{n-2}, m >= 1 terms. An FFT
-    # length of the next power of two >= 2m keeps circular wrap-around out of
-    # the first m outputs. Real and imaginary parts share one transform of w.
+    # Convolution of f_1..f_{n-2} with w_1..w_{n-2}: real and imaginary
+    # parts share the one transform of w.
     m = n - 2
-    size = 1 << (2 * m - 1).bit_length()
-    kernel = np.fft.rfft(w[:m], size)
     for part, dest in ((values[1:-1].real, out.real), (values[1:-1].imag, out.imag)):
         dest[2:] += np.fft.irfft(np.fft.rfft(part, size) * kernel, size)[:m]
     out[1:] *= pref
@@ -233,21 +253,24 @@ def _stencil(offsets: np.ndarray, order: int) -> np.ndarray:
 
 def _derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     """Grid derivative of the given order, second-order accurate: a central
-    stencil of 2r+1 points, r = (order+1)//2, and at the r points nearest each
-    end the order+2 points nearest that end. Offsets run far side first, so
-    orders 1 and 2 round exactly as their textbook formulas do."""
+    stencil of 2r+1 points, r = (order+1)//2, applied to shifted slices of
+    values, and at the r points nearest each end the order+2 points nearest
+    that end. Offsets run far side first, so orders 1 and 2 round exactly as
+    their textbook formulas do."""
     n = values.size
     if n < order + 2:
         raise ValueError(f"derivative of order {order} needs at least {order + 2} samples")
     r = (order + 1) // 2
-    stencils = [(np.arange(r, n - r), np.arange(r, -r - 1, -1))]
+    out = np.empty_like(values)
+    center = np.arange(r, -r - 1, -1)
+    out[r : n - r] = sum(w * values[r + o : n - r + o]
+                         for o, w in zip(center, _stencil(center, order)))
     for p in range(r):
         edge = np.arange(order + 2) - p
-        stencils += [(p, edge), (n - 1 - p, -edge)]
-    out = np.empty_like(values)
-    for at, offsets in stencils:
-        out[at] = sum(w * values[at + o] for o, w in zip(offsets, _stencil(offsets, order)))
-    return out / h**order
+        for at, offsets in ((p, edge), (n - 1 - p, -edge)):
+            out[at] = sum(w * values[at + o] for o, w in zip(offsets, _stencil(offsets, order)))
+    out /= h**order
+    return out
 
 
 def hilfer_numeric(f: SampledFunction, orders: OrderTriple) -> SampledFunction:

@@ -15,11 +15,11 @@ loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import _ReadOnly
 from .special_functions import (
     _MAX_TERMS,
     DEFAULT_TOL,
@@ -34,22 +34,25 @@ from .special_functions import (
 __all__ = ["SeriesGridReport"]
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesGridReport:
-    """A SeriesEvalReport per grid point, one array per field. Without a
-    path array every point took the series (a read-only view, no per-point
-    memory)."""
+class SeriesGridReport(_ReadOnly):
+    """A SeriesEvalReport per grid point, one array per field, in that
+    order. Without a path array every point took the series (a read-only
+    view, no per-point memory). The attributes are read-only; the arrays
+    are not."""
 
-    value: np.ndarray
-    terms_used: np.ndarray
-    last_term_magnitude: np.ndarray
-    converged: np.ndarray
-    path: "np.ndarray | None" = None
-
-    def __post_init__(self) -> None:
-        if self.path is None:
-            series = np.broadcast_to(np.str_("series"), self.value.shape)
-            object.__setattr__(self, "path", series)
+    def __init__(
+        self,
+        value: np.ndarray,
+        terms_used: np.ndarray,
+        last_term_magnitude: np.ndarray,
+        converged: np.ndarray,
+        path: "np.ndarray | None" = None,
+    ) -> None:
+        if path is None:
+            path = np.broadcast_to(np.str_("series"), value.shape)
+        self.__dict__.update(value=value, terms_used=terms_used,
+                             last_term_magnitude=last_term_magnitude, converged=converged,
+                             path=path)
 
 
 # Largest term exponent Re(L + k log z) the grid driver sums itself. Up to
@@ -77,7 +80,11 @@ def _sum_log_series_grid(
     The scalar loop over an array: step k forms term k at every point still
     summing, adds it in the scalar order and applies the scalar stopping
     rule. A point carries its sum, whether its last two terms were small
-    and its last magnitude, and leaves the arrays when it stops. A point
+    and its last magnitude, and leaves the arrays when it stops. Points that
+    stop ahead of every live one, as along a ray of growing |z| where
+    terms_used does not fall, leave by slicing: the live arrays become
+    views, with no copies. Any other stop pattern compacts the arrays by a
+    boolean mask. A point
     that would need a term above exp(_GRID_EXP_MAX), or whose exponent is
     not finite, is summed by _sum_log_series itself at z = lam * y**a
     (Python's pow), so overflow keeps the scalar semantics.
@@ -142,10 +149,16 @@ def _sum_log_series_grid(
                 stop |= big
                 leave = True
             if leave:
-                _put(out, points[stop], total[stop], k + 1, mag[stop])
-                keep = ~stop
+                leave = np.count_nonzero(stop)
+                if stop[:leave].all():
+                    # The stopped points lead the live ones, as along a ray
+                    # of growing |z|: both sides are views, no copies.
+                    gone, live = slice(None, leave), slice(leave, None)
+                else:
+                    gone, live = stop, ~stop
+                _put(out, points[gone], total[gone], k + 1, mag[gone])
                 points, log_abs, total, mag, now, small = (
-                    a[keep] for a in (points, log_abs, total, mag, now, small)
+                    a[live] for a in (points, log_abs, total, mag, now, small)
                 )
             small, was_small = now, small
     # The points still summing end unconverged at the cap.
@@ -167,7 +180,7 @@ def kilbas_saigo_grid(
     """kilbas_saigo(params, z, tol) at every point z = lam * y**a of the ray
     zs. A triple that takes the contour rule is kilbas_saigo itself at each
     point lam * np.power(y, a), bit for bit, path included; any other triple
-    is summed along the ray by the blocked grid driver, kilbas_saigo's to
+    is summed along the ray by the grid driver, kilbas_saigo's to
     rounding."""
     _, grow, contour = _triple(*params)
     if contour is None:

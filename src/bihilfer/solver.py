@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DomainError
 from .special_functions import (
@@ -54,39 +53,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderTriple:
+class _OrderFields(NamedTuple):
+    alpha: float
+    beta: float
+    mu: float
+    i: int
+
+
+class OrderTriple(_OrderFields):
     """Parameters (alpha, beta, mu, i) of the derivative D^{(alpha,beta)mu}.
 
     Both fractional orders must lie strictly inside the integer window:
     i-1 < alpha < i and i-1 < beta < i, with interpolation weight
     0 <= mu <= 1. The window index i is carried explicitly so the boundary
     alpha = i can never arise from rounding a ceil().
+
+    A named tuple whose constructor checks admissibility, as
+    KilbasSaigoParams is (and for the same reason: no dataclasses).
     """
 
-    alpha: float
-    beta: float
-    mu: float
-    i: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, alpha: float, beta: float, mu: float, i: int) -> OrderTriple:
         try:
-            i = operator.index(self.i)  # an int or another integer type, not 2.0
+            index = operator.index(i)  # an int or another integer type, not 2.0
         except TypeError:
-            i = 0
-        if i < 1:
-            raise DomainError(f"i must be a positive integer, got i={self.i}")
-        object.__setattr__(self, "i", i)
-        if not self.i - 1 < self.alpha < self.i:
-            raise DomainError(
-                f"i-1 < alpha < i violated (alpha={self.alpha}, i={self.i})"
-            )
-        if not self.i - 1 < self.beta < self.i:
-            raise DomainError(
-                f"i-1 < beta < i violated (beta={self.beta}, i={self.i})"
-            )
-        if not 0.0 <= self.mu <= 1.0:
-            raise DomainError(f"0 <= mu <= 1 violated (mu={self.mu})")
+            index = 0
+        if index < 1:
+            raise DomainError(f"i must be a positive integer, got i={i}")
+        if not index - 1 < alpha < index:
+            raise DomainError(f"i-1 < alpha < i violated (alpha={alpha}, i={index})")
+        if not index - 1 < beta < index:
+            raise DomainError(f"i-1 < beta < i violated (beta={beta}, i={index})")
+        if not 0.0 <= mu <= 1.0:
+            raise DomainError(f"0 <= mu <= 1 violated (mu={mu})")
+        return super().__new__(cls, alpha, beta, mu, index)
+
+    @classmethod
+    def _make(cls, iterable) -> OrderTriple:
+        return cls(*iterable)
 
     @property
     def gamma(self) -> float:
@@ -104,33 +109,40 @@ class OrderTriple:
         return self.mu * (self.i - self.alpha)
 
 
-@dataclass(frozen=True)
-class DegenerateProblem:
-    """Problem data: operator orders, a finite degeneracy exponent m >= 0 and
-    a finite spectral parameter lambda (complex). Solvability additionally
-    requires m + mu*(alpha - beta) >= 0."""
-
+class _ProblemFields(NamedTuple):
     orders: OrderTriple
     m: float
     lam: complex
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.m < math.inf:
-            raise DomainError(f"m >= 0 and finite violated (m={self.m})")
-        if not cmath.isfinite(self.lam):
-            raise DomainError(f"lambda must be finite, got lambda={self.lam}")
-        shift = self.m + self.orders.mu * (self.orders.alpha - self.orders.beta)
+
+class DegenerateProblem(_ProblemFields):
+    """Problem data: operator orders, a finite degeneracy exponent m >= 0 and
+    a finite spectral parameter lambda (complex). Solvability additionally
+    requires m + mu*(alpha - beta) >= 0. A validated named tuple, like
+    OrderTriple."""
+
+    __slots__ = ()
+
+    def __new__(cls, orders: OrderTriple, m: float, lam: complex) -> DegenerateProblem:
+        if not 0.0 <= m < math.inf:
+            raise DomainError(f"m >= 0 and finite violated (m={m})")
+        if not cmath.isfinite(lam):
+            raise DomainError(f"lambda must be finite, got lambda={lam}")
+        shift = m + orders.mu * (orders.alpha - orders.beta)
         if not shift >= 0.0:
             raise DomainError(
                 f"m + mu*(alpha-beta) >= 0 violated "
-                f"(value {shift} for m={self.m}, mu={self.orders.mu}, "
-                f"alpha={self.orders.alpha}, beta={self.orders.beta})"
+                f"(value {shift} for m={m}, mu={orders.mu}, "
+                f"alpha={orders.alpha}, beta={orders.beta})"
             )
-        object.__setattr__(self, "lam", complex(self.lam))
+        return super().__new__(cls, orders, m, complex(lam))
+
+    @classmethod
+    def _make(cls, iterable) -> DegenerateProblem:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Quantities the series construction derives from a problem:
     gamma = beta + mu*(alpha-beta), exponent step a = m + gamma, and the
     branch leading exponents b_s = s - (1-mu)*(i-beta), s = 0..i-1."""
@@ -161,7 +173,6 @@ def coefficient_sequence(problem: DegenerateProblem, s: int, K: int) -> list[flo
     return kilbas_saigo_coefficients(params, _check_index("K", K) + 1)
 
 
-@dataclass(eq=False)
 class SeriesSolution:
     """Branch s of the fundamental system, u_s(y) = y^b * sum_k c_k (lambda y^a)^k
     for y > 0, with b = b_s.
@@ -169,21 +180,17 @@ class SeriesSolution:
     Construction maps (problem, s) to the paper's branch y^{b_s}
     E_{gamma, a/gamma, (a+b_s)/gamma - 1}(lambda y^a) once. The c_k are the
     Kilbas-Saigo coefficients at that triple: every evaluation reads them
-    from the shared, bounded cache, which extends them as needed.
+    from the shared, bounded cache, which extends them as needed. Two
+    branches are equal only if they are the same object.
     """
 
-    problem: DegenerateProblem
-    s: int
-    a: float = field(init=False)
-    b: float = field(init=False)
-    lam: complex = field(init=False)
-
-    def __post_init__(self) -> None:
-        i = self.problem.orders.i
-        self.s = _check_index("s", self.s, -math.inf)  # the range is checked next
+    def __init__(self, problem: DegenerateProblem, s: int) -> None:
+        self.problem = problem
+        i = problem.orders.i
+        self.s = _check_index("s", s, -math.inf)  # the range is checked next
         if not 0 <= self.s <= i - 1:
             raise ValueError(f"branch s must lie in 0..{i - 1}, got s={self.s}")
-        params = derive_params(self.problem)
+        params = derive_params(problem)
         self.a = params.a
         self.b = params.b[self.s]
         self.lam = self.problem.lam
@@ -301,15 +308,21 @@ def fundamental_solution(problem: DegenerateProblem, s: int) -> SeriesSolution:
     return SeriesSolution(problem, s)
 
 
-@dataclass(eq=False)
 class CauchySolution:
     """Weighted branch combination sum_s (phi_s / s!) u_s solving the
     Cauchy-type initial problem with data phi_0..phi_{i-1}."""
 
-    problem: DegenerateProblem
-    phis: tuple[complex, ...]
-    branches: tuple[SeriesSolution, ...]
-    weights: tuple[complex, ...]
+    def __init__(
+        self,
+        problem: DegenerateProblem,
+        phis: tuple[complex, ...],
+        branches: tuple[SeriesSolution, ...],
+        weights: tuple[complex, ...],
+    ) -> None:
+        self.problem = problem
+        self.phis = phis
+        self.branches = branches
+        self.weights = weights
 
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """evaluate at the one point y > 0.

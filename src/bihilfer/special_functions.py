@@ -85,7 +85,12 @@ def _log_gamma_ratio_offset(q: float, nu: float) -> float:
     """
     p = q + nu
     if q < _STIRLING_MIN or p < _STIRLING_MIN:
-        return math.lgamma(q) - math.lgamma(p)
+        try:
+            return math.lgamma(q) - math.lgamma(p)
+        except OverflowError:
+            return -math.inf  # lnGamma(p) past the double range; here q < 20 < p
+    if p == math.inf:
+        return -math.inf  # Gamma(q)/Gamma(q + nu) -> 0 as q + nu overflows, nu > 0
     return -(
         (q - 0.5) * math.log1p(nu / q)
         + nu * (math.log(p) - 1.0)
@@ -102,16 +107,22 @@ def log_gamma_ratio(p: float, q: float) -> float:
         raise DomainError(f"gamma_ratio requires finite q > 0, got q={q}")
     if min(p, q) >= _STIRLING_MIN and 0.5 * q <= p <= 2.0 * q:
         return -_log_gamma_ratio_offset(q, p - q)  # p - q is exact here
-    return -(math.lgamma(q) - math.lgamma(p))
+    try:
+        return -(math.lgamma(q) - math.lgamma(p))
+    except OverflowError:
+        return math.inf if p > q else -math.inf  # the larger lnGamma overflowed
 
 
 def gamma_ratio(p: float, q: float) -> float:
     """Gamma(p) / Gamma(q) for finite p, q > 0, via the log-space ratio.
 
     Finite whenever the ratio itself is representable, even where Gamma(p)
-    alone would overflow.
+    alone would overflow, and inf past the double range.
     """
-    return math.exp(log_gamma_ratio(p, q))
+    try:
+        return math.exp(log_gamma_ratio(p, q))
+    except OverflowError:
+        return math.inf
 
 
 class _KilbasSaigoFields(NamedTuple):
@@ -539,7 +550,10 @@ def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> 
 
     def fetch(n: int) -> list[float]:
         while len(log_coeffs) < n:
-            log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
+            try:
+                log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
+            except OverflowError:
+                log_coeffs.append(-math.inf)  # 1/Gamma underflows
         return log_coeffs
 
     return _sum_log_series(fetch, z, tol).value

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _ReadOnly
 from .fractional_ops import (
     SampledFunction,
     falling_product,
@@ -52,25 +51,31 @@ REL_FLOOR = 1e-30
 IC_POINTS = (1e-32, 1e-36, 1e-40)
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualReport:
+class ResidualReport(_ReadOnly):
     """Pointwise comparison of D^{(alpha,beta)mu} u against lambda y^m u.
 
     Errors are taken over the comparison window only. The _stencil_edge(i)
     points at each end of the grid, on or next to one-sided stencils, are
     excluded; `excluded_boundary_points` counts those inside the window.
     `tail_start` records how many leading series terms were shifted out of
-    the numeric path (see residual_numeric).
+    the numeric path (see residual_numeric). The attributes are read-only.
     """
 
-    grid: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    max_abs_error: float
-    max_rel_error: float
-    excluded_boundary_points: int
-    tail_start: int
-    converged: bool
+    def __init__(
+        self,
+        grid: np.ndarray,
+        lhs: np.ndarray,
+        rhs: np.ndarray,
+        max_abs_error: float,
+        max_rel_error: float,
+        excluded_boundary_points: int,
+        tail_start: int,
+        converged: bool,
+    ) -> None:
+        self.__dict__.update(grid=grid, lhs=lhs, rhs=rhs, max_abs_error=max_abs_error,
+                             max_rel_error=max_rel_error,
+                             excluded_boundary_points=excluded_boundary_points,
+                             tail_start=tail_start, converged=converged)
 
 
 def residual_coefficient_identity(

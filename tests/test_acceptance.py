@@ -6,10 +6,11 @@ checks are marked strict-xfail because their target tolerances are provably
 beyond float64 arithmetic or beyond the chosen difference scheme; the tests
 still run and report the measured values honestly:
 
-* kilbas-saigo reductions: an absolute 1e-10 agreement between two
-  independently rounded summations whose terms peak at ~1e90 (alpha = 0.3,
-  z = -5), and whose comparison formula multiplies a ~1e11 value by
-  Gamma(alpha+1) (one rounding = ~1e-5 absolute), cannot be met;
+* kilbas-saigo reductions: at z = +5 an absolute 1e-10 agreement of values
+  up to ~1e93 (alpha = 0.3) is beyond float64; at z = -5 the reference
+  Mittag-Leffler series cancels (-2.76e79 at alpha = 0.3, where
+  kilbas_saigo's contour rule reads 0.13708), as do both series of the
+  l = 1 pair, which the contour rule does not take;
 * monomial operator oracle at (i=2, mu=0.5, delta=1): the inner integral of
   y has a second derivative singular like y^(nu1-1), and the prescribed
   central-difference composition converges at order nu1 = (1-mu)(2-beta)
@@ -66,9 +67,11 @@ def sweep_problems(window_indices=(1, 2, 3)):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="absolute 1e-10 agreement of these sums is beyond float64: "
-    "intermediate terms reach ~1e90 at alpha=0.3, z=-5, and the "
-    "Gamma(alpha+1) scaling alone injects |value|*eps (~1e-5 at z=+5)",
+    reason="two gaps: at z=+5 the values reach ~1e93 (alpha=0.3), so an "
+    "absolute 1e-10 agreement is beyond float64 (gap 1.3e82); at z=-5 the "
+    "reference series cancels: mittag_leffler reads -2.76e79 where "
+    "kilbas_saigo's contour rule reads 0.13708 (alpha=0.3), and in the l=1 "
+    "pair both sides are such series (gap 1.1e78)",
 )
 def test_kilbas_saigo_reductions():
     t0 = time.perf_counter()

@@ -71,6 +71,15 @@ class TestEvalKs:
         assert len(rows) == 5
         assert [float(r[0]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
+    def test_gamma_past_the_double_range(self, runner):
+        # lnGamma(alpha + 1) overflows at alpha = 1e308: c_1 is zero, and the
+        # row is c_0 = 1, converged, not an OverflowError traceback.
+        result = runner.invoke(cli, ["eval-ks", "--alpha", "1e308", "--m", "1", "--l", "0",
+                                     "--z", "-1"])
+        assert result.exit_code == 0, result.output
+        _, _, rows = parse_csv(result.output)
+        assert rows == [["-1.0", "1.0", "0.0", "4", "True"]]
+
     def test_invalid_params_exit_1(self, runner):
         result = runner.invoke(cli, ["eval-ks", "--alpha", "-1", "--m", "1", "--l", "0", "--z", "1"])
         assert result.exit_code == 1

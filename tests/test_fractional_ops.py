@@ -25,7 +25,7 @@ from bihilfer import (
     rl_integral_monomial,
     rl_integral_numeric,
 )
-from bihilfer.fractional_ops import _derivative, _stencil, _weights
+from bihilfer.fractional_ops import _derivative, _kernel, _stencil, _weights
 from bihilfer.verification import _default_tail_start
 
 
@@ -360,6 +360,27 @@ class TestFftConvolution:
         got = rl_integral_numeric(f, nu).values
         window = ys >= y_max / 4.0
         assert np.max(np.abs(got[window] - ref[window]) / np.abs(ref[window])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4097])
+    def test_cold_and_warm_kernel_agree(self, n):
+        # The second call reads a0, the FFT length and the spectrum of w from
+        # the kernel cache; it must give the bits of the first, which built
+        # them, and of a call after the cache was cleared.
+        rng = np.random.default_rng(n)
+        f = SampledFunction(0.01, rng.normal(size=n) + 1j * rng.normal(size=n))
+        _kernel.cache_clear()
+        cold = rl_integral_numeric(f, 0.375).values
+        warm = rl_integral_numeric(f, 0.375).values
+        assert _kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+        _kernel.cache_clear()
+        assert rl_integral_numeric(f, 0.375).values.tobytes() == cold.tobytes() == warm.tobytes()
+
+    def test_cached_kernel_is_read_only(self):
+        a0, size, spectrum = _kernel(0.375, 64)
+        assert size == 128 and a0.size == 63 and spectrum.size == 65
+        for array in (a0, spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_independent_of_blas_thread_count(self):
         # A BLAS-backed direct sum splits dot products longer than about

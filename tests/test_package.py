@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -136,10 +137,82 @@ class TestImportFootprint:
         _loaded(_adds_none_of(["dataclasses", "inspect", "numpy"],
                               "import bihilfer.special_functions\n"))
 
+    def test_engine_loads_no_code_generator(self):
+        # No engine module imports dataclasses, whose decorator compiles
+        # generated methods for every class at every start; the records are
+        # named tuples or plain classes. numpy, imported first, loads
+        # inspect itself.
+        assert "bihilfer.verification" in _loaded(
+            "import numpy\n" + _adds_none_of(["dataclasses"], "import bihilfer.verification\n"))
+
     def test_scalar_calls_load_no_numpy(self):
         # The script itself asserts that numpy stays unloaded.
         assert _loaded(SCALAR_CALLS) == ["bihilfer", "bihilfer.errors",
                                          "bihilfer.special_functions"]
+
+
+def _records():
+    """One instance of every record class that was a frozen dataclass, by
+    name."""
+    import numpy as np
+
+    from bihilfer.series_grid import SeriesGridReport
+
+    orders = bihilfer.OrderTriple(1.5, 1.25, 0.5, 2)
+    problem = bihilfer.DegenerateProblem(orders, 0.5, -2.0)
+    ones = np.ones(3)
+    return {
+        "OrderTriple": orders,
+        "DegenerateProblem": problem,
+        "DerivedParams": bihilfer.derive_params(problem),
+        "PowerTerm": bihilfer.rl_integral_monomial(0.5, 1.0),
+        "SampledFunction": bihilfer.SampledFunction(0.5, ones),
+        "SeriesGridReport": SeriesGridReport(ones, ones, ones, ones),
+        "ResidualReport": bihilfer.residual_numeric(problem, 0, n_points=64),
+    }
+
+
+class TestRecords:
+    FIELDS = {
+        "OrderTriple": ["alpha", "beta", "mu", "i"],
+        "DegenerateProblem": ["orders", "m", "lam"],
+        "DerivedParams": ["gamma", "a", "b"],
+        "PowerTerm": ["coef", "exponent"],
+        "SampledFunction": ["h", "values"],
+        "SeriesGridReport": ["value", "terms_used", "last_term_magnitude", "converged", "path"],
+        "ResidualReport": ["grid", "lhs", "rhs", "max_abs_error", "max_rel_error",
+                           "excluded_boundary_points", "tail_start", "converged"],
+    }
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_attributes_are_read_only(self, name):
+        record = _records()[name]
+        for field in (self.FIELDS[name][0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(record, self.FIELDS[name][0])
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_fields_in_order(self, name):
+        # series_grid._put and the tests' row helpers read a report's
+        # fields through vars() in this order.
+        record = _records()[name]
+        fields = list(getattr(record, "_fields", None) or vars(record))
+        assert fields == self.FIELDS[name]
+
+    def test_equality(self):
+        # The named tuples compare by value, the array records by identity.
+        first, again = _records(), _records()
+        for name in self.FIELDS:
+            assert (first[name] == again[name]) == hasattr(first[name], "_fields"), name
+            assert first[name] == first[name]
+            if hasattr(first[name], "_fields"):
+                assert pickle.loads(pickle.dumps(first[name])) == first[name], name
+        orders = bihilfer.OrderTriple(1.5, 1.25, 0.5, 2)
+        assert orders._replace(mu=0.25) == bihilfer.OrderTriple(1.5, 1.25, 0.25, 2)
+        with pytest.raises(bihilfer.DomainError, match="0 <= mu <= 1"):
+            orders._replace(mu=2.0)
 
 
 class TestNamespace:

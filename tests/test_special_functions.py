@@ -166,6 +166,25 @@ class TestGammaRatio:
         with pytest.raises(DomainError):
             gamma_ratio(p, q)
 
+    @pytest.mark.parametrize(
+        "p,q,ratio,log_ratio",
+        [
+            # The log-ratio is finite (about 1.4e5); its exp is not.
+            (5972318.09, 5789919.72, math.inf, None),
+            # lnGamma(p) itself passes the double range; lnGamma(q) first
+            # in the last two.
+            (1e308, 1.0, math.inf, math.inf),
+            (1.0, 1e308, 0.0, -math.inf),
+            (1e308, 3e305, math.inf, math.inf),
+            (3e305, 1e308, 0.0, -math.inf),
+        ],
+    )
+    def test_past_the_double_range(self, p, q, ratio, log_ratio):
+        # math.exp and math.lgamma raised OverflowError here.
+        assert gamma_ratio(p, q) == ratio
+        if log_ratio is not None:
+            assert log_gamma_ratio(p, q) == log_ratio
+
     @given(
         st.floats(min_value=0.1, max_value=50.0),
         st.floats(min_value=0.1, max_value=50.0),
@@ -288,6 +307,17 @@ class TestKilbasSaigo:
             assert report.value == 1.0
             assert report.terms_used == 1
             assert report.converged
+
+    @pytest.mark.parametrize("z", [-1.0, 2.5 + 1.0j, -1e300])
+    @pytest.mark.parametrize("params", [(1e308, 1.0, 0.0), (1e308, 0.5, 1.0)])
+    def test_gamma_past_the_double_range(self, params, z):
+        # From c_1 on, a Gamma argument alpha (jm + l) + 1 or its offset
+        # passes the double range: lnGamma raised OverflowError, and an
+        # overflowed argument gave a nan log-coefficient. Those c_j are
+        # zero, so the sum is c_0 = 1 after three zero terms.
+        params = KilbasSaigoParams(*params)
+        assert kilbas_saigo(params, z) == (1.0, 4, 0.0, True, "series")
+        assert kilbas_saigo_coefficients(params, 5) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_exponential_case(self):
         report = kilbas_saigo(KilbasSaigoParams(1.0, 1.0, 0.0), 1.0)
@@ -415,6 +445,13 @@ class TestMittagLeffler:
     def test_orders_must_be_finite(self, a, b):
         with pytest.raises(DomainError, match="mittag_leffler requires finite"):
             mittag_leffler(a, b, -2.0)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e308, 0.5)])
+    def test_gamma_past_the_double_range(self, a, b):
+        # lnGamma(a k + b) overflows, at k = 0 or 1: its coefficient
+        # 1/Gamma(a k + b) is zero, not an OverflowError.
+        expected = 0j if b > 1.0 else complex(math.exp(-math.lgamma(b)))
+        assert mittag_leffler(a, b, 1.0) == expected
 
 
 class TestReductions:
@@ -738,6 +775,23 @@ class TestGridChunks:
         fetch = _triple(*KilbasSaigoParams(*params)).grow
         ray = _PowerGrid(lam, 1.0, np.array(ys))
         _assert_agrees(_sum_log_series_grid(fetch, ray, 1e-12), fetch, ray)
+
+    @pytest.mark.parametrize("lam,y_max", [(-1.0, 4.0), (1j, 4.0), (1.0, 10.0)])
+    def test_long_ray_both_ways(self, lam, y_max):
+        # 1,201 points from 0 to y_max, from one term to over a hundred.
+        # Ascending, terms_used never falls, so at every step the points
+        # that stop lead the live ones and leave as views; descending, they
+        # trail them and are compacted. Both give every point the same bits,
+        # the scalar engine's to rounding. (Further out on lam = -1 and 1j,
+        # terms_used is no longer monotone.)
+        fetch = _triple(0.5, 1.0, 0.0).grow
+        up = _PowerGrid(lam, 1.0, np.linspace(0.0, y_max, 1201))
+        down = up._replace(ys=up.ys[::-1].copy())
+        grid, back = (_sum_log_series_grid(fetch, ray) for ray in (up, down))
+        assert (np.diff(grid.terms_used) >= 0).all() and grid.terms_used[-1] > 100
+        for name, array in vars(grid).items():
+            assert getattr(back, name)[::-1].tobytes() == array.tobytes(), name
+        _assert_agrees(grid, fetch, up)
 
 
 def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
