@@ -1,15 +1,13 @@
 """Kilbas-Saigo series along a ray, in numpy.
 
-The numpy half of the special-function kernel, used by the solver's series
-tails (and so only by `verify`): kilbas_saigo_grid evaluates
-special_functions.kilbas_saigo at every point z = lam * y**a of a
-_PowerGrid. A triple that takes the contour rule is kilbas_saigo itself at
-each point, so the rule, its rounding and its series fallback live in one
-module. Every other triple is summed by the grid driver
-_sum_log_series_grid, the scalar engine's loop over k run on an array of
-points: the same stopping rule, and the scalar values to rounding.
-special_functions itself does not import numpy, so a scalar caller never
-loads it.
+The numpy half of the series engine, used by the solver's series tails (and
+so only by `verify`): _sum_log_series_grid sums a series at every point
+z = lam * y**a of a _PowerGrid. It is the scalar engine's loop over k run on
+an array of points: the same stopping rule, and the scalar values to
+rounding. It sums series only; a branch that may take the contour rule is
+tabulated, tail included, by special_functions.kilbas_saigo through the
+solver. special_functions itself does not import numpy, so a scalar caller
+never loads it.
 """
 
 from __future__ import annotations
@@ -23,12 +21,9 @@ from .errors import _ReadOnly
 from .special_functions import (
     _MAX_TERMS,
     DEFAULT_TOL,
-    KilbasSaigoParams,
     _check_series_args,
     _power,
     _sum_log_series,
-    _triple,
-    kilbas_saigo,
 )
 
 __all__ = ["SeriesGridReport"]
@@ -173,26 +168,3 @@ def _put(out: SeriesGridReport, at, *fields) -> None:
     for array, field in zip(vars(out).values(), fields):
         array[at] = field
 
-
-def kilbas_saigo_grid(
-    params: KilbasSaigoParams, zs: _PowerGrid, tol: float = DEFAULT_TOL
-) -> SeriesGridReport:
-    """kilbas_saigo(params, z, tol) at every point z = lam * y**a of the ray
-    zs. A triple that takes the contour rule is kilbas_saigo itself at each
-    point lam * np.power(y, a), bit for bit, path included; any other triple
-    is summed along the ray by the grid driver, kilbas_saigo's to
-    rounding."""
-    _, grow, contour = _triple(*params)
-    if contour is None:
-        return _sum_log_series_grid(grow, zs, tol)
-    _check_series_args(tol)
-    points = zs.lam * np.power(zs.ys, zs.a)
-    reports = [kilbas_saigo(params, z, tol) for z in points.tolist()]
-    value, terms, last, converged, path = zip(*reports) if reports else ([],) * 5
-    return SeriesGridReport(
-        np.array(value, dtype=complex),
-        np.array(terms, dtype=np.int64),
-        np.array(last, dtype=float),
-        np.array(converged, dtype=bool),
-        np.array(path, dtype="<U7"),
-    )

@@ -9,9 +9,12 @@ shared, bounded Kilbas-Saigo cache. SeriesSolution.evaluate and
 CauchySolution.evaluate return a SeriesEvalReport per point y, the branch
 being y**b * kilbas_saigo(lam * y**a) by Python's pow, contour rule
 included; this module imports no numpy for them. A tail from k_start,
-tail_grid_report, is kilbas_saigo_grid along the ray lam * y**a at the
-shifted triple (alpha, m, l + m*k_start) times c_k_start lambda^k_start
-y^(a k_start + b); it imports numpy and series_grid when called.
+tail_grid_report, comes from the values the tables print: on a branch
+whose triple may take the contour rule it is evaluate minus the head
+sum_{k < k_start}; on any other it is series_grid's driver along the ray
+lam * y**a at the shifted triple (alpha, m, l + m*k_start) times
+c_k_start lambda^k_start y^(a k_start + b). It imports numpy and
+series_grid when called.
 That the coefficients solve the equation is checked independently by
 verification.residual_coefficient_identity.
 """
@@ -29,6 +32,7 @@ from .special_functions import (
     KilbasSaigoParams,
     SeriesEvalReport,
     _check_index,
+    _check_series_args,
     _power,
     _report,
     _triple,
@@ -247,13 +251,16 @@ class SeriesSolution:
         self, ys: Iterable[float], k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesGridReport:
         """Series tail sum_{k >= K} c_k lambda^k y^{ak+b}, K = k_start, at every
-        grid point (at y = 0 too whenever aK + b >= 0). The product defining
-        c_k telescopes from K, so it is c_K lambda^K y^(aK+b) times
-        kilbas_saigo_grid at _tail_params(K) along the ray z = lambda y^a:
-        kilbas_saigo's to rounding, and K = 0 is the whole branch."""
+        grid point (at y = 0 too whenever aK + b >= 0), from the values the
+        tables print. On a branch whose triple may take the contour rule it
+        is evaluate(ys) minus the head sum_{k < K}, path included, and K = 0
+        is evaluate bit for bit. On any other branch the product defining c_k
+        telescopes from K, so the tail is c_K lambda^K y^(aK+b) times the
+        series of _tail_params(K) summed along the ray z = lambda y^a by the
+        grid driver: kilbas_saigo's to rounding."""
         import numpy as np
 
-        from .series_grid import _PowerGrid, kilbas_saigo_grid
+        from .series_grid import SeriesGridReport, _PowerGrid, _put, _sum_log_series_grid
 
         ys = np.asarray(ys, dtype=float)
         if ys.ndim != 1:
@@ -263,18 +270,34 @@ class SeriesSolution:
             raise DomainError(f"evaluation requires finite y >= 0, got y={float(ys[~ok][0])}")
         params = self._tail_params(k_start)
         origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
-        with np.errstate(over="ignore"):
-            scale = np.power(ys, self.a * k_start + self.b)
-        report = kilbas_saigo_grid(params, _PowerGrid(self.lam, self.a, ys), tol)
-        # In real arithmetic, as numpy's in-place complex product rounds a
-        # long array otherwise than a short one. An overflowed sum or power
-        # may grow.
-        lead, v = self.coefficient(k_start) * self.lam**k_start, report.value
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = scale * lead.real, scale * lead.imag
-            v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
+        if _triple(*self._params).contour is None:
+            with np.errstate(over="ignore"):
+                scale = np.power(ys, self.a * k_start + self.b)
+            report = _sum_log_series_grid(_triple(*params).grow, _PowerGrid(self.lam, self.a, ys), tol)
+            # In real arithmetic, as numpy's in-place complex product rounds a
+            # long array otherwise than a short one. An overflowed sum or power
+            # may grow.
+            lead, v = self.coefficient(k_start) * self.lam**k_start, report.value
+            with np.errstate(over="ignore", invalid="ignore"):
+                re, im = scale * lead.real, scale * lead.imag
+                v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
+        else:
+            _check_series_args(tol)  # also where no y > 0 reaches kilbas_saigo
+            # y = 0 is z = 0, where kilbas_saigo sums one term; its value is
+            # the origin's.
+            size = ys.size
+            report = SeriesGridReport(np.zeros(size, dtype=complex), np.ones(size, dtype=np.int64),
+                                      np.zeros(size), np.ones(size, dtype=bool),
+                                      np.full(size, "series", dtype="<U7"))
+            inside = np.flatnonzero(ys)
+            _put(report, inside, *zip(*self.evaluate(ys[inside].tolist(), tol)))
+            y, v = ys[inside], report.value[inside]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(k_start):
+                    v -= self.coefficient(k) * self.lam**k * np.power(y, self.a * k + self.b)
+            report.value[inside] = v
         if origin is not None:
-            v[ys == 0.0] = origin
+            report.value[ys == 0.0] = origin
         return report
 
     def tail_at_origin(self, k_start: int, shift: float = 0.0) -> complex:

@@ -17,10 +17,10 @@ coefficient computation.
 This module imports only the standard library's math, cmath, operator, sys,
 threading, functools and typing: not numpy, so a scalar caller never pays
 for it, and not dataclasses (see KilbasSaigoParams). Every table row of the
-CLI is one kilbas_saigo call. The numpy form, series_grid.kilbas_saigo_grid,
-serves the solver's series tails along a ray z = lam * y**a: it sums the
-same series in numpy blocks, agreeing to rounding, and on a triple that
-takes the contour rule it calls kilbas_saigo at each point.
+CLI is one kilbas_saigo call, as is every tail point of a solver branch
+whose triple has a contour record (see _triple). series_grid's driver sums
+the other branches' tails along a ray z = lam * y**a: the same series and
+stopping rule over a numpy array, agreeing to rounding.
 
 All Gamma ratios are handled in log space; Gamma values themselves are never
 formed (they overflow past arguments of about 170).

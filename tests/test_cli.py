@@ -341,10 +341,10 @@ class TestVerify:
         assert "numeric_residual" in result.output
 
     def test_overflowing_tail_exits_3_with_its_table(self, runner):
-        # At lambda = -50 the residual's series tail (k_start >= 1) cancels
-        # and overflows; the residual is unmeasured, not a traceback.
-        args = self.GOOD[:12] + ["-50", "--points", "256"]
-        assert args[11] == "--lambda-re"
+        # At m = 1 and lambda = -50 the residual's series tail (k_start >= 1)
+        # cancels and overflows; the residual is unmeasured, not a traceback.
+        args = self.GOOD[:10] + ["1", "--lambda-re", "-50", "--points", "256"]
+        assert args[9] == "--m"
         result = runner.invoke(cli, args)
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
@@ -466,7 +466,7 @@ class TestJsonNonFinite:
         [
             (["fundamental", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2",
               "--m", "0.5", "--lambda-re", "-1", "--y-max", "1e200", "--points", "4"], "re_u", "nan"),
-            (["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "0",
+            (["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "1",
               "--lambda-re", "-50", "--points", "256"], "metric", "inf"),
         ],
         ids=["fundamental-overflow", "verify-overflow"],

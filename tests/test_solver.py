@@ -376,12 +376,15 @@ class TestSeriesSolution:
 # axis. Summed, it read 5.5e93 (converged) at y = 0.1 and about +-7e307
 # (unconverged) at y = 0.5 and 1.
 LAMBDA_MINUS_50 = make_problem(0.5, 0.5, 1.0, 1, lam=-50.0)
+# The same at m = 1: its branch is the triple (0.5, 3, 2), a series branch,
+# whose series cancels and overflows on the negative axis too.
+SERIES_MINUS_50 = make_problem(0.5, 0.5, 1.0, 1, m=1.0, lam=-50.0)
 
 
 class TestContourBranch:
-    """A whole branch is kilbas_saigo at its triple, contour rule included;
-    a tail is kilbas_saigo_grid at the shifted triple, which from
-    k_start > 0 sums the series."""
+    """A whole branch is kilbas_saigo at its triple, contour rule included.
+    A contour branch's tail is its printed value minus its head; a series
+    branch's tail is the grid driver at the shifted triple."""
 
     def test_branch_takes_the_contour_rule(self):
         mp = pytest.importorskip("mpmath").mp
@@ -411,18 +414,20 @@ class TestContourBranch:
                 assert_matches_pointwise(sol.evaluate(ys), points)
 
     def test_overflowing_tail_points_take_the_scalar_engine(self):
-        # A point whose terms pass exp(700) is summed by the scalar engine
-        # at z = lambda*y^a and keeps its report, field for field; no
-        # RuntimeWarning escapes the grid or the factor applied after it.
-        # The tail from 4 sums the coefficients of the shifted triple.
-        sol = fundamental_solution(LAMBDA_MINUS_50, 0)
+        # On a series branch, a point whose terms pass exp(700) is summed by
+        # the scalar engine at z = lambda*y^a and keeps its report, field for
+        # field; no RuntimeWarning escapes the grid or the factor applied
+        # after it. The tail from 2 (verify's) sums the coefficients of the
+        # shifted triple.
+        sol = fundamental_solution(SERIES_MINUS_50, 0)
         p = sol.kilbas_saigo_params()
-        shifted = KilbasSaigoParams(p.alpha, p.m, p.l + p.m * 4)
-        ys = np.linspace(0.0, 1.0, 257)
+        assert _triple(*p).contour is None
+        shifted = KilbasSaigoParams(p.alpha, p.m, p.l + p.m * 2)
+        ys = np.linspace(0.0, 2.0, 257)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = _sum_log_series_grid(_triple(*shifted).grow, _PowerGrid(sol.lam, sol.a, ys))
-            tail = sol.tail_grid_report(ys, 4)
+            tail = sol.tail_grid_report(ys, 2)
         overflowed = np.flatnonzero(grid.last_term_magnitude == math.inf)
         assert overflowed.size > 100
         for j in overflowed.tolist():
@@ -431,14 +436,23 @@ class TestContourBranch:
             assert got == ref[:4]
             assert (tail.terms_used[j], tail.converged[j]) == (ref.terms_used, False)
 
-    def test_tails_take_the_series(self):
+    def test_tail_is_the_printed_value_minus_its_head(self):
+        # Tail plus head is evaluate to rounding, on the contour rule at
+        # every K; y = 0 is z = 0, a series, valued as tail_at_origin.
         sol = fundamental_solution(LAMBDA_MINUS_50, 0)
         ys = np.linspace(0.0, 0.01, 65)
+        printed = sol.evaluate(ys[1:])
         for k_start in (0, 1, 3):
             grid = sol.tail_grid_report(ys, k_start)
             points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
             assert_matches_pointwise(grid, points)
-            assert ("contour" in grid.path.tolist()) == (k_start == 0)
+            assert grid.path.tolist() == ["series", *["contour"] * 64]
+            assert grid.value[0] == sol.tail_at_origin(k_start)
+            for y, tail, report in zip(ys[1:].tolist(), grid.value[1:].tolist(), printed):
+                head = [sol.coefficient(k) * sol.lam**k * y ** (sol.a * k + sol.b)
+                        for k in range(k_start)]
+                size = abs(report.value) + sum(map(abs, head))
+                assert abs(tail + sum(head) - report.value) <= 4 * sys.float_info.epsilon * size, y
 
     def test_cauchy_value_carries_the_branch_path(self):
         sol = cauchy_solution(LAMBDA_MINUS_50, [1.0])

@@ -33,11 +33,7 @@ from bihilfer import (
 )
 from bihilfer import DegenerateProblem, OrderTriple, fundamental_solution
 from bihilfer import special_functions
-from bihilfer.series_grid import (
-    _PowerGrid,
-    _sum_log_series_grid,
-    kilbas_saigo_grid,
-)
+from bihilfer.series_grid import _PowerGrid, _sum_log_series_grid
 from bihilfer.special_functions import (
     _CACHE_SIZE,
     _CONTOUR_H,
@@ -1247,8 +1243,12 @@ class TestContourPath:
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
         with pytest.raises(ValueError, match="tol must lie in"):
             kilbas_saigo(params, -8.0, tol)
-        with pytest.raises(ValueError, match="tol must lie in"):
-            kilbas_saigo_grid(params, _PowerGrid(-8.0, 1.0, np.ones(1)), tol)
+        # A contour branch's tail is its printed value, checked alike, also
+        # on a grid whose one point y = 0 calls no kilbas_saigo.
+        branch = fundamental_solution(DegenerateProblem(OrderTriple(0.5, 0.5, 1.0, 1), 0.0, -8.0), 0)
+        for ys in (np.ones(1), np.zeros(1)):
+            with pytest.raises(ValueError, match="tol must lie in"):
+                branch.tail_grid_report(ys, 0, tol)
 
     @pytest.mark.parametrize("x", [-1e-3, -3.0, -40.0])
     def test_folded_real_rule_matches_the_full_rule(self, x):
@@ -1263,8 +1263,7 @@ class TestContourPath:
 
     @pytest.mark.parametrize("alpha,l", [(0.5, 0.0), (0.3, -1.0), (0.9, -0.5), (0.05, -10.0)])
     def test_grid_nodes_are_the_scalar_nodes(self, alpha, l):
-        # The full rule and the folded one for real z; the grid reads its
-        # node arrays from these same tuples.
+        # The full rule and the folded one for real z.
         rules = _triple(alpha, 1.0, l).contour[1:3]
         assert [len(rule) for rule in rules] == [33, 17]
 
@@ -1412,7 +1411,7 @@ class TestPoleBranch:
         expected = _series_reference(triple[0], triple[2], z)
         assert report.path == "contour"
         assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
-        _assert_same_as_scalar_calls(params, [z], tol)
+        _scalar_calls(params, [z], tol)
 
     def test_estimate_covers_the_error(self):
         # Every point the rule can take, accepted or not, is within the
@@ -1454,29 +1453,20 @@ class TestPoleBranch:
         power = _triple(0.5, 1.0, 0.0).contour[2][0][0]
         z = complex(power.real)
         assert special_functions._contour_estimate(_triple(*params).contour, z) is None
-        assert [r.path for r in _assert_same_as_scalar_calls(params, [z])] == ["series"]
+        assert [r.path for r in _scalar_calls(params, [z])] == ["series"]
 
 
-def _grid_rows(grid):
-    """The SeriesEvalReports of a grid report, Python numbers in each field."""
-    return [SeriesEvalReport(*(f.item() for f in row)) for row in zip(*vars(grid).values())]
-
-
-def _assert_same_as_scalar_calls(params, zs, tol=1e-12):
-    """kilbas_saigo_grid on a contour triple, on the one-point ray through
-    each z (lam = z, y = 1), against kilbas_saigo at the ray's point z * 1.0,
-    which equals z (numpy may flip the sign of a zero part): every field,
-    path included, floats as bits. Returns the reports."""
+def _scalar_calls(params, zs, tol=1e-12):
+    """kilbas_saigo on a contour triple at every z: a report on the rule is
+    converged with its node count, and any other is the series'. Returns
+    the reports."""
     assert _triple(*params).contour is not None
-    rows, reports = [], []
-    for z in zs:
-        ray = _PowerGrid(complex(z), 1.0, np.ones(1))
-        point = (ray.lam * np.power(ray.ys, ray.a)).item()
-        assert point == z
-        rows += _grid_rows(kilbas_saigo_grid(params, ray, tol))
-        reports.append(kilbas_saigo(params, point, tol))
-    assert [(*_bits(r), r.path) for r in rows] == [(*_bits(r), r.path) for r in reports]
-    return rows
+    reports = [kilbas_saigo(params, z, tol) for z in zs]
+    for r in reports:
+        assert r.path in ("contour", "series")
+        if r.path == "contour":
+            assert r.converged and r.terms_used == _CONTOUR_NODES
+    return reports
 
 
 _routing_points = st.one_of(
@@ -1489,9 +1479,11 @@ _routing_points = st.one_of(
 
 
 class TestRoutingParity:
-    """kilbas_saigo_grid on contour triples against kilbas_saigo, bit for bit
-    and field by field, on points that take both paths. (On a series triple
-    the grid driver agrees to rounding: TestGridDriver.)"""
+    """kilbas_saigo on contour triples, on points that take both paths: which
+    path each takes and where the pole's residue is added. A contour
+    branch's tail is its printed value (TestContourBranch in test_solver);
+    on a series triple the grid driver agrees with the scalar engine to
+    rounding (TestGridDriver)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1500,7 +1492,7 @@ class TestRoutingParity:
         raw=st.lists(_routing_points, min_size=1, max_size=20),
         tol=st.sampled_from([1e-12, 1e-6, 1e-15, 1e-16]),
     )
-    def test_grid_equals_scalar_calls(self, alpha, alpha_l, raw, tol):
+    def test_contour_reports_are_converged(self, alpha, alpha_l, raw, tol):
         params = KilbasSaigoParams(alpha, 1.0, alpha_l / alpha)
         zs = []
         for z in raw:
@@ -1510,7 +1502,7 @@ class TestRoutingParity:
                 for _ in range(abs(ulps)):
                     z = complex(z.real, np.nextafter(z.imag, math.copysign(math.inf, ulps)))
             zs.append(complex(z))
-        _assert_same_as_scalar_calls(params, zs, tol)
+        _scalar_calls(params, zs, tol)
 
     def test_fixed_sector_sweep(self):
         # 25 triples with 0.05 < alpha < 0.99 and beta <= 1, 100 points each:
@@ -1538,7 +1530,7 @@ class TestRoutingParity:
                     for _ in range(abs(ulps)):
                         z = complex(z.real, np.nextafter(z.imag, math.copysign(math.inf, ulps)))
                 zs.append(z)
-            rows = _assert_same_as_scalar_calls(params, zs)
+            rows = _scalar_calls(params, zs)
             in_sector += sum(_reference_in_sector(alpha, z) for z in zs)
             assert "contour" in [r.path for r in rows]
             off = []
@@ -1548,7 +1540,7 @@ class TestRoutingParity:
                     x = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6.0, -1.0)
                 off.append(_off_sector_point(alpha, x if k % 4 == 0 else complex(x, rng.uniform(-1.5, 1.5))))
             assert not any(_reference_in_sector(alpha, z) for z in off)
-            pole_contour += [r.path for r in _assert_same_as_scalar_calls(params, off)].count("contour")
+            pole_contour += [r.path for r in _scalar_calls(params, off)].count("contour")
         assert in_sector >= 2000
         assert pole_contour >= 200
 
@@ -1573,7 +1565,7 @@ class TestRoutingParity:
         ]
         series = [0.0, _off_sector_point(alpha, 1.0), _off_sector_point(alpha, complex(1.6, -0.4))]
         zs = [contour[0], *series[:2], *contour[1:], series[2]]
-        rows = _assert_same_as_scalar_calls(params, zs)
+        rows = _scalar_calls(params, zs)
         assert [r.path for r in rows] == ["contour", "series", "series", *["contour"] * 7, "series"]
         beta = alpha * l + 1.0
         residues = [_reference_contour_pole(alpha, beta, z)[0] != 0 for z in contour]
@@ -1583,7 +1575,7 @@ class TestRoutingParity:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_same_path_at_the_exact_threshold(self, alpha):
         # The rounding bound decides only the path: find adjacent tol where
-        # the scalar call changes path, and the grid must change there too.
+        # the scalar call changes path.
         # The last five lie off the sector, their pole at d = -0.6 (on the
         # real axis and off it), d = 0.65, and d = -1, where the pole's
         # discretisation error and rounding bound are of a size, so the
@@ -1613,27 +1605,25 @@ class TestRoutingParity:
             assert kilbas_saigo(params, z, as_float(lo)).path == "series"
             assert kilbas_saigo(params, z, as_float(hi)).path == "contour"
             for tol in (as_float(lo), as_float(hi)):
-                _assert_same_as_scalar_calls(params, [z], tol)
+                _scalar_calls(params, [z], tol)
 
     @pytest.mark.parametrize("lam", [-50.0, -2.0 + 1.0j, 1.0j])
-    def test_power_grid_has_the_bits_of_its_points(self, lam):
-        # A solver tail hands the grid z = lam * y**a as a _PowerGrid; on a
-        # contour triple the rule takes the points lam * np.power(y, a), so
-        # both give every field bit for bit. y = 0 is z = 0, a series.
-        params = KilbasSaigoParams(0.5, 1.0, 0.0)
-        ray = _PowerGrid(lam, 0.5, np.linspace(0.0, 1.0, 65))
-        grid = kilbas_saigo_grid(params, ray)
-        zs = lam * np.power(ray.ys, ray.a)
-        points = [kilbas_saigo(params, z) for z in zs.tolist()]
-        assert [(*_bits(r), r.path) for r in _grid_rows(grid)] == [
-            (*_bits(r), r.path) for r in points
-        ]
-        assert grid.path.tolist() == ["series", *["contour"] * 64]
+    def test_whole_tail_has_the_bits_of_evaluate(self, lam):
+        # The branch of (0.5, 0.5, mu=1, i=1, m=0) is the contour triple
+        # (0.5, 1, 0); its tail from 0 is evaluate, every field bit for bit.
+        # y = 0 is z = 0, a series.
+        sol = fundamental_solution(DegenerateProblem(OrderTriple(0.5, 0.5, 1.0, 1), 0.0, lam), 0)
+        ys = np.linspace(0.0, 1.0, 65)
+        tail = sol.tail_grid_report(ys, 0)
+        rows = [SeriesEvalReport(*(f.item() for f in row)) for row in zip(*vars(tail).values())]
+        points = [kilbas_saigo(sol.kilbas_saigo_params(), 0.0), *sol.evaluate(ys[1:])]
+        assert [(*_bits(r), r.path) for r in rows] == [(*_bits(r), r.path) for r in points]
+        assert tail.path.tolist() == ["series", *["contour"] * 64]
 
     def test_mixed_table_uses_both_paths(self):
         # A table on both paths, as eval-ks writes one.
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
         zs = np.linspace(-8.0, 4.0, 1201) * np.exp(0.3j)
         zs = [*zs.tolist(), *np.linspace(-8.0, 4.0, 41).tolist(), 0.0, complex(-2.0, -0.0)]
-        rows = _assert_same_as_scalar_calls(params, zs)
+        rows = _scalar_calls(params, zs)
         assert {r.path for r in rows} == {"contour", "series"}

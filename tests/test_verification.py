@@ -23,6 +23,8 @@ from bihilfer import (
     residual_coefficient_identity,
     residual_numeric,
 )
+from bihilfer import special_functions
+from bihilfer.cli import RESIDUAL_THRESHOLD
 from bihilfer.special_functions import _sum_log_series, _triple
 from bihilfer.verification import _derivative_series, residual_min_points
 
@@ -252,15 +254,52 @@ class TestNumericResidual:
         assert report.max_rel_error <= 5e-3
 
     def test_overflowing_tail_is_unconverged(self):
-        # At lambda = -50 the tail from k_start = 4 is summed as a series
-        # that cancels and overflows; it cannot be sampled.
-        problem = make_problem(0.5, 0.5, 1.0, 1, lam=-50.0)
+        # At m = 1 and lambda = -50 the branch (0.5, 3, 2) is a series
+        # branch, and its tail from k_start = 2 is a series that cancels and
+        # overflows; it cannot be sampled.
+        problem = make_problem(0.5, 0.5, 1.0, 1, m=1.0, lam=-50.0)
         report = residual_numeric(problem, 0, n_points=256)
-        assert report.tail_start == 4
+        assert report.tail_start == 2
         assert not report.converged
         assert report.max_abs_error == report.max_rel_error == math.inf
         assert report.excluded_boundary_points == 2
         assert np.isnan(report.lhs).all()
+
+
+class TestContourResidual:
+    """A branch that takes the contour rule is sampled as the tables print
+    it: the residual's tail is evaluate minus its head, so verify witnesses
+    the contour rule. The branch of (0.5, 0.5, mu, i=1, m=0) is the triple
+    (0.5, 1, mu/2 - 1/2), on the rule."""
+
+    @pytest.mark.parametrize("mu", [1.0, 0.5])
+    @pytest.mark.parametrize("lam,y_max", [(-1.0, 4.0), (-20.0, 1.0), (-50.0, 1.0), (-2.0 + 3.0j, 4.0)])
+    def test_residual_passes(self, mu, lam, y_max):
+        # Sampled as the cancelling series of the shifted triple, the
+        # mu = 1 residual read 1.2e116 at -20 and 20.2 at -2+3i, and was
+        # inf at -50.
+        problem = make_problem(0.5, 0.5, mu, 1, lam=lam)
+        assert _triple(*fundamental_solution(problem, 0).kilbas_saigo_params()).contour is not None
+        report = residual_numeric(problem, 0, y_max=y_max, n_points=512)
+        assert report.converged
+        assert report.max_rel_error <= RESIDUAL_THRESHOLD
+
+    @pytest.mark.parametrize("mu", [1.0, 0.5])
+    def test_mutated_contour_value_moves_the_residual(self, mu, monkeypatch):
+        # Every contour value times 1 + 1e-5 moved the 4096-point residual
+        # at lambda = -1 from 2.2e-7 to 1.6e-5 (mu = 1) and from 1.3e-7 to
+        # 6.1e-6 (mu = 0.5).
+        problem = make_problem(0.5, 0.5, mu, 1, lam=-1.0)
+        base = residual_numeric(problem, 0, y_max=4.0, n_points=4096).max_rel_error
+        rule = special_functions._contour_estimate
+
+        def mutated(contour, z):
+            out = rule(contour, z)
+            return None if out is None else (out[0] * (1 + 1e-5), *out[1:])
+
+        monkeypatch.setattr(special_functions, "_contour_estimate", mutated)
+        moved = residual_numeric(problem, 0, y_max=4.0, n_points=4096).max_rel_error
+        assert moved > 10 * base
 
 
 class TestInitialConditions:
