@@ -8,15 +8,17 @@ Tables are written as CSV (RFC-4180-style quoting, ``#``-prefixed metadata
 lines before the header row) or schema-versioned JSON. Complex values are
 always split into real/imaginary columns. Exit codes: 0 success,
 1 validation error, 2 verification failure, 3 non-convergence.
+
+The command line is parsed by the standard library's argparse: each table
+is a fresh process, and start-up is most of what a small one costs.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import math
 import sys
-
-import click
 
 from . import __version__
 from .errors import DomainError
@@ -40,93 +42,33 @@ RESIDUAL_THRESHOLD = 5e-3
 IC_THRESHOLD = 1e-6
 
 
-class PhisType(click.ParamType):
-    """Initial data phi_0..phi_{i-1}: a comma-separated string on the command
-    line, or a JSON list of numbers in a config file."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors (a missing or malformed option, a bad config
+    file, an unknown or missing subcommand) are validation errors, so they
+    exit 1, not argparse's 2, which is EXIT_VERIFICATION here."""
 
-    name = "phis"
-
-    def convert(self, value, param, ctx):
-        parts = value.split(",") if isinstance(value, str) else value
-        try:
-            return [complex(float(part)) for part in parts]
-        except (TypeError, ValueError):
-            self.fail(f"must be comma-separated numbers or a list of numbers, got {value!r}",
-                      param, ctx)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-class CliGroup(click.Group):
-    """Click's usage errors (missing or malformed options, bad config files,
-    unknown or missing subcommands) are validation errors, so they exit 1,
-    not 2, whether the group or a subcommand raises them."""
-
-    def parse_args(self, ctx, args):
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_VALIDATION
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_VALIDATION
-            raise
-
-
-def _apply_config(ctx: click.Context, param: click.Parameter, path: "str | None") -> None:
-    """Load a flat JSON object into the defaults of every option; explicit
-    flags still win, and click type-checks the values as it does flags. A key
-    of another subcommand is accepted, so one file can feed several; a key
-    that no subcommand takes is refused."""
-    if path is None:
-        return
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
-            raise click.BadParameter(f"not valid JSON: {exc}", ctx, param)
-    if not isinstance(data, dict):
-        raise click.BadParameter("config file must contain a JSON object", ctx, param)
-    options = [p for cmd in ctx.find_root().command.commands.values() for p in cmd.params]
-    unknown = [key for key in data if key not in {p.name for p in options}]
-    if unknown:
-        raise click.BadParameter(f"no subcommand takes {', '.join(map(repr, unknown))}", ctx, param)
-    # Only a repeatable option (--z) or --phis takes a list; click's number
-    # types would raise TypeError on one.
-    lists = {p.name for p in options if p.multiple or isinstance(p.type, PhisType)}
-    scalar = [key for key, value in data.items() if isinstance(value, list) and key not in lists]
-    if scalar:
-        raise click.BadParameter(f"{', '.join(map(repr, scalar))} takes one value, not a list",
-                                 ctx, param)
-    ctx.default_map = {key: _flag_text(value) for key, value in data.items()}
-
-
-def _flag_text(value):
-    """A config value as the text a flag would carry, so that click refuses
-    what it refuses on the command line: 2.9 or true for an integer, true for
-    a number. Strings and null stay; a list (phis, --z) is converted item by
-    item."""
-    import json
-
-    if isinstance(value, list):
-        return [_flag_text(item) for item in value]
-    return value if value is None or isinstance(value, str) else json.dumps(value)
+def _phis(text: str) -> list[complex]:
+    """Initial data phi_0..phi_{i-1}, comma-separated."""
+    try:
+        return [complex(float(part)) for part in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}")
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
+def _check_tol(tol: float) -> None:
     """The series engine needs 0 < tol < 1; nan and inf are rejected too."""
     if not 0.0 < tol < 1.0:
         _fail(f"--tol must lie in (0, 1), got {tol}", EXIT_VALIDATION)
-    return tol
 
 
 def _open_out(out: "str | None") -> "io.TextIOBase | None":
@@ -163,7 +105,9 @@ def _write_table(command: str, meta: dict, columns: list[str], rows: list[list],
         # to the same bits.
         writer.writerows(rows)
         text = buf.getvalue()
-    click.echo(text, file=out, nl=not text.endswith("\n"))
+    # Flushed, so that the table comes before an error line in a stream that
+    # carries both.
+    print(text, end="" if text.endswith("\n") else "\n", file=out, flush=True)
     if out is not None:
         out.close()
 
@@ -213,61 +157,11 @@ def _check_grid(y_max: float, points: int, min_points: int = 1) -> None:
     _at_least("--points", points, min_points)
 
 
-def problem_options(fn):
-    fn = click.option("--alpha", type=float, required=True, help="Left order alpha.")(fn)
-    fn = click.option("--beta", type=float, required=True, help="Right order beta.")(fn)
-    fn = click.option("--mu", type=float, required=True, help="Interpolation weight in [0, 1].")(fn)
-    fn = click.option("--i", type=int, default=1, help="Integer order window index.")(fn)
-    fn = click.option("--m", type=float, default=0.0, help="Degeneracy exponent m >= 0.")(fn)
-    fn = click.option("--lambda-re", type=float, default=0.0, help="Re(lambda).")(fn)
-    fn = click.option("--lambda-im", type=float, default=0.0, help="Im(lambda).")(fn)
-    return fn
-
-
-def grid_options(fn):
-    fn = click.option("--y-max", type=float, default=1.0, help="Grid endpoint.")(fn)
-    fn = click.option("--points", type=int, default=512, help="Grid size.")(fn)
-    return fn
-
-
-def common_options(fn):
-    """Options every subcommand takes."""
-    fn = click.option("--tol", type=float, default=1e-12, callback=_check_tol,
-                      help="Truncation tolerance, 0 < tol < 1.")(fn)
-    fn = click.option(
-        "--format", type=click.Choice(["csv", "json"]), default="csv", help="Output format."
-    )(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")(fn)
-    fn = click.option(
-        "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
-        expose_value=False, callback=_apply_config,
-        help="JSON file with defaults for any option; explicit flags win.",
-    )(fn)
-    return fn
-
-
-@click.group(cls=CliGroup, context_settings={"show_default": True})
-@click.version_option(version=__version__, prog_name="bihilfer")
-def cli() -> None:
-    """Degenerate fractional equations with the bi-ordinal Hilfer derivative:
-    evaluate Kilbas-Saigo functions, build fundamental and Cauchy-type
-    solutions, and verify them independently."""
-
-
-@cli.command("eval-ks")
-@click.option("--alpha", type=float, required=True, help="Series order alpha > 0.")
-@click.option("--m", type=float, required=True, help="Series step m > 0.")
-@click.option("--l", type=float, required=True, help="Series shift l (alpha*l > -1).")
-@click.option("--z", type=float, multiple=True, help="Evaluation point; repeatable.")
-@click.option("--z-min", type=float, default=None, help="Grid start (with --z-max/--z-points).")
-@click.option("--z-max", type=float, default=None, help="Grid end.")
-@click.option("--z-points", type=int, default=41, help="Grid size.")
-@common_options
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
     from .special_functions import KilbasSaigoParams, kilbas_saigo
 
-    zs = list(z)
+    zs = z or []
     try:
         for flag, value in [("--z-min", z_min), ("--z-max", z_max)] + [("--z", v) for v in zs]:
             if value is not None and not math.isfinite(value):
@@ -304,11 +198,6 @@ def _solution_table(command: str, sol, meta: dict, y_max: float, points: int, to
     _exit_if_nonconverged(all(r.converged for r in reports))
 
 
-@cli.command("fundamental")
-@problem_options
-@click.option("--s", type=int, default=0, help="Branch index 0..i-1.")
-@grid_options
-@common_options
 def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, points, tol,
                     format, out):
     """Tabulate one fundamental solution u_s on (0, y_max]."""
@@ -333,11 +222,6 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
     _solution_table("fundamental", sol, meta, y_max, points, tol, format, out)
 
 
-@cli.command("solve")
-@problem_options
-@click.option("--phis", type=PhisType(), required=True, help="Initial data, i entries.")
-@grid_options
-@common_options
 def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, tol,
               format, out):
     """Tabulate the Cauchy-type solution with data phi_0..phi_{i-1}."""
@@ -366,14 +250,6 @@ def _check(name: str, branch, metric, threshold: float) -> dict:
             "status": "pass" if metric <= threshold else "fail"}
 
 
-@cli.command("verify")
-@problem_options
-@click.option("--s", type=int, default=None, help="Single branch (default: all).")
-@click.option("--k", type=int, default=200, help="Coefficient identity depth.")
-@click.option("--phis", type=PhisType(), default=None,
-              help="Initial data for the IC check (default 1,2,..).")
-@grid_options
-@common_options
 def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
                points, tol, format, out):
     """Run the verification suite; exit 0 only if every check passes."""
@@ -429,8 +305,188 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
         _fail(f"verification failed: {names}", EXIT_VERIFICATION)
 
 
+DESCRIPTION = ("Degenerate fractional equations with the bi-ordinal Hilfer derivative: evaluate "
+               "Kilbas-Saigo functions, build fundamental and Cauchy-type solutions, and verify "
+               "them independently.")
+
+# Each option as (flag, type, default, help). REQUIRED marks an option that
+# must be given, and a tuple of strings as the type lists its choices.
+REQUIRED = object()
+
+PROBLEM_OPTIONS = [
+    ("--alpha", float, REQUIRED, "Left order alpha."),
+    ("--beta", float, REQUIRED, "Right order beta."),
+    ("--mu", float, REQUIRED, "Interpolation weight in [0, 1]."),
+    ("--i", int, 1, "Integer order window index."),
+    ("--m", float, 0.0, "Degeneracy exponent m >= 0."),
+    ("--lambda-re", float, 0.0, "Re(lambda)."),
+    ("--lambda-im", float, 0.0, "Im(lambda)."),
+]
+GRID_OPTIONS = [
+    ("--y-max", float, 1.0, "Grid endpoint."),
+    ("--points", int, 512, "Grid size."),
+]
+COMMON_OPTIONS = [
+    ("--tol", float, 1e-12, "Truncation tolerance, 0 < tol < 1."),
+    ("--format", ("csv", "json"), "csv", "Output format."),
+    ("--out", str, None, "Output path (default stdout)."),
+    ("--config", str, None, "JSON file with defaults for any option; explicit flags win."),
+]
+
+COMMANDS = {
+    "eval-ks": (cmd_eval_ks, [
+        ("--alpha", float, REQUIRED, "Series order alpha > 0."),
+        ("--m", float, REQUIRED, "Series step m > 0."),
+        ("--l", float, REQUIRED, "Series shift l (alpha*l > -1)."),
+        ("--z", float, None, "Evaluation point; repeatable."),
+        ("--z-min", float, None, "Grid start (with --z-max/--z-points)."),
+        ("--z-max", float, None, "Grid end."),
+        ("--z-points", int, 41, "Grid size."),
+        *COMMON_OPTIONS,
+    ]),
+    "fundamental": (cmd_fundamental, [
+        *PROBLEM_OPTIONS,
+        ("--s", int, 0, "Branch index 0..i-1."),
+        *GRID_OPTIONS,
+        *COMMON_OPTIONS,
+    ]),
+    "solve": (cmd_solve, [
+        *PROBLEM_OPTIONS,
+        ("--phis", _phis, REQUIRED, "Initial data, i entries."),
+        *GRID_OPTIONS,
+        *COMMON_OPTIONS,
+    ]),
+    "verify": (cmd_verify, [
+        *PROBLEM_OPTIONS,
+        ("--s", int, None, "Single branch (default: all)."),
+        ("--k", int, 200, "Coefficient identity depth."),
+        ("--phis", _phis, None, "Initial data for the IC check (default 1,2,..)."),
+        *GRID_OPTIONS,
+        *COMMON_OPTIONS,
+    ]),
+}
+# Every option takes a value. A config file names an option by its flag
+# without the leading -- and with - turned into _ (lambda_re), and only --z
+# and --phis take a list there.
+VALUE_FLAGS = {flag for _, options in COMMANDS.values() for flag, *_ in options}
+CONFIG_KEYS = {flag[2:].replace("-", "_"): flag for flag in VALUE_FLAGS}
+LIST_FLAGS = ("--z", "--phis")
+
+
+def _parser(command: str) -> tuple[_Parser, dict[str, _Parser]]:
+    """The bihilfer parser and its subcommand parsers by name. Only the
+    parser of `command`, the one the command line names, gets its options:
+    no other parses anything, and the others would cost a process more
+    than its parse does. No flag is abbreviated, there is no -h, and --help
+    shows each default."""
+    parser = _Parser(prog="bihilfer", description=DESCRIPTION, add_help=False, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"bihilfer, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (run, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, add_help=False,
+                                  allow_abbrev=False)
+        for flag, kind, default, help in options if name == command else []:
+            required = default is REQUIRED
+            if required:
+                default, help = None, help + "  [required]"
+            elif default is not None:
+                help += "  [default: %(default)s]"
+            sub.add_argument(flag, default=default, required=required, help=help,
+                             action="append" if flag == "--z" else "store",
+                             **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser, commands.choices
+
+
+def _joined(tokens: list[str]) -> list[str]:
+    """tokens with each option and the value after it joined into one
+    `--flag=value`, so that argparse takes a value such as -inf or -1.7e308
+    as the value and not as an option."""
+    joined: list[str] = []
+    for token in tokens:
+        if joined and joined[-1] in VALUE_FLAGS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _with_config(tokens: list[str], commands: dict[str, _Parser]) -> list[str]:
+    """tokens with the values of the (last) --config file put in after the
+    subcommand name as the `--flag=value` tokens they stand for, so that
+    argparse checks them as it checks flags. A key whose flag is on the
+    command line is left out, so explicit flags win; a key of another
+    subcommand is accepted and left out, so one file can feed several; a
+    key that no subcommand takes, or a list for an option but --z and
+    --phis, is refused."""
+    parser = commands.get(tokens[0]) if tokens else None
+    paths = [token[len("--config="):] for token in tokens if token.startswith("--config=")]
+    if parser is None or not paths:
+        return tokens
+    import json
+
+    def refuse(message: str) -> None:
+        parser.error(f"argument --config: {message}")
+
+    try:
+        with open(paths[-1], "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        refuse(f"cannot read {paths[-1]}: {exc.strerror}")
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        refuse(f"not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        refuse("config file must contain a JSON object")
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        refuse(f"no subcommand takes {', '.join(map(repr, unknown))}")
+    scalar = [key for key, value in data.items()
+              if isinstance(value, list) and CONFIG_KEYS[key] not in LIST_FLAGS]
+    if scalar:
+        refuse(f"{', '.join(map(repr, scalar))} takes one value, not a list")
+    given = {token.partition("=")[0] for token in tokens}
+    takes = {flag for flag, *_ in COMMANDS[tokens[0]][1]}
+    added = []
+    for key, value in data.items():
+        flag = CONFIG_KEYS[key]
+        if value is None or flag in given or flag not in takes:
+            continue
+        # A number or boolean as its JSON text, so that it is refused where
+        # its flag is: 2.9 or true for an integer, true for a number.
+        texts = [item if isinstance(item, str) else json.dumps(item)
+                 for item in (value if isinstance(value, list) else [value])]
+        # --z repeats; a list of phis is one comma-separated --phis.
+        added += [f"--z={text}" for text in texts] if flag == "--z" else [f"{flag}={','.join(texts)}"]
+    return [tokens[0], *added, *tokens[1:]]
+
+
+class Cli:
+    """The bihilfer command line."""
+
+    name = "cli"
+
+    def main(self, args: "list[str] | None" = None, standalone_mode: bool = True) -> None:
+        """Parse args (sys.argv[1:] by default) and run the command. The
+        command returns when it succeeds; --help, --version, a usage error and
+        a failed command raise SystemExit with the exit code.
+        standalone_mode, click's flag, changes nothing: bench/child.py runs
+        commands in-process as main(args, standalone_mode=False)."""
+        tokens = _joined(sys.argv[1:] if args is None else list(args))
+        parser, commands = _parser(tokens[0] if tokens else "")
+        options = vars(parser.parse_args(_with_config(tokens, commands)))
+        run, _ = COMMANDS[options.pop("command")]
+        del options["config"]
+        _check_tol(options["tol"])
+        run(**options)
+
+
+cli = Cli()
+
+
 def main() -> None:
-    cli()
+    cli.main()
 
 
 if __name__ == "__main__":

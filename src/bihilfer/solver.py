@@ -220,6 +220,12 @@ class SeriesSolution:
         k = _check_index("k", k)
         return math.exp(_triple(*self._params).grow(k + 1)[k])
 
+    def _term_coefficient(self, k: int) -> complex:
+        """c_k lambda^k, the coefficient of y^(ak+b) in the branch: inf where
+        lambda^k passes the double range, so that a tail or head built on it
+        overflows as a tail whose sum does."""
+        return self.coefficient(k) * _power(self.lam, k)
+
     def evaluate_report(self, y: float, tol: float = DEFAULT_TOL) -> SeriesEvalReport:
         """evaluate at the one point y > 0 (b < 0 is singular at y = 0).
         Kept only because bench/child.py's trace wraps it (ROADMAP item 1)."""
@@ -277,7 +283,7 @@ class SeriesSolution:
             # In real arithmetic, as numpy's in-place complex product rounds a
             # long array otherwise than a short one. An overflowed sum or power
             # may grow.
-            lead, v = self.coefficient(k_start) * self.lam**k_start, report.value
+            lead, v = self._term_coefficient(k_start), report.value
             with np.errstate(over="ignore", invalid="ignore"):
                 re, im = scale * lead.real, scale * lead.imag
                 v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
@@ -294,7 +300,7 @@ class SeriesSolution:
             y, v = ys[inside], report.value[inside]
             with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(k_start):
-                    v -= self.coefficient(k) * self.lam**k * np.power(y, self.a * k + self.b)
+                    v -= self._term_coefficient(k) * np.power(y, self.a * k + self.b)
             report.value[inside] = v
         if origin is not None:
             report.value[ys == 0.0] = origin
@@ -309,7 +315,7 @@ class SeriesSolution:
         if lead > 0.0:
             return 0.0 + 0.0j
         if lead == 0.0:
-            return self.coefficient(k_start) * self.lam**k_start + 0.0j
+            return self._term_coefficient(k_start) + 0.0j
         raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
 

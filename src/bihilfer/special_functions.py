@@ -264,7 +264,7 @@ def _check_series_args(tol: float) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _power(y: float, p: float) -> float:
+def _power(y: "float | complex", p: float) -> "float | complex":
     """Python's y**p, inf where it overflows: the engine then reports the
     point unconverged."""
     try:

@@ -204,26 +204,34 @@ def residual_numeric(
     # sides carry w_0); the origin is filled in below.
     k0 = max(k1 - 1, 0)
     w_rhs = w.copy()
-    if k1 > 0:
-        w_rhs[1:] += sol.coefficient(k0) * sol.lam**k0 * ys[1:] ** (sol.a * k0 + sol.b)
-    rhs = problem.lam * ys**problem.m * w_rhs
-    # At the origin the m-power absorbs any singular head of the rhs tail:
-    # m + a*(k1-1) + b > 0 holds whenever the default shift puts the full
-    # series on the rhs, so the product has a plain limit there.
-    rhs[0] = 0.0 if problem.lam == 0 else problem.lam * sol.tail_at_origin(k0, problem.m)
-    compare, excluded = _compared_points(ys, y_max, orders.i)
-    abs_err = np.abs(lhs[compare] - rhs[compare])
-    rel_err = abs_err / np.maximum(np.abs(rhs[compare]), REL_FLOOR)
+    # A product past the double range is inf or nan, silently: its error is
+    # unmeasured and reported as infinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k1 > 0:
+            w_rhs[1:] += sol._term_coefficient(k0) * ys[1:] ** (sol.a * k0 + sol.b)
+        rhs = problem.lam * ys**problem.m * w_rhs
+        # At the origin the m-power absorbs any singular head of the rhs
+        # tail: m + a*(k1-1) + b > 0 holds whenever the default shift puts
+        # the full series on the rhs, so the product has a plain limit there.
+        rhs[0] = 0.0 if problem.lam == 0 else problem.lam * sol.tail_at_origin(k0, problem.m)
+        compare, excluded = _compared_points(ys, y_max, orders.i)
+        abs_err = np.abs(lhs[compare] - rhs[compare])
+        rel_err = abs_err / np.maximum(np.abs(rhs[compare]), REL_FLOOR)
     return ResidualReport(
         grid=ys,
         lhs=lhs,
         rhs=rhs,
-        max_abs_error=float(abs_err.max()),
-        max_rel_error=float(rel_err.max()),
+        max_abs_error=_worst(abs_err),
+        max_rel_error=_worst(rel_err),
         excluded_boundary_points=excluded,
         tail_start=k1,
         converged=converged,
     )
+
+
+def _worst(errors: np.ndarray) -> float:
+    """The largest error, inf if any is nan (an overflowed value)."""
+    return math.inf if np.isnan(errors).any() else float(errors.max())
 
 
 def _derivative_series(branch: SeriesSolution, j: int) -> "tuple[int, Callable]":

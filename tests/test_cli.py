@@ -1,18 +1,56 @@
 """CLI behavior: tables, formats, exit codes, validation messages."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import struct
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from bihilfer import KilbasSaigoParams, kilbas_saigo
 from bihilfer.cli import _linspace, _open_out, _write_table, cli
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout: str
+    stderr: str
+    exception: "SystemExit | None"  # how the command ended, None if it returned
+
+
+class _Capture(io.StringIO):
+    """One captured stream; each write also goes to the shared `both`."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs the CLI in this process with stdout and stderr captured. Any
+    exception but SystemExit propagates, so a traceback fails the test."""
+
+    def invoke(self, command, args):
+        both = io.StringIO()
+        out, err = _Capture(both), _Capture(both)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                command.main(args)
+            except SystemExit as exc:
+                exception = exc
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        return Result(code, both.getvalue(), out.getvalue(), err.getvalue(), exception)
 
 
 @pytest.fixture
@@ -354,6 +392,26 @@ class TestVerify:
         assert residual == [["numeric_residual", "0", "inf", "0.005", "fail"]]
         assert "did not converge" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--m", "1", "--lambda-re", "1e160"],
+         ["--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
+          "--lambda-re", "1e200"],
+         ["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "1e60"]],
+        ids=["lambda-power", "lambda-power-window-2", "rhs-product"],
+    )
+    def test_overflow_past_the_double_range_exits_3_with_its_table(self, runner, args):
+        # lambda^k raised OverflowError (exit 1 with a traceback); at 1e60
+        # numpy warned and the residual read nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, ["verify", *args, "--points", "8"])
+        assert result.exit_code == 3, result.output
+        _, _, rows = parse_csv(result.stdout)
+        residuals = [r for r in rows if r[0] == "numeric_residual"]
+        assert residuals and all(r[2:] == ["inf", "0.005", "fail"] for r in residuals)
+        assert result.stderr == "error: series evaluation did not converge during the residual check\n"
+
     HIGH_WINDOWS = {
         3: ["--alpha", "2.5", "--beta", "2.3", "--mu", "0.4", "--i", "3", "--m", "0.5",
             "--lambda-re", "-1.5"],
@@ -597,7 +655,7 @@ class TestConfigFile:
         result = runner.invoke(cli, ["fundamental", "--config", str(config)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert "Invalid value for" in result.output
+        assert "error: argument --" in result.output
 
     FUNDAMENTAL = ["fundamental", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--m", "0.5",
                    "--lambda-re", "-1"]
@@ -606,13 +664,12 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "args,values,message",
         [
-            (FUNDAMENTAL, {"i": 2.9, "points": 8.7}, "'2.9' is not a valid integer"),
-            (FUNDAMENTAL, {"points": 8.7}, "'8.7' is not a valid integer"),
-            (FUNDAMENTAL, {"i": True}, "'true' is not a valid integer"),
-            (EVAL_KS, {"alpha": 0.5, "m": True}, "'true' is not a valid float"),
-            (EVAL_KS, {"alpha": False, "m": 1}, "'false' is not a valid float"),
-            # Click's number types raise TypeError on a list; only --phis and
-            # the repeatable --z take one.
+            (FUNDAMENTAL, {"i": 2.9, "points": 8.7}, "invalid int value: '2.9'"),
+            (FUNDAMENTAL, {"points": 8.7}, "invalid int value: '8.7'"),
+            (FUNDAMENTAL, {"i": True}, "invalid int value: 'true'"),
+            (EVAL_KS, {"alpha": 0.5, "m": True}, "invalid float value: 'true'"),
+            (EVAL_KS, {"alpha": False, "m": 1}, "invalid float value: 'false'"),
+            # Only --phis and the repeatable --z take a list.
             (EVAL_KS, {"alpha": [1], "m": 1}, "'alpha' takes one value, not a list"),
             (FUNDAMENTAL, {"points": [4]}, "'points' takes one value, not a list"),
         ],

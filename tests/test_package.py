@@ -94,8 +94,9 @@ class TestImportFootprint:
     def test_startup_loads_no_numpy(self, args):
         # The script asserts it after the command exits; a failed assert
         # fails the child. json and csv are imported by the config reader
-        # and the table writer.
-        _loaded(_adds_none_of(["numpy", "json", "csv"], _command(*args)))
+        # and the table writer; argparse parses the command line, not click,
+        # which imports inspect.
+        _loaded(_adds_none_of(["numpy", "json", "csv", "click", "inspect"], _command(*args)))
 
     def test_eval_ks_loads_special_functions_only(self):
         # The scalar kernel alone: each row is one kilbas_saigo call.
@@ -124,7 +125,7 @@ class TestImportFootprint:
     def test_table_commands_load_no_numpy(self, args):
         # Each row is kilbas_saigo at one point; only verify's tails and
         # quadrature use numpy.
-        _loaded(_adds_none_of(["numpy"], _command(*args)))
+        _loaded(_adds_none_of(["numpy", "click", "inspect"], _command(*args)))
 
     def test_verify_loads_every_engine_module(self):
         loaded = _loaded(_command("verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",

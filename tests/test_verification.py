@@ -1,6 +1,7 @@
 """Tests for the verification checks themselves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,34 @@ class TestNumericResidual:
         assert report.max_abs_error == report.max_rel_error == math.inf
         assert report.excluded_boundary_points == 2
         assert np.isnan(report.lhs).all()
+
+    @pytest.mark.parametrize(
+        "problem",
+        [make_problem(0.5, 0.5, 1.0, 1, m=1.0, lam=1e160),
+         make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=1e200),
+         make_problem(0.5, 0.5, 1.0, 1, lam=-1e160)],
+        ids=["series-tail", "window-2", "contour-head"],
+    )
+    def test_overflowing_lambda_power_is_an_overflowed_tail(self, problem):
+        # lambda^k past the double range raised OverflowError from the series
+        # tail's leading factor (series-tail, window-2) or from the head that
+        # a contour branch's tail subtracts (contour-head); it is an
+        # overflowed tail now, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [residual_numeric(problem, s, n_points=8) for s in range(problem.orders.i)]
+        assert [(r.max_abs_error, r.max_rel_error, r.converged) for r in reports] == [
+            (math.inf, math.inf, False)] * problem.orders.i
+
+    def test_overflowing_rhs_is_unmeasured(self):
+        # At lambda = 1e60 the tail is finite but lambda y^m times it is not:
+        # numpy warned twice and the metric read nan.
+        problem = make_problem(0.5, 0.5, 1.0, 1, lam=1e60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = residual_numeric(problem, 0, n_points=8)
+        assert np.isfinite(report.lhs).all() and not np.isfinite(report.rhs).all()
+        assert report.max_abs_error == report.max_rel_error == math.inf
 
 
 class TestContourResidual:
