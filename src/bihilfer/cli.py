@@ -155,6 +155,9 @@ def _check_grid(y_max: float, points: int, min_points: int = 1) -> None:
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"--y-max must be positive and finite, got {y_max}")
     _at_least("--points", points, min_points)
+    if y_max / points == 0.0:
+        raise ValueError(f"the grid step --y-max / --points underflows to 0 "
+                         f"(--y-max {y_max}, --points {points})")
 
 
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):

@@ -9,12 +9,12 @@ shared, bounded Kilbas-Saigo cache. SeriesSolution.evaluate and
 CauchySolution.evaluate return a SeriesEvalReport per point y, the branch
 being y**b * kilbas_saigo(lam * y**a) by Python's pow, contour rule
 included; this module imports no numpy for them. A tail from k_start,
-tail_grid_report, comes from the values the tables print: on a branch
-whose triple may take the contour rule it is evaluate minus the head
-sum_{k < k_start}; on any other it is series_grid's driver along the ray
-lam * y**a at the shifted triple (alpha, m, l + m*k_start) times
-c_k_start lambda^k_start y^(a k_start + b). It imports numpy and
-series_grid when called.
+tail_grid_report, has the domain of its branch, y > 0, and comes from the
+values the tables print: on a branch whose triple may take the contour
+rule it is evaluate minus the head sum_{k < k_start}; on any other it is
+series_grid's driver along the ray lam * y**a at the shifted triple
+(alpha, m, l + m*k_start) times c_k_start lambda^k_start y^(a k_start + b).
+It imports numpy and series_grid when called.
 That the coefficients solve the equation is checked independently by
 verification.residual_coefficient_identity.
 """
@@ -248,7 +248,7 @@ class SeriesSolution:
     def evaluate_tail_report(
         self, y: float, k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesEvalReport:
-        """The tail from k_start at y >= 0: tail_grid_report at the one point.
+        """The tail from k_start at y > 0: tail_grid_report at the one point.
         Kept only because bench/child.py's trace wraps it (ROADMAP item 1)."""
         report = self.tail_grid_report([y], k_start, tol)
         return SeriesEvalReport(*(field.item() for field in vars(report).values()))
@@ -257,25 +257,24 @@ class SeriesSolution:
         self, ys: Iterable[float], k_start: int, tol: float = DEFAULT_TOL
     ) -> SeriesGridReport:
         """Series tail sum_{k >= K} c_k lambda^k y^{ak+b}, K = k_start, at every
-        grid point (at y = 0 too whenever aK + b >= 0), from the values the
-        tables print. On a branch whose triple may take the contour rule it
-        is evaluate(ys) minus the head sum_{k < K}, path included, and K = 0
-        is evaluate bit for bit. On any other branch the product defining c_k
-        telescopes from K, so the tail is c_K lambda^K y^(aK+b) times the
-        series of _tail_params(K) summed along the ray z = lambda y^a by the
-        grid driver: kilbas_saigo's to rounding."""
+        y > 0 of ys, from the values the tables print. On a branch whose
+        triple may take the contour rule it is evaluate(ys) minus the head
+        sum_{k < K}, path included, and K = 0 is evaluate bit for bit. On any
+        other branch the product defining c_k telescopes from K, so the tail
+        is c_K lambda^K y^(aK+b) times the series of _tail_params(K) summed
+        along the ray z = lambda y^a by the grid driver: kilbas_saigo's to
+        rounding."""
         import numpy as np
 
-        from .series_grid import SeriesGridReport, _PowerGrid, _put, _sum_log_series_grid
+        from .series_grid import SeriesGridReport, _PowerGrid, _sum_log_series_grid
 
         ys = np.asarray(ys, dtype=float)
         if ys.ndim != 1:
             raise ValueError(f"need a 1-d grid of y, got shape {ys.shape}")
-        ok = (ys >= 0.0) & (ys < math.inf)
+        ok = (ys > 0.0) & (ys < math.inf)
         if not ok.all():
-            raise DomainError(f"evaluation requires finite y >= 0, got y={float(ys[~ok][0])}")
+            _check_grid(ys[~ok][:1])  # raises evaluate's DomainError
         params = self._tail_params(k_start)
-        origin = self.tail_at_origin(k_start) if (ys == 0.0).any() else None
         if _triple(*self._params).contour is None:
             with np.errstate(over="ignore"):
                 scale = np.power(ys, self.a * k_start + self.b)
@@ -287,36 +286,17 @@ class SeriesSolution:
             with np.errstate(over="ignore", invalid="ignore"):
                 re, im = scale * lead.real, scale * lead.imag
                 v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
-        else:
-            _check_series_args(tol)  # also where no y > 0 reaches kilbas_saigo
-            # y = 0 is z = 0, where kilbas_saigo sums one term; its value is
-            # the origin's.
-            size = ys.size
-            report = SeriesGridReport(np.zeros(size, dtype=complex), np.ones(size, dtype=np.int64),
-                                      np.zeros(size), np.ones(size, dtype=bool),
-                                      np.full(size, "series", dtype="<U7"))
-            inside = np.flatnonzero(ys)
-            _put(report, inside, *zip(*self.evaluate(ys[inside].tolist(), tol)))
-            y, v = ys[inside], report.value[inside]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(k_start):
-                    v -= self._term_coefficient(k) * np.power(y, self.a * k + self.b)
-            report.value[inside] = v
-        if origin is not None:
-            report.value[ys == 0.0] = origin
+            return report
+        _check_series_args(tol)  # also on an empty grid, which calls no kilbas_saigo
+        rows = self.evaluate(ys.tolist(), tol)
+        fields = zip(*rows) if rows else [()] * 5
+        report = SeriesGridReport(*(np.array(field, dtype=dtype) for field, dtype in
+                                    zip(fields, (complex, np.int64, float, bool, "<U7"))))
+        v = report.value
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k_start):
+                v -= self._term_coefficient(k) * np.power(ys, self.a * k + self.b)
         return report
-
-    def tail_at_origin(self, k_start: int, shift: float = 0.0) -> complex:
-        """Limit at y -> 0+ of y^shift times the tail from k_start: zero when
-        its leading exponent shift + a*k_start + b is positive, the leading
-        term c_{k_start} lambda^{k_start} when it is zero."""
-        k_start = _check_index("k_start", k_start)
-        lead = shift + self.a * k_start + self.b
-        if lead > 0.0:
-            return 0.0 + 0.0j
-        if lead == 0.0:
-            return self._term_coefficient(k_start) + 0.0j
-        raise DomainError(f"tail is singular at y = 0 (leading exponent {lead})")
 
 
 def _check_grid(ys: Iterable[float]) -> list[float]:

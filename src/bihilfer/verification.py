@@ -125,7 +125,10 @@ def residual_coefficient_identity(
 def _default_tail_start(sol: SeriesSolution) -> int:
     """Shift the numeric residual to the series tail whose inner integral
     has exponent at least i + 3/4, so the grid derivative meets no
-    singularity worse than its own accuracy order."""
+    singularity worse than its own accuracy order. The shift is at least 1
+    (at k = 0 the exponent is s + 3/4 < i + 3/4); it puts the tail's leading
+    exponent at 3/4 + i - (1-mu)(i-beta) or above and the right-hand side's
+    at 3/4 + mu(i-alpha) or above, so both vanish at y = 0."""
     orders = sol.problem.orders
     k1 = 0
     while sol.a * k1 + sol.b + orders.inner_order - orders.i < 0.75:
@@ -173,7 +176,8 @@ def residual_numeric(
     k = tail_start avoids sampling the near-origin singular head, whose
     unbounded derivatives would otherwise drown the quadrature in scheme
     error; it is the smallest k that makes the composed scheme's accuracy
-    order reach ~2, recorded in the report.
+    order reach ~2, recorded in the report. Like its branch, the tail is
+    sampled at y > 0 only; at y = 0 both sides are 0.
 
     Rounding floor: the order-i derivative amplifies the quadrature's rounding
     of about 1e-15 * max|I f| by h^-i, so past some grid size the residual
@@ -190,8 +194,10 @@ def residual_numeric(
     k1 = _default_tail_start(sol)
     h = y_max / n_points
     ys = h * np.arange(n_points + 1)
-    tail = sol.tail_grid_report(ys, k1, tol)
-    w, converged = tail.value, bool(tail.converged.all())
+    # w(0) = 0, see _default_tail_start.
+    tail = sol.tail_grid_report(ys[1:], k1, tol)
+    w = np.concatenate(([0j], tail.value))
+    converged = bool(tail.converged.all())
     del tail  # its per-point metadata need not live through the quadrature
     if not np.isfinite(w).all():
         # An overflowed tail cannot be sampled: the residual is unmeasured,
@@ -200,20 +206,13 @@ def residual_numeric(
         excluded = _compared_points(ys, y_max, orders.i)[1]
         return ResidualReport(ys, unknown, unknown.copy(), math.inf, math.inf, excluded, k1, False)
     lhs = hilfer_numeric(SampledFunction(h, w), orders).values
-    # The rhs tail w_{k1-1} is w_{k1} plus one head term (at k1 = 0 both
-    # sides carry w_0); the origin is filled in below.
-    k0 = max(k1 - 1, 0)
+    # The rhs tail w_{k1-1} is w_{k1} plus one head term.
     w_rhs = w.copy()
     # A product past the double range is inf or nan, silently: its error is
     # unmeasured and reported as infinite.
     with np.errstate(over="ignore", invalid="ignore"):
-        if k1 > 0:
-            w_rhs[1:] += sol._term_coefficient(k0) * ys[1:] ** (sol.a * k0 + sol.b)
+        w_rhs[1:] += sol._term_coefficient(k1 - 1) * ys[1:] ** (sol.a * (k1 - 1) + sol.b)
         rhs = problem.lam * ys**problem.m * w_rhs
-        # At the origin the m-power absorbs any singular head of the rhs
-        # tail: m + a*(k1-1) + b > 0 holds whenever the default shift puts
-        # the full series on the rhs, so the product has a plain limit there.
-        rhs[0] = 0.0 if problem.lam == 0 else problem.lam * sol.tail_at_origin(k0, problem.m)
         compare, excluded = _compared_points(ys, y_max, orders.i)
         abs_err = np.abs(lhs[compare] - rhs[compare])
         rel_err = abs_err / np.maximum(np.abs(rhs[compare]), REL_FLOOR)
@@ -277,10 +276,11 @@ def _series_derivative_at(series: list, j: int, y: float, tol: float) -> complex
 
 def _aitken(g0: complex, g1: complex, g2: complex) -> complex:
     """Three-point Richardson step for geometrically spaced samples."""
-    denom = (g2 - g1) - (g1 - g0)
+    step = g2 - g1
+    denom = step - (g1 - g0)
     if abs(denom) <= 1e-14 * max(abs(g0), abs(g1), abs(g2), 1e-300):
         return g2
-    return g2 - (g2 - g1) ** 2 / denom
+    return g2 - step * step / denom  # a complex ** 2 past the double range raises
 
 
 def initial_condition_check(
@@ -288,7 +288,8 @@ def initial_condition_check(
     phis: "list[complex] | tuple[complex, ...]",
     tol: float = DEFAULT_TOL,
 ) -> list[float]:
-    """|extrapolated limit - phi_j| for j = 0..i-1.
+    """|extrapolated limit - phi_j| for j = 0..i-1, inf where a sum
+    overflows or does not converge.
 
     The weighted series g(y) = y^{(1-mu)(i-beta)} u(y) is differentiated
     termwise (exact), sampled at IC_POINTS and driven to y -> 0+ by a
@@ -299,5 +300,7 @@ def initial_condition_check(
         series = [(weight, branch, *_derivative_series(branch, j))
                   for weight, branch in zip(sol.weights, sol.branches) if weight != 0]
         samples = [_series_derivative_at(series, j, y, tol) for y in IC_POINTS]
-        errors.append(float(abs(_aitken(*samples) - phi)))
+        error = abs(_aitken(*samples) - phi)
+        # An overflowed or unconverged sum leaves the limit unmeasured: inf.
+        errors.append(math.inf if math.isnan(error) else error)
     return errors

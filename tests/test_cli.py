@@ -487,6 +487,53 @@ class TestVerify:
         assert "beta" in result.output
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "1e60"],
+         ["--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
+          "--lambda-re", "1e100"],
+         ["--alpha", "2.5", "--beta", "2.3", "--mu", "0.4", "--i", "3", "--m", "0.5",
+          "--lambda-re", "1e110"]],
+        ids=["window-1", "window-2", "window-3"],
+    )
+    def test_overflowed_initial_condition_reads_inf(self, runner, args):
+        # An initial-condition row whose sums overflow read nan; at i = 3 the
+        # extrapolation raised OverflowError (exit 1 with a traceback).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, ["verify", *args, "--points", "16"])
+        assert result.exit_code == 3, result.output
+        _, _, rows = parse_csv(result.stdout)
+        ic = [r for r in rows if r[0] == "initial_condition"]
+        assert ic and all(r[2:] == ["inf", "1e-06", "fail"] for r in ic)
+
+
+class TestUnderflowingStep:
+    """A grid step y_max / points that underflows to 0 is a validation error,
+    refused before --out is opened."""
+
+    PROBLEM = ["--alpha", "0.5", "--beta", "0.5", "--mu", "1"]
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("fundamental", []), ("solve", ["--phis", "1"]), ("verify", [])],
+        ids=["fundamental", "solve", "verify"],
+    )
+    def test_zero_step_exit_1(self, runner, tmp_path, command, extra):
+        # fundamental and solve raised DomainError at y = 0, verify
+        # ValueError in the quadrature: exit 1 with a traceback, after
+        # fundamental and solve had opened --out.
+        out = tmp_path / "table.csv"
+        args = [command, *self.PROBLEM, *extra, "--y-max", "1e-320", "--points", "100000",
+                "--out", str(out)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == ("error: the grid step --y-max / --points underflows to 0 "
+                                 "(--y-max 1e-320, --points 100000)\n")
+        assert not out.exists()
+
+
 class TestJsonRoundTrip:
     def test_verify_report_round_trips_bitwise(self, runner, tmp_path):
         out = tmp_path / "report.json"

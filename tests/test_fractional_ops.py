@@ -345,8 +345,8 @@ class TestFftConvolution:
     @pytest.mark.parametrize("s", [0, 1])
     def test_matches_direct_sum_on_verify_problem(self, s):
         # The inner integral of `verify` (hilfer_numeric's first stage) on
-        # the series tail it samples, checked pointwise on the residual
-        # window [y_max/4, y_max].
+        # the series tail it samples, 0 at the origin, checked pointwise on
+        # the residual window [y_max/4, y_max].
         problem = DegenerateProblem(
             orders=OrderTriple(alpha=1.5, beta=1.25, mu=0.5, i=2), m=0.5, lam=complex(-2.0, 1.0)
         )
@@ -354,7 +354,8 @@ class TestFftConvolution:
         k1 = _default_tail_start(sol)
         n, y_max = 8192, 2.0
         ys = (y_max / n) * np.arange(n + 1)
-        f = SampledFunction(y_max / n, sol.tail_grid_report(ys, k1).value)
+        tail = sol.tail_grid_report(ys[1:], k1).value
+        f = SampledFunction(y_max / n, np.concatenate(([0j], tail)))
         nu = problem.orders.inner_order
         ref = direct_rl_integral(f, nu)
         got = rl_integral_numeric(f, nu).values
@@ -466,11 +467,12 @@ class TestHilferNumeric:
 
     def test_constant_solution_zero_residual(self):
         # At lambda = 0 the Caputo branch (b_0 = 0) is u = 1, and its tail
-        # from k = 0 samples it; the operator takes it to lambda y^m u = 0.
+        # from k = 0 samples it at y > 0, its limit 1 at the origin; the
+        # operator takes it to lambda y^m u = 0.
         problem = DegenerateProblem(orders=OrderTriple(alpha=0.5, beta=0.5, mu=1.0, i=1), m=0.0, lam=0.0)
         n = 256
         ys = (1.0 / n) * np.arange(n + 1)
-        u = fundamental_solution(problem, 0).tail_grid_report(ys, 0).value
+        u = np.concatenate(([1.0 + 0j], fundamental_solution(problem, 0).tail_grid_report(ys[1:], 0).value))
         assert (u == 1.0).all()
         out = hilfer_numeric(SampledFunction(1.0 / n, u), problem.orders)
         assert np.allclose(out.values, 0.0, atol=1e-12)

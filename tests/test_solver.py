@@ -225,15 +225,32 @@ class TestSeriesSolution:
             lambda: cauchy.evaluate(grid),
         ]
         for call in calls:
-            with pytest.raises(DomainError, match=f"requires finite y >=? 0, got y={y}"):
+            with pytest.raises(DomainError, match=f"requires finite y > 0, got y={y}"):
                 call()
 
     def test_grid_rejects_what_pointwise_rejects(self):
         sol = fundamental_solution(CAPUTO_HALF, 0)
         with pytest.raises(DomainError, match=r"y > 0, got y=0.0"):
             sol.evaluate(np.array([0.5, 0.0]))
-        with pytest.raises(DomainError, match=r"y >= 0, got y=-0.5"):
-            sol.tail_grid_report(np.array([0.0, -0.5]), 1)
+        with pytest.raises(DomainError, match=r"y > 0, got y=-0.5"):
+            sol.tail_grid_report(np.array([0.5, -0.5]), 1)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0], ids=["contour", "series"])
+    def test_tail_refuses_the_origin_as_its_branch_does(self, m):
+        # A branch is singular at y = 0 when b < 0; its tails share its
+        # domain, y > 0, and its message.
+        sol = fundamental_solution(make_problem(0.5, 0.5, 1.0, 1, m=m, lam=-1.0), 0)
+        calls = [
+            lambda: sol.evaluate([0.5, 0.0]),
+            lambda: sol.tail_grid_report(np.array([0.5, 0.0]), 1),
+            lambda: sol.evaluate_tail_report(0.0, 1),
+        ]
+        messages = []
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["evaluation requires finite y > 0, got y=0.0"] * 3
 
     @pytest.mark.parametrize("shape", [(), (2, 1)], ids=["0-d", "2-d"])
     @pytest.mark.parametrize(
@@ -258,18 +275,18 @@ class TestSeriesSolution:
             sol.evaluate_tail_report(0.5, -1)
         with pytest.raises(ValueError, match="start must be >= 0"):
             sol.tail_grid_report(np.array([0.5]), -1)
-        with pytest.raises(ValueError, match="k_start must be >= 0"):
-            sol.evaluate_tail_report(0.0, -1)
+        with pytest.raises(ValueError, match="^k_start must be >= 0"):
+            sol.evaluate_tail_report(1.0, -1)
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda sol: sol.tail_grid_report(np.array([0.5]), 1.5),
-            lambda sol: sol.tail_grid_report(np.array([0.0]), 2.0),
-            lambda sol: sol.tail_at_origin(1.5),
+            lambda sol: sol.tail_grid_report(np.array([1.0]), 2.0),
+            lambda sol: sol.evaluate_tail_report(0.5, 1.5),
             lambda sol: sol.coefficient(1.5),
         ],
-        ids=["tail", "tail-origin", "tail-at-origin", "coefficient"],
+        ids=["tail", "tail-integral-float", "tail-report", "coefficient"],
     )
     def test_non_integer_series_start_rejected(self, call):
         # A float index used to reach the coefficient cache, which raised
@@ -322,7 +339,7 @@ class TestSeriesSolution:
         problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
         for s, k_start in [(0, 1), (1, 0), (1, 3)]:
             sol = fundamental_solution(problem, s)
-            ys = np.linspace(0.0, 2.0, 1025)
+            ys = np.linspace(0.0, 2.0, 1025)[1:]
             grid = sol.tail_grid_report(ys, k_start)
             points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
             assert_matches_pointwise(grid, points)
@@ -332,7 +349,7 @@ class TestSeriesSolution:
         # The grid driver sums 512-point chunks; these grids end mid-chunk.
         problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
         sol = fundamental_solution(problem, 0)
-        ys = np.linspace(0.0, 2.0, n)
+        ys = np.linspace(0.0, 2.0, n + 1)[1:]
         grid = sol.tail_grid_report(ys, 2)
         assert_matches_pointwise(grid, [sol.evaluate_tail_report(float(y), 2) for y in ys])
 
@@ -342,7 +359,7 @@ class TestSeriesSolution:
         # term; the scalar engine at each z = lambda*y^a, times the factor
         # y^(a k + b) lambda^k, is its reference.
         problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=lam)
-        ys = np.concatenate([[0.0, 1e-9, 1e-6, 3e-4, 9e-4], np.linspace(1e-3, 2.0, 257)])
+        ys = np.concatenate([[1e-9, 1e-6, 3e-4, 9e-4], np.linspace(1e-3, 2.0, 257)])
         for s in range(2):
             sol = fundamental_solution(problem, s)
             for k_start in (1, 2, 3):
@@ -365,10 +382,8 @@ class TestSeriesSolution:
             sol.coefficient(k) * problem.lam**k * y ** (sol.a * k + sol.b)
             for k in range(3)
         )
-        tail, origin = sol.tail_grid_report([y, 0.0], 3).value
+        (tail,) = sol.tail_grid_report([y], 3).value
         assert abs((head + tail) - full) <= 1e-12 * abs(full)
-        # at the origin the tail vanishes once its leading exponent is positive
-        assert origin == 0.0
 
 
 # E_{1/2}(-50 sqrt y) = exp(2500 y) erfc(50 sqrt y): an m = 0 problem, so its
@@ -423,7 +438,7 @@ class TestContourBranch:
         p = sol.kilbas_saigo_params()
         assert _triple(*p).contour is None
         shifted = KilbasSaigoParams(p.alpha, p.m, p.l + p.m * 2)
-        ys = np.linspace(0.0, 2.0, 257)
+        ys = np.linspace(0.0, 2.0, 257)[1:]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = _sum_log_series_grid(_triple(*shifted).grow, _PowerGrid(sol.lam, sol.a, ys))
@@ -438,17 +453,16 @@ class TestContourBranch:
 
     def test_tail_is_the_printed_value_minus_its_head(self):
         # Tail plus head is evaluate to rounding, on the contour rule at
-        # every K; y = 0 is z = 0, a series, valued as tail_at_origin.
+        # every K.
         sol = fundamental_solution(LAMBDA_MINUS_50, 0)
-        ys = np.linspace(0.0, 0.01, 65)
-        printed = sol.evaluate(ys[1:])
+        ys = np.linspace(0.0, 0.01, 65)[1:]
+        printed = sol.evaluate(ys)
         for k_start in (0, 1, 3):
             grid = sol.tail_grid_report(ys, k_start)
             points = [sol.evaluate_tail_report(float(y), k_start) for y in ys]
             assert_matches_pointwise(grid, points)
-            assert grid.path.tolist() == ["series", *["contour"] * 64]
-            assert grid.value[0] == sol.tail_at_origin(k_start)
-            for y, tail, report in zip(ys[1:].tolist(), grid.value[1:].tolist(), printed):
+            assert grid.path.tolist() == ["contour"] * 64
+            for y, tail, report in zip(ys.tolist(), grid.value.tolist(), printed):
                 head = [sol.coefficient(k) * sol.lam**k * y ** (sol.a * k + sol.b)
                         for k in range(k_start)]
                 size = abs(report.value) + sum(map(abs, head))
