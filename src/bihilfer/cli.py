@@ -151,13 +151,22 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return zs
 
 
-def _check_grid(y_max: float, points: int, min_points: int = 1) -> None:
+def _check_grid(y_max: float, points: int, min_points: int = 1, order: int = 0) -> None:
+    """A grid of `points` steps up to y_max, on which a grid derivative of
+    `order` divides by step**order."""
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"--y-max must be positive and finite, got {y_max}")
     _at_least("--points", points, min_points)
-    if y_max / points == 0.0:
+    step = y_max / points
+    if step == 0.0:
         raise ValueError(f"the grid step --y-max / --points underflows to 0 "
                          f"(--y-max {y_max}, --points {points})")
+    try:
+        step**-order
+    except OverflowError:
+        raise ValueError(f"the grid step --y-max / --points is too small for a derivative "
+                         f"of order {order}: step**-{order} overflows "
+                         f"(--y-max {y_max}, --points {points})") from None
 
 
 def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
@@ -265,7 +274,7 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
     )
 
     try:
-        _check_grid(y_max, points, residual_min_points(i))
+        _check_grid(y_max, points, residual_min_points(i), i)
         _at_least("--k", k, 1)
         problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
         if s is not None:

@@ -7,12 +7,12 @@ stopping rule, written out in two loops, one for real z and one for complex
 z. Every sum starts at c_0 = 1 (a tail from index K is the triple
 (alpha, m, l + m*K)). Where the series cancels, at m = 1,
 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid rule on a
-Laplace-inversion contour instead (_contour_estimate), plus the residue of
-the one pole right of the contour where |arg z| < alpha*pi, whenever the
-rule's error estimate meets tol. The Mittag-Leffler routine exists purely as
-an independent cross-check for the m = 1 reductions of E_{alpha,m,l}; it
-always takes the series engine (and so the truncation rule) but not the
-coefficient computation.
+Laplace-inversion contour instead (_contour_estimate), corrected where
+|arg z| < alpha*pi by the exact trapezoid error of the one pole, residue
+included, whenever the rule's error estimate meets tol. The Mittag-Leffler
+routine exists purely as an independent cross-check for the m = 1
+reductions of E_{alpha,m,l}; it always takes the series engine (and so the
+truncation rule) but not the coefficient computation.
 
 This module imports only the standard library's math, cmath, operator, sys,
 threading, functools and typing: not numpy, so a scalar caller never pays
@@ -409,7 +409,8 @@ def _contour_node_tuples(alpha: float, l: float) -> "tuple[float, tuple, tuple, 
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z) is Gamma(beta)/(2 pi i)
     times the integral of e^s s^(alpha-beta)/(s^alpha - z) along the contour
-    (plus the residue of _contour_estimate off the sector), so the rule is
+    (plus the pole's residue off the sector where the pole lies right of
+    it; see _contour_estimate), so the rule is
     sum_k w_k/(s_k^alpha - z) with
     w_k = Gamma(beta) (h mu/pi) (1 + iu_k) e^(s_k) s_k^(alpha-beta). Node k's
     term inherits the absolute rounding of s_k through e^(s_k): the rounding
@@ -440,44 +441,53 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
     which cmath.phase equals but for raising OverflowError where the angle
     underflows, at z = 2 + 5e-324j.) Off it, the one root is
     s* = exp(Log z/alpha), and the rule cannot take z where e^(s*) is past
-    the double range or s* lies on the contour. In the rule's variable u
-    the pole lies at Im u = d = 1 - Re sqrt(s*/mu). For d < 0 it lies right
-    of the contour, so deforming the Bromwich line onto the contour passes
-    it and its residue r = Gamma(beta) s*^(1-beta) e^(s*)/alpha is added;
-    for d >= 0 nothing is added. Either way the trapezoid rule misses the
-    integral by about |r| q/(1 - q), q = exp(-2 pi |d|/h); twice that is
-    the pole's error. The rounding of r: Log z/alpha carries
-    eps (1 + |log s*|) relative error into s*, and e^(s*) turns
-    eps |s*| (2 + |log s*|) of absolute error in its exponent into relative
-    error of r.
+    the double range. Its residue is r = Gamma(beta) s*^(1-beta) e^(s*)/alpha,
+    and in the rule's variable u it lies at u* = i (1 - w*),
+    w* = sqrt(s*/mu), so Im u* = d = 1 - Re w*. The trapezoid sum T of the
+    nodes misses the integral by the pole's Fourier terms, a geometric
+    series (Poisson summation; Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385), which the correction subtracts exactly: for d > 0 (pole left of
+    the contour) the value is T - r rho/(1 - rho), rho = exp(2 pi i u*/h);
+    otherwise it is T + r/(1 - rho), rho = exp(-2 pi i u*/h), the residue
+    included. Both are one formula, |rho| = exp(-2 pi |d|/h) <= 1, and the
+    rule cannot take z where 1 - rho = 0 or s* lies on a node. The
+    correction's rounding: Log z/alpha carries eps (1 + |log s*|) relative
+    error into s*, and e^(s*) turns eps |s*| (2 + |log s*|) of absolute
+    error in its exponent into relative error of r, divided by |1 - rho|;
+    rho's exponent carries (2 pi/h) eps (|w*| (2 + |log s*|) + |u*|),
+    times |r| |rho|/|1 - rho|^2.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value and the rounding bound
-    sum_k eps (1 + |s_k|) |t_k| are running sums in node order; the residue
-    and its rounding bound are added after them (exact zeros where nothing
-    is added, which leave the bits as they are). The estimate is that bound
-    plus the outermost node's contribution plus the pole's error.
+    sum_k eps (1 + |s_k|) |t_k| are running sums in node order; the
+    correction and its rounding bound are added after them (exact zeros in
+    the sector, which leave the bits as they are). The estimate is that
+    bound plus the outermost node's contribution.
     """
     if z == 0 or not cmath.isfinite(z):
         return None
     alpha, full, half, beta, log_gamma = contour
-    residue, rounding, error = 0j, 0.0, 0.0
+    pole, rounding = 0j, 0.0
     if abs(math.atan2(z.imag, z.real)) < alpha * math.pi:
         log_s = cmath.log(z) / alpha
         try:
             s = cmath.exp(log_s)
             residue = cmath.exp(log_gamma + (1.0 - beta) * log_s + s) / alpha
             size = abs(residue)
-            rounding = size * _EPS * (1.0 + abs(s)) * (2.0 + abs(log_s))
         except OverflowError:
             return None
-        d = 1.0 - cmath.sqrt(s / _CONTOUR_MU).real
-        q = math.exp(-2.0 * math.pi / _CONTOUR_H * abs(d))
-        if not q < 1.0:
+        w = cmath.sqrt(s / _CONTOUR_MU)
+        # u* = i (1 - w*) and d = Im u*; rho = exp(+-2 pi i u*/h), |rho| <= 1.
+        d, c = 1.0 - w.real, 2.0 * math.pi / _CONTOUR_H
+        rho = cmath.exp(c * complex(-abs(d), w.imag if d > 0.0 else -w.imag))
+        gap = abs(1.0 - rho)
+        try:
+            pole = (-residue * rho if d > 0.0 else residue) / (1.0 - rho)
+        except ZeroDivisionError:
             return None
-        error = 2.0 * size * q / (1.0 - q)
-        if d >= 0.0:
-            residue, rounding = 0j, 0.0
+        spread = 2.0 + abs(log_s)
+        shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
+        rounding = size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
     real = z.imag == 0.0
     nodes = half if real else full
     # -0.0 is the identity of IEEE addition, so each sum starts at its
@@ -498,7 +508,7 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range.
         return None
-    return value + residue, last, bound + rounding + last + error
+    return value + pole, last, bound + rounding + last
 
 
 def kilbas_saigo(
@@ -514,10 +524,11 @@ def kilbas_saigo(
     At m = 1, 0 < alpha < 1, l <= 0 and finite z != 0, where the series
     needs about |z|^(1/alpha) terms that cancel, the value is the 33-node
     contour rule on the nodes of _triple instead, reported with path="contour":
-    in the sector |arg z| >= alpha*pi as it stands, off it with the residue
-    of the one pole s* added where s* lies right of the contour
-    (_contour_estimate). Where the rule cannot take z or its error estimate
-    exceeds tol * max(1, |value|), the series is summed as elsewhere.
+    in the sector |arg z| >= alpha*pi as it stands, off it with the one
+    pole's trapezoid error subtracted and, where the pole lies right of the
+    contour, its residue added (_contour_estimate). Where the rule cannot
+    take z or its error estimate exceeds tol * max(1, |value|), the series
+    is summed as elsewhere.
     """
     _check_series_args(tol)
     logs, grow, contour = _triple(*params)

@@ -509,7 +509,8 @@ class TestVerify:
 
 
 class TestUnderflowingStep:
-    """A grid step y_max / points that underflows to 0 is a validation error,
+    """A grid step y_max / points that underflows to 0, or whose power -i
+    overflows for verify's order-i grid derivative, is a validation error,
     refused before --out is opened."""
 
     PROBLEM = ["--alpha", "0.5", "--beta", "0.5", "--mu", "1"]
@@ -531,6 +532,27 @@ class TestUnderflowingStep:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == ("error: the grid step --y-max / --points underflows to 0 "
                                  "(--y-max 1e-320, --points 100000)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "problem,y_max,order",
+        [(PROBLEM, "1e-320", 1),
+         (["--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
+           "--lambda-re", "-2", "--lambda-im", "1", "--phis", "1,0.5"], "1e-160", 2)],
+        ids=["i-1", "i-2"],
+    )
+    def test_step_past_the_derivative_exit_1(self, runner, tmp_path, problem, y_max, order):
+        # A subnormal step (1.25e-321), or one whose square underflows
+        # (1.25e-161): the grid derivative's division by step**i overflowed
+        # and verify ended in a ValueError traceback from the quadrature.
+        out = tmp_path / "report.csv"
+        args = ["verify", *problem, "--y-max", y_max, "--points", "8", "--out", str(out)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (f"error: the grid step --y-max / --points is too small for a "
+                                 f"derivative of order {order}: step**-{order} overflows "
+                                 f"(--y-max {y_max}, --points 8)\n")
         assert not out.exists()
 
 

@@ -20,7 +20,7 @@ ENGINE = ["bihilfer.fractional_ops", "bihilfer.series_grid", "bihilfer.solver",
 
 # Every scalar path of special_functions, each checked by the path it
 # reports: the series at real and complex z, the contour rule in the sector
-# and off it with the pole's residue (the pole as the reference copies in
+# and off it with the pole's correction (the pole as the reference copies in
 # test_special_functions define it), a point the rule refuses, the last
 # call through the lazy namespace.
 SCALAR_CALLS = """

@@ -837,34 +837,39 @@ def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
 
 
 # The contour rule as it was before kilbas_saigo's per-call work was cut,
-# kept verbatim but for the functions' names and docstrings: every report
-# of the rule must stay the same, bit for bit.
+# kept verbatim but for the functions' names and docstrings, with the
+# pole's exact trapezoid correction off the sector: every report of the
+# rule must stay the same, bit for bit.
 def _reference_in_sector(alpha: float, z: complex) -> bool:
     """z != 0 and |arg z| >= alpha*pi: no pole on the principal sheet."""
     return z != 0 and abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
 
 
-def _reference_contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
-    """(residue, its rounding bound, the pole's error) at z, or None where
-    the rule cannot take z; exact zeros in the sector."""
+def _reference_contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float] | None":
+    """(the pole's correction, its rounding bound) at z, or None where the
+    rule cannot take z; exact zeros in the sector."""
     if z == 0 or not cmath.isfinite(z):
         return None
     if _reference_in_sector(alpha, z):
-        return 0j, 0.0, 0.0
+        return 0j, 0.0
     log_s = cmath.log(z) / alpha
     try:
         s = cmath.exp(log_s)
         residue = cmath.exp(math.lgamma(beta) + (1.0 - beta) * log_s + s) / alpha
         size = abs(residue)
-        rounding = size * _EPS * (1.0 + abs(s)) * (2.0 + abs(log_s))
     except OverflowError:
         return None
-    d = 1.0 - cmath.sqrt(s / _CONTOUR_MU).real
-    q = math.exp(-2.0 * math.pi / _CONTOUR_H * abs(d))
-    if not q < 1.0:
+    w = cmath.sqrt(s / _CONTOUR_MU)
+    d, c = 1.0 - w.real, 2.0 * math.pi / _CONTOUR_H
+    rho = cmath.exp(c * complex(-abs(d), w.imag if d > 0.0 else -w.imag))
+    gap = abs(1.0 - rho)
+    try:
+        pole = (-residue * rho if d > 0.0 else residue) / (1.0 - rho)
+    except ZeroDivisionError:
         return None
-    error = 2.0 * size * q / (1.0 - q)
-    return (residue, rounding, error) if d < 0.0 else (0j, 0.0, error)
+    spread = 2.0 + abs(log_s)
+    shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
+    return pole, size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -910,8 +915,8 @@ def _reference_contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range.
         return None
-    residue, rounding, error = pole
-    return value + residue, last, bound + rounding + last + error
+    correction, rounding = pole
+    return value + correction, last, bound + rounding + last
 
 
 def _reference_kilbas_saigo(params, z, tol=1e-12) -> SeriesEvalReport:
@@ -996,9 +1001,10 @@ class TestScalarEngineReference:
         assert _bits(report) == _bits(_reference_sum_log_series(fetch, z, 1e-12))
 
     def test_benchmark_pool_points(self):
-        """The ks-sweep workload's pool: 8 triples at 64 fixed points, 416
+        """The ks-sweep workload's pool: 8 triples at 64 fixed points, 384
         of them off the contour rule, each the reference engine's report.
-        The other 96 take the rule, each the reference rule's report."""
+        The other 128 take the rule, each the reference rule's report; the
+        rule refuses none of the contour triples' points."""
         triples = [(0.5, 1.0, 0.0), (0.3, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0),
                    (0.75, 1.25, 0.5), (1.5, 0.8, -0.2), (0.6, 2.0, 1.0), (1.2, 0.6, 0.3)]
         points = [complex(x) for x in np.linspace(-8.0, -0.25, 32)]
@@ -1018,7 +1024,7 @@ class TestScalarEngineReference:
                     ), (triple, z)
                 reference = _reference_kilbas_saigo(params, z)
                 assert (*_bits(report), report.path) == (*_bits(reference), reference.path)
-        assert (series, refused) == (416, 32)
+        assert (series, refused) == (384, 0)
 
     @pytest.mark.parametrize("z", [CAPPED[1], complex(0.0, CAPPED[1])], ids=["real", "complex"])
     def test_no_request_passes_the_cap(self, z):
@@ -1184,9 +1190,6 @@ class TestContourPath:
     def test_off_the_rule_takes_the_series(self):
         for params, z in [
             (KilbasSaigoParams(0.5, 1.0, 0.0), 0.0),
-            # Off the sector the pole s* = 9 lies at d = -0.47 from the
-            # contour, so its discretisation error, ~5e-3, fails tol.
-            (KilbasSaigoParams(0.5, 1.0, 0.0), 3.0),
             (KilbasSaigoParams(0.5, 1.0, 0.0), complex(math.nan, 1.0)),
             (KilbasSaigoParams(0.5, 1.0, 0.0), math.inf),
             # e^(s*) overflows at s* = 1e4.
@@ -1198,6 +1201,16 @@ class TestContourPath:
             (KilbasSaigoParams(0.5, math.nextafter(1.0, 2.0), 0.0), -3.0),  # m > 1
         ]:
             assert kilbas_saigo(params, z).path == "series"
+
+    def test_pole_near_the_contour_meets_tol(self):
+        # Off the sector the pole s* = 9 lies at d = -0.47 from the contour.
+        # Its trapezoid error, about 5e-3, made the rule refuse z = 3 while
+        # it was an error term; subtracted exactly, the rule meets tol.
+        tol = 1e-12
+        report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), 3.0, tol)
+        expected = _series_reference(0.5, 0.0, complex(3.0))
+        assert report.path == "contour" and report.value.imag == 0.0
+        assert abs(report.value - expected) <= tol * max(1.0, abs(expected))
 
     @pytest.mark.parametrize(
         "triple",
@@ -1213,7 +1226,7 @@ class TestContourPath:
 
     def test_argument_that_underflows(self):
         # arg z = atan2(5e-324, 3) underflows to 0, where cmath.phase raises
-        # OverflowError; the rule takes z, with the pole's residue, as it
+        # OverflowError; the rule takes z, with the pole's correction, as it
         # takes 3.
         params = KilbasSaigoParams(0.3, 1.0, 0.0)
         tiny, real = kilbas_saigo(params, complex(3.0, 5e-324)), kilbas_saigo(params, 3.0)
@@ -1222,7 +1235,8 @@ class TestContourPath:
 
     def test_across_the_sector_edge(self):
         # Just off the edge the pole lies far left of the contour (d = 0.98),
-        # so the rule takes z with no residue and the value is continuous.
+        # so the rule takes z with a correction of 3e-16 relative and the
+        # value is continuous.
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
         inside = _on_sector_edge(2.0, 0.5, 1)
         outside = cmath.rect(2.0, 0.5 * math.pi * (1.0 - 1e-12))
@@ -1280,10 +1294,10 @@ class TestContourPath:
     def test_pole_adds_exact_zeros_in_the_sector(self, alpha, z):
         assert _reference_in_sector(alpha, z)
         # Exactly +0.0 in every part, so adding them leaves the rule's bits.
-        residue, rounding, error = _reference_contour_pole(alpha, 1.0, z)
-        assert (type(residue), type(rounding), type(error)) == (complex, float, float)
-        parts = (residue.real, residue.imag, rounding, error)
-        assert struct.pack("<4d", *parts) == bytes(32)
+        correction, rounding = _reference_contour_pole(alpha, 1.0, z)
+        assert (type(correction), type(rounding)) == (complex, float)
+        parts = (correction.real, correction.imag, rounding)
+        assert struct.pack("<3d", *parts) == bytes(24)
 
     @pytest.mark.parametrize(
         "z",
@@ -1399,9 +1413,10 @@ def _pole_sample():
 
 
 class TestPoleBranch:
-    """Off the sector, |arg z| < alpha pi, the contour rule adds the residue
-    of the one pole s* right of the contour; checked against an mpmath
-    series at the exact parameters."""
+    """Off the sector, |arg z| < alpha pi, the contour rule subtracts the
+    one pole's trapezoid error and adds its residue where s* lies right of
+    the contour; checked against an mpmath series at the exact
+    parameters."""
 
     @pytest.mark.parametrize("triple,z", _PINNED_POLE_POINTS)
     def test_pinned_points_within_tol_or_not_converged(self, triple, z):
@@ -1415,9 +1430,10 @@ class TestPoleBranch:
 
     def test_estimate_covers_the_error(self):
         # Every point the rule can take, accepted or not, is within the
-        # rule's estimate of the reference: the pole's error term is twice
-        # its leading order |r| q/(1 - q), and at most half of it was
-        # measured. The accepted ones are within tol.
+        # rule's estimate of the reference, and the accepted ones are within
+        # tol. While the pole's error was an estimate term, 2 |r| q/(1 - q),
+        # the rule refused 30 or more of these points; subtracted exactly,
+        # it refuses none, poles within 0.01 of the contour included.
         tol = 1e-12
         accepted = rejected = 0
         for alpha, l, z in _pole_sample():
@@ -1437,7 +1453,57 @@ class TestPoleBranch:
                 assert abs(value - expected) <= tol * max(1.0, abs(expected)), (alpha, l, z)
             else:
                 rejected += 1
-        assert accepted >= 12 and rejected >= 30
+        assert (accepted, rejected) == (76, 0)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_near_pole_point_takes_the_rule(self, beta):
+        # z = 8 e^{1.6i} at alpha = 0.8 lies off the sector, its pole at
+        # d = 0.032 from the contour. While the pole's error was an estimate
+        # term the rule refused z, and the series fallback was off by
+        # 8.0e-10 (beta = 1) and 3.5e-9 (beta = 0.5), reported converged.
+        tol = 1e-12
+        alpha, l = 0.8, (beta - 1.0) / 0.8
+        z = cmath.rect(8.0, 1.6)
+        report = kilbas_saigo(KilbasSaigoParams(alpha, 1.0, l), z, tol)
+        expected = _series_reference(alpha, l, z)
+        assert report.path == "contour" and report.converged
+        assert abs(report.value - expected) <= tol * max(1.0, abs(expected))
+
+    def test_off_sector_map(self):
+        # Five alpha by three beta; for each alpha, five radii from 0.05 to
+        # min(6, 100^alpha) against five arguments from 0 to 0.95 alpha pi,
+        # each (radius, argument) pair at one of the three beta in turn, real
+        # z among them. Every point the rule can take is within its estimate
+        # of the reference, and every point it accepts is within tol; it
+        # refuses none. (Past |z|^(1/alpha) = 100 the reference's cost
+        # climbs steeply; to the 400 of _pole_sample, 450 points of this map
+        # gave the same.)
+        tol = 1e-12
+        betas = (0.1, 0.5, 1.0)
+        accepted = refused = 0
+        for alpha in (0.2, 0.3, 0.5, 0.8, 0.95):
+            radii = np.geomspace(0.05, min(6.0, 100.0**alpha), 5)
+            for i, r in enumerate(radii.tolist()):
+                for j, turn in enumerate((0.0, 0.25, 0.5, 0.75, 0.95)):
+                    beta = betas[(i + j) % 3]
+                    params = KilbasSaigoParams(alpha, 1.0, (beta - 1.0) / alpha)
+                    z = cmath.rect(r, turn * alpha * math.pi) if turn else complex(r)
+                    assert not _reference_in_sector(alpha, z)
+                    rule = special_functions._contour_estimate(_triple(*params).contour, z)
+                    report = kilbas_saigo(params, z, tol)
+                    if rule is None:
+                        assert report.path == "series"
+                        refused += 1
+                        continue
+                    value, _, estimate = rule
+                    expected = _series_reference(alpha, params.l, z)
+                    assert abs(value - expected) <= estimate, (alpha, beta, z)
+                    if report.path == "contour":
+                        accepted += 1
+                        assert abs(value - expected) <= tol * max(1.0, abs(expected)), (alpha, beta, z)
+                    else:
+                        refused += 1
+        assert (accepted, refused) == (125, 0)
 
     def test_real_positive_axis_is_exactly_real(self):
         params = KilbasSaigoParams(0.3, 1.0, 0.0)
@@ -1480,7 +1546,7 @@ _routing_points = st.one_of(
 
 class TestRoutingParity:
     """kilbas_saigo on contour triples, on points that take both paths: which
-    path each takes and where the pole's residue is added. A contour
+    path each takes and where the pole's correction is added. A contour
     branch's tail is its printed value (TestContourBranch in test_solver);
     on a series triple the grid driver agrees with the scalar engine to
     rounding (TestGridDriver)."""
@@ -1548,10 +1614,10 @@ class TestRoutingParity:
     def test_sector_and_pole_points_in_one_call(self, alpha, l):
         # One table holds every kind of row, each real and complex: the
         # sector (with both zero imaginary parts and its exact edge), the
-        # pole right of the contour (d = -1.0, -1.2, a residue added) and
-        # left of it (d = 0.95, nothing added), and the series where the
-        # rule refuses z (z = 0, the pole on the contour at d = 0, and
-        # d = -0.6, whose error fails tol).
+        # pole right of the contour (d = -1.0, -1.2 and -0.6, the residue
+        # included in its correction) and left of it (d = 0.95), and the
+        # series where the rule refuses z (z = 0 and the pole on the contour
+        # at d = 0). Every point off the sector gets a nonzero correction.
         params = KilbasSaigoParams(alpha, 1.0, l)
         contour = [
             complex(-3.0, 0.0),
@@ -1562,15 +1628,16 @@ class TestRoutingParity:
             _off_sector_point(alpha, complex(2.2, -0.7)),
             _off_sector_point(alpha, 0.05),
             _off_sector_point(alpha, complex(0.05, 0.02)),
+            _off_sector_point(alpha, complex(1.6, -0.4)),
         ]
-        series = [0.0, _off_sector_point(alpha, 1.0), _off_sector_point(alpha, complex(1.6, -0.4))]
-        zs = [contour[0], *series[:2], *contour[1:], series[2]]
+        series = [0.0, _off_sector_point(alpha, 1.0)]
+        zs = [contour[0], *series, *contour[1:]]
         rows = _scalar_calls(params, zs)
-        assert [r.path for r in rows] == ["contour", "series", "series", *["contour"] * 7, "series"]
+        assert [r.path for r in rows] == ["contour", "series", "series", *["contour"] * 8]
         beta = alpha * l + 1.0
-        residues = [_reference_contour_pole(alpha, beta, z)[0] != 0 for z in contour]
-        assert residues == [False] * 4 + [True] * 2 + [False] * 2
-        assert [_reference_in_sector(alpha, z) for z in contour] == [True] * 4 + [False] * 4
+        corrections = [_reference_contour_pole(alpha, beta, z)[0] != 0 for z in contour]
+        assert corrections == [False] * 4 + [True] * 5
+        assert [_reference_in_sector(alpha, z) for z in contour] == [True] * 4 + [False] * 5
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_same_path_at_the_exact_threshold(self, alpha):
