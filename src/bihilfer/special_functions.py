@@ -417,18 +417,20 @@ def _contour_node_tuples(alpha: float, l: float) -> "tuple[float, tuple, tuple, 
     factor is eps (1 + |s_k|).
     """
     n, beta = _CONTOUR_N, alpha * l + 1.0
-    h, mu = _CONTOUR_H, _CONTOUR_MU
     log_gamma = math.lgamma(beta)
-    scale = log_gamma + math.log(h * mu / math.pi)
-    full = []
-    for k in range(-n, n + 1):
-        w = complex(1.0, h * k)
-        s = mu * w * w
-        log_s = cmath.log(s)
-        weight = cmath.exp(scale + cmath.log(w) + s + (alpha - beta) * log_s)
-        full.append((cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))))
+    full = tuple(_contour_node(alpha, beta, log_gamma, k) for k in range(-n, n + 1))
     half = [full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :])]
-    return alpha, tuple(full), tuple(half), beta, log_gamma
+    return alpha, full, tuple(half), beta, log_gamma
+
+
+def _contour_node(alpha: float, beta: float, log_gamma: float, k: int) -> "tuple[complex, complex, float]":
+    """(s_k^alpha, w_k, eps (1 + |s_k|)) of node k, u_k = k h."""
+    w = complex(1.0, _CONTOUR_H * k)
+    s = _CONTOUR_MU * w * w
+    log_s = cmath.log(s)
+    scale = log_gamma + math.log(_CONTOUR_H * _CONTOUR_MU / math.pi)
+    weight = cmath.exp(scale + cmath.log(w) + s + (alpha - beta) * log_s)
+    return cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))
 
 
 def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, float] | None":
@@ -455,19 +457,24 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
     error into s*, and e^(s*) turns eps |s*| (2 + |log s*|) of absolute
     error in its exponent into relative error of r, divided by |1 - rho|;
     rho's exponent carries (2 pi/h) eps (|w*| (2 + |log s*|) + |u*|),
-    times |r| |rho|/|1 - rho|^2.
+    times |r| |rho|/|1 - rho|^2. The correction is that of the infinite
+    rule, whose nodes past |u| = N h the sum lacks; where the pole lies
+    past them, |Re u*| > N h, the missing node nearest it can hold about
+    |r| h/(2 pi |u* - u_k|), so its term joins the estimate, and the rule
+    cannot take z on it.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value and the rounding bound
     sum_k eps (1 + |s_k|) |t_k| are running sums in node order; the
     correction and its rounding bound are added after them (exact zeros in
     the sector, which leave the bits as they are). The estimate is that
-    bound plus the outermost node's contribution.
+    bound plus the outermost node's contribution, plus the missing node's
+    term where the pole lies past the nodes.
     """
     if z == 0 or not cmath.isfinite(z):
         return None
     alpha, full, half, beta, log_gamma = contour
-    pole, rounding = 0j, 0.0
+    pole, rounding, missing = 0j, 0.0, 0.0
     if abs(math.atan2(z.imag, z.real)) < alpha * math.pi:
         log_s = cmath.log(z) / alpha
         try:
@@ -488,6 +495,15 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
         spread = 2.0 + abs(log_s)
         shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
         rounding = size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
+        # Past the outermost node, the missing node nearest the pole can
+        # outweigh it (see above).
+        if abs(w.imag) > _CONTOUR_N * _CONTOUR_H:
+            k = max(round(abs(w.imag) / _CONTOUR_H), _CONTOUR_N + 1)
+            power, weight, _ = _contour_node(alpha, beta, log_gamma, k if w.imag > 0.0 else -k)
+            try:
+                missing = abs(weight / (power - z))
+            except (ZeroDivisionError, OverflowError):
+                return None
     real = z.imag == 0.0
     nodes = half if real else full
     # -0.0 is the identity of IEEE addition, so each sum starts at its
@@ -508,7 +524,7 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range.
         return None
-    return value + pole, last, bound + rounding + last
+    return value + pole, last, bound + rounding + last + missing
 
 
 def kilbas_saigo(

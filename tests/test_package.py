@@ -28,7 +28,7 @@ import cmath, math
 import bihilfer
 import bihilfer.special_functions as sf
 from bihilfer.special_functions import KilbasSaigoParams as P
-from bihilfer.special_functions import _CONTOUR_H, _CONTOUR_MU, _EPS
+from bihilfer.special_functions import _CONTOUR_H, _CONTOUR_MU, _CONTOUR_N, _EPS
 """ + "".join(map(inspect.getsource, (_reference_in_sector, _reference_contour_pole))) + """
 paths = [
     sf.kilbas_saigo(P(0.6, 2.0, 1.0), -3.0).path,

@@ -845,13 +845,13 @@ def _reference_in_sector(alpha: float, z: complex) -> bool:
     return z != 0 and abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
 
 
-def _reference_contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float] | None":
-    """(the pole's correction, its rounding bound) at z, or None where the
-    rule cannot take z; exact zeros in the sector."""
+def _reference_contour_pole(alpha: float, beta: float, z: complex) -> "tuple[complex, float, float] | None":
+    """(the pole's correction, its rounding bound, the missing node's term)
+    at z, or None where the rule cannot take z; exact zeros in the sector."""
     if z == 0 or not cmath.isfinite(z):
         return None
     if _reference_in_sector(alpha, z):
-        return 0j, 0.0
+        return 0j, 0.0, 0.0
     log_s = cmath.log(z) / alpha
     try:
         s = cmath.exp(log_s)
@@ -869,7 +869,20 @@ def _reference_contour_pole(alpha: float, beta: float, z: complex) -> "tuple[com
         return None
     spread = 2.0 + abs(log_s)
     shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
-    return pole, size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
+    missing, x = 0.0, abs(w.imag)
+    if x > _CONTOUR_N * _CONTOUR_H:
+        # The term of the missing node nearest the pole.
+        k = max(round(x / _CONTOUR_H), _CONTOUR_N + 1)
+        v = complex(1.0, _CONTOUR_H * (k if w.imag > 0.0 else -k))
+        node = _CONTOUR_MU * v * v
+        log_node = cmath.log(node)
+        scale = math.lgamma(beta) + math.log(_CONTOUR_H * _CONTOUR_MU / math.pi)
+        weight = cmath.exp(scale + cmath.log(v) + node + (alpha - beta) * log_node)
+        try:
+            missing = abs(weight / (cmath.exp(alpha * log_node) - z))
+        except (ZeroDivisionError, OverflowError):
+            return None
+    return pole, size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap, missing
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -915,8 +928,8 @@ def _reference_contour_estimate(params: KilbasSaigoParams, z: complex) -> "tuple
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range.
         return None
-    correction, rounding = pole
-    return value + correction, last, bound + rounding + last
+    correction, rounding, missing = pole
+    return value + correction, last, bound + rounding + last + missing
 
 
 def _reference_kilbas_saigo(params, z, tol=1e-12) -> SeriesEvalReport:
@@ -1204,8 +1217,8 @@ class TestContourPath:
 
     def test_pole_near_the_contour_meets_tol(self):
         # Off the sector the pole s* = 9 lies at d = -0.47 from the contour.
-        # Its trapezoid error, about 5e-3, made the rule refuse z = 3 while
-        # it was an error term; subtracted exactly, the rule meets tol.
+        # Its trapezoid error, about 5e-3, is subtracted exactly, so the
+        # rule meets tol.
         tol = 1e-12
         report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), 3.0, tol)
         expected = _series_reference(0.5, 0.0, complex(3.0))
@@ -1294,10 +1307,10 @@ class TestContourPath:
     def test_pole_adds_exact_zeros_in_the_sector(self, alpha, z):
         assert _reference_in_sector(alpha, z)
         # Exactly +0.0 in every part, so adding them leaves the rule's bits.
-        correction, rounding = _reference_contour_pole(alpha, 1.0, z)
-        assert (type(correction), type(rounding)) == (complex, float)
-        parts = (correction.real, correction.imag, rounding)
-        assert struct.pack("<3d", *parts) == bytes(24)
+        correction, rounding, missing = _reference_contour_pole(alpha, 1.0, z)
+        assert (type(correction), type(rounding), type(missing)) == (complex, float, float)
+        parts = (correction.real, correction.imag, rounding, missing)
+        assert struct.pack("<4d", *parts) == bytes(32)
 
     @pytest.mark.parametrize(
         "z",
@@ -1384,13 +1397,17 @@ def _off_sector_point(alpha, w):
 
 
 # Points off the sector where the summed series is wrong beyond tol while
-# reporting converged (3.28e104 against -0.0908+0.1245i at the first).
+# reporting converged (3.28e104 against -0.0908+0.1245i at the first; 8.0e-10
+# and 3.5e-9 off at z = 8e^{1.6i}, whose pole lies at d = 0.032 from the
+# contour).
 _PINNED_POLE_POINTS = [
     ((0.3, 1.0, 0.0), complex(3.50591099948506, 4.07557350773563)),
     ((0.3, 1.0, 0.0), complex(3.0)),
     ((0.3, 1.0, 0.0), complex(4.0)),
     ((0.5, 1.0, 0.0), complex(0.29003976330735626, 3.052920139824338)),
     ((0.3, 1.0, 0.0), complex(1.210511339837462, 1.5499806688803217)),
+    ((0.8, 1.0, 0.0), cmath.rect(8.0, 1.6)),
+    ((0.8, 1.0, -0.625), cmath.rect(8.0, 1.6)),
 ]
 
 
@@ -1412,6 +1429,31 @@ def _pole_sample():
     return points
 
 
+def _off_sector_map():
+    """(alpha, l, z) off the sector, for five alpha. A grid: five radii from
+    0.05 to min(6, 100^alpha) against five arguments from 0 to 0.95 alpha pi,
+    real z among them, each (radius, argument) pair at one of three beta in
+    turn. (Past |z|^(1/alpha) = 100 the reference's cost climbs steeply.)
+    Then at each beta, poles on the contour past the outermost node u = 16h:
+    within 1e-6 of the missing nodes u = 17h, -18h and -30h (|s*| = 47, 52
+    and 137), and halfway between two; at alpha >= 0.8 also within 1e-6 of
+    u = 50h (|s*| = 372)."""
+    betas = (0.1, 0.5, 1.0)
+    h = special_functions._CONTOUR_H
+    points = []
+    for alpha in (0.2, 0.3, 0.5, 0.8, 0.95):
+        radii = np.geomspace(0.05, min(6.0, 100.0**alpha), 5)
+        for i, r in enumerate(radii.tolist()):
+            for j, turn in enumerate((0.0, 0.25, 0.5, 0.75, 0.95)):
+                z = cmath.rect(r, turn * alpha * math.pi) if turn else complex(r)
+                points.append((alpha, (betas[(i + j) % 3] - 1.0) / alpha, z))
+        for beta in betas:
+            poles = [17.0 * h + 1e-6, 1e-6 - 18.0 * h, 17.5 * h, 1e-6 - 30.0 * h] + [50.0 * h - 1e-6] * (alpha >= 0.8)
+            for u in poles:
+                points.append((alpha, (beta - 1.0) / alpha, _off_sector_point(alpha, complex(1.0, u))))
+    return points
+
+
 class TestPoleBranch:
     """Off the sector, |arg z| < alpha pi, the contour rule subtracts the
     one pole's trapezoid error and adds its residue where s* lies right of
@@ -1428,21 +1470,23 @@ class TestPoleBranch:
         assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
         _scalar_calls(params, [z], tol)
 
-    def test_estimate_covers_the_error(self):
+    @pytest.mark.parametrize(
+        "sample,counts", [(_pole_sample, (76, 0)), (_off_sector_map, (172, 19))], ids=["sample", "map"]
+    )
+    def test_estimate_covers_the_error(self, sample, counts):
         # Every point the rule can take, accepted or not, is within the
         # rule's estimate of the reference, and the accepted ones are within
-        # tol. While the pole's error was an estimate term, 2 |r| q/(1 - q),
-        # the rule refused 30 or more of these points; subtracted exactly,
-        # it refuses none, poles within 0.01 of the contour included.
+        # tol; (accepted, refused) counts both.
         tol = 1e-12
-        accepted = rejected = 0
-        for alpha, l, z in _pole_sample():
+        accepted = refused = 0
+        for alpha, l, z in sample():
             params = KilbasSaigoParams(alpha, 1.0, l)
             assert not _reference_in_sector(alpha, z)
             rule = special_functions._contour_estimate(_triple(*params).contour, z)
             report = kilbas_saigo(params, z, tol)
             if rule is None:
                 assert report.path == "series"
+                refused += 1
                 continue
             value, _, estimate = rule
             expected = _series_reference(alpha, l, z)
@@ -1452,58 +1496,8 @@ class TestPoleBranch:
                 assert report.value == value
                 assert abs(value - expected) <= tol * max(1.0, abs(expected)), (alpha, l, z)
             else:
-                rejected += 1
-        assert (accepted, rejected) == (76, 0)
-
-    @pytest.mark.parametrize("beta", [1.0, 0.5])
-    def test_near_pole_point_takes_the_rule(self, beta):
-        # z = 8 e^{1.6i} at alpha = 0.8 lies off the sector, its pole at
-        # d = 0.032 from the contour. While the pole's error was an estimate
-        # term the rule refused z, and the series fallback was off by
-        # 8.0e-10 (beta = 1) and 3.5e-9 (beta = 0.5), reported converged.
-        tol = 1e-12
-        alpha, l = 0.8, (beta - 1.0) / 0.8
-        z = cmath.rect(8.0, 1.6)
-        report = kilbas_saigo(KilbasSaigoParams(alpha, 1.0, l), z, tol)
-        expected = _series_reference(alpha, l, z)
-        assert report.path == "contour" and report.converged
-        assert abs(report.value - expected) <= tol * max(1.0, abs(expected))
-
-    def test_off_sector_map(self):
-        # Five alpha by three beta; for each alpha, five radii from 0.05 to
-        # min(6, 100^alpha) against five arguments from 0 to 0.95 alpha pi,
-        # each (radius, argument) pair at one of the three beta in turn, real
-        # z among them. Every point the rule can take is within its estimate
-        # of the reference, and every point it accepts is within tol; it
-        # refuses none. (Past |z|^(1/alpha) = 100 the reference's cost
-        # climbs steeply; to the 400 of _pole_sample, 450 points of this map
-        # gave the same.)
-        tol = 1e-12
-        betas = (0.1, 0.5, 1.0)
-        accepted = refused = 0
-        for alpha in (0.2, 0.3, 0.5, 0.8, 0.95):
-            radii = np.geomspace(0.05, min(6.0, 100.0**alpha), 5)
-            for i, r in enumerate(radii.tolist()):
-                for j, turn in enumerate((0.0, 0.25, 0.5, 0.75, 0.95)):
-                    beta = betas[(i + j) % 3]
-                    params = KilbasSaigoParams(alpha, 1.0, (beta - 1.0) / alpha)
-                    z = cmath.rect(r, turn * alpha * math.pi) if turn else complex(r)
-                    assert not _reference_in_sector(alpha, z)
-                    rule = special_functions._contour_estimate(_triple(*params).contour, z)
-                    report = kilbas_saigo(params, z, tol)
-                    if rule is None:
-                        assert report.path == "series"
-                        refused += 1
-                        continue
-                    value, _, estimate = rule
-                    expected = _series_reference(alpha, params.l, z)
-                    assert abs(value - expected) <= estimate, (alpha, beta, z)
-                    if report.path == "contour":
-                        accepted += 1
-                        assert abs(value - expected) <= tol * max(1.0, abs(expected)), (alpha, beta, z)
-                    else:
-                        refused += 1
-        assert (accepted, refused) == (125, 0)
+                refused += 1
+        assert (accepted, refused) == counts
 
     def test_real_positive_axis_is_exactly_real(self):
         params = KilbasSaigoParams(0.3, 1.0, 0.0)
