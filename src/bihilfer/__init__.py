@@ -35,7 +35,6 @@ _EXPORTS = {
         "coefficient_sequence",
         "derive_params",
         "fundamental_solution",
-        "hilfer_reduction_params",
     ),
     "series_grid": ("SeriesGridReport",),
     "special_functions": (
@@ -44,9 +43,7 @@ _EXPORTS = {
         "gamma_ratio",
         "kilbas_saigo",
         "kilbas_saigo_coefficients",
-        "log_gamma",
         "log_gamma_ratio",
-        "mittag_leffler",
     ),
     "verification": (
         "ResidualReport",

@@ -477,8 +477,6 @@ def _with_config(tokens: list[str], commands: dict[str, _Parser]) -> list[str]:
 class Cli:
     """The bihilfer command line."""
 
-    name = "cli"
-
     def main(self, args: "list[str] | None" = None, standalone_mode: bool = True) -> None:
         """Parse args (sys.argv[1:] by default) and run the command. The
         command returns when it succeeds; --help, --version, a usage error and

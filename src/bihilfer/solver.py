@@ -53,7 +53,6 @@ __all__ = [
     "coefficient_sequence",
     "fundamental_solution",
     "cauchy_solution",
-    "hilfer_reduction_params",
 ]
 
 
@@ -234,7 +233,8 @@ class SeriesSolution:
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
         """The branch, with truncation metadata, at every y > 0 of ys:
         y**b * kilbas_saigo(lam * y**a) by Python's pow, path included. A
-        power past the double range is inf, and its point unconverged."""
+        power past the double range is inf, and a point whose value is not
+        finite is unconverged."""
         params, lam, a, b = self._params, self.lam, self.a, self.b
         reports = []
         for y in _check_grid(ys):
@@ -242,7 +242,7 @@ class SeriesSolution:
             scale = _power(y, b)
             # A complex product, so an overflowed y**b leaves no part finite.
             value = complex(scale, 0.0 * scale) * value
-            reports.append(_report((value, terms, last, converged, path)))
+            reports.append(_report((value, terms, last, converged and cmath.isfinite(value), path)))
         return reports
 
     def evaluate_tail_report(
@@ -339,8 +339,9 @@ class CauchySolution:
         return self.evaluate([y], tol)[0]
 
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
-        """The weighted sum of the branch reports at every y > 0 of ys; a path
-        is every weighted branch's, else "mixed" ("series" if no weight)."""
+        """The weighted sum of the branch reports at every y > 0 of ys, not
+        converged where it is not finite; a path is every weighted branch's,
+        else "mixed" ("series" if no weight)."""
         ys = _check_grid(ys)
         weighted = [(w, branch.evaluate(ys, tol))
                     for w, branch in zip(self.weights, self.branches) if w != 0]
@@ -354,6 +355,7 @@ class CauchySolution:
                 last = max(last, abs(w) * magnitude)
                 converged = converged and ok
                 path = branch_path if path in (None, branch_path) else "mixed"
+            converged = converged and cmath.isfinite(total)
             reports.append(_report((total, max(terms, 1), last, converged, path or "series")))
         return reports
 
@@ -372,26 +374,3 @@ def cauchy_solution(
     weights = tuple(p / math.factorial(k) for k, p in enumerate(phis_c))
     branches = tuple(fundamental_solution(problem, s) for s in range(i))
     return CauchySolution(problem, phis_c, branches, weights)
-
-
-def hilfer_reduction_params(problem: DegenerateProblem) -> list[KilbasSaigoParams]:
-    """Kilbas-Saigo parameter triples per branch in the alpha = beta case,
-    where the operator is the classical Hilfer derivative:
-    (alpha, m/alpha + 1, (m + s - (1-mu)*(i-alpha))/alpha)."""
-    orders = problem.orders
-    if orders.alpha != orders.beta:
-        raise DomainError(
-            f"alpha = beta required for the Hilfer reduction "
-            f"(alpha={orders.alpha}, beta={orders.beta})"
-        )
-    alpha, m = orders.alpha, problem.m
-    out = []
-    for s in range(orders.i):
-        out.append(
-            KilbasSaigoParams(
-                alpha=alpha,
-                m=m / alpha + 1.0,
-                l=(m + s - (1.0 - orders.mu) * (orders.i - alpha)) / alpha,
-            )
-        )
-    return out

@@ -1,18 +1,14 @@
 """Special-function kernel, scalar half.
 
-Provides log-Gamma, overflow-safe Gamma ratios, the Kilbas-Saigo function
-E_{alpha,m,l} and a two-parameter Mittag-Leffler function E_{a,b}, one point
-at a time. The series engine (_sum_log_series) owns the package's one
-stopping rule, written out in two loops, one for real z and one for complex
-z. Every sum starts at c_0 = 1 (a tail from index K is the triple
-(alpha, m, l + m*K)). Where the series cancels, at m = 1,
-0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid rule on a
-Laplace-inversion contour instead (_contour_estimate), corrected where
-|arg z| < alpha*pi by the exact trapezoid error of the one pole, residue
-included, whenever the rule's error estimate meets tol. The Mittag-Leffler
-routine exists purely as an independent cross-check for the m = 1
-reductions of E_{alpha,m,l}; it always takes the series engine (and so the
-truncation rule) but not the coefficient computation.
+Provides overflow-safe Gamma ratios and the Kilbas-Saigo function
+E_{alpha,m,l}, one point at a time. The series engine (_sum_log_series)
+owns the package's one stopping rule, written out in two loops, one for
+real z and one for complex z. Every sum starts at c_0 = 1 (a tail from
+index K is the triple (alpha, m, l + m*K)). Where the series cancels, at
+m = 1, 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid
+rule on a Laplace-inversion contour instead (_contour_estimate), corrected
+where |arg z| < alpha*pi by the exact trapezoid error of the one pole,
+residue included, whenever the rule's error estimate meets tol.
 
 This module imports only the standard library's math, cmath, operator, sys,
 threading, functools and typing: not numpy, so a scalar caller never pays
@@ -41,26 +37,13 @@ from .errors import DomainError
 __all__ = [
     "KilbasSaigoParams",
     "SeriesEvalReport",
-    "log_gamma",
     "log_gamma_ratio",
     "gamma_ratio",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",
-    "mittag_leffler",
 ]
 
 DEFAULT_TOL = 1e-12
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0.
-
-    Relative accuracy is at the level of the platform libm (a couple of ulp,
-    well inside 1e-13 on [1e-6, 1e6]).
-    """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got x={x}")
-    return math.lgamma(x)
 
 
 # Stirling tail ln Gamma(z) = (z-1/2) ln z - z + ln(2 pi)/2 + S(z); the
@@ -290,8 +273,11 @@ def _sum_log_series(
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
     |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
     ends the sum unconverged with the partial sum as its value; so does
-    reaching _MAX_TERMS terms. At a non-finite z the first term is nan, and
-    the sum ends there, unconverged.
+    reaching _MAX_TERMS terms. Finite terms can still sum past the double
+    range, and an infinite sum passes the test tol*|S_k| on every term, so
+    a sum that is not finite at the stopping index ends there unconverged,
+    with |t_N| reported as inf (tested there only, not per term). At a
+    non-finite z the first term is nan, and the sum ends there, unconverged.
 
     Per-term cost: the rule is written out in two loops, one per number
     field and line for line alike: _sum_real_series for a finite real z,
@@ -351,7 +337,9 @@ def _sum_real_series(
         if mag <= tol or mag <= tol * abs(total):
             streak += 1
             if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                return _report((complex(total), k + 1, mag, True, "series"))
+                if math.isfinite(total):
+                    return _report((complex(total), k + 1, mag, True, "series"))
+                return _report((complex(total), k + 1, math.inf, False, "series"))
         else:
             streak = 0
         prev_mag = mag
@@ -382,7 +370,9 @@ def _sum_complex_series(
         if small:
             streak += 1
             if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                return _report((complex(total), k + 1, mag, True, "series"))
+                if cmath.isfinite(total):
+                    return _report((complex(total), k + 1, mag, True, "series"))
+                return _report((complex(total), k + 1, math.inf, False, "series"))
         else:
             streak = 0
         prev_mag = mag
@@ -543,8 +533,9 @@ def kilbas_saigo(
     in the sector |arg z| >= alpha*pi as it stands, off it with the one
     pole's trapezoid error subtracted and, where the pole lies right of the
     contour, its residue added (_contour_estimate). Where the rule cannot
-    take z or its error estimate exceeds tol * max(1, |value|), the series
-    is summed as elsewhere.
+    take z, its value is not finite (a residue past the double range) or
+    its error estimate exceeds tol * max(1, |value|), the series is summed
+    as elsewhere.
     """
     _check_series_args(tol)
     logs, grow, contour = _triple(*params)
@@ -556,31 +547,6 @@ def kilbas_saigo(
                 size = abs(value)
             except OverflowError:
                 size = math.inf  # the magnitude of a value past the double range
-            if estimate <= tol * (size if size > 1.0 else 1.0):
+            if estimate <= tol * (size if size > 1.0 else 1.0) and cmath.isfinite(value):
                 return _report((value, _CONTOUR_NODES, last, True, "contour"))
     return _sum_series_from(grow, logs, z, tol)
-
-
-def mittag_leffler(a: float, b: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
-    """Two-parameter Mittag-Leffler function E_{a,b}(z) = sum_k z^k / Gamma(ak+b).
-
-    Summed by the same engine as kilbas_saigo, but each log-coefficient is
-    formed directly as -lnGamma(ak+b), independently of any coefficient
-    recurrence or cache. Intended as a desk-scale oracle; the partial sum is
-    returned even if the rule never fires.
-    """
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"mittag_leffler requires finite a > 0, got a={a}")
-    if not 0.0 < b < math.inf:
-        raise DomainError(f"mittag_leffler requires finite b > 0, got b={b}")
-    log_coeffs: list[float] = []
-
-    def fetch(n: int) -> list[float]:
-        while len(log_coeffs) < n:
-            try:
-                log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
-            except OverflowError:
-                log_coeffs.append(-math.inf)  # 1/Gamma underflows
-        return log_coeffs
-
-    return _sum_log_series(fetch, z, tol).value

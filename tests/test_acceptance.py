@@ -36,10 +36,10 @@ from bihilfer import (
     hilfer_numeric,
     initial_condition_check,
     kilbas_saigo,
-    mittag_leffler,
     residual_coefficient_identity,
     residual_numeric,
 )
+from test_special_functions import mittag_leffler
 
 
 def report(name: str, passed: bool, detail: str) -> None:

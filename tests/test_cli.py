@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import shlex
 import struct
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -508,6 +510,33 @@ class TestVerify:
         assert ic and all(r[2:] == ["inf", "1e-06", "fail"] for r in ic)
 
 
+class TestOverflowedValue:
+    """A row whose value passes the double range is not converged, so the
+    table is written and the command exits 3. Each read inf (inf, nan in
+    fundamental) and exited 0; eval-ks printed True."""
+
+    PROBLEM = ["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--y-max", "1", "--points", "4"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["eval-ks", "--alpha", "1", "--m", "1", "--l", "0", "--z", "710"],
+         ["fundamental", *PROBLEM, "--lambda-re", "26.7"],
+         ["solve", *PROBLEM, "--lambda-re", "26.5", "--phis", "1e10"]],
+        ids=["eval-ks", "fundamental", "solve"],
+    )
+    def test_exit_3(self, runner, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, args)
+        assert result.exit_code == 3, result.output
+        _, header, rows = parse_csv(result.stdout)
+        assert rows[-1][1] == "inf"
+        assert all(math.isfinite(float(row[1])) for row in rows[:-1])
+        if header[-1] == "converged":
+            assert rows[-1][-1] == "False"
+        assert result.stderr == "error: series did not converge at every point\n"
+
+
 class TestUnderflowingStep:
     """A grid step y_max / points that underflows to 0, or whose power -i
     overflows for verify's order-i grid derivative, is a validation error,
@@ -780,3 +809,23 @@ class TestConfigFile:
         result = runner.invoke(cli, ["--version"])
         assert result.exit_code == 0
         assert "bihilfer" in result.output
+
+
+def _readme_cli_examples():
+    """The argument lists of the `bihilfer ...` lines in README.md's sh
+    block under `## CLI`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bihilfer ")]
+
+
+class TestReadmeExamples:
+    def test_every_command_has_an_example(self):
+        assert {args[0] for args in _readme_cli_examples()} == {
+            "eval-ks", "fundamental", "solve", "verify"}
+
+    @pytest.mark.parametrize("args", _readme_cli_examples())
+    def test_example_exits_0(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output

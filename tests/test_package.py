@@ -40,9 +40,8 @@ paths = [
 ]
 assert paths == ['series', 'series', 'contour', 'contour', 'series', 'contour'], paths
 assert not _reference_in_sector(0.3, 3.0) and _reference_contour_pole(0.3, 1.0, 3.0)[0] != 0
-assert sf.mittag_leffler(0.5, 1.0, -2.0) != 0
 assert sf.kilbas_saigo_coefficients(P(0.5, 1.0, 0.0), 4)[0] == 1.0
-assert sf.gamma_ratio(3.5, 2.0) > 0 and sf.log_gamma_ratio(3.5, 2.0) > 0 and sf.log_gamma(0.5) > 0
+assert sf.gamma_ratio(3.5, 2.0) > 0 and sf.log_gamma_ratio(3.5, 2.0) > 0
 assert 'numpy' not in sys.modules, 'numpy is loaded'
 """
 
@@ -248,7 +247,7 @@ class TestNamespace:
         from bihilfer import cli, solver
 
         assert solver.fundamental_solution is bihilfer.fundamental_solution
-        assert cli.cli.name == "cli"
+        assert callable(cli.cli.main)
 
 
 class TestEvaluationSurface:

@@ -19,14 +19,13 @@ from bihilfer import (
     coefficient_sequence,
     derive_params,
     fundamental_solution,
-    hilfer_reduction_params,
     initial_condition_check,
     kilbas_saigo,
     kilbas_saigo_coefficients,
-    mittag_leffler,
 )
 from bihilfer.series_grid import _PowerGrid, _sum_log_series_grid
 from bihilfer.special_functions import SeriesEvalReport, _sum_log_series, _triple
+from test_special_functions import mittag_leffler
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
@@ -557,7 +556,7 @@ class TestShiftedTail:
 class TestOverflowingPower:
     """A grid point where lambda y^a or y^(aK+b) passes the double range is
     reported unconverged, without an exception or a warning, and leaves the
-    other points' bits as they are."""
+    other points' bits as they are; so is one whose value does."""
 
     PROBLEM = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-1.0)  # a = 1.875
 
@@ -581,6 +580,30 @@ class TestOverflowingPower:
     def test_cauchy_grid_report(self):
         self._check(cauchy_solution(self.PROBLEM, [1.0, 0.5]).evaluate)
 
+    def test_branch_value_past_the_double_range(self):
+        # At y = 4 kilbas_saigo is finite and converged, and y**b = 4
+        # carries the branch past the double range: it read inf, converged.
+        sol = fundamental_solution(make_problem(1.5, 1.5, 1.0, 2, lam=2395.0), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inner = kilbas_saigo(sol.kilbas_saigo_params(), sol.lam * 4.0**sol.a)
+            report = sol.evaluate([1.0, 4.0])
+        assert inner.converged and math.isfinite(inner.value.real) and sol.b == 1.0
+        assert [r.converged for r in report] == [True, False]
+        assert report[1].value == math.inf
+
+    def test_cauchy_value_past_the_double_range(self):
+        # Its one branch is finite and converged at y = 1, and the weight
+        # 1e10 carries the sum past the double range: it read inf, converged.
+        sol = cauchy_solution(make_problem(0.5, 0.5, 1.0, 1, lam=26.5), [1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            branch = sol.branches[0].evaluate([0.5, 1.0])
+            report = sol.evaluate([0.5, 1.0])
+        assert all(r.converged and math.isfinite(r.value.real) for r in branch)
+        assert [r.converged for r in report] == [True, False]
+        assert report[1].value == math.inf
+
 
 class TestCauchySolution:
     def test_all_zero_data(self):
@@ -592,7 +615,7 @@ class TestCauchySolution:
         sol = cauchy_solution(CAPUTO_HALF, [1.0])
         ys = [0.25, 1.0]
         for y, value in zip(ys, values(sol.evaluate(ys))):
-            expected = mittag_leffler(0.5, 1.0, math.sqrt(y))
+            expected = math.exp(y) * math.erfc(-math.sqrt(y))  # E_{1/2}(sqrt y)
             assert abs(value - expected) <= 1e-10 * abs(expected)
 
     def test_second_branch_leading_exponent(self):
@@ -666,6 +689,16 @@ class TestCauchySolution:
         assert_matches_pointwise(sol.evaluate(ys), [sol.evaluate_report(float(y)) for y in ys])
 
 
+def hilfer_reduction_params(problem):
+    """Kilbas-Saigo triples per branch in the alpha = beta case, where the
+    operator is the classical Hilfer derivative:
+    (alpha, m/alpha + 1, (m + s - (1-mu)*(i-alpha))/alpha)."""
+    alpha, _, mu, i = problem.orders
+    m = problem.m
+    return [KilbasSaigoParams(alpha, m / alpha + 1.0, (m + s - (1.0 - mu) * (i - alpha)) / alpha)
+            for s in range(i)]
+
+
 class TestHilferReduction:
     def test_caputo_case(self):
         params = hilfer_reduction_params(CAPUTO_HALF)
@@ -679,10 +712,6 @@ class TestHilferReduction:
         # l = -1 is admissible here: alpha*l = -0.5 stays above -1
         assert params[0].l == pytest.approx(-1.0, abs=1e-15)
         assert params[0].m == pytest.approx(1.0)
-
-    def test_requires_equal_orders(self):
-        with pytest.raises(DomainError, match="alpha = beta"):
-            hilfer_reduction_params(make_problem(0.6, 0.5, 0.5, 1))
 
     def test_agrees_with_generic_mapping(self):
         for alpha in (0.3, 0.5, 0.9, 1.5, 2.2):

@@ -14,6 +14,7 @@ import math
 import pickle
 import struct
 import sys
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -27,9 +28,7 @@ from bihilfer import (
     gamma_ratio,
     kilbas_saigo,
     kilbas_saigo_coefficients,
-    log_gamma,
     log_gamma_ratio,
-    mittag_leffler,
 )
 from bihilfer import DegenerateProblem, OrderTriple, fundamental_solution
 from bihilfer import special_functions
@@ -59,47 +58,6 @@ LGAMMA_RATIO_REFERENCE = [
     (47.2, 50.0, -10.84484511880641959334),
     (20.0, 21.0, -2.995732273553990993435),
 ]
-
-# (x, ln Gamma(x)) frozen from a 40-digit computation
-LGAMMA_REFERENCE = [
-    (1e-6, 13.81550998074943166921),
-    (0.25, 1.288022524698077457371),
-    (0.5, 0.5723649429247000870717),
-    (1.0, 0.0),
-    (1.5, -0.1207822376352452223455),
-    (2.0, 0.0),
-    (2.5, 0.2846828704729191596325),
-    (3.7, 1.428072326665387921872),
-    (10.0, 12.80182748008146961121),
-    (170.25, 702.7206616776804649751),
-    (1000.0, 5905.220423209181211826),
-    (1e6, 12815504.56914761165998),
-]
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("x,expected", LGAMMA_REFERENCE)
-    def test_reference_values(self, x, expected):
-        assert abs(log_gamma(x) - expected) <= 1e-13 * max(1.0, abs(expected))
-
-    def test_trivial_zeros(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_half_integer(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
-
-    @given(st.floats(min_value=1e-3, max_value=1e5))
-    def test_functional_equation(self, x):
-        # Gamma(x+1) = x Gamma(x)
-        lhs = log_gamma(x + 1.0)
-        rhs = log_gamma(x) + math.log(x)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestLogGammaRatio:
@@ -415,6 +373,27 @@ class TestKilbasSaigo:
         assert abs(report.value - cmath.exp(z)) <= 1e-12 * abs(cmath.exp(z))
 
 
+def mittag_leffler(a: float, b: float, z: complex, tol: float = 1e-12) -> complex:
+    """Two-parameter Mittag-Leffler function E_{a,b}(z) = sum_k z^k / Gamma(ak+b),
+    for finite a, b > 0: a reference for the m = 1 reductions of
+    E_{alpha,m,l}. Summed by the same engine as kilbas_saigo, but each
+    log-coefficient is formed directly as -lnGamma(ak+b), independently of
+    any coefficient recurrence or cache. A plain series, so it cancels
+    where kilbas_saigo takes its contour rule; the partial sum is returned
+    even if the stopping rule never fires."""
+    log_coeffs: list[float] = []
+
+    def fetch(n: int) -> list[float]:
+        while len(log_coeffs) < n:
+            try:
+                log_coeffs.append(-math.lgamma(a * len(log_coeffs) + b))
+            except OverflowError:
+                log_coeffs.append(-math.inf)  # 1/Gamma underflows
+        return log_coeffs
+
+    return _sum_log_series(fetch, z, tol).value
+
+
 class TestMittagLeffler:
     def test_exponential(self):
         assert abs(mittag_leffler(1.0, 1.0, 1.0) - math.e) <= 1e-12 * math.e
@@ -430,17 +409,6 @@ class TestMittagLeffler:
             value = mittag_leffler(0.5, 1.0, z)
             assert value.imag == 0.0
             assert abs(value - expected) <= 1e-10 * expected
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            mittag_leffler(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            mittag_leffler(1.0, -1.0, 1.0)
-
-    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)])
-    def test_orders_must_be_finite(self, a, b):
-        with pytest.raises(DomainError, match="mittag_leffler requires finite"):
-            mittag_leffler(a, b, -2.0)
 
     @pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e308, 0.5)])
     def test_gamma_past_the_double_range(self, a, b):
@@ -792,8 +760,9 @@ class TestGridChunks:
 
 def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
     """The scalar engine as it was before its per-term cost was cut, kept
-    verbatim but for the start offset and term weights it no longer takes:
-    the engine must return the same report for every input."""
+    verbatim but for the start offset and term weights it no longer takes,
+    and with the engine's non-finite exit at the stopping index: the engine
+    must return the same report for every input."""
     _check_series_args(tol)
     logs = log_coeffs(1)
     if z == 0:
@@ -830,6 +799,8 @@ def _reference_sum_log_series(log_coeffs, z, tol=1e-12) -> SeriesEvalReport:
         else:
             streak = 0
         if k >= 2 and streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
+            if not cmath.isfinite(total):
+                return SeriesEvalReport(complex(total), k + 1, math.inf, False)
             return SeriesEvalReport(complex(total), k + 1, mag, True)
         prev_mag = mag
         k += 1
@@ -943,7 +914,7 @@ def _reference_kilbas_saigo(params, z, tol=1e-12) -> SeriesEvalReport:
                 size = abs(value)
             except OverflowError:
                 size = math.inf  # the magnitude of a value past the double range
-            if estimate <= tol * (size if size > 1.0 else 1.0):
+            if estimate <= tol * (size if size > 1.0 else 1.0) and cmath.isfinite(value):
                 return SeriesEvalReport(value, _CONTOUR_NODES, last, True, "contour")
     return _reference_sum_log_series(_triple(*params).grow, z, tol)
 
@@ -997,14 +968,21 @@ class TestScalarEngineReference:
             ((1.0, 1.0, 0.0), complex(0.0, math.nan), 0, (1, False)),
             ((1.0, 1.0, 0.0), -800.0, 0, "overflow"),
             ((0.01, 0.01, 0.0), -0.9999, 0, (10_000, False)),
+            ((1.0, 1.0, 0.0), 710.0, 0, "overflow"),
+            ((1.0, 1.0, 0.0), complex(710.0, 1e-3), 0, "overflow"),
         ],
         ids=["term-cap", "zero-point", "converged", "term-overflow", "magnitude-overflow",
              "non-finite-point", "minus-inf", "nan", "inf-real-part", "inf-imag-part",
-             "nan-real-part", "nan-imag-part", "negative-term-overflow", "negative-term-cap"],
+             "nan-real-part", "nan-imag-part", "negative-term-overflow", "negative-term-cap",
+             "sum-overflow", "complex-sum-overflow"],
     )
     def test_every_exit(self, params, z, start, exit):
+        # At e^710 every term is finite but the sum is not, and an infinite
+        # sum passed the stopping test on every term: it stopped converged.
         fetch = _triple(*_shifted(KilbasSaigoParams(*params), start)).grow
-        report = _sum_log_series(fetch, z, 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = _sum_log_series(fetch, z, 1e-12)
         if exit == "overflow":
             assert report.last_term_magnitude == math.inf and not report.converged
         elif exit == "converged":
@@ -1215,6 +1193,16 @@ class TestContourPath:
         ]:
             assert kilbas_saigo(params, z).path == "series"
 
+    def test_residue_past_the_double_range_takes_the_series(self):
+        # The residue e^(s*)/alpha overflows at s* = 709.2 although e^(s*)
+        # does not; the rule read inf+nanj, converged. The series is not
+        # finite there either, and says so.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), 26.63)
+        assert report.path == "series" and not report.converged
+        assert report.value == math.inf and report.last_term_magnitude == math.inf
+
     def test_pole_near_the_contour_meets_tol(self):
         # Off the sector the pole s* = 9 lies at d = -0.47 from the contour.
         # Its trapezoid error, about 5e-3, is subtracted exactly, so the
@@ -1361,6 +1349,16 @@ class TestSilentWrongSeries:
         tol = 1e-12
         report = kilbas_saigo(KilbasSaigoParams(0.3, 1.0, 1.0), -3.0, tol)
         expected = _hankel_reference(0.3, 1.0, complex(-3.0))
+        assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
+
+    @pytest.mark.xfail(strict=True, reason="the contour rule refuses a pole 1e-6 from "
+                       "its missing node u = 17h, and the series answers 2.8e4+2.2e4i, "
+                       "converged, against -0.0254+0.0793i")
+    def test_pole_near_a_missing_node(self):
+        tol = 1e-12
+        z = _off_sector_point(0.5, complex(1.0, 17.0 * _CONTOUR_H + 1e-6))
+        report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), z, tol)
+        expected = _series_reference(0.5, 0.0, z)
         assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
 
 

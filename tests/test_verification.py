@@ -20,7 +20,6 @@ from bihilfer import (
     hilfer_numeric,
     initial_condition_check,
     kilbas_saigo_coefficients,
-    mittag_leffler,
     residual_coefficient_identity,
     residual_numeric,
 )
@@ -28,6 +27,7 @@ from bihilfer import special_functions
 from bihilfer.cli import RESIDUAL_THRESHOLD
 from bihilfer.special_functions import _sum_log_series, _triple
 from bihilfer.verification import _derivative_series, residual_min_points
+from test_special_functions import mittag_leffler
 
 
 def make_problem(alpha, beta, mu, i, m=0.0, lam=1.0):
