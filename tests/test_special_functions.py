@@ -59,6 +59,52 @@ LGAMMA_RATIO_REFERENCE = [
     (20.0, 21.0, -2.995732273553990993435),
 ]
 
+# (x, ln Gamma(x)) frozen from a 40-digit computation
+LGAMMA_REFERENCE = [
+    (1e-6, 13.81550998074943166921),
+    (0.25, 1.288022524698077457371),
+    (0.5, 0.5723649429247000870717),
+    (1.0, 0.0),
+    (1.5, -0.1207822376352452223455),
+    (2.0, 0.0),
+    (2.5, 0.2846828704729191596325),
+    (3.7, 1.428072326665387921872),
+    (10.0, 12.80182748008146961121),
+    (170.25, 702.7206616776804649751),
+    (1000.0, 5905.220423209181211826),
+    (1e6, 12815504.56914761165998),
+]
+
+
+def log_gamma(x):
+    """lnGamma(x) = lnGamma(x) - lnGamma(1), through the public ratio."""
+    return log_gamma_ratio(x, 1.0)
+
+
+class TestLogGamma:
+    @pytest.mark.parametrize("x,expected", LGAMMA_REFERENCE)
+    def test_reference_values(self, x, expected):
+        assert abs(log_gamma(x) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+    def test_trivial_zeros(self):
+        assert log_gamma(1.0) == 0.0
+        assert log_gamma(2.0) == 0.0
+
+    def test_half_integer(self):
+        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    def test_domain(self, x):
+        with pytest.raises(DomainError):
+            log_gamma(x)
+
+    @given(st.floats(min_value=1e-3, max_value=1e5))
+    def test_functional_equation(self, x):
+        # Gamma(x+1) = x Gamma(x)
+        lhs = log_gamma(x + 1.0)
+        rhs = log_gamma(x) + math.log(x)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
 
 class TestLogGammaRatio:
     @pytest.mark.parametrize("p,q,expected", LGAMMA_RATIO_REFERENCE)
