@@ -9,6 +9,10 @@ lines before the header row) or schema-versioned JSON. Complex values are
 always split into real/imaginary columns. Exit codes: 0 success,
 1 validation error, 2 verification failure, 3 non-convergence.
 
+Each command checks its options and returns a table() giving (meta,
+columns, rows, failure); Cli.main alone turns a bad option into exit 1,
+opens --out, writes the table and exits with the failure's code.
+
 The command line is parsed by the standard library's argparse: each table
 is a fresh process, and start-up is most of what a small one costs.
 """
@@ -41,6 +45,8 @@ COEFF_IDENTITY_THRESHOLD = 1e-12
 RESIDUAL_THRESHOLD = 5e-3
 IC_THRESHOLD = 1e-6
 
+NONCONVERGED = ("series did not converge at every point", EXIT_NONCONVERGENCE)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse's usage errors (a missing or malformed option, a bad config
@@ -60,15 +66,10 @@ def _phis(text: str) -> list[complex]:
         raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}")
 
 
-def _fail(message: str, code: int) -> None:
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
-
-
 def _check_tol(tol: float) -> None:
     """The series engine needs 0 < tol < 1; nan and inf are rejected too."""
     if not 0.0 < tol < 1.0:
-        _fail(f"--tol must lie in (0, 1), got {tol}", EXIT_VALIDATION)
+        raise ValueError(f"--tol must lie in (0, 1), got {tol}")
 
 
 def _open_out(out: "str | None") -> "io.TextIOBase | None":
@@ -77,7 +78,7 @@ def _open_out(out: "str | None") -> "io.TextIOBase | None":
     try:
         return open(out, "w", encoding="utf-8", newline="") if out else None
     except OSError as exc:
-        _fail(f"cannot write {out}: {exc.strerror}", EXIT_VALIDATION)
+        raise ValueError(f"cannot write {out}: {exc.strerror}")
 
 
 def _write_table(command: str, meta: dict, columns: list[str], rows: list[list], fmt: str,
@@ -116,11 +117,6 @@ def _json_value(value):
     """A non-finite float as the text the CSV carries ("nan", "inf" or
     "-inf"), which float() reads back: JSON has no number for it."""
     return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def _exit_if_nonconverged(converged: bool) -> None:
-    if not converged:
-        _fail("series did not converge at every point", EXIT_NONCONVERGENCE)
 
 
 def _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im) -> "DegenerateProblem":
@@ -169,59 +165,56 @@ def _check_grid(y_max: float, points: int, min_points: int = 1, order: int = 0) 
                          f"(--y-max {y_max}, --points {points})") from None
 
 
-def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol, format, out):
+def cmd_eval_ks(alpha, m, l, z, z_min, z_max, z_points, tol):
     """Tabulate the Kilbas-Saigo function E_{alpha,m,l}(z)."""
     from .special_functions import KilbasSaigoParams, kilbas_saigo
 
     zs = z or []
-    try:
-        for flag, value in [("--z-min", z_min), ("--z-max", z_max)] + [("--z", v) for v in zs]:
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
-        if zs and (z_min is not None or z_max is not None):
-            raise ValueError("give --z values or a --z-min/--z-max grid, not both")
-        if not zs:
-            if z_min is None or z_max is None:
-                raise ValueError("give --z values or a --z-min/--z-max grid")
-            _at_least("--z-points", z_points, 1)
-            zs = _linspace(z_min, z_max, z_points)
-        params = KilbasSaigoParams(alpha=alpha, m=m, l=l)
-    except (DomainError, ValueError) as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    out = _open_out(out)
-    reports = [kilbas_saigo(params, point, tol) for point in zs]
-    rows = [[point, r.value.real, r.value.imag, r.terms_used, r.converged]
-            for point, r in zip(zs, reports)]
-    meta = {"alpha": alpha, "m": m, "l": l, "tol": tol}
-    columns = ["z", "re_value", "im_value", "terms_used", "converged"]
-    _write_table("eval-ks", meta, columns, rows, format, out)
-    _exit_if_nonconverged(all(r.converged for r in reports))
+    for flag, value in [("--z-min", z_min), ("--z-max", z_max)] + [("--z", v) for v in zs]:
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    if zs and (z_min is not None or z_max is not None):
+        raise ValueError("give --z values or a --z-min/--z-max grid, not both")
+    if not zs:
+        if z_min is None or z_max is None:
+            raise ValueError("give --z values or a --z-min/--z-max grid")
+        _at_least("--z-points", z_points, 1)
+        zs = _linspace(z_min, z_max, z_points)
+    params = KilbasSaigoParams(alpha=alpha, m=m, l=l)
+
+    def table():
+        reports = [kilbas_saigo(params, point, tol) for point in zs]
+        rows = [[point, r.value.real, r.value.imag, r.terms_used, r.converged]
+                for point, r in zip(zs, reports)]
+        meta = {"alpha": alpha, "m": m, "l": l, "tol": tol}
+        columns = ["z", "re_value", "im_value", "terms_used", "converged"]
+        return meta, columns, rows, None if all(r.converged for r in reports) else NONCONVERGED
+
+    return table
 
 
-def _solution_table(command: str, sol, meta: dict, y_max: float, points: int, tol: float,
-                    fmt: str, out: "io.TextIOBase | None") -> None:
-    """Write the rows [y, re_u, im_u] of a solution on the uniform grid of
-    (0, y_max], origin excluded; exit 3 unless every point converged."""
-    h = y_max / points
-    ys = [h * k for k in range(1, points + 1)]
-    reports = sol.evaluate(ys, tol)
-    rows = [[y, r.value.real, r.value.imag] for y, r in zip(ys, reports)]
-    _write_table(command, meta, ["y", "re_u", "im_u"], rows, fmt, out)
-    _exit_if_nonconverged(all(r.converged for r in reports))
+def _solution_table(sol, meta: dict, y_max: float, points: int, tol: float):
+    """The table() of a solution: rows [y, re_u, im_u] on the uniform grid of
+    (0, y_max], origin excluded; it fails unless every point converged."""
+
+    def table():
+        h = y_max / points
+        ys = [h * k for k in range(1, points + 1)]
+        reports = sol.evaluate(ys, tol)
+        rows = [[y, r.value.real, r.value.imag] for y, r in zip(ys, reports)]
+        failure = None if all(r.converged for r in reports) else NONCONVERGED
+        return meta, ["y", "re_u", "im_u"], rows, failure
+
+    return table
 
 
-def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, points, tol,
-                    format, out):
+def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, points, tol):
     """Tabulate one fundamental solution u_s on (0, y_max]."""
     from .solver import fundamental_solution
 
-    try:
-        _check_grid(y_max, points)
-        problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
-        sol = fundamental_solution(problem, s)
-    except (DomainError, ValueError) as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    out = _open_out(out)
+    _check_grid(y_max, points)
+    problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
+    sol = fundamental_solution(problem, s)
     ks = sol.kilbas_saigo_params()
     meta = {
         "gamma": ks.alpha,
@@ -231,21 +224,16 @@ def cmd_fundamental(alpha, beta, mu, i, m, lambda_re, lambda_im, s, y_max, point
         "ks_m": ks.m,
         "ks_l": ks.l,
     }
-    _solution_table("fundamental", sol, meta, y_max, points, tol, format, out)
+    return _solution_table(sol, meta, y_max, points, tol)
 
 
-def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, tol,
-              format, out):
+def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, tol):
     """Tabulate the Cauchy-type solution with data phi_0..phi_{i-1}."""
     from .solver import cauchy_solution, derive_params
 
-    try:
-        _check_grid(y_max, points)
-        problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
-        sol = cauchy_solution(problem, phis)
-    except (DomainError, ValueError) as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    out = _open_out(out)
+    _check_grid(y_max, points)
+    problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
+    sol = cauchy_solution(problem, phis)
     derived = derive_params(problem)
     meta = {
         "gamma": derived.gamma,
@@ -253,17 +241,10 @@ def cmd_solve(alpha, beta, mu, i, m, lambda_re, lambda_im, phis, y_max, points, 
         "b": ",".join(repr(b) for b in derived.b),
         "phis": ",".join(repr(p.real) if p.imag == 0 else str(p) for p in sol.phis),
     }
-    _solution_table("solve", sol, meta, y_max, points, tol, format, out)
+    return _solution_table(sol, meta, y_max, points, tol)
 
 
-def _check(name: str, branch, metric, threshold: float) -> dict:
-    """One row of the verification report."""
-    return {"name": name, "branch": branch, "metric": metric, "threshold": threshold,
-            "status": "pass" if metric <= threshold else "fail"}
-
-
-def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
-               points, tol, format, out):
+def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max, points, tol):
     """Run the verification suite; exit 0 only if every check passes."""
     from .solver import cauchy_solution, fundamental_solution
     from .verification import (
@@ -273,48 +254,42 @@ def cmd_verify(alpha, beta, mu, i, m, lambda_re, lambda_im, s, k, phis, y_max,
         residual_numeric,
     )
 
-    try:
-        _check_grid(y_max, points, residual_min_points(i), i)
-        _at_least("--k", k, 1)
-        problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
-        if s is not None:
-            fundamental_solution(problem, s)  # rejects a branch outside 0..i-1
-        branches = [s] if s is not None else list(range(i))
-        if phis is None:
-            phis = [complex(j + 1) for j in range(i)]
-        cauchy_solution(problem, phis)  # rejects phis of the wrong length or not finite
-    except (DomainError, ValueError) as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    out = _open_out(out)
+    _check_grid(y_max, points, residual_min_points(i), i)
+    _at_least("--k", k, 1)
+    problem = _build_problem(alpha, beta, mu, i, m, lambda_re, lambda_im)
+    if s is not None:
+        fundamental_solution(problem, s)  # rejects a branch outside 0..i-1
+    branches = [s] if s is not None else list(range(i))
+    if phis is None:
+        phis = [complex(j + 1) for j in range(i)]
+    cauchy_solution(problem, phis)  # rejects phis of the wrong length or not finite
 
-    checks = []
-    nonconverged = False
-    for branch in branches:
-        err = residual_coefficient_identity(problem, branch, k)
-        checks.append(_check("coefficient_identity", branch, err, COEFF_IDENTITY_THRESHOLD))
-        report = residual_numeric(problem, branch, y_max=y_max, n_points=points, tol=tol)
-        nonconverged = nonconverged or not report.converged
-        checks.append(_check("numeric_residual", branch, report.max_rel_error, RESIDUAL_THRESHOLD))
-    ic_errors = initial_condition_check(problem, phis, tol=tol)
-    checks.extend(_check("initial_condition", j, err, IC_THRESHOLD)
-                  for j, err in enumerate(ic_errors))
+    def table():
+        checks, nonconverged = [], False  # checks as (name, branch, metric, threshold)
+        for branch in branches:
+            err = residual_coefficient_identity(problem, branch, k)
+            checks.append(("coefficient_identity", branch, err, COEFF_IDENTITY_THRESHOLD))
+            report = residual_numeric(problem, branch, y_max=y_max, n_points=points, tol=tol)
+            nonconverged = nonconverged or not report.converged
+            checks.append(("numeric_residual", branch, report.max_rel_error, RESIDUAL_THRESHOLD))
+        ic_errors = initial_condition_check(problem, phis, tol=tol)
+        checks.extend(("initial_condition", j, err, IC_THRESHOLD) for j, err in enumerate(ic_errors))
+        rows = [[*check, "pass" if check[2] <= check[3] else "fail"] for check in checks]
+        failed = [row for row in rows if row[4] == "fail"]
+        meta = {"alpha": alpha, "beta": beta, "mu": mu, "i": i, "m": m, "lambda_re": lambda_re,
+                "lambda_im": lambda_im, "passed": not failed}
+        columns = ["name", "branch", "metric", "threshold", "status"]
+        failure = None
+        if nonconverged:
+            failure = ("series evaluation did not converge during the residual check",
+                       EXIT_NONCONVERGENCE)
+        elif failed:
+            names = ", ".join(f"{name}(branch {branch}): {metric:.3e} > {threshold:.0e}"
+                              for name, branch, metric, threshold, _ in failed)
+            failure = (f"verification failed: {names}", EXIT_VERIFICATION)
+        return meta, columns, rows, failure
 
-    failed = [c for c in checks if c["status"] == "fail"]
-    meta = {
-        "alpha": alpha, "beta": beta, "mu": mu, "i": i, "m": m,
-        "lambda_re": lambda_re, "lambda_im": lambda_im,
-        "passed": not failed,
-    }
-    columns = ["name", "branch", "metric", "threshold", "status"]
-    rows = [[c[col] for col in columns] for c in checks]
-    _write_table("verify", meta, columns, rows, format, out)
-    if nonconverged:
-        _fail("series evaluation did not converge during the residual check",
-              EXIT_NONCONVERGENCE)
-    if failed:
-        names = ", ".join(f"{c['name']}(branch {c['branch']}): {c['metric']:.3e} "
-                          f"> {c['threshold']:.0e}" for c in failed)
-        _fail(f"verification failed: {names}", EXIT_VERIFICATION)
+    return table
 
 
 DESCRIPTION = ("Degenerate fractional equations with the bi-ordinal Hilfer derivative: evaluate "
@@ -482,14 +457,28 @@ class Cli:
         command returns when it succeeds; --help, --version, a usage error and
         a failed command raise SystemExit with the exit code.
         standalone_mode, click's flag, changes nothing: bench/child.py runs
-        commands in-process as main(args, standalone_mode=False)."""
+        commands in-process as main(args, standalone_mode=False). A bad
+        --tol, a bad option and an --out that cannot be opened exit 1, in
+        that order, before the table is computed."""
         tokens = _joined(sys.argv[1:] if args is None else list(args))
         parser, commands = _parser(tokens[0] if tokens else "")
         options = vars(parser.parse_args(_with_config(tokens, commands)))
-        run, _ = COMMANDS[options.pop("command")]
+        command = options.pop("command")
+        fmt, out = options.pop("format"), options.pop("out")
         del options["config"]
-        _check_tol(options["tol"])
-        run(**options)
+        try:
+            _check_tol(options["tol"])
+            table = COMMANDS[command][0](**options)
+            out = _open_out(out)
+        except (DomainError, ValueError) as exc:
+            failure = (str(exc), EXIT_VALIDATION)
+        else:
+            meta, columns, rows, failure = table()
+            _write_table(command, meta, columns, rows, fmt, out)
+        if failure is not None:
+            message, code = failure
+            print(f"error: {message}", file=sys.stderr)
+            sys.exit(code)
 
 
 cli = Cli()

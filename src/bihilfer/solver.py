@@ -160,9 +160,9 @@ def derive_params(problem: DegenerateProblem) -> DerivedParams:
     gamma = orders.gamma
     a = problem.m + gamma
     b = tuple(s - orders.inner_order for s in range(orders.i))
-    # Guaranteed by the problem invariants; checked to fail loudly if not.
-    if not a > 0.0:
-        raise DomainError(f"a = m + gamma > 0 violated (a={a})")
+    # a > 0 always (gamma = 0 only where m >= beta > 0). m + b_s + 1 > 0
+    # holds in exact arithmetic, but fails at i = 1 for mu, beta and m at
+    # most 2^-54, where the inner order (1-mu)(1-beta) rounds to 1.
     for bs in b:
         if not problem.m + bs + 1.0 > 0.0:
             raise DomainError(f"m + b_s + 1 > 0 violated (b_s={bs}, m={problem.m})")

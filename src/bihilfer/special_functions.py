@@ -450,16 +450,17 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
     times |r| |rho|/|1 - rho|^2. The correction is that of the infinite
     rule, whose nodes past |u| = N h the sum lacks; where the pole lies
     past them, |Re u*| > N h, the missing node nearest it can hold about
-    |r| h/(2 pi |u* - u_k|), so its term joins the estimate, and the rule
-    cannot take z on it.
+    |r| h/(2 pi |u* - u_k|), so its term and rounding join the correction's,
+    the next missing node on the pole's far side joins the estimate, and
+    the rule cannot take z on a node.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value and the rounding bound
     sum_k eps (1 + |s_k|) |t_k| are running sums in node order; the
     correction and its rounding bound are added after them (exact zeros in
     the sector, which leave the bits as they are). The estimate is that
-    bound plus the outermost node's contribution, plus the missing node's
-    term where the pole lies past the nodes.
+    bound plus the outermost node's contribution, plus the second-nearest
+    missing node's term where the pole lies past the nodes.
     """
     if z == 0 or not cmath.isfinite(z):
         return None
@@ -485,12 +486,18 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
         spread = 2.0 + abs(log_s)
         shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
         rounding = size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
-        # Past the outermost node, the missing node nearest the pole can
-        # outweigh it (see above).
+        # Past the outermost node, the missing node nearest the pole is
+        # summed and the next one, on the pole's far side, charged (see above).
         if abs(w.imag) > _CONTOUR_N * _CONTOUR_H:
-            k = max(round(abs(w.imag) / _CONTOUR_H), _CONTOUR_N + 1)
-            power, weight, _ = _contour_node(alpha, beta, log_gamma, k if w.imag > 0.0 else -k)
+            x = abs(w.imag) / _CONTOUR_H
+            k = max(round(x), _CONTOUR_N + 1)
+            far = k + 1 if x > k or k == _CONTOUR_N + 1 else k - 1
+            sign = 1 if w.imag > 0.0 else -1
             try:
+                power, weight, node_rounding = _contour_node(alpha, beta, log_gamma, sign * k)
+                t = weight / (power - z)
+                pole, rounding = pole + t, rounding + abs(t) * node_rounding
+                power, weight, _ = _contour_node(alpha, beta, log_gamma, sign * far)
                 missing = abs(weight / (power - z))
             except (ZeroDivisionError, OverflowError):
                 return None
@@ -532,7 +539,8 @@ def kilbas_saigo(
     contour rule on the nodes of _triple instead, reported with path="contour":
     in the sector |arg z| >= alpha*pi as it stands, off it with the one
     pole's trapezoid error subtracted and, where the pole lies right of the
-    contour, its residue added (_contour_estimate). Where the rule cannot
+    contour, its residue added; where the pole lies past the outermost node,
+    the missing node nearest it is added too (_contour_estimate). Where the rule cannot
     take z, its value is not finite (a residue past the double range) or
     its error estimate exceeds tol * max(1, |value|), the series is summed
     as elsewhere.

@@ -687,6 +687,44 @@ class TestOutPath:
         assert calls == []
 
 
+class TestPipeline:
+    """Every command checks its options before Cli.main opens --out and
+    computes the table: a bad --tol (whose message comes first) or a domain
+    error exits 1 with one error line, no file and no engine call."""
+
+    ENGINE = [("special_functions", "kilbas_saigo"), ("solver", "kilbas_saigo"),
+              ("verification", "residual_coefficient_identity"),
+              ("verification", "residual_numeric"), ("verification", "initial_condition_check")]
+    TOL = "--tol must lie in (0, 1), got 0.0"
+
+    @pytest.mark.parametrize(
+        "command,valid,bad,domain",
+        [
+            ("eval-ks", ["--alpha", "0.5"], ["--alpha", "0"], "alpha > 0 violated (alpha=0.0)"),
+            *[(command, ["--mu", "1"], ["--mu", "2"], "0 <= mu <= 1 violated (mu=2.0)")
+              for command in ("fundamental", "solve", "verify")],
+        ],
+    )
+    @pytest.mark.parametrize("error", ["tol", "domain", "both"])
+    def test_bad_option_exits_1_before_out_and_engine(self, runner, tmp_path, monkeypatch,
+                                                      command, valid, bad, domain, error):
+        calls = []
+        for module, name in self.ENGINE:
+            monkeypatch.setattr(f"bihilfer.{module}.{name}", lambda *a, **k: calls.append(a))
+        rest = (["--m", "1", "--l", "0", "--z", "1"] if command == "eval-ks"
+                else ["--alpha", "0.5", "--beta", "0.5", *(["--phis", "1"] * (command == "solve"))])
+        out = tmp_path / "table.csv"
+        args = [command, *(valid if error == "tol" else bad), *rest, "--out", str(out),
+                *(["--tol", "0"] if error != "domain" else [])]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {domain if error == 'domain' else self.TOL}\n"
+        assert result.stdout == ""
+        assert not out.exists()
+        assert calls == []
+
+
 class TestCsvFloats:
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 5e-324, -0.0, 1e300, -2.5e-310, 12345.678])
     def test_float_cells_read_back_bit_exact(self, tmp_path, value):

@@ -128,6 +128,17 @@ class TestDeriveParams:
             for bs in params.b:
                 assert problem.m + bs + 1.0 > 0.0
 
+    @pytest.mark.parametrize("mu,beta,m", [(0.0, 1e-300, 0.0), (2.0**-54, 2.0**-54, 2.0**-54)])
+    def test_inner_order_rounding_to_one_is_refused(self, mu, beta, m):
+        # An admissible problem whose inner order (1-mu)(1-beta) rounds to
+        # 1, so b_0 = -1 and m + b_0 + 1 = 0. Without the check its branch
+        # is the triple (beta, ~1, ~-1/beta), whose series reads 0 after
+        # 10,000 terms, unconverged, at every y.
+        problem = make_problem(0.5, beta, mu, 1, m=m)
+        assert problem.orders.inner_order == 1.0
+        with pytest.raises(DomainError, match=r"m \+ b_s \+ 1 > 0 violated \(b_s=-1.0"):
+            derive_params(problem)
+
 
 class TestCoefficientSequence:
     def test_k_zero(self):
