@@ -1,7 +1,7 @@
 """Kilbas-Saigo series along a ray, in numpy.
 
 The numpy half of the series engine, used by the solver's series tails (and
-so only by `verify`): _sum_log_series_grid sums a series at every point
+so only by `verify`): _sum_series_grid sums a series at every point
 z = lam * y**a of a _PowerGrid. It is the scalar engine's loop over k run on
 an array of points: the same stopping rule, and the scalar values to
 rounding. It sums series only; a branch that may take the contour rule is
@@ -23,7 +23,7 @@ from .special_functions import (
     DEFAULT_TOL,
     _check_series_args,
     _power,
-    _sum_log_series,
+    _sum_series,
 )
 
 __all__ = ["SeriesGridReport"]
@@ -50,96 +50,82 @@ class SeriesGridReport(_ReadOnly):
                              path=path)
 
 
-# Largest term exponent Re(L + k log z) the grid driver sums itself. Up to
-# here np.exp and the scalar exps round alike (they rescale differently past
-# about 708), and _MAX_TERMS such terms cannot overflow a sum.
-_GRID_EXP_MAX = 700.0
-
-
 class _PowerGrid(NamedTuple):
     """The points z_j = lam * y_j**a, y_j >= 0, a > 0, on the ray arg lam: the
-    grid driver forms their terms as exp(L[k] + k ln|z_j|) with
-    ln|z_j| = ln|lam| + a ln y_j, times one phase e^(ik arg lam) per k."""
+    grid driver forms them as lam times numpy's y_j**a, which can differ
+    from Python's pow in the last bit."""
 
     lam: complex
     a: float
     ys: np.ndarray
 
 
-def _sum_log_series_grid(
-    log_coeffs: Callable[[int], list[float]], zs: _PowerGrid, tol: float = DEFAULT_TOL
+def _sum_series_grid(
+    ratios_of: Callable[[int], list[float]], zs: _PowerGrid, tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
-    """special_functions._sum_log_series(log_coeffs, z, tol) at every point z
-    of the ray zs, to rounding.
+    """special_functions._sum_series(ratios_of, z, tol) at every point z of
+    the ray zs, to rounding.
 
-    The scalar loop over an array: step k forms term k at every point still
-    summing, adds it in the scalar order and applies the scalar stopping
-    rule. A point carries its sum, whether its last two terms were small
-    and its last magnitude, and leaves the arrays when it stops. Points that
-    stop ahead of every live one, as along a ray of growing |z| where
-    terms_used does not fall, leave by slicing: the live arrays become
-    views, with no copies. Any other stop pattern compacts the arrays by a
-    boolean mask. A point
-    that would need a term above exp(_GRID_EXP_MAX), or whose exponent is
-    not finite, is summed by _sum_log_series itself at z = lam * y**a
-    (Python's pow), so overflow keeps the scalar semantics.
+    The scalar loop over an array: step k multiplies term k-1 by R[k] z at
+    every point still summing, adds it in the scalar order and applies the
+    scalar stopping rule. A point carries its z, term and sum, whether its
+    last two terms were small and its last magnitude, and leaves the arrays
+    when it stops. Points that stop ahead of every live one, as along a ray
+    of growing |z| where terms_used does not fall, leave by slicing: the
+    live arrays become views, with no copies. Any other stop pattern
+    compacts the arrays by a boolean mask. A point whose sum is not finite
+    (a term or the sum past the double range, or a z that is not finite)
+    is summed by _sum_series itself at z = lam * y**a (Python's pow), so
+    overflow keeps the scalar semantics.
     """
     _check_series_args(tol)
-    logs = log_coeffs(1)
-    size = zs.ys.size
+    ratios = ratios_of(1)
+    n = zs.ys.size
     # Every point starts as the one-term sum at z = 0.
     out = SeriesGridReport(
-        np.full(size, complex(math.exp(logs[0]))),
-        np.ones(size, dtype=np.int64),
-        np.zeros(size),
-        np.ones(size, dtype=bool),
+        np.full(n, complex(ratios[0])),
+        np.ones(n, dtype=np.int64),
+        np.zeros(n),
+        np.ones(n, dtype=bool),
     )
-    points = np.flatnonzero((zs.ys != 0.0) & (zs.lam != 0))
-    # ln|z| per point (at lam = 0 there is no point, and ln 1 stands in for
-    # ln|lam|), and the phase e^(ik arg lam) per term (math.atan2, as
-    # cmath.phase raises where arg lam underflows). For real lam the phase
-    # is (+-1)^k and the sums stay real.
-    log_abs = np.log(zs.ys[points]) * zs.a + math.log(abs(zs.lam) or 1.0)
-    phase = math.atan2(zs.lam.imag, zs.lam.real)
     real = zs.lam.imag == 0.0
-    total = np.zeros(points.size, dtype=float if real else complex)
-    small = was_small = np.zeros(points.size, dtype=bool)
-    mag = np.full(points.size, math.inf)
     scalar = []
-    # Exponents of points about to go to the scalar engine may overflow or
-    # be nan; no other value can.
+    # Powers, terms and sums of points about to go to the scalar engine may
+    # overflow or be nan; no other value can.
     with np.errstate(over="ignore", invalid="ignore"):
+        z = np.power(zs.ys, zs.a) * (zs.lam.real if real else zs.lam)
+        points = np.flatnonzero(z != 0.0)
+        z = z[points]
+        term = np.full(points.size, ratios[0], dtype=z.dtype)
+        total = np.zeros(points.size, dtype=z.dtype)
+        small = was_small = np.zeros(points.size, dtype=bool)
+        mag = np.full(points.size, math.inf)
         for k in range(_MAX_TERMS):
             if not points.size:
                 break
-            if k >= len(logs):
-                logs = log_coeffs(min(2 * k, _MAX_TERMS))
+            if k >= len(ratios):
+                ratios = ratios_of(min(2 * k, _MAX_TERMS))
             prev = mag
-            expo = log_abs * float(k)
-            expo += logs[k]
-            mag = np.exp(expo)
-            if not real:
-                term = np.empty(points.size, dtype=complex)
-                np.multiply(mag, np.cos(k * phase), out=term.real)
-                np.multiply(mag, np.sin(k * phase), out=term.imag)
-                total += term
-            elif zs.lam.real < 0.0 and k & 1:
-                total -= mag
-            else:
-                total += mag
+            if k:
+                # Out of place: numpy rounds an in-place complex product of
+                # one element otherwise than one of several.
+                term = term * (z * ratios[k])
+            total += term
+            mag = np.abs(term)
             # |t_k| <= tol max(1, |S_k|) decides as the scalar loop's test.
-            now = mag <= tol * np.fmax(np.abs(total), 1.0)
+            size = np.abs(total)
+            now = mag <= tol * np.fmax(size, 1.0)
             # Three small terms in a row, the last smaller than the one
             # before; the last test only where the first holds.
             stop = now & small & was_small
             leave = np.count_nonzero(stop)
             if leave:
                 stop &= (mag < prev) | ((mag == 0.0) & (prev == 0.0))
-            # A point whose exponent passes _GRID_EXP_MAX or is nan leaves
-            # as a stopped one and is written again by the scalar engine
-            # below. max propagates nan, so a step without one skips the mask.
-            if not expo.max() <= _GRID_EXP_MAX:
-                big = ~(expo <= _GRID_EXP_MAX)
+            # A point whose sum is not finite leaves as a stopped one and is
+            # written again by the scalar engine below. max propagates nan,
+            # so a step without one skips the mask.
+            if not size.max() < math.inf:
+                big = ~(size < math.inf)
                 scalar += points[big].tolist()
                 stop |= big
                 leave = True
@@ -152,14 +138,14 @@ def _sum_log_series_grid(
                 else:
                     gone, live = stop, ~stop
                 _put(out, points[gone], total[gone], k + 1, mag[gone])
-                points, log_abs, total, mag, now, small = (
-                    a[live] for a in (points, log_abs, total, mag, now, small)
+                points, z, term, total, mag, now, small = (
+                    a[live] for a in (points, z, term, total, mag, now, small)
                 )
             small, was_small = now, small
     # The points still summing end unconverged at the cap.
     _put(out, points, total, _MAX_TERMS, mag, False)
     for p in scalar:
-        _put(out, p, *_sum_log_series(log_coeffs, zs.lam * _power(float(zs.ys[p]), zs.a), tol)[:4])
+        _put(out, p, *_sum_series(ratios_of, zs.lam * _power(float(zs.ys[p]), zs.a), tol)[:4])
     return out
 
 

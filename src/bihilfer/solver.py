@@ -217,7 +217,7 @@ class SeriesSolution:
     def coefficient(self, k: int) -> float:
         """c_k, extending the shared cache if needed."""
         k = _check_index("k", k)
-        return math.exp(_triple(*self._params).grow(k + 1)[k])
+        return math.exp(_triple(*self._params).grow_logs(k + 1)[k])
 
     def _term_coefficient(self, k: int) -> complex:
         """c_k lambda^k, the coefficient of y^(ak+b) in the branch: inf where
@@ -266,7 +266,7 @@ class SeriesSolution:
         rounding."""
         import numpy as np
 
-        from .series_grid import SeriesGridReport, _PowerGrid, _sum_log_series_grid
+        from .series_grid import SeriesGridReport, _PowerGrid, _sum_series_grid
 
         ys = np.asarray(ys, dtype=float)
         if ys.ndim != 1:
@@ -278,7 +278,7 @@ class SeriesSolution:
         if _triple(*self._params).contour is None:
             with np.errstate(over="ignore"):
                 scale = np.power(ys, self.a * k_start + self.b)
-            report = _sum_log_series_grid(_triple(*params).grow, _PowerGrid(self.lam, self.a, ys), tol)
+            report = _sum_series_grid(_triple(*params).grow, _PowerGrid(self.lam, self.a, ys), tol)
             # In real arithmetic, as numpy's in-place complex product rounds a
             # long array otherwise than a short one. An overflowed sum or power
             # may grow.

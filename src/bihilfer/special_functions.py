@@ -1,10 +1,11 @@
 """Special-function kernel, scalar half.
 
 Provides overflow-safe Gamma ratios and the Kilbas-Saigo function
-E_{alpha,m,l}, one point at a time. The series engine (_sum_log_series)
+E_{alpha,m,l}, one point at a time. The series engine (_sum_series)
 owns the package's one stopping rule, written out in two loops, one for
-real z and one for complex z. Every sum starts at c_0 = 1 (a tail from
-index K is the triple (alpha, m, l + m*K)). Where the series cancels, at
+real z and one for complex z. It sums by the paper's coefficient product,
+t_k = t_{k-1} (c_k/c_{k-1}) z, and every sum starts at c_0 = 1 (a tail
+from index K is the triple (alpha, m, l + m*K)). Where the series cancels, at
 m = 1, 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid
 rule on a Laplace-inversion contour instead (_contour_estimate), corrected
 where |arg z| < alpha*pi by the exact trapezoid error of the one pole,
@@ -18,8 +19,8 @@ whose triple has a contour record (see _triple). series_grid's driver sums
 the other branches' tails along a ray z = lam * y**a: the same series and
 stopping rule over a numpy array, agreeing to rounding.
 
-All Gamma ratios are handled in log space; Gamma values themselves are never
-formed (they overflow past arguments of about 170).
+Every Gamma ratio is formed in log space, a coefficient ratio as exp of one;
+Gamma values themselves are never formed (they overflow past about 170).
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ class _Triple(NamedTuple):
     """The cached record of one triple; see _triple."""
 
     logs: list[float]
+    ratios: list[float]
     grow: Callable[[int], list[float]]
+    grow_logs: Callable[[int], list[float]]
     contour: "tuple | None"
 
 
@@ -188,31 +191,39 @@ _FILL_LOCK = threading.Lock()
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _triple(alpha: float, m: float, l: float) -> _Triple:
-    """The cached record of one triple (alpha, m, l): (logs, grow, contour).
+    """The cached record of one triple (alpha, m, l):
+    (logs, ratios, grow, grow_logs, contour).
 
-    logs is ln c_0, ln c_1, ... as far as filled, and grow(n) fills it to
-    at least n entries and returns it, also once the record is dropped.
-    contour is _contour_node_tuples(alpha, l) where kilbas_saigo may take
+    ratios is c_0, c_1/c_0, c_2/c_1, ..., which the series engine sums, and
+    logs is ln c_0, ln c_1, ..., which the coefficient readers take, each as
+    far as filled; grow(n) and grow_logs(n) fill one to at least n entries
+    and return it, also once the record is dropped. contour is
+    _contour_node_tuples(alpha, l) where kilbas_saigo may take
     the contour rule, at m = 1, 0 < alpha < 1 and beta = alpha*l + 1 <= 1,
     else None: at larger beta the rule's discretisation error outgrows its
     estimate (1.3e-13 at beta = 1.5, 2e-8 at beta = 5). The least recently
     used of `_CACHE_SIZE` records is dropped (see `_triple.cache_info()`).
     """
-    logs = [0.0]
+    logs, ratios = [0.0], [1.0]
     contour = _contour_node_tuples(alpha, l) if m == 1.0 and alpha < 1.0 and l <= 0.0 else None
-    return _Triple(logs, partial(_fill, alpha, m, l, logs), contour)
+    fill = partial(_fill, alpha, m, l)
+    return _Triple(logs, ratios, partial(fill, ratios, False), partial(fill, logs, True), contour)
 
 
-def _fill(alpha: float, m: float, l: float, log: list[float], n: int) -> list[float]:
-    """`log` filled to at least n entries, append-only under a lock: the
-    values are deterministic, so racing callers see what each would alone."""
-    if len(log) < n:
+def _fill(alpha: float, m: float, l: float, values: list[float], running: bool, n: int) -> list[float]:
+    """`values` filled to at least n entries, append-only under a lock: the
+    values are deterministic, so racing callers see what each would alone.
+    With d_j = lnGamma(q) - lnGamma(q + alpha), q = alpha (jm + l) + 1, a
+    running list takes ln c_{j+1} = ln c_j + d_j, and a ratio list
+    c_{j+1}/c_j = exp(d_j), not exp of a difference of running sums, which
+    carry their rounding."""
+    if len(values) < n:
         with _FILL_LOCK:
-            while len(log) < n:
-                j = len(log) - 1
+            while len(values) < n:
+                j = len(values) - 1
                 diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
-                log.append(log[-1] + diff)
-    return log
+                values.append(values[-1] + diff if running else math.exp(diff))
+    return values
 
 
 def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[float]:
@@ -222,7 +233,7 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[flo
     at j = i-1, each ratio taken in log space and accumulated as ln c_i.
     """
     count = _check_index("count", count, 1)
-    return [math.exp(v) for v in _triple(*params).grow(count)[:count]]
+    return [math.exp(v) for v in _triple(*params).grow_logs(count)[:count]]
 
 
 def _check_index(name: str, value: int, minimum: int = 0) -> int:
@@ -256,85 +267,79 @@ def _power(y: "float | complex", p: float) -> "float | complex":
         return math.inf
 
 
-def _sum_log_series(
-    log_coeffs: Callable[[int], list[float]], z: complex, tol: float = DEFAULT_TOL
+def _sum_series(
+    ratios_of: Callable[[int], list[float]], z: complex, tol: float = DEFAULT_TOL
 ) -> SeriesEvalReport:
-    """The series engine: sum_k exp(L[k] + k log z), k = 0, 1, ...
+    """The series engine: sum_k t_k, t_0 = R[0], t_k = t_{k-1} (R[k] z).
 
-    `log_coeffs(n)` returns a list of at least n log-coefficients L; it is
-    asked for one, then for twice the terms summed (at most _MAX_TERMS)
-    whenever the sum needs more, so a list built per call holds at most twice
-    the terms summed and never more than _MAX_TERMS.
-    Positive term weights w_k come folded in as L[k] + ln w_k. Real z is
-    summed in real arithmetic with an explicit sign (-1)^k for z < 0, so its
-    imaginary part is exactly zero.
+    `ratios_of(n)` returns a list R of at least n term ratios, R[0] = c_0
+    (finite) and R[k] = c_k/c_{k-1} >= 0; it is asked for one, then for
+    twice the terms summed (at most _MAX_TERMS) whenever the sum needs more,
+    so a list built per call holds at most twice the terms summed and never
+    more than _MAX_TERMS. Term weights w_k come folded in as R[k] w_k/w_{k-1}.
+    A real z is summed in real arithmetic, the sign of each term coming
+    from the product, so its imaginary part is exactly zero.
 
     Stopping rule, the only one in the package: stop at the first index
     N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
-    |t_N| < |t_{N-1}|. A term, or a term's or sum's magnitude, that overflows
-    ends the sum unconverged with the partial sum as its value; so does
-    reaching _MAX_TERMS terms. Finite terms can still sum past the double
-    range, and an infinite sum passes the test tol*|S_k| on every term, so
-    a sum that is not finite at the stopping index ends there unconverged,
-    with |t_N| reported as inf (tested there only, not per term). At a
-    non-finite z the first term is nan, and the sum ends there, unconverged.
+    |t_N| < |t_{N-1}|. A term that is not finite ends the sum unconverged
+    with the partial sum before it as its value and inf as |t_N|; so does a
+    complex term's or sum's magnitude past the double range (with the term
+    summed), and reaching _MAX_TERMS terms. Finite terms can still sum past
+    the double range, and an infinite sum passes the test tol*|S_k| on every
+    term, so a sum that is not finite at the stopping index ends there
+    unconverged, with |t_N| reported as inf (tested there only, not per
+    term). At a non-finite z the sum stops at its first term, taken as
+    c_0 (0 z), which is nan, unconverged.
 
-    Per-term cost: the rule is written out in two loops, one per number
-    field and line for line alike: _sum_real_series for a finite real z,
-    where |t_k| is the exp it computes and needs no abs, and
-    _sum_complex_series for a finite z off the axis, which needs no sign
-    test. A finite z gives finite terms or an OverflowError, so neither
-    loop tests a term for finiteness. |S_k| is formed only when |t_k| > tol,
-    which decides the same since tol*max(1, |S|) >= tol; a sum's magnitude
-    can pass the double range only on such a term, so its overflow exit
-    fires on the same term. The stopping test runs only after a small term
-    (three imply N >= 2).
+    Per-term cost: one multiply of the ratio by z and one of the term, no
+    exp. The rule is written out in two loops, one per number field and
+    line for line alike: _sum_real_series for a finite real z and
+    _sum_complex_series for a finite z off the axis. |S_k| is formed only
+    when |t_k| > tol, which decides the same since tol*max(1, |S|) >= tol; a
+    sum's magnitude can pass the double range only on such a term, so its
+    overflow exit fires on the same term. The stopping test runs only after
+    a small term (three imply N >= 2).
     """
     _check_series_args(tol)
-    return _sum_series_from(log_coeffs, log_coeffs(1), z, tol)
+    return _sum_series_from(ratios_of, ratios_of(1), z, tol)
 
 
 def _sum_series_from(
-    log_coeffs: Callable[[int], list[float]], logs: list[float], z: complex, tol: float
+    ratios_of: Callable[[int], list[float]], ratios: list[float], z: complex, tol: float
 ) -> SeriesEvalReport:
-    """_sum_log_series past its tol check, with logs = log_coeffs(1) in hand."""
+    """_sum_series past its tol check, with ratios = ratios_of(1) in hand."""
     if z == 0:
-        return _report((complex(math.exp(logs[0])), 1, 0.0, True, "series"))
+        return _report((complex(ratios[0]), 1, 0.0, True, "series"))
     z = complex(z)
     real = z.imag == 0.0
-    log_z = math.log(abs(z.real)) if real else cmath.log(z)
     if not cmath.isfinite(z):
-        # Then 0 * log z, and so the first term, is nan: the sum stops there.
-        t = (math.exp if real else cmath.exp)(logs[0] + 0 * log_z)
-        return _report((complex((0.0 if real else 0j) + t), 1, abs(t), False, "series"))
+        t = ratios[0] * (z.real * 0.0 if real else z * 0.0)
+        return _report((complex(t), 1, math.nan, False, "series"))
     if real:
-        return _sum_real_series(log_coeffs, logs, log_z, z.real < 0.0, tol)
-    return _sum_complex_series(log_coeffs, logs, log_z, tol)
+        return _sum_real_series(ratios_of, ratios, z.real, tol)
+    return _sum_complex_series(ratios_of, ratios, z, tol)
 
 
 def _sum_real_series(
-    log_coeffs: Callable[[int], list[float]], logs: list[float], log_z: float, flip: bool,
-    tol: float,
+    ratios_of: Callable[[int], list[float]], ratios: list[float], z: float, tol: float
 ) -> SeriesEvalReport:
-    """_sum_log_series at a finite real z != 0: log_z = ln|z|, and each term
-    is its own magnitude, added with the sign (-1)^k where flip (z < 0). The
-    index is also counted in a float x, so k ln|z| is one float multiply
-    (x equals k exactly below 2^53)."""
-    n = len(logs)
-    total = x = 0.0
-    streak = 0
-    prev_mag = mag = math.inf
-    for k in range(_MAX_TERMS):
+    """_sum_series at a finite real z != 0, in real arithmetic; |t_k| is
+    taken without a call of abs, and is +0.0 at either zero."""
+    n = len(ratios)
+    total = t = prev_mag = mag = ratios[0]
+    streak = 1 if mag <= tol else 0  # at k = 0, |S_0| = |t_0|
+    for k in range(1, _MAX_TERMS):
         if k >= n:
-            logs = log_coeffs(min(2 * k, _MAX_TERMS))
-            n = len(logs)
-        try:
-            mag = math.exp(logs[k] + x * log_z)
-        except OverflowError:
-            # Term outgrew the double range; report the best partial sum.
+            ratios = ratios_of(min(2 * k, _MAX_TERMS))
+            n = len(ratios)
+        t *= ratios[k] * z
+        mag = t if t > 0.0 else 0.0 - t
+        if not mag < math.inf:
+            # A term past the double range: report the partial sum before it.
             return _report((complex(total), k + 1, math.inf, False, "series"))
-        total += -mag if flip and k & 1 else mag
-        if mag <= tol or mag <= tol * abs(total):
+        total += t
+        if mag <= tol or mag <= tol * (total if total > 0.0 else -total):
             streak += 1
             if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
                 if math.isfinite(total):
@@ -343,29 +348,30 @@ def _sum_real_series(
         else:
             streak = 0
         prev_mag = mag
-        x += 1.0
     return _report((complex(total), _MAX_TERMS, mag, False, "series"))
 
 
 def _sum_complex_series(
-    log_coeffs: Callable[[int], list[float]], logs: list[float], log_z: complex, tol: float
+    ratios_of: Callable[[int], list[float]], ratios: list[float], z: complex, tol: float
 ) -> SeriesEvalReport:
-    """_sum_log_series at a finite z off the real axis: log_z = Log z."""
-    n = len(logs)
-    total = 0j
-    streak = 0
-    prev_mag = mag = math.inf
-    for k in range(_MAX_TERMS):
+    """_sum_series at a finite z off the real axis."""
+    n = len(ratios)
+    total = t = complex(ratios[0])
+    prev_mag = mag = ratios[0]
+    streak = 1 if mag <= tol else 0  # at k = 0, |S_0| = |t_0|
+    for k in range(1, _MAX_TERMS):
         if k >= n:
-            logs = log_coeffs(min(2 * k, _MAX_TERMS))
-            n = len(logs)
+            ratios = ratios_of(min(2 * k, _MAX_TERMS))
+            n = len(ratios)
+        t *= ratios[k] * z
         try:
-            t = cmath.exp(logs[k] + k * log_z)
-            total += t
             mag = abs(t)
+            if not mag < math.inf:
+                return _report((complex(total), k + 1, math.inf, False, "series"))
+            total += t
             small = mag <= tol or mag <= tol * abs(total)
         except OverflowError:
-            # A term or a magnitude past the double range: unconverged as well.
+            # A term's, or the sum's, magnitude past the double range.
             return _report((complex(total), k + 1, math.inf, False, "series"))
         if small:
             streak += 1
@@ -546,7 +552,7 @@ def kilbas_saigo(
     as elsewhere.
     """
     _check_series_args(tol)
-    logs, grow, contour = _triple(*params)
+    _, ratios, grow, _, contour = _triple(*params)
     if contour is not None:
         rule = _contour_estimate(contour, complex(z))
         if rule is not None:
@@ -557,4 +563,4 @@ def kilbas_saigo(
                 size = math.inf  # the magnitude of a value past the double range
             if estimate <= tol * (size if size > 1.0 else 1.0) and cmath.isfinite(value):
                 return _report((value, _CONTOUR_NODES, last, True, "contour"))
-    return _sum_series_from(grow, logs, z, tol)
+    return _sum_series_from(grow, ratios, z, tol)

@@ -31,10 +31,9 @@ from .solver import (
     DegenerateProblem,
     SeriesSolution,
     cauchy_solution,
-    coefficient_sequence,
     fundamental_solution,
 )
-from .special_functions import DEFAULT_TOL, _check_index, _sum_log_series, _triple
+from .special_functions import DEFAULT_TOL, _check_index, _sum_series, _triple
 
 __all__ = [
     "ResidualReport",
@@ -93,14 +92,13 @@ def residual_coefficient_identity(
     computed. The k = 0 term must map to exactly zero (kernel monomial).
 
     `coeffs` replaces the cached coefficients, so a test can substitute a
-    perturbed sequence and expect the check to fail.
+    perturbed sequence and expect the check to fail. The check stops at the
+    first subnormal coefficient, and fills the cached ones no further.
     """
     K = _check_index("K", K, 1)
     sol = fundamental_solution(problem, s)
     a, bs = sol.a, sol.b
-    if coeffs is None:
-        coeffs = coefficient_sequence(problem, s, K)
-    elif len(coeffs) < K + 1:
+    if coeffs is not None and len(coeffs) < K + 1:
         raise ValueError(f"need K+1={K + 1} coefficients, got {len(coeffs)}")
     kernel = hilfer_monomial(problem.orders, bs)
     if kernel.coef != 0:
@@ -109,13 +107,16 @@ def residual_coefficient_identity(
         )
     if problem.lam == 0:
         return 0.0
+    coefficient = sol.coefficient if coeffs is None else coeffs.__getitem__
     worst = 0.0
     tiny = sys.float_info.min
+    current = coefficient(0)
     for k in range(1, K + 1):
-        if abs(coeffs[k - 1]) < tiny or abs(coeffs[k]) < tiny:
+        previous, current = current, coefficient(k)
+        if abs(previous) < tiny or abs(current) < tiny:
             break  # subnormal coefficients no longer carry relative precision
         term = hilfer_monomial(problem.orders, a * k + bs)
-        err = abs(term.coef * coeffs[k] - coeffs[k - 1]) / abs(coeffs[k - 1])
+        err = abs(term.coef * current - previous) / abs(previous)
         if math.isnan(err):
             return err  # a nan coefficient fails the check
         worst = max(worst, err)
@@ -234,7 +235,7 @@ def _worst(errors: np.ndarray) -> float:
 
 
 def _derivative_series(branch: SeriesSolution, j: int) -> "tuple[int, Callable]":
-    """(start, log_coeffs): branch s's part of d^j/dy^j g(y) for the series
+    """(start, ratios_of): branch s's part of d^j/dy^j g(y) for the series
     engine, g(y) = y^{(1-mu)(i-beta)} u(y).
 
     The exponent shift turns branch s into sum_k c_k lambda^k y^{ak+s}, so
@@ -243,30 +244,31 @@ def _derivative_series(branch: SeriesSolution, j: int) -> "tuple[int, Callable]"
     y^{s-j} may overflow, so the sum starts at k = 1 with the power folded
     into lambda y^{a+s-j}. Every summed fp_k is at least 1 (each factor is
     at least s-j+1 for s >= j, and exceeds i-j+s for s < j since a > i-1),
-    so ln fp_k is added to ln(c_{start+k}/c_start), in one list for all y."""
+    so the first term ratio is fp_start and each later one
+    c_{start+k}/c_{start+k-1} times fp_k/fp_{k-1}, in one list for all y."""
     a, s = branch.a, branch.s
     start = 1 if s < j else 0
     tail = _triple(*branch._tail_params(start)).grow
     if j == 0:
         return start, tail
-    logs: list[float] = []
+    ratios: list[float] = []
 
     def fetch(n: int) -> list[float]:
         base = tail(n)
-        logs.extend(base[k] + math.log(falling_product(a * (k + start) + s, j))
-                    for k in range(len(logs), n))
-        return logs
+        ratios.extend(base[k] * (falling_product(a * (k + start) + s, j) / (
+            falling_product(a * (k + start - 1) + s, j) if k else 1.0)) for k in range(len(ratios), n))
+        return ratios
 
     return start, fetch
 
 
 def _series_derivative_at(series: list, j: int, y: float, tol: float) -> complex:
-    """d^j/dy^j g(y) over the (weight, branch, start, log_coeffs) of every
+    """d^j/dy^j g(y) over the (weight, branch, start, ratios_of) of every
     weighted branch; nan if a branch series does not converge."""
     total = 0.0 + 0.0j
-    for weight, branch, start, log_coeffs in series:
+    for weight, branch, start, ratios_of in series:
         a, s = branch.a, branch.s
-        report = _sum_log_series(log_coeffs, branch.lam * y**a, tol)
+        report = _sum_series(ratios_of, branch.lam * y**a, tol)
         if not report.converged:
             return complex("nan")
         lead = branch.lam * y ** (a + s - j) if start else y ** (s - j)

@@ -23,8 +23,8 @@ from bihilfer import (
     kilbas_saigo,
     kilbas_saigo_coefficients,
 )
-from bihilfer.series_grid import _PowerGrid, _sum_log_series_grid
-from bihilfer.special_functions import SeriesEvalReport, _sum_log_series, _triple
+from bihilfer.series_grid import _PowerGrid, _sum_series_grid
+from bihilfer.special_functions import SeriesEvalReport, _sum_series, _triple
 from test_special_functions import mittag_leffler
 
 
@@ -375,7 +375,7 @@ class TestSeriesSolution:
             for k_start in (1, 2, 3):
                 grid = sol.tail_grid_report(ys, k_start)
                 for j, y in enumerate(ys.tolist()):
-                    ref = _sum_log_series(_triple(*sol._tail_params(k_start)).grow, sol.lam * y**sol.a)
+                    ref = _sum_series(_triple(*sol._tail_params(k_start)).grow, sol.lam * y**sol.a)
                     coef = sol.coefficient(k_start)
                     want = y ** (sol.a * k_start + sol.b) * sol.lam**k_start * (coef * ref.value)
                     assert abs(grid.value[j] - want) <= 1e-14 * abs(want), (s, k_start, y)
@@ -451,7 +451,7 @@ class TestContourBranch:
         ys = np.linspace(0.0, 2.0, 257)[1:]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = _sum_log_series_grid(_triple(*shifted).grow, _PowerGrid(sol.lam, sol.a, ys))
+            grid = _sum_series_grid(_triple(*shifted).grow, _PowerGrid(sol.lam, sol.a, ys))
             tail = sol.tail_grid_report(ys, 2)
         overflowed = np.flatnonzero(grid.last_term_magnitude == math.inf)
         assert overflowed.size > 100
@@ -682,8 +682,9 @@ class TestCauchySolution:
         assert sol.weights == (1.0, 1.0, 0.5)
 
     def test_initial_conditions_across_the_sweep(self):
-        # The check sums ln fp_k of every falling product it differentiates
-        # with, so a fp_k <= 0 would raise from math.log; i = 6 and 9 add
+        # The check folds every falling product it differentiates with into
+        # its term ratios as fp_k/fp_{k-1}, so a zero fp_k would raise
+        # ZeroDivisionError at the next ratio; i = 6 and 9 add
         # derivatives of order up to 8, and lambda = -2+i phases.
         wide = [make_problem(i - da, i - db, 0.4, i, m=m, lam=-2.0 + 1.0j)
                 for i in (6, 9) for da, db in ((0.5, 0.75), (0.1, 0.9), (0.3, 0.7))

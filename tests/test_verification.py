@@ -25,7 +25,7 @@ from bihilfer import (
 )
 from bihilfer import special_functions
 from bihilfer.cli import RESIDUAL_THRESHOLD
-from bihilfer.special_functions import _sum_log_series, _triple
+from bihilfer.special_functions import _sum_series, _triple
 from bihilfer.verification import _derivative_series, residual_min_points
 from test_special_functions import mittag_leffler
 
@@ -54,7 +54,22 @@ class TestCoefficientIdentity:
 
     def test_lambda_zero_vacuous(self):
         problem = make_problem(0.5, 0.5, 1.0, 1, lam=0.0)
+        params = fundamental_solution(problem, 0).kilbas_saigo_params()
+        _triple.cache_clear()
         assert residual_coefficient_identity(problem, 0, 10) == 0.0
+        assert residual_coefficient_identity(problem, 0, 10**7) == 0.0
+        assert len(_triple(*params).logs) == 1  # no coefficient was read
+
+    def test_large_K_reads_up_to_the_first_subnormal_coefficient(self):
+        # c_k = 1/Gamma(k/2 + 1) is subnormal from k = 341 on, where the
+        # check stops: K = 10**7 fills no longer a list than K = 400.
+        params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
+        _triple.cache_clear()
+        assert residual_coefficient_identity(CAPUTO_HALF, 0, 10**7) <= 1e-12
+        filled = len(_triple(*params).logs)
+        _triple.cache_clear()
+        assert residual_coefficient_identity(CAPUTO_HALF, 0, 400) <= 1e-12
+        assert len(_triple(*params).logs) == filled < 400
 
     def test_kernel_monomial_maps_to_exact_zero(self):
         problem = make_problem(1.5, 1.25, 0.4, 2, m=0.5)
@@ -82,9 +97,9 @@ class TestCoefficientIdentity:
         assert not err <= 1e-12
 
     def test_perturbed_cached_log_detected(self):
-        # The check reads the same ln c_k that the series engine sums.
+        # The check reads the cached ln c_k.
         params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
-        logs = _triple(*params).grow(101)
+        logs = _triple(*params).grow_logs(101)
         saved = logs[5]
         logs[5] += 1e-6
         try:
@@ -400,8 +415,8 @@ def _weighted_reference(branch, j, z):
 
 
 class TestFoldedDerivativeWeights:
-    """The initial-condition check hands the series engine ln fp_k folded into
-    its log-coefficients; the sum must be the weighted one."""
+    """The initial-condition check hands the series engine fp_k/fp_{k-1}
+    folded into its term ratios; the sum must be the weighted one."""
 
     @pytest.mark.parametrize("i", [1, 2, 3, 6, 9])
     @pytest.mark.parametrize("lam", [-1.5 + 0.5j, 0.0], ids=["complex", "zero"])
@@ -410,11 +425,11 @@ class TestFoldedDerivativeWeights:
         for s in range(i):
             branch = fundamental_solution(problem, s)
             for j in range(i):
-                start, log_coeffs = _derivative_series(branch, j)
+                start, ratios_of = _derivative_series(branch, j)
                 assert start == (1 if s < j else 0)
                 for y in (0.3, 0.9):
                     z = lam * y**branch.a
-                    got = branch.coefficient(start) * _sum_log_series(log_coeffs, z, 1e-17).value
+                    got = branch.coefficient(start) * _sum_series(ratios_of, z, 1e-17).value
                     want = _weighted_reference(branch, j, z)
                     assert abs(got - want) <= 1e-14 * abs(want), (s, j, y)
 
