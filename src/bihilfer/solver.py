@@ -215,9 +215,9 @@ class SeriesSolution:
         return KilbasSaigoParams(alpha, m, l + m * k_start)
 
     def coefficient(self, k: int) -> float:
-        """c_k, extending the shared cache if needed."""
-        k = _check_index("k", k)
-        return math.exp(_triple(*self._params).grow_logs(k + 1)[k])
+        """c_k, kilbas_saigo_coefficients' running product of the cached
+        ratios the series engine sums, extending the shared cache if needed."""
+        return kilbas_saigo_coefficients(self._params, _check_index("k", k) + 1)[-1]
 
     def _term_coefficient(self, k: int) -> complex:
         """c_k lambda^k, the coefficient of y^(ak+b) in the branch: inf where

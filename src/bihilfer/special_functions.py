@@ -12,15 +12,17 @@ where |arg z| < alpha*pi by the exact trapezoid error of the one pole,
 residue included, whenever the rule's error estimate meets tol.
 
 This module imports only the standard library's math, cmath, operator, sys,
-threading, functools and typing: not numpy, so a scalar caller never pays
-for it, and not dataclasses (see KilbasSaigoParams). Every table row of the
-CLI is one kilbas_saigo call, as is every tail point of a solver branch
-whose triple has a contour record (see _triple). series_grid's driver sums
-the other branches' tails along a ray z = lam * y**a: the same series and
-stopping rule over a numpy array, agreeing to rounding.
+threading, functools, itertools and typing: not numpy, so a scalar caller
+never pays for it, and not dataclasses (see KilbasSaigoParams). Every table
+row of the CLI is one kilbas_saigo call, as is every tail point of a solver
+branch whose triple has a contour record (see _triple). series_grid's driver
+sums the other branches' tails along a ray z = lam * y**a: the same series
+and stopping rule over a numpy array, agreeing to rounding.
 
-Every Gamma ratio is formed in log space, a coefficient ratio as exp of one;
-Gamma values themselves are never formed (they overflow past about 170).
+Every Gamma ratio is formed in log space, a coefficient ratio c_k/c_{k-1}
+as exp of one, and a coefficient c_k as the running product of the cached
+ratios the engine sums; Gamma values themselves are never formed (they
+overflow past about 170).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import operator
 import sys
 import threading
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -86,9 +89,9 @@ def _log_gamma_ratio_offset(q: float, nu: float) -> float:
 def log_gamma_ratio(p: float, q: float) -> float:
     """lnGamma(p) - lnGamma(q) for finite p, q > 0, stable for close arguments."""
     if not 0.0 < p < math.inf:
-        raise DomainError(f"gamma_ratio requires finite p > 0, got p={p}")
+        raise DomainError(f"Gamma ratio requires finite p > 0, got p={p}")
     if not 0.0 < q < math.inf:
-        raise DomainError(f"gamma_ratio requires finite q > 0, got q={q}")
+        raise DomainError(f"Gamma ratio requires finite q > 0, got q={q}")
     if min(p, q) >= _STIRLING_MIN and 0.5 * q <= p <= 2.0 * q:
         return -_log_gamma_ratio_offset(q, p - q)  # p - q is exact here
     try:
@@ -177,10 +180,8 @@ _report = partial(tuple.__new__, SeriesEvalReport)
 class _Triple(NamedTuple):
     """The cached record of one triple; see _triple."""
 
-    logs: list[float]
     ratios: list[float]
     grow: Callable[[int], list[float]]
-    grow_logs: Callable[[int], list[float]]
     contour: "tuple | None"
 
 
@@ -191,49 +192,45 @@ _FILL_LOCK = threading.Lock()
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _triple(alpha: float, m: float, l: float) -> _Triple:
-    """The cached record of one triple (alpha, m, l):
-    (logs, ratios, grow, grow_logs, contour).
+    """The cached record of one triple (alpha, m, l): (ratios, grow, contour).
 
-    ratios is c_0, c_1/c_0, c_2/c_1, ..., which the series engine sums, and
-    logs is ln c_0, ln c_1, ..., which the coefficient readers take, each as
-    far as filled; grow(n) and grow_logs(n) fill one to at least n entries
-    and return it, also once the record is dropped. contour is
+    ratios is c_0, c_1/c_0, c_2/c_1, ..., as far as filled: the series
+    engine sums them, and every coefficient reader takes c_k as their
+    running product from c_0 = 1. grow(n) fills the list to at least n
+    entries and returns it, also once the record is dropped. contour is
     _contour_node_tuples(alpha, l) where kilbas_saigo may take
     the contour rule, at m = 1, 0 < alpha < 1 and beta = alpha*l + 1 <= 1,
     else None: at larger beta the rule's discretisation error outgrows its
     estimate (1.3e-13 at beta = 1.5, 2e-8 at beta = 5). The least recently
     used of `_CACHE_SIZE` records is dropped (see `_triple.cache_info()`).
     """
-    logs, ratios = [0.0], [1.0]
+    ratios = [1.0]
     contour = _contour_node_tuples(alpha, l) if m == 1.0 and alpha < 1.0 and l <= 0.0 else None
-    fill = partial(_fill, alpha, m, l)
-    return _Triple(logs, ratios, partial(fill, ratios, False), partial(fill, logs, True), contour)
+    return _Triple(ratios, partial(_fill, alpha, m, l, ratios), contour)
 
 
-def _fill(alpha: float, m: float, l: float, values: list[float], running: bool, n: int) -> list[float]:
-    """`values` filled to at least n entries, append-only under a lock: the
+def _fill(alpha: float, m: float, l: float, ratios: list[float], n: int) -> list[float]:
+    """`ratios` filled to at least n entries, append-only under a lock: the
     values are deterministic, so racing callers see what each would alone.
-    With d_j = lnGamma(q) - lnGamma(q + alpha), q = alpha (jm + l) + 1, a
-    running list takes ln c_{j+1} = ln c_j + d_j, and a ratio list
-    c_{j+1}/c_j = exp(d_j), not exp of a difference of running sums, which
-    carry their rounding."""
-    if len(values) < n:
+    c_{j+1}/c_j = exp(lnGamma(q) - lnGamma(q + alpha)), q = alpha (jm + l) + 1,
+    the difference taken from the Stirling expansion where q is large."""
+    if len(ratios) < n:
         with _FILL_LOCK:
-            while len(values) < n:
-                j = len(values) - 1
-                diff = _log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)
-                values.append(values[-1] + diff if running else math.exp(diff))
-    return values
+            while len(ratios) < n:
+                j = len(ratios) - 1
+                ratios.append(math.exp(_log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)))
+    return ratios
 
 
 def kilbas_saigo_coefficients(params: KilbasSaigoParams, count: int) -> list[float]:
     """First `count` series coefficients c_0..c_{count-1} of E_{alpha,m,l}.
 
     c_0 = 1 and c_i = c_{i-1} * Gamma(alpha*(jm+l)+1)/Gamma(alpha*(jm+l+1)+1)
-    at j = i-1, each ratio taken in log space and accumulated as ln c_i.
+    at j = i-1: the running product of the cached ratios the series engine
+    sums, each ratio taken in log space.
     """
     count = _check_index("count", count, 1)
-    return [math.exp(v) for v in _triple(*params).grow_logs(count)[:count]]
+    return list(accumulate(_triple(*params).grow(count)[:count], operator.mul))
 
 
 def _check_index(name: str, value: int, minimum: int = 0) -> int:
@@ -552,7 +549,7 @@ def kilbas_saigo(
     as elsewhere.
     """
     _check_series_args(tol)
-    _, ratios, grow, _, contour = _triple(*params)
+    ratios, grow, contour = _triple(*params)
     if contour is not None:
         rule = _contour_estimate(contour, complex(z))
         if rule is not None:

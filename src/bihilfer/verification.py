@@ -77,29 +77,24 @@ class ResidualReport(_ReadOnly):
                              tail_start=tail_start, converged=converged)
 
 
-def residual_coefficient_identity(
-    problem: DegenerateProblem,
-    s: int,
-    K: int,
-    coeffs: "list[float] | None" = None,
-) -> float:
+def residual_coefficient_identity(problem: DegenerateProblem, s: int, K: int) -> float:
     """Maximum relative error of the term balance over k = 1..K.
 
     Applying the closed-form operator to the k-th series monomial must
     reproduce lambda times the (k-1)-th coefficient:
     coef(D y^{ak+b_s}) * c_k = lambda * c_{k-1} after weighting by lambda^k;
-    the lambda powers cancel in the relative error, which is what is
-    computed. The k = 0 term must map to exactly zero (kernel monomial).
+    the lambda powers cancel in the relative error, which is therefore
+    |coef(D y^{ak+b_s}) * c_k/c_{k-1} - 1|. The ratios c_k/c_{k-1} are the
+    cached ones that the series engine sums and the coefficient readers
+    multiply out, read once each. The k = 0 term must map to exactly zero
+    (kernel monomial).
 
-    `coeffs` replaces the cached coefficients, so a test can substitute a
-    perturbed sequence and expect the check to fail. The check stops at the
-    first subnormal coefficient, and fills the cached ones no further.
+    The check stops at the first subnormal coefficient c_k, the running
+    product of the ratios, and fills the cached ratios no further.
     """
     K = _check_index("K", K, 1)
     sol = fundamental_solution(problem, s)
     a, bs = sol.a, sol.b
-    if coeffs is not None and len(coeffs) < K + 1:
-        raise ValueError(f"need K+1={K + 1} coefficients, got {len(coeffs)}")
     kernel = hilfer_monomial(problem.orders, bs)
     if kernel.coef != 0:
         raise DomainError(
@@ -107,18 +102,18 @@ def residual_coefficient_identity(
         )
     if problem.lam == 0:
         return 0.0
-    coefficient = sol.coefficient if coeffs is None else coeffs.__getitem__
+    grow = _triple(*sol.kilbas_saigo_params()).grow
     worst = 0.0
     tiny = sys.float_info.min
-    current = coefficient(0)
+    coefficient = 1.0  # c_0
     for k in range(1, K + 1):
-        previous, current = current, coefficient(k)
-        if abs(previous) < tiny or abs(current) < tiny:
+        ratio = grow(k + 1)[k]
+        coefficient *= ratio
+        if abs(coefficient) < tiny:
             break  # subnormal coefficients no longer carry relative precision
-        term = hilfer_monomial(problem.orders, a * k + bs)
-        err = abs(term.coef * current - previous) / abs(previous)
+        err = abs(hilfer_monomial(problem.orders, a * k + bs).coef * ratio - 1.0)
         if math.isnan(err):
-            return err  # a nan coefficient fails the check
+            return err  # a nan ratio fails the check
         worst = max(worst, err)
     return worst
 

@@ -40,6 +40,7 @@ from bihilfer import (
     residual_numeric,
 )
 from test_special_functions import mittag_leffler
+from test_verification import perturbed_ratio
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -285,8 +286,9 @@ def test_exponent_law():
 
 
 def test_negative_control():
-    # A 1e-6 relative perturbation only exists where the coefficient is a
-    # normal double; the sweep covers every such index.
+    # A 1e-6 relative perturbation of one cached ratio c_k/c_{k-1}, the list
+    # the tables sum, at every index whose coefficients c_{k-1} and c_k are
+    # normal doubles.
     import sys
 
     tiny = sys.float_info.min
@@ -300,14 +302,13 @@ def test_negative_control():
     for problem in problems:
         for s in range(problem.orders.i):
             clean = coefficient_sequence(problem, s, K)
-            baseline = residual_coefficient_identity(problem, s, K, coeffs=clean)
+            baseline = residual_coefficient_identity(problem, s, K)
             assert baseline <= 1e-12
             for k in range(1, K + 1):
                 if clean[k] < tiny or clean[k - 1] < tiny:
                     break
-                corrupted = list(clean)
-                corrupted[k] *= 1.0 + 1e-6
-                err = residual_coefficient_identity(problem, s, K, coeffs=corrupted)
+                with perturbed_ratio(problem, s, k, lambda r: r * (1.0 + 1e-6)):
+                    err = residual_coefficient_identity(problem, s, K)
                 swept += 1
                 if err <= 1e-12:
                     missed.append((problem.orders, s, k))
@@ -315,7 +316,7 @@ def test_negative_control():
     report(
         "negative control",
         not missed,
-        f"all {swept} single-coefficient perturbations detected"
+        f"all {swept} single-ratio perturbations detected"
         if not missed
         else f"{len(missed)} of {swept} perturbations escaped",
     )

@@ -146,13 +146,18 @@ class TestRlIntegralMonomial:
          r"finite delta > -1 violated \(delta=inf"),
         (lambda: log_gamma_ratio(2.0, math.inf), DomainError, "requires finite q > 0, got q=inf"),
         (lambda: gamma_ratio(math.inf, 2.0), DomainError, "requires finite p > 0, got p=inf"),
+        (lambda: log_gamma_ratio(-1.0, 2.0), DomainError,
+         r"^Gamma ratio requires finite p > 0, got p=-1\.0$"),
     ],
-    ids=["sampled-h", "rl-nu", "rl-delta", "hilfer-delta", "log-gamma-ratio-q", "gamma-ratio-p"],
+    ids=["sampled-h", "rl-nu", "rl-delta", "hilfer-delta", "log-gamma-ratio-q", "gamma-ratio-p",
+         "log-gamma-ratio-negative-p"],
 )
 def test_non_finite_input_rejected(call, error, match):
     # Each returned inf or nan: rl_integral_monomial(inf, 1.0) gave
     # PowerTerm(0.0, inf), log_gamma_ratio(2.0, inf) nan, and
-    # rl_integral_numeric on SampledFunction(inf, ...) inf+nanj.
+    # rl_integral_numeric on SampledFunction(inf, ...) inf+nanj. A refused
+    # argument names no function the caller did not call: the message read
+    # "gamma_ratio requires ..." from log_gamma_ratio too.
     with pytest.raises(error, match=match):
         call()
 

@@ -339,6 +339,11 @@ class TestSeriesSolution:
         value = sol.coefficient(40)
         assert value == pytest.approx(1.0 / math.gamma(21.0), rel=1e-11)
 
+    def test_coefficient_is_the_coefficient_list_entry(self):
+        sol = fundamental_solution(make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j), 0)
+        coeffs = kilbas_saigo_coefficients(sol.kilbas_saigo_params(), 201)
+        assert [sol.coefficient(k) for k in range(201)] == coeffs  # bit for bit
+
     def test_grid_evaluation_matches_pointwise(self):
         problem = make_problem(0.8, 0.6, 0.4, 1, m=0.5, lam=-1.0 + 0.5j)
         sol = fundamental_solution(problem, 0)

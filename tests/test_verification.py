@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -39,6 +40,28 @@ WINDOW_3 = make_problem(2.5, 2.3, 0.4, 3, m=0.5, lam=-1.5)
 WINDOW_4 = make_problem(3.5, 3.25, 0.5, 4, m=0.5, lam=-2.0 + 1.0j)
 
 
+@contextmanager
+def perturbed_ratio(problem, s, k, corrupt):
+    """Branch s's cached ratio c_k/c_{k-1} replaced by corrupt(ratio) inside
+    the block: the list the series engine sums and the coefficient readers
+    multiply out."""
+    params = fundamental_solution(problem, s).kilbas_saigo_params()
+    ratios = _triple(*params).grow(k + 1)
+    saved = ratios[k]
+    ratios[k] = corrupt(saved)
+    try:
+        yield
+    finally:
+        ratios[k] = saved
+
+
+def identity_on_perturbed_cache(problem, s):
+    # A corrupted cache does not take a branch outside 0..i-1 past the
+    # range check.
+    with perturbed_ratio(problem, 1, 5, lambda r: -r):
+        return residual_coefficient_identity(problem, s, 10)
+
+
 class TestCoefficientIdentity:
     def test_caputo_half(self):
         assert residual_coefficient_identity(CAPUTO_HALF, 0, 200) <= 1e-12
@@ -58,7 +81,7 @@ class TestCoefficientIdentity:
         _triple.cache_clear()
         assert residual_coefficient_identity(problem, 0, 10) == 0.0
         assert residual_coefficient_identity(problem, 0, 10**7) == 0.0
-        assert len(_triple(*params).logs) == 1  # no coefficient was read
+        assert len(_triple(*params).ratios) == 1  # no coefficient was read
 
     def test_large_K_reads_up_to_the_first_subnormal_coefficient(self):
         # c_k = 1/Gamma(k/2 + 1) is subnormal from k = 341 on, where the
@@ -66,10 +89,10 @@ class TestCoefficientIdentity:
         params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
         _triple.cache_clear()
         assert residual_coefficient_identity(CAPUTO_HALF, 0, 10**7) <= 1e-12
-        filled = len(_triple(*params).logs)
+        filled = len(_triple(*params).ratios)
         _triple.cache_clear()
         assert residual_coefficient_identity(CAPUTO_HALF, 0, 400) <= 1e-12
-        assert len(_triple(*params).logs) == filled < 400
+        assert len(_triple(*params).ratios) == filled < 400
 
     def test_kernel_monomial_maps_to_exact_zero(self):
         problem = make_problem(1.5, 1.25, 0.4, 2, m=0.5)
@@ -78,9 +101,10 @@ class TestCoefficientIdentity:
             assert hilfer_monomial(problem.orders, bs).coef == 0.0
 
     def test_corruption_detected(self):
-        coeffs = coefficient_sequence(CAPUTO_HALF, 0, 100)
-        coeffs[5] *= 1.0 + 1e-6
-        err = residual_coefficient_identity(CAPUTO_HALF, 0, 100, coeffs=coeffs)
+        # c_5 alone times 1 + 1e-6: ratio 5 up and ratio 6 down by that factor.
+        with perturbed_ratio(CAPUTO_HALF, 0, 5, lambda r: r * (1.0 + 1e-6)):
+            with perturbed_ratio(CAPUTO_HALF, 0, 6, lambda r: r / (1.0 + 1e-6)):
+                err = residual_coefficient_identity(CAPUTO_HALF, 0, 100)
         assert err > 1e-8
 
     @pytest.mark.parametrize(
@@ -91,21 +115,28 @@ class TestCoefficientIdentity:
     def test_bad_coefficient_fails(self, k, corrupt):
         # A negative or nan coefficient is no subnormal one: the check must
         # not stop at it, and a nan error must not be dropped by max.
-        coeffs = coefficient_sequence(CAPUTO_HALF, 0, 100)
-        coeffs[k] = corrupt(coeffs[k])
-        err = residual_coefficient_identity(CAPUTO_HALF, 0, 100, coeffs=coeffs)
+        with perturbed_ratio(CAPUTO_HALF, 0, k, corrupt):
+            err = residual_coefficient_identity(CAPUTO_HALF, 0, 100)
         assert not err <= 1e-12
 
     def test_perturbed_cached_log_detected(self):
-        # The check reads the cached ln c_k.
-        params = fundamental_solution(CAPUTO_HALF, 0).kilbas_saigo_params()
-        logs = _triple(*params).grow_logs(101)
-        saved = logs[5]
-        logs[5] += 1e-6
-        try:
+        # ln c_5 and every later ln c_k up by 1e-6, through ratio 5.
+        with perturbed_ratio(CAPUTO_HALF, 0, 5, lambda r: r * math.exp(1e-6)):
             err = residual_coefficient_identity(CAPUTO_HALF, 0, 100)
-        finally:
-            logs[5] = saved
+        assert err > 1e-8
+
+    def test_reads_the_ratios_the_tables_sum(self):
+        # A ratio 1e-6 off moves a table value at z = -2+i by 1e-8 relative,
+        # and the identity must see it: it read 5.6e-14, a pass, while it
+        # checked a running sum of ln c_k that no table sums.
+        problem = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        params = fundamental_solution(problem, 0).kilbas_saigo_params()
+        z = -2.0 + 1.0j
+        clean = special_functions.kilbas_saigo(params, z).value
+        with perturbed_ratio(problem, 0, 5, lambda r: r * (1.0 + 1e-6)):
+            moved = special_functions.kilbas_saigo(params, z).value
+            err = residual_coefficient_identity(problem, 0, 100)
+        assert abs(moved - clean) > 1e-9 * abs(clean)
         assert err > 1e-8
 
     def test_needs_at_least_one_term(self):
@@ -135,12 +166,8 @@ class TestBranchRange:
     @pytest.mark.parametrize(
         "check",
         [
-            lambda p: residual_coefficient_identity(
-                p, -1, 10, coeffs=coefficient_sequence(p, 1, 10)
-            ),
-            lambda p: residual_coefficient_identity(
-                p, 2, 10, coeffs=coefficient_sequence(p, 1, 10)
-            ),
+            lambda p: identity_on_perturbed_cache(p, -1),
+            lambda p: identity_on_perturbed_cache(p, 2),
             lambda p: residual_numeric(p, 5),
         ],
         ids=["identity-negative", "identity-past-end", "numeric"],
