@@ -7,7 +7,8 @@ Subcommands: ``eval-ks`` (Kilbas-Saigo function tables), ``fundamental``
 Tables are written as CSV (RFC-4180-style quoting, ``#``-prefixed metadata
 lines before the header row) or schema-versioned JSON. Complex values are
 always split into real/imaginary columns. Exit codes: 0 success,
-1 validation error, 2 verification failure, 3 non-convergence.
+1 validation error, 2 verification failure, 3 non-convergence, 141 the
+reader closed stdout before the table was written.
 
 Each command checks its options and returns a table() giving (meta,
 columns, rows, failure); Cli.main alone turns a bad option into exit 1,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 
 from . import __version__
@@ -40,6 +42,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_NONCONVERGENCE = 3
+# A shell's status for a process that SIGPIPE ends, 128 + 13.
+EXIT_BROKEN_PIPE = 141
 
 COEFF_IDENTITY_THRESHOLD = 1e-12
 RESIDUAL_THRESHOLD = 5e-3
@@ -459,7 +463,10 @@ class Cli:
         standalone_mode, click's flag, changes nothing: bench/child.py runs
         commands in-process as main(args, standalone_mode=False). A bad
         --tol, a bad option and an --out that cannot be opened exit 1, in
-        that order, before the table is computed."""
+        that order, before the table is computed. Where the reader closes
+        stdout before the table is written, the command ends quietly with
+        exit 141, stdout pointed at os.devnull so that no later flush
+        raises."""
         tokens = _joined(sys.argv[1:] if args is None else list(args))
         parser, commands = _parser(tokens[0] if tokens else "")
         options = vars(parser.parse_args(_with_config(tokens, commands)))
@@ -474,7 +481,11 @@ class Cli:
             failure = (str(exc), EXIT_VALIDATION)
         else:
             meta, columns, rows, failure = table()
-            _write_table(command, meta, columns, rows, fmt, out)
+            try:
+                _write_table(command, meta, columns, rows, fmt, out)
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                sys.exit(EXIT_BROKEN_PIPE)
         if failure is not None:
             message, code = failure
             print(f"error: {message}", file=sys.stderr)

@@ -3,11 +3,11 @@
 The numpy half of the series engine, used by the solver's series tails (and
 so only by `verify`): _sum_series_grid sums a series at every point
 z = lam * y**a of a _PowerGrid. It is the scalar engine's loop over k run on
-an array of points: the same stopping rule, and the scalar values to
-rounding. It sums series only; a branch that may take the contour rule is
-tabulated, tail included, by special_functions.kilbas_saigo through the
-solver. special_functions itself does not import numpy, so a scalar caller
-never loads it.
+an array of points: the same strides and stopping rule, and the scalar
+values to rounding. It sums series only; a branch that may take the
+contour rule is tabulated, tail included, by special_functions.kilbas_saigo
+through the solver. special_functions itself does not import numpy, so a
+scalar caller never loads it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import _ReadOnly
 from .special_functions import (
+    _ENDS,
     _MAX_TERMS,
     DEFAULT_TOL,
     _check_series_args,
@@ -66,17 +67,18 @@ def _sum_series_grid(
     """special_functions._sum_series(ratios_of, z, tol) at every point z of
     the ray zs, to rounding.
 
-    The scalar loop over an array: step k multiplies term k-1 by R[k] z at
-    every point still summing, adds it in the scalar order and applies the
-    scalar stopping rule. A point carries its z, term and sum, whether its
-    last two terms were small and its last magnitude, and leaves the arrays
-    when it stops. Points that stop ahead of every live one, as along a ray
-    of growing |z| where terms_used does not fall, leave by slicing: the
-    live arrays become views, with no copies. Any other stop pattern
-    compacts the arrays by a boolean mask. A point whose sum is not finite
-    (a term or the sum past the double range, or a z that is not finite)
-    is summed by _sum_series itself at z = lam * y**a (Python's pow), so
-    overflow keeps the scalar semantics.
+    The scalar loop over an array: each step multiplies term k-1 by R[k] z at
+    every point still summing and adds it in the scalar order, and at each
+    of the scalar engine's stride ends the scalar stopping test runs, so a
+    point stops on the scalar's term. A point carries its z, |z|, term and
+    sum, and leaves the arrays when it stops. Points that stop ahead of
+    every live one, as along a ray of growing |z| where terms_used does not
+    fall, leave by slicing: the live arrays become views, with no copies.
+    Any other stop pattern compacts the arrays by a boolean mask. A point
+    whose sum or last term at a stride end is not finite or has a magnitude
+    past the double range (or whose z is not finite) is summed by
+    _sum_series itself at z = lam * y**a (Python's pow), so overflow keeps
+    the scalar semantics.
     """
     _check_series_args(tol)
     ratios = ratios_of(1)
@@ -96,54 +98,44 @@ def _sum_series_grid(
         z = np.power(zs.ys, zs.a) * (zs.lam.real if real else zs.lam)
         points = np.flatnonzero(z != 0.0)
         z = z[points]
+        az = np.abs(z)
         term = np.full(points.size, ratios[0], dtype=z.dtype)
-        total = np.zeros(points.size, dtype=z.dtype)
-        small = was_small = np.zeros(points.size, dtype=bool)
-        mag = np.full(points.size, math.inf)
-        for k in range(_MAX_TERMS):
+        total = term.copy()
+        k = 1
+        for end in _ENDS:
             if not points.size:
                 break
-            if k >= len(ratios):
-                ratios = ratios_of(min(2 * k, _MAX_TERMS))
-            prev = mag
-            if k:
+            if end >= len(ratios):
+                ratios = ratios_of(min(2 * end, _MAX_TERMS))
+            for r in ratios[k:end]:
                 # Out of place: numpy rounds an in-place complex product of
                 # one element otherwise than one of several.
-                term = term * (z * ratios[k])
-            total += term
-            mag = np.abs(term)
-            # |t_k| <= tol max(1, |S_k|) decides as the scalar loop's test.
-            size = np.abs(total)
-            now = mag <= tol * np.fmax(size, 1.0)
-            # Three small terms in a row, the last smaller than the one
-            # before; the last test only where the first holds.
-            stop = now & small & was_small
-            leave = np.count_nonzero(stop)
-            if leave:
-                stop &= (mag < prev) | ((mag == 0.0) & (prev == 0.0))
-            # A point whose sum is not finite leaves as a stopped one and is
-            # written again by the scalar engine below. max propagates nan,
-            # so a step without one skips the mask.
-            if not size.max() < math.inf:
-                big = ~(size < math.inf)
+                term = term * (z * r)
+                total += term
+            k = end
+            mag, size = np.abs(term), np.abs(total)
+            if end == _MAX_TERMS:
+                stop = np.ones(points.size, dtype=bool)
+            else:
+                rho = az * ratios[end]
+                stop = (rho < 1.0) & (mag * rho <= tol * np.fmax(size, 1.0) * (1.0 - rho))
+            # A point whose sum or term is not finite in magnitude leaves as
+            # a stopped one and is written again by the scalar engine below.
+            # max propagates nan, so a stride without one skips the mask.
+            if not (size.max() < math.inf and mag.max() < math.inf):
+                big = ~((size < math.inf) & (mag < math.inf))
                 scalar += points[big].tolist()
                 stop |= big
-                leave = True
+            leave = np.count_nonzero(stop)
             if leave:
-                leave = np.count_nonzero(stop)
                 if stop[:leave].all():
                     # The stopped points lead the live ones, as along a ray
                     # of growing |z|: both sides are views, no copies.
                     gone, live = slice(None, leave), slice(leave, None)
                 else:
                     gone, live = stop, ~stop
-                _put(out, points[gone], total[gone], k + 1, mag[gone])
-                points, z, term, total, mag, now, small = (
-                    a[live] for a in (points, z, term, total, mag, now, small)
-                )
-            small, was_small = now, small
-    # The points still summing end unconverged at the cap.
-    _put(out, points, total, _MAX_TERMS, mag, False)
+                _put(out, points[gone], total[gone], end, mag[gone], end < _MAX_TERMS)
+                points, z, az, term, total = (a[live] for a in (points, z, az, term, total))
     for p in scalar:
         _put(out, p, *_sum_series(ratios_of, zs.lam * _power(float(zs.ys[p]), zs.a), tol)[:4])
     return out

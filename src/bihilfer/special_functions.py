@@ -1,11 +1,12 @@
 """Special-function kernel, scalar half.
 
 Provides overflow-safe Gamma ratios and the Kilbas-Saigo function
-E_{alpha,m,l}, one point at a time. The series engine (_sum_series)
-owns the package's one stopping rule, written out in two loops, one for
-real z and one for complex z. It sums by the paper's coefficient product,
-t_k = t_{k-1} (c_k/c_{k-1}) z, and every sum starts at c_0 = 1 (a tail
-from index K is the triple (alpha, m, l + m*K)). Where the series cancels, at
+E_{alpha,m,l}, one point at a time. The series engine (_sum_series) sums
+by the paper's coefficient product, t_k = t_{k-1} (c_k/c_{k-1}) z, from
+c_0 = 1 (a tail from index K is the triple (alpha, m, l + m*K)). Its
+stopping rule, the package's one, bounds the tail it drops: at a fixed
+stride end it stops where |t_N| rho/(1 - rho) <= tol*max(1, |S_N|),
+rho = |z| c_{N+1}/c_N < 1, the ratios decreasing. Where the series cancels, at
 m = 1, 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid
 rule on a Laplace-inversion contour instead (_contour_estimate), corrected
 where |arg z| < alpha*pi by the exact trapezoid error of the one pole,
@@ -20,9 +21,9 @@ sums the other branches' tails along a ray z = lam * y**a: the same series
 and stopping rule over a numpy array, agreeing to rounding.
 
 Every Gamma ratio is formed in log space, a coefficient ratio c_k/c_{k-1}
-as exp of one, and a coefficient c_k as the running product of the cached
-ratios the engine sums; Gamma values themselves are never formed (they
-overflow past about 170).
+as exp of one, right to about its last bit, and a coefficient c_k as the
+running product of the cached ratios the engine sums; Gamma values
+themselves are never formed (they overflow past about 170).
 """
 
 from __future__ import annotations
@@ -51,26 +52,43 @@ DEFAULT_TOL = 1e-12
 
 
 # Stirling tail ln Gamma(z) = (z-1/2) ln z - z + ln(2 pi)/2 + S(z); the
-# four-term S is accurate to ~2e-15 absolute for z >= 20.
+# five-term S leaves out 691/(360360 z^11), below 1e-17 for z >= 20.
 _STIRLING_MIN = 20.0
 
 
 def _stirling_tail(z: float) -> float:
     w = 1.0 / (z * z)
-    return (1.0 / 12.0 + w * (-1.0 / 360.0 + w * (1.0 / 1260.0 - w / 1680.0))) / z
+    s = -1.0 / 1680.0 + w / 1188.0
+    return (1.0 / 12.0 + w * (-1.0 / 360.0 + w * (1.0 / 1260.0 + w * s))) / z
+
+
+def _gamma_ratio_offset(q: float, nu: float) -> float:
+    """Gamma(q)/Gamma(q + nu) for q > 0 and 0 <= nu < 20, to about an ulp.
+
+    By Stirling's series at q' = q + n >= 20 (n = ceil(20 - q) below 20, else
+    0) it is e^x (q' + nu)^-nu, x = sum_{j<n} log1p(nu/(q + j)) (by fsum)
+    + nu - (q' - 1/2) log1p(nu/q') + S(q') - S(q' + nu): small pieces, where
+    a difference of two lnGamma values carries eps |lnGamma| of rounding.
+    """
+    x = 0.0
+    if q < _STIRLING_MIN:
+        n = math.ceil(_STIRLING_MIN - q)
+        x = math.fsum([math.log1p(nu / (q + j)) for j in range(n)])
+        q += n
+    p = q + nu
+    if p == math.inf:
+        return 0.0  # Gamma(q)/Gamma(q + nu) -> 0 as q overflows
+    x += nu - (q - 0.5) * math.log1p(nu / q) + _stirling_tail(q) - _stirling_tail(p)
+    return math.exp(x) * p**-nu
 
 
 def _log_gamma_ratio_offset(q: float, nu: float) -> float:
-    """lnGamma(q) - lnGamma(q + nu), with the offset given exactly.
-
-    A direct difference of two lnGamma values carries ~|lnGamma|*eps of
-    rounding from each call, which dwarfs a small ratio at large arguments;
-    forming the difference from the Stirling expansion keeps the error at
-    the ulp level of the result itself. Because only (q, nu) enter, the
-    result is insensitive to how the second Gamma argument would have been
-    assembled by the caller.
-    """
+    """lnGamma(q) - lnGamma(q + nu), with the offset given exactly: the log
+    of _gamma_ratio_offset where that applies, else the Stirling difference
+    where q, q + nu >= 20, else a difference of two lnGamma values."""
     p = q + nu
+    if q < _STIRLING_MIN and 0.0 <= nu < _STIRLING_MIN:
+        return math.log(_gamma_ratio_offset(q, nu))
     if q < _STIRLING_MIN or p < _STIRLING_MIN:
         try:
             return math.lgamma(q) - math.lgamma(p)
@@ -212,13 +230,15 @@ def _triple(alpha: float, m: float, l: float) -> _Triple:
 def _fill(alpha: float, m: float, l: float, ratios: list[float], n: int) -> list[float]:
     """`ratios` filled to at least n entries, append-only under a lock: the
     values are deterministic, so racing callers see what each would alone.
-    c_{j+1}/c_j = exp(lnGamma(q) - lnGamma(q + alpha)), q = alpha (jm + l) + 1,
-    the difference taken from the Stirling expansion where q is large."""
+    c_{j+1}/c_j = Gamma(q)/Gamma(q + alpha), q = alpha (jm + l) + 1, by
+    _gamma_ratio_offset, or from alpha = 20 on as exp of its log."""
     if len(ratios) < n:
         with _FILL_LOCK:
             while len(ratios) < n:
                 j = len(ratios) - 1
-                ratios.append(math.exp(_log_gamma_ratio_offset(alpha * (j * m + l) + 1.0, alpha)))
+                q = alpha * (j * m + l) + 1.0
+                ratios.append(_gamma_ratio_offset(q, alpha) if alpha < _STIRLING_MIN
+                              else math.exp(_log_gamma_ratio_offset(q, alpha)))
     return ratios
 
 
@@ -245,8 +265,12 @@ def _check_index(name: str, value: int, minimum: int = 0) -> int:
     return index
 
 
-# Terms summed before the engine gives up with converged=False.
+# Terms summed before the engine gives up with converged=False, and the counts
+# of summed terms at which the rule is tested: 4, so that short sums stay short,
+# then every _STRIDE terms.
 _MAX_TERMS = 10_000
+_STRIDE = 8
+_ENDS = (4, *range(_STRIDE, _MAX_TERMS, _STRIDE), _MAX_TERMS)
 
 
 def _check_series_args(tol: float) -> None:
@@ -270,33 +294,26 @@ def _sum_series(
     """The series engine: sum_k t_k, t_0 = R[0], t_k = t_{k-1} (R[k] z).
 
     `ratios_of(n)` returns a list R of at least n term ratios, R[0] = c_0
-    (finite) and R[k] = c_k/c_{k-1} >= 0; it is asked for one, then for
-    twice the terms summed (at most _MAX_TERMS) whenever the sum needs more,
-    so a list built per call holds at most twice the terms summed and never
-    more than _MAX_TERMS. Term weights w_k come folded in as R[k] w_k/w_{k-1}.
-    A real z is summed in real arithmetic, the sign of each term coming
-    from the product, so its imaginary part is exactly zero.
+    (finite) and R[k] = c_k/c_{k-1} >= 0 decreasing in k >= 1; it is asked
+    for one, then for twice the next stride end whenever the sum needs more,
+    never for more than _MAX_TERMS. Term weights w_k come folded in as
+    R[k] w_k/w_{k-1}. A real z is summed in real arithmetic, so its
+    imaginary part is exactly zero.
 
-    Stopping rule, the only one in the package: stop at the first index
-    N >= 2 where |t_k| <= tol*max(1, |S_k|) held for three consecutive k and
-    |t_N| < |t_{N-1}|. A term that is not finite ends the sum unconverged
-    with the partial sum before it as its value and inf as |t_N|; so does a
-    complex term's or sum's magnitude past the double range (with the term
-    summed), and reaching _MAX_TERMS terms. Finite terms can still sum past
-    the double range, and an infinite sum passes the test tol*|S_k| on every
-    term, so a sum that is not finite at the stopping index ends there
-    unconverged, with |t_N| reported as inf (tested there only, not per
-    term). At a non-finite z the sum stops at its first term, taken as
-    c_0 (0 z), which is nan, unconverged.
+    Stopping rule: the terms are summed in plain strides, and tested only
+    where the count summed reaches a stride end N + 1 in _ENDS. With
+    rho = R[N+1] |z| < 1 the terms past t_N are at most |t_N| rho^j, since R
+    decreases, so the tail dropped is at most |t_N| rho/(1 - rho). The sum
+    stops converged, reporting |t_N|, where
+    |t_N| rho <= tol max(1, |S_N|) (1 - rho).
 
-    Per-term cost: one multiply of the ratio by z and one of the term, no
-    exp. The rule is written out in two loops, one per number field and
-    line for line alike: _sum_real_series for a finite real z and
-    _sum_complex_series for a finite z off the axis. |S_k| is formed only
-    when |t_k| > tol, which decides the same since tol*max(1, |S|) >= tol; a
-    sum's magnitude can pass the double range only on such a term, so its
-    overflow exit fires on the same term. The stopping test runs only after
-    a small term (three imply N >= 2).
+    Exits, unconverged with inf as |t_N|: the first term that is not finite,
+    with the sum before it; the first partial sum that is not finite, with
+    that sum; a stride end where |S_N| or |t_N| passes the double range,
+    with S_N. Finiteness is checked at stride ends; a stride that ends
+    non-finite is summed again term by term to find its exit. Reaching
+    _MAX_TERMS ends the sum unconverged with |t_N|, untested. At a
+    non-finite z the sum stops at its first term, c_0 (0 z), which is nan.
     """
     _check_series_args(tol)
     return _sum_series_from(ratios_of, ratios_of(1), z, tol)
@@ -314,71 +331,50 @@ def _sum_series_from(
         t = ratios[0] * (z.real * 0.0 if real else z * 0.0)
         return _report((complex(t), 1, math.nan, False, "series"))
     if real:
-        return _sum_real_series(ratios_of, ratios, z.real, tol)
-    return _sum_complex_series(ratios_of, ratios, z, tol)
+        return _sum_strides(ratios_of, ratios, z.real, ratios[0], tol)
+    return _sum_strides(ratios_of, ratios, z, complex(ratios[0]), tol)
 
 
-def _sum_real_series(
-    ratios_of: Callable[[int], list[float]], ratios: list[float], z: float, tol: float
+def _sum_strides(
+    ratios_of: Callable[[int], list[float]], ratios: list[float], z: complex, first: complex,
+    tol: float,
 ) -> SeriesEvalReport:
-    """_sum_series at a finite real z != 0, in real arithmetic; |t_k| is
-    taken without a call of abs, and is +0.0 at either zero."""
-    n = len(ratios)
-    total = t = prev_mag = mag = ratios[0]
-    streak = 1 if mag <= tol else 0  # at k = 0, |S_0| = |t_0|
-    for k in range(1, _MAX_TERMS):
-        if k >= n:
-            ratios = ratios_of(min(2 * k, _MAX_TERMS))
+    """_sum_series at a finite z != 0 from its first term c_0, in real
+    arithmetic where z and `first` are floats."""
+    n, az = len(ratios), abs(z)
+    t = total = first
+    k = 1
+    for end in _ENDS:
+        if end >= n:
+            ratios = ratios_of(min(2 * end, _MAX_TERMS))
             n = len(ratios)
-        t *= ratios[k] * z
-        mag = t if t > 0.0 else 0.0 - t
-        if not mag < math.inf:
-            # A term past the double range: report the partial sum before it.
-            return _report((complex(total), k + 1, math.inf, False, "series"))
-        total += t
-        if mag <= tol or mag <= tol * (total if total > 0.0 else -total):
-            streak += 1
-            if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                if math.isfinite(total):
-                    return _report((complex(total), k + 1, mag, True, "series"))
-                return _report((complex(total), k + 1, math.inf, False, "series"))
-        else:
-            streak = 0
-        prev_mag = mag
-    return _report((complex(total), _MAX_TERMS, mag, False, "series"))
-
-
-def _sum_complex_series(
-    ratios_of: Callable[[int], list[float]], ratios: list[float], z: complex, tol: float
-) -> SeriesEvalReport:
-    """_sum_series at a finite z off the real axis."""
-    n = len(ratios)
-    total = t = complex(ratios[0])
-    prev_mag = mag = ratios[0]
-    streak = 1 if mag <= tol else 0  # at k = 0, |S_0| = |t_0|
-    for k in range(1, _MAX_TERMS):
-        if k >= n:
-            ratios = ratios_of(min(2 * k, _MAX_TERMS))
-            n = len(ratios)
-        t *= ratios[k] * z
-        try:
-            mag = abs(t)
-            if not mag < math.inf:
-                return _report((complex(total), k + 1, math.inf, False, "series"))
+        for r in ratios[k:end]:
+            t *= r * z
             total += t
-            small = mag <= tol or mag <= tol * abs(total)
-        except OverflowError:
-            # A term's, or the sum's, magnitude past the double range.
-            return _report((complex(total), k + 1, math.inf, False, "series"))
-        if small:
-            streak += 1
-            if streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-                if cmath.isfinite(total):
-                    return _report((complex(total), k + 1, mag, True, "series"))
+        try:
+            size = abs(total)
+            if not size < math.inf:
+                # Summed again term by term from the start, to the first
+                # term or partial sum that is not finite.
+                t = total = first
+                for k in range(1, end):
+                    t *= ratios[k] * z
+                    if not cmath.isfinite(t):
+                        break
+                    total += t
+                    if not cmath.isfinite(total):
+                        break
                 return _report((complex(total), k + 1, math.inf, False, "series"))
-        else:
-            streak = 0
-        prev_mag = mag
+            mag = abs(t)
+        except OverflowError:
+            # A complex magnitude past the double range, both parts finite.
+            return _report((complex(total), end, math.inf, False, "series"))
+        if end == _MAX_TERMS:
+            break
+        rho = ratios[end] * az
+        if rho < 1.0 and mag * rho <= tol * (size if size > 1.0 else 1.0) * (1.0 - rho):
+            return _report((complex(total), end, mag, True, "series"))
+        k = end
     return _report((complex(total), _MAX_TERMS, mag, False, "series"))
 
 

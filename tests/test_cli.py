@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -14,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import bihilfer
 from bihilfer import KilbasSaigoParams, kilbas_saigo
 from bihilfer.cli import _linspace, _open_out, _write_table, cli
 
@@ -723,6 +727,31 @@ class TestPipeline:
         assert result.stdout == ""
         assert not out.exists()
         assert calls == []
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as `| head -c 600` does, ends the
+    command with exit 141 and nothing on stderr, not a BrokenPipeError
+    traceback."""
+
+    # 2,000 rows are about 300 kB of JSON, more than a pipe holds, so the
+    # write still runs when a reader of 600 bytes closes.
+    ARGS = ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z-min", "-8", "--z-max", "4",
+            "--z-points", "2000", "--format", "json"]
+
+    @pytest.mark.parametrize("read", [0, 600])
+    def test_reader_that_closes_early(self, read):
+        src = str(Path(bihilfer.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen([sys.executable, "-m", "bihilfer.cli", *self.ARGS],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            head = proc.stdout.read(read)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert stderr == b""
+        assert len(head) == read
 
 
 class TestCsvFloats:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bihilfer import (
@@ -40,6 +40,7 @@ from bihilfer.special_functions import (
     _CONTOUR_N,
     _CONTOUR_NODES,
     _EPS,
+    _ENDS,
     _MAX_TERMS,
     SeriesEvalReport,
     _check_series_args,
@@ -313,10 +314,10 @@ class TestKilbasSaigo:
     def test_gamma_past_the_double_range(self, params, z):
         # From c_1 on, a Gamma argument alpha (jm + l) + 1 or its offset
         # passes the double range: lnGamma raised OverflowError, and an
-        # overflowed argument gave a nan log-ratio. Those c_j are
-        # zero, so the sum is c_0 = 1 after three zero terms, whose last
-        # magnitude is +0.0 although at z < 0 the zero terms alternate in
-        # sign.
+        # overflowed argument gave a nan log-ratio. Those c_j are zero, so
+        # the sum is c_0 = 1, and the tail bound is 0 (rho = 0) at the first
+        # stride end, 4 terms; the last magnitude is +0.0 although at z < 0
+        # the zero terms alternate in sign.
         params = KilbasSaigoParams(*params)
         report = kilbas_saigo(params, z)
         assert report == (1.0, 4, 0.0, True, "series")
@@ -398,6 +399,11 @@ class TestKilbasSaigo:
             report = kilbas_saigo(params, z, tol=tol)
             assert report.converged
             assert report.last_term_magnitude <= tol * max(1.0, abs(report.value))
+            # The tail bound of the stopping rule, at the term ratio that
+            # follows the last summed term.
+            rho = _triple(*params).grow(report.terms_used + 1)[report.terms_used] * abs(z)
+            assert rho < 1.0
+            assert report.last_term_magnitude * rho / (1.0 - rho) <= tol * max(1.0, abs(report.value))
 
     def test_nonconverged_flag_value_still_returned(self):
         # Terms overflow long before the rule can fire.
@@ -561,14 +567,18 @@ class TestCoefficients:
                 ratio_checked += 1
         assert ratio_checked >= 8
 
-    @pytest.mark.parametrize("triple", [(0.5, 1.0, 0.0), (0.6, 2.0, 1.0), (0.3, 1.0, -2.0)])
+    @pytest.mark.parametrize("triple", [(0.5, 1.0, 0.0), (0.6, 2.0, 1.0), (0.3, 1.0, -2.0),
+                                        (0.05, 0.3, 3.0)])
     def test_running_product_matches_mpmath(self, triple):
         # c_k, the running product of the cached ratios, against a 30-digit
-        # product at every k up to the first subnormal c_k. The exp of a
-        # running sum of ln ratios read 7.2e-13, 5.6e-13 and 4.2e-13 off.
+        # product at every k up to the first subnormal c_k or k = 1,000. The
+        # exp of a running sum of ln ratios read 7.2e-13, 5.6e-13 and 4.2e-13
+        # off; ratios below q = 20 taken as a difference of two lnGamma, up
+        # to 9.5e-14, and 8.3e-13 at (0.05, 0.3, 3).
         mp = pytest.importorskip("mpmath").mp
         coeffs = kilbas_saigo_coefficients(KilbasSaigoParams(*triple), 1000)
-        first_subnormal = next(k for k, c in enumerate(coeffs) if c < sys.float_info.min)
+        first_subnormal = next((k for k, c in enumerate(coeffs) if c < sys.float_info.min),
+                               len(coeffs))
         worst = 0.0
         with mp.workdps(30):
             alpha, m, l = map(mp.mpf, triple)
@@ -577,7 +587,7 @@ class TestCoefficients:
                 q = alpha * ((k - 1) * m + l) + 1
                 exact *= mp.gamma(q) / mp.gamma(q + alpha)
                 worst = max(worst, float(abs(coeffs[k] - exact) / exact))
-        assert worst <= 2e-13
+        assert worst <= 1e-14
 
     def test_cache_is_consistent(self):
         params = KilbasSaigoParams(0.6, 1.2, 0.1)
@@ -710,8 +720,8 @@ class TestGridDriver:
         params, capped = CAPPED
         fetch = _triple(*_shifted(params, 2)).grow
         real = _PowerGrid(1.0, 1.0, np.array([capped, 0.0, 0.5, 800.0]))
-        complex_ = _PowerGrid(cmath.rect(1.0, 1.0), 1.0, np.array([capped, 0.3, 720.0]))
-        for ray, overflow in ((real, 3), (complex_, 2)):
+        complex_ = _PowerGrid(cmath.rect(1.0, 1.0), 1.0, np.array([capped, 0.0, 0.3, 720.0]))
+        for ray, overflow in ((real, 3), (complex_, 3)):
             reports = _assert_agrees(_sum_series_grid(fetch, ray, 1e-12), fetch, ray, exact=(1,))
             assert reports[0].terms_used == 10_000 and not reports[0].converged
             assert reports[overflow].last_term_magnitude == math.inf
@@ -769,15 +779,17 @@ class TestGridDriver:
         _assert_agrees(grid, fetch, ray)
 
     def test_long_small_term_streak(self):
-        # At y = 12 on lam = 1 and tol = 0.5 the rule fires only after 216
-        # small terms in a row, at term 289: a streak kept in a narrow
-        # counter would wrap and stop elsewhere. On lam = -1 and 1j the
-        # sums at y = 12 and 20 cancel, so where they stop follows the
-        # rounding of their terms.
+        # At y = 12 on lam = 1 and tol = 0.5 every term from k = 73 on is
+        # below tol |S_k|, but the term ratio R[k] y stays at least 1 up to
+        # k = 287, so no tail bound exists before the stride end 288, and the
+        # bound first passes at 312; at y = 20 the ratio falls below 1 at
+        # k = 800 and the bound passes at 832. On lam = -1 and 1j the sums at
+        # y = 12 and 20 cancel, so the bound must fall below tol, not below
+        # tol |S|, and where they stop follows the rounding of their terms.
         fetch = _triple(0.5, 1.0, 0.0).grow
         ys = np.array([12.0, 20.0, 0.5, 3.0, 0.0])
-        for lam, terms in ((1.0, [289, 801, 4, 19, 1]), (-1.0, [511, 1162, 5, 49, 1]),
-                           (1j, [515, 1163, 4, 49, 1])):
+        for lam, terms in ((1.0, [312, 832, 4, 24, 1]), (-1.0, [520, 1176, 4, 48, 1]),
+                           (1j, [520, 1176, 4, 48, 1])):
             ray = _PowerGrid(lam, 1.0, ys)
             grid = _sum_series_grid(fetch, ray, 0.5)
             assert grid.terms_used.tolist() == terms
@@ -862,10 +874,11 @@ class TestGridChunks:
 
 
 def _reference_sum_series(ratios_of, z, tol=1e-12) -> SeriesEvalReport:
-    """The scalar engine written plainly, with none of its per-term savings:
-    one loop for both number fields, term k as t_{k-1} (R[k] z), and every
-    test on every term. The engine must return the same report for every
-    input."""
+    """The scalar engine written plainly, with none of its per-stride
+    savings: one loop for both number fields, term k as t_{k-1} (R[k] z),
+    every finiteness check on every term, and the stopping test wherever the
+    count of summed terms reaches a stride end. The engine must return the
+    same report for every input."""
     _check_series_args(tol)
     ratios = ratios_of(1)
     if z == 0:
@@ -877,37 +890,30 @@ def _reference_sum_series(ratios_of, z, tol=1e-12) -> SeriesEvalReport:
         total = 0j
     if not cmath.isfinite(z):
         return SeriesEvalReport(complex(ratios[0] * (z * 0.0)), 1, math.nan, False)
-    streak = 0
-    prev_mag = mag = math.inf
-    k = 0
-    while k < _MAX_TERMS:
-        if k >= len(ratios):
-            ratios = ratios_of(2 * k)
+    ends = set(_ENDS)
+    for k in range(_MAX_TERMS):
+        if k + 1 >= len(ratios) and len(ratios) < _MAX_TERMS:
+            ratios = ratios_of(min(2 * (k + 1), _MAX_TERMS))
         t = ratios[0] if k == 0 else t * (ratios[k] * z)
-        try:
-            mag = abs(t)
-        except OverflowError:
-            # A complex magnitude past the double range: the sum before it.
-            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
-        if not math.isfinite(mag):
+        if not cmath.isfinite(t):
             # A term past the double range: the sum before it.
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
         total += t
-        try:
-            size = abs(total)
-        except OverflowError:
+        if not cmath.isfinite(total):
             return SeriesEvalReport(complex(total), k + 1, math.inf, False)
-        if mag <= tol * max(1.0, size):
-            streak += 1
-        else:
-            streak = 0
-        if k >= 2 and streak >= 3 and (mag < prev_mag or mag == prev_mag == 0.0):
-            if not cmath.isfinite(total):
-                return SeriesEvalReport(complex(total), k + 1, math.inf, False)
+        if k + 1 not in ends:
+            continue
+        try:
+            mag, size = abs(t), abs(total)
+        except OverflowError:
+            # A complex magnitude past the double range.
+            return SeriesEvalReport(complex(total), k + 1, math.inf, False)
+        if k + 1 == _MAX_TERMS:
+            return SeriesEvalReport(complex(total), k + 1, mag, False)
+        # The terms past t_k are at most |t_k| rho^j: R decreases.
+        rho = ratios[k + 1] * abs(z)
+        if rho < 1.0 and mag * rho <= tol * max(1.0, size) * (1.0 - rho):
             return SeriesEvalReport(complex(total), k + 1, mag, True)
-        prev_mag = mag
-        k += 1
-    return SeriesEvalReport(complex(total), k, mag, False)
 
 
 # The contour rule as it was before kilbas_saigo's per-call work was cut,
@@ -1083,11 +1089,13 @@ class TestScalarEngineReference:
             ((0.01, 0.01, 0.0), -0.9999, 0, (10_000, False)),
             ((1.0, 1.0, 0.0), 710.0, 0, "overflow"),
             ((1.0, 1.0, 0.0), complex(710.0, 1e-3), 0, "overflow"),
+            # Both parts of S_N finite at a stride end, |S_N| past the range.
+            ((1.0, 1.0, 0.0), cmath.rect(716.0, 1.0), 0, "overflow"),
         ],
         ids=["term-cap", "zero-point", "converged", "term-overflow", "magnitude-overflow",
              "non-finite-point", "minus-inf", "nan", "inf-real-part", "inf-imag-part",
              "nan-real-part", "nan-imag-part", "negative-term-overflow", "negative-term-cap",
-             "sum-overflow", "complex-sum-overflow"],
+             "sum-overflow", "complex-sum-overflow", "magnitude-at-stride-end"],
     )
     def test_every_exit(self, params, z, start, exit):
         # At e^710 every term is finite but the sum is not, and an infinite
@@ -1157,6 +1165,64 @@ class TestScalarEngineReference:
         _triple.cache_clear()
         assert _bits(kilbas_saigo(params, z)) == _bits(report)
         assert len(_triple(*params).ratios) == _MAX_TERMS
+
+
+class _CappedRatios(list):
+    """A ratio list longer than the cap that raises IndexError on a read of
+    R[_MAX_TERMS] or past it, by index or by slice."""
+
+    def __getitem__(self, index):
+        stop = index.stop if isinstance(index, slice) else index + 1
+        if stop is not None and stop > _MAX_TERMS:
+            raise IndexError(f"ratio {stop - 1} read past the {_MAX_TERMS}-term cap")
+        return super().__getitem__(index)
+
+
+class TestTailBound:
+    """The stopping rule's contract: where a sum stops converged, the terms
+    it drops sum to at most tol max(1, |S|)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.3, 2.0), m=st.floats(0.5, 2.0), l=st.floats(-0.2, 1.0),
+           scale=st.floats(0.05, 1.0), tol=st.sampled_from([1e-12, 1e-6, 0.5]))
+    # E_{1/2,1,0} at x = 24 and 26 (test_positive_axis_past_the_rule).
+    @example(alpha=0.5, m=1.0, l=0.0, scale=24.0 / 300.0**0.5, tol=1e-12)
+    @example(alpha=0.5, m=1.0, l=0.0, scale=26.0 / 300.0**0.5, tol=1e-12)
+    def test_next_terms_below_the_bound(self, alpha, m, l, scale, tol):
+        # On the positive axis every term is positive, so the next terms add
+        # up to the dropped tail with nothing to cancel it. The terms peak
+        # near k = x^(1/alpha)/(alpha m), at about e^(x^(1/alpha)/m): out to
+        # x = (300 m)^alpha, e^300, the sums run long and stop where the term
+        # ratio is near 1, where a bound on the last term alone left up to
+        # r/(1 - r) times it unsummed.
+        x = scale * (300.0 * m) ** alpha
+        fetch = _triple(alpha, m, l).grow
+        report = _sum_series(fetch, x, tol)
+        assert report.converged
+        n = report.terms_used
+        ratios = fetch(n + 2000)
+        t, tail = report.last_term_magnitude, 0.0
+        for k in range(n, n + 2000):
+            t *= ratios[k] * x
+            tail += t
+        assert tail <= tol * max(1.0, report.value.real)
+
+    @pytest.mark.parametrize("z", [CAPPED[1], -CAPPED[1], complex(0.0, CAPPED[1])],
+                             ids=["real", "negative", "complex"])
+    def test_no_ratio_read_past_the_cap(self, z):
+        # A sum that reaches _MAX_TERMS ends there unconverged, with no
+        # stopping test that would need R[_MAX_TERMS]: not even where the
+        # list holds it, as the cached one does once
+        # kilbas_saigo_coefficients has read past the cap.
+        ratios = _CappedRatios([*_triple(*CAPPED[0]).grow(_MAX_TERMS)[:_MAX_TERMS], 0.5, 0.5])
+        fetch = lambda n: ratios  # noqa: E731
+        report = _sum_series(fetch, z)
+        assert (report.terms_used, report.converged) == (_MAX_TERMS, False)
+        assert _bits(report) == _bits(_reference_sum_series(fetch, z))
+        ray = _PowerGrid(z / abs(z), 1.0, np.array([abs(z), 0.1]))
+        grid = _sum_series_grid(fetch, ray)
+        assert grid.converged.tolist() == [False, True]
+        _assert_agrees(grid, fetch, ray)
 
 
 class TestCacheStats:
@@ -1482,16 +1548,20 @@ class TestSilentWrongSeries:
         assert report.path == "contour"
         assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
 
-    @pytest.mark.xfail(strict=True, reason="at x = 24 the contour rule is 1.1e-13 off but its "
-                       "estimate reads 1.07e-12 > tol, so it refuses, and the series answers "
-                       "5.0e-12 off, converged, after 1,494 terms")
-    def test_positive_axis_past_the_rule(self):
+    @pytest.mark.parametrize("x", [24.0, 26.0])
+    def test_positive_axis_past_the_rule(self, x):
+        # The contour rule is 1.1e-13 off here but its estimate passes tol,
+        # so it refuses, and the series sums 1,500-1,750 same-signed terms
+        # whose ratio is near 0.88 where it stops. A rule that bounded the
+        # last term rather than the dropped tail stopped with about 7 tol
+        # unsummed: 5.0e-12 off at x = 24 and 5.8e-12 at 26, converged.
         mp = pytest.importorskip("mpmath").mp
-        tol, x = 1e-12, 24.0
+        tol = 1e-12
         report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), x, tol)
         with mp.workdps(40):
             expected = float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(-mp.mpf(x)))
-        assert not report.converged or abs(report.value - expected) <= tol * max(1.0, expected)
+        assert report.path == "series" and report.converged
+        assert abs(report.value - expected) <= tol * max(1.0, expected)
 
 
 def _series_reference(alpha, l, z):
