@@ -4,10 +4,10 @@ The numpy half of the series engine, used by the solver's series tails (and
 so only by `verify`): _sum_series_grid sums a series at every point
 z = lam * y**a of a _PowerGrid. It is the scalar engine's loop over k run on
 an array of points: the same strides and stopping rule, and the scalar
-values to rounding. It sums series only; a branch that may take the
-contour rule is tabulated, tail included, by special_functions.kilbas_saigo
-through the solver. special_functions itself does not import numpy, so a
-scalar caller never loads it.
+bits wherever the point z is Python's. It sums series only; a branch that
+may take the contour rule is tabulated, tail included, by
+special_functions.kilbas_saigo through the solver. special_functions
+itself does not import numpy, so a scalar caller never loads it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _sum_series_grid(
     ratios_of: Callable[[int], list[float]], zs: _PowerGrid, tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """special_functions._sum_series(ratios_of, z, tol) at every point z of
-    the ray zs, to rounding.
+    the ray zs: bit for bit where numpy's y**a is Python's, else to rounding.
 
     The scalar loop over an array: each step multiplies term k-1 by R[k] z at
     every point still summing and adds it in the scalar order, and at each
@@ -95,12 +95,22 @@ def _sum_series_grid(
     # Powers, terms and sums of points about to go to the scalar engine may
     # overflow or be nan; no other value can.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.power(zs.ys, zs.a) * (zs.lam.real if real else zs.lam)
-        points = np.flatnonzero(z != 0.0)
-        z = z[points]
-        az = np.abs(z)
-        term = np.full(points.size, ratios[0], dtype=z.dtype)
-        total = term.copy()
+        # A complex z and term are kept as real and imaginary parts, z and
+        # zi, t and ti (see _times); the parts of z are Python's but for the
+        # signs of zeros, which no sum shows.
+        zi = ti = None
+        z = np.power(zs.ys, zs.a)
+        if not real:
+            zi = z * zs.lam.imag
+        z *= zs.lam.real
+        points = np.flatnonzero(z != 0.0 if real else (z != 0.0) | (zi != 0.0))
+        if points.size < n:
+            z, zi = _take(points, z, zi)
+        az = np.abs(z) if real else np.hypot(z, zi)
+        t = np.full(points.size, ratios[0])
+        total = t.astype(float if real else complex)
+        if not real:
+            ti = np.zeros(points.size)
         k = 1
         for end in _ENDS:
             if not points.size:
@@ -108,12 +118,15 @@ def _sum_series_grid(
             if end >= len(ratios):
                 ratios = ratios_of(min(2 * end, _MAX_TERMS))
             for r in ratios[k:end]:
-                # Out of place: numpy rounds an in-place complex product of
-                # one element otherwise than one of several.
-                term = term * (z * r)
-                total += term
+                if real:
+                    t = t * (z * r)
+                    total += t
+                else:
+                    _times(t, ti, z, zi, r)
+                    total.real += t
+                    total.imag += ti
             k = end
-            mag, size = np.abs(term), np.abs(total)
+            mag, size = (np.abs(t) if real else np.hypot(t, ti)), np.abs(total)
             if end == _MAX_TERMS:
                 stop = np.ones(points.size, dtype=bool)
             else:
@@ -135,10 +148,27 @@ def _sum_series_grid(
                 else:
                     gone, live = stop, ~stop
                 _put(out, points[gone], total[gone], end, mag[gone], end < _MAX_TERMS)
-                points, z, az, term, total = (a[live] for a in (points, z, az, term, total))
+                points, z, zi, az, t, ti, total = _take(live, points, z, zi, az, t, ti, total)
     for p in scalar:
         _put(out, p, *_sum_series(ratios_of, zs.lam * _power(float(zs.ys[p]), zs.a), tol)[:4])
     return out
+
+
+def _times(t: np.ndarray, ti: np.ndarray, z: np.ndarray, zi: np.ndarray, r: float) -> None:
+    """t + i ti times (z + i zi) r, in place and part by part, rounded as
+    Python's complex product is: numpy's own can fuse a multiply and an add."""
+    wr, wi = z * r, zi * r
+    u = t * wi
+    t *= wr
+    wi *= ti
+    t -= wi
+    ti *= wr
+    ti += u
+
+
+def _take(at, *arrays: "np.ndarray | None") -> list:
+    """Each of `arrays` at the points `at`; None stays None."""
+    return [None if a is None else a[at] for a in arrays]
 
 
 def _put(out: SeriesGridReport, at, *fields) -> None:

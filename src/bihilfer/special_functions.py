@@ -18,7 +18,7 @@ never pays for it, and not dataclasses (see KilbasSaigoParams). Every table
 row of the CLI is one kilbas_saigo call, as is every tail point of a solver
 branch whose triple has a contour record (see _triple). series_grid's driver
 sums the other branches' tails along a ray z = lam * y**a: the same series
-and stopping rule over a numpy array, agreeing to rounding.
+and stopping rule over a numpy array, to the bit for the same z.
 
 Every Gamma ratio is formed in log space, a coefficient ratio c_k/c_{k-1}
 as exp of one, right to about its last bit, and a coefficient c_k as the
@@ -62,13 +62,19 @@ def _stirling_tail(z: float) -> float:
     return (1.0 / 12.0 + w * (-1.0 / 360.0 + w * (1.0 / 1260.0 + w * s))) / z
 
 
+def _stirling_difference(q: float, nu: float) -> float:
+    """lnGamma(q) - lnGamma(p) + nu ln p, p = q + nu, for q, p >= 20, by
+    Stirling's series: nu - (q - 1/2) log1p(nu/q) + S(q) - S(p)."""
+    return nu - (q - 0.5) * math.log1p(nu / q) + _stirling_tail(q) - _stirling_tail(q + nu)
+
+
 def _gamma_ratio_offset(q: float, nu: float) -> float:
     """Gamma(q)/Gamma(q + nu) for q > 0 and 0 <= nu < 20, to about an ulp.
 
     By Stirling's series at q' = q + n >= 20 (n = ceil(20 - q) below 20, else
     0) it is e^x (q' + nu)^-nu, x = sum_{j<n} log1p(nu/(q + j)) (by fsum)
-    + nu - (q' - 1/2) log1p(nu/q') + S(q') - S(q' + nu): small pieces, where
-    a difference of two lnGamma values carries eps |lnGamma| of rounding.
+    + _stirling_difference(q', nu): small pieces, where a difference of two
+    lnGamma values carries eps |lnGamma| of rounding.
     """
     x = 0.0
     if q < _STIRLING_MIN:
@@ -78,7 +84,7 @@ def _gamma_ratio_offset(q: float, nu: float) -> float:
     p = q + nu
     if p == math.inf:
         return 0.0  # Gamma(q)/Gamma(q + nu) -> 0 as q overflows
-    x += nu - (q - 0.5) * math.log1p(nu / q) + _stirling_tail(q) - _stirling_tail(p)
+    x += _stirling_difference(q, nu)
     return math.exp(x) * p**-nu
 
 
@@ -96,12 +102,7 @@ def _log_gamma_ratio_offset(q: float, nu: float) -> float:
             return -math.inf  # lnGamma(p) past the double range; here q < 20 < p
     if p == math.inf:
         return -math.inf  # Gamma(q)/Gamma(q + nu) -> 0 as q + nu overflows, nu > 0
-    return -(
-        (q - 0.5) * math.log1p(nu / q)
-        + nu * (math.log(p) - 1.0)
-        + _stirling_tail(p)
-        - _stirling_tail(q)
-    )
+    return _stirling_difference(q, nu) - nu * math.log(p)
 
 
 def log_gamma_ratio(p: float, q: float) -> float:
@@ -341,8 +342,11 @@ def _sum_strides(
 ) -> SeriesEvalReport:
     """_sum_series at a finite z != 0 from its first term c_0, in real
     arithmetic where z and `first` are floats."""
-    n, az = len(ratios), abs(z)
-    t = total = first
+    n, t, total = len(ratios), first, first
+    try:
+        az = abs(z)
+    except OverflowError:
+        az = math.inf  # |z| past the double range, both parts finite
     k = 1
     for end in _ENDS:
         if end >= n:
@@ -352,23 +356,23 @@ def _sum_strides(
             t *= r * z
             total += t
         try:
-            size = abs(total)
-            if not size < math.inf:
-                # Summed again term by term from the start, to the first
-                # term or partial sum that is not finite.
-                t = total = first
-                for k in range(1, end):
-                    t *= ratios[k] * z
-                    if not cmath.isfinite(t):
-                        break
-                    total += t
-                    if not cmath.isfinite(total):
-                        break
-                return _report((complex(total), k + 1, math.inf, False, "series"))
-            mag = abs(t)
+            size, mag = abs(total), abs(t)
         except OverflowError:
-            # A complex magnitude past the double range, both parts finite.
-            return _report((complex(total), end, math.inf, False, "series"))
+            # A complex magnitude past the double range, both parts finite,
+            # or a nan one: CPython's abs raises there under a stale errno.
+            size = math.inf
+        if not size < math.inf:
+            # Summed again term by term from the start, to the first term
+            # or partial sum that is not finite, else to the stride end.
+            t = total = first
+            for k in range(1, end):
+                t *= ratios[k] * z
+                if not cmath.isfinite(t):
+                    break
+                total += t
+                if not cmath.isfinite(total):
+                    break
+            return _report((complex(total), k + 1, math.inf, False, "series"))
         if end == _MAX_TERMS:
             break
         rho = ratios[end] * az

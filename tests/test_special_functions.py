@@ -674,19 +674,29 @@ def _assert_bit_identical(grid, parts):
 
 def _assert_agrees(grid, fetch, ray, tol=1e-12, exact=()):
     """The ray contract against the scalar engine at z = lam * y**a:
-    terms_used and converged as the engine's, every overflowed point (last
-    term inf) and each row of `exact` bit for bit, and the other values to
-    rounding. The driver forms y**a by numpy's power, which can differ from
-    Python's in the last bit, and numpy rounds a complex product otherwise
-    than Python, so term k differs by up to about k eps relative and the
-    N-term sums by N eps times sum_k |t_k|, which is the engine's value at
-    |z| (the coefficients are positive); 1e-15 N sum|t_k| is the bound."""
+    terms_used and converged as the engine's; bit for bit every overflowed
+    point (last term inf) and every point whose z the driver forms with
+    Python's bits but for the signs of zeros (which no sum shows), as it must
+    at the rows of `exact`; the other values to rounding. The driver forms y**a by numpy's power, which can differ from
+    Python's in the last bit, so term k differs by up to about k eps
+    relative and the N-term sums by N eps times sum_k |t_k|, which is the
+    engine's value at |z| (the coefficients are positive); 1e-15 N sum|t_k|
+    is the bound."""
     reports = _scalar_reports(fetch, ray, tol)
     assert grid.terms_used.tolist() == [r.terms_used for r in reports]
     assert grid.converged.tolist() == [r.converged for r in reports]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.power(ray.ys, ray.a)
+        # A real ray's z is real. + 0.0 turns -0.0 into 0.0 and leaves
+        # every other bit pattern.
+        imag = powers * ray.lam.imag if ray.lam.imag else np.zeros_like(powers)
+        parts = np.stack([powers * ray.lam.real, imag], axis=1) + 0.0
     for j, (y, r) in enumerate(zip(ray.ys.tolist(), reports)):
         got = (grid.value[j].item(), grid.last_term_magnitude[j].item())
-        if j in exact or r.last_term_magnitude == math.inf:
+        z = ray.lam * _power(y, ray.a)
+        same_z = struct.pack("<2d", z.real + 0.0, z.imag + 0.0) == parts[j].tobytes()
+        assert same_z or j not in exact, j
+        if same_z or r.last_term_magnitude == math.inf:
             assert struct.pack("<3d", got[0].real, got[0].imag, got[1]) == struct.pack(
                 "<3d", r.value.real, r.value.imag, r.last_term_magnitude), j
         else:
@@ -716,13 +726,15 @@ class TestGridDriver:
     def test_covers_every_exit_of_the_engine(self):
         # The cap, the point z = 0, a converged sum, and terms past the
         # double range at real and complex z, which the scalar engine sums
-        # and reports.
+        # and reports. At y**1 the driver's z is Python's, so every row
+        # holds the scalar bits.
         params, capped = CAPPED
         fetch = _triple(*_shifted(params, 2)).grow
         real = _PowerGrid(1.0, 1.0, np.array([capped, 0.0, 0.5, 800.0]))
         complex_ = _PowerGrid(cmath.rect(1.0, 1.0), 1.0, np.array([capped, 0.0, 0.3, 720.0]))
         for ray, overflow in ((real, 3), (complex_, 3)):
-            reports = _assert_agrees(_sum_series_grid(fetch, ray, 1e-12), fetch, ray, exact=(1,))
+            reports = _assert_agrees(_sum_series_grid(fetch, ray, 1e-12), fetch, ray,
+                                     exact=(0, 1, 2, 3))
             assert reports[0].terms_used == 10_000 and not reports[0].converged
             assert reports[overflow].last_term_magnitude == math.inf
 
@@ -911,7 +923,10 @@ def _reference_sum_series(ratios_of, z, tol=1e-12) -> SeriesEvalReport:
         if k + 1 == _MAX_TERMS:
             return SeriesEvalReport(complex(total), k + 1, mag, False)
         # The terms past t_k are at most |t_k| rho^j: R decreases.
-        rho = ratios[k + 1] * abs(z)
+        try:
+            rho = ratios[k + 1] * abs(z)
+        except OverflowError:
+            rho = math.inf  # |z| past the double range
         if rho < 1.0 and mag * rho <= tol * max(1.0, size) * (1.0 - rho):
             return SeriesEvalReport(complex(total), k + 1, mag, True)
 
@@ -1091,11 +1106,14 @@ class TestScalarEngineReference:
             ((1.0, 1.0, 0.0), complex(710.0, 1e-3), 0, "overflow"),
             # Both parts of S_N finite at a stride end, |S_N| past the range.
             ((1.0, 1.0, 0.0), cmath.rect(716.0, 1.0), 0, "overflow"),
+            # Both parts of z finite, |z| past the range.
+            ((0.5, 2.0, 0.0), complex(1.5e308, 1.5e308), 0, "overflow"),
         ],
         ids=["term-cap", "zero-point", "converged", "term-overflow", "magnitude-overflow",
              "non-finite-point", "minus-inf", "nan", "inf-real-part", "inf-imag-part",
              "nan-real-part", "nan-imag-part", "negative-term-overflow", "negative-term-cap",
-             "sum-overflow", "complex-sum-overflow", "magnitude-at-stride-end"],
+             "sum-overflow", "complex-sum-overflow", "magnitude-at-stride-end",
+             "magnitude-of-z"],
     )
     def test_every_exit(self, params, z, start, exit):
         # At e^710 every term is finite but the sum is not, and an infinite
@@ -1111,6 +1129,9 @@ class TestScalarEngineReference:
         else:
             assert (report.terms_used, report.converged) == exit
         assert _bits(report) == _bits(_reference_sum_series(fetch, z, 1e-12))
+        # Again with the ratios cached, so that no fill runs between the
+        # engine's steps (a fill's math calls clear a stale errno).
+        assert _bits(_sum_series(fetch, z, 1e-12)) == _bits(report)
 
     def test_benchmark_pool_points(self):
         """The ks-sweep workload's pool: 8 triples at 64 fixed points, 384
