@@ -219,9 +219,11 @@ def _triple(alpha: float, m: float, l: float) -> _Triple:
     entries and returns it, also once the record is dropped. contour is
     _contour_node_tuples(alpha, l) where kilbas_saigo may take
     the contour rule, at m = 1, 0 < alpha < 1 and beta = alpha*l + 1 <= 1,
-    else None: at larger beta the rule's discretisation error outgrows its
-    estimate (1.3e-13 at beta = 1.5, 2e-8 at beta = 5). The least recently
-    used of `_CACHE_SIZE` records is dropped (see `_triple.cache_info()`).
+    else None (at larger beta the rule's discretisation error outgrows its
+    estimate): the nodes, and the two rounding constants, sector and axis,
+    that bound the rule's summed rounding wherever they apply. The least
+    recently used of `_CACHE_SIZE` records is dropped (see
+    `_triple.cache_info()`).
     """
     ratios = [1.0]
     contour = _contour_node_tuples(alpha, l) if m == 1.0 and alpha < 1.0 and l <= 0.0 else None
@@ -384,21 +386,24 @@ def _sum_strides(
 
 # Trapezoid rule on the parabola s(u) = mu (1 + iu)^2 (Weideman & Trefethen,
 # Math. Comp. 76 (2007) 1341): nodes u_k = k h, |k| <= N, h = 3/N, mu = pi N/12.
-# Rounding grows like e^mu, so N is chosen, not maximised: against mpmath,
-# relative to max(1, |E|) and for beta from 0.5 to 1, N = 16 gave at most
-# 1.1e-14, N = 12 4.8e-11 and N = 24 1.2e-13 (N = 16: 3.4e-13 at beta = 0.05).
+# Rounding grows like e^mu, so N is chosen, not maximised (see CHANGES.md).
 _CONTOUR_N = 16
 _CONTOUR_NODES = 2 * _CONTOUR_N + 1
 _CONTOUR_H = 3.0 / _CONTOUR_N
 _CONTOUR_MU = math.pi * _CONTOUR_N / 12.0
 _EPS = sys.float_info.epsilon
+# The relative widening of the per-triple rounding constants and of the
+# sector edge they assume: far above the few ulps by which the summed bound's
+# own rounding, or a z's computed argument, can move either.
+_SLACK = 2.0**-40
 
 
-def _contour_node_tuples(alpha: float, l: float) -> "tuple[float, tuple, tuple, float, float]":
-    """(alpha, full, half, beta, lnGamma(beta)) of the triple (alpha, 1, l):
-    alpha; (s_k^alpha, weight, rounding factor) of every node, and of the
-    nodes u >= 0 with their mirror images folded in, for real z; then
-    beta = alpha*l + 1 and lnGamma(beta), which the pole's residue needs.
+def _contour_node_tuples(alpha: float, l: float) -> tuple:
+    """(alpha, full, half, beta, lnGamma(beta), sector, axis, head) of the
+    triple (alpha, 1, l): alpha; (p_k, w_k, eps (1 + |s_k|)) of every node,
+    p_k = s_k^alpha, and of the nodes u >= 0 with their mirror images folded
+    in, for real z; beta = alpha*l + 1 and lnGamma(beta), which the pole's
+    residue needs; then the rounding constants of _contour_estimate.
 
     E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z) is Gamma(beta)/(2 pi i)
     times the integral of e^s s^(alpha-beta)/(s^alpha - z) along the contour
@@ -406,14 +411,36 @@ def _contour_node_tuples(alpha: float, l: float) -> "tuple[float, tuple, tuple, 
     it; see _contour_estimate), so the rule is
     sum_k w_k/(s_k^alpha - z) with
     w_k = Gamma(beta) (h mu/pi) (1 + iu_k) e^(s_k) s_k^(alpha-beta). Node k's
-    term inherits the absolute rounding of s_k through e^(s_k): the rounding
-    factor is eps (1 + |s_k|).
+    term t_k inherits the absolute rounding of s_k through e^(s_k), at most
+    eps (1 + |s_k|) |t_k| = e_k/|p_k - z|, e_k = eps (1 + |s_k|) |w_k|.
+
+    With that, each constant is at least the summed bound sum_k e_k/|p_k - z|
+    wherever it applies, rounding included (both are widened by _SLACK):
+    - sector, sum_k e_k/(|p_k| sin min(alpha pi - |arg p_k|, pi/2)) over the
+      full nodes, at every z in the sector |arg z| >= alpha pi, since that is
+      each node's distance from the sector (on the negative axis the folded
+      sum is the full one);
+    - axis, sum_{k>=1} e_k/|Im p_k| over the folded nodes, at every real z,
+      with the u = 0 node's own term added as head |t_0|, head being its
+      rounding factor.
+    A distance that is zero, or rounds to zero or below, makes its constant
+    inf.
     """
     n, beta = _CONTOUR_N, alpha * l + 1.0
     log_gamma = math.lgamma(beta)
     full = tuple(_contour_node(alpha, beta, log_gamma, k) for k in range(-n, n + 1))
-    half = [full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :])]
-    return alpha, full, tuple(half), beta, log_gamma
+    half = (full[n], *((power, 2.0 * weight, rounding) for power, weight, rounding in full[n + 1 :]))
+    edge = alpha * math.pi * (1.0 - _SLACK)
+    sector = sum(_share(weight, rounding, abs(power) * math.sin(min(
+        edge - abs(math.atan2(power.imag, power.real)), 0.5 * math.pi))) for power, weight, rounding in full)
+    axis = sum(_share(weight, rounding, abs(power.imag)) for power, weight, rounding in half[1:])
+    grow = 1.0 + _SLACK
+    return alpha, full, half, beta, log_gamma, sector * grow, axis * grow, half[0][2] * grow
+
+
+def _share(weight: complex, rounding: float, distance: float) -> float:
+    """e_k/distance of one node, inf where the distance is not positive."""
+    return rounding * abs(weight) / distance if distance > 0.0 else math.inf
 
 
 def _contour_node(alpha: float, beta: float, log_gamma: float, k: int) -> "tuple[complex, complex, float]":
@@ -426,10 +453,25 @@ def _contour_node(alpha: float, beta: float, log_gamma: float, k: int) -> "tuple
     return cmath.exp(alpha * log_s), weight, _EPS * (1.0 + abs(s))
 
 
-def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, float] | None":
-    """The contour rule on a triple's nodes `contour` at one complex z:
-    (value, outermost node's contribution, error estimate), or None where
-    the rule cannot take z: z zero or not finite, or off the sector as below.
+def _contour_sum(nodes: tuple, z: complex) -> "tuple[complex, float, complex]":
+    """(value, bound, last term): the node sum and the summed rounding bound
+    sum_k eps (1 + |s_k|) |t_k|, running sums in node order from -0.0, the
+    identity of IEEE addition. Raises ZeroDivisionError on a node, and
+    OverflowError where a term's magnitude passes the double range."""
+    value, bound = complex(-0.0, -0.0), -0.0
+    for power, weight, rounding in nodes:
+        t = weight / (power - z)
+        value += t
+        bound += abs(t) * rounding
+    return value, bound, t
+
+
+def _contour_estimate(contour: tuple, z: complex, tol: float) -> "tuple[complex, float, float] | None":
+    """The contour rule on a triple's record `contour` at one complex z:
+    (value, outermost node's contribution, error estimate) where the rule
+    meets tol, that is where the estimate is at most tol*max(1, |value|)
+    and the value is finite; else None, also where the rule cannot take z:
+    z zero or not finite, or off the sector as below.
 
     In the sector |arg z| >= alpha*pi, s^alpha = z has no root on the
     principal sheet and the nodes are the whole rule. (arg z is math.atan2,
@@ -458,18 +500,34 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
     the rule cannot take z on a node.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
-    value is exactly real. The value and the rounding bound
-    sum_k eps (1 + |s_k|) |t_k| are running sums in node order; the
-    correction and its rounding bound are added after them (exact zeros in
-    the sector, which leave the bits as they are). The estimate is that
-    bound plus the outermost node's contribution, plus the second-nearest
-    missing node's term where the pole lies past the nodes.
+    value is exactly real. The value is a running sum in node order; the
+    correction and its rounding bound are added after it (exact zeros in
+    the sector, which leave the bits as they are). The estimate is a node
+    rounding bound plus the outermost node's contribution, plus the
+    correction's rounding and the second-nearest missing node's term where
+    the pole lies past the nodes. The node rounding bound is the record's
+    constant where one applies and the estimate it gives meets tol: at a
+    real z the axis constant plus head |t_0|, or the sector constant where
+    z lies in the sector and that is smaller; at a complex z in the sector
+    the sector constant. Else it is the summed bound
+    sum_k eps (1 + |s_k|) |t_k| of _contour_sum, summed with the values in
+    one loop where no constant is tried: at a complex z off the sector, and
+    where the constant that applies (sector in the sector, else axis)
+    exceeds tol. Each constant is at least the summed bound, so the rule
+    meets tol exactly where the summed bound makes it.
     """
     if z == 0 or not cmath.isfinite(z):
         return None
-    alpha, full, half, beta, log_gamma = contour
+    alpha, full, half, beta, log_gamma, sector, axis, head = contour
+    real = z.imag == 0.0
+    nodes = half if real else full
     pole, rounding, missing = 0j, 0.0, 0.0
-    if abs(math.atan2(z.imag, z.real)) < alpha * math.pi:
+    in_sector = abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
+    # A constant is tried only where it is at most tol, where it will most
+    # often decide; so none is tried that could hide a term whose magnitude
+    # passes the double range, which the summed bound would meet.
+    has_constant = sector <= tol if in_sector else real and axis <= tol
+    if not in_sector:
         log_s = cmath.log(z) / alpha
         try:
             s = cmath.exp(log_s)
@@ -504,27 +562,49 @@ def _contour_estimate(contour: tuple, z: complex) -> "tuple[complex, float, floa
                 missing = abs(weight / (power - z))
             except (ZeroDivisionError, OverflowError):
                 return None
-    real = z.imag == 0.0
-    nodes = half if real else full
-    # -0.0 is the identity of IEEE addition, so each sum starts at its
-    # first term exactly.
-    value, bound = complex(-0.0, -0.0), -0.0
     try:
-        for power, weight, node_rounding in nodes:
-            t = weight / (power - z)
-            mag = abs(t)
-            value += t
-            bound += mag * node_rounding
-        if real:
-            value, last = complex(value.real), 0.5 * mag
+        if has_constant:
+            # The node values alone; the first term starts the sum exactly.
+            terms = iter(nodes)
+            power, weight, _ = next(terms)
+            value = first = weight / (power - z)
+            for power, weight, _ in terms:
+                t = weight / (power - z)
+                value += t
+            bound = sector
+            if real:
+                bound = axis + abs(first) * head
+                if in_sector and sector < bound:
+                    bound = sector
         else:
-            power, weight, _ = nodes[0]
-            last = max(abs(weight / (power - z)), mag)
+            value, bound, t = _contour_sum(nodes, z)
+            if not real:
+                power, weight, _ = nodes[0]
+                first = weight / (power - z)
+        if real:
+            value, last = complex(value.real), 0.5 * abs(t)
+        else:
+            last = max(abs(first), abs(t))
     except (ZeroDivisionError, OverflowError):
         # Off the sector z can sit on a node, or a term can outgrow the
         # double range.
         return None
-    return value + pole, last, bound + rounding + last + missing
+    value += pole
+    try:
+        size = abs(value)
+    except OverflowError:
+        size = math.inf  # the magnitude of a value past the double range
+    limit = tol * (size if size > 1.0 else 1.0)
+    estimate = bound + rounding + last + missing
+    if has_constant and not estimate <= limit:
+        # The constant does not decide: the summed bound, in node order.
+        try:
+            estimate = _contour_sum(nodes, z)[1] + rounding + last + missing
+        except (ZeroDivisionError, OverflowError):
+            return None
+    if estimate <= limit and cmath.isfinite(value):
+        return value, last, estimate
+    return None
 
 
 def kilbas_saigo(
@@ -546,18 +626,15 @@ def kilbas_saigo(
     the missing node nearest it is added too (_contour_estimate). Where the rule cannot
     take z, its value is not finite (a residue past the double range) or
     its error estimate exceeds tol * max(1, |value|), the series is summed
-    as elsewhere.
+    as elsewhere. The estimate's rounding part is a constant of the triple
+    (_contour_node_tuples) at a real z and in the sector where that meets
+    tol, else the summed bound; each constant is at least the summed bound,
+    so the path and every report field are those of the summed bound.
     """
     _check_series_args(tol)
     ratios, grow, contour = _triple(*params)
     if contour is not None:
-        rule = _contour_estimate(contour, complex(z))
+        rule = _contour_estimate(contour, complex(z), tol)
         if rule is not None:
-            value, last, estimate = rule
-            try:
-                size = abs(value)
-            except OverflowError:
-                size = math.inf  # the magnitude of a value past the double range
-            if estimate <= tol * (size if size > 1.0 else 1.0) and cmath.isfinite(value):
-                return _report((value, _CONTOUR_NODES, last, True, "contour"))
+            return _report((rule[0], _CONTOUR_NODES, rule[1], True, "contour"))
     return _sum_series_from(grow, ratios, z, tol)

@@ -1228,6 +1228,17 @@ class TestTailBound:
             tail += t
         assert tail <= tol * max(1.0, report.value.real)
 
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.05, 3.0), m=st.floats(0.05, 3.0), l=st.floats(-20.0, 5.0),
+           n=st.integers(200, 300))
+    def test_ratios_never_increase(self, alpha, m, l, n):
+        # The rule's premise: from k = 1 on, the cached ratios c_k/c_{k-1}
+        # the engine sums never increase, so |t_N| rho^j bounds every term
+        # past t_N.
+        assume(alpha * l > -1.0)
+        ratios = _triple(alpha, m, l).grow(n)[1:n]
+        assert all(later <= earlier for earlier, later in zip(ratios, ratios[1:]))
+
     @pytest.mark.parametrize("z", [CAPPED[1], -CAPPED[1], complex(0.0, CAPPED[1])],
                              ids=["real", "negative", "complex"])
     def test_no_ratio_read_past_the_cap(self, z):
@@ -1521,7 +1532,7 @@ class TestContourPath:
         ],
     )
     def test_pole_refuses_zero_and_nan(self, z):
-        assert special_functions._contour_estimate(_triple(0.5, 1.0, 0.0).contour, z) is None
+        assert special_functions._contour_estimate(_triple(0.5, 1.0, 0.0).contour, z, 0.5) is None
 
     @pytest.mark.parametrize(
         "z",
@@ -1696,27 +1707,31 @@ class TestPoleBranch:
     )
     def test_estimate_covers_the_error(self, sample, counts):
         # Every point the rule can take, accepted or not, is within the
-        # rule's estimate of the reference, and the accepted ones are within
-        # tol; (accepted, refused) counts both.
+        # rule's summed estimate (the reference's) of the reference value,
+        # and the accepted ones are within tol; (accepted, refused) counts
+        # both. Where _contour_estimate accepts, its value is the rule's and
+        # its estimate, from a constant where one decides, is no smaller.
         tol = 1e-12
         accepted = refused = 0
         for alpha, l, z in sample():
             params = KilbasSaigoParams(alpha, 1.0, l)
             assert not _reference_in_sector(alpha, z)
-            rule = special_functions._contour_estimate(_triple(*params).contour, z)
+            rule = special_functions._contour_estimate(_triple(*params).contour, z, tol)
+            summed = _reference_contour_estimate(params, z)
             report = kilbas_saigo(params, z, tol)
-            if rule is None:
-                assert report.path == "series"
+            if summed is None:
+                assert rule is None and report.path == "series"
                 refused += 1
                 continue
-            value, _, estimate = rule
+            value, _, estimate = summed
             expected = _series_reference(alpha, l, z)
             assert abs(value - expected) <= estimate, (alpha, l, z)
             if report.path == "contour":
                 accepted += 1
-                assert report.value == value
+                assert report.value == rule[0] == value and rule[2] >= estimate
                 assert abs(value - expected) <= tol * max(1.0, abs(expected)), (alpha, l, z)
             else:
+                assert rule is None
                 refused += 1
         assert (accepted, refused) == counts
 
@@ -1733,7 +1748,7 @@ class TestPoleBranch:
         params = KilbasSaigoParams(0.5, 1.0, 0.0)
         power = _triple(0.5, 1.0, 0.0).contour[2][0][0]
         z = complex(power.real)
-        assert special_functions._contour_estimate(_triple(*params).contour, z) is None
+        assert special_functions._contour_estimate(_triple(*params).contour, z, 0.5) is None
         assert [r.path for r in _scalar_calls(params, [z])] == ["series"]
 
 
@@ -1910,3 +1925,133 @@ class TestRoutingParity:
         zs = [*zs.tolist(), *np.linspace(-8.0, 4.0, 41).tolist(), 0.0, complex(-2.0, -0.0)]
         rows = _scalar_calls(params, zs)
         assert {r.path for r in rows} == {"contour", "series"}
+
+
+def _summed_bound(nodes, z):
+    """The summed rounding bound sum_k eps (1 + |s_k|) |t_k| of the rule's
+    nodes at z, or None where a node sits on z or a term's magnitude, and so
+    the bound, passes the double range."""
+    try:
+        bound = special_functions._contour_sum(nodes, z)[1]
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return bound if bound < math.inf else None
+
+
+def _node_point(record, k, kind):
+    """A z next to node k's p_k: on the real axis at Re p_k, or on the
+    sector edge where it lies nearest p_k."""
+    alpha, power = record[0], record[1][k][0]
+    if kind == "axis":
+        return complex(power.real)
+    edge = alpha * math.pi * math.copysign(1.0, power.imag or 1.0)
+    foot = abs(power) * math.cos(abs(edge) - abs(math.atan2(power.imag, power.real)))
+    return cmath.rect(max(foot, 1e-3), edge * (1.0 + 1e-15))
+
+
+class TestContourConstants:
+    """The contour rule's per-triple rounding constants: each bounds the
+    summed rounding bound wherever it applies, so the rule accepts exactly
+    the points the summed bound accepts, with the same report."""
+
+    _RULE_TRIPLES = [(0.5, 1.0, 0.0), (0.3, 1.0, 0.0), (0.9, 1.0, -1.0), (0.3, 1.0, -3.0),
+                     (0.5, 1.0, -1.9), (0.2, 1.0, -4.75)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.one_of(st.floats(0.01, 0.999), st.floats(5e-324, 1.0, exclude_max=True)),
+        beta=st.floats(0.0, 1.0, exclude_min=True),
+        size=st.floats(-3.0, 3.0),
+        turn=st.floats(0.0, 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        kind=st.sampled_from(["negative", "positive", "sector", "axis", "edge"]),
+        node=st.integers(0, 2 * _CONTOUR_N),
+    )
+    @example(alpha=0.5, beta=1.0, size=0.0, turn=0.0, sign=1.0, kind="axis", node=20)
+    @example(alpha=0.05, beta=0.05, size=0.0, turn=0.0, sign=1.0, kind="edge", node=20)
+    # Terms of magnitude past the double range, in the sector near z = 1.
+    @example(alpha=2.2250738585072014e-308, beta=0.5, size=0.0, turn=0.0, sign=-1.0, kind="sector", node=0)
+    def test_constants_cover_the_summed_bound(self, alpha, beta, size, turn, sign, kind, node):
+        l = (beta - 1.0) / alpha
+        assume(math.isfinite(l) and alpha * l > -1.0 and l <= 0.0)
+        record = _triple(alpha, 1.0, l).contour
+        _, full, half, _, _, sector, axis, head = record
+        if kind in ("axis", "edge"):
+            z = _node_point(record, node, kind)
+        elif kind == "sector":
+            z = cmath.rect(10.0**size, sign * (alpha + turn * (1.0 - alpha)) * math.pi)
+        else:
+            z = complex(10.0**size * (1.0 if kind == "positive" else -1.0))
+        in_sector = abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
+        assume(z != 0 and (in_sector or z.imag == 0.0))
+        if z.imag == 0.0:
+            bound = _summed_bound(half, z)
+            assume(bound is not None)
+            power, weight, _ = half[0]
+            assert axis + head * abs(weight / (power - z)) >= bound
+        if in_sector:
+            bound = _summed_bound(full, z)
+            assume(bound is not None)
+            assert sector >= bound
+            # On the negative axis it bounds the folded sum as well.
+            folded = _summed_bound(half, z)
+            assert z.imag != 0.0 or folded is None or sector >= folded
+
+    def test_reports_match_the_summed_rule(self):
+        # At every tol the reports are the reference's, field for field. At
+        # beta = 0.05 and 0.1 the constants exceed the smaller tolerances,
+        # so the summed bound decides there; elsewhere a constant does.
+        points = [complex(x) for x in np.linspace(-8.0, -0.25, 32)]
+        points += [complex(x) for x in np.linspace(0.25, 4.0, 16)]
+        points += [complex(r * math.cos(t), r * math.sin(t))
+                   for r, t in zip(np.linspace(0.5, 6.0, 16), np.linspace(0.15, math.pi - 0.15, 16))]
+        by_constant = by_sum = 0
+        summed_at_small_beta = set()
+        for triple in self._RULE_TRIPLES:
+            params = KilbasSaigoParams(*triple)
+            contour = _triple(*params).contour
+            for tol in (1e-16, 1e-14, 1e-13, 1e-12, 1e-6, 0.5):
+                for z in points:
+                    report, reference = kilbas_saigo(params, z, tol), _reference_kilbas_saigo(params, z, tol)
+                    assert (*_bits(report), report.path) == (*_bits(reference), reference.path), (triple, z, tol)
+                    if report.path != "contour":
+                        continue
+                    estimate = special_functions._contour_estimate(contour, z, tol)[2]
+                    if estimate == _reference_contour_estimate(params, z)[2]:
+                        by_sum += 1
+                        if triple[0] * triple[2] + 1.0 < 0.2:
+                            summed_at_small_beta.add(triple)
+                    else:
+                        by_constant += 1
+        assert by_constant > 0 and by_sum > 0
+        assert summed_at_small_beta == {(0.9, 1.0, -1.0), (0.3, 1.0, -3.0), (0.5, 1.0, -1.9), (0.2, 1.0, -4.75)}
+
+    @pytest.mark.parametrize("z", [complex(-2.0, 1.0), complex(-3.0)], ids=["complex", "real"])
+    def test_summed_bound_decides_where_the_constant_does_not(self, z):
+        # At the smallest tol where the sector constant is tried and the
+        # summed estimate meets it, the constant's estimate does not, so the
+        # summed bound must accept the point. (|E| < 1 at both points.)
+        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        contour = _triple(*params).contour
+        value, _, summed = _reference_contour_estimate(params, z)
+        tol = max(summed, contour[5])
+        assert abs(value) < 1.0 and tol < special_functions._contour_estimate(contour, z, 0.5)[2]
+        report, reference = kilbas_saigo(params, z, tol), _reference_kilbas_saigo(params, z, tol)
+        assert report.path == "contour" and (*_bits(report), report.path) == (*_bits(reference), reference.path)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320])
+    def test_tiny_alpha(self, alpha):
+        # The record builds where a node's distance from the sector or the
+        # axis rounds to zero (its constant is inf), and every report is
+        # the reference's; at z = -2 the rule gives 1/(1 - z).
+        params = KilbasSaigoParams(alpha, 1.0, 0.0)
+        record = _triple(*params).contour
+        assert record is not None and record[5] >= 0.0 and record[6] >= 0.0
+        zs = [-2.0, -0.5, -1e3, 2.0, 0.5, complex(-2.0, 1.0), complex(-2.0, -0.0), complex(0.5, 1e-300),
+              complex(1.0, 1e-300), complex(3.0, -2.0), 1j]
+        for tol in (1e-16, 1e-12, 0.5):
+            for z in zs:
+                report, reference = kilbas_saigo(params, z, tol), _reference_kilbas_saigo(params, z, tol)
+                assert (*_bits(report), report.path) == (*_bits(reference), reference.path), (z, tol)
+        report = kilbas_saigo(params, -2.0)
+        assert report.path == "contour" and abs(report.value - 1.0 / 3.0) <= 1e-14

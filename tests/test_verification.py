@@ -6,6 +6,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bihilfer import (
     DegenerateProblem,
@@ -362,8 +364,8 @@ class TestContourResidual:
         base = residual_numeric(problem, 0, y_max=4.0, n_points=4096).max_rel_error
         rule = special_functions._contour_estimate
 
-        def mutated(contour, z):
-            out = rule(contour, z)
+        def mutated(contour, z, tol):
+            out = rule(contour, z, tol)
             return None if out is None else (out[0] * (1 + 1e-5), *out[1:])
 
         monkeypatch.setattr(special_functions, "_contour_estimate", mutated)
@@ -374,7 +376,7 @@ class TestContourResidual:
     @pytest.mark.xfail(strict=True, reason=(
         "a contour branch's tail is evaluate minus its head, and near z = 0 the "
         "contour value's absolute error of about 4e-15 is about 1% of the tail "
-        "c_4 z^4 (ROADMAP item 12)"))
+        "c_4 z^4 (ROADMAP item 14)"))
     @pytest.mark.parametrize("mu", [1.0, 0.5])
     @pytest.mark.parametrize("lam", [-1e-3, 1e-3, -1e-4])
     def test_residual_passes_at_small_lambda(self, mu, lam):
@@ -459,6 +461,21 @@ class TestFoldedDerivativeWeights:
                     got = branch.coefficient(start) * _sum_series(ratios_of, z, 1e-17).value
                     want = _weighted_reference(branch, j, z)
                     assert abs(got - want) <= 1e-14 * abs(want), (s, j, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(1, 4), alpha=st.floats(0.01, 0.99), beta=st.floats(0.01, 0.99),
+           mu=st.floats(0.0, 1.0), m=st.floats(0.0, 3.0), n=st.integers(200, 300))
+    def test_folded_ratios_never_increase(self, i, alpha, beta, mu, m, n):
+        # The stopping rule's premise holds for the ratios handed to the
+        # engine too: from k = 1 on, with every derivative's falling
+        # products folded in, they never increase, for every j < i.
+        assume(m + mu * (alpha - beta) >= 0.0)
+        problem = make_problem(i - 1 + alpha, i - 1 + beta, mu, i, m=m, lam=1.0)
+        for s in range(i):
+            branch = fundamental_solution(problem, s)
+            for j in range(i):
+                ratios = _derivative_series(branch, j)[1](n)[1:n]
+                assert all(later <= earlier for earlier, later in zip(ratios, ratios[1:])), (s, j)
 
 
 class TestCrossOracleClosure:
