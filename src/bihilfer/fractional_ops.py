@@ -146,11 +146,10 @@ def _weights(nu: float, n: int) -> "tuple[np.ndarray, np.ndarray]":
         w_k   = (k+1)^p - 2 k^p + (k-1)^p = 2 k^p sum_{j>=1} C(p,2j) k^(-2j),
         a0(k) = (k-1)^p - (k-p) k^nu      = k^p sum_{j>=2} C(p,j) (-1/k)^j.
 
-    The left-hand forms lose about k^2/nu ulps to cancellation (1.4e-6
-    relative at k=1.3e5, nu=0.375). The series (Diethelm, Ford & Freed,
-    Numer. Algorithms 36 (2004) 31) converge for k >= 2 without cancelling
-    and are accurate to a few ulps; k = 1 has the closed forms
-    w_1 = 2 expm1(nu ln 2) and a0(1) = nu.
+    The left-hand forms lose about k^2/nu ulps to cancellation. The series
+    (Diethelm, Ford & Freed, Numer. Algorithms 36 (2004) 31) converge for
+    k >= 2 without cancelling and are accurate to a few ulps; k = 1 has the
+    closed forms w_1 = 2 expm1(nu ln 2) and a0(1) = nu.
     """
     # C(p, j) for j < 64, enough for the 57 terms k = 2 needs. The factor
     # p - j + 1 is formed as nu - (j - 2), so the rounding of nu + 1 does not
@@ -186,8 +185,7 @@ def _kernel(nu: float, n: int) -> "tuple[np.ndarray, int, np.ndarray]":
     read-only: a0(k) of _weights, the FFT length and the rfft of
     w_1..w_{n-2} at that length. The length is the power of two at least
     2(n-2), which keeps circular wrap-around out of the n-2 outputs. At
-    n = 32768 the arrays hold about 0.75 MB, and at most _KERNELS pairs are
-    kept, the least recently used dropped first."""
+    most _KERNELS pairs are kept, the least recently used dropped first."""
     w, a0 = _weights(nu, n)
     m = n - 2
     size = 1 << (2 * m - 1).bit_length()
@@ -215,10 +213,9 @@ def rl_integral_numeric(f: SampledFunction, nu: float) -> SampledFunction:
 
     Accuracy contract: the rounding error is about 1e-15 * max|I^nu f| in
     absolute terms at every point. Where |I^nu f| is far below its maximum,
-    as near the origin, relative accuracy is lost in proportion: 1.1e-7
-    relative in the first 100 points of I^1.25 y at n=32769, against 3e-16
-    for a direct sum. The numeric residual compares only [y_max/4, y_max],
-    where the two agree to about 1e-14 relative.
+    as near the origin, relative accuracy is lost in proportion, where a
+    direct sum would keep it. The numeric residual compares only
+    [y_max/4, y_max], where the two agree to about 1e-14 relative.
     """
     if not 0.0 < nu < 2.0:
         raise DomainError(f"0 < nu < 2 violated (nu={nu})")

@@ -341,7 +341,8 @@ class CauchySolution:
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
         """The weighted sum of the branch reports at every y > 0 of ys, not
         converged where it is not finite; a path is every weighted branch's,
-        else "mixed" ("series" if no weight)."""
+        else "mixed" ("series" if no weight). last_term_magnitude is the
+        largest weighted branch's, nan if any of them is nan."""
         ys = _check_grid(ys)
         weighted = [(w, branch.evaluate(ys, tol))
                     for w, branch in zip(self.weights, self.branches) if w != 0]
@@ -352,7 +353,9 @@ class CauchySolution:
                 value, used, magnitude, ok, branch_path = rows[j]
                 total += w * value
                 terms += used
-                last = max(last, abs(w) * magnitude)
+                magnitude = abs(w) * magnitude
+                # max(0.0, nan) is 0.0; max(nan, x) is nan.
+                last = magnitude if math.isnan(magnitude) else max(last, magnitude)
                 converged = converged and ok
                 path = branch_path if path in (None, branch_path) else "mixed"
             converged = converged and cmath.isfinite(total)

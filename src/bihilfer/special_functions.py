@@ -149,7 +149,7 @@ class KilbasSaigoParams(_KilbasSaigoFields):
     _replace, copy and pickle, construct through the same check. A triple
     equals, and hashes as, the plain tuple (alpha, m, l). A tuple rather than
     a dataclass, because importing dataclasses (and the inspect it imports)
-    would about double this module's import time.
+    would add to this module's import time.
     """
 
     __slots__ = ()

@@ -178,9 +178,7 @@ def residual_numeric(
     Rounding floor: the order-i derivative amplifies the quadrature's rounding
     of about 1e-15 * max|I f| by h^-i, so past some grid size the residual
     grows as h shrinks, and a failure at high i can mean the grid cannot
-    resolve the check. (3.5, 3.25, 0.5, i=4, m=0.5, lambda=-2+1j) on [0, 1]
-    reads 2.3e-4 at 512 points, 4.6e-3 at 4096 and 11.3 at 32768. At i = 6,
-    (5.5, 5.25, ...) passes 5e-3 only from about 192 to 320 points.
+    resolve the check: there the grid sizes that pass may be a narrow window.
     """
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"y_max must be positive and finite, got {y_max}")

@@ -213,14 +213,39 @@ class TestEvalKs:
         assert result.stdout == ""
         assert result.stderr.startswith("error: the span from --z-min to --z-max must be finite")
 
+    # (alpha, l, arguments for the z column, the z column); m = 1 throughout.
+    TABLES = {
+        # The benchmark's table.
+        "benchmark": (0.5, 0.0, ["--z-min", "-8", "--z-max", "4", "--z-points", "401"],
+                      np.linspace(-8.0, 4.0, 401).tolist()),
+        # Where the series cancels and stops unconverged: the contour rule.
+        "contour-negative": (0.3, 0.0, ["--z-min", "-50", "--z-max", "-0.25", "--z-points", "201"],
+                             np.linspace(-50.0, -0.25, 201).tolist()),
+        # Off the rule's pole-free sector, where the series took up to 594
+        # terms: the rule with the pole's correction.
+        "contour-positive": (0.3, 0.0, ["--z-min", "0.25", "--z-max", "4", "--z-points", "201"],
+                             np.linspace(0.25, 4.0, 201).tolist()),
+        # Every kind of row: the rule in the sector at -3, off it at 3, 0.5
+        # and 4, the series at both zeros.
+        "every-path": (0.3, 0.0, [arg for z in ("-3", "0", "3", "0.5", "-0.0", "4")
+                                  for arg in ("--z", z)], [-3.0, 0.0, 3.0, 0.5, -0.0, 4.0]),
+        # Past the rule on the positive axis: 1,500-1,750 same-signed terms
+        # of the series (test_special_functions holds them to mpmath).
+        "positive-axis": (0.5, 0.0, ["--z", "24", "--z", "26"], [24.0, 26.0]),
+    }
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_grid_table_equals_scalar_evaluation(self, runner, fmt):
-        # The benchmark's eval-ks table against kilbas_saigo one point at a
-        # time: the same bits, terms and flags.
-        result = runner.invoke(
-            cli, ["eval-ks", "--alpha", "0.5", "--m", "1", "--l", "0", "--z-min", "-8",
-                  "--z-max", "4", "--z-points", "401", "--format", fmt],
-        )
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_grid_table_equals_scalar_evaluation(self, runner, name, fmt):
+        # An eval-ks table against kilbas_saigo one point at a time: the same
+        # bits, terms and flags, with warnings as errors.
+        alpha, l, grid, zs = self.TABLES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                cli, ["eval-ks", "--alpha", str(alpha), "--m", "1", "--l", str(l), *grid,
+                      "--format", fmt],
+            )
         assert result.exit_code == 0, result.output
         if fmt == "csv":
             _, _, rows = parse_csv(result.output)
@@ -229,9 +254,8 @@ class TestEvalKs:
         else:
             table = [(r["z"], complex(r["re_value"], r["im_value"]), r["terms_used"],
                       r["converged"]) for r in json.loads(result.output)["rows"]]
-        zs = np.linspace(-8.0, 4.0, 401).tolist()
         assert [row[0] for row in table] == zs
-        params = KilbasSaigoParams(0.5, 1.0, 0.0)
+        params = KilbasSaigoParams(alpha, 1.0, l)
         expected = []
         for z in zs:
             report = kilbas_saigo(params, z)
@@ -303,13 +327,20 @@ class TestFundamental:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
 
-    def test_real_lambda_table_is_exactly_real(self, runner):
+    @pytest.mark.parametrize(
+        "lam,y_max,points",
+        # The benchmark's table; E_{1/2}(-50 sqrt y) on the contour rule, where
+        # the summed series read 232.8 at y = 0.0156 and did not converge.
+        [("-1", "4", 4096), ("-50", "1", 64)],
+        ids=["benchmark", "contour"],
+    )
+    def test_real_lambda_table_is_exactly_real(self, runner, lam, y_max, points):
         args = ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1",
-                "--m", "0", "--lambda-re", "-1", "--y-max", "4", "--points", "4096"]
+                "--m", "0", "--lambda-re", lam, "--y-max", y_max, "--points", str(points)]
         result = runner.invoke(cli, args)
         assert result.exit_code == 0
         _, _, rows = parse_csv(result.output)
-        assert len(rows) == 4096
+        assert len(rows) == points
         assert all(float(row[2]) == 0.0 for row in rows)
 
     def test_json_format(self, runner):
@@ -387,9 +418,13 @@ class TestVerify:
     def test_overflowing_tail_exits_3_with_its_table(self, runner):
         # At m = 1 and lambda = -50 the residual's series tail (k_start >= 1)
         # cancels and overflows; the residual is unmeasured, not a traceback.
+        # With warnings as errors, the tail driver's overflowing and nan
+        # exponents stay silent.
         args = self.GOOD[:10] + ["1", "--lambda-re", "-50", "--points", "256"]
         assert args[9] == "--m"
-        result = runner.invoke(cli, args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, args)
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         meta, _, rows = parse_csv(result.output.split("error: ")[0])
@@ -424,21 +459,58 @@ class TestVerify:
         4: ["--alpha", "3.5", "--beta", "3.25", "--mu", "0.5", "--i", "4", "--m", "0.5",
             "--lambda-re", "-2", "--lambda-im", "1"],
     }
+    VERIFY_FINE = ["--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
+                   "--lambda-re", "-2", "--phis", "1,0.5", "--y-max", "2", "--points", "32768"]
+    # Its one branch is the triple (0.5, 1, 0), on the contour rule.
+    CONTOUR = ["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "0"]
 
-    @pytest.mark.parametrize("i", [3, 4])
-    def test_high_window_runs_every_check(self, runner, i):
-        result = runner.invoke(cli, ["verify", *self.HIGH_WINDOWS[i]])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            HIGH_WINDOWS[3],
+            HIGH_WINDOWS[4],
+            # The benchmark's verify-fine command: the FFT quadrature at full
+            # size; at real lambda the residual's tails are summed in real
+            # arithmetic.
+            [*VERIFY_FINE, "--lambda-im", "1"],
+            VERIFY_FINE,
+            # E_{1/2}(-50 sqrt y), on the contour rule: its tail from k_start
+            # = 4 is the table's value minus its four head terms.
+            [*CONTOUR, "--lambda-re", "-50", "--points", "256"],
+            # The contour branch at complex lambda.
+            [*CONTOUR, "--lambda-re", "-2", "--lambda-im", "3", "--y-max", "4", "--points", "1024"],
+        ],
+        ids=["window-3", "window-4", "verify-fine", "verify-fine-real-lambda", "contour-real",
+             "contour-complex"],
+    )
+    def test_runs_every_check(self, runner, args):
+        result = runner.invoke(cli, ["verify", *args])
         assert result.exit_code == 0, result.output
         meta, _, rows = parse_csv(result.output)
         assert meta["passed"] == "True"
         names = [r[0] for r in rows]
         for name in ("coefficient_identity", "numeric_residual", "initial_condition"):
-            assert names.count(name) == i
+            assert names.count(name) == int(args[args.index("--i") + 1])
         assert all(r[4] == "pass" for r in rows)
 
-    @pytest.mark.parametrize("i", [3, 4])
-    def test_high_window_coarse_grid_fails(self, runner, i):
-        result = runner.invoke(cli, ["verify", *self.HIGH_WINDOWS[i], "--points", "16"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # At 16 points the residuals of branches 0 and 2 are 1.1e-1 and
+            # 3.9e-2, above 5e-3.
+            [*HIGH_WINDOWS[3], "--points", "16"],
+            [*HIGH_WINDOWS[4], "--points", "16"],
+            # At 16 points the residual is 1.05e-2.
+            [*CONTOUR, "--lambda-re", "1", "--points", "16"],
+            # The m = 1 series branch cancels at lambda = -20 without
+            # overflowing, and its residual reads 1.5e28.
+            ["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "1",
+             "--lambda-re", "-20"],
+        ],
+        ids=["window-3", "window-4", "coarse-grid", "cancelling-series"],
+    )
+    def test_fails_with_named_metric(self, runner, args):
+        result = runner.invoke(cli, ["verify", *args])
         assert result.exit_code == 2
         assert "numeric_residual" in result.output
 
@@ -467,18 +539,28 @@ class TestVerify:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: {message}" in result.output
 
-    def test_csv_metrics_are_numbers(self, runner):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_metrics_are_numbers(self, runner, fmt):
         args = ["verify", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2",
                 "--m", "0.5", "--lambda-re", "-2", "--lambda-im", "1", "--phis", "1,0.5",
-                "--y-max", "2", "--points", "64", "--format", "csv"]
+                "--y-max", "2", "--points", "64", "--format", fmt]
         result = runner.invoke(cli, args)
         assert result.exit_code == 0, result.output
-        _, header, rows = parse_csv(result.output)
-        metrics = [row[header.index("metric")] for row in rows]
-        assert len([cell for cell in metrics if cell]) == 6
-        for cell in metrics:
-            if cell:
-                float(cell)  # raises on anything that is not a plain number
+        if fmt == "csv":
+            _, header, rows = parse_csv(result.output)
+            rows = [dict(zip(header, row)) for row in rows]
+            # float raises on anything that is not a plain number.
+            metrics = [(row["name"], float(row["metric"])) for row in rows if row["metric"]]
+        else:
+            rows = strict_json(result.output)["rows"]
+            assert all(type(row["metric"]) is float for row in rows)
+            metrics = [(row["name"], row["metric"]) for row in rows]
+        assert len(metrics) == 6
+        # The coefficient identity reads the cached term ratios that the
+        # tables sum; checked against exp of a running sum of ln c_k it read
+        # 5.6e-14.
+        identity = [metric for name, metric in metrics if name == "coefficient_identity"]
+        assert len(identity) == 2 and all(metric <= 2e-14 for metric in identity)
 
     def test_inadmissible_problem_names_inequality(self, runner):
         args = ["verify", "--alpha", "0.1", "--beta", "0.9", "--mu", "1", "--i", "1", "--m", "0"]
@@ -495,19 +577,20 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "args",
-        [["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "1e60"],
+        [["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "1e60", "--points", "16"],
+         ["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "1e60", "--points", "8"],
          ["--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
-          "--lambda-re", "1e100"],
+          "--lambda-re", "1e100", "--points", "16"],
          ["--alpha", "2.5", "--beta", "2.3", "--mu", "0.4", "--i", "3", "--m", "0.5",
-          "--lambda-re", "1e110"]],
-        ids=["window-1", "window-2", "window-3"],
+          "--lambda-re", "1e110", "--points", "16"]],
+        ids=["window-1", "window-1-8-points", "window-2", "window-3"],
     )
     def test_overflowed_initial_condition_reads_inf(self, runner, args):
         # An initial-condition row whose sums overflow read nan; at i = 3 the
         # extrapolation raised OverflowError (exit 1 with a traceback).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(cli, ["verify", *args, "--points", "16"])
+            result = runner.invoke(cli, ["verify", *args])
         assert result.exit_code == 3, result.output
         _, _, rows = parse_csv(result.stdout)
         ic = [r for r in rows if r[0] == "initial_condition"]
@@ -522,19 +605,19 @@ class TestOverflowedValue:
     PROBLEM = ["--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--y-max", "1", "--points", "4"]
 
     @pytest.mark.parametrize(
-        "args",
-        [["eval-ks", "--alpha", "1", "--m", "1", "--l", "0", "--z", "710"],
-         ["fundamental", *PROBLEM, "--lambda-re", "26.7"],
-         ["solve", *PROBLEM, "--lambda-re", "26.5", "--phis", "1e10"]],
+        "args,last",
+        [(["eval-ks", "--alpha", "1", "--m", "1", "--l", "0", "--z", "710"], ["710.0", "inf", "0.0"]),
+         (["fundamental", *PROBLEM, "--lambda-re", "26.7"], ["1.0", "inf", "nan"]),
+         (["solve", *PROBLEM, "--lambda-re", "26.5", "--phis", "1e10"], ["1.0", "inf", "0.0"])],
         ids=["eval-ks", "fundamental", "solve"],
     )
-    def test_exit_3(self, runner, args):
+    def test_exit_3(self, runner, args, last):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(cli, args)
         assert result.exit_code == 3, result.output
         _, header, rows = parse_csv(result.stdout)
-        assert rows[-1][1] == "inf"
+        assert rows[-1][:3] == last
         assert all(math.isfinite(float(row[1])) for row in rows[:-1])
         if header[-1] == "converged":
             assert rows[-1][-1] == "False"
@@ -621,22 +704,28 @@ def strict_json(text):
 
 
 class TestJsonNonFinite:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "args,column,text",
+        "args,row,column,text",
         [
             (["fundamental", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2",
-              "--m", "0.5", "--lambda-re", "-1", "--y-max", "1e200", "--points", "4"], "re_u", "nan"),
+              "--m", "0.5", "--lambda-re", "-1", "--y-max", "1e200", "--points", "4"], 0, "re_u",
+             "nan"),
             (["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "1",
-              "--lambda-re", "-50", "--points", "256"], "metric", "inf"),
+              "--lambda-re", "-50", "--points", "256"], 1, "metric", "inf"),
         ],
         ids=["fundamental-overflow", "verify-overflow"],
     )
-    def test_non_finite_cells_are_strings(self, runner, args, column, text):
-        # Both commands report the unconverged points and exit 3.
-        result = runner.invoke(cli, [*args, "--format", "json"])
+    def test_non_finite_cells_are_strings(self, runner, args, row, column, text, fmt):
+        # Both commands print their table with the unconverged points and
+        # exit 3; the CSV cell is the same text.
+        result = runner.invoke(cli, [*args, "--format", fmt])
         assert result.exit_code == 3, result.output
-        doc = strict_json(result.stdout)
-        assert text in [row[column] for row in doc["rows"]]
+        if fmt == "csv":
+            _, header, rows = parse_csv(result.stdout)
+            assert rows[row][header.index(column)] == text
+        else:
+            assert strict_json(result.stdout)["rows"][row][column] == text
 
     def test_cells_read_back(self, tmp_path):
         out = tmp_path / "table.json"

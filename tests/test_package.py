@@ -116,14 +116,22 @@ class TestImportFootprint:
              "--z-points", "9"],
             ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "-50",
              "--points", "4"],
+            ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--points", "4"],
             ["solve", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
              "--lambda-re", "-2", "--lambda-im", "1", "--phis", "1,0.5", "--points", "4"],
+            # The benchmark's solve table, and a contour branch on complex z.
+            ["solve", "--alpha", "1.5", "--beta", "1.25", "--mu", "0.5", "--i", "2", "--m", "0.5",
+             "--lambda-re", "-2", "--lambda-im", "1", "--phis", "1,0.5", "--y-max", "2",
+             "--points", "4096"],
+            ["fundamental", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--i", "1", "--m", "0",
+             "--lambda-re", "-2", "--lambda-im", "3", "--y-max", "4", "--points", "1024"],
         ],
-        ids=["eval-ks", "fundamental", "solve"],
+        ids=["eval-ks", "fundamental", "fundamental-lambda-0", "solve", "solve-benchmark",
+             "fundamental-contour-complex"],
     )
     def test_table_commands_load_no_numpy(self, args):
         # Each row is kilbas_saigo at one point; only verify's tails and
-        # quadrature use numpy.
+        # quadrature use numpy. The command must exit 0.
         _loaded(_adds_none_of(["numpy", "click", "inspect"], _command(*args)))
 
     def test_verify_loads_every_engine_module(self):
@@ -132,8 +140,8 @@ class TestImportFootprint:
         assert [m for m in ENGINE if m in loaded] == ENGINE
 
     def test_scalar_api_loads_no_code_generator(self):
-        # dataclasses, and the inspect it imports, would about double the
-        # module's import time; KilbasSaigoParams is a named tuple instead.
+        # dataclasses, and the inspect it imports, would add to the module's
+        # import time; KilbasSaigoParams is a named tuple instead.
         _loaded(_adds_none_of(["dataclasses", "inspect", "numpy"],
                               "import bihilfer.special_functions\n"))
 

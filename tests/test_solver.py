@@ -620,6 +620,36 @@ class TestOverflowingPower:
         assert [r.converged for r in report] == [True, False]
         assert report[1].value == math.inf
 
+    @pytest.mark.parametrize(
+        "magnitudes,last",
+        [((math.nan, math.nan), math.nan), ((0.5, math.nan), math.nan), ((math.nan, 0.5), math.nan),
+         ((math.inf, 0.5), math.inf), ((0.5, math.inf), math.inf), ((math.inf, math.nan), math.nan),
+         ((0.5, 0.5), 1.0)],
+    )
+    def test_cauchy_magnitude_keeps_nan_and_inf(self, magnitudes, last):
+        # A nan from any weighted branch makes the combined magnitude nan,
+        # whatever its order (max(0.0, nan) is 0.0); an inf stays inf.
+        class Branch:
+            def __init__(self, magnitude):
+                self.magnitude = magnitude
+
+            def evaluate(self, ys, tol):
+                return [(1.0 + 0j, 3, self.magnitude, False, "series")]
+
+        sol = CauchySolution(self.PROBLEM, (1.0, 1.0), tuple(map(Branch, magnitudes)), (1.0, 2.0))
+        report = sol.evaluate([1.0])[0]
+        assert not report.converged
+        assert repr(report.last_term_magnitude) == repr(last)
+
+    def test_cauchy_magnitude_past_the_double_range_is_nan(self):
+        # Both branches report nan at y = 1e200; the combined report read
+        # 0.0 next to converged=False.
+        sol = cauchy_solution(self.PROBLEM, [1.0, 0.5])
+        branches = [branch.evaluate([1e200])[0] for branch in sol.branches]
+        report = sol.evaluate([1e200])[0]
+        assert all(math.isnan(r.last_term_magnitude) for r in branches)
+        assert math.isnan(report.last_term_magnitude) and not report.converged
+
 
 class TestCauchySolution:
     def test_all_zero_data(self):

@@ -82,6 +82,15 @@ def log_gamma(x):
     return log_gamma_ratio(x, 1.0)
 
 
+def _strict(call, *args):
+    """call(*args) with warnings as errors, from an empty triple cache, so
+    that every record it reads is built under the filter too."""
+    _triple.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(*args)
+
+
 class TestLogGamma:
     @pytest.mark.parametrize("x,expected", LGAMMA_REFERENCE)
     def test_reference_values(self, x, expected):
@@ -122,11 +131,14 @@ class TestLogGammaRatio:
     )
     def test_small_or_far_apart_arguments(self, p, q):
         # q + (p - q) rebuilds p only where p - q is exact: at p = 1e-17 it
-        # read 0.0, and lgamma(0.0) raised.
+        # read 0.0, and lgamma(0.0) raised. At q = 1 the ratio is lgamma(p)
+        # itself.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             expected = float(mpmath.loggamma(p) - mpmath.loggamma(q))
-        assert abs(log_gamma_ratio(p, q) - expected) <= 2e-14 * max(1.0, abs(expected))
+        ratio = _strict(log_gamma_ratio, p, q)
+        assert abs(ratio - expected) <= 2e-14 * max(1.0, abs(expected))
+        assert q != 1.0 or ratio == math.lgamma(p)
 
     def test_equal_arguments_exact_zero(self):
         for x in (0.5, 19.0, 20.0, 433.2, 1e6):
@@ -331,9 +343,10 @@ class TestKilbasSaigo:
         # Each term is a product of term ratios; terms formed as
         # exp(ln c_k + k ln|z|) carry the running sum's rounding and miss
         # the bound (3.1e-9 and 2.9e-9 off).
-        report = kilbas_saigo(KilbasSaigoParams(0.6, 2.0, 1.0), z)
+        report = _strict(kilbas_saigo, KilbasSaigoParams(0.6, 2.0, 1.0), z)
         assert report.path == "series" and report.converged
         assert abs(report.value - expected) <= 1.5e-9
+        assert struct.pack("<d", report.value.imag) == struct.pack("<d", 0.0)
 
     @pytest.mark.parametrize("z, expected", [(1e300, 1.7502762069260152e37),
                                              (1e306, 1.7502762069260152e43)])
@@ -366,6 +379,14 @@ class TestKilbasSaigo:
             assert report.converged
             assert report.value.imag == 0.0
             assert abs(report.value - expected) <= 1e-12 * abs(expected)
+        # Off the sector the rule takes every x, with warnings as errors: its
+        # pole lies left of the contour at 0.25 and 1, right of it at 2.5 and 4.
+        for x in (0.25, 1.0, 2.5, 4.0):
+            expected = math.exp(x * x) * math.erfc(-x)
+            report = _strict(kilbas_saigo, params, x)
+            assert report.path == "contour" and report.terms_used == _CONTOUR_NODES
+            assert report.value.imag == 0.0
+            assert abs(report.value.real - expected) <= 1e-12 * expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -404,6 +425,24 @@ class TestKilbasSaigo:
             rho = _triple(*params).grow(report.terms_used + 1)[report.terms_used] * abs(z)
             assert rho < 1.0
             assert report.last_term_magnitude * rho / (1.0 - rho) <= tol * max(1.0, abs(report.value))
+
+    @pytest.mark.parametrize(
+        "triple,x,path",
+        [((0.6, 2.0, 1.0), -3.0, "series"), ((0.6, 2.0, 1.0), 2.0, "series"),
+         ((0.5, 1.0, 0.0), -8.0, "contour"), ((0.3, 1.0, 0.0), 2.5, "contour"),
+         ((0.3, 1.0, 0.0), 3.0, "contour"), ((0.3, 1.0, 0.0), 4.0, "contour")],
+    )
+    def test_real_z_is_exactly_real(self, triple, x, path):
+        # A complex value whose imaginary part is +0.0, on the series and on
+        # the contour rule, in the sector and off it with the pole's residue.
+        report = _strict(kilbas_saigo, KilbasSaigoParams(*triple), x)
+        assert report.path == path and report.converged and type(report.value) is complex
+        assert struct.pack("<d", report.value.imag) == struct.pack("<d", 0.0)
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_non_finite_z_stops_at_the_first_term(self, z):
+        report = _strict(kilbas_saigo, KilbasSaigoParams(0.6, 2.0, 1.0), z)
+        assert (report.terms_used, report.converged, report.path) == (1, False, "series")
 
     def test_nonconverged_flag_value_still_returned(self):
         # Terms overflow long before the rule can fire.
@@ -1272,9 +1311,13 @@ class TestCacheStats:
 
     def test_spellings_of_a_triple_share_one_record(self):
         # An int m and a signed zero l are the same key.
-        record = _triple(*KilbasSaigoParams(0.5, 1, 0))
-        assert _triple(*KilbasSaigoParams(0.5, 1.0, -0.0)) is record
-        a, b = (kilbas_saigo(KilbasSaigoParams(*t), -8.0) for t in ((0.5, 1, 0), (0.5, 1.0, -0.0)))
+        # With warnings as errors, from an empty cache.
+        _triple.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = _triple(*KilbasSaigoParams(0.5, 1, 0))
+            assert _triple(*KilbasSaigoParams(0.5, 1.0, -0.0)) is record
+            a, b = (kilbas_saigo(KilbasSaigoParams(*t), -8.0) for t in ((0.5, 1, 0), (0.5, 1.0, -0.0)))
         assert a.path == "contour" and (*_bits(a), a.path) == (*_bits(b), b.path)
 
     def test_evicted_contour_record_is_rebuilt_identically(self):
@@ -1464,12 +1507,23 @@ class TestContourPath:
         assert near.path == off.path == "contour"
         assert abs(near.value - off.value) <= 1e-11 * abs(near.value)
 
-    def test_tolerance_out_of_reach_takes_the_series(self):
-        # The rule's rounding bound alone is above 1e-16, so the series
-        # answers, converged at its own tolerance.
-        report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), -1.0, tol=1e-16)
-        assert report.path == "series"
-        assert report.converged
+    @pytest.mark.parametrize(
+        "triple,z,reach,beyond",
+        # Both kinds of the rule's rounding bound decide among these: a
+        # constant of the triple, or the summed bound; beta = 0.1 at (0.9, 1, -1).
+        [((0.5, 1.0, 0.0), -1.0, 1e-13, 1e-16),
+         ((0.9, 1.0, -1.0), -3.0, 1e-12, 1e-13), ((0.9, 1.0, -1.0), -2 + 1j, 1e-12, 1e-13),
+         ((0.5, 1.0, 0.0), -2 + 1j, 1e-13, 1e-14), ((0.5, 1.0, 0.0), 1 + 2j, 1e-13, 1e-14)],
+    )
+    def test_tolerance_out_of_reach_takes_the_series(self, triple, z, reach, beyond):
+        # The rule answers at tol = reach. At tol = beyond its rounding bound
+        # alone is above tol, so the series answers, converged at its own
+        # tolerance.
+        params = KilbasSaigoParams(*triple)
+        near, far = _strict(kilbas_saigo, params, z, reach), _strict(kilbas_saigo, params, z, beyond)
+        assert near.path == "contour"
+        assert far.path == "series"
+        assert far.converged
 
     @pytest.mark.parametrize("tol", [math.inf, 1.0, 0.0, math.nan])
     def test_tolerance_checked_on_the_contour_path(self, tol):
@@ -1575,10 +1629,10 @@ class TestSilentWrongSeries:
         # The rule now sums that node and takes the point.
         tol = 1e-12
         z = _off_sector_point(0.5, complex(1.0, 17.0 * _CONTOUR_H + 1e-6))
-        report = kilbas_saigo(KilbasSaigoParams(0.5, 1.0, 0.0), z, tol)
+        report = _strict(kilbas_saigo, KilbasSaigoParams(0.5, 1.0, 0.0), z, tol)
         expected = _series_reference(0.5, 0.0, z)
-        assert report.path == "contour"
-        assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
+        assert report.path == "contour" and report.terms_used == _CONTOUR_NODES
+        assert abs(report.value - expected) <= tol * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("x", [24.0, 26.0])
     def test_positive_axis_past_the_rule(self, x):
@@ -1696,7 +1750,7 @@ class TestPoleBranch:
     def test_pinned_points_within_tol_or_not_converged(self, triple, z):
         tol = 1e-12
         params = KilbasSaigoParams(*triple)
-        report = kilbas_saigo(params, z, tol)
+        report = _strict(kilbas_saigo, params, z, tol)
         expected = _series_reference(triple[0], triple[2], z)
         assert report.path == "contour"
         assert not report.converged or abs(report.value - expected) <= tol * max(1.0, abs(expected))
@@ -1734,13 +1788,6 @@ class TestPoleBranch:
                 assert rule is None
                 refused += 1
         assert (accepted, refused) == counts
-
-    def test_real_positive_axis_is_exactly_real(self):
-        params = KilbasSaigoParams(0.3, 1.0, 0.0)
-        for x in (2.5, 3.0, 4.0):
-            report = kilbas_saigo(params, x)
-            assert report.path == "contour"
-            assert report.value.imag == 0.0
 
     def test_z_on_a_node_takes_the_series(self):
         # The u = 0 node is s = mu, so at z = mu^alpha the pole lies on the
@@ -2053,5 +2100,5 @@ class TestContourConstants:
             for z in zs:
                 report, reference = kilbas_saigo(params, z, tol), _reference_kilbas_saigo(params, z, tol)
                 assert (*_bits(report), report.path) == (*_bits(reference), reference.path), (z, tol)
-        report = kilbas_saigo(params, -2.0)
+        report = _strict(kilbas_saigo, params, -2.0)
         assert report.path == "contour" and abs(report.value - 1.0 / 3.0) <= 1e-14

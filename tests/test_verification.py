@@ -416,10 +416,17 @@ class TestInitialConditions:
         errors = initial_condition_check(problem, [1.0 + 1.0j])
         assert errors[0] <= 1e-6
 
-    def test_high_window_index(self):
+    @pytest.mark.parametrize("phis", [[1.0] * 9, [float(j) for j in range(1, 10)]],
+                             ids=["ones", "one-to-nine"])
+    def test_high_window_index(self, phis):
         # At i = 9, y^(s-j) reaches 1e320 at y = 1e-40 for s = 0, j = 8.
+        # Derivatives up to order 8, each summed with the ratios of its
+        # falling products folded into the term ratios, with warnings as
+        # errors.
         problem = make_problem(8.5, 8.25, 0.5, 9, m=0.5, lam=-1.0)
-        errors = initial_condition_check(problem, [1.0] * 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = initial_condition_check(problem, phis)
         assert len(errors) == 9
         assert all(math.isfinite(e) and e <= 1e-6 for e in errors)
 
