@@ -8,7 +8,14 @@ Tables are written as CSV (RFC-4180-style quoting, ``#``-prefixed metadata
 lines before the header row) or schema-versioned JSON. Complex values are
 always split into real/imaginary columns. Exit codes: 0 success,
 1 validation error, 2 verification failure, 3 non-convergence, 141 the
-reader closed stdout before the table was written.
+reader closed stdout before the table was written. A reader that closes
+stderr loses the error: line but not the exit code.
+
+main() is the process entry: it ends the process as the interpreter does,
+with every atexit handler run and the standard streams flushed, but with
+the heap frozen first (gc.freeze), so that the interpreter's shutdown
+collections have nothing to walk. Objects held only by reference cycles are
+not collected at exit. Cli.main, the in-process entry, freezes nothing.
 
 Each command checks its options and returns a table() giving (meta,
 columns, rows, failure); Cli.main alone turns a bad option into exit 1,
@@ -21,6 +28,8 @@ is a fresh process, and start-up is most of what a small one costs.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import math
 import os
@@ -466,7 +475,8 @@ class Cli:
         that order, before the table is computed. Where the reader closes
         stdout before the table is written, the command ends quietly with
         exit 141, stdout pointed at os.devnull so that no later flush
-        raises."""
+        raises; where the reader closes stderr, the error: line is dropped
+        the same way and the exit code stays the command's."""
         tokens = _joined(sys.argv[1:] if args is None else list(args))
         parser, commands = _parser(tokens[0] if tokens else "")
         options = vars(parser.parse_args(_with_config(tokens, commands)))
@@ -488,7 +498,10 @@ class Cli:
                 sys.exit(EXIT_BROKEN_PIPE)
         if failure is not None:
             message, code = failure
-            print(f"error: {message}", file=sys.stderr)
+            try:
+                print(f"error: {message}", file=sys.stderr)
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
             sys.exit(code)
 
 
@@ -496,6 +509,12 @@ cli = Cli()
 
 
 def main() -> None:
+    """The process entry of the console script and `python -m bihilfer.cli`:
+    Cli.main's exit codes and output, with the heap frozen at exit. The
+    freeze is an atexit handler, so it runs before the interpreter's shutdown
+    collections and every other handler still runs. A caller that keeps
+    running after main() returns keeps a collectable heap until its exit."""
+    atexit.register(gc.freeze)
     cli.main()
 
 

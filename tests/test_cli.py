@@ -1,7 +1,9 @@
 """CLI behavior: tables, formats, exit codes, validation messages."""
 
+import atexit
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -19,7 +21,7 @@ import pytest
 
 import bihilfer
 from bihilfer import KilbasSaigoParams, kilbas_saigo
-from bihilfer.cli import _linspace, _open_out, _write_table, cli
+from bihilfer.cli import _linspace, _open_out, _write_table, cli, main
 
 
 class Result(NamedTuple):
@@ -818,6 +820,42 @@ class TestPipeline:
         assert calls == []
 
 
+# One command per exit code. A failed command writes its table, if any,
+# before the error line.
+EXITS = {
+    0: ["eval-ks", "--alpha", "1", "--m", "1", "--l", "0", "--z", "-1", "--z", "0.5"],
+    1: ["eval-ks", "--alpha", "1", "--m", "1", "--l", "0", "--z", "1", "--tol", "0"],
+    2: ["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--lambda-re", "-0.001"],
+    3: ["eval-ks", "--alpha", "1", "--m", "1", "--l", "0", "--z", "710"],
+}
+
+MODULE = [sys.executable, "-m", "bihilfer.cli"]
+
+
+def _child_env():
+    """This environment with the tested package's parent first on
+    PYTHONPATH, so that a child process imports the same bihilfer."""
+    src = str(Path(bihilfer.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run(argv, closed=None):
+    """(exit code, stdout, stderr) of a child process. The stream named by
+    closed, "stdout" or "stderr", is a pipe whose reader has already closed,
+    so that every write to it fails; it reads as b""."""
+    read, write = os.pipe()
+    os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if closed is not None:
+        streams[closed] = write
+    try:
+        run = subprocess.run(argv, env=_child_env(), timeout=120, **streams)
+    finally:
+        os.close(write)
+    return run.returncode, run.stdout or b"", run.stderr or b""
+
+
 class TestClosedPipe:
     """A reader that closes stdout early, as `| head -c 600` does, ends the
     command with exit 141 and nothing on stderr, not a BrokenPipeError
@@ -830,17 +868,81 @@ class TestClosedPipe:
 
     @pytest.mark.parametrize("read", [0, 600])
     def test_reader_that_closes_early(self, read):
-        src = str(Path(bihilfer.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        with subprocess.Popen([sys.executable, "-m", "bihilfer.cli", *self.ARGS],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        with subprocess.Popen([*MODULE, *self.ARGS], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=_child_env()) as proc:
             head = proc.stdout.read(read)
             proc.stdout.close()
             stderr = proc.stderr.read()
             assert proc.wait(timeout=120) == 141
         assert stderr == b""
         assert len(head) == read
+
+
+class TestClosedStderr:
+    """A reader that closes stderr, as `2>&1 | head -c 10` does once a small
+    table fits in the pipe, drops the error line but not the exit code: the
+    failed write is not a BrokenPipeError exit 1."""
+
+    @pytest.mark.parametrize("code", [1, 2, 3])
+    def test_exit_code_survives(self, code):
+        plain = _run([*MODULE, *EXITS[code]])
+        assert plain[0] == code and plain[2].startswith(b"error: ")
+        assert _run([*MODULE, *EXITS[code]], closed="stderr") == (code, plain[1], b"")
+
+
+class TestExitContract:
+    """main(), the process entry, freezes the heap in an atexit handler so
+    that the interpreter's shutdown collections walk nothing; Cli.main, the
+    in-process entry, neither freezes nor registers anything."""
+
+    # The console script's body, as pip writes it for `bihilfer.cli:main`.
+    SCRIPT = ("import sys\nfrom bihilfer.cli import main\n"
+              "if __name__ == '__main__':\n    sys.exit(main())\n")
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 141])
+    def test_console_script_matches_the_module(self, tmp_path, code):
+        script = tmp_path / "bihilfer"
+        script.write_text(self.SCRIPT)
+        args, closed = (EXITS[0], "stdout") if code == 141 else (EXITS[code], None)
+        ran = _run([sys.executable, str(script), *args], closed)
+        assert ran == _run([*MODULE, *args], closed)
+        assert ran[0] == code
+
+    @pytest.mark.parametrize("code", [0, 3, 141])
+    def test_earlier_atexit_handler_still_runs(self, code):
+        # The handler is registered before the CLI runs, so it runs after
+        # the freeze; `python -m` runs the module as run_module does here.
+        args, closed = (EXITS[0], "stdout") if code == 141 else (EXITS[code], None)
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('handler', gc.get_freeze_count() > 0,\n"
+            "                              file=sys.stderr))\n"
+            f"sys.argv = ['bihilfer', *{args!r}]\n"
+            "runpy.run_module('bihilfer.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        ran, plain = _run([sys.executable, "-c", script], closed), _run([*MODULE, *args], closed)
+        assert ran == (code, plain[1], plain[2] + b"handler True\n")
+
+    @pytest.fixture
+    def registered(self, monkeypatch):
+        """The calls made to atexit.register, which meanwhile registers nothing."""
+        calls = []
+        monkeypatch.setattr(atexit, "register", lambda *call: calls.append(call))
+        return calls
+
+    def test_cli_main_registers_and_freezes_nothing(self, runner, registered):
+        frozen = gc.get_freeze_count()
+        codes = [runner.invoke(cli, args).exit_code for args in EXITS.values()]
+        assert codes == list(EXITS)
+        assert (registered, gc.get_freeze_count()) == ([], frozen)
+
+    def test_main_registers_the_freeze_once(self, capsys, monkeypatch, registered):
+        monkeypatch.setattr(sys, "argv", ["bihilfer", *EXITS[0]])
+        frozen = gc.get_freeze_count()
+        main()
+        assert registered == [(gc.freeze,)]
+        assert gc.get_freeze_count() == frozen
+        assert capsys.readouterr().out.startswith("# alpha=1.0")
 
 
 class TestCsvFloats:

@@ -391,16 +391,21 @@ class TestKilbasSaigo:
     @settings(max_examples=200, deadline=None)
     @given(
         alpha=st.floats(0.1, 0.95),
+        share=st.floats(0.0, 1.0),
         xs=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2).map(sorted),
     )
-    def test_completely_monotone_on_negative_axis(self, alpha, xs):
-        # E_{alpha,1,0}(-x) is completely monotone for 0 < alpha <= 1
-        # (Pollard 1948): positive and strictly decreasing in x >= 0. The
-        # points are at least 1e-6 (1 + x) apart, so the decrease is far
-        # above rounding.
+    def test_completely_monotone_on_negative_axis(self, alpha, share, xs):
+        # At m = 1 the series is E_{alpha,1,l}(z) = Gamma(beta) E_{alpha,beta}(z)
+        # with beta = alpha l + 1, and E_{alpha,beta}(-x) is completely
+        # monotone exactly when 0 < alpha <= 1 and beta >= alpha (Schneider,
+        # Expo. Math. 14 (1996) 3; Pollard 1948 for beta = 1). For beta in
+        # [alpha, 1], Gamma(beta) > 0, so the value is positive and strictly
+        # decreasing in x >= 0. The points are at least 1e-6 (1 + x) apart,
+        # so the decrease is far above rounding.
         x, farther = xs
         assume(farther - x >= 1e-6 * (1.0 + x))
-        params = KilbasSaigoParams(alpha, 1.0, 0.0)
+        beta = alpha + share * (1.0 - alpha)
+        params = KilbasSaigoParams(alpha, 1.0, (beta - 1.0) / alpha)
         near, far = kilbas_saigo(params, -x), kilbas_saigo(params, -farther)
         assert near.converged and far.converged
         assert near.value.real > far.value.real > 0.0
