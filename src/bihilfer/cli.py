@@ -8,7 +8,7 @@ Tables are written as CSV (RFC-4180-style quoting, ``#``-prefixed metadata
 lines before the header row) or schema-versioned JSON. Complex values are
 always split into real/imaginary columns. Exit codes: 0 success,
 1 validation error, 2 verification failure, 3 non-convergence, 141 the
-reader closed stdout before the table was written. A reader that closes
+reader closed stdout before the output was written. A reader that closes
 stderr loses the error: line but not the exit code.
 
 main() is the process entry: it ends the process as the interpreter does,
@@ -36,7 +36,6 @@ import os
 import sys
 
 from . import __version__
-from .errors import DomainError
 
 # The engine modules, and numpy with them, are imported inside the commands
 # that run them: each process compiles what it imports unless bytecode caches
@@ -64,11 +63,24 @@ NONCONVERGED = ("series did not converge at every point", EXIT_NONCONVERGENCE)
 class _Parser(argparse.ArgumentParser):
     """argparse's usage errors (a missing or malformed option, a bad config
     file, an unknown or missing subcommand) are validation errors, so they
-    exit 1, not argparse's 2, which is EXIT_VERIFICATION here."""
+    exit 1, not argparse's 2, which is EXIT_VERIFICATION here. --help and
+    --version write through _print_message, flushed, so that a reader that
+    closed stdout reaches Cli.main's exit 141 on every Python: argparse
+    itself swallows the failed write from 3.11 on and lets it escape as a
+    traceback before."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        try:
+            print(message, end="", file=file, flush=True)
+        except BrokenPipeError:
+            # A closed stderr drops the usage text but keeps the exit code.
+            if file is sys.stdout:
+                raise
 
 
 def _phis(text: str) -> list[complex]:
@@ -473,29 +485,30 @@ class Cli:
         commands in-process as main(args, standalone_mode=False). A bad
         --tol, a bad option and an --out that cannot be opened exit 1, in
         that order, before the table is computed. Where the reader closes
-        stdout before the table is written, the command ends quietly with
-        exit 141, stdout pointed at os.devnull so that no later flush
-        raises; where the reader closes stderr, the error: line is dropped
-        the same way and the exit code stays the command's."""
+        stdout before the output (a table, --help or --version) is written,
+        the command ends quietly with exit 141, stdout pointed at os.devnull
+        so that no later flush raises; where the reader closes stderr, the
+        error: line is dropped the same way and the exit code stays the
+        command's."""
         tokens = _joined(sys.argv[1:] if args is None else list(args))
         parser, commands = _parser(tokens[0] if tokens else "")
-        options = vars(parser.parse_args(_with_config(tokens, commands)))
-        command = options.pop("command")
-        fmt, out = options.pop("format"), options.pop("out")
-        del options["config"]
         try:
-            _check_tol(options["tol"])
-            table = COMMANDS[command][0](**options)
-            out = _open_out(out)
-        except (DomainError, ValueError) as exc:
-            failure = (str(exc), EXIT_VALIDATION)
-        else:
-            meta, columns, rows, failure = table()
+            options = vars(parser.parse_args(_with_config(tokens, commands)))
+            command = options.pop("command")
+            fmt, out = options.pop("format"), options.pop("out")
+            del options["config"]
             try:
+                _check_tol(options["tol"])
+                table = COMMANDS[command][0](**options)
+                out = _open_out(out)
+            except ValueError as exc:
+                failure = (str(exc), EXIT_VALIDATION)
+            else:
+                meta, columns, rows, failure = table()
                 _write_table(command, meta, columns, rows, fmt, out)
-            except BrokenPipeError:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                sys.exit(EXIT_BROKEN_PIPE)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_BROKEN_PIPE)
         if failure is not None:
             message, code = failure
             try:

@@ -278,7 +278,8 @@ def hilfer_numeric(f: SampledFunction, orders: OrderTriple) -> SampledFunction:
     comparisons. Rounding floor: the order-i difference amplifies the
     quadrature's rounding of about 1e-15 * max|I f| by h^-i, so refining the
     grid helps only until that outgrows the O(h^2) scheme error (measured
-    figures in residual_numeric).
+    figures in CHANGES.md, under "One derivative stencil for every window
+    index i").
     """
     _check_numeric_input(f)
     nu1 = orders.inner_order

@@ -4,7 +4,7 @@ The numpy half of the series engine, used by the solver's series tails (and
 so only by `verify`): _sum_series_grid sums a series at every point
 z = lam * y**a of a _PowerGrid. It is the scalar engine's loop over k run on
 an array of points: the same strides and stopping rule, and the scalar
-bits wherever the point z is Python's. It sums series only; a branch that
+engine's bits at each point it sums. It sums series only; a branch that
 may take the contour rule is tabulated, tail included, by
 special_functions.kilbas_saigo through the solver. special_functions
 itself does not import numpy, so a scalar caller never loads it.
@@ -65,7 +65,8 @@ def _sum_series_grid(
     ratios_of: Callable[[int], list[float]], zs: _PowerGrid, tol: float = DEFAULT_TOL
 ) -> SeriesGridReport:
     """special_functions._sum_series(ratios_of, z, tol) at every point z of
-    the ray zs: bit for bit where numpy's y**a is Python's, else to rounding.
+    the ray zs: bit for bit the engine's at the point it sums, lam times
+    numpy's y**a part by part, which can differ from Python's in the last bit.
 
     The scalar loop over an array: each step multiplies term k-1 by R[k] z at
     every point still summing and adds it in the scalar order, and at each

@@ -8,9 +8,9 @@ stopping rule, the package's one, bounds the tail it drops: at a fixed
 stride end it stops where |t_N| rho/(1 - rho) <= tol*max(1, |S_N|),
 rho = |z| c_{N+1}/c_N < 1, the ratios decreasing. Where the series cancels, at
 m = 1, 0 < alpha < 1 and l <= 0, kilbas_saigo takes a 33-node trapezoid
-rule on a Laplace-inversion contour instead (_contour_estimate), corrected
-where |arg z| < alpha*pi by the exact trapezoid error of the one pole,
-residue included, whenever the rule's error estimate meets tol.
+rule on a Laplace-inversion contour instead (_contour_estimate). The rule
+returns a value whose error estimate meets tol, or refuses z with None, its
+one refusal, and the point is then summed as a series.
 
 This module imports only the standard library's math, cmath, operator, sys,
 threading, functools, itertools and typing: not numpy, so a scalar caller
@@ -319,31 +319,19 @@ def _sum_series(
     non-finite z the sum stops at its first term, c_0 (0 z), which is nan.
     """
     _check_series_args(tol)
-    return _sum_series_from(ratios_of, ratios_of(1), z, tol)
+    return _sum_strides(ratios_of, ratios_of(1), z, tol)
 
 
-def _sum_series_from(
+def _sum_strides(
     ratios_of: Callable[[int], list[float]], ratios: list[float], z: complex, tol: float
 ) -> SeriesEvalReport:
     """_sum_series past its tol check, with ratios = ratios_of(1) in hand."""
     if z == 0:
         return _report((complex(ratios[0]), 1, 0.0, True, "series"))
     z = complex(z)
-    real = z.imag == 0.0
+    z, first = (z.real, ratios[0]) if z.imag == 0.0 else (z, complex(ratios[0]))
     if not cmath.isfinite(z):
-        t = ratios[0] * (z.real * 0.0 if real else z * 0.0)
-        return _report((complex(t), 1, math.nan, False, "series"))
-    if real:
-        return _sum_strides(ratios_of, ratios, z.real, ratios[0], tol)
-    return _sum_strides(ratios_of, ratios, z, complex(ratios[0]), tol)
-
-
-def _sum_strides(
-    ratios_of: Callable[[int], list[float]], ratios: list[float], z: complex, first: complex,
-    tol: float,
-) -> SeriesEvalReport:
-    """_sum_series at a finite z != 0 from its first term c_0, in real
-    arithmetic where z and `first` are floats."""
+        return _report((complex(ratios[0] * (z * 0.0)), 1, math.nan, False, "series"))
     n, t, total = len(ratios), first, first
     try:
         az = abs(z)
@@ -468,36 +456,37 @@ def _contour_sum(nodes: tuple, z: complex) -> "tuple[complex, float, complex]":
 
 def _contour_estimate(contour: tuple, z: complex, tol: float) -> "tuple[complex, float, float] | None":
     """The contour rule on a triple's record `contour` at one complex z:
-    (value, outermost node's contribution, error estimate) where the rule
-    meets tol, that is where the estimate is at most tol*max(1, |value|)
-    and the value is finite; else None, also where the rule cannot take z:
-    z zero or not finite, or off the sector as below.
+    (value, outermost node's contribution, error estimate), with the value
+    finite and the estimate at most tol*max(1, |value|); else None, the
+    rule's one refusal. It refuses z zero or not finite, a value or estimate
+    that fails that test, and every z its arithmetic cannot take, which
+    raises ZeroDivisionError or OverflowError and leaves through one
+    handler: a residue or e^(s*) past the double range, rho = 1, z on a node
+    or on a missing node the correction sums, and a term whose magnitude
+    passes the double range.
 
     In the sector |arg z| >= alpha*pi, s^alpha = z has no root on the
     principal sheet and the nodes are the whole rule. (arg z is math.atan2,
     which cmath.phase equals but for raising OverflowError where the angle
     underflows, at z = 2 + 5e-324j.) Off it, the one root is
-    s* = exp(Log z/alpha), and the rule cannot take z where e^(s*) is past
-    the double range. Its residue is r = Gamma(beta) s*^(1-beta) e^(s*)/alpha,
-    and in the rule's variable u it lies at u* = i (1 - w*),
+    s* = exp(Log z/alpha). Its residue is r = Gamma(beta) s*^(1-beta)
+    e^(s*)/alpha, and in the rule's variable u it lies at u* = i (1 - w*),
     w* = sqrt(s*/mu), so Im u* = d = 1 - Re w*. The trapezoid sum T of the
     nodes misses the integral by the pole's Fourier terms, a geometric
     series (Poisson summation; Trefethen & Weideman, SIAM Rev. 56 (2014)
     385), which the correction subtracts exactly: for d > 0 (pole left of
     the contour) the value is T - r rho/(1 - rho), rho = exp(2 pi i u*/h);
     otherwise it is T + r/(1 - rho), rho = exp(-2 pi i u*/h), the residue
-    included. Both are one formula, |rho| = exp(-2 pi |d|/h) <= 1, and the
-    rule cannot take z where 1 - rho = 0 or s* lies on a node. The
-    correction's rounding: Log z/alpha carries eps (1 + |log s*|) relative
-    error into s*, and e^(s*) turns eps |s*| (2 + |log s*|) of absolute
-    error in its exponent into relative error of r, divided by |1 - rho|;
-    rho's exponent carries (2 pi/h) eps (|w*| (2 + |log s*|) + |u*|),
-    times |r| |rho|/|1 - rho|^2. The correction is that of the infinite
-    rule, whose nodes past |u| = N h the sum lacks; where the pole lies
-    past them, |Re u*| > N h, the missing node nearest it can hold about
-    |r| h/(2 pi |u* - u_k|), so its term and rounding join the correction's,
-    the next missing node on the pole's far side joins the estimate, and
-    the rule cannot take z on a node.
+    included. Both are one formula, |rho| = exp(-2 pi |d|/h) <= 1. The correction's rounding:
+    Log z/alpha carries eps (1 + |log s*|) relative error into s*, and
+    e^(s*) turns eps |s*| (2 + |log s*|) of absolute error in its exponent
+    into relative error of r, divided by |1 - rho|; rho's exponent carries
+    (2 pi/h) eps (|w*| (2 + |log s*|) + |u*|), times |r| |rho|/|1 - rho|^2.
+    The correction is that of the infinite rule, whose nodes past |u| = N h
+    the sum lacks; where the pole lies past them, |Re u*| > N h, the missing
+    node nearest it can hold about |r| h/(2 pi |u* - u_k|), so its term and
+    rounding join the correction's, and the next missing node on the pole's
+    far side joins the estimate.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value is a running sum in node order; the
@@ -527,42 +516,34 @@ def _contour_estimate(contour: tuple, z: complex, tol: float) -> "tuple[complex,
     # often decide; so none is tried that could hide a term whose magnitude
     # passes the double range, which the summed bound would meet.
     has_constant = sector <= tol if in_sector else real and axis <= tol
-    if not in_sector:
-        log_s = cmath.log(z) / alpha
-        try:
+    try:
+        if not in_sector:
+            log_s = cmath.log(z) / alpha
             s = cmath.exp(log_s)
             residue = cmath.exp(log_gamma + (1.0 - beta) * log_s + s) / alpha
             size = abs(residue)
-        except OverflowError:
-            return None
-        w = cmath.sqrt(s / _CONTOUR_MU)
-        # u* = i (1 - w*) and d = Im u*; rho = exp(+-2 pi i u*/h), |rho| <= 1.
-        d, c = 1.0 - w.real, 2.0 * math.pi / _CONTOUR_H
-        rho = cmath.exp(c * complex(-abs(d), w.imag if d > 0.0 else -w.imag))
-        gap = abs(1.0 - rho)
-        try:
+            w = cmath.sqrt(s / _CONTOUR_MU)
+            # u* = i (1 - w*) and d = Im u*; rho = exp(+-2 pi i u*/h), |rho| <= 1.
+            d, c = 1.0 - w.real, 2.0 * math.pi / _CONTOUR_H
+            rho = cmath.exp(c * complex(-abs(d), w.imag if d > 0.0 else -w.imag))
+            gap = abs(1.0 - rho)
             pole = (-residue * rho if d > 0.0 else residue) / (1.0 - rho)
-        except ZeroDivisionError:
-            return None
-        spread = 2.0 + abs(log_s)
-        shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
-        rounding = size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
-        # Past the outermost node, the missing node nearest the pole is
-        # summed and the next one, on the pole's far side, charged (see above).
-        if abs(w.imag) > _CONTOUR_N * _CONTOUR_H:
-            x = abs(w.imag) / _CONTOUR_H
-            k = max(round(x), _CONTOUR_N + 1)
-            far = k + 1 if x > k or k == _CONTOUR_N + 1 else k - 1
-            sign = 1 if w.imag > 0.0 else -1
-            try:
+            spread = 2.0 + abs(log_s)
+            shift = c * (abs(w) * spread + abs(1.0 - w)) * abs(rho) / gap
+            rounding = size * _EPS * ((1.0 + abs(s)) * spread + shift) / gap
+            # Past the outermost node, the missing node nearest the pole is
+            # summed and the next one, on the pole's far side, charged (see
+            # above).
+            if abs(w.imag) > _CONTOUR_N * _CONTOUR_H:
+                x = abs(w.imag) / _CONTOUR_H
+                k = max(round(x), _CONTOUR_N + 1)
+                far = k + 1 if x > k or k == _CONTOUR_N + 1 else k - 1
+                sign = 1 if w.imag > 0.0 else -1
                 power, weight, node_rounding = _contour_node(alpha, beta, log_gamma, sign * k)
                 t = weight / (power - z)
                 pole, rounding = pole + t, rounding + abs(t) * node_rounding
                 power, weight, _ = _contour_node(alpha, beta, log_gamma, sign * far)
                 missing = abs(weight / (power - z))
-            except (ZeroDivisionError, OverflowError):
-                return None
-    try:
         if has_constant:
             # The node values alone; the first term starts the sum exactly.
             terms = iter(nodes)
@@ -585,23 +566,18 @@ def _contour_estimate(contour: tuple, z: complex, tol: float) -> "tuple[complex,
             value, last = complex(value.real), 0.5 * abs(t)
         else:
             last = max(abs(first), abs(t))
-    except (ZeroDivisionError, OverflowError):
-        # Off the sector z can sit on a node, or a term can outgrow the
-        # double range.
-        return None
-    value += pole
-    try:
-        size = abs(value)
-    except OverflowError:
-        size = math.inf  # the magnitude of a value past the double range
-    limit = tol * (size if size > 1.0 else 1.0)
-    estimate = bound + rounding + last + missing
-    if has_constant and not estimate <= limit:
-        # The constant does not decide: the summed bound, in node order.
+        value += pole
         try:
+            size = abs(value)
+        except OverflowError:
+            size = math.inf  # the magnitude of a value past the double range
+        limit = tol * (size if size > 1.0 else 1.0)
+        estimate = bound + rounding + last + missing
+        if has_constant and not estimate <= limit:
+            # The constant does not decide: the summed bound, in node order.
             estimate = _contour_sum(nodes, z)[1] + rounding + last + missing
-        except (ZeroDivisionError, OverflowError):
-            return None
+    except (ZeroDivisionError, OverflowError):
+        return None
     if estimate <= limit and cmath.isfinite(value):
         return value, last, estimate
     return None
@@ -617,19 +593,11 @@ def kilbas_saigo(
     metadata; a non-converged report (term cap reached or a term
     overflowed) still carries the best value.
 
-    At m = 1, 0 < alpha < 1, l <= 0 and finite z != 0, where the series
-    needs about |z|^(1/alpha) terms that cancel, the value is the 33-node
-    contour rule on the nodes of _triple instead, reported with path="contour":
-    in the sector |arg z| >= alpha*pi as it stands, off it with the one
-    pole's trapezoid error subtracted and, where the pole lies right of the
-    contour, its residue added; where the pole lies past the outermost node,
-    the missing node nearest it is added too (_contour_estimate). Where the rule cannot
-    take z, its value is not finite (a residue past the double range) or
-    its error estimate exceeds tol * max(1, |value|), the series is summed
-    as elsewhere. The estimate's rounding part is a constant of the triple
-    (_contour_node_tuples) at a real z and in the sector where that meets
-    tol, else the summed bound; each constant is at least the summed bound,
-    so the path and every report field are those of the summed bound.
+    At m = 1, 0 < alpha < 1 and l <= 0, where the series needs about
+    |z|^(1/alpha) terms that cancel, the value is the 33-node contour rule of
+    _contour_estimate instead, reported with path="contour", wherever the
+    rule returns one, which then meets tol. Where the rule refuses z, its
+    one answer None, the series is summed as elsewhere.
     """
     _check_series_args(tol)
     ratios, grow, contour = _triple(*params)
@@ -637,4 +605,4 @@ def kilbas_saigo(
         rule = _contour_estimate(contour, complex(z), tol)
         if rule is not None:
             return _report((rule[0], _CONTOUR_NODES, rule[1], True, "contour"))
-    return _sum_series_from(grow, ratios, z, tol)
+    return _sum_strides(grow, ratios, z, tol)

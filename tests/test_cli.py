@@ -877,6 +877,12 @@ class TestClosedPipe:
         assert stderr == b""
         assert len(head) == read
 
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["eval-ks", "--help"]])
+    def test_help_and_version(self, args):
+        # argparse swallows the failed write on some Pythons and raises it
+        # from its own print on others; both end here as a table does.
+        assert _run([*MODULE, *args], closed="stdout") == (141, b"", b"")
+
 
 class TestClosedStderr:
     """A reader that closes stderr, as `2>&1 | head -c 10` does once a small

@@ -87,7 +87,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("args", [["--version"], ["--help"], ["eval-ks", "--help"]])
     def test_startup_loads_no_engine_module(self, args):
         # run_module executes the CLI as __main__, not as bihilfer.cli.
-        assert _loaded(_command(*args)) == ["bihilfer", "bihilfer.errors"]
+        assert _loaded(_command(*args)) == ["bihilfer"]
 
     @pytest.mark.parametrize("args", [["--version"], ["--help"], ["eval-ks", "--help"]])
     def test_startup_loads_no_numpy(self, args):
