@@ -477,16 +477,16 @@ def _contour_estimate(contour: tuple, z: complex, tol: float) -> "tuple[complex,
     385), which the correction subtracts exactly: for d > 0 (pole left of
     the contour) the value is T - r rho/(1 - rho), rho = exp(2 pi i u*/h);
     otherwise it is T + r/(1 - rho), rho = exp(-2 pi i u*/h), the residue
-    included. Both are one formula, |rho| = exp(-2 pi |d|/h) <= 1. The correction's rounding:
-    Log z/alpha carries eps (1 + |log s*|) relative error into s*, and
-    e^(s*) turns eps |s*| (2 + |log s*|) of absolute error in its exponent
-    into relative error of r, divided by |1 - rho|; rho's exponent carries
-    (2 pi/h) eps (|w*| (2 + |log s*|) + |u*|), times |r| |rho|/|1 - rho|^2.
-    The correction is that of the infinite rule, whose nodes past |u| = N h
-    the sum lacks; where the pole lies past them, |Re u*| > N h, the missing
-    node nearest it can hold about |r| h/(2 pi |u* - u_k|), so its term and
-    rounding join the correction's, and the next missing node on the pole's
-    far side joins the estimate.
+    included. Both are one formula, |rho| = exp(-2 pi |d|/h) <= 1. The
+    correction's rounding: Log z/alpha carries eps (1 + |log s*|) relative
+    error into s*, and e^(s*) turns eps |s*| (2 + |log s*|) of absolute
+    error in its exponent into relative error of r, divided by |1 - rho|;
+    rho's exponent carries (2 pi/h) eps (|w*| (2 + |log s*|) + |u*|), times
+    |r| |rho|/|1 - rho|^2. The correction is that of the infinite rule,
+    whose nodes past |u| = N h the sum lacks; where the pole lies past them,
+    |Re u*| > N h, the missing node nearest it can hold about
+    |r| h/(2 pi |u* - u_k|), so its term and rounding join the correction's,
+    and the next missing node on the pole's far side joins the estimate.
 
     A real z sums the folded nodes u >= 0 and keeps the real part, so its
     value is exactly real. The value is a running sum in node order; the
@@ -596,8 +596,8 @@ def kilbas_saigo(
     At m = 1, 0 < alpha < 1 and l <= 0, where the series needs about
     |z|^(1/alpha) terms that cancel, the value is the 33-node contour rule of
     _contour_estimate instead, reported with path="contour", wherever the
-    rule returns one, which then meets tol. Where the rule refuses z, its
-    one answer None, the series is summed as elsewhere.
+    rule returns one, which then meets tol. Where the rule refuses z (its
+    one refusal, None), the series is summed as elsewhere.
     """
     _check_series_args(tol)
     ratios, grow, contour = _triple(*params)
