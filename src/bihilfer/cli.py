@@ -4,12 +4,14 @@ Subcommands: ``eval-ks`` (Kilbas-Saigo function tables), ``fundamental``
 (one branch of the fundamental system), ``solve`` (Cauchy-type problem) and
 ``verify`` (coefficient identity, numeric residual, initial conditions).
 
-Tables are written as CSV (RFC-4180-style quoting, ``#``-prefixed metadata
-lines before the header row) or schema-versioned JSON. Complex values are
-always split into real/imaginary columns. Exit codes: 0 success,
-1 validation error, 2 verification failure, 3 non-convergence, 141 the
-reader closed stdout before the output was written. A reader that closes
-stderr loses the error: line but not the exit code.
+Tables are written as CSV (``#``-prefixed metadata lines before the header
+row, then one comma-joined line per row with no cell quoted: every cell is
+a number, a bool or a fixed identifier, and a float is its repr) or
+schema-versioned JSON. Complex values are always split into real/imaginary
+columns. Exit codes: 0 success, 1 validation error, 2 verification
+failure, 3 non-convergence, 141 the reader closed stdout before the output
+was written. A reader that closes stderr loses the error: line but not the
+exit code.
 
 main() is the process entry: it ends the process as the interpreter does,
 with every atexit handler run and the standard streams flushed, but with
@@ -41,8 +43,9 @@ from . import __version__
 # that run them: each process compiles what it imports unless bytecode caches
 # are written, so --version and --help load none of them, eval-ks only
 # special_functions, and fundamental and solve the solver; only verify loads
-# numpy. json and csv are imported by the helpers that read a config file or
-# write a table, for the same reason.
+# numpy. json is imported by the helpers that read a config file or write a
+# JSON table, for the same reason; a CSV table is joined by hand (see
+# _write_table) and imports nothing.
 
 SCHEMA_VERSION = 1
 
@@ -120,17 +123,14 @@ def _write_table(command: str, meta: dict, columns: list[str], rows: list[list],
         }
         text = json.dumps(doc, indent=2, allow_nan=False)
     else:
-        import csv
-
-        buf = io.StringIO()
-        for key, value in meta.items():
-            buf.write(f"# {key}={value}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        # csv writes a float as its repr, the shortest string that reads back
-        # to the same bits.
-        writer.writerows(rows)
-        text = buf.getvalue()
+        # Every cell is a float, an int, a bool or a fixed identifier, so none
+        # needs quoting; str of a float is its repr, the shortest string that
+        # reads back to the same bits.
+        lines = [f"# {key}={value}" for key, value in meta.items()]
+        lines.append(",".join(columns))
+        lines += [",".join(map(str, row)) for row in rows]
+        lines.append("")
+        text = "\n".join(lines)
     # Flushed, so that the table comes before an error line in a stream that
     # carries both.
     print(text, end="" if text.endswith("\n") else "\n", file=out, flush=True)

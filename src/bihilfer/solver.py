@@ -8,7 +8,9 @@ alone, maps it to that triple once and reads its coefficients from the
 shared, bounded Kilbas-Saigo cache. SeriesSolution.evaluate and
 CauchySolution.evaluate return a SeriesEvalReport per point y, the branch
 being y**b * kilbas_saigo(lam * y**a) by Python's pow, contour rule
-included; this module imports no numpy for them. A tail from k_start,
+included, in one pass per branch (special_functions._kilbas_saigo_ray)
+that checks tol and looks the triple up once; each checks its grid once.
+This module imports no numpy for them. A tail from k_start,
 tail_grid_report, has the domain of its branch, y > 0, and comes from the
 values the tables print: on a branch whose triple may take the contour
 rule it is evaluate minus the head sum_{k < k_start}; on any other it is
@@ -33,10 +35,10 @@ from .special_functions import (
     SeriesEvalReport,
     _check_index,
     _check_series_args,
+    _kilbas_saigo_ray,
     _power,
     _report,
     _triple,
-    kilbas_saigo,
     kilbas_saigo_coefficients,
 )
 
@@ -232,13 +234,18 @@ class SeriesSolution:
 
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
         """The branch, with truncation metadata, at every y > 0 of ys:
-        y**b * kilbas_saigo(lam * y**a) by Python's pow, path included. A
-        power past the double range is inf, and a point whose value is not
-        finite is unconverged."""
-        params, lam, a, b = self._params, self.lam, self.a, self.b
+        y**b * kilbas_saigo(lam * y**a) by Python's pow, path included. The
+        grid is checked first, then tol, once for the whole grid, also an
+        empty one. A power past the double range is inf, and a point whose
+        value is not finite is unconverged."""
+        return self._evaluate(_check_grid(ys), tol)
+
+    def _evaluate(self, ys: list[float], tol: float) -> list[SeriesEvalReport]:
+        """evaluate on a grid already checked."""
+        b = self.b
         reports = []
-        for y in _check_grid(ys):
-            value, terms, last, converged, path = kilbas_saigo(params, lam * _power(y, a), tol)
+        rows = _kilbas_saigo_ray(self._params, self.lam, self.a, ys, tol)
+        for y, (value, terms, last, converged, path) in zip(ys, rows):
             scale = _power(y, b)
             # A complex product, so an overflowed y**b leaves no part finite.
             value = complex(scale, 0.0 * scale) * value
@@ -287,8 +294,7 @@ class SeriesSolution:
                 re, im = scale * lead.real, scale * lead.imag
                 v.real, v.imag = re * v.real - im * v.imag, re * v.imag + im * v.real
             return report
-        _check_series_args(tol)  # also on an empty grid, which calls no kilbas_saigo
-        rows = self.evaluate(ys.tolist(), tol)
+        rows = self._evaluate(ys.tolist(), tol)  # checks tol also on an empty grid
         fields = zip(*rows) if rows else [()] * 5
         report = SeriesGridReport(*(np.array(field, dtype=dtype) for field, dtype in
                                     zip(fields, (complex, np.int64, float, bool, "<U7"))))
@@ -342,22 +348,27 @@ class CauchySolution:
         """The weighted sum of the branch reports at every y > 0 of ys, not
         converged where it is not finite; a path is every weighted branch's,
         else "mixed" ("series" if no weight). last_term_magnitude is the
-        largest weighted branch's, nan if any of them is nan."""
+        largest weighted branch's, nan if any of them is nan. The grid is
+        checked first, then tol, once each, also where no weight calls a
+        branch; the branches do not check the grid again."""
         ys = _check_grid(ys)
-        weighted = [(w, branch.evaluate(ys, tol))
+        _check_series_args(tol)
+        weighted = [(w, abs(w), branch._evaluate(ys, tol))
                     for w, branch in zip(self.weights, self.branches) if w != 0]
         reports = []
         for j in range(len(ys)):
             total, terms, last, converged, path = 0j, 0, 0.0, True, None
-            for w, rows in weighted:
+            for w, size, rows in weighted:
                 value, used, magnitude, ok, branch_path = rows[j]
                 total += w * value
                 terms += used
-                magnitude = abs(w) * magnitude
-                # max(0.0, nan) is 0.0; max(nan, x) is nan.
-                last = magnitude if math.isnan(magnitude) else max(last, magnitude)
+                magnitude *= size
+                # A nan magnitude makes last nan, and no later one replaces it.
+                if magnitude > last or magnitude != magnitude:
+                    last = magnitude
                 converged = converged and ok
-                path = branch_path if path in (None, branch_path) else "mixed"
+                if path != branch_path:
+                    path = "mixed" if path else branch_path
             converged = converged and cmath.isfinite(total)
             reports.append(_report((total, max(terms, 1), last, converged, path or "series")))
         return reports

@@ -15,8 +15,10 @@ one refusal, and the point is then summed as a series.
 This module imports only the standard library's math, cmath, operator, sys,
 threading, functools, itertools and typing: not numpy, so a scalar caller
 never pays for it, and not dataclasses (see KilbasSaigoParams). Every table
-row of the CLI is one kilbas_saigo call, as is every tail point of a solver
-branch whose triple has a contour record (see _triple). series_grid's driver
+row of the CLI is kilbas_saigo at one point: eval-ks calls it, and a solver
+branch's rows, tail points included where its triple has a contour record
+(see _triple), come from _kilbas_saigo_ray, one pass over the branch's grid
+with its tol checked and its triple looked up once. series_grid's driver
 sums the other branches' tails along a ray z = lam * y**a: the same series
 and stopping rule over a numpy array, to the bit for the same z.
 
@@ -511,7 +513,10 @@ def _contour_estimate(contour: tuple, z: complex, tol: float) -> "tuple[complex,
     real = z.imag == 0.0
     nodes = half if real else full
     pole, rounding, missing = 0j, 0.0, 0.0
-    in_sector = abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
+    # A real z lies in the sector where it is negative: atan2 gives it pi
+    # there and 0 on the positive axis, and alpha*pi rounds below the
+    # double pi for every alpha < 1.
+    in_sector = z.real < 0.0 if real else abs(math.atan2(z.imag, z.real)) >= alpha * math.pi
     # A constant is tried only where it is at most tol, where it will most
     # often decide; so none is tried that could hide a term whose magnitude
     # passes the double range, which the summed bound would meet.
@@ -599,10 +604,35 @@ def kilbas_saigo(
     rule returns one, which then meets tol. Where the rule refuses z (its
     one refusal, None), the series is summed as elsewhere.
     """
-    _check_series_args(tol)
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     ratios, grow, contour = _triple(*params)
     if contour is not None:
         rule = _contour_estimate(contour, complex(z), tol)
         if rule is not None:
             return _report((rule[0], _CONTOUR_NODES, rule[1], True, "contour"))
     return _sum_strides(grow, ratios, z, tol)
+
+
+def _kilbas_saigo_ray(
+    params: KilbasSaigoParams, lam: complex, a: float, ys: "list[float]", tol: float
+) -> list[SeriesEvalReport]:
+    """[kilbas_saigo(params, complex(lam) * y**a, tol) for y in ys], report
+    for report, with y**a Python's pow and inf where it overflows: a solver
+    branch's table. tol is checked and the triple's record looked up once,
+    also for an empty ys; each point then takes the contour rule or the
+    series as kilbas_saigo routes it, through this module's
+    _contour_estimate and _sum_strides."""
+    _check_series_args(tol)
+    ratios, grow, contour = _triple(*params)
+    lam = complex(lam)
+    reports = []
+    for y in ys:
+        z = lam * _power(y, a)
+        if contour is not None:
+            rule = _contour_estimate(contour, z, tol)
+            if rule is not None:
+                reports.append(_report((rule[0], _CONTOUR_NODES, rule[1], True, "contour")))
+                continue
+        reports.append(_sum_strides(grow, ratios, z, tol))
+    return reports

@@ -760,10 +760,10 @@ class TestOutPath:
         [
             ("special_functions", "kilbas_saigo", ["eval-ks", "--alpha", "0.5", "--m", "1", "--l",
                                                    "0", "--z", "1"]),
-            ("solver", "kilbas_saigo", ["fundamental", "--alpha", "0.5", "--beta", "0.5",
-                                        "--mu", "1"]),
-            ("solver", "kilbas_saigo", ["solve", "--alpha", "0.5", "--beta", "0.5", "--mu", "1",
-                                        "--phis", "1"]),
+            ("solver", "_kilbas_saigo_ray", ["fundamental", "--alpha", "0.5", "--beta", "0.5",
+                                             "--mu", "1"]),
+            ("solver", "_kilbas_saigo_ray", ["solve", "--alpha", "0.5", "--beta", "0.5", "--mu",
+                                             "1", "--phis", "1"]),
             ("verification", "residual_coefficient_identity",
              ["verify", "--alpha", "0.5", "--beta", "0.5", "--mu", "1", "--points", "32768"]),
         ],
@@ -787,7 +787,7 @@ class TestPipeline:
     computes the table: a bad --tol (whose message comes first) or a domain
     error exits 1 with one error line, no file and no engine call."""
 
-    ENGINE = [("special_functions", "kilbas_saigo"), ("solver", "kilbas_saigo"),
+    ENGINE = [("special_functions", "kilbas_saigo"), ("solver", "_kilbas_saigo_ray"),
               ("verification", "residual_coefficient_identity"),
               ("verification", "residual_numeric"), ("verification", "initial_condition_check")]
     TOL = "--tol must lie in (0, 1), got 0.0"

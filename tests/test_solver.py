@@ -1,5 +1,6 @@
 """Tests for the series construction and its parameter mappings."""
 
+import cmath
 import math
 import re
 import struct
@@ -262,6 +263,33 @@ class TestSeriesSolution:
             messages.append(str(info.value))
         assert messages == ["evaluation requires finite y > 0, got y=0.0"] * 3
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tol: fundamental_solution(CAPUTO_HALF, 0).evaluate([], tol),
+            lambda tol: cauchy_solution(CAPUTO_HALF, [1.0]).evaluate([], tol),
+            lambda tol: cauchy_solution(CAPUTO_HALF, [0.0]).evaluate([0.5, 1.0], tol),
+            lambda tol: cauchy_solution(make_problem(1.5, 1.25, 0.5, 2, m=0.5), [0.0, 0.0]).evaluate(
+                [1.0], tol),
+        ],
+        ids=["branch-empty", "cauchy-empty", "zero-phis", "zero-phis-i2"],
+    )
+    def test_bad_tol_refused_with_nothing_to_sum(self, call, tol):
+        # A grid that sums nothing still checks tol, as tail_grid_report
+        # does: an empty grid returned [], and all-zero phis a converged 0j.
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\), got "):
+            call(tol)
+
+    def test_grid_is_checked_before_tol(self):
+        calls = [
+            lambda: fundamental_solution(CAPUTO_HALF, 0).evaluate([0.0], 5.0),
+            lambda: cauchy_solution(CAPUTO_HALF, [0.0]).evaluate([0.0], math.nan),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="requires finite y > 0"):
+                call()
+
     @pytest.mark.parametrize("shape", [(), (2, 1)], ids=["0-d", "2-d"])
     @pytest.mark.parametrize(
         "call",
@@ -432,16 +460,50 @@ class TestContourBranch:
             assert abs(report.value - exact) <= 1e-12 * max(1.0, exact), y
 
     def test_branch_is_kilbas_saigo_at_its_triple(self):
-        # Every field, bit for bit, on both paths: y^b kilbas_saigo(lambda y^a).
-        ys = np.linspace(0.01, 2.0, 100)
-        for problem in (LAMBDA_MINUS_50, make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)):
+        # Every field, bit for bit, on every route: y^b kilbas_saigo(lambda
+        # y^a), a power past the double range inf and a value that is not
+        # finite unconverged. The cases take the contour rule on the
+        # negative axis and at a complex lambda, its series fallback below
+        # the rule's rounding floor (tol 1e-15, where many rows are also
+        # unconverged), series branches, and y up to 1e300, where y^a
+        # overflows and, at b = 2, y^b too.
+        def power(y, p):
+            try:
+                return y**p
+            except OverflowError:
+                return math.inf
+
+        ys = np.linspace(0.01, 2.0, 100).tolist()
+        huge = np.geomspace(1e-3, 1e300, 40).tolist()
+        i2 = make_problem(1.5, 1.25, 0.5, 2, m=0.5, lam=-2.0 + 1.0j)
+        cases = [
+            (LAMBDA_MINUS_50, ys, 1e-12),
+            (i2, ys, 1e-12),
+            (make_problem(0.5, 0.5, 1.0, 1, lam=-2.0 + 3.0j), np.linspace(0.01, 4.0, 100).tolist(), 1e-12),
+            (LAMBDA_MINUS_50, np.linspace(0.01, 2.0, 103).tolist(), 1e-15),
+            (LAMBDA_MINUS_50, huge, 1e-12),
+            (i2, huge, 1e-12),
+            (make_problem(2.5, 2.5, 1.0, 3, lam=-1.0), huge, 1e-12),
+        ]
+        routes = set()
+        for problem, grid, tol in cases:
             for s in range(problem.orders.i):
                 sol = fundamental_solution(problem, s)
+                params = sol.kilbas_saigo_params()
                 points = []
-                for y in ys.tolist():
-                    ks = kilbas_saigo(sol.kilbas_saigo_params(), sol.lam * y**sol.a)
-                    points.append(ks._replace(value=y**sol.b * sol.lam**0 * ks.value))
-                assert_matches_pointwise(sol.evaluate(ys), points)
+                for y in grid:
+                    ks = kilbas_saigo(params, sol.lam * power(y, sol.a), tol)
+                    value = power(y, sol.b) * sol.lam**0 * ks.value
+                    points.append(ks._replace(value=value,
+                                              converged=ks.converged and cmath.isfinite(value)))
+                    routes.update(name for name, taken in [
+                        ("contour", ks.path == "contour"),
+                        ("fallback", ks.path == "series" and _triple(*params).contour is not None),
+                        ("unconverged", not ks.converged),
+                        ("y^a overflows", power(y, sol.a) == math.inf),
+                        ("y^b overflows", power(y, sol.b) == math.inf)] if taken)
+                assert_matches_pointwise(sol.evaluate(grid, tol), points)
+        assert len(routes) == 5
 
     def test_overflowing_tail_points_take_the_scalar_engine(self):
         # On a series branch, a point whose terms pass exp(700) is summed by
@@ -633,7 +695,7 @@ class TestOverflowingPower:
             def __init__(self, magnitude):
                 self.magnitude = magnitude
 
-            def evaluate(self, ys, tol):
+            def _evaluate(self, ys, tol):
                 return [(1.0 + 0j, 3, self.magnitude, False, "series")]
 
         sol = CauchySolution(self.PROBLEM, (1.0, 1.0), tuple(map(Branch, magnitudes)), (1.0, 2.0))
