@@ -7,8 +7,8 @@ combination of branches. Branch s is y^{b_s} E_{gamma, a/gamma,
 alone, maps it to that triple once and reads its coefficients from the
 shared, bounded Kilbas-Saigo cache. SeriesSolution.evaluate and
 CauchySolution.evaluate return a SeriesEvalReport per point y, the branch
-being y**b * kilbas_saigo(lam * y**a) by Python's pow, contour rule
-included, in one pass per branch (special_functions._kilbas_saigo_ray)
+being y**b * kilbas_saigo(lam * y**a) by Python's pow, scale and contour
+rule included, in one pass per branch (special_functions._kilbas_saigo_ray)
 that checks tol and looks the triple up once; each checks its grid once.
 This module imports no numpy for them. A tail from k_start,
 tail_grid_report, has the domain of its branch, y > 0, and comes from the
@@ -234,23 +234,16 @@ class SeriesSolution:
 
     def evaluate(self, ys: Iterable[float], tol: float = DEFAULT_TOL) -> list[SeriesEvalReport]:
         """The branch, with truncation metadata, at every y > 0 of ys:
-        y**b * kilbas_saigo(lam * y**a) by Python's pow, path included. The
-        grid is checked first, then tol, once for the whole grid, also an
-        empty one. A power past the double range is inf, and a point whose
-        value is not finite is unconverged."""
+        y**b * kilbas_saigo(lam * y**a) by Python's pow in one pass, path
+        included. The grid is checked first, then tol, once for the whole
+        grid, also an empty one. A power past the double range is inf, and a
+        point whose value is not finite is unconverged."""
         return self._evaluate(_check_grid(ys), tol)
 
     def _evaluate(self, ys: list[float], tol: float) -> list[SeriesEvalReport]:
-        """evaluate on a grid already checked."""
-        b = self.b
-        reports = []
-        rows = _kilbas_saigo_ray(self._params, self.lam, self.a, ys, tol)
-        for y, (value, terms, last, converged, path) in zip(ys, rows):
-            scale = _power(y, b)
-            # A complex product, so an overflowed y**b leaves no part finite.
-            value = complex(scale, 0.0 * scale) * value
-            reports.append(_report((value, terms, last, converged and cmath.isfinite(value), path)))
-        return reports
+        """evaluate on a grid already checked: the branch's one ray pass,
+        the y**b scale included."""
+        return _kilbas_saigo_ray(self._params, self.lam, self.a, self.b, ys, tol)
 
     def evaluate_tail_report(
         self, y: float, k_start: int, tol: float = DEFAULT_TOL

@@ -18,9 +18,10 @@ never pays for it, and not dataclasses (see KilbasSaigoParams). Every table
 row of the CLI is kilbas_saigo at one point: eval-ks calls it, and a solver
 branch's rows, tail points included where its triple has a contour record
 (see _triple), come from _kilbas_saigo_ray, one pass over the branch's grid
-with its tol checked and its triple looked up once. series_grid's driver
-sums the other branches' tails along a ray z = lam * y**a: the same series
-and stopping rule over a numpy array, to the bit for the same z.
+with its tol checked and its triple looked up once, which scales each point
+by y**b and builds its report once. series_grid's driver sums the other
+branches' tails along a ray z = lam * y**a: the same series and stopping
+rule over a numpy array, to the bit for the same z.
 
 Every Gamma ratio is formed in log space, a coefficient ratio c_k/c_{k-1}
 as exp of one, right to about its last bit, and a coefficient c_k as the
@@ -615,24 +616,27 @@ def kilbas_saigo(
 
 
 def _kilbas_saigo_ray(
-    params: KilbasSaigoParams, lam: complex, a: float, ys: "list[float]", tol: float
+    params: KilbasSaigoParams, lam: complex, a: float, b: float, ys: "list[float]", tol: float
 ) -> list[SeriesEvalReport]:
-    """[kilbas_saigo(params, complex(lam) * y**a, tol) for y in ys], report
-    for report, with y**a Python's pow and inf where it overflows: a solver
-    branch's table. tol is checked and the triple's record looked up once,
-    also for an empty ys; each point then takes the contour rule or the
-    series as kilbas_saigo routes it, through this module's
-    _contour_estimate and _sum_strides."""
+    """A solver branch's table in one pass: y**b * kilbas_saigo(params,
+    complex(lam) * y**a, tol) for y in ys, each power Python's pow, inf where
+    it overflows, and a point whose value is not finite unconverged. tol is
+    checked and the triple looked up once, also for an empty ys; each point
+    takes the contour rule or the series as kilbas_saigo routes it, through
+    _contour_estimate and _sum_strides, and its report is built once."""
     _check_series_args(tol)
     ratios, grow, contour = _triple(*params)
     lam = complex(lam)
     reports = []
     for y in ys:
         z = lam * _power(y, a)
-        if contour is not None:
-            rule = _contour_estimate(contour, z, tol)
-            if rule is not None:
-                reports.append(_report((rule[0], _CONTOUR_NODES, rule[1], True, "contour")))
-                continue
-        reports.append(_sum_strides(grow, ratios, z, tol))
+        rule = None if contour is None else _contour_estimate(contour, z, tol)
+        if rule is None:
+            value, terms, last, converged, path = _sum_strides(grow, ratios, z, tol)
+        else:
+            value, terms, last, converged, path = rule[0], _CONTOUR_NODES, rule[1], True, "contour"
+        s = _power(y, b)
+        # A complex product, so an overflowed y**b leaves no part finite.
+        value = complex(s, 0.0 * s) * value
+        reports.append(_report((value, terms, last, converged and cmath.isfinite(value), path)))
     return reports

@@ -2100,3 +2100,88 @@ class TestContourConstants:
                 assert (*_bits(report), report.path) == (*_bits(reference), reference.path), (z, tol)
         report = _strict(kilbas_saigo, params, -2.0)
         assert report.path == "contour" and abs(report.value - 1.0 / 3.0) <= 1e-14
+
+
+def _assert_conjugate(report, other, tol, scale=1.0):
+    """other is report at the conjugate point (ROADMAP item 23): the same
+    path, term count and convergence. On the series, whose coefficients are
+    real and whose arithmetic is symmetric under conjugation, the conjugate
+    value and the same magnitude bit for bit, but that a zero part matches
+    a zero (x + 0.0 is +0.0 at x = -0.0) and a nan part a nan (IEEE leaves
+    its sign unspecified). On the contour rule, which sums the mirrored
+    nodes in the opposite order, values within both estimates,
+    2 tol max(1, |E|) for the value E = report.value/scale."""
+    assert (other.path, other.terms_used, other.converged) == (report.path, report.terms_used, report.converged)
+    if report.path == "series":
+        assert type(other.value) is type(report.value)
+        pairs = zip((report.value.real, -report.value.imag, report.last_term_magnitude),
+                    (other.value.real, other.value.imag, other.last_term_magnitude))
+        for x, y in pairs:
+            assert x == y or x != x and y != y, (report, other)
+    else:
+        size = max(scale, abs(report.value))
+        assert abs(other.value - report.value.conjugate()) <= 2.0 * tol * size, (report, other)
+
+
+# Points off the real axis with |z| <= 12.
+_off_axis = st.builds(
+    complex, st.floats(-12.0, 12.0), st.one_of(st.floats(-12.0, -5e-324), st.floats(5e-324, 12.0))
+).filter(lambda z: abs(z) <= 12.0)
+
+
+class TestConjugation:
+    """E(conj z) = conj E(z), the coefficients being real: on contour and
+    series triples, and on solver branches, whose y**b scale is real."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        alpha_l=st.one_of(st.just(0.0), st.floats(-1.0, 0.0, exclude_min=True)),
+        zs=st.lists(_off_axis, min_size=1, max_size=8),
+        tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    def test_contour_triples(self, alpha, alpha_l, zs, tol):
+        l = alpha_l / alpha
+        assume(math.isfinite(l) and alpha * l > -1.0)
+        params = KilbasSaigoParams(alpha, 1.0, l)
+        for z in zs:
+            _assert_conjugate(kilbas_saigo(params, z, tol), kilbas_saigo(params, z.conjugate(), tol), tol)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.1, 3.0),
+        m=st.floats(0.2, 3.0),
+        l=st.floats(-0.3, 2.0),
+        zs=st.lists(_off_axis, min_size=1, max_size=8),
+        tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    def test_series_triples(self, alpha, m, l, zs, tol):
+        assume(alpha * l > -1.0)
+        params = KilbasSaigoParams(alpha, m, l)
+        for z in zs:
+            _assert_conjugate(kilbas_saigo(params, z, tol), kilbas_saigo(params, z.conjugate(), tol), tol)
+
+    # At i = 1 and m = 0 every branch is a contour triple's.
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        m=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        lam=_off_axis,
+        ys=st.lists(st.one_of(st.floats(1e-3, 4.0), st.floats(0.0, 1e300, exclude_min=True)),
+                    min_size=1, max_size=8),
+        tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    def test_branches(self, i, data, m, lam, ys, tol):
+        # SeriesSolution.evaluate at lambda and its conjugate: the engine's
+        # report times y**b, built in the branch's one pass.
+        order = st.floats(i - 1, i, exclude_min=True, exclude_max=True)
+        orders = OrderTriple(data.draw(order), data.draw(order), data.draw(st.floats(0.0, 1.0)), i)
+        try:
+            pairs = [[fundamental_solution(DegenerateProblem(orders, m, value), s)
+                      for value in (lam, lam.conjugate())] for s in range(orders.i)]
+        except DomainError:
+            assume(False)  # an inadmissible problem
+        for branch, mirror in pairs:
+            for y, report, other in zip(ys, branch.evaluate(ys, tol), mirror.evaluate(ys, tol)):
+                _assert_conjugate(report, other, tol, _power(y, branch.b))
